@@ -13,13 +13,13 @@ import itertools
 import json
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
-from .polycore import Dyadic, Polynomial, _mono_key
+from .polycore import Dyadic, Polynomial, _mono_key, render_terms
 from .gamma import GammaElement, GeneratorSeries, q_pair, specialize_oracle
 from .weyl import SignedPermutation, all_elements, length
 from .triples import (
     Triple,
+    column_steps,
     enumerate_triples,
     lambda_of,
     plus_map,
@@ -27,12 +27,11 @@ from .triples import (
     triple_of_w,
     validate,
 )
-from .multischur import multischur_pf, p_family, r_family
+from .multischur import p_family, r_family
 from .schubert import (
     expand_coeffs,
     schubert,
     swap_xy,
-    top_term,
     vexillary_polynomial,
 )
 from . import gysin
@@ -91,50 +90,19 @@ def parse_element(rows) -> GammaElement:
     return GammaElement(combo)
 
 
-def _poly_text(poly: Polynomial, latex: bool) -> str:
-    bits = []
-    for mono in sorted(poly.terms, key=_mono_key, reverse=True):
-        coeff = poly.terms[mono]
-        factors = []
-        for v, e in mono:
-            name = f"{v[0]}_{{{v[1]}}}" if latex else f"{v[0]}{v[1]}"
-            if e > 1:
-                name += f"^{{{e}}}" if latex else f"^{e}"
-            factors.append(name)
-        if coeff.log2den:
-            c = (
-                f"\\frac{{{coeff.num}}}{{{1 << coeff.log2den}}}"
-                if latex
-                else f"{coeff.num}/{1 << coeff.log2den}"
-            )
-        else:
-            c = str(coeff.num)
-        if factors and c == "1":
-            body = ("" if latex else "*").join(factors) if latex else "*".join(factors)
-        elif factors and c == "-1":
-            body = "-" + (" " if latex else "*").join(factors)
-        else:
-            sep = " " if latex else "*"
-            body = c + (sep + sep.join(factors) if factors else "")
-        bits.append(body)
-    if not bits:
-        return "0"
-    return " + ".join(bits).replace("+ -", "- ")
-
-
 def render(e, fmt: str, basis: str = "Q") -> str:
     """Text form of a class; basis P rescales signed-type coefficients."""
     if fmt == "json":
         return json.dumps({"terms": serialize_element(e)}, sort_keys=True)
     if isinstance(e, Polynomial):
-        return _poly_text(e, fmt == "latex")
+        return render_terms(e.terms, fmt == "latex")
     combo = expand_coeffs(GammaElement.of(e), basis=basis)
     if not combo:
         return "0"
     bits = []
     for lam in sorted(combo, reverse=True):
         coeff = combo[lam]
-        body = _poly_text(coeff, fmt == "latex")
+        body = render_terms(coeff.terms, fmt == "latex")
         if lam:
             parts = ",".join(str(m) for m in lam)
             sym = f"{basis}_{{({parts})}}" if fmt == "latex" else f"{basis}({parts})"
@@ -158,15 +126,18 @@ def _display_basis(wtype: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _parse_w(text: str) -> SignedPermutation:
+def _parse_w(text: str, wtype: str) -> SignedPermutation:
     try:
-        return SignedPermutation.parse(text)
+        w = SignedPermutation.parse(text)
     except Exception as exc:
         raise ParseError(f"bad one-line word {text!r}: {exc}") from exc
+    if wtype == "A" and not w.is_unsigned():
+        raise ParseError(f"bad one-line word {text!r}: type A wants no barred values")
+    return w
 
 
 def cmd_schubert(args) -> int:
-    w = _parse_w(args.w)
+    w = _parse_w(args.w, args.type)
     e = schubert(w, args.type, n=args.n)
     print(render(e, args.format, _display_basis(args.type)))
     return 0
@@ -196,7 +167,7 @@ def _formula_rows(t: Triple):
 
 
 def cmd_vexillary(args) -> int:
-    w = _parse_w(args.w)
+    w = _parse_w(args.w, args.type)
     t = triple_of_w(w, args.type)
     if t is None:
         if args.format == "json":
@@ -214,8 +185,9 @@ def cmd_vexillary(args) -> int:
     }
     if args.expand:
         e = vexillary_polynomial(t, "B" if args.type == "B" else None)
-        payload["polynomial"] = serialize_element(e)
     if args.format == "json":
+        if args.expand:
+            payload["polynomial"] = serialize_element(e)
         print(json.dumps(payload, sort_keys=True))
     else:
         print(f"triple: {t if t.s else '(empty)'}")
@@ -223,7 +195,6 @@ def cmd_vexillary(args) -> int:
         for row in payload["formula"]:
             print(f"  {row}")
         if args.expand:
-            e = vexillary_polynomial(t, "B" if args.type == "B" else None)
             print(f"polynomial: {render(e, args.format, _display_basis(args.type))}")
     return 0
 
@@ -262,14 +233,6 @@ def cmd_enumerate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _pmap(fn, items, threads):
-    items = list(items)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def _vexillary_count(wtype, n):
     elems = list(all_elements(n, wtype))
     vex = sum(1 for w in elems if triple_of_w(w, wtype) is not None)
@@ -290,15 +253,13 @@ def suite_theorem_equivalence(args, report):
     wtype = args.type or "C"
     n = args.n or 2
     elems = list(all_elements(n, wtype))
-
-    def check(w):
+    bad = []
+    for w in elems:
         t = triple_of_w(w, wtype)
         if t is None:
-            return None
-        formula = vexillary_polynomial(t, "B" if wtype == "B" else None)
-        return None if formula == schubert(w, wtype) else str(w)
-
-    bad = [b for b in _pmap(check, elems, args.threads) if b]
+            continue
+        if vexillary_polynomial(t, "B" if wtype == "B" else None) != schubert(w, wtype):
+            bad.append(str(w))
     for b in bad:
         report.append(f"mismatch at w = {b}")
     report.append(f"type {wtype}, n = {n}: {len(elems)} elements compared")
@@ -350,8 +311,7 @@ def _worked_a_det_y0(t: Triple) -> Polynomial:
     lam = lambda_of_extended(t)
     bound = lam[0] + len(lam)
     series = []
-    for k in range(1, t.k[-1] + 1):
-        i = next(j for j in range(t.s) if t.k[j] >= k)
+    for i in column_steps(t):
         num = [1 + Polynomial.variable("x", jj) for jj in range(1, t.p[i] + 1)]
         series.append(rational_series(num, [], bound))
     return multischur_det(lam, series)
@@ -640,7 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(fn=cmd_verify)
 
     return parser

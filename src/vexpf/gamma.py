@@ -180,20 +180,14 @@ class GammaElement:
             if not coeff:
                 continue
             for lam, c in straighten_monomial(_gens(mono)).items():
-                cur = combo.get(lam, Polynomial())
-                combo[lam] = cur + coeff * c
+                _iadd(combo, lam, coeff * c)
         return GammaElement(combo)
 
     def to_raw(self) -> dict:
         raw = {}
         for lam, coeff in self.combo.items():
             for mono, c in pf_expansion(lam).items():
-                cur = raw.get(mono, Polynomial())
-                cur = cur + coeff * c
-                if cur:
-                    raw[mono] = cur
-                else:
-                    raw.pop(mono, None)
+                _iadd(raw, mono, coeff * c)
         return raw
 
     def __bool__(self):
@@ -228,15 +222,7 @@ class GammaElement:
         if isinstance(other, (int, Dyadic, Polynomial)):
             other = Polynomial.of(other)
             return GammaElement({lam: c * other for lam, c in self.combo.items()})
-        other = GammaElement.of(other)
-        raw = {}
-        r2 = other.to_raw()
-        for m1, c1 in self.to_raw().items():
-            for m2, c2 in r2.items():
-                m = _gens(m1 + m2)
-                cur = raw.get(m, Polynomial())
-                raw[m] = cur + c1 * c2
-        return GammaElement.from_raw(raw)
+        return GammaElement.from_raw(_raw_mul(self.to_raw(), GammaElement.of(other).to_raw()))
 
     __rmul__ = __mul__
 
@@ -325,8 +311,7 @@ class GeneratorSeries:
                     mono = (m - i,) if m - i > 0 else ()
                     if mono and self.q_scale != Dyadic(1):
                         g = g * self.q_scale
-                    cur = out.get(mono, Polynomial())
-                    out[mono] = cur + g
+                    _iadd(out, mono, g)
         else:
             g = self.multiplier.part(m)
             if g:
@@ -370,32 +355,13 @@ def q_pair_raw(k: int, l: int, c_k: GeneratorSeries, c_l: GeneratorSeries) -> di
     if scale != Dyadic(1):
         c_k = GeneratorSeries(c_k.has_q, c_k.multiplier)
         c_l = GeneratorSeries(c_l.has_q, c_l.multiplier)
-    out = _raw_poly_mul(c_k.coeff_raw(k), c_l.coeff_raw(l))
+    out = _raw_mul(c_k.coeff_raw(k), c_l.coeff_raw(l))
     for j in range(1, l + 1):
-        term = _raw_poly_mul(c_k.coeff_raw(k + j), c_l.coeff_raw(l - j))
+        term = _raw_mul(c_k.coeff_raw(k + j), c_l.coeff_raw(l - j))
         for m, c in term.items():
-            cur = out.get(m, Polynomial())
-            cur = cur + c * (2 * (-1) ** j)
-            if cur:
-                out[m] = cur
-            else:
-                out.pop(m, None)
+            _iadd(out, m, c * (2 * (-1) ** j))
     if scale != Dyadic(1):
         out = {m: c * scale for m, c in out.items()}
-    return out
-
-
-def _raw_poly_mul(r1: dict, r2: dict) -> dict:
-    out = {}
-    for m1, c1 in r1.items():
-        for m2, c2 in r2.items():
-            m = _gens(m1 + m2)
-            cur = out.get(m, Polynomial())
-            cur = cur + c1 * c2
-            if cur:
-                out[m] = cur
-            else:
-                out.pop(m, None)
     return out
 
 
@@ -419,8 +385,7 @@ def _generator_image_s0(a: int, fam: str) -> dict:
     out = {(a,): Polynomial.const(1)}
     for j in range(1, a + 1):
         mono = (a - j,) if a - j > 0 else ()
-        cur = out.get(mono, Polynomial())
-        out[mono] = cur + 2 * v**j
+        _iadd(out, mono, 2 * v**j)
     return out
 
 
@@ -435,8 +400,7 @@ def _generator_image_s1hat(a: int) -> dict:
         for i in range(j):
             vm = vm + x1**i * x2 ** (j - 1 - i)
         mono = (a - j,) if a - j > 0 else ()
-        cur = out.get(mono, Polynomial())
-        out[mono] = cur + 2 * (x1 + x2) * vm
+        _iadd(out, mono, 2 * (x1 + x2) * vm)
     return out
 
 
@@ -470,10 +434,9 @@ def apply_symmetry(op, e: GammaElement) -> GammaElement:
     for mono, coeff in e.to_raw().items():
         term = {(): coeff.substitute(sub)}
         for a in mono:
-            term = _raw_poly_mul(term, image(a))
+            term = _raw_mul(term, image(a))
         for m, c in term.items():
-            cur = out_raw.get(m, Polynomial())
-            out_raw[m] = cur + c
+            _iadd(out_raw, m, c)
     return GammaElement.from_raw(out_raw)
 
 

@@ -31,9 +31,10 @@ from .polycore import (
     _mono_degree,
     _mono_mul,
     _var_key,
+    render_terms,
 )
 from .gamma import GammaElement, GeneratorSeries, series_coeff
-from .multischur import multischur_pf, multischur_pf_d, rational_series
+from .multischur import multischur_pf, multischur_pf_d, pfaffian, rational_series
 
 
 class WindowTooSmall(ValueError):
@@ -175,14 +176,7 @@ class LaurentElement:
         return out
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for mono in sorted(self.terms, key=lambda m: (_mono_degree(m), m)):
-            coeff = self.terms[mono]
-            factors = [f"{v[0]}{v[1]}" + (f"^{e}" if e != 1 else "") for v, e in mono]
-            bits.append("*".join([repr(coeff)] + factors) if factors else repr(coeff))
-        return " + ".join(bits).replace("+ -", "- ")
+        return render_terms(self.terms)
 
     __repr__ = __str__
 
@@ -207,38 +201,11 @@ def f_pair(i: int, j: int, window: int = 8) -> LaurentElement:
     return out
 
 
-def _generic_pf(items, entry, border, zero, one):
-    """First-row / border expansion of a Pfaffian over any commutative-ish
-    data: entry(i, j) for i < j in list order, border(k) for odd sizes."""
-    items = tuple(items)
-    if not items:
-        return one
-    if len(items) % 2 == 1:
-        acc = zero
-        for pos, k in enumerate(items):
-            rest = items[:pos] + items[pos + 1 :]
-            term = border(k) * _generic_pf(rest, entry, border, zero, one)
-            acc = acc + (term if pos % 2 == 0 else -term)
-        return acc
-    first, rest = items[0], items[1:]
-    acc = zero
-    for pos, j in enumerate(rest):
-        sub = _generic_pf(rest[:pos] + rest[pos + 1 :], entry, border, zero, one)
-        term = entry(first, j) * sub
-        acc = acc + (term if pos % 2 == 0 else -term)
-    return acc
-
-
 def f_index(I, window: int = 8) -> LaurentElement:
     """The Pfaffian f[I] of the matrix (f[i,j]) with border entries 1."""
     I = tuple(sorted(I))
-    return _generic_pf(
-        I,
-        lambda i, j: f_pair(i, j, window),
-        lambda k: LaurentElement.const(1, window),
-        LaurentElement(window=window),
-        LaurentElement.const(1, window),
-    )
+    one = LaurentElement.const(1, window)
+    return pfaffian(len(I), lambda a, b: f_pair(I[a], I[b], window), one, border=lambda a: one)
 
 
 def f_index_identity(I, window: int = 8) -> bool:
@@ -470,14 +437,11 @@ def prop_A1_check(lam, K, monomials=None, window: int = None) -> bool:
     elif window < required:
         raise WindowTooSmall(f"window {window} < required {required}")
 
-    zero_op = IndexedOperator()
-    one_op = IndexedOperator.scalar(LaurentElement.const(1, window))
-    lhs = _generic_pf(
-        K,
-        lambda i, j: f_tilde_pair(i, j, lam, window),
-        lambda k: f_tilde_border(k, lam, window),
-        zero_op,
-        one_op,
+    lhs = pfaffian(
+        len(K),
+        lambda a, b: f_tilde_pair(K[a], K[b], lam, window),
+        IndexedOperator.scalar(LaurentElement.const(1, window)),
+        border=lambda a: f_tilde_border(K[a], lam, window),
     )
 
     rhs = IndexedOperator()

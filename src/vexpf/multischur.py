@@ -11,7 +11,9 @@ Three constructions over a list of coefficient series:
     polynomial c(i) alongside each series d(i); odd sizes expand along a
     border whose entries are d(i)_{k_i} + c(i)_{k_i}.
 
-Each entry of the Pfaffian matrix is computed for i < j only; the skew
+All Pfaffians, here and in the gysin appendix checks, go through one
+memoized first-row expander, `pfaffian`.  Each entry of the Pfaffian
+matrix is computed for i < j only; the skew
 symmetry that makes the result well-behaved under column exchange holds
 exactly when each series multiplier has degree below its index, and is
 verified up front (Pfaffians of arbitrary integer index sequences are
@@ -99,6 +101,41 @@ def _det(matrix, cols, memo):
     return acc
 
 
+def pfaffian(size: int, entry, one, border=None):
+    """The Pfaffian of the skew matrix with entries entry(i, j), 0 <= i < j < size.
+
+    Entries live in any ring with +, -, * and truthiness (GammaElement,
+    Laurent elements, indexed operators); `one` is its unit.  An odd size
+    needs border(i): it becomes an extra last column, so the result is the
+    border expansion sum_i (-1)^i border(i) Pf(minor without i).  Expansion
+    runs along the first row; each entry and each sub-Pfaffian is computed
+    once, and zero entries are skipped.
+    """
+    odd = size % 2
+    if odd and border is None:
+        raise ValueError("an odd-size Pfaffian needs a border")
+    entries = {}
+    memo = {(): one}
+
+    def pf(positions):
+        if positions in memo:
+            return memo[positions]
+        first, rest = positions[0], positions[1:]
+        acc = one - one
+        for pos, j in enumerate(rest):
+            if (first, j) not in entries:
+                entries[first, j] = border(first) if j == size else entry(first, j)
+            e = entries[first, j]
+            if not e:
+                continue
+            term = e * pf(rest[:pos] + rest[pos + 1 :])
+            acc = acc + (term if pos % 2 == 0 else -term)
+        memo[positions] = acc
+        return acc
+
+    return pf(tuple(range(size + odd)))
+
+
 # ---------------------------------------------------------------------------
 # types B / C
 # ---------------------------------------------------------------------------
@@ -127,25 +164,7 @@ def multischur_pf(lam, series, check: bool = True) -> GammaElement:
         lam = lam + (0,)
         series = series + [UNIT_SERIES]
     entry = lambda i, j: q_pair(lam[i], lam[j], series[i], series[j])
-    return _pfaffian(tuple(range(len(lam))), entry, {})
-
-
-def _pfaffian(positions, entry, memo):
-    if not positions:
-        return GammaElement.one()
-    if positions in memo:
-        return memo[positions]
-    first, rest = positions[0], positions[1:]
-    acc = GammaElement.zero()
-    for pos, j in enumerate(rest):
-        e = entry(first, j)
-        if not e:
-            continue
-        sub = _pfaffian(rest[:pos] + rest[pos + 1 :], entry, memo)
-        term = e * sub
-        acc = acc + (term if pos % 2 == 0 else -term)
-    memo[positions] = acc
-    return acc
+    return pfaffian(len(lam), entry, GammaElement.one())
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +196,12 @@ def multischur_pf_d(lam, pairs, check: bool = True) -> GammaElement:
     ds = [d for _, d in pairs]
     if check:
         _check_paired(lam, cs, ds)
-    return _paired_pf(lam, cs, ds)
+    return pfaffian(
+        len(lam),
+        lambda i, j: _paired_entry(lam[i], lam[j], cs[i], ds[i], cs[j], ds[j]),
+        GammaElement.one(),
+        border=lambda i: series_coeff(ds[i], lam[i]) + GammaElement.of(cs[i].part(lam[i])),
+    )
 
 
 def _check_paired(lam, cs, ds):
@@ -216,28 +240,6 @@ def _paired_entry(ki, kj, ci, di, cj, dj) -> GammaElement:
         term = series_coeff(di, ki + m) * series_coeff(dj, kj - m)
         left = left + term * (2 * (-1) ** m)
     return left
-
-
-def _paired_border(ki, ci, di) -> GammaElement:
-    return series_coeff(di, ki) + GammaElement.of(ci.part(ki))
-
-
-def _paired_pf(lam, cs, ds) -> GammaElement:
-    r = len(lam)
-    if r % 2 == 1:
-        acc = GammaElement.zero()
-        for k in range(r):
-            rest = [i for i in range(r) if i != k]
-            sub = _paired_pf(
-                tuple(lam[i] for i in rest),
-                [cs[i] for i in rest],
-                [ds[i] for i in rest],
-            )
-            term = _paired_border(lam[k], cs[k], ds[k]) * sub
-            acc = acc + (term if k % 2 == 0 else -term)
-        return acc
-    entry = lambda i, j: _paired_entry(lam[i], lam[j], cs[i], ds[i], cs[j], ds[j])
-    return _pfaffian(tuple(range(r)), entry, {})
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,37 @@ def _mono_key(mono):
     )
 
 
+def render_terms(terms: dict, latex: bool = False) -> str:
+    """Text form of a map {monomial: Dyadic}, largest monomial first in
+    graded-lex order: plain "3*x1^2*y2" or latex "3 x_{1}^{2} y_{2}".
+    Every exponent other than 1 is printed, so negative (Laurent) powers
+    render too."""
+    sep = " " if latex else "*"
+    bits = []
+    for mono in sorted(terms, key=_mono_key, reverse=True):
+        coeff = terms[mono]
+        factors = []
+        for v, e in mono:
+            name = f"{v[0]}_{{{v[1]}}}" if latex else f"{v[0]}{v[1]}"
+            if e != 1:
+                name += f"^{{{e}}}" if latex else f"^{e}"
+            factors.append(name)
+        if coeff.log2den and latex:
+            c = f"\\frac{{{coeff.num}}}{{{1 << coeff.log2den}}}"
+        else:
+            c = repr(coeff)
+        if factors and c == "1":
+            body = ("" if latex else "*").join(factors)
+        elif factors and c == "-1":
+            body = "-" + sep.join(factors)
+        else:
+            body = c + (sep + sep.join(factors) if factors else "")
+        bits.append(body)
+    if not bits:
+        return "0"
+    return " + ".join(bits).replace("+ -", "- ")
+
+
 class Polynomial:
     """Sparse polynomial: a map from monomials to nonzero Dyadic coefficients."""
 
@@ -342,25 +373,7 @@ class Polynomial:
         return mono, self.terms[mono]
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for mono in sorted(self.terms, key=_mono_key, reverse=True):
-            coeff = self.terms[mono]
-            factors = [
-                f"{v[0]}{v[1]}" + (f"^{e}" if e > 1 else "") for v, e in mono
-            ]
-            if not factors:
-                body = repr(coeff)
-            elif coeff == _ONE:
-                body = "*".join(factors)
-            elif coeff == Dyadic(-1):
-                body = "-" + "*".join(factors)
-            else:
-                body = repr(coeff) + "*" + "*".join(factors)
-            bits.append(body)
-        out = " + ".join(bits)
-        return out.replace("+ -", "- ")
+        return render_terms(self.terms)
 
     __repr__ = __str__
 

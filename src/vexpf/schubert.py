@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 
-from .polycore import Dyadic, NotDivisible, Polynomial, exact_divide
+from .polycore import Dyadic, Polynomial, exact_divide
 from .gamma import (
     GammaElement,
     GeneratorSeries,
@@ -28,7 +28,7 @@ from .gamma import (
     substitute_q,
 )
 from .weyl import SignedPermutation, generators, length, longest_element
-from .triples import InvalidTriple, Triple, lambda_of, validate
+from .triples import InvalidTriple, Triple, column_steps, lambda_of, reduce_redundant, validate
 from .multischur import (
     multischur_det,
     multischur_pf,
@@ -110,10 +110,8 @@ def divided_difference(i: int, f, wtype: str, side: str = "x"):
 
 
 def _steps(t: Triple):
-    """(k_i, p_i, q_i) governing each column k = 1..k_s (minimal k_i >= k)."""
-    for k in range(1, t.k[-1] + 1):
-        i = next(j for j in range(t.s) if t.k[j] >= k)
-        yield t.p[i], t.q[i]
+    """(p_i, q_i) of the step governing each column k = 1..k_s."""
+    return [(t.p[i], t.q[i]) for i in column_steps(t)]
 
 
 def _ones_product(fam, count):
@@ -169,20 +167,9 @@ def vexillary_polynomial(t: Triple, wtype: str = None):
 
 
 def lambda_of_extended(t: Triple):
-    """lambda_of, also defined for redundant triples (the pins stay
-    consistent when equality holds)."""
-    if validate(t) == "strict":
-        return lambda_of(t)
-    out = []
-    for k in range(1, t.k[-1] + 1):
-        i = next(j for j in range(t.s) if t.k[j] >= k)
-        if t.wtype == "A":
-            out.append(t.p[i] - t.q[i] + t.k[i])
-        elif t.wtype == "C":
-            out.append(t.p[i] + t.q[i] - 1 + t.k[i] - k)
-        else:
-            out.append(t.p[i] + t.q[i] + t.k[i] - k)
-    return tuple(out)
+    """lambda_of, also defined for redundant triples: reduction drops only
+    steps whose columns carry the same pins, so the partition is kept."""
+    return lambda_of(reduce_redundant(t))
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +204,11 @@ def top_class(n: int, wtype: str, d_zero: bool = False):
 
 
 def _top_element(n: int, wtype: str, barred_parity: int) -> SignedPermutation:
-    if wtype == "A":
-        return longest_element(n, "A")
-    if wtype in ("B", "C"):
-        return SignedPermutation(-i for i in range(1, n + 1))
-    # type D: pick the variant whose barred count matches the coset
-    if n % 2 == barred_parity:
-        return SignedPermutation(-i for i in range(1, n + 1))
-    return SignedPermutation([1] + [-i for i in range(2, n + 1)])
+    w0 = longest_element(n, wtype)
+    if wtype == "D" and w0.num_barred() % 2 != barred_parity:
+        # the top of the odd type-D coset: flip the first entry's bar
+        return SignedPermutation((-w0.values[0],) + w0.values[1:])
+    return w0
 
 
 _CACHE = {}
@@ -312,8 +296,7 @@ def degeneracy_formula(t: Triple, q_series: Polynomial = None, multipliers=None)
     else:
         lam = lambda_of_extended(t)
         per_col = []
-        for k in range(1, t.k[-1] + 1):
-            i = next(j for j in range(t.s) if t.k[j] >= k)
+        for i in column_steps(t):
             if multipliers is not None:
                 per_col.append(Polynomial.of(multipliers[i]))
             elif t.wtype == "C":

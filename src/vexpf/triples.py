@@ -151,16 +151,21 @@ def reduce_redundant(t: Triple) -> Triple:
     return t
 
 
+def column_steps(t: Triple) -> list:
+    """For each column k = 1..k_s, the step governing it: the least i
+    with k_i >= k."""
+    if t.s == 0:
+        return []
+    return [next(i for i in range(t.s) if t.k[i] >= k) for k in range(1, t.k[-1] + 1)]
+
+
 def lambda_of(t: Triple) -> tuple:
     """The partition pinned by the triple: strict (types C/D, possibly
     ending in 0 for D) or weakly decreasing (type A), of length k_s."""
     if validate(t) != "strict":
         raise InvalidTriple(f"need a strict triple, got {t}")
-    if t.s == 0:
-        return ()
     out = []
-    for k in range(1, t.k[-1] + 1):
-        i = next(j for j in range(t.s) if t.k[j] >= k)
+    for k, i in enumerate(column_steps(t), start=1):
         if t.wtype == "A":
             out.append(type_a_l(t)[i])
         elif t.wtype == "C":

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from vexpf.polycore import Dyadic, Polynomial
 from vexpf.gamma import GammaElement
+from vexpf import cli
 from vexpf.cli import main, parse_element, render, serialize_element
 
 
@@ -87,6 +88,14 @@ class TestCommands:
     def test_parse_error_exit_2(self, capsys):
         assert main(["schubert", "--type", "C", "--w", "not a word"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("schubert", "--type", "A", "--w", "-1"), ("vexillary", "--type", "A", "--w", "-1 2")],
+    )
+    def test_signed_word_for_type_a_exit_2(self, capsys, argv):
+        assert main(list(argv)) == 2
+        assert "type A" in capsys.readouterr().err
+
     def test_vexillary_worked_example(self, capsys):
         code, out = run(
             capsys,
@@ -100,6 +109,27 @@ class TestCommands:
     def test_vexillary_negative_witness(self, capsys):
         code, out = run(capsys, "vexillary", "--type", "C", "--w", "-3 2 -1")
         assert code == 0 and out.strip() == "not vexillary"
+
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    def test_vexillary_expand_evaluates_once(self, capsys, monkeypatch, fmt):
+        calls = []
+        real = cli.vexillary_polynomial
+        monkeypatch.setattr(cli, "vexillary_polynomial", lambda *a: calls.append(a) or real(*a))
+        code, out = run(
+            capsys, "vexillary", "--type", "D", "--w", "-2 -3 1", "--expand", "--format", fmt
+        )
+        assert code == 0 and len(calls) == 1
+        if fmt == "json":
+            assert json.loads(out)["polynomial"] == serialize_element(real(*calls[0]))
+        else:
+            assert out == (
+                "triple: k=1,2;p=1,0;q=2,1;type=D\n"
+                "lambda: [3, 1]\n"
+                "  index 3: c = (1+x1)(1+y1)(1+y2), d = Q*c\n"
+                "  index 1: c = (1+y1), d = Q*c\n"
+                "polynomial: P(3,1) + y1*P(3) + (x1 + y1 + y2)*P(2,1)"
+                " + (x1*y1 + y1^2 + y1*y2)*P(2) + (x1*y1^2 + y1^2*y2)*P(1)\n"
+            )
 
     def test_vexillary_identity(self, capsys):
         code, out = run(capsys, "vexillary", "--type", "C", "--w", "1 2")

@@ -56,6 +56,10 @@ class TestLaurent:
         with pytest.raises(ValueError):
             h(1, -1).zeta({1})
 
+    def test_str_prints_negative_powers(self):
+        e = h(1, -1) * u(2) * LaurentElement.const(Dyadic(-3, 1)) + h(2, 2) + LaurentElement.const(1)
+        assert str(e) == "h2^2 - 3/2*h1^-1*u2 + 1"
+
     def test_restrict(self):
         e = h(1, 3) + h(1, 1)
         assert e.restrict(2) == h(1, 1)

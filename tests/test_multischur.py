@@ -10,6 +10,7 @@ from vexpf.multischur import (
     multischur_det,
     multischur_pf,
     multischur_pf_d,
+    pfaffian,
     rational_series,
 )
 
@@ -48,6 +49,45 @@ class TestDet:
 
     def test_empty(self):
         assert multischur_det((), []) == Polynomial.const(1)
+
+
+class TestExpander:
+    """pfaffian() on a generic skew matrix a_ij = t_(6i+j+1), border b_i = u_(i+1)."""
+
+    @staticmethod
+    def counted(calls):
+        def entry(i, j):
+            calls.append((i, j))
+            return tvar(6 * i + j + 1)
+
+        def border(i):
+            calls.append(i)
+            return Polynomial.variable("u", i + 1)
+
+        return entry, border
+
+    def test_even_size(self):
+        entry, _ = self.counted([])
+        a = lambda i, j: tvar(6 * i + j + 1)
+        expect = a(0, 1) * a(2, 3) - a(0, 2) * a(1, 3) + a(0, 3) * a(1, 2)
+        assert pfaffian(4, entry, Polynomial.const(1)) == expect
+
+    def test_odd_size_expands_along_the_border(self):
+        entry, border = self.counted([])
+        a = lambda i, j: tvar(6 * i + j + 1)
+        b = lambda i: Polynomial.variable("u", i + 1)
+        expect = b(0) * a(1, 2) - b(1) * a(0, 2) + b(2) * a(0, 1)
+        assert pfaffian(3, entry, Polynomial.const(1), border=border) == expect
+        with pytest.raises(ValueError):
+            pfaffian(3, entry, Polynomial.const(1))
+
+    @pytest.mark.parametrize("size, entries, borders", [(6, 15, 0), (5, 10, 5), (0, 0, 0)])
+    def test_each_entry_computed_once(self, size, entries, borders):
+        calls = []
+        entry, border = self.counted(calls)
+        pfaffian(size, entry, Polynomial.const(1), border=border)
+        assert len(calls) == len(set(calls)) == entries + borders
+        assert sum(1 for c in calls if isinstance(c, int)) == borders
 
 
 class TestPfBC:

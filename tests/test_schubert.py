@@ -5,12 +5,13 @@ import pytest
 from vexpf.polycore import Dyadic, Polynomial
 from vexpf.gamma import GammaElement, specialize_oracle, symfun_series
 from vexpf.weyl import SignedPermutation, all_elements, length
-from vexpf.triples import Triple, plus_map, triple_of_w, enumerate_triples
+from vexpf.triples import Triple, plus_map, triple_of_w, enumerate_triples, validate
 from vexpf.multischur import p_family, q_family, r_family
 from vexpf.schubert import (
     degeneracy_formula,
     divided_difference,
     expand_coeffs,
+    lambda_of_extended,
     schubert,
     swap_xy,
     top_class,
@@ -219,6 +220,26 @@ class TestFamilies:
                 assert key is not None, (t, mu)
                 mapped[key] = c
             assert mapped == pc, repr(t)
+
+
+def test_lambda_of_extended_reads_the_redundant_columns():
+    # reducing a redundant triple keeps every column's pin, so the
+    # partition can be read straight off the unreduced columns
+    count = 0
+    for wtype in ("A", "C", "D"):
+        for t in enumerate_triples(wtype, 4, allow_redundant=True):
+            if validate(t) != "redundant":
+                continue
+            count += 1
+            pins = []
+            for k in range(1, t.k[-1] + 1):
+                i = next(j for j in range(t.s) if t.k[j] >= k)
+                if wtype == "A":
+                    pins.append(t.p[i] - t.q[i] + t.k[i])
+                else:
+                    pins.append(t.p[i] + t.q[i] - (wtype == "C") + t.k[i] - k)
+            assert lambda_of_extended(t) == tuple(pins), repr(t)
+    assert count == 4971
 
 
 class TestVanishingSpecialization:
