@@ -16,7 +16,7 @@ import sys
 
 from .polycore import Dyadic, Polynomial, _mono_key, render_terms
 from .gamma import GammaElement, GeneratorSeries, q_pair, specialize_oracle
-from .weyl import SignedPermutation, all_elements, length
+from .weyl import SignedPermutation, SizeMismatch, all_elements, length
 from .triples import (
     Triple,
     column_steps,
@@ -200,8 +200,8 @@ def cmd_vexillary(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.n > 4:
-        raise BoundExceeded("enumeration is desk-scale: n <= 4")
+    if args.n > 5:
+        raise BoundExceeded("enumeration is desk-scale: n <= 5")
     rows = []
     for w in all_elements(args.n, args.type):
         t = triple_of_w(w, args.type)
@@ -240,7 +240,7 @@ def _vexillary_count(wtype, n):
 
 
 def suite_census(args, report):
-    n = args.n or 3
+    n = 3 if args.n is None else args.n
     c_vex, c_all = _vexillary_count("C", n)
     d_vex, d_all = _vexillary_count("D", n)
     report.append(f"C: {c_vex}/{c_all} vexillary, D: {d_vex}/{d_all}")
@@ -251,7 +251,7 @@ def suite_census(args, report):
 
 def suite_theorem_equivalence(args, report):
     wtype = args.type or "C"
-    n = args.n or 2
+    n = 2 if args.n is None else args.n
     elems = list(all_elements(n, wtype))
     bad = []
     for w in elems:
@@ -267,7 +267,7 @@ def suite_theorem_equivalence(args, report):
 
 
 def suite_stability(args, report):
-    n = args.n or 2
+    n = 2 if args.n is None else args.n
     ok = True
     for wtype in ("A", "B", "C", "D"):
         for w in all_elements(n, wtype):
@@ -279,7 +279,7 @@ def suite_stability(args, report):
 
 
 def suite_b_scaling(args, report):
-    n = args.n or 3
+    n = 3 if args.n is None else args.n
     ok = True
     for w in all_elements(n, "B"):
         scale = Polynomial.const(Dyadic(1, w.num_barred()))
@@ -291,7 +291,7 @@ def suite_b_scaling(args, report):
 
 
 def suite_inverse_swap(args, report):
-    n = args.n or 3
+    n = 3 if args.n is None else args.n
     ok = True
     for wtype in ("C", "D"):
         for w in all_elements(n, wtype):
@@ -458,7 +458,7 @@ def suite_appendix_a1(args, report):
 
 def suite_appendix_a2(args, report):
     ok = True
-    r_max = args.r or 3
+    r_max = 3 if args.r is None else args.r
     shapes = [s for s in [(1,), (2,), (2, 0), (2, 1), (3, 1), (3, 2, 0), (3, 2, 1)] if len(s) <= r_max]
     for lam in shapes:
         if not gysin.prop_A2_check(lam):
@@ -483,7 +483,7 @@ def suite_appendix_a2(args, report):
 
 
 def suite_positivity(args, report):
-    n = args.n or 3
+    n = 3 if args.n is None else args.n
     findings = []
     for w in all_elements(n, "C"):
         for lam, c in expand_coeffs(schubert(w, "C")).items():
@@ -501,7 +501,7 @@ def suite_positivity(args, report):
 
 def suite_type_a(args, report):
     ok = True
-    n = args.n or 4
+    n = 4 if args.n is None else args.n
     count = 0
     for w in all_elements(n, "A"):
         t = triple_of_w(w, "A")
@@ -605,6 +605,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_sizes(args):
+    for flag in ("n", "r"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            raise ParseError(f"--{flag} must be at least 1, got {value}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -613,8 +620,9 @@ def main(argv=None) -> int:
         if not args.suite:
             parser.error("verify needs a suite name")
     try:
+        _check_sizes(args)
         return args.fn(args)
-    except (ParseError, UnknownSuite, BoundExceeded) as exc:
+    except (ParseError, UnknownSuite, BoundExceeded, SizeMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -27,7 +27,7 @@ from .gamma import (
     apply_symmetry,
     substitute_q,
 )
-from .weyl import SignedPermutation, generators, length, longest_element
+from .weyl import SignedPermutation, SizeMismatch, generators, length, longest_element
 from .triples import InvalidTriple, Triple, column_steps, lambda_of, reduce_redundant, validate
 from .multischur import (
     multischur_det,
@@ -217,11 +217,16 @@ _CACHE = {}
 def schubert(w: SignedPermutation, wtype: str, n: int = None, rng: random.Random = None):
     """The double Schubert polynomial of w, computed by descending from
     the top class along ascents of w.  A seeded rng picks random ascent
-    routes (bypassing the cache) for well-definedness checks."""
+    routes (bypassing the cache) for well-definedness checks.  n defaults
+    to the size of w (at least 2 in type D); a smaller n raises
+    SizeMismatch."""
     if wtype == "A" and not w.is_unsigned():
         raise ValueError("type A wants an unsigned permutation")
+    least = max(w.n, 2) if wtype == "D" else w.n
     if n is None:
-        n = max(w.n, 2) if wtype == "D" else w.n
+        n = least
+    elif n < least:
+        raise SizeMismatch(f"n = {n} is too small for the type {wtype} word '{w}': need n >= {least}")
     w = w.embed(n)
     return _descend(w, wtype, n, rng)
 

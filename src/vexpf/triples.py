@@ -284,89 +284,59 @@ def _check_ranks(w: SignedPermutation, t: Triple):
 
 def triple_of_w(w: SignedPermutation, wtype: str):
     """The unique strict triple t with w_of_triple(t) = w, or None if w is
-    not vexillary.  Runs the direct reconstruction first and falls back to a
-    bounded exhaustive search; either way the answer is round-trip checked.
-    """
+    not vexillary.  The candidate is read off the corners (the essential
+    set) of w's rank function and round-trip checked, so a non-vexillary w
+    never passes.  A candidate that is not strict is refused: the corners
+    of a vexillary w give its strict triple, never a redundant one."""
     wtype = _norm_type(wtype)
     if wtype == "A" and not w.is_unsigned():
         raise WrongType("type A wants an unsigned permutation")
-    if wtype == "A":
-        t = _search_triple(w, "A")
-        return t
     if wtype == "D":
         tc = triple_of_w(w, "C")
-        if tc is None:
-            return None
-        return Triple(tc.k, [p - 1 for p in tc.p], [q - 1 for q in tc.q], "D")
-    t = _reconstruct_c(w)
-    if t is not None and validate(t) == "strict":
-        if _same_permutation(w_of_triple(t), w):
-            return t
-    return _search_triple(w, "C")
+        return None if tc is None else minus_map(tc)
+    corners = sorted(_corners_a(w) if wtype == "A" else _corners_c(w))
+    t = Triple(*zip(*corners), wtype) if corners else Triple((), (), (), wtype)
+    if validate(t) != "strict":
+        return None
+    back = w_of_triple(t)
+    n = max(back.n, w.n)
+    return t if back.embed(n) == w.embed(n) else None
 
 
-def _same_permutation(a: SignedPermutation, b: SignedPermutation) -> bool:
-    n = max(a.n, b.n)
-    return a.embed(n) == b.embed(n)
+def _corners_c(w: SignedPermutation):
+    """(k, p, q) at the corners of r(p, q) = #{a >= p : w(a) <= -q}: r
+    drops from (p, q) to (p + 1, q) (w(p) <= -q) and to (p, q + 1) (-q sits
+    at or after p), and is the same at (p - 1, q) and at (p, q - 1)."""
+    at = {-v: a for a, v in enumerate(w.values, start=1) if v < 0}
+    return [
+        (w.rank(p, q), p, q)
+        for p in range(1, w.n + 1)
+        for q in range(1, w.n + 1)
+        if w(p) <= -q
+        and at.get(q, 0) >= p
+        and (p == 1 or w(p - 1) > -q)
+        and (q == 1 or at.get(q - 1, 0) < p)
+    ]
 
 
-def _reconstruct_c(w: SignedPermutation):
-    """Direct reconstruction for type C: the position after the last descent
-    starts a run of barred values that are consecutive once already-consumed
-    integers are disregarded."""
-    vals = list(w.values)
-    taken = set()
-    ks, ps, qs = [], [], []
-    k_acc = 0
-    while any(v < 0 for v in vals):
-        last_descent = None
-        for a in range(len(vals) - 1):
-            if vals[a] > vals[a + 1]:
-                last_descent = a + 1  # 1-indexed
-        p_i = (last_descent + 1) if last_descent is not None else 1
-        if vals[p_i - 1] >= 0:
-            return None
-        run = [-vals[p_i - 1]]
-        pos = p_i
-        while pos < len(vals):
-            v = vals[pos]
-            if v >= 0:
-                break
-            b = -v
-            # consecutive, modulo integers already taken
-            if b >= run[-1] or any(c not in taken for c in range(b + 1, run[-1])):
-                break
-            run.append(b)
-            pos += 1
-        # the reported q may dip below the smallest run value across
-        # integers that were consumed earlier
-        q_i = run[-1]
-        while q_i - 1 in taken and q_i > 1:
-            q_i -= 1
-        k_acc += len(run)
-        ks.append(k_acc)
-        ps.append(p_i)
-        qs.append(q_i)
-        del vals[p_i - 1 : p_i - 1 + len(run)]
-        taken.update(run)
-    if not ks:
-        return Triple((), (), (), "C")
-    return Triple(ks, ps, qs, "C")
-
-
-def _search_triple(w: SignedPermutation, wtype: str):
-    """Bounded exhaustive search: all strict triples with entries <= n."""
+def _corners_a(w: SignedPermutation):
+    """(k, p, q) at the corners of r(p, q) = #{a > p : w(a) <= q}: r
+    drops from (p, q) to (p + 1, q) (w(p + 1) <= q) and to (p, q - 1) (q
+    sits after p), and is the same at (p - 1, q) and at (p, q + 1).  The
+    conditions k = max(0, q - p), which every permutation meets, are left
+    out."""
+    at = {v: a for a, v in enumerate(w.values, start=1)}
     n = w.n
-    if wtype == "A" and all(w(a) == a for a in range(1, n + 1)):
-        return Triple((), (), (), "A")
-    if wtype == "C" and w.is_unsigned():
-        return Triple((), (), (), "C") if all(
-            w(a) == a for a in range(1, n + 1)
-        ) else None
-    for t in enumerate_triples(wtype, n):
-        if _same_permutation(w_of_triple(t), w):
-            return t
-    return None
+    corners = [
+        (rank_of_triple_term(w, p, q, "A"), p, q)
+        for p in range(n)
+        for q in range(1, n + 1)
+        if w(p + 1) <= q
+        and at[q] > p
+        and (p == 0 or w(p) > q)
+        and (q == n or at[q + 1] <= p)
+    ]
+    return [(k, p, q) for k, p, q in corners if k > max(0, q - p)]
 
 
 def enumerate_triples(wtype: str, n: int, allow_redundant: bool = False):

@@ -160,7 +160,37 @@ class TestCommands:
         assert sum(1 for r in rows if r["vexillary"]) == 18
 
     def test_enumerate_bound(self, capsys):
-        assert main(["enumerate", "--type", "C", "--n", "9"]) == 2
+        for n in ("6", "9"):
+            assert main(["enumerate", "--type", "C", "--n", n]) == 2
+            out = capsys.readouterr()
+            assert out.out == "" and out.err == "error: enumeration is desk-scale: n <= 5\n"
+
+    @pytest.mark.parametrize("wtype,vex", [("C", 1118), ("D", 575), ("A", 103)])
+    def test_enumerate_n5_vexillary_only(self, capsys, wtype, vex):
+        code, out = run(
+            capsys,
+            "enumerate", "--type", wtype, "--n", "5",
+            "--vexillary-only", "--format", "json",
+        )
+        assert code == 0 and len(json.loads(out)) == vex
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("schubert", "--type", "C", "--w", "1 -3 2", "--n", "2"),
+            ("schubert", "--type", "D", "--w", "1", "--n", "1"),
+            ("enumerate", "--type", "C", "--n", "0"),
+            ("verify", "census", "--n", "0"),
+            ("verify", "identity-2-3", "--n", "-1"),
+            ("verify", "appendix-a2", "--r", "0"),
+            ("verify", "stability", "--n", "1"),
+        ],
+    )
+    def test_size_too_small_exit_2(self, capsys, argv):
+        assert main(list(argv)) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
 
 
 class TestVerify:

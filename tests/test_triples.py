@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vexpf import triples
 from vexpf.weyl import SignedPermutation, all_elements, length
 from vexpf.triples import (
     InvalidTriple,
@@ -179,6 +180,57 @@ class TestReconstruction:
             assert a == b
 
 
+def _exhaustive_index(wtype, n):
+    """The reference detector: every strict triple with entries <= n,
+    indexed by the W_n element it inserts to."""
+    index = {}
+    for t in enumerate_triples(wtype, n):
+        w = w_of_triple(t)
+        if w.n <= n:
+            index[w.embed(n)] = t
+    index[SignedPermutation.identity(n)] = Triple((), (), (), wtype)
+    return index
+
+
+def _avoids_2143(values):
+    return not any(
+        values[j] < values[i] < values[l] < values[k]
+        for i, j, k, l in itertools.combinations(range(len(values)), 4)
+    )
+
+
+class TestDirectDetection:
+    @pytest.mark.parametrize(
+        "wtype,n", [("C", n) for n in range(1, 6)]
+        + [("D", n) for n in range(2, 5)]
+        + [("A", n) for n in range(1, 6)],
+    )
+    def test_matches_exhaustive_search(self, wtype, n):
+        index = _exhaustive_index(wtype, n)
+        for w in all_elements(n, wtype):
+            assert triple_of_w(w, wtype) == index.get(w), str(w)
+
+    def test_type_a_is_2143_avoidance(self):
+        counts = []
+        for n in range(1, 8):
+            vex = 0
+            for w in all_elements(n, "A"):
+                found = triple_of_w(w, "A") is not None
+                assert found == _avoids_2143(w.values), str(w)
+                vex += found
+            counts.append(vex)
+        assert counts == [1, 2, 6, 23, 103, 513, 2761]
+
+    def test_never_enumerates(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("detection enumerated triples")
+
+        monkeypatch.setattr(triples, "enumerate_triples", refuse)
+        for wtype, n in (("C", 4), ("D", 4), ("A", 5)):
+            for w in all_elements(n, wtype):
+                triple_of_w(w, wtype)
+
+
 class TestDualAndShift:
     def test_dual_example(self):
         d = dual(WORKED_A)
@@ -210,18 +262,25 @@ def _conjugate(lam):
     )
 
 
-triple_entries = st.integers(min_value=1, max_value=5)
+@st.composite
+def random_triples(draw):
+    """Triples of every type with entries up to 10, beyond the range the
+    exhaustive tests reach; strict or redundant, or None if invalid."""
+    wtype = draw(st.sampled_from("ACD"))
+    low = 0 if wtype == "D" else 1
+    s = draw(st.integers(min_value=1, max_value=4))
+    k = sorted(draw(st.sets(st.integers(1, 10), min_size=s, max_size=s)))
+    entries = st.lists(st.integers(low, 10), min_size=s, max_size=s)
+    p = sorted(draw(entries), reverse=True)
+    q = sorted(draw(entries), reverse=(wtype != "A"))
+    t = Triple(k, p, q, wtype)
+    return None if validate(t) == "invalid" else t
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_random_strict_triples_roundtrip(data):
-    s = data.draw(st.integers(min_value=1, max_value=3))
-    k = sorted(data.draw(st.sets(st.integers(1, 6), min_size=s, max_size=s)))
-    p = sorted(data.draw(st.lists(triple_entries, min_size=s, max_size=s)), reverse=True)
-    q = sorted(data.draw(st.lists(triple_entries, min_size=s, max_size=s)), reverse=True)
-    t = Triple(k, p, q, "C")
-    if validate(t) != "strict":
+@settings(max_examples=150, deadline=None)
+@given(random_triples())
+def test_random_strict_triples_roundtrip(t):
+    if t is None:
         return
     w = w_of_triple(t)
-    assert triple_of_w(w, "C") == t
+    assert triple_of_w(w, t.wtype) == reduce_redundant(t)
