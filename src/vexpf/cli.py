@@ -14,7 +14,7 @@ import json
 import random
 import sys
 
-from .polycore import Dyadic, Polynomial, _mono_key, render_terms
+from .polycore import Dyadic, Polynomial, _mono_key, ones_product, render_terms
 from .gamma import GammaElement, GeneratorSeries, q_pair, specialize_oracle
 from .weyl import SignedPermutation, SizeMismatch, all_elements, length
 from .triples import (
@@ -27,7 +27,7 @@ from .triples import (
     triple_of_w,
     validate,
 )
-from .multischur import p_family, r_family
+from .multischur import multischur_det, p_family, r_family
 from .schubert import (
     expand_coeffs,
     schubert,
@@ -305,15 +305,11 @@ def suite_inverse_swap(args, report):
 def _worked_a_det_y0(t: Triple) -> Polynomial:
     # the x-only specialization keeps the series finite, so the big worked
     # example stays desk-scale; the double version is checked on small triples
-    from .multischur import multischur_det, rational_series
     from .schubert import lambda_of_extended
 
     lam = lambda_of_extended(t)
     bound = lam[0] + len(lam)
-    series = []
-    for i in column_steps(t):
-        num = [1 + Polynomial.variable("x", jj) for jj in range(1, t.p[i] + 1)]
-        series.append(rational_series(num, [], bound))
+    series = [ones_product("x", t.p[i]).truncate(bound) for i in column_steps(t)]
     return multischur_det(lam, series)
 
 
@@ -359,18 +355,12 @@ def suite_redundancy(args, report):
 
 
 def suite_lemma25(args, report):
-    def multiplier(k):
-        out = Polynomial.const(1)
-        for j in range(1, k):
-            out = out * (1 + Polynomial.variable("t", j))
-        return out
-
     checked = 0
     ok = True
     for k in range(2, 5):
         for l in range(1, k):
-            pair = q_pair(k, l, GeneratorSeries(True, multiplier(k)),
-                          GeneratorSeries(True, multiplier(l)))
+            pair = q_pair(k, l, GeneratorSeries(True, ones_product("t", k - 1)),
+                          GeneratorSeries(True, ones_product("t", l - 1)))
             for r in range(1, 4):
                 for nu in itertools.combinations(range(4, 0, -1), r):
                     nu2 = nu[1] if len(nu) > 1 else 0
@@ -466,12 +456,12 @@ def suite_appendix_a2(args, report):
             ok = False
     report.append(f"composite pushforward = 2^-r Pfaffian for {len(shapes)} shapes")
     # degenerate single-series case against the type-C pipeline
-    from .schubert import _ones_product, _steps
+    from .schubert import _steps
 
     t = Triple((1, 2), (2, 1), (2, 1), "C")
     lam = lambda_of(t)
     series = [
-        GeneratorSeries(True, _ones_product("x", p - 1) * _ones_product("y", q - 1))
+        GeneratorSeries(True, ones_product("x", p - 1) * ones_product("y", q - 1))
         for p, q in _steps(t)
     ]
     for m in [(0, 0), (1, 0), (0, 1), (2, 1)]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .polycore import Dyadic, Polynomial
+from .polycore import Dyadic, Polynomial, rational_series
 
 
 class TruncationTooSmall(ValueError):
@@ -318,9 +318,6 @@ class GeneratorSeries:
                 out[()] = g
         return out
 
-    def star_multiplier(self) -> "GeneratorSeries":
-        return GeneratorSeries(self.has_q, self.multiplier.star(), self.q_scale)
-
     def times(self, poly) -> "GeneratorSeries":
         return GeneratorSeries(
             self.has_q, self.multiplier * Polynomial.of(poly), self.q_scale
@@ -467,28 +464,14 @@ def substitute_q(e: GammaElement, series: Polynomial) -> Polynomial:
 
 def symfun_series(n_vars: int, bound: int) -> Polynomial:
     """prod_{i=1}^{N} (1+z_i)/(1-z_i), truncated at total degree `bound`."""
-    from .polycore import series_inverse
-
-    num = Polynomial.const(1)
-    den = Polynomial.const(1)
-    for i in range(1, n_vars + 1):
-        zi = Polynomial.variable("z", i)
-        num = num * (1 + zi)
-        den = den * (1 - zi)
-    return (num * series_inverse(den, bound)).truncate(bound)
+    z = [Polynomial.variable("z", i) for i in range(1, n_vars + 1)]
+    return rational_series([1 + zi for zi in z], [1 - zi for zi in z], bound)
 
 
 def negt_series(nu, bound: int) -> Polynomial:
     """prod_i (1 - t_{nu_i})/(1 + t_{nu_i}), truncated at total degree `bound`."""
-    from .polycore import series_inverse
-
-    num = Polynomial.const(1)
-    den = Polynomial.const(1)
-    for i in nu:
-        ti = Polynomial.variable("t", i)
-        num = num * (1 - ti)
-        den = den * (1 + ti)
-    return (num * series_inverse(den, bound)).truncate(bound)
+    t = [Polynomial.variable("t", i) for i in nu]
+    return rational_series([1 - ti for ti in t], [1 + ti for ti in t], bound)
 
 
 def specialize_oracle(e: GammaElement, mode) -> Polynomial:

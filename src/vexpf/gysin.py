@@ -2,12 +2,12 @@
 
 Two layers:
 
-  * windowed Laurent arithmetic in the h variables (exponents confined
-    to [-D, D]) together with formal operators built from the
-    substitutions zeta_J : h_i -> 0 for i in J.  The identities relating
-    the rational functions f[i,j] = (1 - h_i/h_j)/(1 + h_i/h_j), their
-    deformations, and the sign bookkeeping are verified extensionally on
-    test monomials;
+  * Laurent polynomials in the h variables -- plain polycore
+    Polynomials whose h exponents may be negative -- together with
+    formal operators built from the substitutions zeta_J : h_i -> 0 for
+    i in J.  The identities relating the rational functions
+    f[i,j] = (1 - h_i/h_j)/(1 + h_i/h_j), their deformations, and the
+    sign bookkeeping are verified extensionally on test monomials;
 
   * the algebraic pushforward maps phi_k eliminating h_k one at a time,
     whose composite is a paired multi-Schur Pfaffian
@@ -15,26 +15,24 @@ Two layers:
     (pushforward_plain) matching the even simpler Pfaffian shift rule.
 
 Series in f[i,j] are always expanded in powers of h_i/h_j for i < j,
-so skew-symmetry holds on the nose.  Comparisons stay away from the
-window boundary: multiplication silently drops out-of-window terms, so
-coefficients within a margin of the boundary are not trustworthy and
-equality checks restrict to a smaller window.
+so skew-symmetry holds on the nose.  The series are cut at a window D:
+f[i,j] keeps the h exponents in [-D, D].  Arithmetic itself is exact
+and never drops a term, so a window is an explicit `restrict` wherever a
+comparison needs one.  A Pfaffian needs none: each h_i sits in exactly
+one entry of each of its terms, so no term leaves the window.  A product
+of f[i,j] sharing an index does leave it and is restricted after every
+factor, matching the truncation of the Pfaffian side; coefficients near
+the boundary are not trustworthy, so the operator identity compares on
+a smaller window.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .polycore import (
-    Dyadic,
-    Polynomial,
-    _mono_degree,
-    _mono_mul,
-    _var_key,
-    render_terms,
-)
-from .gamma import GammaElement, GeneratorSeries, series_coeff
-from .multischur import multischur_pf, multischur_pf_d, pfaffian, rational_series
+from .polycore import Dyadic, Polynomial, ones_product, rational_series
+from .gamma import GammaElement, GeneratorSeries, _iadd, series_coeff
+from .multischur import multischur_pf, multischur_pf_d, pfaffian
 
 
 class WindowTooSmall(ValueError):
@@ -46,139 +44,42 @@ class RelationViolated(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# windowed Laurent elements
+# Laurent polynomials in h
 # ---------------------------------------------------------------------------
 
 
-def _window_ok(mono, window):
-    return all(abs(e) <= window for v, e in mono if v[0] == "h")
+def h_power(i: int, e: int) -> Polynomial:
+    """h_i^e for any integer e."""
+    return Polynomial({((("h", i), e),): 1})
 
 
-def _laurent_mono_mul(m1, m2):
-    # like polycore's monomial product, but cancelling exponents (from
-    # negative powers) must drop out entirely
-    return tuple(p for p in _mono_mul(m1, m2) if p[1])
+def u_power(i: int, e: int) -> Polynomial:
+    if e < 0:
+        raise ValueError("u exponents are nonnegative")
+    return Polynomial({((("u", i), e),): 1})
 
 
-class LaurentElement:
-    """Sparse Laurent polynomial: h variables may carry negative
-    exponents, everything else stays polynomial.  Terms whose h
-    exponents leave [-window, window] are dropped by multiplication."""
+def restrict(f: Polynomial, bound: int) -> Polynomial:
+    """Keep only the terms with all |h exponents| <= bound."""
+    out = Polynomial()
+    out.terms = {
+        m: c for m, c in f.terms.items()
+        if all(abs(e) <= bound for v, e in m if v[0] == "h")
+    }
+    return out
 
-    __slots__ = ("terms", "window")
 
-    def __init__(self, terms=None, window=8):
-        self.window = window
-        self.terms = {}
-        if terms:
-            for mono, coeff in terms.items() if isinstance(terms, dict) else terms:
-                coeff = Dyadic.of(coeff)
-                mono = tuple(sorted((p for p in mono if p[1]), key=lambda p: _var_key(p[0])))
-                if not coeff or not _window_ok(mono, window):
-                    continue
-                acc = self.terms.get(mono)
-                coeff = coeff if acc is None else acc + coeff
-                if coeff:
-                    self.terms[mono] = coeff
-                else:
-                    del self.terms[mono]
-
-    @staticmethod
-    def const(c, window=8) -> "LaurentElement":
-        return LaurentElement({(): c}, window)
-
-    @staticmethod
-    def h_power(i: int, e: int, window=8) -> "LaurentElement":
-        return LaurentElement({((("h", i), e),): 1}, window)
-
-    @staticmethod
-    def u_power(i: int, e: int, window=8) -> "LaurentElement":
-        if e < 0:
-            raise ValueError("u exponents are nonnegative")
-        return LaurentElement({((("u", i), e),): 1}, window)
-
-    @staticmethod
-    def from_poly(p: Polynomial, window=8) -> "LaurentElement":
-        return LaurentElement(dict(p.terms), window)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __neg__(self):
-        out = LaurentElement(window=self.window)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
-
-    def __add__(self, other):
-        out = LaurentElement(window=min(self.window, other.window))
-        out.terms = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = out.terms.get(m)
-            c = c if acc is None else acc + c
-            if c:
-                out.terms[m] = c
-            else:
-                out.terms.pop(m, None)
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Dyadic)):
-            other = LaurentElement.const(other, self.window)
-        window = min(self.window, other.window)
-        out = LaurentElement(window=window)
-        acc = out.terms
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _laurent_mono_mul(m1, m2)
-                if not _window_ok(m, window):
-                    continue
-                c = c1 * c2
-                old = acc.get(m)
-                c = c if old is None else old + c
-                if c:
-                    acc[m] = c
-                else:
-                    del acc[m]
-        return out
-
-    __rmul__ = __mul__
-
-    def zeta(self, J) -> "LaurentElement":
-        """The ring map h_i -> 0 for i in J (u and everything else fixed)."""
-        J = frozenset(J)
-        out = LaurentElement(window=self.window)
-        for mono, coeff in self.terms.items():
-            killed = False
-            for v, e in mono:
-                if v[0] == "h" and v[1] in J:
-                    if e < 0:
-                        raise ValueError(
-                            f"zeta_{set(J)} hits a negative power of h{v[1]}"
-                        )
-                    killed = True
-                    break
-            if not killed:
-                out.terms[mono] = coeff
-        return out
-
-    def restrict(self, bound: int) -> "LaurentElement":
-        """Keep only terms with all |h exponents| <= bound."""
-        out = LaurentElement(window=self.window)
-        out.terms = {m: c for m, c in self.terms.items() if _window_ok(m, bound)}
-        return out
-
-    def __str__(self):
-        return render_terms(self.terms)
-
-    __repr__ = __str__
+def zeta(f: Polynomial, J) -> Polynomial:
+    """The ring map h_i -> 0 for i in J (u and everything else fixed)."""
+    J = frozenset(J)
+    out = Polynomial()
+    for mono, coeff in f.terms.items():
+        hit = next(((v, e) for v, e in mono if v[0] == "h" and v[1] in J), None)
+        if hit is None:
+            out.terms[mono] = coeff
+        elif hit[1] < 0:
+            raise ValueError(f"zeta_{set(J)} hits a negative power of h{hit[0][1]}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -186,41 +87,37 @@ class LaurentElement:
 # ---------------------------------------------------------------------------
 
 
-def f_pair(i: int, j: int, window: int = 8) -> LaurentElement:
+def f_pair(i: int, j: int, window: int = 8) -> Polynomial:
     """(1 - h_i/h_j)/(1 + h_i/h_j), expanded in powers of h_i/h_j when
-    i < j; f[j,i] = -f[i,j] by expanding in the same region."""
+    i < j up to h_i^window; f[j,i] = -f[i,j] by expanding in the same region."""
     if i == j:
         raise ValueError("f[i,i] is undefined")
     if i > j:
         return -f_pair(j, i, window)
-    out = LaurentElement.const(1, window)
-    for k in range(1, window + 1):
-        out = out + LaurentElement(
-            {((("h", i), k), (("h", j), -k)): 2 * (-1) ** k}, window
-        )
-    return out
+    terms = {((("h", i), k), (("h", j), -k)): 2 * (-1) ** k for k in range(1, window + 1)}
+    return Polynomial(terms) + 1
 
 
-def f_index(I, window: int = 8) -> LaurentElement:
+def f_index(I, window: int = 8) -> Polynomial:
     """The Pfaffian f[I] of the matrix (f[i,j]) with border entries 1."""
     I = tuple(sorted(I))
-    one = LaurentElement.const(1, window)
+    one = Polynomial.const(1)
     return pfaffian(len(I), lambda a, b: f_pair(I[a], I[b], window), one, border=lambda a: one)
 
 
 def f_index_identity(I, window: int = 8) -> bool:
     """Does f[I] (the Pfaffian) equal the product of f[i,j] over pairs?
 
-    Exponents grow monotonically along the index chain, so the two
-    truncations agree on the nose and the comparison is exact."""
+    Exponents grow monotonically along the index chain, so restricting
+    the product to the window after every factor reproduces the
+    truncation of the Pfaffian side on the nose."""
     I = tuple(sorted(I))
     if window < 2 * max(len(I), 1):
         raise WindowTooSmall(f"window {window} too small for |I| = {len(I)}")
-    lhs = f_index(I, window)
-    rhs = LaurentElement.const(1, window)
+    rhs = Polynomial.const(1)
     for i, j in itertools.combinations(I, 2):
-        rhs = rhs * f_pair(i, j, window)
-    return lhs == rhs
+        rhs = restrict(rhs * f_pair(i, j, window), window)
+    return f_index(I, window) == rhs
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +137,6 @@ def sgn(K, J) -> int:
     K = sorted(K)
     odd = sum(1 for j in J if (K.index(j) + 1) % 2 == 1)
     return (-1) ** (len(J) * len(K)) * (-1) ** odd
-
-
-def sign_functions(K, J, k):
-    return epsilon(k, K), sgn(K, J)
 
 
 def lemma_A1_check(K) -> bool:
@@ -284,20 +177,12 @@ class IndexedOperator:
 
     def __init__(self, terms=None):
         self.terms = {}
-        if terms:
-            for J, coeff in terms.items():
-                if coeff:
-                    J = frozenset(J)
-                    acc = self.terms.get(J)
-                    coeff = coeff if acc is None else acc + coeff
-                    if coeff:
-                        self.terms[J] = coeff
-                    else:
-                        del self.terms[J]
+        for J, coeff in (terms or {}).items():
+            _iadd(self.terms, frozenset(J), coeff)
 
     @staticmethod
-    def scalar(le: LaurentElement) -> "IndexedOperator":
-        return IndexedOperator({frozenset(): le})
+    def scalar(f: Polynomial) -> "IndexedOperator":
+        return IndexedOperator({frozenset(): f})
 
     def __bool__(self):
         return bool(self.terms)
@@ -314,12 +199,7 @@ class IndexedOperator:
         out = IndexedOperator()
         out.terms = dict(self.terms)
         for J, c in other.terms.items():
-            acc = out.terms.get(J)
-            c = c if acc is None else acc + c
-            if c:
-                out.terms[J] = c
-            else:
-                out.terms.pop(J, None)
+            _iadd(out.terms, J, c)
         return out
 
     def __sub__(self, other):
@@ -329,20 +209,13 @@ class IndexedOperator:
         out = IndexedOperator()
         for J1, c1 in self.terms.items():
             for J2, c2 in other.terms.items():
-                coeff = c1 * c2.zeta(J1)
-                key = J1 | J2
-                acc = out.terms.get(key)
-                coeff = coeff if acc is None else acc + coeff
-                if coeff:
-                    out.terms[key] = coeff
-                else:
-                    out.terms.pop(key, None)
+                _iadd(out.terms, J1 | J2, c1 * zeta(c2, J1))
         return out
 
-    def apply(self, f: LaurentElement) -> LaurentElement:
-        out = LaurentElement(window=f.window)
+    def apply(self, f: Polynomial) -> Polynomial:
+        out = Polynomial()
         for J, coeff in self.terms.items():
-            out = out + coeff * f.zeta(J)
+            out = out + coeff * zeta(f, J)
         return out
 
     def __repr__(self):
@@ -355,64 +228,44 @@ class IndexedOperator:
         return " + ".join(bits)
 
 
-def f_tilde_border(k: int, lam, window: int = 8) -> IndexedOperator:
+def f_tilde_border(k: int, lam) -> IndexedOperator:
     """h_k^{lam_k} + u_k^{lam_k} zeta_k  (lam is indexed by position, so
     lam[k-1] is the exponent attached to index k)."""
     lk = lam[k - 1]
-    return IndexedOperator(
-        {
-            frozenset(): LaurentElement.h_power(k, lk, window),
-            frozenset({k}): LaurentElement.u_power(k, lk, window),
-        }
-    )
+    return IndexedOperator({frozenset(): h_power(k, lk), frozenset({k}): u_power(k, lk)})
 
 
 def f_tilde_pair(i: int, j: int, lam, window: int = 8) -> IndexedOperator:
     """The deformed entry
     (h_i^{lam_i} - u_i^{lam_i} zeta_i)(h_j^{lam_j} + u_j^{lam_j} zeta_j)
-      + 2 sum_{k>0} (-1)^k h_i^{lam_i+k} h_j^{lam_j-k},   for i < j."""
+      + 2 sum_{k>0} (-1)^k h_i^{lam_i+k} h_j^{lam_j-k},   for i < j,
+    the sum cut where an h exponent would leave [-window, window]."""
     if i == j:
         raise ValueError("diagonal entry")
     if i > j:
         return -f_tilde_pair(j, i, lam, window)
     li, lj = lam[i - 1], lam[j - 1]
-    left = IndexedOperator(
-        {
-            frozenset(): LaurentElement.h_power(i, li, window),
-            frozenset({i}): -LaurentElement.u_power(i, li, window),
-        }
+    left = IndexedOperator({frozenset(): h_power(i, li), frozenset({i}): -u_power(i, li)})
+    tail = Polynomial(
+        {((("h", i), li + k), (("h", j), lj - k)): 2 * (-1) ** k
+         for k in range(1, min(window - li, window + lj) + 1)}
     )
-    out = left * f_tilde_border(j, lam, window)
-    tail = LaurentElement(window=window)
-    for k in range(1, min(window - li, window + lj) + 1):
-        tail = tail + LaurentElement(
-            {((("h", i), li + k), (("h", j), lj - k)): 2 * (-1) ** k}, window
-        )
-    return out + IndexedOperator.scalar(tail)
+    return left * f_tilde_border(j, lam) + IndexedOperator.scalar(tail)
 
 
-def _default_monomials(K, window):
+def _default_monomials(K):
     K = tuple(sorted(K))
-    monos = [LaurentElement.const(1, window)]
+    monos = [Polynomial.const(1)]
     for k in K:
-        monos.append(LaurentElement.h_power(k, 1, window))
-        monos.append(LaurentElement.u_power(k, 1, window))
-    monos.append(LaurentElement.h_power(K[0], 2, window))
+        monos.append(h_power(k, 1))
+        monos.append(u_power(k, 1))
+    if K:
+        monos.append(h_power(K[0], 2))
     if len(K) >= 2:
-        monos.append(
-            LaurentElement.h_power(K[0], 1, window)
-            * LaurentElement.h_power(K[1], 1, window)
-        )
-        monos.append(
-            LaurentElement.h_power(K[0], 1, window)
-            * LaurentElement.u_power(K[-1], 1, window)
-        )
+        monos.append(h_power(K[0], 1) * h_power(K[1], 1))
+        monos.append(h_power(K[0], 1) * u_power(K[-1], 1))
     if len(K) >= 3:
-        monos.append(
-            LaurentElement.h_power(K[0], 1, window)
-            * LaurentElement.h_power(K[1], 1, window)
-            * LaurentElement.u_power(K[2], 1, window)
-        )
+        monos.append(h_power(K[0], 1) * h_power(K[1], 1) * u_power(K[2], 1))
     return monos
 
 
@@ -422,16 +275,14 @@ def prop_A1_check(lam, K, monomials=None, window: int = None) -> bool:
         sum_{I u J = K}  sgn(K, J) h^I u^J f[I] zeta_J
 
     on each test monomial.  lam must supply an exponent for every index
-    in K (lam[k-1] for index k)."""
+    in K (lam[k-1] for index k).  Both sides are compared on the h
+    exponents of absolute value at most window - sum(lam over K) - 1,
+    away from the boundary where the truncated series are inexact."""
     K = tuple(sorted(K))
     needed = sum(lam[k - 1] for k in K)
     if monomials is None:
-        monomials = _default_monomials(K, window or (needed + 4))
-    maxdeg = max(
-        (max((_mono_degree(m) for m in f.terms), default=0) for f in monomials),
-        default=0,
-    )
-    required = needed + maxdeg + 2
+        monomials = _default_monomials(K)
+    required = needed + max((f.degree() if f else 0 for f in monomials), default=0) + 2
     if window is None:
         window = required
     elif window < required:
@@ -440,39 +291,30 @@ def prop_A1_check(lam, K, monomials=None, window: int = None) -> bool:
     lhs = pfaffian(
         len(K),
         lambda a, b: f_tilde_pair(K[a], K[b], lam, window),
-        IndexedOperator.scalar(LaurentElement.const(1, window)),
-        border=lambda a: f_tilde_border(K[a], lam, window),
+        IndexedOperator.scalar(Polynomial.const(1)),
+        border=lambda a: f_tilde_border(K[a], lam),
     )
 
     rhs = IndexedOperator()
     for t in range(len(K) + 1):
         for J in itertools.combinations(K, t):
             I = tuple(k for k in K if k not in J)
-            coeff = LaurentElement.const(sgn(K, J), window)
+            coeff = f_index(I, window) * sgn(K, J)
             for i in I:
-                coeff = coeff * LaurentElement.h_power(i, lam[i - 1], window)
+                coeff = coeff * h_power(i, lam[i - 1])
             for j in J:
-                coeff = coeff * LaurentElement.u_power(j, lam[j - 1], window)
-            coeff = coeff * f_index(I, window)
+                coeff = coeff * u_power(j, lam[j - 1])
             rhs = rhs + IndexedOperator({frozenset(J): coeff})
 
     bound = window - needed - 1
-    for f in monomials:
-        if lhs.apply(f).restrict(bound) != rhs.apply(f).restrict(bound):
-            return False
-    return True
+    return all(
+        restrict(lhs.apply(f), bound) == restrict(rhs.apply(f), bound) for f in monomials
+    )
 
 
 # ---------------------------------------------------------------------------
 # the algebraic pushforward maps
 # ---------------------------------------------------------------------------
-
-
-def _h_factor_series(count: int, bound: int) -> Polynomial:
-    """prod_{i=1}^{count} (1 - h_i)/(1 + h_i), truncated at degree bound."""
-    num = [1 - Polynomial.variable("h", i) for i in range(1, count + 1)]
-    den = [1 + Polynomial.variable("h", i) for i in range(1, count + 1)]
-    return rational_series(num, den, bound)
 
 
 def _split_h(poly: Polynomial, k: int):
@@ -503,11 +345,11 @@ def _push_element(state: GammaElement, k: int, image) -> GammaElement:
     return out
 
 
-def pushforward_plain(state: GammaElement, k: int, lam_k: int, c: GeneratorSeries,
-                      bound: int) -> GammaElement:
-    """The single-series elimination of h_k:
-    h_k^m -> sum_j H^(k)_j c_{lam_k + m - j}."""
-    H = _h_factor_series(k - 1, bound)
+def _h_convolution(k: int, lam_k: int, c: GeneratorSeries, bound: int):
+    """m -> sum_j H^(k)_j c_{lam_k + m - j}, with H^(k) the series
+    prod_{i<k} (1 - h_i)/(1 + h_i) truncated at degree bound."""
+    h = [Polynomial.variable("h", i) for i in range(1, k)]
+    H = rational_series([1 - hi for hi in h], [1 + hi for hi in h], bound)
 
     def image(m):
         acc = GammaElement.zero()
@@ -517,23 +359,25 @@ def pushforward_plain(state: GammaElement, k: int, lam_k: int, c: GeneratorSerie
                 acc = acc + series_coeff(c, lam_k + m - j) * hj
         return acc
 
-    return _push_element(GammaElement.of(state), k, image)
+    return image
+
+
+def pushforward_plain(state: GammaElement, k: int, lam_k: int, c: GeneratorSeries,
+                      bound: int) -> GammaElement:
+    """The single-series elimination of h_k:
+    h_k^m -> sum_j H^(k)_j c_{lam_k + m - j}."""
+    return _push_element(GammaElement.of(state), k, _h_convolution(k, lam_k, c, bound))
 
 
 def pushforward_paired(state: GammaElement, k: int, lam_k: int, g: Polynomial,
                        d: GeneratorSeries, r: int, bound: int) -> GammaElement:
     """The paired elimination of h_k:
     h_k^m -> 1/2 sum_j H^(k)_j d_{lam_k+m-j}  +  1/2 (-1)^{r-k} delta_{m,0} g_{lam_k}."""
-    H = _h_factor_series(k - 1, bound)
+    convolution = _h_convolution(k, lam_k, d, bound)
     half = Dyadic(1, 1)
 
     def image(m):
-        acc = GammaElement.zero()
-        for j in range(0, lam_k + m + 1):
-            hj = H.part(j)
-            if hj:
-                acc = acc + series_coeff(d, lam_k + m - j) * hj
-        acc = acc.scale(half)
+        acc = convolution(m).scale(half)
         if m == 0:
             extra = g.part(lam_k) * (half if (r - k) % 2 == 0 else -half)
             acc = acc + GammaElement.of(extra)
@@ -601,11 +445,8 @@ def default_a2_data(lam, extra: int = 0):
     F = rational_series([1 + z], [1 - z], bound)
     pairs = []
     for k in lam:
-        g = Polynomial.const(1)
-        for j in range(1, k + 1):
-            g = g * (1 + Polynomial.variable("t", j))
-        d = GeneratorSeries(False, (F * g).truncate(bound))
-        pairs.append((g, d))
+        g = ones_product("t", k)
+        pairs.append((g, GeneratorSeries(False, (F * g).truncate(bound))))
     return pairs
 
 

@@ -22,7 +22,8 @@ available with check=False).
 
 from __future__ import annotations
 
-from .polycore import Dyadic, Polynomial, exact_divide, NotDivisible, series_inverse
+from .polycore import Dyadic, Polynomial, exact_divide, NotDivisible, ones_product
+from .polycore import rational_series  # noqa: F401  (re-exported)
 from .gamma import (
     GammaElement,
     GeneratorSeries,
@@ -42,22 +43,6 @@ class StarRelationFailed(ValueError):
 
 class DivisibilityFailed(ValueError):
     pass
-
-
-def rational_series(num_factors, den_factors, bound: int) -> Polynomial:
-    """prod(num_factors) / prod(den_factors) truncated at total degree bound.
-
-    Each factor must have unit constant term.
-    """
-    num = Polynomial.const(1)
-    for f in num_factors:
-        num = num * Polynomial.of(f)
-    den = Polynomial.const(1)
-    for f in den_factors:
-        den = den * Polynomial.of(f)
-    if den == Polynomial.const(1):
-        return num.truncate(bound)
-    return (num * series_inverse(den, bound)).truncate(bound)
 
 
 # ---------------------------------------------------------------------------
@@ -247,17 +232,10 @@ def _paired_entry(ki, kj, ci, di, cj, dj) -> GammaElement:
 # ---------------------------------------------------------------------------
 
 
-def _t_prod(count: int) -> Polynomial:
-    out = Polynomial.const(1)
-    for j in range(1, count + 1):
-        out = out * (1 + Polynomial.variable("t", j))
-    return out
-
-
 def q_family(lam) -> GammaElement:
     """The deformed basis element with rows Q * prod_{j<lam_i}(1+t_j)."""
     lam = tuple(lam)
-    series = [GeneratorSeries(True, _t_prod(k - 1)) for k in lam]
+    series = [GeneratorSeries(True, ones_product("t", k - 1)) for k in lam]
     return multischur_pf(lam, series)
 
 
@@ -265,7 +243,7 @@ def p_family(lam) -> GammaElement:
     """Half-generator version of q_family; equals q_family / 2^len(lam)."""
     lam = tuple(lam)
     series = [
-        GeneratorSeries(True, _t_prod(k - 1), Dyadic(1, 1)) for k in lam
+        GeneratorSeries(True, ones_product("t", k - 1), Dyadic(1, 1)) for k in lam
     ]
     return multischur_pf(lam, series)
 
@@ -274,6 +252,7 @@ def r_family(lam) -> GammaElement:
     """The even-orthogonal family: the paired Pfaffian with
     c(i) = prod_{j<=lam_i}(1+t_j), d(i) = Q*c(i), scaled by 2^-len(lam)."""
     lam = tuple(lam)
-    pairs = [(_t_prod(k), GeneratorSeries(True, _t_prod(k))) for k in lam]
+    cs = [ones_product("t", k) for k in lam]
+    pairs = [(c, GeneratorSeries(True, c)) for c in cs]
     pf = multischur_pf_d(lam, pairs)
     return pf * Polynomial.const(Dyadic(1, len(lam)))

@@ -8,7 +8,9 @@ divisions early instead of silently producing a rational.
 
 Variables come in six families, printed in the fixed order
 x < y < t < z < h < u (then by index).  A variable is a plain tuple
-``(family, index)`` with index >= 1.
+``(family, index)`` with index >= 1.  The h variables may also carry
+negative exponents: the Laurent polynomials of the gysin checks are
+ordinary Polynomials.
 """
 
 from __future__ import annotations
@@ -147,7 +149,8 @@ class Dyadic:
 _ONE = Dyadic(1)
 
 # A monomial is a tuple of ((family, index), exponent) pairs, sorted by
-# variable, with all exponents positive.  The empty tuple is 1.
+# variable, with all exponents nonzero.  The empty tuple is 1.  Exponents
+# are positive except for h, which may carry negative (Laurent) powers.
 
 
 def _mono_sorted(pairs):
@@ -165,7 +168,11 @@ def _mono_mul(m1, m2):
         return m1
     exps = dict(m1)
     for v, e in m2:
-        exps[v] = exps.get(v, 0) + e
+        e += exps.get(v, 0)
+        if e:
+            exps[v] = e
+        else:
+            del exps[v]  # a Laurent exponent cancelled
     return _mono_sorted(exps.items())
 
 
@@ -431,3 +438,27 @@ def series_inverse(p: Polynomial, bound: int) -> Polynomial:
     for piece in parts.values():
         total = total + piece
     return total
+
+
+def rational_series(num_factors, den_factors, bound: int) -> Polynomial:
+    """prod(num_factors) / prod(den_factors) truncated at total degree bound.
+
+    Each factor must have unit constant term.
+    """
+    num = Polynomial.const(1)
+    for f in num_factors:
+        num = num * Polynomial.of(f)
+    den = Polynomial.const(1)
+    for f in den_factors:
+        den = den * Polynomial.of(f)
+    if den == Polynomial.const(1):
+        return num.truncate(bound)
+    return (num * series_inverse(den, bound)).truncate(bound)
+
+
+def ones_product(family: str, count: int) -> Polynomial:
+    """prod_{j=1}^{count} (1 + v_j) over the variables v_j of one family."""
+    out = Polynomial.const(1)
+    for j in range(1, count + 1):
+        out = out * (1 + Polynomial.variable(family, j))
+    return out

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 
-from .polycore import Dyadic, Polynomial, exact_divide
+from .polycore import Dyadic, Polynomial, exact_divide, ones_product, rational_series
 from .gamma import (
     GammaElement,
     GeneratorSeries,
@@ -29,12 +29,7 @@ from .gamma import (
 )
 from .weyl import SignedPermutation, SizeMismatch, generators, length, longest_element
 from .triples import InvalidTriple, Triple, column_steps, lambda_of, reduce_redundant, validate
-from .multischur import (
-    multischur_det,
-    multischur_pf,
-    multischur_pf_d,
-    rational_series,
-)
+from .multischur import multischur_det, multischur_pf, multischur_pf_d
 
 
 def _xvar(i):
@@ -114,13 +109,6 @@ def _steps(t: Triple):
     return [(t.p[i], t.q[i]) for i in column_steps(t)]
 
 
-def _ones_product(fam, count):
-    out = Polynomial.const(1)
-    for j in range(1, count + 1):
-        out = out * (1 + Polynomial.variable(fam, j))
-    return out
-
-
 def vexillary_polynomial(t: Triple, wtype: str = None):
     """The closed multi-Schur formula for the triple's Schubert polynomial.
 
@@ -151,7 +139,7 @@ def vexillary_polynomial(t: Triple, wtype: str = None):
         series = [
             GeneratorSeries(
                 True,
-                _ones_product("x", p - 1) * _ones_product("y", q - 1),
+                ones_product("x", p - 1) * ones_product("y", q - 1),
                 base.q_scale,
             )
             for p, q in _steps(t)
@@ -160,7 +148,7 @@ def vexillary_polynomial(t: Triple, wtype: str = None):
     # type D
     pairs = []
     for p, q in _steps(t):
-        c = _ones_product("x", p) * _ones_product("y", q)
+        c = ones_product("x", p) * ones_product("y", q)
         pairs.append((c, GeneratorSeries(True, c)))
     pf = multischur_pf_d(lam, pairs, check=(status == "strict"))
     return pf * Polynomial.const(Dyadic(1, r))
@@ -306,11 +294,11 @@ def degeneracy_formula(t: Triple, q_series: Polynomial = None, multipliers=None)
                 per_col.append(Polynomial.of(multipliers[i]))
             elif t.wtype == "C":
                 per_col.append(
-                    _ones_product("x", t.p[i] - 1) * _ones_product("y", t.q[i] - 1)
+                    ones_product("x", t.p[i] - 1) * ones_product("y", t.q[i] - 1)
                 )
             else:
                 per_col.append(
-                    _ones_product("x", t.p[i]) * _ones_product("y", t.q[i])
+                    ones_product("x", t.p[i]) * ones_product("y", t.q[i])
                 )
         if t.wtype == "C":
             series = [GeneratorSeries(True, g) for g in per_col]

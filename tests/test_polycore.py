@@ -76,6 +76,13 @@ class TestPolynomial:
         assert p.star() == 1 - T(1) + T(1) * T(2)
         assert p.star().star() == p
 
+    def test_laurent_exponents_cancel(self):
+        # h1 * h1^-1 lands on the key (), with no h1^0 left behind
+        h1 = Polynomial.variable("h", 1)
+        h1_inv = Polynomial({((("h", 1), -1),): 1})
+        assert (h1 * h1_inv).terms == {(): Dyadic(1)}
+        assert (X(1) * h1_inv * h1).terms == X(1).terms
+
     def test_exact_divide(self):
         assert exact_divide(X(1) ** 2 - X(2) ** 2, X(1) - X(2)) == X(1) + X(2)
         assert exact_divide(Polynomial.const(0), X(1)) == Polynomial.const(0)
