@@ -14,7 +14,7 @@ import json
 import random
 import sys
 
-from .polycore import Dyadic, Polynomial, _mono_key, ones_product, render_terms
+from .polycore import Dyadic, Polynomial, _mono_key, _mono_sorted, ones_product, render_terms
 from .gamma import GammaElement, GeneratorSeries, q_pair, specialize_oracle
 from .weyl import SignedPermutation, SizeMismatch, all_elements, length
 from .triples import (
@@ -30,6 +30,7 @@ from .triples import (
 from .multischur import multischur_det, p_family, r_family
 from .schubert import (
     expand_coeffs,
+    formula_rows,
     schubert,
     swap_xy,
     vexillary_polynomial,
@@ -81,7 +82,7 @@ def parse_element(rows) -> GammaElement:
     for row in rows:
         lam = tuple(row["q"])
         coeff = Dyadic(int(row["coeff"]["num"]), row["coeff"]["log2den"])
-        mono = tuple(
+        mono = _mono_sorted(
             ((name.rstrip("0123456789"), int(name[len(name.rstrip("0123456789")) :])), e)
             for name, e in row["mono"].items()
         )
@@ -374,12 +375,19 @@ def suite_lemma25(args, report):
     return ok
 
 
-def _plus_partition(mu, r):
-    if len(mu) == r:
-        return tuple(m + 1 for m in mu)
-    if len(mu) == r - 1:
-        return tuple(m + 1 for m in mu) + (1,)
-    return None
+def _plus_support(coeffs, r):
+    """The P-basis coefficients of a type-D class re-indexed by the shift
+    mu -> mu + 1 (mu of length r, or r - 1 with a part 1 appended); None
+    when some support partition has another length."""
+    mapped = {}
+    for mu, c in coeffs.items():
+        if len(mu) == r:
+            mapped[tuple(m + 1 for m in mu)] = c
+        elif len(mu) == r - 1:
+            mapped[tuple(m + 1 for m in mu) + (1,)] = c
+        else:
+            return None
+    return mapped
 
 
 def suite_identity_2_3(args, report):
@@ -389,16 +397,11 @@ def suite_identity_2_3(args, report):
     for size in range(1, max_part + 2):
         for lam in itertools.combinations(range(max_part, -1, -1), size):
             count += 1
-            r = len(lam)
-            rc = expand_coeffs(r_family(lam), basis="P")
+            mapped = _plus_support(expand_coeffs(r_family(lam), basis="P"), len(lam))
+            if mapped is None:
+                report.append(f"unmappable support in lambda = {lam}")
+                return False
             pc = expand_coeffs(p_family(tuple(m + 1 for m in lam)), basis="P")
-            mapped = {}
-            for mu, c in rc.items():
-                key = _plus_partition(mu, r)
-                if key is None:
-                    report.append(f"unmappable support {mu} in lambda = {lam}")
-                    return False
-                mapped[key] = c
             if mapped != pc:
                 report.append(f"shift identity fails for lambda = {lam}")
                 ok = False
@@ -407,16 +410,11 @@ def suite_identity_2_3(args, report):
     tri_count = 0
     for t in enumerate_triples("D", 3):
         tri_count += 1
-        r = t.k[-1]
-        rc = expand_coeffs(vexillary_polynomial(t), basis="P")
+        mapped = _plus_support(expand_coeffs(vexillary_polynomial(t), basis="P"), t.k[-1])
+        if mapped is None:
+            report.append(f"unmappable support for triple {t}")
+            return False
         pc = expand_coeffs(vexillary_polynomial(plus_map(t), wtype="B"), basis="P")
-        mapped = {}
-        for mu, c in rc.items():
-            key = _plus_partition(mu, r)
-            if key is None:
-                report.append(f"unmappable support {mu} for triple {t}")
-                return False
-            mapped[key] = c
         if mapped != pc:
             report.append(f"triple shift identity fails for {t}")
             ok = False
@@ -456,14 +454,7 @@ def suite_appendix_a2(args, report):
             ok = False
     report.append(f"composite pushforward = 2^-r Pfaffian for {len(shapes)} shapes")
     # degenerate single-series case against the type-C pipeline
-    from .schubert import _steps
-
-    t = Triple((1, 2), (2, 1), (2, 1), "C")
-    lam = lambda_of(t)
-    series = [
-        GeneratorSeries(True, ones_product("x", p - 1) * ones_product("y", q - 1))
-        for p, q in _steps(t)
-    ]
+    lam, series = formula_rows(Triple((1, 2), (2, 1), (2, 1), "C"), "C")
     for m in [(0, 0), (1, 0), (0, 1), (2, 1)]:
         if not gysin.plain_pushforward_check(lam, series, m):
             report.append(f"degenerate pushforward fails at exponents {m}")

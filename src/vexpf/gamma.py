@@ -2,9 +2,8 @@
 
 Elements are kept in canonical form as integer (or polynomial) linear
 combinations of the basis symbols Q_lambda, lambda a strict partition.
-The half-generators P_lambda = 2^{-r} Q_lambda live in the same
-representation with dyadic coefficients, so one straightening engine
-serves both rings.
+The half-generators P_lambda = 2^{-r} Q_lambda are Q_lambda with a
+dyadic coefficient, so one straightening engine serves both rings.
 
 The straightening algorithm: sort a generator monomial weakly
 decreasing; eliminate equal adjacent pairs with the defining relation;
@@ -26,11 +25,6 @@ class TruncationTooSmall(ValueError):
 
 def is_strict(parts) -> bool:
     return all(a > b for a, b in zip(parts, parts[1:])) and all(a > 0 for a in parts)
-
-
-def is_type_d(parts) -> bool:
-    """Strictly decreasing, last part allowed to be 0."""
-    return all(a > b for a, b in zip(parts, parts[1:])) and all(a >= 0 for a in parts)
 
 
 # ---------------------------------------------------------------------------
@@ -273,30 +267,28 @@ class GammaElement:
 
 
 class GeneratorSeries:
-    """A coefficient series c = (1 + s(Q-1)) * g or just g, with g a finite
+    """A coefficient series c = Q * g (has_q) or just g, with g a finite
     polynomial with constant term 1.
 
-    The dyadic scale s multiplies every positive-degree generator; s = 1
-    gives c = Q * g, while s = 1/2 gives the half-generator series
-    P * g (P_k = Q_k/2 for k > 0, P_0 = 1).
+    The half-generator series P * g of type B is not a separate kind: a
+    Pfaffian term uses each row once, so its Pfaffian is 2^-r times the
+    one of Q * g.
     """
 
-    __slots__ = ("has_q", "multiplier", "q_scale")
+    __slots__ = ("has_q", "multiplier")
 
-    def __init__(self, has_q: bool, multiplier=1, q_scale=1):
+    def __init__(self, has_q: bool, multiplier=1):
         multiplier = Polynomial.of(multiplier)
         if multiplier.constant_term() != Dyadic(1):
             raise ValueError("series multiplier must have constant term 1")
         self.has_q = has_q
         self.multiplier = multiplier
-        self.q_scale = Dyadic.of(q_scale)
 
     def __eq__(self, other):
         return (
             isinstance(other, GeneratorSeries)
             and self.has_q == other.has_q
             and self.multiplier == other.multiplier
-            and self.q_scale == other.q_scale
         )
 
     def coeff_raw(self, m: int) -> dict:
@@ -308,31 +300,18 @@ class GeneratorSeries:
             for i in range(0, m + 1):
                 g = self.multiplier.part(i)
                 if g:
-                    mono = (m - i,) if m - i > 0 else ()
-                    if mono and self.q_scale != Dyadic(1):
-                        g = g * self.q_scale
-                    _iadd(out, mono, g)
+                    _iadd(out, (m - i,) if m - i > 0 else (), g)
         else:
             g = self.multiplier.part(m)
             if g:
                 out[()] = g
         return out
 
-    def times(self, poly) -> "GeneratorSeries":
-        return GeneratorSeries(
-            self.has_q, self.multiplier * Polynomial.of(poly), self.q_scale
-        )
-
     def __repr__(self):
-        if not self.has_q:
-            return f"({self.multiplier})"
-        head = "Q*" if self.q_scale == Dyadic(1) else f"(1+{self.q_scale}(Q-1))*"
-        return f"{head}({self.multiplier})"
+        return f"Q*({self.multiplier})" if self.has_q else f"({self.multiplier})"
 
 
 Q_SERIES = GeneratorSeries(True, 1)
-P_SERIES = GeneratorSeries(True, 1, Dyadic(1, 1))
-UNIT_SERIES = GeneratorSeries(False, 1)
 
 
 def series_coeff(c: GeneratorSeries, m: int) -> GammaElement:
@@ -345,20 +324,11 @@ def q_pair(k: int, l: int, c_k: GeneratorSeries, c_l: GeneratorSeries) -> GammaE
 
 
 def q_pair_raw(k: int, l: int, c_k: GeneratorSeries, c_l: GeneratorSeries) -> dict:
-    # scaled series (e.g. half-generators): the whole entry is the plain
-    # entry of the unscaled series times the product of the scales, which
-    # is what makes the resulting Pfaffian rescale by scale^len(lam)
-    scale = c_k.q_scale * c_l.q_scale
-    if scale != Dyadic(1):
-        c_k = GeneratorSeries(c_k.has_q, c_k.multiplier)
-        c_l = GeneratorSeries(c_l.has_q, c_l.multiplier)
     out = _raw_mul(c_k.coeff_raw(k), c_l.coeff_raw(l))
     for j in range(1, l + 1):
         term = _raw_mul(c_k.coeff_raw(k + j), c_l.coeff_raw(l - j))
         for m, c in term.items():
             _iadd(out, m, c * (2 * (-1) ** j))
-    if scale != Dyadic(1):
-        out = {m: c * scale for m, c in out.items()}
     return out
 
 

@@ -386,15 +386,15 @@ def pushforward_paired(state: GammaElement, k: int, lam_k: int, g: Polynomial,
     return _push_element(GammaElement.of(state), k, image)
 
 
-def pushforward_compose(lam, pairs, start=None) -> GammaElement:
-    """(phi_1)_* ... (phi_r)_* applied to `start` (default 1), for paired
-    data like multischur_pf_d's: one (g, d) per index."""
+def pushforward_compose(lam, pairs) -> GammaElement:
+    """(phi_1)_* ... (phi_r)_* applied to 1, for paired data like
+    multischur_pf_d's: one (g, d) per index."""
     lam = tuple(lam)
     r = len(lam)
     if len(pairs) != r:
         raise ValueError("need one g|d pair per index")
     bound = sum(lam) + 1
-    state = GammaElement.one() if start is None else GammaElement.of(start)
+    state = GammaElement.one()
     for k in range(r, 0, -1):
         g, d = pairs[k - 1]
         state = pushforward_paired(state, k, lam[k - 1], Polynomial.of(g), d, r, bound)
@@ -435,12 +435,12 @@ def check_star_relations(pairs, bound: int):
                 )
 
 
-def default_a2_data(lam, extra: int = 0):
+def default_a2_data(lam):
     """Symbolic test data: g(k) = prod_{j<=lam_k}(1+t_j) and d(k) = F g(k)
     with F = (1+z_1)/(1-z_1) truncated -- so F F* = 1 holds exactly below
     the truncation degree."""
     lam = tuple(lam)
-    bound = sum(lam) + extra + 1
+    bound = sum(lam) + 1
     z = Polynomial.variable("z", 1)
     F = rational_series([1 + z], [1 - z], bound)
     pairs = []

@@ -3,16 +3,18 @@
 Three constructions over a list of coefficient series:
 
   * multischur_det -- type A, a Jacobi-Trudi style determinant in plain
-    power series;
+    power series, evaluated as the Pfaffian of [[0, A], [-A^T, 0]];
   * multischur_pf -- types B/C, the Pfaffian with (i,j) entry
       c(i)_{k_i} c(j)_{k_j} + 2 sum_{m>=1} (-1)^m c(i)_{k_i+m} c(j)_{k_j-m},
-    odd sizes handled by a trivial extra column;
+    odd sizes expanding along a border with entries c(i)_{k_i}.  Type B
+    (half-generator rows P*g) is 2^-r times this Pfaffian for Q*g;
   * multischur_pf_d -- type D, the paired Pfaffian taking a finite
-    polynomial c(i) alongside each series d(i); odd sizes expand along a
-    border whose entries are d(i)_{k_i} + c(i)_{k_i}.
+    polynomial c(i) alongside each series d(i); its entry is the B/C
+    entry of the d(i) plus scalar corrections in the c(i), and odd sizes
+    expand along a border whose entries are d(i)_{k_i} + c(i)_{k_i}.
 
-All Pfaffians, here and in the gysin appendix checks, go through one
-memoized first-row expander, `pfaffian`.  Each entry of the Pfaffian
+All of them, and the Pfaffians of the gysin appendix checks, go through
+one memoized first-row expander, `pfaffian`.  Each entry of the Pfaffian
 matrix is computed for i < j only; the skew
 symmetry that makes the result well-behaved under column exchange holds
 exactly when each series multiplier has degree below its index, and is
@@ -27,7 +29,6 @@ from .polycore import rational_series  # noqa: F401  (re-exported)
 from .gamma import (
     GammaElement,
     GeneratorSeries,
-    UNIT_SERIES,
     q_pair,
     series_coeff,
 )
@@ -55,35 +56,25 @@ def multischur_det(lam, series) -> Polynomial:
 
     lam: weakly decreasing nonnegative integers; series: one truncated
     power series (Polynomial) per row, truncated at degree >= lam_1 + r.
+    The determinant is (-1)^{r(r-1)/2} Pf [[0, A], [-A^T, 0]]: each
+    sub-Pfaffian of the first-row expansion keeps the rows below the
+    current one and a subset of the columns, so it is the minor on those
+    columns, computed once.
     """
     lam = tuple(lam)
     r = len(lam)
     if len(series) != r:
         raise ValueError("need one series per row")
-    matrix = [
-        [Polynomial.of(series[i]).part(lam[i] + j - i) for j in range(r)]
-        for i in range(r)
-    ]
-    return _det(matrix, tuple(range(r)), {})
+    series = [Polynomial.of(a) for a in series]
+    zero = Polynomial()
 
+    def entry(i, j):
+        if i < r <= j:
+            return series[i].part(lam[i] + j - r - i)
+        return zero
 
-def _det(matrix, cols, memo):
-    if not cols:
-        return Polynomial.const(1)
-    key = cols
-    if key in memo:
-        return memo[key]
-    i = len(matrix) - len(cols)
-    acc = Polynomial()
-    for pos, j in enumerate(cols):
-        entry = matrix[i][j]
-        if not entry:
-            continue
-        sub = _det(matrix, cols[:pos] + cols[pos + 1 :], memo)
-        term = entry * sub
-        acc = acc + (term if pos % 2 == 0 else -term)
-    memo[key] = acc
-    return acc
+    pf = pfaffian(2 * r, entry, Polynomial.const(1))
+    return -pf if r * (r - 1) // 2 % 2 else pf
 
 
 def pfaffian(size: int, entry, one, border=None):
@@ -138,18 +129,18 @@ def multischur_pf(lam, series, check: bool = True) -> GammaElement:
     lam = tuple(lam)
     if len(series) != len(lam):
         raise ValueError("need one series per index")
-    series = list(series)
     if check:
         for k, c in zip(lam, series):
             if c.multiplier.degree() >= max(k, 1):
                 raise SkewCheckFailed(
                     f"multiplier degree {c.multiplier.degree()} too big for index {k}"
                 )
-    if len(lam) % 2 == 1:
-        lam = lam + (0,)
-        series = series + [UNIT_SERIES]
-    entry = lambda i, j: q_pair(lam[i], lam[j], series[i], series[j])
-    return pfaffian(len(lam), entry, GammaElement.one())
+    return pfaffian(
+        len(lam),
+        lambda i, j: q_pair(lam[i], lam[j], series[i], series[j]),
+        GammaElement.one(),
+        border=lambda i: series_coeff(series[i], lam[i]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +172,21 @@ def multischur_pf_d(lam, pairs, check: bool = True) -> GammaElement:
     ds = [d for _, d in pairs]
     if check:
         _check_paired(lam, cs, ds)
+    d_k = [series_coeff(d, k) for k, d in zip(lam, ds)]
+    c_k = [c.part(k) for k, c in zip(lam, cs)]
+
+    def entry(i, j):
+        # (d_i - c_i)(d_j + c_j) differs from q_pair's leading d_i d_j by
+        # scalar multiples of single basis coefficients
+        return (
+            q_pair(lam[i], lam[j], ds[i], ds[j])
+            + d_k[i] * c_k[j]
+            - d_k[j] * c_k[i]
+            - GammaElement.of(c_k[i] * c_k[j])
+        )
+
     return pfaffian(
-        len(lam),
-        lambda i, j: _paired_entry(lam[i], lam[j], cs[i], ds[i], cs[j], ds[j]),
-        GammaElement.one(),
-        border=lambda i: series_coeff(ds[i], lam[i]) + GammaElement.of(cs[i].part(lam[i])),
+        len(lam), entry, GammaElement.one(), border=lambda i: d_k[i] + GammaElement.of(c_k[i])
     )
 
 
@@ -217,16 +218,6 @@ def _check_paired(lam, cs, ds):
                 )
 
 
-def _paired_entry(ki, kj, ci, di, cj, dj) -> GammaElement:
-    left = (series_coeff(di, ki) - GammaElement.of(ci.part(ki))) * (
-        series_coeff(dj, kj) + GammaElement.of(cj.part(kj))
-    )
-    for m in range(1, kj + 1):
-        term = series_coeff(di, ki + m) * series_coeff(dj, kj - m)
-        left = left + term * (2 * (-1) ** m)
-    return left
-
-
 # ---------------------------------------------------------------------------
 # the deformed basis families in the t variables
 # ---------------------------------------------------------------------------
@@ -240,12 +231,9 @@ def q_family(lam) -> GammaElement:
 
 
 def p_family(lam) -> GammaElement:
-    """Half-generator version of q_family; equals q_family / 2^len(lam)."""
+    """Half-generator version of q_family: q_family / 2^len(lam)."""
     lam = tuple(lam)
-    series = [
-        GeneratorSeries(True, ones_product("t", k - 1), Dyadic(1, 1)) for k in lam
-    ]
-    return multischur_pf(lam, series)
+    return q_family(lam) * Polynomial.const(Dyadic(1, len(lam)))
 
 
 def r_family(lam) -> GammaElement:

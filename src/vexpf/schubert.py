@@ -22,8 +22,6 @@ from .polycore import Dyadic, Polynomial, exact_divide, ones_product, rational_s
 from .gamma import (
     GammaElement,
     GeneratorSeries,
-    P_SERIES,
-    Q_SERIES,
     apply_symmetry,
     substitute_q,
 )
@@ -109,6 +107,45 @@ def _steps(t: Triple):
     return [(t.p[i], t.q[i]) for i in column_steps(t)]
 
 
+def formula_rows(t: Triple, wtype: str, multipliers=None):
+    """The indices lam and one row per column of the closed formula.
+
+    Type A rows are the power series prod_{j<=p}(1+x_j) / prod_{j<=q}(1+y_j);
+    B/C rows are Q*g with g = prod_{j<p}(1+x_j) prod_{j<q}(1+y_j); D rows
+    are pairs (g, Q*g) with g = prod_{j<=p}(1+x_j) prod_{j<=q}(1+y_j).
+    multipliers (signed types), one per triple step, replace the default g.
+    """
+    if t.s == 0:
+        return (), []
+    lam = lambda_of_extended(t)
+    if wtype == "A":
+        bound = lam[0] + len(lam)
+        return lam, [
+            rational_series(
+                [1 + _xvar(j) for j in range(1, p + 1)],
+                [1 + _yvar(j) for j in range(1, q + 1)],
+                bound,
+            )
+            for p, q in _steps(t)
+        ]
+    if multipliers is None:
+        low = 0 if wtype == "D" else 1
+        gs = [ones_product("x", p - low) * ones_product("y", q - low) for p, q in _steps(t)]
+    else:
+        gs = [Polynomial.of(multipliers[i]) for i in column_steps(t)]
+    if wtype == "D":
+        return lam, [(g, GeneratorSeries(True, g)) for g in gs]
+    return lam, [GeneratorSeries(True, g) for g in gs]
+
+
+def _signed_pfaffian(lam, rows, wtype: str, check: bool) -> GammaElement:
+    """The signed-type Pfaffian of formula_rows: Pf_lam(Q*g) in type C,
+    2^-r times it in type B (the half-generator rows P*g), and 2^-r times
+    the paired Pfaffian Pf_lam(g | Q*g) in type D."""
+    pf = (multischur_pf_d if wtype == "D" else multischur_pf)(lam, rows, check=check)
+    return pf if wtype == "C" else pf * Polynomial.const(Dyadic(1, len(lam)))
+
+
 def vexillary_polynomial(t: Triple, wtype: str = None):
     """The closed multi-Schur formula for the triple's Schubert polynomial.
 
@@ -119,39 +156,10 @@ def vexillary_polynomial(t: Triple, wtype: str = None):
     status = validate(t)
     if status == "invalid":
         raise InvalidTriple(str(t))
-    if t.s == 0:
-        return Polynomial.const(1) if wtype == "A" else GammaElement.one()
-    lam = lambda_of_extended(t)
-    r = len(lam)
+    lam, rows = formula_rows(t, wtype)
     if wtype == "A":
-        bound = lam[0] + r
-        series = [
-            rational_series(
-                [1 + _xvar(j) for j in range(1, p + 1)],
-                [1 + _yvar(j) for j in range(1, q + 1)],
-                bound,
-            )
-            for p, q in _steps(t)
-        ]
-        return multischur_det(lam, series)
-    if wtype in ("B", "C"):
-        base = P_SERIES if wtype == "B" else Q_SERIES
-        series = [
-            GeneratorSeries(
-                True,
-                ones_product("x", p - 1) * ones_product("y", q - 1),
-                base.q_scale,
-            )
-            for p, q in _steps(t)
-        ]
-        return multischur_pf(lam, series, check=(status == "strict"))
-    # type D
-    pairs = []
-    for p, q in _steps(t):
-        c = ones_product("x", p) * ones_product("y", q)
-        pairs.append((c, GeneratorSeries(True, c)))
-    pf = multischur_pf_d(lam, pairs, check=(status == "strict"))
-    return pf * Polynomial.const(Dyadic(1, r))
+        return multischur_det(lam, rows)
+    return _signed_pfaffian(lam, rows, wtype, check=(status == "strict"))
 
 
 def lambda_of_extended(t: Triple):
@@ -284,30 +292,8 @@ def degeneracy_formula(t: Triple, q_series: Polynomial = None, multipliers=None)
         raise InvalidTriple("degeneracy data here is for the signed types")
     if multipliers is not None and len(multipliers) != t.s:
         raise ValueError("need one multiplier per triple step")
-    if t.s == 0:
-        e = GammaElement.one()
-    else:
-        lam = lambda_of_extended(t)
-        per_col = []
-        for i in column_steps(t):
-            if multipliers is not None:
-                per_col.append(Polynomial.of(multipliers[i]))
-            elif t.wtype == "C":
-                per_col.append(
-                    ones_product("x", t.p[i] - 1) * ones_product("y", t.q[i] - 1)
-                )
-            else:
-                per_col.append(
-                    ones_product("x", t.p[i]) * ones_product("y", t.q[i])
-                )
-        if t.wtype == "C":
-            series = [GeneratorSeries(True, g) for g in per_col]
-            e = multischur_pf(lam, series, check=False)
-        else:
-            pairs = [(g, GeneratorSeries(True, g)) for g in per_col]
-            e = multischur_pf_d(lam, pairs, check=False) * Polynomial.const(
-                Dyadic(1, len(lam))
-            )
+    lam, rows = formula_rows(t, t.wtype, multipliers)
+    e = _signed_pfaffian(lam, rows, t.wtype, check=False)
     if q_series is None:
         return e
     return substitute_q(e, Polynomial.of(q_series))

@@ -17,21 +17,14 @@ import pytest
 from vexpf.polycore import Polynomial
 from vexpf.gamma import GammaElement, GeneratorSeries, q_pair
 from vexpf.weyl import SignedPermutation, all_elements, length
-from vexpf.triples import (
-    Triple,
-    enumerate_triples,
-    reduce_redundant,
-    triple_of_w,
-    validate,
-)
+from vexpf.triples import triple_of_w
 from vexpf.schubert import (
-    lambda_of_extended,
     schubert,
     swap_xy,
     top_term,
     vexillary_polynomial,
 )
-from vexpf.cli import SUITES, _worked_a_det_y0, build_parser
+from vexpf.cli import SUITES, build_parser
 
 
 def report(n, ok, detail=""):
@@ -119,24 +112,8 @@ def test_criterion_6_skew_symmetry_and_redundancy():
         l = rng.randrange(c2.multiplier.degree() + 1, 6)
         if q_pair(k, l, c1, c2) != -q_pair(l, k, c2, c1):
             ok = False
-    fat = Triple(
-        tuple(range(1, 9)), (7, 7, 6, 6, 5, 4, 3, 2), (4, 5, 6, 7, 7, 7, 9, 9), "A"
-    )
-    slim = reduce_redundant(fat)
-    if _worked_a_det_y0(fat) != _worked_a_det_y0(slim):
-        ok = False
-    sampled = 0
-    for wtype in ("C", "D"):
-        reds = [
-            t
-            for t in enumerate_triples(wtype, 3, allow_redundant=True)
-            if validate(t) == "redundant" and sum(lambda_of_extended(t)) <= 10
-        ]
-        for t in rng.sample(reds, 25):
-            sampled += 1
-            if vexillary_polynomial(t) != vexillary_polynomial(reduce_redundant(t)):
-                ok = False
-    assert report(6, ok, f"100 skew pairs, worked A example, {sampled} redundant C/D triples")
+    ok_red, detail = run_suite("redundancy")
+    assert report(6, ok and ok_red, f"100 skew pairs; {detail}")
 
 
 def test_criterion_7_vanishing_specialization():

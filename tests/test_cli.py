@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,6 +58,13 @@ class TestSerialization:
             }
         )
         assert parse_element(serialize_element(e)) == e
+
+    @pytest.mark.parametrize("names", [(("x", 1), ("t", 1)), (("x", 2), ("x", 10))])
+    def test_round_trip_through_sorted_json(self, names):
+        # sort_keys orders "t1" before "x1" and "x10" before "x2"
+        p = Polynomial.variable(*names[0]) * Polynomial.variable(*names[1])
+        rows = json.loads(json.dumps(serialize_element(p), sort_keys=True))
+        assert parse_element(rows) == GammaElement.of(p)
 
     def test_render_plain_and_latex(self):
         e = GammaElement({(1,): 1, (): Polynomial.variable("x", 1)})
@@ -218,3 +227,21 @@ class TestVerify:
         code, out = run(capsys, "verify", "census", "--n", "2", "--format", "json")
         payload = json.loads(out)
         assert code == 0 and payload["pass"] is True and payload["suite"] == "census"
+
+
+REFERENCE_CLI = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "reference.json").read_text()
+)["cli"]
+
+
+def _argv_of_key(key):
+    # a key is the argv joined by spaces; --w, whose word holds spaces, comes last
+    head, _, word = key.partition(" --w ")
+    return head.split() + (["--w", word] if word else [])
+
+
+@pytest.mark.parametrize("key", sorted(REFERENCE_CLI))
+def test_reference_stdout(capsys, key):
+    code, out = run(capsys, *_argv_of_key(key))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REFERENCE_CLI[key]

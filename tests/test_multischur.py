@@ -1,8 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vexpf.polycore import Dyadic, Polynomial
-from vexpf.gamma import GammaElement, GeneratorSeries, Q_SERIES, UNIT_SERIES
+from vexpf.polycore import Polynomial
+from vexpf.gamma import GammaElement, GeneratorSeries, Q_SERIES, q_pair, series_coeff
 from vexpf.multischur import (
     DivisibilityFailed,
     SkewCheckFailed,
@@ -49,6 +51,27 @@ class TestDet:
 
     def test_empty(self):
         assert multischur_det((), []) == Polynomial.const(1)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_leibniz_sum(self, r):
+        # row i has the degree-d part t_(16i+d) x1^(d-1), so the r x r
+        # entries are distinct monomials and no cancellation hides a sign
+        x1 = Polynomial.variable("x", 1)
+        series = [
+            1 + sum((tvar(16 * i + d) * x1 ** (d - 1) for d in range(1, 3 * r)), Polynomial())
+            for i in range(r)
+        ]
+        lam = tuple(range(2 * r, r, -1))
+        entry = lambda i, j: series[i].part(lam[i] + j - i)
+        expect = Polynomial()
+        for perm in itertools.permutations(range(r)):
+            inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(r), 2))
+            term = Polynomial.const(-1 if inversions % 2 else 1)
+            for i, j in enumerate(perm):
+                term = term * entry(i, j)
+            expect = expect + term
+        assert len(expect.terms) == len(list(itertools.permutations(range(r))))
+        assert multischur_det(lam, series) == expect
 
 
 class TestExpander:
@@ -117,7 +140,7 @@ class TestPfBC:
         c = q_times(1 + tvar(1))
         base = multischur_pf((3, 2), [c, c])
         fat = multischur_pf(
-            (3, 2), [c.times(1 + Polynomial.variable("z", 1)), c], check=False
+            (3, 2), [q_times((1 + tvar(1)) * (1 + Polynomial.variable("z", 1))), c], check=False
         )
         assert base == fat
 
@@ -126,9 +149,18 @@ class TestPfBC:
         c = q_times(1 + tvar(1))
         base = multischur_pf((4, 2), [c, c])
         fat = multischur_pf(
-            (4, 2), [c.times(1 + Polynomial.variable("z", 1)), c], check=False
+            (4, 2), [q_times((1 + tvar(1)) * (1 + Polynomial.variable("z", 1))), c], check=False
         )
         assert base != fat
+
+    def test_odd_size_border(self):
+        # Pf_(k1,k2,k3) = c1_k1 q(2,3) - c2_k2 q(1,3) + c3_k3 q(1,2)
+        lam = (5, 3, 2)
+        cs = [q_times(E2), q_times(1 + tvar(1)), Q_SERIES]
+        b = lambda i: series_coeff(cs[i], lam[i])
+        q = lambda i, j: q_pair(lam[i], lam[j], cs[i], cs[j])
+        expect = b(0) * q(1, 2) - b(1) * q(0, 2) + b(2) * q(0, 1)
+        assert multischur_pf(lam, cs) == expect
 
     def test_leading_term(self):
         c1 = q_times((1 + tvar(1)) * (1 + tvar(2)))
@@ -165,6 +197,20 @@ class TestPfD:
         got = multischur_pf_d((4, 2), [pair, pair])
         plain = multischur_pf((4, 2), [q_times(c), q_times(c)])
         assert got == plain
+
+    def test_two_rows_written_out(self):
+        # (d1_k1 - c1_k1)(d2_k2 + c2_k2) + 2 sum_m (-1)^m d1_{k1+m} d2_{k2-m},
+        # with c1_k1 and c2_k2 both nonzero
+        c1, c2 = E2 * (1 + tvar(3)), E2
+        d1, d2 = q_times(c1), q_times(c2)
+        k1, k2 = 3, 2
+        d = series_coeff
+        expect = (d(d1, k1) - GammaElement.of(c1.part(k1))) * (
+            d(d2, k2) + GammaElement.of(c2.part(k2))
+        )
+        for m in range(1, k2 + 1):
+            expect = expect + d(d1, k1 + m) * d(d2, k2 - m) * (2 * (-1) ** m)
+        assert multischur_pf_d((k1, k2), [(c1, d1), (c2, d2)]) == expect
 
     def test_star_relation_guard(self):
         good = (1 + tvar(1), q_times(1 + tvar(1)))
