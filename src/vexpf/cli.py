@@ -14,12 +14,11 @@ import json
 import random
 import sys
 
-from .polycore import Dyadic, Polynomial, _mono_key, _mono_sorted, ones_product, render_terms
-from .gamma import GammaElement, GeneratorSeries, q_pair, specialize_oracle
+from .polycore import Dyadic, Polynomial, _mono_key, _mono_sorted, ones_product, render_terms, var
+from .gamma import GammaElement, GeneratorSeries, is_strict, q_pair, specialize_oracle
 from .weyl import SignedPermutation, SizeMismatch, all_elements, length
 from .triples import (
     Triple,
-    column_steps,
     enumerate_triples,
     lambda_of,
     plus_map,
@@ -29,6 +28,7 @@ from .triples import (
 )
 from .multischur import multischur_det, p_family, r_family
 from .schubert import (
+    column_factors,
     expand_coeffs,
     formula_rows,
     schubert,
@@ -77,15 +77,21 @@ def serialize_element(e) -> list:
 
 
 def parse_element(rows) -> GammaElement:
-    """Inverse of serialize_element."""
+    """Inverse of serialize_element.  A row whose q is not a strict
+    partition or whose variable is unknown is a ParseError."""
     combo = {}
     for row in rows:
         lam = tuple(row["q"])
+        if not is_strict(lam):
+            raise ParseError(f"q = {list(lam)} is not a strict partition")
         coeff = Dyadic(int(row["coeff"]["num"]), row["coeff"]["log2den"])
-        mono = _mono_sorted(
-            ((name.rstrip("0123456789"), int(name[len(name.rstrip("0123456789")) :])), e)
-            for name, e in row["mono"].items()
-        )
+        try:
+            mono = _mono_sorted(
+                (var(name.rstrip("0123456789"), int(name[len(name.rstrip("0123456789")) :])), e)
+                for name, e in row["mono"].items()
+            )
+        except ValueError as exc:
+            raise ParseError(f"bad variable in {row['mono']}: {exc}") from exc
         poly = Polynomial({mono: coeff})
         combo[lam] = combo.get(lam, Polynomial()) + poly
     return GammaElement(combo)
@@ -146,24 +152,16 @@ def cmd_schubert(args) -> int:
 
 def _formula_rows(t: Triple):
     """One line per Pfaffian/determinant row: the index and its series."""
-    from .schubert import _steps
-
-    lam = lambda_of(t)
     rows = []
-    for k, (p, q) in zip(lam, _steps(t)):
+    for k, (p, q) in zip(lambda_of(t), column_factors(t, t.wtype)):
+        xs = "".join(f"(1+x{j})" for j in range(1, p + 1))
+        ys = "".join(f"(1+y{j})" for j in range(1, q + 1))
         if t.wtype == "A":
-            xs = "".join(f"(1+x{j})" for j in range(1, p + 1)) or "1"
-            ys = "".join(f"(1+y{j})" for j in range(1, q + 1)) or "1"
-            rows.append(f"a_{k} from {xs}/{ys}")
+            rows.append(f"a_{k} from {xs or '1'}/{ys or '1'}")
         elif t.wtype == "D":
-            fac = "".join(f"(1+x{j})" for j in range(1, p + 1))
-            fac += "".join(f"(1+y{j})" for j in range(1, q + 1))
-            rows.append(f"index {k}: c = {fac or '1'}, d = Q*c")
+            rows.append(f"index {k}: c = {xs + ys or '1'}, d = Q*c")
         else:
-            sym = "P" if t.wtype == "B" else "Q"
-            fac = "".join(f"(1+x{j})" for j in range(1, p))
-            fac += "".join(f"(1+y{j})" for j in range(1, q))
-            rows.append(f"index {k}: {sym}*{fac or '1'}")
+            rows.append(f"index {k}: Q*{xs + ys or '1'}")
     return rows
 
 
@@ -310,7 +308,7 @@ def _worked_a_det_y0(t: Triple) -> Polynomial:
 
     lam = lambda_of_extended(t)
     bound = lam[0] + len(lam)
-    series = [ones_product("x", t.p[i]).truncate(bound) for i in column_steps(t)]
+    series = [ones_product("x", p).truncate(bound) for p, _ in column_factors(t, "A")]
     return multischur_det(lam, series)
 
 

@@ -10,10 +10,14 @@ decreasing; eliminate equal adjacent pairs with the defining relation;
 a strictly decreasing monomial equals the basis symbol Q_lambda minus
 the other terms of its Pfaffian expansion, which are strictly higher in
 dominance order (at fixed degree), so the recursion terminates.
+The symmetries s0 and s1hat add variables to the alphabet of Q; the
+branching rule maps each basis symbol straight to basis symbols.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from functools import lru_cache
 
 from .polycore import Dyadic, Polynomial, rational_series
@@ -177,13 +181,6 @@ class GammaElement:
                 _iadd(combo, lam, coeff * c)
         return GammaElement(combo)
 
-    def to_raw(self) -> dict:
-        raw = {}
-        for lam, coeff in self.combo.items():
-            for mono, c in pf_expansion(lam).items():
-                _iadd(raw, mono, coeff * c)
-        return raw
-
     def __bool__(self):
         return bool(self.combo)
 
@@ -216,7 +213,14 @@ class GammaElement:
         if isinstance(other, (int, Dyadic, Polynomial)):
             other = Polynomial.of(other)
             return GammaElement({lam: c * other for lam, c in self.combo.items()})
-        return GammaElement.from_raw(_raw_mul(self.to_raw(), GammaElement.of(other).to_raw()))
+        raws = []
+        for factor in (self, GammaElement.of(other)):
+            raw = {}
+            for lam, coeff in factor.combo.items():
+                for mono, c in pf_expansion(lam).items():
+                    _iadd(raw, mono, coeff * c)
+            raws.append(raw)
+        return GammaElement.from_raw(_raw_mul(*raws))
 
     __rmul__ = __mul__
 
@@ -332,50 +336,33 @@ def q_pair_raw(k: int, l: int, c_k: GeneratorSeries, c_l: GeneratorSeries) -> di
     return out
 
 
-def q_lambda(lam) -> GammaElement:
-    return GammaElement.basis(lam)
-
-
-def p_lambda(lam) -> GammaElement:
-    lam = tuple(lam)
-    return GammaElement.basis(lam) * Polynomial.const(Dyadic(1, len(lam)))
-
-
 # ---------------------------------------------------------------------------
 # ring symmetries
 # ---------------------------------------------------------------------------
 
 
-def _generator_image_s0(a: int, fam: str) -> dict:
-    """s_0(Q_a) = Q_a + 2 sum_{j=1}^{a} v^j Q_{a-j}, v the first variable."""
-    v = Polynomial.variable(fam, 1)
-    out = {(a,): Polynomial.const(1)}
-    for j in range(1, a + 1):
-        mono = (a - j,) if a - j > 0 else ()
-        _iadd(out, mono, 2 * v**j)
-    return out
-
-
-def _generator_image_s1hat(a: int) -> dict:
-    """s_1hat(Q_a) = Q_a + 2(x1+x2) sum_{j=1}^{a} v_{j-1} Q_{a-j},
-    with v_m = sum_{i+i'=m} x1^i x2^i'."""
-    x1 = Polynomial.variable("x", 1)
-    x2 = Polynomial.variable("x", 2)
-    out = {(a,): Polynomial.const(1)}
-    for j in range(1, a + 1):
-        vm = Polynomial()
-        for i in range(j):
-            vm = vm + x1**i * x2 ** (j - 1 - i)
-        mono = (a - j,) if a - j > 0 else ()
-        _iadd(out, mono, 2 * (x1 + x2) * vm)
-    return out
+def _branch(e: GammaElement, v: Polynomial) -> GammaElement:
+    """Add the variable v to the alphabet of Q (Macdonald III §5 and §8):
+    Q_lambda(X, v) = sum_mu 2^a v^|lambda/mu| Q_mu(X) over strict mu with
+    lambda_1 >= mu_1 >= lambda_2 >= mu_2 >= ..., a counting the columns i
+    of the horizontal strip lambda/mu whose column i+1 is empty (column
+    lambda_j + 1 holds a box exactly when mu_{j-1} = lambda_j)."""
+    combo = {}
+    for lam, coeff in e.combo.items():
+        for mu in itertools.product(*(range(l, b - 1, -1) for l, b in zip(lam, lam[1:] + (0,)))):
+            a = sum(m < l and not (j and mu[j - 1] == l) for j, (m, l) in enumerate(zip(mu, lam)))
+            mu = mu[:-1] if mu and not mu[-1] else mu
+            if is_strict(mu):
+                _iadd(combo, mu, coeff * (v ** (sum(lam) - sum(mu)) * (1 << a)))
+    return GammaElement(combo)
 
 
 def apply_symmetry(op, e: GammaElement) -> GammaElement:
     """Apply a ring symmetry.  op is one of
     ("s", i, fam) for i >= 1 -- swap fam_i and fam_{i+1}, fixing the Q_k;
-    ("s0", fam)              -- negate fam_1 and rewrite the Q_k;
-    ("s1hat",)               -- the type-D swap x_1 -> -x_2, x_2 -> -x_1.
+    ("s0", fam)              -- negate fam_1 and add fam_1 to the alphabet of Q;
+    ("s1hat",)               -- the type-D swap x_1 -> -x_2, x_2 -> -x_1,
+                                adding x_1 and x_2 to the alphabet of Q.
     """
     kind = op[0]
     if kind == "s":
@@ -386,25 +373,17 @@ def apply_symmetry(op, e: GammaElement) -> GammaElement:
         }
         return e.map_coeffs(lambda c: c.substitute(sub))
     if kind == "s0":
-        fam = op[1]
-        sub = {(fam, 1): -Polynomial.variable(fam, 1)}
-        image = lambda a: _generator_image_s0(a, fam)
+        v = Polynomial.variable(op[1], 1)
+        sub, added = {(op[1], 1): -v}, [v]
     elif kind == "s1hat":
-        sub = {
-            ("x", 1): -Polynomial.variable("x", 2),
-            ("x", 2): -Polynomial.variable("x", 1),
-        }
-        image = _generator_image_s1hat
+        x1, x2 = Polynomial.variable("x", 1), Polynomial.variable("x", 2)
+        sub, added = {("x", 1): -x2, ("x", 2): -x1}, [x1, x2]
     else:
         raise ValueError(f"unknown symmetry {op!r}")
-    out_raw = {}
-    for mono, coeff in e.to_raw().items():
-        term = {(): coeff.substitute(sub)}
-        for a in mono:
-            term = _raw_mul(term, image(a))
-        for m, c in term.items():
-            _iadd(out_raw, m, c)
-    return GammaElement.from_raw(out_raw)
+    out = e.map_coeffs(lambda c: c.substitute(sub))
+    for v in added:
+        out = _branch(out, v)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -412,23 +391,16 @@ def apply_symmetry(op, e: GammaElement) -> GammaElement:
 # ---------------------------------------------------------------------------
 
 
-def _max_generator_index(e: GammaElement) -> int:
-    best = 0
-    for mono in e.to_raw():
-        if mono:
-            best = max(best, mono[0])
-    return best
-
-
 def substitute_q(e: GammaElement, series: Polynomial) -> Polynomial:
     """Substitute a concrete power series A (with A A* = 1 where it matters)
-    for Q: each generator Q_m becomes the degree-m part of A."""
+    for Q: each generator Q_m in the defining Pfaffian of a basis symbol
+    becomes the degree-m part of A."""
     out = Polynomial()
-    for mono, coeff in e.to_raw().items():
-        term = coeff
-        for a in mono:
-            term = term * series.part(a)
-        out = out + term
+    for lam, coeff in e.combo.items():
+        image = Polynomial()
+        for mono, c in pf_expansion(lam).items():
+            image = image + math.prod(map(series.part, mono), start=Polynomial.const(c))
+        out = out + coeff * image
     return out
 
 
@@ -459,6 +431,7 @@ def specialize_oracle(e: GammaElement, mode) -> Polynomial:
         return substitute_q(e, symfun_series(n_vars, bound))
     if mode[0] == "negt":
         nu = mode[1]
-        bound = _max_generator_index(e)
+        # the defining Pfaffian of Q_lambda uses generators up to lambda_1 + lambda_2
+        bound = max((sum(lam[:2]) for lam in e.combo), default=0)
         return substitute_q(e, negt_series(nu, bound))
     raise ValueError(f"unknown specialization mode {mode!r}")

@@ -206,16 +206,27 @@ def _check_paired(lam, cs, ds):
                 exact_divide(cs[j], cs[i])
             except NotDivisible:
                 raise DivisibilityFailed(f"c({i+1}) does not divide c({j+1})")
-    for i in range(len(cs)):
-        for j in range(i + 1, len(cs)):
-            if ds[i].has_q != ds[j].has_q:
-                raise StarRelationFailed("mixed series types")
-            lhs = ds[i].multiplier * ds[j].multiplier.star()
-            rhs = cs[i] * cs[j].star()
+    failure = star_relation_failure(list(zip(cs, ds)))
+    if failure:
+        raise StarRelationFailed(failure)
+
+
+def star_relation_failure(pairs, bound: int = None):
+    """The first relation d(i) d(j)* = c(i) c(j)* (i < j) the (c, d) pairs
+    break, compared below total degree bound if given, as a message; else None."""
+    for i in range(len(pairs)):
+        for j in range(i + 1, len(pairs)):
+            (ci, di), (cj, dj) = pairs[i], pairs[j]
+            if di.has_q != dj.has_q:
+                return "mixed series types"
+            lhs = di.multiplier * dj.multiplier.star()
+            rhs = Polynomial.of(ci) * Polynomial.of(cj).star()
+            if bound is not None:
+                lhs, rhs = lhs.truncate(bound), rhs.truncate(bound)
             if lhs != rhs:
-                raise StarRelationFailed(
-                    f"d({i+1}) d({j+1})* != c({i+1}) c({j+1})*"
-                )
+                below = "" if bound is None else f" below degree {bound}"
+                return f"d({i+1}) d({j+1})* != c({i+1}) c({j+1})*{below}"
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -102,9 +102,11 @@ def divided_difference(i: int, f, wtype: str, side: str = "x"):
 # ---------------------------------------------------------------------------
 
 
-def _steps(t: Triple):
-    """(p_i, q_i) of the step governing each column k = 1..k_s."""
-    return [(t.p[i], t.q[i]) for i in column_steps(t)]
+def column_factors(t: Triple, wtype: str):
+    """Per column k = 1..k_s, the counts of factors (1+x_j) and (1+y_j) in
+    its row: p_i and q_i of its step in types A and D, p_i-1 and q_i-1 in B/C."""
+    low = 1 if wtype in ("B", "C") else 0
+    return [(t.p[i] - low, t.q[i] - low) for i in column_steps(t)]
 
 
 def formula_rows(t: Triple, wtype: str, multipliers=None):
@@ -126,11 +128,10 @@ def formula_rows(t: Triple, wtype: str, multipliers=None):
                 [1 + _yvar(j) for j in range(1, q + 1)],
                 bound,
             )
-            for p, q in _steps(t)
+            for p, q in column_factors(t, wtype)
         ]
     if multipliers is None:
-        low = 0 if wtype == "D" else 1
-        gs = [ones_product("x", p - low) * ones_product("y", q - low) for p, q in _steps(t)]
+        gs = [ones_product("x", p) * ones_product("y", q) for p, q in column_factors(t, wtype)]
     else:
         gs = [Polynomial.of(multipliers[i]) for i in column_steps(t)]
     if wtype == "D":

@@ -8,21 +8,16 @@ the parameters a bare `vexpf verify <suite>` uses unless stated; the rest
 witness) keep their own code.
 """
 
-import os
 import random
 import time
-
-import pytest
 
 from vexpf.polycore import Polynomial
 from vexpf.gamma import GammaElement, GeneratorSeries, q_pair
 from vexpf.weyl import SignedPermutation, all_elements, length
-from vexpf.triples import triple_of_w
 from vexpf.schubert import (
     schubert,
     swap_xy,
     top_term,
-    vexillary_polynomial,
 )
 from vexpf.cli import SUITES, build_parser
 
@@ -57,18 +52,13 @@ def test_criterion_2_theorem_equivalence():
     assert report(2, ok, f"{detail}, {elapsed:.1f}s")
 
 
-@pytest.mark.skipif(
-    not os.environ.get("ACCEPTANCE_STRETCH"),
-    reason="W_4 stretch run only with ACCEPTANCE_STRETCH=1",
-)
-def test_criterion_2_stretch_w4_type_c():
+def test_criterion_2_theorem_equivalence_w4():
     t0 = time.time()
-    for w in all_elements(4, "C"):
-        t = triple_of_w(w, "C")
-        if t is None:
-            continue
-        assert vexillary_polynomial(t) == schubert(w, "C"), repr(w)
-    assert time.time() - t0 < 1800
+    results = [run_suite("theorem-equivalence", "--type", t, "--n", "4") for t in "CD"]
+    elapsed = time.time() - t0
+    ok = all(ok for ok, _ in results) and elapsed < 1800
+    detail = "; ".join(detail for _, detail in results)
+    assert report(2, ok, f"W_4: {detail}, {elapsed:.1f}s")
 
 
 def test_criterion_3_well_definedness_and_stability():

@@ -66,6 +66,13 @@ class TestSerialization:
         rows = json.loads(json.dumps(serialize_element(p), sort_keys=True))
         assert parse_element(rows) == GammaElement.of(p)
 
+    @pytest.mark.parametrize("q, mono", [([1, 2], {}), ([0], {}), ([], {"w1": 1})])
+    def test_parse_rejects_invalid_rows(self, q, mono):
+        # Q_(1,2) and Q_(0) equal no canonical element; w is no variable family
+        rows = [{"q": q, "coeff": {"num": "1", "log2den": 0}, "mono": mono}]
+        with pytest.raises(cli.ParseError):
+            parse_element(rows)
+
     def test_render_plain_and_latex(self):
         e = GammaElement({(1,): 1, (): Polynomial.variable("x", 1)})
         assert render(e, "plain") == "Q(1) + x1"

@@ -9,21 +9,54 @@ from vexpf.gamma import (
     GeneratorSeries,
     Q_SERIES,
     TruncationTooSmall,
+    _raw_mul,
     apply_symmetry,
-    p_lambda,
+    negt_series,
     pf_expansion,
-    q_lambda,
     q_pair,
     series_coeff,
     specialize_oracle,
     straighten_monomial,
 )
+from vexpf.schubert import top_class
 
 
 def ge(mono_coeffs):
     return GammaElement.from_raw(
         {m: Polynomial.const(c) for m, c in mono_coeffs.items()}
     )
+
+
+def to_raw(e):
+    """e as generator monomials: each Q_lambda by its defining Pfaffian."""
+    raw = {}
+    for lam, coeff in e.combo.items():
+        for mono, c in pf_expansion(lam).items():
+            raw[mono] = raw.get(mono, Polynomial()) + coeff * c
+    return raw
+
+
+def raw_symmetry(op, e):
+    """Reference for apply_symmetry: substitute the coefficients, map every
+    generator through its image and straighten back.
+      s0:    Q_a -> Q_a + 2 sum_{j=1}^{a} x1^j Q_{a-j}
+      s1hat: Q_a -> Q_a + 2 (x1+x2) sum_{j=1}^{a} h_{j-1}(x1, x2) Q_{a-j}"""
+    x1, x2 = Polynomial.variable("x", 1), Polynomial.variable("x", 2)
+    if op == ("s0", "x"):
+        sub, step = {("x", 1): -x1}, lambda j: 2 * x1**j
+    else:
+        sub = {("x", 1): -x2, ("x", 2): -x1}
+        h = lambda m: sum((x1**i * x2 ** (m - i) for i in range(m + 1)), Polynomial())
+        step = lambda j: 2 * (x1 + x2) * h(j - 1)
+    out = {}
+    for mono, coeff in to_raw(e).items():
+        term = {(): coeff.substitute(sub)}
+        for a in mono:
+            image = {(a - j,) if j < a else (): step(j) for j in range(1, a + 1)}
+            term = _raw_mul(term, {(a,): 1, **image})
+        for m, c in term.items():
+            out[m] = out.get(m, Polynomial()) + c
+    return GammaElement.from_raw(out)
 
 
 class TestStraighten:
@@ -41,7 +74,7 @@ class TestStraighten:
 
     def test_raw_roundtrip(self):
         e = ge({(3, 2): 1, (4, 1): 2})
-        assert GammaElement.from_raw(e.to_raw()) == e
+        assert GammaElement.from_raw(to_raw(e)) == e
 
     @pytest.mark.parametrize(
         "lam", [(2, 1), (3, 1), (3, 2, 1), (4, 2), (4, 3, 2, 1), (5, 3, 1)]
@@ -59,7 +92,8 @@ class TestStraighten:
                 acc = acc + ge({(k + j, k - j): 1}) * (
                     half * half * (2 * (-1) ** j)
                 )
-            acc = acc + p_lambda((2 * k,)) * Polynomial.const((-1) ** k)
+            p_2k = GammaElement.basis((2 * k,)) * Polynomial.const(Dyadic(1, 1))
+            acc = acc + p_2k * Polynomial.const((-1) ** k)
             assert not acc, f"relation fails at k={k}"
 
 
@@ -126,6 +160,22 @@ class TestSymmetries:
         e = GammaElement.basis(lam)
         assert apply_symmetry(("s1hat",), apply_symmetry(("s1hat",), e)) == e
 
+    @pytest.mark.parametrize("op, max_weight", [(("s0", "x"), 22), (("s1hat",), 14)])
+    def test_matches_generator_images(self, op, max_weight):
+        # every strict lambda with parts <= 7 and at most 4 parts, up to max_weight
+        x1, y1, x2 = (Polynomial.variable(*v) for v in (("x", 1), ("y", 1), ("x", 2)))
+        coeff = x1 * y1 + x2
+        for lam in _strict_partitions_bounded(7, 4):
+            if sum(lam) <= max_weight:
+                e = GammaElement({lam: coeff})
+                assert apply_symmetry(op, e) == raw_symmetry(op, e), lam
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("wtype, op", [("C", ("s0", "x")), ("D", ("s1hat",))])
+    def test_top_class_matches_generator_images(self, n, wtype, op):
+        e = top_class(n, wtype)
+        assert apply_symmetry(op, e) == raw_symmetry(op, e)
+
     def test_s0_multiplicative(self):
         a = GammaElement.basis((2,))
         b = GammaElement.basis((1,))
@@ -157,6 +207,17 @@ class TestOracle:
         rhs = specialize_oracle(a, mode) * specialize_oracle(b, mode)
         assert lhs == rhs.truncate(5)
 
+    def test_negt_bound_covers_pair_generators(self):
+        # the Pfaffian of Q_(5,4) uses generators up to Q_9, past lambda_1 = 5
+        e = GammaElement({(5, 4): Polynomial.variable("x", 1), (2,): 1})
+        nu = (1, 3)
+        a = negt_series(nu, 9)
+        q54 = a.part(5) * a.part(4) + sum(
+            (a.part(5 + j) * a.part(4 - j) * (2 * (-1) ** j) for j in range(1, 5)), Polynomial()
+        )
+        expect = Polynomial.variable("x", 1) * q54 + a.part(2)
+        assert specialize_oracle(e, ("negt", nu)) == expect
+
     def test_basis_independence_low_degree(self):
         # distinct strict partitions of weight <= 6 get distinct images
         lams = [
@@ -181,6 +242,12 @@ def _strict_partitions(weight, maxpart=None):
     for first in range(min(weight, maxpart), 0, -1):
         for rest in _strict_partitions(weight - first, first - 1):
             yield (first,) + rest
+
+
+def _strict_partitions_bounded(maxpart, maxlen):
+    """Every strict partition with parts <= maxpart and at most maxlen parts."""
+    for r in range(maxlen + 1):
+        yield from itertools.combinations(range(maxpart, 0, -1), r)
 
 
 strict_parts = st.sampled_from([(1,), (2,), (3,), (2, 1), (3, 1), (4,)])

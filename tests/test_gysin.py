@@ -4,12 +4,11 @@ import pytest
 
 from vexpf.polycore import Dyadic, Polynomial
 from vexpf.gamma import GammaElement, GeneratorSeries
-from vexpf.multischur import multischur_pf_d
+from vexpf.multischur import multischur_pf_d, star_relation_failure
 from vexpf.gysin import (
     IndexedOperator,
     RelationViolated,
     WindowTooSmall,
-    check_star_relations,
     default_a2_data,
     epsilon,
     f_index,
@@ -188,7 +187,7 @@ class TestPropA2:
 
     def test_star_relation_passes_on_default_data(self):
         pairs = default_a2_data((3, 1))
-        check_star_relations(pairs, 4)
+        assert star_relation_failure(pairs, 4) is None
 
 
 class TestPlainPushforward:
@@ -201,13 +200,13 @@ class TestPlainPushforward:
     def test_matches_type_c_pipeline(self):
         from vexpf.triples import Triple, lambda_of
         from vexpf.polycore import ones_product
-        from vexpf.schubert import _steps
+        from vexpf.schubert import column_factors
 
         t = Triple((1, 2), (2, 1), (2, 1), "C")
         lam = lambda_of(t)
         series = [
-            GeneratorSeries(True, ones_product("x", p - 1) * ones_product("y", q - 1))
-            for p, q in _steps(t)
+            GeneratorSeries(True, ones_product("x", p) * ones_product("y", q))
+            for p, q in column_factors(t, "C")
         ]
         for m in [(0, 0), (1, 0), (0, 1), (2, 1)]:
             assert plain_pushforward_check(lam, series, m), m
