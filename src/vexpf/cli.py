@@ -13,9 +13,10 @@ import itertools
 import json
 import random
 import sys
+from fractions import Fraction
 
-from .polycore import Dyadic, Polynomial, _mono_key, _mono_sorted, ones_product, render_terms, var
-from .gamma import GammaElement, GeneratorSeries, is_strict, q_pair, specialize_oracle
+from .polycore import Polynomial, _mono_key, ones_product, render_terms, var
+from .gamma import GammaElement, GeneratorSeries, is_strict, q_pair, render_combo, specialize_oracle
 from .weyl import SignedPermutation, SizeMismatch, all_elements, length
 from .triples import (
     Triple,
@@ -69,7 +70,10 @@ def serialize_element(e) -> list:
             rows.append(
                 {
                     "q": list(lam),
-                    "coeff": {"num": str(coeff.num), "log2den": coeff.log2den},
+                    "coeff": {
+                        "num": str(coeff.numerator),
+                        "log2den": coeff.denominator.bit_length() - 1,
+                    },
                     "mono": {f"{v[0]}{v[1]}": exp for v, exp in mono},
                 }
             )
@@ -77,23 +81,26 @@ def serialize_element(e) -> list:
 
 
 def parse_element(rows) -> GammaElement:
-    """Inverse of serialize_element.  A row whose q is not a strict
-    partition or whose variable is unknown is a ParseError."""
+    """Inverse of serialize_element.  A malformed row, a q that is not a
+    strict partition and an unknown variable are ParseErrors."""
     combo = {}
     for row in rows:
-        lam = tuple(row["q"])
-        if not is_strict(lam):
-            raise ParseError(f"q = {list(lam)} is not a strict partition")
-        coeff = Dyadic(int(row["coeff"]["num"]), row["coeff"]["log2den"])
         try:
-            mono = _mono_sorted(
-                (var(name.rstrip("0123456789"), int(name[len(name.rstrip("0123456789")) :])), e)
-                for name, e in row["mono"].items()
-            )
-        except ValueError as exc:
-            raise ParseError(f"bad variable in {row['mono']}: {exc}") from exc
-        poly = Polynomial({mono: coeff})
-        combo[lam] = combo.get(lam, Polynomial()) + poly
+            lam, num, log2den = tuple(row["q"]), row["coeff"]["num"], row["coeff"]["log2den"]
+            if not is_strict(lam):
+                raise ValueError(f"q = {list(lam)} is not a strict partition")
+            if not isinstance(num, str) or type(log2den) is not int or log2den < 0:
+                raise ValueError("coeff wants a string num and a log2den >= 0")
+            mono = []
+            for name, e in row["mono"].items():
+                if type(e) is not int:
+                    raise ValueError(f"exponent {e!r} of {name} is not an integer")
+                family = name.rstrip("0123456789")
+                mono.append((var(family, int(name[len(family) :])), e))
+            coeff = Fraction(int(num), 1 << log2den)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"bad row {row}: {exc}") from exc
+        combo[lam] = combo.get(lam, Polynomial()) + Polynomial({tuple(mono): coeff})
     return GammaElement(combo)
 
 
@@ -103,25 +110,7 @@ def render(e, fmt: str, basis: str = "Q") -> str:
         return json.dumps({"terms": serialize_element(e)}, sort_keys=True)
     if isinstance(e, Polynomial):
         return render_terms(e.terms, fmt == "latex")
-    combo = expand_coeffs(GammaElement.of(e), basis=basis)
-    if not combo:
-        return "0"
-    bits = []
-    for lam in sorted(combo, reverse=True):
-        coeff = combo[lam]
-        body = render_terms(coeff.terms, fmt == "latex")
-        if lam:
-            parts = ",".join(str(m) for m in lam)
-            sym = f"{basis}_{{({parts})}}" if fmt == "latex" else f"{basis}({parts})"
-            if body == "1":
-                bits.append(sym)
-            elif "+" in body or "- " in body or body.startswith("-"):
-                bits.append(f"({body})" + ("" if fmt == "latex" else "*") + sym)
-            else:
-                bits.append(body + ("" if fmt == "latex" else "*") + sym)
-        else:
-            bits.append(body if ("+" not in body) else f"({body})")
-    return " + ".join(bits)
+    return render_combo(expand_coeffs(GammaElement.of(e), basis=basis), fmt == "latex", basis)
 
 
 def _display_basis(wtype: str) -> str:
@@ -281,7 +270,7 @@ def suite_b_scaling(args, report):
     n = 3 if args.n is None else args.n
     ok = True
     for w in all_elements(n, "B"):
-        scale = Polynomial.const(Dyadic(1, w.num_barred()))
+        scale = Polynomial.const(Fraction(1, 1 << w.num_barred()))
         if schubert(w, "B") != schubert(w, "C") * scale:
             report.append(f"scaling fails at w = {w}")
             ok = False
@@ -467,7 +456,7 @@ def suite_positivity(args, report):
     for w in all_elements(n, "C"):
         for lam, c in expand_coeffs(schubert(w, "C")).items():
             for mono, coeff in c.terms.items():
-                if coeff.num < 0:
+                if coeff < 0:
                     findings.append((str(w), lam))
     if findings:
         for w, lam in findings[:10]:

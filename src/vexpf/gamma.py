@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from functools import lru_cache
 
-from .polycore import Dyadic, Polynomial, rational_series
+from .polycore import Polynomial, rational_series, render_terms
 
 
 class TruncationTooSmall(ValueError):
@@ -210,7 +211,7 @@ class GammaElement:
         return self + (-GammaElement.of(other))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Dyadic, Polynomial)):
+        if isinstance(other, (int, Fraction, Polynomial)):
             other = Polynomial.of(other)
             return GammaElement({lam: c * other for lam, c in self.combo.items()})
         raws = []
@@ -224,7 +225,7 @@ class GammaElement:
 
     __rmul__ = __mul__
 
-    def scale(self, d: Dyadic) -> "GammaElement":
+    def scale(self, d) -> "GammaElement":
         return self * Polynomial.const(d)
 
     def map_coeffs(self, fn) -> "GammaElement":
@@ -245,24 +246,29 @@ class GammaElement:
         return self.combo.get(tuple(lam), Polynomial())
 
     def __str__(self):
-        if not self.combo:
-            return "0"
-        bits = []
-        for lam in sorted(self.combo, key=lambda l: (sum(l), l), reverse=True):
-            sym = "Q_()" if not lam else "Q_(" + ",".join(map(str, lam)) + ")"
-            if not lam:
-                sym = "1"
-            c = self.combo[lam]
-            if len(c.terms) == 1 and c == Polynomial.const(1):
-                bits.append(sym)
-            else:
-                cs = str(c)
-                if len(c.terms) > 1:
-                    cs = "(" + cs + ")"
-                bits.append(f"{cs}*{sym}" if lam else cs)
-        return " + ".join(bits).replace("+ -", "- ")
+        return render_combo(self.combo)
 
     __repr__ = __str__
+
+
+def render_combo(combo: dict, latex: bool = False, basis: str = "Q") -> str:
+    """Text form of a map {strict partition: Polynomial}, largest partition
+    first: "3*Q(2,1) + (x1 - y1)*Q(1) + 1", or Q_{(2,1)} in latex."""
+    bits = []
+    for lam in sorted(combo, reverse=True):
+        body = render_terms(combo[lam].terms, latex)
+        if lam:
+            parts = ",".join(str(m) for m in lam)
+            sym = f"{basis}_{{({parts})}}" if latex else f"{basis}({parts})"
+            if body == "1":
+                bits.append(sym)
+            elif "+" in body or "- " in body or body.startswith("-"):
+                bits.append(f"({body})" + ("" if latex else "*") + sym)
+            else:
+                bits.append(body + ("" if latex else "*") + sym)
+        else:
+            bits.append(body if ("+" not in body) else f"({body})")
+    return " + ".join(bits) if bits else "0"
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +289,7 @@ class GeneratorSeries:
 
     def __init__(self, has_q: bool, multiplier=1):
         multiplier = Polynomial.of(multiplier)
-        if multiplier.constant_term() != Dyadic(1):
+        if multiplier.constant_term() != 1:
             raise ValueError("series multiplier must have constant term 1")
         self.has_q = has_q
         self.multiplier = multiplier

@@ -29,8 +29,9 @@ a smaller window.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
-from .polycore import Dyadic, Polynomial, ones_product, rational_series
+from .polycore import Polynomial, ones_product, rational_series
 from .gamma import GammaElement, GeneratorSeries, _iadd, series_coeff
 from .multischur import multischur_pf, multischur_pf_d, pfaffian, star_relation_failure
 
@@ -374,7 +375,7 @@ def pushforward_paired(state: GammaElement, k: int, lam_k: int, g: Polynomial,
     """The paired elimination of h_k:
     h_k^m -> 1/2 sum_j H^(k)_j d_{lam_k+m-j}  +  1/2 (-1)^{r-k} delta_{m,0} g_{lam_k}."""
     convolution = _h_convolution(k, lam_k, d, bound)
-    half = Dyadic(1, 1)
+    half = Fraction(1, 2)
 
     def image(m):
         acc = convolution(m).scale(half)
@@ -446,7 +447,7 @@ def prop_A2_check(lam, pairs=None) -> bool:
     if failure:
         raise RelationViolated(failure)
     lhs = pushforward_compose(lam, pairs)
-    rhs = multischur_pf_d(lam, pairs, check=False).scale(Dyadic(1, r))
+    rhs = multischur_pf_d(lam, pairs, check=False).scale(Fraction(1, 1 << r))
     return lhs == rhs
 
 

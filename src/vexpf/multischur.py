@@ -24,7 +24,9 @@ available with check=False).
 
 from __future__ import annotations
 
-from .polycore import Dyadic, Polynomial, exact_divide, NotDivisible, ones_product
+from fractions import Fraction
+
+from .polycore import Polynomial, exact_divide, NotDivisible, ones_product
 from .polycore import rational_series  # noqa: F401  (re-exported)
 from .gamma import (
     GammaElement,
@@ -192,7 +194,7 @@ def multischur_pf_d(lam, pairs, check: bool = True) -> GammaElement:
 
 def _check_paired(lam, cs, ds):
     for k, c, d in zip(lam, cs, ds):
-        if c.constant_term() != Dyadic(1):
+        if c.constant_term() != 1:
             raise ValueError("c series must have constant term 1")
         if c.degree() > k:
             raise SkewCheckFailed(f"deg c = {c.degree()} exceeds index {k}")
@@ -244,7 +246,7 @@ def q_family(lam) -> GammaElement:
 def p_family(lam) -> GammaElement:
     """Half-generator version of q_family: q_family / 2^len(lam)."""
     lam = tuple(lam)
-    return q_family(lam) * Polynomial.const(Dyadic(1, len(lam)))
+    return q_family(lam) * Polynomial.const(Fraction(1, 1 << len(lam)))
 
 
 def r_family(lam) -> GammaElement:
@@ -254,4 +256,4 @@ def r_family(lam) -> GammaElement:
     cs = [ones_product("t", k) for k in lam]
     pairs = [(c, GeneratorSeries(True, c)) for c in cs]
     pf = multischur_pf_d(lam, pairs)
-    return pf * Polynomial.const(Dyadic(1, len(lam)))
+    return pf * Polynomial.const(Fraction(1, 1 << len(lam)))

@@ -1,10 +1,13 @@
 """Exact sparse multivariate polynomials over dyadic rationals.
 
 Everything downstream (basis elements, Pfaffians, divided differences)
-stores its scalars here.  Coefficients are dyadic rationals n/2^e: the
-only divisions the algorithms ever perform are by powers of 2 and by
-monic-ish linear forms, so restricting the denominator catches illegal
-divisions early instead of silently producing a rational.
+stores its scalars here.  Coefficients are dyadic rationals n/2^e: a
+plain int, or a Fraction whose denominator is a power of 2.  Sums and
+products of such values stay dyadic, so the arithmetic is Python's own;
+`dyadic` checks a value only where a division or outside input can
+bring in another denominator (the constructors, the quotients of
+`exact_divide` and `series_inverse`), so an illegal division fails
+early instead of silently producing a rational.
 
 Variables come in six families, printed in the fixed order
 x < y < t < z < h < u (then by index).  A variable is a plain tuple
@@ -14,6 +17,8 @@ ordinary Polynomials.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 FAMILIES = ("x", "y", "t", "z", "h", "u")
 _FAM_RANK = {f: i for i, f in enumerate(FAMILIES)}
@@ -35,118 +40,21 @@ def _var_key(v):
     return (_FAM_RANK[v[0]], v[1])
 
 
-class Dyadic:
-    """A rational number num / 2**log2den in lowest terms.
+def dyadic(value):
+    """value as a coefficient: an int when it is integral, else a Fraction
+    over a power of 2.  Any other fraction raises NotDivisible, anything
+    else (floats included) TypeError."""
+    if isinstance(value, int):
+        return value
+    if not isinstance(value, Fraction):
+        raise TypeError(f"{value!r} is not an exact dyadic value")
+    den = value.denominator
+    if den == 1:
+        return value.numerator
+    if den & (den - 1):
+        raise NotDivisible(f"{value} is not dyadic")
+    return value
 
-    Canonical form: log2den >= 0, and num is odd whenever log2den > 0;
-    zero is stored as (0, 0).
-    """
-
-    __slots__ = ("num", "log2den")
-
-    def __init__(self, num: int, log2den: int = 0):
-        if log2den < 0:
-            num <<= -log2den
-            log2den = 0
-        if num == 0:
-            log2den = 0
-        else:
-            while log2den > 0 and num % 2 == 0:
-                num //= 2
-                log2den -= 1
-        self.num = num
-        self.log2den = log2den
-
-    @staticmethod
-    def of(value) -> "Dyadic":
-        if isinstance(value, Dyadic):
-            return value
-        if isinstance(value, int):
-            return Dyadic(value)
-        raise TypeError(f"cannot make a Dyadic out of {value!r}")
-
-    def __bool__(self):
-        return self.num != 0
-
-    @staticmethod
-    def _coerce(value):
-        try:
-            return Dyadic.of(value)
-        except TypeError:
-            return None
-
-    def __eq__(self, other):
-        other = Dyadic._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.num == other.num and self.log2den == other.log2den
-
-    def __hash__(self):
-        return hash((self.num, self.log2den))
-
-    def __neg__(self):
-        return Dyadic(-self.num, self.log2den)
-
-    def __add__(self, other):
-        other = Dyadic._coerce(other)
-        if other is None:
-            return NotImplemented
-        e = max(self.log2den, other.log2den)
-        return Dyadic(
-            (self.num << (e - self.log2den)) + (other.num << (e - other.log2den)), e
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = Dyadic._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = Dyadic._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = Dyadic._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Dyadic(self.num * other.num, self.log2den + other.log2den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = Dyadic.of(other)
-        if other.num == 0:
-            raise ZeroDivisionError
-        # strip the 2-part of the divisor; the odd part must divide exactly
-        odd = other.num
-        twos = 0
-        while odd % 2 == 0:
-            odd //= 2
-            twos += 1
-        if self.num % odd != 0:
-            raise NotDivisible(f"{self} is not divisible by {other}")
-        return Dyadic(self.num // odd, self.log2den + twos - other.log2den)
-
-    def is_integer(self) -> bool:
-        return self.log2den == 0
-
-    def __int__(self):
-        if self.log2den != 0:
-            raise NotDivisible(f"{self} is not an integer")
-        return self.num
-
-    def __repr__(self):
-        if self.log2den == 0:
-            return str(self.num)
-        return f"{self.num}/{1 << self.log2den}"
-
-
-_ONE = Dyadic(1)
 
 # A monomial is a tuple of ((family, index), exponent) pairs, sorted by
 # variable, with all exponents nonzero.  The empty tuple is 1.  Exponents
@@ -183,15 +91,14 @@ def _mono_key(mono):
     variable keys, so plain tuple comparison reproduces lex order even
     when the two monomials involve different variables.
     """
-    pairs = sorted(((_var_key(v), e) for v, e in mono), key=lambda p: p[0])
     return (
         _mono_degree(mono),
-        tuple(((-r, -i), e) for (r, i), e in pairs),
+        tuple(((-_FAM_RANK[f], -i), e) for (f, i), e in mono),
     )
 
 
 def render_terms(terms: dict, latex: bool = False) -> str:
-    """Text form of a map {monomial: Dyadic}, largest monomial first in
+    """Text form of a map {monomial: coefficient}, largest monomial first in
     graded-lex order: plain "3*x1^2*y2" or latex "3 x_{1}^{2} y_{2}".
     Every exponent other than 1 is printed, so negative (Laurent) powers
     render too."""
@@ -205,10 +112,10 @@ def render_terms(terms: dict, latex: bool = False) -> str:
             if e != 1:
                 name += f"^{{{e}}}" if latex else f"^{e}"
             factors.append(name)
-        if coeff.log2den and latex:
-            c = f"\\frac{{{coeff.num}}}{{{1 << coeff.log2den}}}"
+        if latex and coeff.denominator != 1:
+            c = f"\\frac{{{coeff.numerator}}}{{{coeff.denominator}}}"
         else:
-            c = repr(coeff)
+            c = str(coeff)
         if factors and c == "1":
             body = ("" if latex else "*").join(factors)
         elif factors and c == "-1":
@@ -222,7 +129,7 @@ def render_terms(terms: dict, latex: bool = False) -> str:
 
 
 class Polynomial:
-    """Sparse polynomial: a map from monomials to nonzero Dyadic coefficients."""
+    """Sparse polynomial: a map from monomials to nonzero dyadic coefficients."""
 
     __slots__ = ("terms",)
 
@@ -230,9 +137,9 @@ class Polynomial:
         self.terms = {}
         if terms:
             for mono, coeff in terms.items() if isinstance(terms, dict) else terms:
-                coeff = Dyadic.of(coeff)
+                coeff = dyadic(coeff)
                 if coeff:
-                    mono = tuple((v, e) for v, e in mono if e)
+                    mono = _mono_sorted((v, e) for v, e in mono if e)
                     acc = self.terms.get(mono)
                     coeff = coeff if acc is None else acc + coeff
                     if coeff:
@@ -243,7 +150,7 @@ class Polynomial:
     @staticmethod
     def const(c) -> "Polynomial":
         p = Polynomial()
-        c = Dyadic.of(c)
+        c = dyadic(c)
         if c:
             p.terms[()] = c
         return p
@@ -251,7 +158,7 @@ class Polynomial:
     @staticmethod
     def variable(family: str, index: int) -> "Polynomial":
         p = Polynomial()
-        p.terms[((var(family, index), 1),)] = _ONE
+        p.terms[((var(family, index), 1),)] = 1
         return p
 
     @staticmethod
@@ -361,7 +268,7 @@ class Polynomial:
                 if v in mapping:
                     term = term * (Polynomial.of(mapping[v]) ** e)
                 else:
-                    term = term * Polynomial({((v, e),): _ONE})
+                    term = term * Polynomial({((v, e),): 1})
             out = out + term
         return out
 
@@ -372,8 +279,8 @@ class Polynomial:
                 seen.add(v)
         return seen
 
-    def constant_term(self) -> Dyadic:
-        return self.terms.get((), Dyadic(0))
+    def constant_term(self):
+        return self.terms.get((), 0)
 
     def leading(self):
         mono = max(self.terms, key=_mono_key)
@@ -403,13 +310,9 @@ def exact_divide(p: Polynomial, d: Polynomial) -> Polynomial:
         for v, e in d_exps.items():
             if r_exps.get(v, 0) < e:
                 raise NotDivisible(f"({p}) is not divisible by ({d})")
-        qm = _mono_sorted(
-            (v, e) for v, e in
-            ((v, r_exps.get(v, 0) - d_exps.get(v, 0)) for v in r_exps)
-            if e
-        )
-        qc = r_coeff / d_coeff  # raises NotDivisible if not dyadic
-        qterm = Polynomial({qm: qc})
+        qterm = Polynomial()
+        qm = tuple((v, e - d_exps.get(v, 0)) for v, e in r_mono if e != d_exps.get(v, 0))
+        qterm.terms[qm] = dyadic(Fraction(r_coeff, d_coeff))
         q = q + qterm
         rem = rem - qterm * d
     return q
@@ -424,7 +327,7 @@ def series_inverse(p: Polynomial, bound: int) -> Polynomial:
     c0 = p.constant_term()
     if not c0:
         raise NotDivisible("cannot invert a series with zero constant term")
-    inv_c0 = _ONE / c0
+    inv_c0 = dyadic(Fraction(1, c0))
     parts = {0: Polynomial.const(inv_c0)}
     p_parts = {d: p.part(d) for d in range(1, bound + 1)}
     for d in range(1, bound + 1):

@@ -17,8 +17,9 @@ determinant (type A) or Pfaffian (signed types) built from the triple.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
-from .polycore import Dyadic, Polynomial, exact_divide, ones_product, rational_series
+from .polycore import Polynomial, exact_divide, ones_product, rational_series
 from .gamma import (
     GammaElement,
     GeneratorSeries,
@@ -67,14 +68,11 @@ def swap_xy(f):
     return _swap_map(f, sub)
 
 
-def divided_difference(i: int, f, wtype: str, side: str = "x"):
+def divided_difference(i: int, f, wtype: str):
     """The operator for generator i: (f - s_i(f)) / (linear form).
 
     i = 0 selects the type-dependent extra generator (undefined in type A).
-    side = "y" conjugates by the x <-> y swap.
     """
-    if side == "y":
-        return swap_xy(divided_difference(i, swap_xy(f), wtype, "x"))
     if i == 0:
         if wtype == "C":
             op, denom = ("s0", "x"), -2 * _xvar(1)
@@ -144,7 +142,7 @@ def _signed_pfaffian(lam, rows, wtype: str, check: bool) -> GammaElement:
     2^-r times it in type B (the half-generator rows P*g), and 2^-r times
     the paired Pfaffian Pf_lam(g | Q*g) in type D."""
     pf = (multischur_pf_d if wtype == "D" else multischur_pf)(lam, rows, check=check)
-    return pf if wtype == "C" else pf * Polynomial.const(Dyadic(1, len(lam)))
+    return pf if wtype == "C" else pf * Polynomial.const(Fraction(1, 1 << len(lam)))
 
 
 def vexillary_polynomial(t: Triple, wtype: str = None):
@@ -265,7 +263,7 @@ def expand_coeffs(e: GammaElement, basis: str = "Q") -> dict:
         return dict(e.combo)
     if basis == "P":
         return {
-            lam: c * Polynomial.const(Dyadic(1 << len(lam)))
+            lam: c * Polynomial.const(1 << len(lam))
             for lam, c in e.combo.items()
         }
     raise ValueError(f"unknown basis {basis}")

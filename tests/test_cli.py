@@ -1,11 +1,12 @@
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vexpf.polycore import Dyadic, Polynomial
+from vexpf.polycore import Polynomial
 from vexpf.gamma import GammaElement
 from vexpf import cli
 from vexpf.cli import main, parse_element, render, serialize_element
@@ -19,7 +20,7 @@ def run(capsys, *argv):
 
 class TestSerialization:
     def test_schema_shape(self):
-        e = GammaElement({(2, 1): Polynomial.variable("x", 1) * 3, (): Dyadic(1, 1)})
+        e = GammaElement({(2, 1): Polynomial.variable("x", 1) * 3, (): Fraction(1, 2)})
         rows = serialize_element(e)
         assert rows == [
             {"q": [2, 1], "coeff": {"num": "3", "log2den": 0}, "mono": {"x1": 1}},
@@ -30,7 +31,7 @@ class TestSerialization:
         e = GammaElement(
             {
                 (3,): Polynomial.variable("y", 2) - 2,
-                (2, 1): Polynomial.const(Dyadic(5, 2)),
+                (2, 1): Polynomial.const(Fraction(5, 4)),
             }
         )
         assert parse_element(serialize_element(e)) == e
@@ -53,7 +54,7 @@ class TestSerialization:
     def test_round_trip_randomized(self, combo, den):
         e = GammaElement(
             {
-                lam: Polynomial.const(Dyadic(c, den)) * Polynomial.variable("x", 1)
+                lam: Polynomial.const(Fraction(c, 1 << den)) * Polynomial.variable("x", 1)
                 for lam, c in combo.items()
             }
         )
@@ -66,16 +67,43 @@ class TestSerialization:
         rows = json.loads(json.dumps(serialize_element(p), sort_keys=True))
         assert parse_element(rows) == GammaElement.of(p)
 
-    @pytest.mark.parametrize("q, mono", [([1, 2], {}), ([0], {}), ([], {"w1": 1})])
-    def test_parse_rejects_invalid_rows(self, q, mono):
-        # Q_(1,2) and Q_(0) equal no canonical element; w is no variable family
-        rows = [{"q": q, "coeff": {"num": "1", "log2den": 0}, "mono": mono}]
+    @pytest.mark.parametrize(
+        "q, mono, coeff",
+        [
+            ([1, 2], {}, {"num": "1", "log2den": 0}),
+            ([0], {}, {"num": "1", "log2den": 0}),
+            ([], {"w1": 1}, {"num": "1", "log2den": 0}),
+            ([], {}, None),
+            ([], {}, {"num": "x", "log2den": 0}),
+            ([], {}, {"num": "1", "log2den": -1}),
+            ([], {}, {"num": "1", "log2den": 0.5}),
+            ([], {"x1": "a"}, {"num": "1", "log2den": 0}),
+        ],
+        ids=["q0-mono0", "q1-mono1", "q2-mono2", "no-coeff", "num-x", "log2den-negative",
+             "log2den-half", "exponent-a"],
+    )
+    def test_parse_rejects_invalid_rows(self, q, mono, coeff):
+        # Q_(1,2) and Q_(0) equal no canonical element; w is no variable family;
+        # a row needs a coeff with an integer num over 2^log2den, log2den >= 0,
+        # and integer exponents
+        row = {"q": q, "mono": mono}
+        if coeff is not None:
+            row["coeff"] = coeff
         with pytest.raises(cli.ParseError):
-            parse_element(rows)
+            parse_element([row])
+
+    def test_integral_fraction_coefficient(self):
+        # Fraction(1, 2) * 2 is the Fraction 1/1, which must read exactly like 1
+        one = Polynomial.const(Fraction(1, 2)) * 2
+        assert type(one.terms[()]) is Fraction
+        e, q1 = GammaElement({(1,): one}), GammaElement.basis((1,))
+        assert serialize_element(e) == serialize_element(q1)
+        for fmt in ("plain", "latex", "json"):
+            assert render(e, fmt) == render(q1, fmt)
 
     def test_render_plain_and_latex(self):
         e = GammaElement({(1,): 1, (): Polynomial.variable("x", 1)})
-        assert render(e, "plain") == "Q(1) + x1"
+        assert render(e, "plain") == str(e) == "Q(1) + x1"
         assert render(e, "latex") == "Q_{(1)} + x_{1}"
         assert render(e, "plain", basis="P") == "2*P(1) + x1"
 

@@ -1,9 +1,10 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vexpf.polycore import Dyadic, Polynomial
+from vexpf.polycore import Polynomial
 from vexpf.gamma import (
     GammaElement,
     GeneratorSeries,
@@ -85,14 +86,14 @@ class TestStraighten:
 
     def test_gamma_prime_relation(self):
         # P_k^2 + 2 sum_{j<k} (-1)^j P_{k+j}P_{k-j} + (-1)^k P_(2k) = 0
-        half = Polynomial.const(Dyadic(1, 1))
+        half = Polynomial.const(Fraction(1, 2))
         for k in range(1, 7):
             acc = ge({(k, k): 1}) * (half * half)
             for j in range(1, k):
                 acc = acc + ge({(k + j, k - j): 1}) * (
                     half * half * (2 * (-1) ** j)
                 )
-            p_2k = GammaElement.basis((2 * k,)) * Polynomial.const(Dyadic(1, 1))
+            p_2k = GammaElement.basis((2 * k,)) * Polynomial.const(Fraction(1, 2))
             acc = acc + p_2k * Polynomial.const((-1) ** k)
             assert not acc, f"relation fails at k={k}"
 
