@@ -26,12 +26,14 @@ from .triples import (
     reduce_redundant,
     triple_of_w,
     validate,
+    w_of_triple,
 )
 from .multischur import multischur_det, p_family, r_family
 from .schubert import (
     column_factors,
     expand_coeffs,
     formula_rows,
+    lambda_of_extended,
     schubert,
     swap_xy,
     vexillary_polynomial,
@@ -96,6 +98,8 @@ def parse_element(rows) -> GammaElement:
                 if type(e) is not int:
                     raise ValueError(f"exponent {e!r} of {name} is not an integer")
                 family = name.rstrip("0123456789")
+                if e < 0 and family != "h":
+                    raise ValueError(f"negative exponent {e} of {name}: only h is Laurent")
                 mono.append((var(family, int(name[len(family) :])), e))
             coeff = Fraction(int(num), 1 << log2den)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -290,11 +294,14 @@ def suite_inverse_swap(args, report):
     return ok
 
 
+# the paper's worked type-A triple, and a redundant triple that reduces to it
+WORKED_A = Triple((2, 6, 8), (7, 4, 2), (5, 7, 9), "A")
+FAT_A = Triple(tuple(range(1, 9)), (7, 7, 6, 6, 5, 4, 3, 2), (4, 5, 6, 7, 7, 7, 9, 9), "A")
+
+
 def _worked_a_det_y0(t: Triple) -> Polynomial:
     # the x-only specialization keeps the series finite, so the big worked
     # example stays desk-scale; the double version is checked on small triples
-    from .schubert import lambda_of_extended
-
     lam = lambda_of_extended(t)
     bound = lam[0] + len(lam)
     series = [ones_product("x", p).truncate(bound) for p, _ in column_factors(t, "A")]
@@ -304,11 +311,8 @@ def _worked_a_det_y0(t: Triple) -> Polynomial:
 def suite_redundancy(args, report):
     ok = True
     # the worked type-A reduction
-    fat = Triple(
-        tuple(range(1, 9)), (7, 7, 6, 6, 5, 4, 3, 2), (4, 5, 6, 7, 7, 7, 9, 9), "A"
-    )
-    slim = reduce_redundant(fat)
-    if _worked_a_det_y0(fat) != _worked_a_det_y0(slim):
+    slim = reduce_redundant(FAT_A)
+    if _worked_a_det_y0(FAT_A) != _worked_a_det_y0(slim):
         report.append("type-A worked example: determinants differ at y = 0")
         ok = False
     report.append(f"type-A example reduces to {slim}")
@@ -324,8 +328,6 @@ def suite_redundancy(args, report):
     report.append(f"{len(small_a)} small type-A reductions checked in full")
     # randomized C/D redundant triples
     rng = random.Random(args.seed or 0)
-    from .schubert import lambda_of_extended
-
     for wtype in ("C", "D"):
         reds = [
             t
@@ -480,16 +482,10 @@ def suite_type_a(args, report):
             report.append(f"determinant mismatch at w = {w}")
             ok = False
     report.append(f"{count} vexillary permutations matched in S_{n}")
-    worked = Triple((2, 6, 8), (7, 4, 2), (5, 7, 9), "A")
-    from .triples import w_of_triple
-
-    if str(w_of_triple(worked)) != "1 10 8 9 2 3 6 4 5 7":
+    if str(w_of_triple(WORKED_A)) != "1 10 8 9 2 3 6 4 5 7":
         report.append("worked triple produces the wrong permutation")
         ok = False
-    fat = Triple(
-        tuple(range(1, 9)), (7, 7, 6, 6, 5, 4, 3, 2), (4, 5, 6, 7, 7, 7, 9, 9), "A"
-    )
-    if reduce_redundant(fat) != worked:
+    if reduce_redundant(FAT_A) != WORKED_A:
         report.append("redundant example does not reduce to the worked triple")
         ok = False
     report.append("worked examples verified")

@@ -1,17 +1,17 @@
 """The ring Gamma = Z[Q_1, Q_2, ...]/(Q_k^2 + 2 sum_j (-1)^j Q_{k+j} Q_{k-j}).
 
 Elements are kept in canonical form as integer (or polynomial) linear
-combinations of the basis symbols Q_lambda, lambda a strict partition.
-The half-generators P_lambda = 2^{-r} Q_lambda are Q_lambda with a
-dyadic coefficient, so one straightening engine serves both rings.
+combinations of the basis symbols Q_lambda, lambda a strict partition;
+P_lambda = 2^{-r} Q_lambda is Q_lambda with a dyadic coefficient.
 
-The straightening algorithm: sort a generator monomial weakly
-decreasing; eliminate equal adjacent pairs with the defining relation;
-a strictly decreasing monomial equals the basis symbol Q_lambda minus
-the other terms of its Pfaffian expansion, which are strictly higher in
-dominance order (at fixed degree), so the recursion terminates.
-The symmetries s0 and s1hat add variables to the alphabet of Q; the
-branching rule maps each basis symbol straight to basis symbols.
+The Pfaffians of the closed formulas build no generator monomials:
+`pf_rows` folds their rows straight into the Q basis.  General products
+still do: sort a generator monomial weakly decreasing, eliminate equal
+adjacent pairs with the defining relation, and peel a strictly
+decreasing one off its Pfaffian expansion, whose other terms are higher
+in dominance order.  The symmetries s0 and s1hat add variables to the
+alphabet of Q; the branching rule maps each basis symbol straight to
+basis symbols.
 """
 
 from __future__ import annotations
@@ -237,11 +237,6 @@ class GammaElement:
             return -1
         return max(sum(lam) + max(c.degree(), 0) for lam, c in self.combo.items())
 
-    def graded_part(self, d: int) -> "GammaElement":
-        return GammaElement(
-            {lam: c.part(d - sum(lam)) for lam, c in self.combo.items() if d >= sum(lam)}
-        )
-
     def coefficient(self, lam) -> Polynomial:
         return self.combo.get(tuple(lam), Polynomial())
 
@@ -272,18 +267,14 @@ def render_combo(combo: dict, latex: bool = False, basis: str = "Q") -> str:
 
 
 # ---------------------------------------------------------------------------
-# generator series c = (Q ·) g
+# generator series c = (Q ·) g and the Pfaffian of their rows
 # ---------------------------------------------------------------------------
 
 
 class GeneratorSeries:
-    """A coefficient series c = Q * g (has_q) or just g, with g a finite
-    polynomial with constant term 1.
-
-    The half-generator series P * g of type B is not a separate kind: a
-    Pfaffian term uses each row once, so its Pfaffian is 2^-r times the
-    one of Q * g.
-    """
+    """A coefficient series c = Q * g (has_q) or just g, g a finite polynomial
+    with constant term 1.  Type B's P * g is no separate kind: a Pfaffian
+    term uses each row once, so its Pfaffian is 2^-r times the one of Q * g."""
 
     __slots__ = ("has_q", "multiplier")
 
@@ -294,28 +285,10 @@ class GeneratorSeries:
         self.has_q = has_q
         self.multiplier = multiplier
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GeneratorSeries)
-            and self.has_q == other.has_q
-            and self.multiplier == other.multiplier
-        )
-
-    def coeff_raw(self, m: int) -> dict:
-        """Degree-m coefficient as a raw dict {generator monomial: Polynomial}."""
-        if m < 0:
-            return {}
-        out = {}
-        if self.has_q:
-            for i in range(0, m + 1):
-                g = self.multiplier.part(i)
-                if g:
-                    _iadd(out, (m - i,) if m - i > 0 else (), g)
-        else:
-            g = self.multiplier.part(m)
-            if g:
-                out[()] = g
-        return out
+    def row(self, k: int) -> dict:
+        """The degree-k coefficient sum_a g_a Q_{k-a} as a row {k - a: g_a}."""
+        parts = ((a, self.multiplier.part(a)) for a in range(self.multiplier.degree() + 1))
+        return {k - a: g for a, g in parts if g}
 
     def __repr__(self):
         return f"Q*({self.multiplier})" if self.has_q else f"({self.multiplier})"
@@ -324,22 +297,80 @@ class GeneratorSeries:
 Q_SERIES = GeneratorSeries(True, 1)
 
 
+def series_rows(lam, series):
+    """The rows c(i).row(lam_i) of `pf_rows`, and the has_q they share."""
+    if len({c.has_q for c in series}) > 1:
+        raise ValueError("rows mix Q*g and plain series")
+    return [c.row(k) for k, c in zip(lam, series)], all(c.has_q for c in series)
+
+
 def series_coeff(c: GeneratorSeries, m: int) -> GammaElement:
-    return GammaElement.from_raw(c.coeff_raw(m))
+    return pf_rows([c.row(m)], c.has_q)
 
 
 def q_pair(k: int, l: int, c_k: GeneratorSeries, c_l: GeneratorSeries) -> GammaElement:
     """The pair element  c(k)_k c(l)_l + 2 sum_{j=1}^{l} (-1)^j c(k)_{k+j} c(l)_{l-j}."""
-    return GammaElement.from_raw(q_pair_raw(k, l, c_k, c_l))
+    return pf_rows(*series_rows((k, l), (c_k, c_l)))
 
 
-def q_pair_raw(k: int, l: int, c_k: GeneratorSeries, c_l: GeneratorSeries) -> dict:
-    out = _raw_mul(c_k.coeff_raw(k), c_l.coeff_raw(l))
-    for j in range(1, l + 1):
-        term = _raw_mul(c_k.coeff_raw(k + j), c_l.coeff_raw(l - j))
-        for m, c in term.items():
-            _iadd(out, m, c * (2 * (-1) ** j))
-    return out
+def pf_rows(rows, has_q: bool = True) -> GammaElement:
+    """The Pfaffian of `rows`, straight in the Q basis.
+
+    Row i is a combination {m: Polynomial} of symbols e_m, m any integer,
+    plus in type D a scalar on one more symbol f (key None).  The entries
+    are B(e_a, e_b) = Q_a Q_b + 2 sum_{j>=1} (-1)^j Q_{a+j} Q_{b-j} (Q_0 = 1,
+    Q_m = 0 for m < 0), B(e_m, f) = Q_m = -B(f, e_m) and B(f, f) = -1; an
+    odd size takes the border e_m -> Q_m, f -> 1.  A Pfaffian term uses
+    each row once, so this is a sum of basis Pfaffians Q_alpha, alpha in
+    Z^r, straightened by Schur's alternation relation (Macdonald III §8)
+    at the first adjacent a <= b,
+        Q_(.., a, b, ..) = -Q_(.., b, a, ..) + [a + b = 0] 2 (-1)^a Q_(.., ..),
+    and, once all rows are in, at the ends: a negative last entry gives 0
+    and a trailing 0 (the odd border) drops.  f passes any e_m with a sign,
+    two adjacent f give -1 and a trailing f is a trailing 0.  The rows fold
+    over a state {(strictly decreasing prefix, pending f): coefficient},
+    so equal prefixes merge before the next row multiplies in.  Plain rows
+    (has_q False) are the image under Q -> 1: only Q_() stays.
+    """
+    memo = {}
+
+    def insert(prefix, m):
+        # Q_(prefix, m) for strictly decreasing prefix, as {strictly decreasing: int}
+        if (prefix, m) not in memo:
+            a = prefix[-1] if prefix else m + 1
+            if a > m:
+                out = {prefix + (m,): 1}
+            elif a == m:
+                out = {prefix[:-1]: 1} if m == 0 else {}
+            else:
+                out = {}
+                for v, c in insert(prefix[:-1], m).items():
+                    for w, c2 in insert(v, a).items():
+                        _iadd(out, w, -c * c2)
+                if a + m == 0:
+                    _iadd(out, prefix[:-1], -2 if a % 2 else 2)
+            memo[prefix, m] = out
+        return memo[prefix, m]
+
+    state = {((), False): Polynomial.const(1)}
+    for row in rows:
+        acc = {}
+        for (prefix, f), coeff in state.items():
+            for m, g in row.items():
+                term = coeff * g
+                if m is None:
+                    _iadd(acc, (prefix, not f), -term if f else term)
+                    continue
+                for v, c in insert(prefix, m).items():
+                    _iadd(acc, (v, f), term * (-c if f else c))
+        state = acc
+    combo = {}
+    for (v, _), coeff in state.items():
+        if v and v[-1] == 0:
+            v = v[:-1]
+        if not (v and v[-1] < 0) and (has_q or not v):
+            _iadd(combo, v, coeff)
+    return GammaElement(combo)
 
 
 # ---------------------------------------------------------------------------

@@ -1,25 +1,19 @@
 """Multi-Schur determinants and Pfaffians.
 
-Three constructions over a list of coefficient series:
-
   * multischur_det -- type A, a Jacobi-Trudi style determinant in plain
-    power series, evaluated as the Pfaffian of [[0, A], [-A^T, 0]];
+    power series: the Pfaffian of [[0, A], [-A^T, 0]] through `pfaffian`,
+    the memoized first-row expander that the gysin checks use as well;
   * multischur_pf -- types B/C, the Pfaffian with (i,j) entry
-      c(i)_{k_i} c(j)_{k_j} + 2 sum_{m>=1} (-1)^m c(i)_{k_i+m} c(j)_{k_j-m},
-    odd sizes expanding along a border with entries c(i)_{k_i}.  Type B
-    (half-generator rows P*g) is 2^-r times this Pfaffian for Q*g;
-  * multischur_pf_d -- type D, the paired Pfaffian taking a finite
-    polynomial c(i) alongside each series d(i); its entry is the B/C
-    entry of the d(i) plus scalar corrections in the c(i), and odd sizes
-    expand along a border whose entries are d(i)_{k_i} + c(i)_{k_i}.
+      c(i)_{k_i} c(j)_{k_j} + 2 sum_{m>=1} (-1)^m c(i)_{k_i+m} c(j)_{k_j-m}
+    and, at odd sizes, border entries c(i)_{k_i}.  Type B (rows P*g) is
+    2^-r times this Pfaffian for Q*g;
+  * multischur_pf_d -- type D, the paired Pfaffian of a finite polynomial
+    c(i) alongside each series d(i): the rows d(i)_{k_i} + c(i)_{k_i} f.
 
-All of them, and the Pfaffians of the gysin appendix checks, go through
-one memoized first-row expander, `pfaffian`.  Each entry of the Pfaffian
-matrix is computed for i < j only; the skew
-symmetry that makes the result well-behaved under column exchange holds
-exactly when each series multiplier has degree below its index, and is
-verified up front (Pfaffians of arbitrary integer index sequences are
-available with check=False).
+Both Pfaffians are one fold, `gamma.pf_rows`, straight in the Q basis.
+Their matrices are skew exactly when each series multiplier has degree
+below its index, which is verified up front (check=False evaluates any
+integer index sequence).
 """
 
 from __future__ import annotations
@@ -27,13 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .polycore import Polynomial, exact_divide, NotDivisible, ones_product
-from .polycore import rational_series  # noqa: F401  (re-exported)
-from .gamma import (
-    GammaElement,
-    GeneratorSeries,
-    q_pair,
-    series_coeff,
-)
+from .gamma import GammaElement, GeneratorSeries, pf_rows, series_rows
 
 
 class SkewCheckFailed(ValueError):
@@ -82,8 +70,8 @@ def multischur_det(lam, series) -> Polynomial:
 def pfaffian(size: int, entry, one, border=None):
     """The Pfaffian of the skew matrix with entries entry(i, j), 0 <= i < j < size.
 
-    Entries live in any ring with +, -, * and truthiness (GammaElement,
-    Laurent elements, indexed operators); `one` is its unit.  An odd size
+    Entries live in any ring with +, -, * and truthiness (polynomials,
+    gysin's indexed operators); `one` is its unit.  An odd size
     needs border(i): it becomes an extra last column, so the result is the
     border expansion sum_i (-1)^i border(i) Pf(minor without i).  Expansion
     runs along the first row; each entry and each sub-Pfaffian is computed
@@ -125,8 +113,8 @@ def multischur_pf(lam, series, check: bool = True) -> GammaElement:
     lam: integers (a strict partition in the checked case); series: one
     GeneratorSeries per index.  With check=True, each multiplier must
     have degree < its index, which guarantees the matrix is genuinely
-    skew; check=False evaluates the same first-row expansion for
-    arbitrary integer sequences.
+    skew; check=False evaluates the same Pfaffian for arbitrary integer
+    sequences.
     """
     lam = tuple(lam)
     if len(series) != len(lam):
@@ -137,12 +125,7 @@ def multischur_pf(lam, series, check: bool = True) -> GammaElement:
                 raise SkewCheckFailed(
                     f"multiplier degree {c.multiplier.degree()} too big for index {k}"
                 )
-    return pfaffian(
-        len(lam),
-        lambda i, j: q_pair(lam[i], lam[j], series[i], series[j]),
-        GammaElement.one(),
-        border=lambda i: series_coeff(series[i], lam[i]),
-    )
+    return pf_rows(*series_rows(lam, series))
 
 
 # ---------------------------------------------------------------------------
@@ -151,17 +134,13 @@ def multischur_pf(lam, series, check: bool = True) -> GammaElement:
 
 
 def multischur_pf_d(lam, pairs, check: bool = True) -> GammaElement:
-    """The paired Pfaffian Pf_lam(c(1)|d(1), ..., c(r)|d(r)).
+    """The paired Pfaffian Pf_lam(c(1)|d(1), ..., c(r)|d(r)), no power of 1/2 applied.
 
-    lam: strictly decreasing nonnegative integers; pairs: one
-    (c, d) per index, c a Polynomial with unit constant term, d a
-    GeneratorSeries.  The (i,j) entry is
-
-      (d(i)_{k_i} - c(i)_{k_i}) (d(j)_{k_j} + c(j)_{k_j})
-        + 2 sum_{m=1}^{k_j} (-1)^m d(i)_{k_i+m} d(j)_{k_j-m};
-
-    odd lengths expand along a border with entries d(i)_{k_i} + c(i)_{k_i}.
-    No overall power of 1/2 is applied here.
+    lam: strictly decreasing nonnegative integers; pairs: one (c, d) per
+    index, c a Polynomial with unit constant term, d a GeneratorSeries.
+    With d_i = d(i)_{k_i} and c_i = c(i)_{k_i}, its (i,j) entry is the B/C
+    entry of the d plus d_i c_j - d_j c_i - c_i c_j and its border entries
+    are d_i + c_i: the Pfaffian of the rows d_i + c_i f of `pf_rows`.
 
     With check=True the defining invariants are verified: deg c(i) <=
     lam_i, c(i) divides d(i) and every earlier c(j) (j < i), and
@@ -174,22 +153,10 @@ def multischur_pf_d(lam, pairs, check: bool = True) -> GammaElement:
     ds = [d for _, d in pairs]
     if check:
         _check_paired(lam, cs, ds)
-    d_k = [series_coeff(d, k) for k, d in zip(lam, ds)]
-    c_k = [c.part(k) for k, c in zip(lam, cs)]
-
-    def entry(i, j):
-        # (d_i - c_i)(d_j + c_j) differs from q_pair's leading d_i d_j by
-        # scalar multiples of single basis coefficients
-        return (
-            q_pair(lam[i], lam[j], ds[i], ds[j])
-            + d_k[i] * c_k[j]
-            - d_k[j] * c_k[i]
-            - GammaElement.of(c_k[i] * c_k[j])
-        )
-
-    return pfaffian(
-        len(lam), entry, GammaElement.one(), border=lambda i: d_k[i] + GammaElement.of(c_k[i])
-    )
+    rows, has_q = series_rows(lam, ds)
+    for row, k, c in zip(rows, lam, cs):
+        row[None] = c.part(k)
+    return pf_rows(rows, has_q)
 
 
 def _check_paired(lam, cs, ds):

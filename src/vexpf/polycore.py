@@ -139,7 +139,10 @@ class Polynomial:
             for mono, coeff in terms.items() if isinstance(terms, dict) else terms:
                 coeff = dyadic(coeff)
                 if coeff:
-                    mono = _mono_sorted((v, e) for v, e in mono if e)
+                    exps = {}  # a variable given twice adds its exponents
+                    for v, e in mono:
+                        exps[v] = exps.get(v, 0) + e
+                    mono = _mono_sorted(p for p in exps.items() if p[1])
                     acc = self.terms.get(mono)
                     coeff = coeff if acc is None else acc + coeff
                     if coeff:
@@ -263,12 +266,11 @@ class Polynomial:
         """
         out = Polynomial()
         for mono, coeff in self.terms.items():
-            term = Polynomial.const(coeff)
+            term = Polynomial()
+            term.terms[tuple(p for p in mono if p[0] not in mapping)] = coeff
             for v, e in mono:
                 if v in mapping:
                     term = term * (Polynomial.of(mapping[v]) ** e)
-                else:
-                    term = term * Polynomial({((v, e),): 1})
             out = out + term
         return out
 

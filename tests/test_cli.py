@@ -67,6 +67,10 @@ class TestSerialization:
         rows = json.loads(json.dumps(serialize_element(p), sort_keys=True))
         assert parse_element(rows) == GammaElement.of(p)
 
+    def test_parse_keeps_laurent_h(self):
+        h = Polynomial({((("h", 1), -2),): 1})
+        assert parse_element(serialize_element(h)) == GammaElement.of(h)
+
     @pytest.mark.parametrize(
         "q, mono, coeff",
         [
@@ -78,14 +82,15 @@ class TestSerialization:
             ([], {}, {"num": "1", "log2den": -1}),
             ([], {}, {"num": "1", "log2den": 0.5}),
             ([], {"x1": "a"}, {"num": "1", "log2den": 0}),
+            ([], {"x1": -1}, {"num": "1", "log2den": 0}),
         ],
         ids=["q0-mono0", "q1-mono1", "q2-mono2", "no-coeff", "num-x", "log2den-negative",
-             "log2den-half", "exponent-a"],
+             "log2den-half", "exponent-a", "exponent-negative"],
     )
     def test_parse_rejects_invalid_rows(self, q, mono, coeff):
         # Q_(1,2) and Q_(0) equal no canonical element; w is no variable family;
         # a row needs a coeff with an integer num over 2^log2den, log2den >= 0,
-        # and integer exponents
+        # and integer exponents, negative only on h
         row = {"q": q, "mono": mono}
         if coeff is not None:
             row["coeff"] = coeff

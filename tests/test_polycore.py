@@ -87,6 +87,14 @@ class TestPolynomial:
         assert yx == X(1) * Y(1)
         assert str(yx + X(1) * Y(1)) == "2*x1*y1"
 
+    def test_constructor_merges_a_repeated_variable(self):
+        # exponents of a variable given twice add, and a cancelling pair drops
+        x1_x1 = Polynomial({((("x", 1), 1), (("x", 1), 1)): 1})
+        assert x1_x1 == X(1) ** 2
+        assert str(x1_x1 + X(1) ** 2) == "2*x1^2"
+        h1 = (("h", 1), 1)
+        assert Polynomial({(h1, (("x", 2), 1), (("h", 1), -1)): 3}) == 3 * X(2)
+
     def test_exact_divide(self):
         assert exact_divide(X(1) ** 2 - X(2) ** 2, X(1) - X(2)) == X(1) + X(2)
         assert exact_divide(Polynomial.const(0), X(1)) == Polynomial.const(0)
