@@ -18,6 +18,7 @@ ordinary Polynomials.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 
 FAMILIES = ("x", "y", "t", "z", "h", "u")
@@ -128,6 +129,17 @@ def render_terms(terms: dict, latex: bool = False) -> str:
     return " + ".join(bits).replace("+ -", "- ")
 
 
+def _add_into(acc: dict, terms: dict):
+    """Add the map {monomial: coefficient} terms into acc in place."""
+    for m, c in terms.items():
+        old = acc.get(m)
+        c = c if old is None else old + c
+        if c:
+            acc[m] = c
+        else:
+            del acc[m]
+
+
 class Polynomial:
     """Sparse polynomial: a map from monomials to nonzero dyadic coefficients."""
 
@@ -185,13 +197,7 @@ class Polynomial:
         other = Polynomial.of(other)
         p = Polynomial()
         p.terms = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = p.terms.get(m)
-            c = c if acc is None else acc + c
-            if c:
-                p.terms[m] = c
-            else:
-                p.terms.pop(m, None)
+        _add_into(p.terms, other.terms)
         return p
 
     __radd__ = __add__
@@ -228,8 +234,9 @@ class Polynomial:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def degree(self) -> int:
@@ -262,16 +269,22 @@ class Polynomial:
         """Simultaneously substitute polynomials for variables.
 
         mapping: dict from (family, index) to Polynomial (or int).
-        Unmapped variables pass through.
+        Unmapped variables pass through.  Each power mapping[v]**e is
+        computed once per call, and the images of the terms are added
+        into one dict, so the cost is linear in the terms produced.
         """
         out = Polynomial()
+        powers = {}
         for mono, coeff in self.terms.items():
             term = Polynomial()
             term.terms[tuple(p for p in mono if p[0] not in mapping)] = coeff
             for v, e in mono:
                 if v in mapping:
-                    term = term * (Polynomial.of(mapping[v]) ** e)
-            out = out + term
+                    power = powers.get((v, e))
+                    if power is None:
+                        power = powers[v, e] = Polynomial.of(mapping[v]) ** e
+                    term = term * power
+            _add_into(out.terms, term.terms)
         return out
 
     def variables(self):
@@ -284,10 +297,6 @@ class Polynomial:
     def constant_term(self):
         return self.terms.get((), 0)
 
-    def leading(self):
-        mono = max(self.terms, key=_mono_key)
-        return mono, self.terms[mono]
-
     def __str__(self):
         return render_terms(self.terms)
 
@@ -297,26 +306,61 @@ class Polynomial:
 def exact_divide(p: Polynomial, d: Polynomial) -> Polynomial:
     """Return q with q*d == p, or raise NotDivisible.
 
-    Plain leading-term cancellation in graded-lex order; when an exact
-    quotient exists this always finds it.
+    Leading-term cancellation in graded-lex order; when an exact quotient
+    exists this always finds it, and since it is unique the order does
+    not change the result.  The remainder is one dict, updated in place,
+    and its monomials wait in a heap keyed once each by their negated
+    graded-lex exponent vector over the variables of p and d, so the
+    largest pops first; an entry whose coefficient has cancelled is
+    skipped.  The cost is linear, up to the heap's log factor, in the
+    terms the division touches.
     """
     if not d:
         raise ZeroDivisionError("division by the zero polynomial")
-    q = Polynomial()
-    rem = p
-    d_mono, d_coeff = d.leading()
+    slot = {
+        v: k
+        for k, v in enumerate(sorted(p.variables() | d.variables(), key=_var_key), 1)
+    }
+    width = len(slot) + 1
+
+    def key(mono):
+        vec = [0] * width
+        for v, e in mono:
+            vec[slot[v]] = -e
+            vec[0] -= e
+        return tuple(vec)
+
+    d_mono = min(d.terms, key=key)
+    d_coeff = d.terms[d_mono]
     d_exps = dict(d_mono)
-    while rem:
-        r_mono, r_coeff = rem.leading()
+    d_tail = [(m, c) for m, c in d.terms.items() if m != d_mono]
+    rem = dict(p.terms)
+    heap = [(key(m), m) for m in rem]
+    heapq.heapify(heap)
+    q = Polynomial()
+    while heap:
+        r_mono = heapq.heappop(heap)[1]
+        r_coeff = rem.pop(r_mono, 0)
+        if not r_coeff:
+            continue
         r_exps = dict(r_mono)
         for v, e in d_exps.items():
             if r_exps.get(v, 0) < e:
                 raise NotDivisible(f"({p}) is not divisible by ({d})")
-        qterm = Polynomial()
         qm = tuple((v, e - d_exps.get(v, 0)) for v, e in r_mono if e != d_exps.get(v, 0))
-        qterm.terms[qm] = dyadic(Fraction(r_coeff, d_coeff))
-        q = q + qterm
-        rem = rem - qterm * d
+        qc = q.terms[qm] = dyadic(Fraction(r_coeff, d_coeff))
+        for m, c in d_tail:
+            m = _mono_mul(qm, m)
+            old = rem.get(m)
+            if old is None:
+                rem[m] = -qc * c
+                heapq.heappush(heap, (key(m), m))
+            else:
+                c = old - qc * c
+                if c:
+                    rem[m] = c
+                else:
+                    del rem[m]
     return q
 
 

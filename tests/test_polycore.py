@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from vexpf.polycore import (
     NotDivisible,
@@ -102,6 +102,31 @@ class TestPolynomial:
         with pytest.raises(NotDivisible):
             exact_divide(X(1) + Y(1), X(1) - Y(1))
 
+    def test_exact_divide_fails_after_quotient_terms(self):
+        # x1 and then -1 go into the quotient before the remainder 2 shows
+        # that x1 + 1 does not divide
+        with pytest.raises(NotDivisible):
+            exact_divide(X(1) ** 2 + 1, X(1) + 1)
+
+    def test_exact_divide_skips_cancelled_remainder_terms(self):
+        # dividing by x1 - x2, the quotient term x2 brings +x2^3 into the
+        # remainder, cancelling the -x2^3 still waiting in the heap
+        d = X(1) - X(2)
+        q = X(1) ** 2 + X(1) * X(2) + X(2) ** 2
+        assert exact_divide(X(1) ** 3 - X(2) ** 3, d) == q
+        q = X(1) + X(2) - 3 * Y(1)
+        assert exact_divide(q * d * (X(1) + X(2)), d * (X(1) + X(2))) == q
+
+    def test_exact_divide_by_a_divisor_without_x(self):
+        # the divisor's leading monomial is in y, and then only in t
+        assert exact_divide(Y(1) ** 2 - T(1) ** 2, Y(1) - T(1)) == Y(1) + T(1)
+        assert exact_divide(T(1) ** 2 - 4 * T(2) ** 2, T(1) + 2 * T(2)) == T(1) - 2 * T(2)
+
+    def test_substitute_non_injective(self):
+        p = 3 * X(1) ** 2 * X(2) - X(2) + Y(1)
+        image = p.substitute({("x", 1): X(2), ("x", 2): X(2)})
+        assert image == 3 * X(2) ** 3 - X(2) + Y(1)
+
     def test_parts_and_degree(self):
         p = 1 + X(1) + X(1) * X(2)
         assert p.degree() == 2
@@ -159,3 +184,52 @@ def test_exact_divide_roundtrip(q, d):
     if not d:
         return
     assert exact_divide(q * d, d) == q
+
+
+@given(polynomials(), polynomials(), polynomials(maxdeg=2))
+def test_exact_divide_rejects_a_low_degree_remainder(q, d, r):
+    # r = (q' - q) d would need deg r >= deg d
+    assume(r and r.degree() < d.degree())
+    with pytest.raises(NotDivisible):
+        exact_divide(q * d + r, d)
+
+
+_VARIABLES = [("x", 1), ("x", 2), ("x", 3), ("y", 1), ("t", 1)]
+
+
+def naive_substitute(p, mapping):
+    """Term by term, each power as repeated products."""
+    out = Polynomial()
+    for mono, coeff in p.terms.items():
+        term = Polynomial.const(coeff)
+        for v, e in mono:
+            if v in mapping:
+                for _ in range(e):
+                    term = term * Polynomial.of(mapping[v])
+            else:
+                term = term * Polynomial({((v, e),): 1})
+        out = out + term
+    return out
+
+
+@st.composite
+def laurent_polynomials(draw):
+    """polynomials() with an unmapped h1^k factor, -2 <= k <= 2, on each term."""
+    p = Polynomial()
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(-2, 2))
+        p = p + draw(polynomials()) * Polynomial({(((("h", 1), k),) if k else ()): 1})
+    return p
+
+
+images = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.sampled_from([X(1), X(2), -X(1), X(2) - Y(1)]),
+    polynomials(maxdeg=2),
+)
+
+
+@given(laurent_polynomials(), st.dictionaries(st.sampled_from(_VARIABLES), images))
+def test_substitute_matches_naive(p, mapping):
+    assert p.substitute(mapping) == naive_substitute(p, mapping)

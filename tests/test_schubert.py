@@ -87,6 +87,47 @@ class TestOperators:
         assert swap_xy(x(1) - y(1)) == y(1) - x(1)
 
 
+def newton(i, f):
+    """partial_i term by term: x_i^a x_{i+1}^b goes to
+    sum_{k<a-b} x_i^{a-1-k} x_{i+1}^{b+k} for a > b, to minus the mirror
+    image for a < b, and to 0 for a = b; written out without division or
+    substitution."""
+    vi, vj = ("x", i), ("x", i + 1)
+    out = []
+    for mono, coeff in f.terms.items():
+        exps = dict(mono)
+        a, b = exps.pop(vi, 0), exps.pop(vj, 0)
+        rest = list(exps.items())
+        sign = 1 if a > b else -1
+        hi, lo = max(a, b), min(a, b)
+        for k in range(hi - lo):
+            e_hi, e_lo = hi - 1 - k, lo + k
+            if a < b:
+                e_hi, e_lo = e_lo, e_hi
+            out.append((tuple(rest + [(vi, e_hi), (vj, e_lo)]), sign * coeff))
+    return Polynomial(out)
+
+
+class TestNewtonOracle:
+    def test_newton_rule(self):
+        assert newton(1, x(1) ** 3 * y(2)) == (x(1) ** 2 + x(1) * x(2) + x(2) ** 2) * y(2)
+        assert newton(1, x(2) ** 2) == -x(1) - x(2)
+        assert newton(2, x(2) * x(3)) == Polynomial()
+
+    @pytest.mark.parametrize("i", [1, 2, 3, 4])
+    def test_type_a_top_class(self, i):
+        top = top_class(5, "A")
+        assert divided_difference(i, top, "A") == newton(i, top)
+
+    @pytest.mark.parametrize("wtype", ["C", "D"])
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    def test_signed_top_class_per_coefficient(self, wtype, i):
+        top = top_class(4, wtype)
+        got = divided_difference(i, top, wtype)
+        expect = {lam: newton(i, c) for lam, c in top.combo.items()}
+        assert got.combo == {lam: c for lam, c in expect.items() if c}
+
+
 class TestTopClasses:
     def test_type_a(self):
         assert top_class(2, "A") == x(1) - y(1)
