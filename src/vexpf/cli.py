@@ -532,9 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="vexpf")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_type=True):
-        if need_type:
-            p.add_argument("--type", choices=["A", "B", "C", "D"], default="C")
+    def common(p):
+        p.add_argument("--type", choices=["A", "B", "C", "D"], default="C")
         p.add_argument("--format", choices=["json", "latex", "plain"], default="plain")
 
     p = sub.add_parser("schubert", help="double Schubert polynomial of a word")

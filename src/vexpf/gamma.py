@@ -394,29 +394,10 @@ def _branch(e: GammaElement, v: Polynomial) -> GammaElement:
     return GammaElement(combo)
 
 
-def apply_symmetry(op, e: GammaElement) -> GammaElement:
-    """Apply a ring symmetry.  op is one of
-    ("s", i, fam) for i >= 1 -- swap fam_i and fam_{i+1}, fixing the Q_k;
-    ("s0", fam)              -- negate fam_1 and add fam_1 to the alphabet of Q;
-    ("s1hat",)               -- the type-D swap x_1 -> -x_2, x_2 -> -x_1,
-                                adding x_1 and x_2 to the alphabet of Q.
-    """
-    kind = op[0]
-    if kind == "s":
-        _, i, fam = op
-        sub = {
-            (fam, i): Polynomial.variable(fam, i + 1),
-            (fam, i + 1): Polynomial.variable(fam, i),
-        }
-        return e.map_coeffs(lambda c: c.substitute(sub))
-    if kind == "s0":
-        v = Polynomial.variable(op[1], 1)
-        sub, added = {(op[1], 1): -v}, [v]
-    elif kind == "s1hat":
-        x1, x2 = Polynomial.variable("x", 1), Polynomial.variable("x", 2)
-        sub, added = {("x", 1): -x2, ("x", 2): -x1}, [x1, x2]
-    else:
-        raise ValueError(f"unknown symmetry {op!r}")
+def apply_symmetry(e: GammaElement, sub: dict, added) -> GammaElement:
+    """A ring symmetry: substitute sub in every coefficient, then add each
+    variable of `added` to the alphabet of Q by the branching rule.  The
+    generator-0 symmetries s0 and s1hat are `schubert.GENERATOR_ZERO`."""
     out = e.map_coeffs(lambda c: c.substitute(sub))
     for v in added:
         out = _branch(out, v)

@@ -160,22 +160,25 @@ def multischur_pf_d(lam, pairs, check: bool = True) -> GammaElement:
 
 
 def _check_paired(lam, cs, ds):
+    """The invariants of multischur_pf_d, on the quotients e(i) = d(i)/c(i):
+    c(i) c(j)* has constant term 1, so d(i) d(j)* = c(i) c(j)* exactly when
+    e(i) e(j)* = 1.  c(i) | c(i-1) for each i gives c(i) | c(j), j < i."""
+    quotients = []
     for k, c, d in zip(lam, cs, ds):
         if c.constant_term() != 1:
             raise ValueError("c series must have constant term 1")
         if c.degree() > k:
             raise SkewCheckFailed(f"deg c = {c.degree()} exceeds index {k}")
         try:
-            exact_divide(d.multiplier, c)
+            quotients.append(GeneratorSeries(d.has_q, exact_divide(d.multiplier, c)))
         except NotDivisible:
             raise DivisibilityFailed(f"{c} does not divide {d!r}")
-    for i in range(len(cs)):
-        for j in range(i):
-            try:
-                exact_divide(cs[j], cs[i])
-            except NotDivisible:
-                raise DivisibilityFailed(f"c({i+1}) does not divide c({j+1})")
-    failure = star_relation_failure(list(zip(cs, ds)))
+    for i in range(1, len(cs)):
+        try:
+            exact_divide(cs[i - 1], cs[i])
+        except NotDivisible:
+            raise DivisibilityFailed(f"c({i+1}) does not divide c({i})")
+    failure = star_relation_failure([(1, e) for e in quotients])
     if failure:
         raise StarRelationFailed(failure)
 

@@ -44,55 +44,50 @@ def _yvar(i):
 # ---------------------------------------------------------------------------
 
 
-def _swap_map(f, sub):
-    if isinstance(f, GammaElement):
-        return f.map_coeffs(lambda c: c.substitute(sub))
-    return Polynomial.of(f).substitute(sub)
-
-
 def swap_xy(f):
     """Exchange x_i and y_i throughout."""
     if isinstance(f, GammaElement):
-        vars_ = set()
-        for c in f.combo.values():
-            vars_ |= c.variables()
-    else:
-        f = Polynomial.of(f)
-        vars_ = f.variables()
-    sub = {}
-    for fam, i in vars_:
-        if fam == "x":
-            sub[(fam, i)] = _yvar(i)
-        elif fam == "y":
-            sub[(fam, i)] = _xvar(i)
-    return _swap_map(f, sub)
+        return f.map_coeffs(swap_xy)
+    f = Polynomial.of(f)
+    other = {"x": "y", "y": "x"}
+    return f.substitute(
+        {(fam, i): Polynomial.variable(other[fam], i) for fam, i in f.variables() if fam in other}
+    )
+
+
+_X1, _X2 = _xvar(1), _xvar(2)
+
+# generator 0 per type: (substitution, variables it adds to the alphabet
+# of Q, denominator).  s0 negates x_1; type D's s1hat sends x_1 -> -x_2,
+# x_2 -> -x_1.
+GENERATOR_ZERO = {
+    "B": ({("x", 1): -_X1}, (_X1,), -_X1),
+    "C": ({("x", 1): -_X1}, (_X1,), -2 * _X1),
+    "D": ({("x", 1): -_X2, ("x", 2): -_X1}, (_X1, _X2), -_X1 - _X2),
+}
 
 
 def divided_difference(i: int, f, wtype: str):
     """The operator for generator i: (f - s_i(f)) / (linear form).
 
-    i = 0 selects the type-dependent extra generator (undefined in type A).
+    For i >= 1, s_i swaps x_i and x_{i+1} and fixes every Q_lambda, so
+    the operator acts on each basis coefficient as in type A.  i = 0
+    selects the type-dependent extra generator (undefined in type A).
     """
     if i == 0:
-        if wtype == "C":
-            op, denom = ("s0", "x"), -2 * _xvar(1)
-        elif wtype == "B":
-            op, denom = ("s0", "x"), -_xvar(1)
-        elif wtype == "D":
-            op, denom = ("s1hat",), -_xvar(1) - _xvar(2)
-        else:
+        if wtype not in GENERATOR_ZERO:
             raise ValueError("generator 0 undefined in type A")
-        reflected = apply_symmetry(op, GammaElement.of(f))
-        return (GammaElement.of(f) - reflected).map_coeffs(
-            lambda c: exact_divide(c, denom)
-        )
-    denom = _xvar(i) - _xvar(i + 1)
-    if isinstance(f, GammaElement):
-        reflected = apply_symmetry(("s", i, "x"), f)
-        return (f - reflected).map_coeffs(lambda c: exact_divide(c, denom))
-    f = Polynomial.of(f)
+        sub, added, denom = GENERATOR_ZERO[wtype]
+        f = GammaElement.of(f)
+        return (f - apply_symmetry(f, sub, added)).map_coeffs(lambda c: exact_divide(c, denom))
     sub = {("x", i): _xvar(i + 1), ("x", i + 1): _xvar(i)}
-    return exact_divide(f - f.substitute(sub), denom)
+    denom = _xvar(i) - _xvar(i + 1)
+
+    def step(c):
+        diff = c - c.substitute(sub)
+        return exact_divide(diff, denom) if diff else diff
+
+    return f.map_coeffs(step) if isinstance(f, GammaElement) else step(Polynomial.of(f))
 
 
 # ---------------------------------------------------------------------------

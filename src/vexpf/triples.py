@@ -74,47 +74,43 @@ class Triple:
 
 def validate(t: Triple) -> str:
     """Classify as "strict", "redundant", or "invalid"."""
+    if t.wtype == "D":
+        return validate(plus_map(t))
     k, p, q = t.k, t.p, t.q
     if not (len(k) == len(p) == len(q)):
         return "invalid"
     if len(k) == 0:
         return "strict"
-    if not all(a < b for a, b in zip(k, k[1:])) or k[0] < 1:
-        return "invalid"
-    if t.wtype == "A":
-        if any(x < 1 for x in p + q):
-            return "invalid"
-        if not all(a >= b for a, b in zip(p, p[1:])):
-            return "invalid"
-        if not all(a <= b for a, b in zip(q, q[1:])):
-            return "invalid"
-        if any(ki > qi for ki, qi in zip(k, q)):
-            return "invalid"
-        l = type_a_l(t)
-        if any(li > pi for li, pi in zip(l, p)) or l[-1] < 1:
-            return "invalid"
-        if all(a > b for a, b in zip(l, l[1:])):
-            return "strict"
-        if all(a >= b for a, b in zip(l, l[1:])):
-            return "redundant"
-        return "invalid"
-    # types C and D
-    low = 1 if t.wtype == "C" else 0
-    if any(x < low for x in p + q):
+    if not all(a < b for a, b in zip(k, k[1:])) or k[0] < 1 or any(x < 1 for x in p + q):
         return "invalid"
     if not all(a >= b for a, b in zip(p, p[1:])):
         return "invalid"
-    if not all(a >= b for a, b in zip(q, q[1:])):
+    if t.wtype == "A":
+        if not all(a <= b for a, b in zip(q, q[1:])):
+            return "invalid"
+        # k_i <= q_i is l_i <= p_i
+        if any(ki > qi for ki, qi in zip(k, q)) or type_a_l(t)[-1] < 1:
+            return "invalid"
+    elif not all(a >= b for a, b in zip(q, q[1:])):
         return "invalid"
-    gaps = [
-        (p[i] - p[i + 1]) + (q[i] - q[i + 1]) - (k[i + 1] - k[i])
-        for i in range(len(k) - 1)
-    ]
+    gaps = _gaps(t)
     if all(g > 0 for g in gaps):
         return "strict"
     if all(g >= 0 for g in gaps):
         return "redundant"
     return "invalid"
+
+
+def _gaps(t: Triple) -> list:
+    """The slack between consecutive steps, positive in a strict triple:
+    (p_i - p_{i+1}) + (q_i - q_{i+1}) - (k_{i+1} - k_i) in types C and D,
+    and l_i - l_{i+1}, the same with q's difference negated, in type A."""
+    sign = -1 if t.wtype == "A" else 1
+    k, p, q = t.k, t.p, t.q
+    return [
+        p[i] - p[i + 1] + sign * (q[i] - q[i + 1]) - (k[i + 1] - k[i])
+        for i in range(len(k) - 1)
+    ]
 
 
 def type_a_l(t: Triple) -> tuple:
@@ -130,16 +126,7 @@ def reduce_redundant(t: Triple) -> Triple:
     if status == "invalid":
         raise InvalidTriple(str(t))
     while status == "redundant":
-        if t.wtype == "A":
-            l = type_a_l(t)
-            drop = next(i for i in range(t.s - 1) if l[i] == l[i + 1])
-        else:
-            drop = next(
-                i
-                for i in range(t.s - 1)
-                if (t.p[i] - t.p[i + 1]) + (t.q[i] - t.q[i + 1])
-                == t.k[i + 1] - t.k[i]
-            )
+        drop = _gaps(t).index(0)
         keep = [i for i in range(t.s) if i != drop]
         t = Triple(
             [t.k[i] for i in keep],
@@ -181,26 +168,26 @@ def lambda_of(t: Triple) -> tuple:
 
 
 def w_of_triple(t: Triple) -> SignedPermutation:
+    """The permutation of a triple.  A type-D triple is the type-C triple
+    `plus_map(t)`: its insertion and ranks are type C's at (p + 1, q + 1)."""
     status = validate(t)
     if status == "invalid":
         raise InvalidTriple(str(t))
+    if t.wtype == "D":
+        t = plus_map(t)
     if status == "redundant":
         t = reduce_redundant(t)
     if t.s == 0:
         return SignedPermutation.identity(1)
-    if t.wtype == "A":
-        w = _insert_type_a(t)
-    else:
-        w = _insert_signed(t, strict=(t.wtype == "D"))
+    w = _insert_type_a(t) if t.wtype == "A" else _insert_signed(t)
     _check_ranks(w, t)
     return w
 
 
-def _insert_signed(t: Triple, strict: bool) -> SignedPermutation:
-    """Types C and D.  At step i, bar the smallest unused values that are
-    >= q_i (> q_i for D) and drop them, largest first, into the free
-    positions >= p_i (> p_i for D), left to right."""
-    shift = 1 if strict else 0
+def _insert_signed(t: Triple) -> SignedPermutation:
+    """Type C.  At step i, bar the smallest unused values that are >= q_i
+    and drop them, largest first, into the free positions >= p_i, left to
+    right."""
     placed = {}  # position -> value (negative = barred)
     used = set()
     prev_k = 0
@@ -208,12 +195,12 @@ def _insert_signed(t: Triple, strict: bool) -> SignedPermutation:
         count = ki - prev_k
         prev_k = ki
         vals = []
-        v = qi + shift
+        v = qi
         while len(vals) < count:
             if v not in used:
                 vals.append(v)
             v += 1
-        pos = pi + shift
+        pos = pi
         slots = []
         while len(slots) < count:
             if pos not in placed:
@@ -261,10 +248,13 @@ def _insert_type_a(t: Triple) -> SignedPermutation:
 
 
 def rank_of_triple_term(w: SignedPermutation, pi: int, qi: int, wtype: str) -> int:
+    """The rank a triple's step (k_i; p_i; q_i) pins to k_i: type D's is
+    type C's at (p_i + 1, q_i + 1)."""
     wtype = _norm_type(wtype)
     if wtype == "A":
         return sum(1 for a in range(pi + 1, w.n + 1) if 0 < w(a) <= qi)
-    return w.rank(pi, qi, strict=(wtype == "D"))
+    shift = 1 if wtype == "D" else 0
+    return w.rank(pi + shift, qi + shift)
 
 
 def _check_ranks(w: SignedPermutation, t: Triple):

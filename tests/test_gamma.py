@@ -19,7 +19,10 @@ from vexpf.gamma import (
     specialize_oracle,
     straighten_monomial,
 )
-from vexpf.schubert import top_class
+from vexpf.schubert import GENERATOR_ZERO, top_class
+
+# (substitution, added variables) of s0 and s1hat, as apply_symmetry takes them
+S0, S1HAT = (GENERATOR_ZERO[t][:2] for t in "CD")
 
 
 def ge(mono_coeffs):
@@ -43,7 +46,7 @@ def raw_symmetry(op, e):
       s0:    Q_a -> Q_a + 2 sum_{j=1}^{a} x1^j Q_{a-j}
       s1hat: Q_a -> Q_a + 2 (x1+x2) sum_{j=1}^{a} h_{j-1}(x1, x2) Q_{a-j}"""
     x1, x2 = Polynomial.variable("x", 1), Polynomial.variable("x", 2)
-    if op == ("s0", "x"):
+    if op is S0:
         sub, step = {("x", 1): -x1}, lambda j: 2 * x1**j
     else:
         sub = {("x", 1): -x2, ("x", 2): -x1}
@@ -143,25 +146,26 @@ class TestQPair:
 class TestSymmetries:
     def test_s0_on_q1(self):
         x1 = Polynomial.variable("x", 1)
-        got = apply_symmetry(("s0", "x"), GammaElement.basis((1,)))
+        got = apply_symmetry(GammaElement.basis((1,)), *S0)
         assert got == GammaElement({(1,): 1, (): 2 * x1})
 
     def test_si_fixes_q(self):
         x2 = Polynomial.variable("x", 2)
         e = GammaElement({(2,): Polynomial.variable("x", 1)})
-        assert apply_symmetry(("s", 1, "x"), e) == GammaElement({(2,): x2})
+        swap = {("x", 1): x2, ("x", 2): Polynomial.variable("x", 1)}
+        assert apply_symmetry(e, swap, ()) == GammaElement({(2,): x2})
 
     @pytest.mark.parametrize("lam", [(1,), (2,), (3,), (2, 1)])
     def test_s0_involution(self, lam):
         e = GammaElement.basis(lam)
-        assert apply_symmetry(("s0", "x"), apply_symmetry(("s0", "x"), e)) == e
+        assert apply_symmetry(apply_symmetry(e, *S0), *S0) == e
 
     @pytest.mark.parametrize("lam", [(1,), (2,), (3,), (2, 1)])
     def test_s1hat_involution(self, lam):
         e = GammaElement.basis(lam)
-        assert apply_symmetry(("s1hat",), apply_symmetry(("s1hat",), e)) == e
+        assert apply_symmetry(apply_symmetry(e, *S1HAT), *S1HAT) == e
 
-    @pytest.mark.parametrize("op, max_weight", [(("s0", "x"), 22), (("s1hat",), 14)])
+    @pytest.mark.parametrize("op, max_weight", [(S0, 22), (S1HAT, 14)])
     def test_matches_generator_images(self, op, max_weight):
         # every strict lambda with parts <= 7 and at most 4 parts, up to max_weight
         x1, y1, x2 = (Polynomial.variable(*v) for v in (("x", 1), ("y", 1), ("x", 2)))
@@ -169,19 +173,19 @@ class TestSymmetries:
         for lam in _strict_partitions_bounded(7, 4):
             if sum(lam) <= max_weight:
                 e = GammaElement({lam: coeff})
-                assert apply_symmetry(op, e) == raw_symmetry(op, e), lam
+                assert apply_symmetry(e, *op) == raw_symmetry(op, e), lam
 
     @pytest.mark.parametrize("n", [3, 4])
-    @pytest.mark.parametrize("wtype, op", [("C", ("s0", "x")), ("D", ("s1hat",))])
+    @pytest.mark.parametrize("wtype, op", [("C", S0), ("D", S1HAT)])
     def test_top_class_matches_generator_images(self, n, wtype, op):
         e = top_class(n, wtype)
-        assert apply_symmetry(op, e) == raw_symmetry(op, e)
+        assert apply_symmetry(e, *op) == raw_symmetry(op, e)
 
     def test_s0_multiplicative(self):
         a = GammaElement.basis((2,))
         b = GammaElement.basis((1,))
-        lhs = apply_symmetry(("s0", "x"), a * b)
-        rhs = apply_symmetry(("s0", "x"), a) * apply_symmetry(("s0", "x"), b)
+        lhs = apply_symmetry(a * b, *S0)
+        rhs = apply_symmetry(a, *S0) * apply_symmetry(b, *S0)
         assert lhs == rhs
 
 

@@ -220,6 +220,12 @@ class TestPfD:
         with pytest.raises((StarRelationFailed, DivisibilityFailed)):
             multischur_pf_d((3, 1), [good, bad])
 
+    def test_star_relation_alone(self):
+        # c = 1 divides everything, so only the star relation can fail
+        with pytest.raises(StarRelationFailed):
+            multischur_pf_d((3, 1), [(1, q_times(1 + tvar(1))), (1, q_times(1))])
+        multischur_pf_d((2,), [(1, q_times(1 + tvar(1)))])
+
     def test_divisibility_guard(self):
         with pytest.raises(DivisibilityFailed):
             multischur_pf_d(

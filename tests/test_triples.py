@@ -126,6 +126,16 @@ class TestInsertion:
         with pytest.raises(InvalidTriple):
             w_of_triple(Triple((2, 1), (1, 1), (1, 1), "C"))
 
+    def test_type_d_rank_conditions(self):
+        # type D's conditions written out, not through plus_map:
+        # #{a > p_i : w(a) < -q_i} = k_i at every step, redundant triples included
+        triples_d = list(enumerate_triples("D", 4, allow_redundant=True))
+        assert any(validate(t) == "redundant" for t in triples_d)
+        for t in triples_d:
+            w = w_of_triple(t)
+            for k, p, q in zip(t.k, t.p, t.q):
+                assert sum(1 for a in range(p + 1, w.n + 1) if w(a) < -q) == k, t
+
 
 class TestReconstruction:
     def test_worked_c_roundtrip(self):

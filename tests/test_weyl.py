@@ -88,7 +88,6 @@ class TestLength:
             for p in range(1, 4):
                 for q in range(1, 4):
                     assert w4.rank(p, q) == w.rank(p, q)
-                    assert w4.rank(p, q, strict=True) == w.rank(p, q, strict=True)
 
 
 class TestCensusAndLongest:
