@@ -267,22 +267,23 @@ def render_combo(combo: dict, latex: bool = False, basis: str = "Q") -> str:
 
 
 # ---------------------------------------------------------------------------
-# generator series c = (Q ·) g and the Pfaffian of their rows
+# generator series c = Q * g and the Pfaffian of their rows
 # ---------------------------------------------------------------------------
 
 
 class GeneratorSeries:
-    """A coefficient series c = Q * g (has_q) or just g, g a finite polynomial
-    with constant term 1.  Type B's P * g is no separate kind: a Pfaffian
-    term uses each row once, so its Pfaffian is 2^-r times the one of Q * g."""
+    """A coefficient series c = Q * g, g a finite polynomial with constant
+    term 1.  Every Pfaffian row is one: a concrete series F with F F* = 1
+    stands for Q, since Q Q* = 1 in Gamma.  Type B's P * g is no separate
+    kind: a Pfaffian term uses each row once, so its Pfaffian is 2^-r
+    times the one of Q * g."""
 
-    __slots__ = ("has_q", "multiplier")
+    __slots__ = ("multiplier",)
 
-    def __init__(self, has_q: bool, multiplier=1):
+    def __init__(self, multiplier=1):
         multiplier = Polynomial.of(multiplier)
         if multiplier.constant_term() != 1:
             raise ValueError("series multiplier must have constant term 1")
-        self.has_q = has_q
         self.multiplier = multiplier
 
     def row(self, k: int) -> dict:
@@ -291,29 +292,27 @@ class GeneratorSeries:
         return {k - a: g for a, g in parts if g}
 
     def __repr__(self):
-        return f"Q*({self.multiplier})" if self.has_q else f"({self.multiplier})"
+        return f"Q*({self.multiplier})"
 
 
-Q_SERIES = GeneratorSeries(True, 1)
+Q_SERIES = GeneratorSeries(1)
 
 
 def series_rows(lam, series):
-    """The rows c(i).row(lam_i) of `pf_rows`, and the has_q they share."""
-    if len({c.has_q for c in series}) > 1:
-        raise ValueError("rows mix Q*g and plain series")
-    return [c.row(k) for k, c in zip(lam, series)], all(c.has_q for c in series)
+    """The rows c(i).row(lam_i) of `pf_rows`."""
+    return [c.row(k) for k, c in zip(lam, series)]
 
 
 def series_coeff(c: GeneratorSeries, m: int) -> GammaElement:
-    return pf_rows([c.row(m)], c.has_q)
+    return pf_rows([c.row(m)])
 
 
 def q_pair(k: int, l: int, c_k: GeneratorSeries, c_l: GeneratorSeries) -> GammaElement:
     """The pair element  c(k)_k c(l)_l + 2 sum_{j=1}^{l} (-1)^j c(k)_{k+j} c(l)_{l-j}."""
-    return pf_rows(*series_rows((k, l), (c_k, c_l)))
+    return pf_rows(series_rows((k, l), (c_k, c_l)))
 
 
-def pf_rows(rows, has_q: bool = True) -> GammaElement:
+def pf_rows(rows) -> GammaElement:
     """The Pfaffian of `rows`, straight in the Q basis.
 
     Row i is a combination {m: Polynomial} of symbols e_m, m any integer,
@@ -329,8 +328,7 @@ def pf_rows(rows, has_q: bool = True) -> GammaElement:
     and a trailing 0 (the odd border) drops.  f passes any e_m with a sign,
     two adjacent f give -1 and a trailing f is a trailing 0.  The rows fold
     over a state {(strictly decreasing prefix, pending f): coefficient},
-    so equal prefixes merge before the next row multiplies in.  Plain rows
-    (has_q False) are the image under Q -> 1: only Q_() stays.
+    so equal prefixes merge before the next row multiplies in.
     """
     memo = {}
 
@@ -368,7 +366,7 @@ def pf_rows(rows, has_q: bool = True) -> GammaElement:
     for (v, _), coeff in state.items():
         if v and v[-1] == 0:
             v = v[:-1]
-        if not (v and v[-1] < 0) and (has_q or not v):
+        if not (v and v[-1] < 0):
             _iadd(combo, v, coeff)
     return GammaElement(combo)
 

@@ -11,6 +11,8 @@
     c(i) alongside each series d(i): the rows d(i)_{k_i} + c(i)_{k_i} f.
 
 Both Pfaffians are one fold, `gamma.pf_rows`, straight in the Q basis.
+Every series c(i), d(i) there is a `gamma.GeneratorSeries` Q * g, so the
+type-D star relation d(i) d(j)* = c(i) c(j)* is exact: Q Q* = 1.
 Their matrices are skew exactly when each series multiplier has degree
 below its index, which is verified up front (check=False evaluates any
 integer index sequence).
@@ -125,7 +127,7 @@ def multischur_pf(lam, series, check: bool = True) -> GammaElement:
                 raise SkewCheckFailed(
                     f"multiplier degree {c.multiplier.degree()} too big for index {k}"
                 )
-    return pf_rows(*series_rows(lam, series))
+    return pf_rows(series_rows(lam, series))
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +155,10 @@ def multischur_pf_d(lam, pairs, check: bool = True) -> GammaElement:
     ds = [d for _, d in pairs]
     if check:
         _check_paired(lam, cs, ds)
-    rows, has_q = series_rows(lam, ds)
+    rows = series_rows(lam, ds)
     for row, k, c in zip(rows, lam, cs):
         row[None] = c.part(k)
-    return pf_rows(rows, has_q)
+    return pf_rows(rows)
 
 
 def _check_paired(lam, cs, ds):
@@ -170,7 +172,7 @@ def _check_paired(lam, cs, ds):
         if c.degree() > k:
             raise SkewCheckFailed(f"deg c = {c.degree()} exceeds index {k}")
         try:
-            quotients.append(GeneratorSeries(d.has_q, exact_divide(d.multiplier, c)))
+            quotients.append(GeneratorSeries(exact_divide(d.multiplier, c)))
         except NotDivisible:
             raise DivisibilityFailed(f"{c} does not divide {d!r}")
     for i in range(1, len(cs)):
@@ -183,21 +185,17 @@ def _check_paired(lam, cs, ds):
         raise StarRelationFailed(failure)
 
 
-def star_relation_failure(pairs, bound: int = None):
+def star_relation_failure(pairs):
     """The first relation d(i) d(j)* = c(i) c(j)* (i < j) the (c, d) pairs
-    break, compared below total degree bound if given, as a message; else None."""
+    break, as a message; else None.  With d = Q * g it reads
+    g(i) g(j)* = c(i) c(j)*, exactly, since Q Q* = 1 in the basis ring."""
     for i in range(len(pairs)):
         for j in range(i + 1, len(pairs)):
             (ci, di), (cj, dj) = pairs[i], pairs[j]
-            if di.has_q != dj.has_q:
-                return "mixed series types"
             lhs = di.multiplier * dj.multiplier.star()
             rhs = Polynomial.of(ci) * Polynomial.of(cj).star()
-            if bound is not None:
-                lhs, rhs = lhs.truncate(bound), rhs.truncate(bound)
             if lhs != rhs:
-                below = "" if bound is None else f" below degree {bound}"
-                return f"d({i+1}) d({j+1})* != c({i+1}) c({j+1})*{below}"
+                return f"d({i+1}) d({j+1})* != c({i+1}) c({j+1})*"
     return None
 
 
@@ -209,7 +207,7 @@ def star_relation_failure(pairs, bound: int = None):
 def q_family(lam) -> GammaElement:
     """The deformed basis element with rows Q * prod_{j<lam_i}(1+t_j)."""
     lam = tuple(lam)
-    series = [GeneratorSeries(True, ones_product("t", k - 1)) for k in lam]
+    series = [GeneratorSeries(ones_product("t", k - 1)) for k in lam]
     return multischur_pf(lam, series)
 
 
@@ -219,11 +217,14 @@ def p_family(lam) -> GammaElement:
     return q_family(lam) * Polynomial.const(Fraction(1, 1 << len(lam)))
 
 
+def r_pairs(lam):
+    """The (c, d) pairs of r_family: c(i) = prod_{j<=lam_i}(1+t_j), d(i) = Q*c(i)."""
+    return [(c, GeneratorSeries(c)) for c in (ones_product("t", k) for k in lam)]
+
+
 def r_family(lam) -> GammaElement:
-    """The even-orthogonal family: the paired Pfaffian with
-    c(i) = prod_{j<=lam_i}(1+t_j), d(i) = Q*c(i), scaled by 2^-len(lam)."""
+    """The even-orthogonal family: the paired Pfaffian of `r_pairs`,
+    scaled by 2^-len(lam)."""
     lam = tuple(lam)
-    cs = [ones_product("t", k) for k in lam]
-    pairs = [(c, GeneratorSeries(True, c)) for c in cs]
-    pf = multischur_pf_d(lam, pairs)
+    pf = multischur_pf_d(lam, r_pairs(lam))
     return pf * Polynomial.const(Fraction(1, 1 << len(lam)))

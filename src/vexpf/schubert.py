@@ -128,8 +128,8 @@ def formula_rows(t: Triple, wtype: str, multipliers=None):
     else:
         gs = [Polynomial.of(multipliers[i]) for i in column_steps(t)]
     if wtype == "D":
-        return lam, [(g, GeneratorSeries(True, g)) for g in gs]
-    return lam, [GeneratorSeries(True, g) for g in gs]
+        return lam, [(g, GeneratorSeries(g)) for g in gs]
+    return lam, [GeneratorSeries(g) for g in gs]
 
 
 def _signed_pfaffian(lam, rows, wtype: str, check: bool) -> GammaElement:

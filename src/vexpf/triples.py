@@ -357,17 +357,8 @@ def _monotone(domain, s):
 
 
 # ---------------------------------------------------------------------------
-# duality and the D <-> C shift
+# the D <-> C shift
 # ---------------------------------------------------------------------------
-
-
-def dual(t: Triple) -> Triple:
-    if t.wtype != "A":
-        raise WrongType("duality is a type A operation")
-    if validate(t) != "strict":
-        raise InvalidTriple(str(t))
-    l = type_a_l(t)
-    return Triple(tuple(reversed(l)), tuple(reversed(t.q)), tuple(reversed(t.p)), "A")
 
 
 def plus_map(t: Triple) -> Triple:

@@ -89,9 +89,6 @@ class SignedPermutation:
     def num_barred(self) -> int:
         return sum(1 for v in self.values if v < 0)
 
-    def is_even_coset(self) -> bool:
-        return self.num_barred() % 2 == 0
-
     def is_unsigned(self) -> bool:
         return all(v > 0 for v in self.values)
 

@@ -232,7 +232,6 @@ class TestCommands:
             ("verify", "census", "--n", "0"),
             ("verify", "identity-2-3", "--n", "-1"),
             ("verify", "appendix-a2", "--r", "0"),
-            ("verify", "stability", "--n", "1"),
         ],
     )
     def test_size_too_small_exit_2(self, capsys, argv):
@@ -258,6 +257,11 @@ class TestVerify:
     def test_appendix_a2(self, capsys):
         code, out = run(capsys, "verify", "appendix-a2", "--r", "2")
         assert code == 0 and "PASS" in out
+
+    def test_stability_at_n_1(self, capsys):
+        # W_1 sits below type D's least size 2, so its left side takes the default size
+        code, out = run(capsys, "verify", "stability", "--n", "1")
+        assert code == 0 and out.endswith("stability: PASS\n")
 
     def test_suite_flag_spelling(self, capsys):
         code, out = run(capsys, "verify", "--suite", "stability")

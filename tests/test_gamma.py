@@ -108,15 +108,20 @@ class TestSeries:
 
     def test_multiplier_coeff(self):
         t1 = Polynomial.variable("t", 1)
-        c = GeneratorSeries(True, 1 + t1)
+        c = GeneratorSeries(1 + t1)
         expect = GammaElement({(2,): 1, (1,): t1})
         assert series_coeff(c, 2) == expect
 
     def test_elementary_symmetric(self):
         t1 = Polynomial.variable("t", 1)
         t2 = Polynomial.variable("t", 2)
-        c = GeneratorSeries(False, (1 + t1) * (1 + t2))
-        assert series_coeff(c, 2) == GammaElement({(): t1 * t2})
+        c = GeneratorSeries((1 + t1) * (1 + t2))
+        assert series_coeff(c, 2) == GammaElement({(2,): 1, (1,): t1 + t2, (): t1 * t2})
+
+    @pytest.mark.parametrize("mult", [2 + Polynomial.variable("t", 1), 0, Polynomial.variable("t", 1)])
+    def test_multiplier_needs_unit_constant_term(self, mult):
+        with pytest.raises(ValueError, match="constant term 1"):
+            GeneratorSeries(mult)
 
 
 class TestQPair:
@@ -127,14 +132,12 @@ class TestQPair:
             mult = Polynomial.const(1)
             for j in range(1, k):
                 mult = mult * (1 + Polynomial.variable("t", j))
-            c = GeneratorSeries(True, mult)
+            c = GeneratorSeries(mult)
             assert not q_pair(k, k, c, c)
 
     def test_antisymmetry(self):
-        c2 = GeneratorSeries(True, (1 + Polynomial.variable("t", 1)))
-        c3 = GeneratorSeries(
-            True, (1 + Polynomial.variable("t", 1)) * (1 + Polynomial.variable("t", 2))
-        )
+        c2 = GeneratorSeries(1 + Polynomial.variable("t", 1))
+        c3 = GeneratorSeries((1 + Polynomial.variable("t", 1)) * (1 + Polynomial.variable("t", 2)))
         a = q_pair(3, 2, c3, c2)
         b = q_pair(2, 3, c2, c3)
         assert a == -b

@@ -174,7 +174,9 @@ class TestPropA2:
         expect = (series_coeff(d, 2) + GammaElement.of(g.part(2))).scale(Fraction(1, 2))
         assert lhs == expect
 
-    @pytest.mark.parametrize("lam", [(1,), (2, 0), (2, 1), (3, 1), (3, 2, 0), (3, 2, 1)])
+    @pytest.mark.parametrize(
+        "lam", [(1,), (2, 0), (2, 1), (3, 1), (3, 2, 0), (3, 2, 1), (4, 3, 2, 1), (4, 2, 1, 0)]
+    )
     def test_pfaffian_equality(self, lam):
         assert prop_A2_check(lam)
 
@@ -188,7 +190,7 @@ class TestPropA2:
 
     def test_star_relation_passes_on_default_data(self):
         pairs = default_a2_data((3, 1))
-        assert star_relation_failure(pairs, 4) is None
+        assert star_relation_failure(pairs) is None
 
 
 class TestPlainPushforward:
@@ -206,7 +208,7 @@ class TestPlainPushforward:
         t = Triple((1, 2), (2, 1), (2, 1), "C")
         lam = lambda_of(t)
         series = [
-            GeneratorSeries(True, ones_product("x", p) * ones_product("y", q))
+            GeneratorSeries(ones_product("x", p) * ones_product("y", q))
             for p, q in column_factors(t, "C")
         ]
         for m in [(0, 0), (1, 0), (0, 1), (2, 1)]:

@@ -24,7 +24,7 @@ def tvar(i):
 
 
 def q_times(poly):
-    return GeneratorSeries(True, poly)
+    return GeneratorSeries(poly)
 
 
 E2 = (1 + tvar(1)) * (1 + tvar(2))
@@ -256,10 +256,8 @@ def test_pf_pair_matches_basis_shift(a, gap):
 
 def written_coeff(c, m):
     """c_m = sum_a g_a Q_{m-a} from basis symbols (Q_0 = 1, Q_k = 0 for
-    k < 0); a plain series gives g_m."""
+    k < 0)."""
     g = c.multiplier
-    if not c.has_q:
-        return GammaElement.of(g.part(m))
     out = GammaElement.zero()
     for a in range(max(m + 1, 0)):
         sym = GammaElement.basis((m - a,)) if m > a else GammaElement.one()
@@ -337,9 +335,6 @@ class TestFold:
         "lam", [(1,), (2,), (2, 0), (2, 1), (3, 1), (3, 2, 0), (3, 2, 1)]
     )
     def test_plain_paired_rows(self, lam):
+        # the Appendix A.2 data: c(i) = prod_{j<=lam_i}(1+t_j), d(i) = Q*c(i)
         pairs = default_a2_data(lam)
         assert multischur_pf_d(lam, pairs, check=False) == written_pf_d(lam, pairs)
-
-    def test_mixed_rows_raise(self):
-        with pytest.raises(ValueError):
-            multischur_pf((2, 1), [Q_SERIES, GeneratorSeries(False, 1)], check=False)

@@ -205,7 +205,7 @@ class TestSchubert:
 
     def test_inverse_swap_odd_coset_d(self):
         for w in all_elements(3, "C"):
-            if w.is_even_coset():
+            if w.num_barred() % 2 == 0:
                 continue
             assert swap_xy(schubert(w, "D")) == schubert(w.inverse(), "D"), repr(w)
 
@@ -291,7 +291,7 @@ class TestVanishingSpecialization:
             mult = Polynomial.const(1)
             for j in range(1, k):
                 mult = mult * (1 + Polynomial.variable("t", j))
-            return GeneratorSeries(True, mult)
+            return GeneratorSeries(mult)
 
         import itertools
 
@@ -330,6 +330,14 @@ class TestDegeneracy:
         series = symfun_series(2, 3)
         got = degeneracy_formula(t, q_series=series)
         assert got == series.part(1)
+
+    @pytest.mark.parametrize(
+        "t", [Triple((1, 2), (2, 1), (2, 1), "C"), Triple((1,), (1,), (0,), "D")], ids=["C", "D"]
+    )
+    def test_multiplier_without_unit_constant_term(self, t):
+        t1 = Polynomial.variable("t", 1)
+        with pytest.raises(ValueError, match="constant term 1"):
+            degeneracy_formula(t, multipliers=[2 + t1] * t.s)
 
     def test_d_scaling_present(self):
         t = Triple((1,), (1,), (0,), "D")

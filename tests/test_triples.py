@@ -9,7 +9,6 @@ from vexpf.triples import (
     InvalidTriple,
     Triple,
     WrongType,
-    dual,
     enumerate_triples,
     lambda_of,
     minus_map,
@@ -239,6 +238,11 @@ class TestDirectDetection:
         for wtype, n in (("C", 4), ("D", 4), ("A", 5)):
             for w in all_elements(n, wtype):
                 triple_of_w(w, wtype)
+
+
+def dual(t: Triple) -> Triple:
+    """The dual of a strict type-A triple: (reversed l, reversed q, reversed p)."""
+    return Triple(tuple(reversed(type_a_l(t))), tuple(reversed(t.q)), tuple(reversed(t.p)), "A")
 
 
 class TestDualAndShift:

@@ -66,7 +66,7 @@ class TestLength:
         # the length formula is also used on signed permutations with an
         # odd number of bars; generators still move it by exactly 1
         for w in all_elements(3, "C"):
-            if w.is_even_coset():
+            if w.num_barred() % 2 == 0:
                 continue
             lw = length(w, "D")
             for g in generators(3, "D"):
