@@ -251,7 +251,7 @@ def render_combo(combo: dict, latex: bool = False, basis: str = "Q") -> str:
     first: "3*Q(2,1) + (x1 - y1)*Q(1) + 1", or Q_{(2,1)} in latex."""
     bits = []
     for lam in sorted(combo, reverse=True):
-        body = render_terms(combo[lam].terms, latex)
+        body = render_terms(combo[lam], latex)
         if lam:
             parts = ",".join(str(m) for m in lam)
             sym = f"{basis}_{{({parts})}}" if latex else f"{basis}({parts})"

@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .polycore import Polynomial, rational_series
+from .polycore import Polynomial, exponent, rational_series
 from .gamma import GammaElement, GeneratorSeries, _iadd, series_coeff
 from .multischur import multischur_pf, multischur_pf_d, pfaffian, r_pairs, star_relation_failure
 
@@ -54,36 +54,35 @@ class RelationViolated(ValueError):
 
 def h_power(i: int, e: int) -> Polynomial:
     """h_i^e for any integer e."""
-    return Polynomial({((("h", i), e),): 1})
+    return Polynomial.variable("h", i, e)
 
 
 def u_power(i: int, e: int) -> Polynomial:
     if e < 0:
         raise ValueError("u exponents are nonnegative")
-    return Polynomial({((("u", i), e),): 1})
+    return Polynomial.variable("u", i, e)
 
 
 def restrict(f: Polynomial, bound: int) -> Polynomial:
     """Keep only the terms with all |h exponents| <= bound."""
-    out = Polynomial()
-    out.terms = {
-        m: c for m, c in f.terms.items()
-        if all(abs(e) <= bound for v, e in m if v[0] == "h")
-    }
-    return out
+    hs = [v for v in f.variables() if v[0] == "h"]
+    return Polynomial.from_packed(
+        {m: c for m, c in f.packed.items() if all(abs(exponent(m, v)) <= bound for v in hs)}
+    )
 
 
 def zeta(f: Polynomial, J) -> Polynomial:
     """The ring map h_i -> 0 for i in J (u and everything else fixed)."""
     J = frozenset(J)
-    out = Polynomial()
-    for mono, coeff in f.terms.items():
-        hit = next(((v, e) for v, e in mono if v[0] == "h" and v[1] in J), None)
+    hs = [("h", j) for j in sorted(J)]
+    out = {}
+    for m, c in f.packed.items():
+        hit = next(((v, e) for v in hs if (e := exponent(m, v))), None)
         if hit is None:
-            out.terms[mono] = coeff
+            out[m] = c
         elif hit[1] < 0:
             raise ValueError(f"zeta_{set(J)} hits a negative power of h{hit[0][1]}")
-    return out
+    return Polynomial.from_packed(out)
 
 
 # ---------------------------------------------------------------------------
@@ -321,28 +320,12 @@ def prop_A1_check(lam, K, monomials=None, window: int = None) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _split_h(poly: Polynomial, k: int):
-    """Decompose by the exponent of h_k: {m: coefficient polynomial}."""
-    out = {}
-    for mono, coeff in poly.terms.items():
-        m = 0
-        rest = []
-        for v, e in mono:
-            if v == ("h", k):
-                m = e
-            else:
-                rest.append((v, e))
-        acc = out.setdefault(m, Polynomial())
-        out[m] = acc + Polynomial({tuple(rest): coeff})
-    return out
-
-
 def _push_element(state: GammaElement, k: int, image) -> GammaElement:
     """Apply the linear map h_k^m -> image(m) coefficient-wise, leaving
     the other variables (and basis symbols) alone."""
     out = GammaElement.zero()
     for lam, coeff in state.combo.items():
-        for m, sub in _split_h(coeff, k).items():
+        for m, sub in coeff.split(("h", k)).items():
             img = image(m)
             if img:
                 out = out + GammaElement({lam: sub}) * img

@@ -14,6 +14,36 @@ x < y < t < z < h < u (then by index).  A variable is a plain tuple
 ``(family, index)`` with index >= 1.  The h variables may also carry
 negative exponents: the Laurent polynomials of the gysin checks are
 ordinary Polynomials.
+
+Packed monomials.  Each variable is interned once, on first use, to a
+slot k, and a monomial is one int
+
+    m = deg + sum_k e_k * 2^(DEG_BITS + FIELD_BITS * k),
+
+a DEG_BITS-bit total-degree field at the bottom and one FIELD_BITS-bit
+exponent field per slot above it.  The fields are balanced: a negative
+exponent borrows from the field above, so the map from exponent vectors
+to ints is linear.  The monomial 1 is 0, a product of monomials is one
+int addition, a quotient one subtraction, and `degree`, `part`,
+`truncate` and `star` read the degree field alone.  An exponent must lie
+in [-2^(FIELD_BITS-2), 2^(FIELD_BITS-2)), a degree in
+[-2^(DEG_BITS-2), 2^(DEG_BITS-2)).  The bias _LOW adds a quarter of its
+range to every field; a monomial in range then has every field
+nonnegative and its top bit, the guard bit, clear.  A sum of two
+monomials in range sets the guard bit of its lowest field that left the
+range, in either direction, and cannot be mistaken for another sum, so
+every product and power ends in one mask test over its result
+(`_check`), which raises ExponentOverflow instead of wrapping.
+
+Comparing the ints is lex order on the slots, the last interned slot
+most significant; it is a monomial order (m < m' gives m + n < m' + n),
+which is all `exact_divide` needs.  Nothing printed depends on it:
+`graded_terms` orders decoded terms by the variables themselves.
+
+`Polynomial.packed` is the map {packed monomial: coefficient} every
+computation reads.  `Polynomial.terms` decodes it into the read-only view
+{((family, index), exponent) pairs: coefficient} for the edges: text,
+JSON and tests.
 """
 
 from __future__ import annotations
@@ -24,9 +54,33 @@ from fractions import Fraction
 FAMILIES = ("x", "y", "t", "z", "h", "u")
 _FAM_RANK = {f: i for i, f in enumerate(FAMILIES)}
 
+FIELD_BITS = 10
+DEG_BITS = 16
+_HALF = 1 << (FIELD_BITS - 2)  # exponents lie in [-_HALF, _HALF)
+_FMASK = (1 << FIELD_BITS) - 1
+_DHALF = 1 << (DEG_BITS - 2)  # degrees lie in [-_DHALF, _DHALF)
+_DMASK = (1 << DEG_BITS) - 1
+
+_VARS = []  # slot -> variable
+_UNIT = {}  # variable -> its packed monomial v^1
+_SHIFT = {}  # variable -> bit offset of its field
+_TARGETS = {}  # packed monomial v^1 -> v
+_LOW = _DHALF  # a quarter of the range of the degree field and of every slot
+_GUARD = _DHALF << 1  # the top bit of each of those fields
+
 
 class NotDivisible(ArithmeticError):
     """Raised when an exact division does not come out exact."""
+
+
+class ExponentOverflow(OverflowError):
+    """Raised when an exponent or a degree leaves the range of its field."""
+
+
+def _overflow():
+    return ExponentOverflow(
+        f"exponents must lie in [{-_HALF}, {_HALF}) and degrees in [{-_DHALF}, {_DHALF})"
+    )
 
 
 def var(family: str, index: int) -> tuple[str, int]:
@@ -39,6 +93,75 @@ def var(family: str, index: int) -> tuple[str, int]:
 
 def _var_key(v):
     return (_FAM_RANK[v[0]], v[1])
+
+
+def _unit(v) -> int:
+    """The packed monomial of the variable v, interning v on first use."""
+    u = _UNIT.get(v)
+    if u is None:
+        global _LOW, _GUARD
+        v = var(*v)
+        shift = DEG_BITS + FIELD_BITS * len(_VARS)
+        _VARS.append(v)
+        _SHIFT[v] = shift
+        u = _UNIT[v] = 1 + (1 << shift)
+        _TARGETS[u] = v
+        _LOW += _HALF << shift
+        _GUARD += _HALF << (shift + 1)
+    return u
+
+
+def _encode(pairs) -> int:
+    """Pack a monomial given as ((family, index), exponent) pairs; a
+    variable given twice adds its exponents."""
+    exps = {}
+    for v, e in pairs:
+        exps[v] = exps.get(v, 0) + e
+    m = deg = 0
+    for v, e in exps.items():
+        if not -_HALF <= e < _HALF:
+            raise _overflow()
+        m += e * _unit(v)
+        deg += e
+    if not -_DHALF <= deg < _DHALF:
+        raise _overflow()
+    return m
+
+
+def _decode(m: int) -> tuple:
+    """The ((family, index), exponent) pairs of a packed monomial, sorted
+    by variable, zero exponents left out."""
+    m = (m - ((m + _DHALF) & _DMASK) + _DHALF) >> DEG_BITS
+    pairs = []
+    k = 0
+    while m:
+        e = ((m + _HALF) & _FMASK) - _HALF
+        if e:
+            pairs.append((_VARS[k], e))
+            m -= e
+        m >>= FIELD_BITS
+        k += 1
+    pairs.sort(key=lambda p: _var_key(p[0]))
+    return tuple(pairs)
+
+
+def _check(monos) -> None:
+    """Raise ExponentOverflow unless every packed monomial of monos, each
+    a sum of two in range, is in range: one guard-bit mask test."""
+    low = _LOW
+    acc = 0
+    for m in monos:
+        acc |= m + low
+    if acc & _GUARD:
+        raise _overflow()
+
+
+def exponent(mono: int, v) -> int:
+    """The exponent of the variable v in the packed monomial mono."""
+    shift = _SHIFT.get(v)
+    if shift is None:
+        return 0
+    return (((mono + _LOW) >> shift) & _FMASK) - _HALF
 
 
 def dyadic(value):
@@ -57,56 +180,35 @@ def dyadic(value):
     return value
 
 
-# A monomial is a tuple of ((family, index), exponent) pairs, sorted by
-# variable, with all exponents nonzero.  The empty tuple is 1.  Exponents
-# are positive except for h, which may carry negative (Laurent) powers.
-
-
-def _mono_sorted(pairs):
-    return tuple(sorted(pairs, key=lambda p: _var_key(p[0])))
-
-
-def _mono_degree(mono):
-    return sum(e for _, e in mono)
-
-
-def _mono_mul(m1, m2):
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    exps = dict(m1)
-    for v, e in m2:
-        e += exps.get(v, 0)
-        if e:
-            exps[v] = e
-        else:
-            del exps[v]  # a Laurent exponent cancelled
-    return _mono_sorted(exps.items())
-
-
 def _mono_key(mono):
-    """Graded-lex sort key (higher = bigger).
+    """Graded-lex sort key of decoded pairs (higher = bigger).
 
     Pairs are listed from the earliest variable outward with negated
     variable keys, so plain tuple comparison reproduces lex order even
     when the two monomials involve different variables.
     """
     return (
-        _mono_degree(mono),
+        sum(e for _, e in mono),
         tuple(((-_FAM_RANK[f], -i), e) for (f, i), e in mono),
     )
 
 
-def render_terms(terms: dict, latex: bool = False) -> str:
-    """Text form of a map {monomial: coefficient}, largest monomial first in
-    graded-lex order: plain "3*x1^2*y2" or latex "3 x_{1}^{2} y_{2}".
-    Every exponent other than 1 is printed, so negative (Laurent) powers
-    render too."""
+def graded_terms(p: "Polynomial") -> list:
+    """The decoded terms (pairs, coefficient) of p, largest monomial first
+    in graded-lex order on the variables x < y < t < z < h < u: the one
+    term order of everything printed or serialized."""
+    terms = [(_decode(m), c) for m, c in p.packed.items()]
+    terms.sort(key=lambda t: _mono_key(t[0]), reverse=True)
+    return terms
+
+
+def render_terms(p: "Polynomial", latex: bool = False) -> str:
+    """Text form of p in `graded_terms` order: plain "3*x1^2*y2" or latex
+    "3 x_{1}^{2} y_{2}".  Every exponent other than 1 is printed, so
+    negative (Laurent) powers render too."""
     sep = " " if latex else "*"
     bits = []
-    for mono in sorted(terms, key=_mono_key, reverse=True):
-        coeff = terms[mono]
+    for mono, coeff in graded_terms(p):
         factors = []
         for v, e in mono:
             name = f"{v[0]}_{{{v[1]}}}" if latex else f"{v[0]}{v[1]}"
@@ -140,41 +242,94 @@ def _add_into(acc: dict, terms: dict):
             del acc[m]
 
 
-class Polynomial:
-    """Sparse polynomial: a map from monomials to nonzero dyadic coefficients."""
+def _mul(a: dict, b: dict) -> dict:
+    """The product of two packed maps, checked by `_check`."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        [(m1, c1)] = a.items()
+        if not m1:
+            return dict(b) if c1 == 1 else {m: c1 * c for m, c in b.items()}
+        out = {m1 + m: c1 * c for m, c in b.items()}
+    else:
+        out = {}
+        get = out.get
+        items = b.items()
+        for m1, c1 in a.items():
+            for m2, c2 in items:
+                m = m1 + m2
+                out[m] = get(m, 0) + c1 * c2
+        if not all(out.values()):
+            out = {m: c for m, c in out.items() if c}
+    _check(out)
+    return out
 
-    __slots__ = ("terms",)
+
+def _moves(images: dict):
+    """The renaming of `Polynomial.substitute` when every image is +-w for
+    a variable w: one (field shift, w - v, negate) per mapped v.  None
+    when some image is anything else, or when some field of a result
+    would add up more than two exponents, so that `_check` could not
+    vouch for it."""
+    moves = []
+    sums = {}  # target unit -> exponents that add up in its field
+    for v, image in images.items():
+        if len(image.packed) != 1:
+            return None
+        [(w, c)] = image.packed.items()
+        if (c != 1 and c != -1) or w not in _TARGETS:
+            return None
+        moves.append((_SHIFT[v], w - _UNIT[v], c == -1))
+        sums[w] = sums.get(w, 0) + 1
+    for w, count in sums.items():
+        if count + (_TARGETS[w] not in images) > 2:
+            return None
+    return moves
+
+
+class Polynomial:
+    """Sparse polynomial: a map from packed monomials to nonzero dyadic
+    coefficients."""
+
+    __slots__ = ("packed",)
 
     def __init__(self, terms=None):
-        self.terms = {}
+        """terms: a map (or pairs) {monomial: coefficient}, each monomial a
+        tuple of ((family, index), exponent) pairs in any order."""
+        packed = self.packed = {}
         if terms:
             for mono, coeff in terms.items() if isinstance(terms, dict) else terms:
                 coeff = dyadic(coeff)
                 if coeff:
-                    exps = {}  # a variable given twice adds its exponents
-                    for v, e in mono:
-                        exps[v] = exps.get(v, 0) + e
-                    mono = _mono_sorted(p for p in exps.items() if p[1])
-                    acc = self.terms.get(mono)
+                    m = _encode(mono)
+                    acc = packed.get(m)
                     coeff = coeff if acc is None else acc + coeff
                     if coeff:
-                        self.terms[mono] = coeff
+                        packed[m] = coeff
                     else:
-                        del self.terms[mono]
+                        del packed[m]
+
+    @staticmethod
+    def from_packed(packed: dict) -> "Polynomial":
+        """Wrap a map {packed monomial: nonzero coefficient} whose monomials
+        are in range; the map is taken, not copied."""
+        p = Polynomial.__new__(Polynomial)
+        p.packed = packed
+        return p
 
     @staticmethod
     def const(c) -> "Polynomial":
-        p = Polynomial()
         c = dyadic(c)
-        if c:
-            p.terms[()] = c
-        return p
+        return Polynomial.from_packed({0: c} if c else {})
 
     @staticmethod
-    def variable(family: str, index: int) -> "Polynomial":
-        p = Polynomial()
-        p.terms[((var(family, index), 1),)] = 1
-        return p
+    def variable(family: str, index: int, power: int = 1) -> "Polynomial":
+        """v^power for the variable v = (family, index); the power may be
+        negative."""
+        u = _unit(var(family, index))
+        if not -_HALF <= power < _HALF:
+            raise _overflow()
+        return Polynomial.from_packed({power * u: 1})
 
     @staticmethod
     def of(value) -> "Polynomial":
@@ -182,23 +337,25 @@ class Polynomial:
             return value
         return Polynomial.const(value)
 
+    @property
+    def terms(self) -> dict:
+        """The decoded view {((family, index), exponent) pairs: coefficient}."""
+        return {_decode(m): c for m, c in self.packed.items()}
+
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.packed)
 
     def __eq__(self, other):
-        return self.terms == Polynomial.of(other).terms
+        return self.packed == Polynomial.of(other).packed
 
     def __neg__(self):
-        p = Polynomial()
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
+        return Polynomial.from_packed({m: -c for m, c in self.packed.items()})
 
     def __add__(self, other):
         other = Polynomial.of(other)
-        p = Polynomial()
-        p.terms = dict(self.terms)
-        _add_into(p.terms, other.terms)
-        return p
+        acc = dict(self.packed)
+        _add_into(acc, other.packed)
+        return Polynomial.from_packed(acc)
 
     __radd__ = __add__
 
@@ -209,20 +366,8 @@ class Polynomial:
         return Polynomial.of(other) + (-self)
 
     def __mul__(self, other):
-        other = Polynomial.of(other)
-        p = Polynomial()
-        acc = p.terms
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                c = c1 * c2
-                old = acc.get(m)
-                c = c if old is None else old + c
-                if c:
-                    acc[m] = c
-                else:
-                    del acc[m]
-        return p
+        other = other.packed if isinstance(other, Polynomial) else Polynomial.const(other).packed
+        return Polynomial.from_packed(_mul(self.packed, other))
 
     __rmul__ = __mul__
 
@@ -241,64 +386,113 @@ class Polynomial:
 
     def degree(self) -> int:
         """Total degree; the zero polynomial gets -1."""
-        if not self.terms:
+        if not self.packed:
             return -1
-        return max(_mono_degree(m) for m in self.terms)
+        return max((m + _DHALF) & _DMASK for m in self.packed) - _DHALF
 
     def part(self, d: int) -> "Polynomial":
         """The homogeneous component of total degree d."""
-        p = Polynomial()
-        p.terms = {m: c for m, c in self.terms.items() if _mono_degree(m) == d}
-        return p
+        field = d + _DHALF
+        return Polynomial.from_packed(
+            {m: c for m, c in self.packed.items() if (m + _DHALF) & _DMASK == field}
+        )
 
     def truncate(self, d: int) -> "Polynomial":
         """Drop all terms of total degree > d."""
-        p = Polynomial()
-        p.terms = {m: c for m, c in self.terms.items() if _mono_degree(m) <= d}
-        return p
+        field = d + _DHALF
+        return Polynomial.from_packed(
+            {m: c for m, c in self.packed.items() if (m + _DHALF) & _DMASK <= field}
+        )
 
     def star(self) -> "Polynomial":
-        """Multiply the degree-d component by (-1)^d."""
-        p = Polynomial()
-        p.terms = {
-            m: (c if _mono_degree(m) % 2 == 0 else -c) for m, c in self.terms.items()
-        }
-        return p
+        """Multiply the degree-d component by (-1)^d: the low bit of a
+        monomial is the parity of its degree."""
+        return Polynomial.from_packed({m: -c if m & 1 else c for m, c in self.packed.items()})
+
+    def split(self, v) -> dict:
+        """Decompose by the exponent of the variable v: {e: the coefficient
+        Polynomial of v^e}."""
+        u = _UNIT.get(v)
+        if u is None:
+            return {0: self} if self else {}
+        shift, low = _SHIFT[v], _LOW
+        out = {}
+        for m, c in self.packed.items():
+            e = (((m + low) >> shift) & _FMASK) - _HALF
+            out.setdefault(e, {})[m - e * u] = c
+        return {e: Polynomial.from_packed(d) for e, d in out.items()}
 
     def substitute(self, mapping) -> "Polynomial":
         """Simultaneously substitute polynomials for variables.
 
         mapping: dict from (family, index) to Polynomial (or int).
-        Unmapped variables pass through.  Each power mapping[v]**e is
-        computed once per call, and the images of the terms are added
-        into one dict, so the cost is linear in the terms produced.
+        Unmapped variables pass through.  When every image is a variable
+        or its negative (a renaming such as x_i <-> x_{i+1}, a sign such
+        as x_1 -> -x_1), each term moves by one int addition per mapped
+        variable, negative exponents included.  Otherwise the images
+        multiply in, each power mapping[v]**e computed once per call.
+        The images of the terms are added into one dict, so the cost is
+        linear in the terms produced.
         """
-        out = Polynomial()
-        powers = {}
-        for mono, coeff in self.terms.items():
-            term = Polynomial()
-            term.terms[tuple(p for p in mono if p[0] not in mapping)] = coeff
-            for v, e in mono:
-                if v in mapping:
-                    power = powers.get((v, e))
-                    if power is None:
-                        power = powers[v, e] = Polynomial.of(mapping[v]) ** e
-                    term = term * power
-            _add_into(out.terms, term.terms)
-        return out
+        # a variable never interned is in no monomial
+        images = {v: Polynomial.of(image) for v, image in mapping.items() if v in _UNIT}
+        moves = _moves(images)
+        low = _LOW
+        out = {}
+        get = out.get
+        if moves is not None:
+            for m, c in self.packed.items():
+                x = m + low
+                for shift, delta, negate in moves:
+                    e = ((x >> shift) & _FMASK) - _HALF
+                    if e:
+                        m += e * delta
+                        if negate and e & 1:
+                            c = -c
+                out[m] = get(m, 0) + c
+            _check(out)
+        else:
+            powers = {}
+            for m, c in self.packed.items():
+                x = m + low
+                term = None
+                for v, image in images.items():
+                    e = ((x >> _SHIFT[v]) & _FMASK) - _HALF
+                    if e:
+                        m -= e * _UNIT[v]
+                        power = powers.get((v, e))
+                        if power is None:
+                            power = powers[v, e] = (image**e).packed
+                        term = power if term is None else _mul(term, power)
+                if term is None:
+                    out[m] = get(m, 0) + c
+                    continue
+                for m2, c2 in _mul({m: c}, term).items():
+                    out[m2] = get(m2, 0) + c2
+        if not all(out.values()):
+            out = {m: c for m, c in out.items() if c}
+        return Polynomial.from_packed(out)
 
     def variables(self):
+        low = _LOW
+        acc = 0
+        for m in self.packed:
+            acc |= (m + low) ^ low  # the fields of the nonzero exponents
+        acc >>= DEG_BITS
         seen = set()
-        for mono in self.terms:
-            for v, _ in mono:
+        for v in _VARS:
+            if not acc:
+                break
+            if acc & _FMASK:
                 seen.add(v)
+            acc >>= FIELD_BITS
         return seen
 
     def constant_term(self):
-        return self.terms.get((), 0)
+        return self.packed.get(0, 0)
 
     def __str__(self):
-        return render_terms(self.terms)
+        return render_terms(self)
 
     __repr__ = __str__
 
@@ -306,62 +500,69 @@ class Polynomial:
 def exact_divide(p: Polynomial, d: Polynomial) -> Polynomial:
     """Return q with q*d == p, or raise NotDivisible.
 
-    Leading-term cancellation in graded-lex order; when an exact quotient
-    exists this always finds it, and since it is unique the order does
-    not change the result.  The remainder is one dict, updated in place,
-    and its monomials wait in a heap keyed once each by their negated
-    graded-lex exponent vector over the variables of p and d, so the
-    largest pops first; an entry whose coefficient has cancelled is
-    skipped.  The cost is linear, up to the heap's log factor, in the
-    terms the division touches.
+    Leading-term cancellation in the int order of packed monomials; when
+    an exact quotient exists this always finds it, and since it is unique
+    the order does not change the result.  The remainder is one dict,
+    updated in place, and its monomials wait in a heap, largest first; an
+    entry whose coefficient has cancelled is skipped.  A remainder
+    monomial r is divisible by the leading monomial l of d when r - l has
+    no negative exponent where l has a nonzero one: a mask test on the
+    biased fields.  The cost is linear, up to the heap's log factor, in
+    the terms the division touches.
     """
     if not d:
         raise ZeroDivisionError("division by the zero polynomial")
-    slot = {
-        v: k
-        for k, v in enumerate(sorted(p.variables() | d.variables(), key=_var_key), 1)
-    }
-    width = len(slot) + 1
-
-    def key(mono):
-        vec = [0] * width
-        for v, e in mono:
-            vec[slot[v]] = -e
-            vec[0] -= e
-        return tuple(vec)
-
-    d_mono = min(d.terms, key=key)
-    d_coeff = d.terms[d_mono]
-    d_exps = dict(d_mono)
-    d_tail = [(m, c) for m, c in d.terms.items() if m != d_mono]
-    rem = dict(p.terms)
-    heap = [(key(m), m) for m in rem]
+    low, guard = _LOW, _GUARD
+    lead = max(d.packed)
+    d_coeff = d.packed[lead]
+    # bit _HALF of each field where lead has an exponent: set in r - lead
+    # + low exactly where that exponent of r - lead is >= 0
+    support = 0
+    fields = ((lead + low) ^ low) >> DEG_BITS
+    shift = DEG_BITS
+    while fields:
+        if fields & _FMASK:
+            support |= _HALF << shift
+        fields >>= FIELD_BITS
+        shift += FIELD_BITS
+    test = support | guard
+    d_tail = [(m, c) for m, c in d.packed.items() if m != lead]
+    rem = dict(p.packed)
+    heap = [-m for m in rem]
     heapq.heapify(heap)
-    q = Polynomial()
+    push, pop = heapq.heappush, heapq.heappop
+    q = {}
     while heap:
-        r_mono = heapq.heappop(heap)[1]
+        r_mono = -pop(heap)
         r_coeff = rem.pop(r_mono, 0)
         if not r_coeff:
             continue
-        r_exps = dict(r_mono)
-        for v, e in d_exps.items():
-            if r_exps.get(v, 0) < e:
-                raise NotDivisible(f"({p}) is not divisible by ({d})")
-        qm = tuple((v, e - d_exps.get(v, 0)) for v, e in r_mono if e != d_exps.get(v, 0))
-        qc = q.terms[qm] = dyadic(Fraction(r_coeff, d_coeff))
+        qm = r_mono - lead
+        biased = qm + low
+        if biased & test != support:
+            if biased & guard:
+                raise _overflow()
+            raise NotDivisible(f"({p}) is not divisible by ({d})")
+        if d_coeff == 1:
+            qc = dyadic(r_coeff)
+        elif d_coeff == -1:
+            qc = dyadic(-r_coeff)
+        else:
+            qc = dyadic(Fraction(r_coeff, d_coeff))
+        q[qm] = qc
         for m, c in d_tail:
-            m = _mono_mul(qm, m)
+            m += qm
             old = rem.get(m)
             if old is None:
                 rem[m] = -qc * c
-                heapq.heappush(heap, (key(m), m))
+                push(heap, -m)
             else:
                 c = old - qc * c
                 if c:
                     rem[m] = c
                 else:
                     del rem[m]
-    return q
+    return Polynomial.from_packed(q)
 
 
 def series_inverse(p: Polynomial, bound: int) -> Polynomial:
@@ -380,7 +581,7 @@ def series_inverse(p: Polynomial, bound: int) -> Polynomial:
         acc = Polynomial()
         for j in range(1, d + 1):
             pj = p_parts.get(j)
-            if pj and pj.terms:
+            if pj:
                 acc = acc + pj * parts[d - j]
         parts[d] = Polynomial.const(-inv_c0) * acc
     total = Polynomial()

@@ -97,6 +97,11 @@ class TestSerialization:
         with pytest.raises(cli.ParseError):
             parse_element([row])
 
+    def test_parse_rejects_an_exponent_beyond_its_field(self):
+        row = {"q": [], "coeff": {"num": "1", "log2den": 0}, "mono": {"x1": 1 << 20}}
+        with pytest.raises(cli.ParseError, match="exponents must lie in"):
+            parse_element([row])
+
     def test_integral_fraction_coefficient(self):
         # Fraction(1, 2) * 2 is the Fraction 1/1, which must read exactly like 1
         one = Polynomial.const(Fraction(1, 2)) * 2
@@ -240,6 +245,17 @@ class TestCommands:
         assert out.out == ""
         assert out.err.startswith("error: ") and out.err.count("\n") == 1
 
+    def test_exponent_overflow_exit_2(self, capsys, monkeypatch):
+        # a class whose exponents leave their fields, as a too-large request would
+        def schubert(w, wtype, n=None):
+            return Polynomial.variable("x", 1, 200) ** 2
+
+        monkeypatch.setattr(cli, "schubert", schubert)
+        code = main(["schubert", "--w", "2 1", "--type", "A"])
+        out = capsys.readouterr()
+        assert code == 2 and out.out == ""
+        assert out.err.startswith("error: exponents must lie in") and out.err.count("\n") == 1
+
 
 class TestVerify:
     def test_unknown_suite(self, capsys):
@@ -262,6 +278,19 @@ class TestVerify:
         # W_1 sits below type D's least size 2, so its left side takes the default size
         code, out = run(capsys, "verify", "stability", "--n", "1")
         assert code == 0 and out.endswith("stability: PASS\n")
+
+    def test_stability_at_n_1_reaches_type_d_size_3(self, capsys, monkeypatch):
+        # a type-D class that changes from size 2 to size 3 must show at --n 1
+        real = cli.schubert
+
+        def schubert(w, wtype, n=None):
+            out = real(w, wtype, n=n)
+            return out + 1 if wtype == "D" and n == 3 else out
+
+        monkeypatch.setattr(cli, "schubert", schubert)
+        code, out = run(capsys, "verify", "stability", "--n", "1")
+        assert code == 1 and "instability: type D, w = 1" in out
+        assert "all four types checked at n = 1 vs 2, type D at n = 2 vs 3" in out
 
     def test_suite_flag_spelling(self, capsys):
         code, out = run(capsys, "verify", "--suite", "stability")

@@ -1,15 +1,22 @@
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from vexpf.polycore import (
+    FAMILIES,
+    ExponentOverflow,
     NotDivisible,
     Polynomial,
     dyadic,
     exact_divide,
     series_inverse,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def X(i):
@@ -189,22 +196,108 @@ def test_exact_divide_rejects_a_low_degree_remainder(q, d, r):
         exact_divide(q * d + r, d)
 
 
-_VARIABLES = [("x", 1), ("x", 2), ("x", 3), ("y", 1), ("t", 1)]
+
+# -- the tuple-monomial reference --------------------------------------------
+# A monomial is a tuple of ((family, index), exponent) pairs sorted by
+# variable, exponents nonzero; a polynomial is a dict {monomial: coefficient}.
+# This is the representation the packed kernel replaced, kept as an oracle.
 
 
-def naive_substitute(p, mapping):
-    """Term by term, each power as repeated products."""
-    out = Polynomial()
-    for mono, coeff in p.terms.items():
-        term = Polynomial.const(coeff)
+def _ref_sorted(exps: dict) -> tuple:
+    pairs = [(v, e) for v, e in exps.items() if e]
+    return tuple(sorted(pairs, key=lambda p: (FAMILIES.index(p[0][0]), p[0][1])))
+
+
+def ref_mono_mul(m1, m2):
+    exps = dict(m1)
+    for v, e in m2:
+        exps[v] = exps.get(v, 0) + e
+    return _ref_sorted(exps)
+
+
+def _ref_add(acc: dict, m, c):
+    c += acc.get(m, 0)
+    if c:
+        acc[m] = c
+    else:
+        acc.pop(m, None)
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            _ref_add(out, ref_mono_mul(m1, m2), c1 * c2)
+    return out
+
+
+def ref_pow(a: dict, n: int) -> dict:
+    out = {(): 1}
+    for _ in range(n):
+        out = ref_mul(out, a)
+    return out
+
+
+def _ref_degree(m) -> int:
+    return sum(e for _, e in m)
+
+
+def ref_part(a: dict, d: int) -> dict:
+    return {m: c for m, c in a.items() if _ref_degree(m) == d}
+
+
+def ref_star(a: dict) -> dict:
+    return {m: -c if _ref_degree(m) % 2 else c for m, c in a.items()}
+
+
+def ref_substitute(a: dict, mapping: dict) -> dict:
+    """Term by term, each power as repeated products of the image."""
+    out = {}
+    for mono, coeff in a.items():
+        term = {(): coeff}
         for v, e in mono:
             if v in mapping:
                 for _ in range(e):
-                    term = term * Polynomial.of(mapping[v])
+                    term = ref_mul(term, Polynomial.of(mapping[v]).terms)
             else:
-                term = term * Polynomial({((v, e),): 1})
-        out = out + term
+                term = ref_mul(term, {((v, e),): 1})
+        for m, c in term.items():
+            _ref_add(out, m, c)
     return out
+
+
+_PLAIN = [("x", 1), ("x", 2), ("x", 3), ("y", 1), ("y", 2), ("t", 1), ("z", 2), ("u", 1)]
+_LAURENT = [("h", 1), ("h", 2)]
+
+
+@st.composite
+def ref_polynomials(draw, max_terms=5, laurent=True):
+    """A reference polynomial with up to max_terms terms; h exponents may
+    be negative."""
+    out = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        exps = draw(st.dictionaries(st.sampled_from(_PLAIN), st.integers(1, 3), max_size=3))
+        if laurent:
+            exps.update(draw(st.dictionaries(st.sampled_from(_LAURENT), st.integers(-3, 3),
+                                             max_size=2)))
+        _ref_add(out, _ref_sorted(exps), draw(st.sampled_from([1, -1, 2, -3, Fraction(1, 2)])))
+    return out
+
+
+_SUBSTITUTED = [("x", 1), ("x", 2), ("x", 3), ("y", 1), ("t", 1)]
+renamings = st.dictionaries(
+    st.sampled_from(_SUBSTITUTED),
+    st.builds(lambda v, s: s * Polynomial.variable(*v), st.sampled_from(_SUBSTITUTED + _PLAIN),
+              st.sampled_from([1, -1])),
+)
+general_images = st.dictionaries(
+    st.sampled_from(_SUBSTITUTED),
+    st.one_of(st.integers(-2, 2), ref_polynomials(max_terms=3, laurent=False).map(Polynomial)),
+    max_size=3,
+)
+
+
+_VARIABLES = [("x", 1), ("x", 2), ("x", 3), ("y", 1), ("t", 1)]
 
 
 @st.composite
@@ -228,4 +321,159 @@ images = st.one_of(
 @given(laurent_polynomials(), st.dictionaries(st.sampled_from(_VARIABLES), images))
 @example(3 * X(1) ** 2 * X(2) - X(2) + Y(1), {("x", 1): X(2), ("x", 2): X(2)})
 def test_substitute_matches_naive(p, mapping):
-    assert p.substitute(mapping) == naive_substitute(p, mapping)
+    assert p.substitute(mapping).terms == ref_substitute(p.terms, mapping)
+
+
+class TestOracle:
+    """The packed kernel against the tuple-monomial reference."""
+
+    @given(ref_polynomials(), ref_polynomials())
+    def test_mul(self, a, b):
+        assert (Polynomial(a) * Polynomial(b)).terms == ref_mul(a, b)
+
+    @given(ref_polynomials(max_terms=3), st.integers(0, 4))
+    def test_pow(self, a, n):
+        assert (Polynomial(a) ** n).terms == ref_pow(a, n)
+
+    @given(ref_polynomials(), st.integers(-4, 6))
+    def test_part_and_star(self, a, d):
+        p = Polynomial(a)
+        assert p.part(d).terms == ref_part(a, d)
+        assert p.star().terms == ref_star(a)
+        assert p.degree() == max(map(_ref_degree, a), default=-1)
+
+    @given(ref_polynomials(laurent=False), ref_polynomials(max_terms=3, laurent=False))
+    def test_exact_divide(self, q, d):
+        assume(d)
+        assert exact_divide(Polynomial(ref_mul(q, d)), Polynomial(d)).terms == q
+
+    @given(ref_polynomials(), renamings)
+    @example({((("x", 1), 2), (("h", 1), -2)): 1, ((("x", 2), 1),): 3},
+             {("x", 1): Polynomial.variable("x", 2), ("x", 2): Polynomial.variable("x", 1)})
+    @example({((("x", 1), 3), (("h", 2), -1)): 1}, {("x", 1): -Polynomial.variable("x", 1)})
+    def test_substitute_renaming_and_sign(self, a, mapping):
+        # h^-k is never mapped, so it passes through the renaming untouched
+        assert Polynomial(a).substitute(mapping).terms == ref_substitute(a, mapping)
+
+    @given(ref_polynomials(), general_images)
+    def test_substitute_general(self, a, mapping):
+        assert Polynomial(a).substitute(mapping).terms == ref_substitute(a, mapping)
+
+    def test_laurent_exponent_cancels_to_zero(self):
+        a = {((("x", 1), 1), (("h", 1), 2)): 1}
+        b = {((("h", 1), -2), (("y", 1), 1)): 3}
+        assert (Polynomial(a) * Polynomial(b)).terms == ref_mul(a, b) == {
+            ((("x", 1), 1), (("y", 1), 1)): 3}
+
+    def test_renaming_of_a_laurent_power(self):
+        # a renaming is a ring automorphism of the Laurent polynomials
+        h = Polynomial({((("h", 1), -2), (("x", 1), 1)): 1})
+        out = h.substitute({("h", 1): Polynomial.variable("h", 2)})
+        assert out.terms == {((("x", 1), 1), (("h", 2), -2)): 1}
+
+
+_INTERNING_SCRIPT = """
+import sys
+from vexpf.polycore import Polynomial, exact_divide
+order = sys.argv[1:]
+for name in order:
+    Polynomial.variable(name[0], int(name[1:]))
+X = lambda i: Polynomial.variable("x", i)
+Y = lambda i: Polynomial.variable("y", i)
+h = Polynomial({((("h", 1), -1),): 1})
+p = (X(1) - Y(2) + h) * (1 + X(2) * Y(1)) ** 2
+d = X(1) - X(2)
+print(p)
+print(sorted(p.terms.items()))
+print(exact_divide(p * d, d) == p, p.star(), p.part(2), p.degree())
+print(p.substitute({("x", 1): X(2), ("x", 2): X(1)}), p.substitute({("y", 2): 1 + X(1)}))
+"""
+
+
+def test_interning_order_changes_no_result():
+    """Slots follow the order variables are first used; run the same
+    computations after interning the variables in three orders."""
+    outputs = set()
+    for order in (["x1", "x2", "y1", "y2", "h1"], ["h1", "y2", "y1", "x2", "x1"],
+                  ["y1", "h1", "x2", "y2", "x1"]):
+        run = subprocess.run([sys.executable, "-c", _INTERNING_SCRIPT, *order],
+                             capture_output=True, text=True, env={"PYTHONPATH": str(SRC)},
+                             check=True)
+        outputs.add(run.stdout)
+    assert len(outputs) == 1
+
+
+# -- field overflow ----------------------------------------------------------
+
+
+class TestOverflow:
+    """Every way a monomial can leave its fields raises, and none wraps."""
+
+    @pytest.mark.parametrize("fam, e1, e2", [("x", 200, 100), ("h", -200, -100), ("h", 255, 1)])
+    def test_product(self, fam, e1, e2):
+        a = Polynomial.variable(fam, 1, e1)
+        b = Polynomial.variable(fam, 1, e2) * (1 + Polynomial.variable("y", 1))
+        with pytest.raises(ExponentOverflow):
+            a * b
+
+    @pytest.mark.parametrize("fam, e, n", [("x", 2, 200), ("h", -3, 100), ("x", 1, 256)])
+    def test_power(self, fam, e, n):
+        with pytest.raises(ExponentOverflow):
+            Polynomial.variable(fam, 1, e) ** n
+
+    def test_in_range_edges(self):
+        # the extreme exponents themselves are in range, and decode as given
+        top = Polynomial.variable("x", 1, 127) * Polynomial.variable("x", 1, 128)
+        assert top.terms == {((("x", 1), 255),): 1}
+        low = Polynomial.variable("h", 1, -128) ** 2
+        assert low.terms == {((("h", 1), -256),): 1}
+        assert (top * Polynomial.variable("x", 1, -255)).terms == {(): 1}
+
+    def test_constructor_and_variable(self):
+        with pytest.raises(ExponentOverflow):
+            Polynomial({((("x", 1), 256),): 1})
+        with pytest.raises(ExponentOverflow):
+            Polynomial({((("x", 1), 200), (("x", 1), 100)): 1})
+        with pytest.raises(ExponentOverflow):
+            Polynomial.variable("h", 1, -257)
+
+    def test_substitute_merging_two_fields(self):
+        x1, x2 = Polynomial.variable("x", 1, 200), Polynomial.variable("x", 2, 100)
+        with pytest.raises(ExponentOverflow):
+            (x1 * x2).substitute({("x", 1): Polynomial.variable("x", 2),
+                                  ("x", 2): Polynomial.variable("x", 2)})
+
+    def test_substitute_merging_many_fields(self):
+        # four exponents of 200 would add up to 800, one field above its
+        # range, where the guard bit is clear again: such a renaming is
+        # multiplied out instead, and overflows loudly
+        p = Polynomial.const(1)
+        for i in range(1, 5):
+            p = p * Polynomial.variable("x", i, 200)
+        with pytest.raises(ExponentOverflow):
+            p.substitute({("x", i): Polynomial.variable("x", 5) for i in range(1, 5)})
+
+    def test_exact_divide_quotient(self):
+        with pytest.raises(ExponentOverflow):
+            exact_divide(Polynomial.variable("h", 1, 200), Polynomial.variable("h", 1, -100))
+
+    def test_degree_field(self):
+        # 70 variables at exponent 120 keep every exponent field in range
+        # while the degree, 16800, leaves its own
+        script = (
+            "from vexpf.polycore import Polynomial, ExponentOverflow\n"
+            "m = Polynomial.const(1)\n"
+            "for i in range(1, 71):\n"
+            "    m = m * Polynomial.variable('z', i, 60)\n"
+            "try:\n"
+            "    m * m * m * m\n"
+            "except ExponentOverflow:\n"
+            "    print('product')\n"
+            "try:\n"
+            "    Polynomial({tuple((('z', i), 240) for i in range(1, 71)): 1})\n"
+            "except ExponentOverflow:\n"
+            "    print('constructor')\n"
+        )
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env={"PYTHONPATH": str(SRC)}, check=True)
+        assert run.stdout.split() == ["product", "constructor"]
