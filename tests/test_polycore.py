@@ -196,7 +196,6 @@ def test_exact_divide_rejects_a_low_degree_remainder(q, d, r):
         exact_divide(q * d + r, d)
 
 
-
 # -- the tuple-monomial reference --------------------------------------------
 # A monomial is a tuple of ((family, index), exponent) pairs sorted by
 # variable, exponents nonzero; a polynomial is a dict {monomial: coefficient}.
@@ -284,20 +283,17 @@ def ref_polynomials(draw, max_terms=5, laurent=True):
     return out
 
 
-_SUBSTITUTED = [("x", 1), ("x", 2), ("x", 3), ("y", 1), ("t", 1)]
+_VARIABLES = [("x", 1), ("x", 2), ("x", 3), ("y", 1), ("t", 1)]
 renamings = st.dictionaries(
-    st.sampled_from(_SUBSTITUTED),
-    st.builds(lambda v, s: s * Polynomial.variable(*v), st.sampled_from(_SUBSTITUTED + _PLAIN),
+    st.sampled_from(_VARIABLES),
+    st.builds(lambda v, s: s * Polynomial.variable(*v), st.sampled_from(_VARIABLES + _PLAIN),
               st.sampled_from([1, -1])),
 )
 general_images = st.dictionaries(
-    st.sampled_from(_SUBSTITUTED),
+    st.sampled_from(_VARIABLES),
     st.one_of(st.integers(-2, 2), ref_polynomials(max_terms=3, laurent=False).map(Polynomial)),
     max_size=3,
 )
-
-
-_VARIABLES = [("x", 1), ("x", 2), ("x", 3), ("y", 1), ("t", 1)]
 
 
 @st.composite
