@@ -54,13 +54,13 @@ class RelationViolated(ValueError):
 
 def h_power(i: int, e: int) -> Polynomial:
     """h_i^e for any integer e."""
-    return Polynomial.variable("h", i, e)
+    return Polynomial({((("h", i), e),): 1})
 
 
 def u_power(i: int, e: int) -> Polynomial:
     if e < 0:
         raise ValueError("u exponents are nonnegative")
-    return Polynomial.variable("u", i, e)
+    return Polynomial({((("u", i), e),): 1})
 
 
 def restrict(f: Polynomial, bound: int) -> Polynomial:

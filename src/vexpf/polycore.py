@@ -323,13 +323,8 @@ class Polynomial:
         return Polynomial.from_packed({0: c} if c else {})
 
     @staticmethod
-    def variable(family: str, index: int, power: int = 1) -> "Polynomial":
-        """v^power for the variable v = (family, index); the power may be
-        negative."""
-        u = _unit(var(family, index))
-        if not -_HALF <= power < _HALF:
-            raise _overflow()
-        return Polynomial.from_packed({power * u: 1})
+    def variable(family: str, index: int) -> "Polynomial":
+        return Polynomial.from_packed({_unit(var(family, index)): 1})
 
     @staticmethod
     def of(value) -> "Polynomial":
@@ -372,10 +367,16 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Polynomial.const(1)
+        """self^n; n < 0 only for a unit monomial +-w, as (+-w^-1)^-n."""
         base = self
+        if n < 0:
+            if len(self.packed) != 1 or next(iter(self.packed.values())) not in (1, -1):
+                raise ValueError("negative power of a polynomial other than +-monomial")
+            [(m, c)] = self.packed.items()
+            base = Polynomial.from_packed({-m: c})
+            _check(base.packed)
+            n = -n
+        result = Polynomial.const(1)
         while n:
             if n & 1:
                 result = result * base

@@ -248,7 +248,7 @@ class TestCommands:
     def test_exponent_overflow_exit_2(self, capsys, monkeypatch):
         # a class whose exponents leave their fields, as a too-large request would
         def schubert(w, wtype, n=None):
-            return Polynomial.variable("x", 1, 200) ** 2
+            return Polynomial({((("x", 1), 200),): 1}) ** 2
 
         monkeypatch.setattr(cli, "schubert", schubert)
         code = main(["schubert", "--w", "2 1", "--type", "A"])

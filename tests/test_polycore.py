@@ -31,6 +31,11 @@ def T(i):
     return Polynomial.variable("t", i)
 
 
+def power(family, index, e):
+    """v^e as a one-term Polynomial; e may be negative."""
+    return Polynomial({(((family, index), e),): 1})
+
+
 class TestCoefficients:
     def test_canonical_form(self):
         two = dyadic(Fraction(4, 2))
@@ -256,8 +261,14 @@ def ref_substitute(a: dict, mapping: dict) -> dict:
         term = {(): coeff}
         for v, e in mono:
             if v in mapping:
-                for _ in range(e):
-                    term = ref_mul(term, Polynomial.of(mapping[v]).terms)
+                image = Polynomial.of(mapping[v]).terms
+                if e < 0:
+                    # only a unit monomial +-w has an inverse, +-w^-1
+                    [(w, c)] = image.items()
+                    assert c in (1, -1)
+                    image = {tuple((u, -k) for u, k in w): c}
+                for _ in range(abs(e)):
+                    term = ref_mul(term, image)
             else:
                 term = ref_mul(term, {((v, e),): 1})
         for m, c in term.items():
@@ -285,8 +296,9 @@ def ref_polynomials(draw, max_terms=5, laurent=True):
 
 _VARIABLES = [("x", 1), ("x", 2), ("x", 3), ("y", 1), ("t", 1)]
 renamings = st.dictionaries(
-    st.sampled_from(_VARIABLES),
-    st.builds(lambda v, s: s * Polynomial.variable(*v), st.sampled_from(_VARIABLES + _PLAIN),
+    st.sampled_from(_VARIABLES + _LAURENT),
+    st.builds(lambda v, s: s * Polynomial.variable(*v),
+              st.sampled_from(_VARIABLES + _PLAIN + _LAURENT),
               st.sampled_from([1, -1])),
 )
 general_images = st.dictionaries(
@@ -347,8 +359,10 @@ class TestOracle:
     @example({((("x", 1), 2), (("h", 1), -2)): 1, ((("x", 2), 1),): 3},
              {("x", 1): Polynomial.variable("x", 2), ("x", 2): Polynomial.variable("x", 1)})
     @example({((("x", 1), 3), (("h", 2), -1)): 1}, {("x", 1): -Polynomial.variable("x", 1)})
+    @example({((("h", 1), -2), (("h", 2), 1), (("x", 1), 1)): 1},
+             {("h", 1): Polynomial.variable("x", 1), ("h", 2): Polynomial.variable("x", 1)})
     def test_substitute_renaming_and_sign(self, a, mapping):
-        # h^-k is never mapped, so it passes through the renaming untouched
+        # a mapped h^-k moves to the inverse of its image
         assert Polynomial(a).substitute(mapping).terms == ref_substitute(a, mapping)
 
     @given(ref_polynomials(), general_images)
@@ -360,6 +374,19 @@ class TestOracle:
         b = {((("h", 1), -2), (("y", 1), 1)): 3}
         assert (Polynomial(a) * Polynomial(b)).terms == ref_mul(a, b) == {
             ((("x", 1), 1), (("y", 1), 1)): 3}
+
+    @given(ref_polynomials(max_terms=1), st.integers(-4, 4))
+    def test_power_of_a_unit_monomial(self, a, n):
+        assume(len(a) == 1 and set(a.values()) <= {1, -1})
+        [(m, c)] = a.items()
+        inverse = {tuple((v, -e) for v, e in m): c}
+        assert (Polynomial(a) ** n).terms == ref_pow(a if n >= 0 else inverse, abs(n))
+
+    def test_negative_power_of_a_sum(self):
+        with pytest.raises(ValueError):
+            (1 + Polynomial.variable("x", 1)) ** -1
+        with pytest.raises(ValueError):
+            (2 * Polynomial.variable("x", 1)) ** -1
 
     def test_renaming_of_a_laurent_power(self):
         # a renaming is a ring automorphism of the Laurent polynomials
@@ -407,34 +434,39 @@ class TestOverflow:
 
     @pytest.mark.parametrize("fam, e1, e2", [("x", 200, 100), ("h", -200, -100), ("h", 255, 1)])
     def test_product(self, fam, e1, e2):
-        a = Polynomial.variable(fam, 1, e1)
-        b = Polynomial.variable(fam, 1, e2) * (1 + Polynomial.variable("y", 1))
+        a = power(fam, 1, e1)
+        b = power(fam, 1, e2) * (1 + Polynomial.variable("y", 1))
         with pytest.raises(ExponentOverflow):
             a * b
 
     @pytest.mark.parametrize("fam, e, n", [("x", 2, 200), ("h", -3, 100), ("x", 1, 256)])
     def test_power(self, fam, e, n):
         with pytest.raises(ExponentOverflow):
-            Polynomial.variable(fam, 1, e) ** n
+            power(fam, 1, e) ** n
+
+    def test_inverse(self):
+        # h^-256 is in range, its inverse h^256 is not
+        with pytest.raises(ExponentOverflow):
+            power("h", 1, -256) ** -1
 
     def test_in_range_edges(self):
         # the extreme exponents themselves are in range, and decode as given
-        top = Polynomial.variable("x", 1, 127) * Polynomial.variable("x", 1, 128)
+        top = power("x", 1, 127) * power("x", 1, 128)
         assert top.terms == {((("x", 1), 255),): 1}
-        low = Polynomial.variable("h", 1, -128) ** 2
+        low = power("h", 1, -128) ** 2
         assert low.terms == {((("h", 1), -256),): 1}
-        assert (top * Polynomial.variable("x", 1, -255)).terms == {(): 1}
+        assert (top * power("x", 1, -255)).terms == {(): 1}
 
-    def test_constructor_and_variable(self):
+    def test_constructor(self):
         with pytest.raises(ExponentOverflow):
             Polynomial({((("x", 1), 256),): 1})
         with pytest.raises(ExponentOverflow):
             Polynomial({((("x", 1), 200), (("x", 1), 100)): 1})
         with pytest.raises(ExponentOverflow):
-            Polynomial.variable("h", 1, -257)
+            power("h", 1, -257)
 
     def test_substitute_merging_two_fields(self):
-        x1, x2 = Polynomial.variable("x", 1, 200), Polynomial.variable("x", 2, 100)
+        x1, x2 = power("x", 1, 200), power("x", 2, 100)
         with pytest.raises(ExponentOverflow):
             (x1 * x2).substitute({("x", 1): Polynomial.variable("x", 2),
                                   ("x", 2): Polynomial.variable("x", 2)})
@@ -445,13 +477,13 @@ class TestOverflow:
         # multiplied out instead, and overflows loudly
         p = Polynomial.const(1)
         for i in range(1, 5):
-            p = p * Polynomial.variable("x", i, 200)
+            p = p * power("x", i, 200)
         with pytest.raises(ExponentOverflow):
             p.substitute({("x", i): Polynomial.variable("x", 5) for i in range(1, 5)})
 
     def test_exact_divide_quotient(self):
         with pytest.raises(ExponentOverflow):
-            exact_divide(Polynomial.variable("h", 1, 200), Polynomial.variable("h", 1, -100))
+            exact_divide(power("h", 1, 200), power("h", 1, -100))
 
     def test_degree_field(self):
         # 70 variables at exponent 120 keep every exponent field in range
@@ -460,7 +492,7 @@ class TestOverflow:
             "from vexpf.polycore import Polynomial, ExponentOverflow\n"
             "m = Polynomial.const(1)\n"
             "for i in range(1, 71):\n"
-            "    m = m * Polynomial.variable('z', i, 60)\n"
+            "    m = m * Polynomial({((('z', i), 60),): 1})\n"
             "try:\n"
             "    m * m * m * m\n"
             "except ExponentOverflow:\n"
