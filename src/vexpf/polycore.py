@@ -431,7 +431,8 @@ class Polynomial:
         or its negative (a renaming such as x_i <-> x_{i+1}, a sign such
         as x_1 -> -x_1), each term moves by one int addition per mapped
         variable, negative exponents included.  Otherwise the images
-        multiply in, each power mapping[v]**e computed once per call.
+        multiply in, each power mapping[v]**e computed once per call (for
+        e < 0 the image must be a variable or its negative).
         The images of the terms are added into one dict, so the cost is
         linear in the terms produced.
         """
