@@ -84,27 +84,42 @@ def serialize_element(e) -> list:
 def parse_element(rows) -> GammaElement:
     """Inverse of serialize_element.  A malformed row, a q that is not a
     strict partition, an unknown variable and an exponent beyond its
-    field (`polycore.ExponentOverflow`) are ParseErrors."""
-    combo = {}
+    field (`polycore.ExponentOverflow`) are ParseErrors.  Each basis
+    symbol's Polynomial is built once from all its rows, over the largest
+    2^log2den among them; each q and each variable name is checked once."""
+    rows_of = {}  # q -> its rows (monomial, num, log2den)
+    variables = {}  # name -> variable
     for row in rows:
         try:
             lam, num, log2den = tuple(row["q"]), row["coeff"]["num"], row["coeff"]["log2den"]
-            if not is_strict(lam):
-                raise ValueError(f"q = {list(lam)} is not a strict partition")
+            terms = rows_of.get(lam)
+            if terms is None:
+                if not is_strict(lam):
+                    raise ValueError(f"q = {list(lam)} is not a strict partition")
+                terms = rows_of[lam] = []
             if not isinstance(num, str) or type(log2den) is not int or log2den < 0:
                 raise ValueError("coeff wants a string num and a log2den >= 0")
             mono = []
             for name, e in row["mono"].items():
                 if type(e) is not int:
                     raise ValueError(f"exponent {e!r} of {name} is not an integer")
-                family = name.rstrip("0123456789")
-                if e < 0 and family != "h":
+                v = variables.get(name)
+                if v is None:
+                    family = name.rstrip("0123456789")
+                    v = variables[name] = var(family, int(name[len(family) :]))
+                if e < 0 and v[0] != "h":
                     raise ValueError(f"negative exponent {e} of {name}: only h is Laurent")
-                mono.append((var(family, int(name[len(family) :])), e))
-            term = Polynomial({tuple(mono): Fraction(int(num), 1 << log2den)})
-        except (AttributeError, KeyError, TypeError, ValueError, ExponentOverflow) as exc:
+                mono.append((v, e))
+            terms.append((tuple(mono), int(num), log2den))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad row {row}: {exc}") from exc
-        combo[lam] = combo.get(lam, Polynomial()) + term
+    combo = {}
+    for lam, terms in rows_of.items():
+        top = max(k for _, _, k in terms)
+        try:
+            combo[lam] = Polynomial([(mono, n << (top - k)) for mono, n, k in terms], top)
+        except ExponentOverflow as exc:
+            raise ParseError(f"bad row for q = {list(lam)}: {exc}") from exc
     return GammaElement(combo)
 
 

@@ -186,6 +186,8 @@ class GammaElement:
         return bool(self.combo)
 
     def __eq__(self, other):
+        if not isinstance(other, (GammaElement, Polynomial, int, Fraction)):
+            return NotImplemented
         return self.combo == GammaElement.of(other).combo
 
     def __neg__(self):

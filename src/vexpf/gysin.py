@@ -67,7 +67,7 @@ def restrict(f: Polynomial, bound: int) -> Polynomial:
     """Keep only the terms with all |h exponents| <= bound."""
     hs = [v for v in f.variables() if v[0] == "h"]
     return Polynomial.from_packed(
-        {m: c for m, c in f.packed.items() if all(abs(exponent(m, v)) <= bound for v in hs)}
+        {m: c for m, c in f.packed.items() if all(abs(exponent(m, v)) <= bound for v in hs)}, f.e
     )
 
 
@@ -82,7 +82,7 @@ def zeta(f: Polynomial, J) -> Polynomial:
             out[m] = c
         elif hit[1] < 0:
             raise ValueError(f"zeta_{set(J)} hits a negative power of h{hit[0][1]}")
-    return Polynomial.from_packed(out)
+    return Polynomial.from_packed(out, f.e)
 
 
 # ---------------------------------------------------------------------------

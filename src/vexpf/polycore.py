@@ -1,13 +1,18 @@
 """Exact sparse multivariate polynomials over dyadic rationals.
 
 Everything downstream (basis elements, Pfaffians, divided differences)
-stores its scalars here.  Coefficients are dyadic rationals n/2^e: a
-plain int, or a Fraction whose denominator is a power of 2.  Sums and
-products of such values stay dyadic, so the arithmetic is Python's own;
-`dyadic` checks a value only where a division or outside input can
-bring in another denominator (the constructors, the quotients of
-`exact_divide` and `series_inverse`), so an illegal division fails
-early instead of silently producing a rational.
+stores its scalars here.  Coefficients are dyadic rationals: a Polynomial
+holds plain int coefficients and one shared exponent e >= 0, and its
+value is packed / 2^e.  It is normalized when built: e == 0, or some
+coefficient is odd, so equal polynomials have equal (e, packed).  A
+product needs no normalizing pass: by Gauss's lemma over F_2, if each
+factor has an odd coefficient so does the product.  Sums, the term
+filters, renamings that merge terms and `exact_divide` renormalize.
+`dyadic` is the one gate where a value enters (the constructors), and
+`exact_divide` and `series_inverse` raise NotDivisible for a quotient
+with another denominator, so an illegal division fails early instead of
+silently producing a rational.  Fraction appears only at the edges:
+`terms`, `graded_terms` and `constant_term`.
 
 Variables come in six families, printed in the fixed order
 x < y < t < z < h < u (then by index).  A variable is a plain tuple
@@ -40,10 +45,10 @@ most significant; it is a monomial order (m < m' gives m + n < m' + n),
 which is all `exact_divide` needs.  Nothing printed depends on it:
 `graded_terms` orders decoded terms by the variables themselves.
 
-`Polynomial.packed` is the map {packed monomial: coefficient} every
-computation reads.  `Polynomial.terms` decodes it into the read-only view
-{((family, index), exponent) pairs: coefficient} for the edges: text,
-JSON and tests.
+`Polynomial.packed` is the map {packed monomial: int coefficient} every
+computation reads, over 2^`Polynomial.e`.  `Polynomial.terms` decodes it
+into the read-only view {((family, index), exponent) pairs: Fraction}
+for the edges: text, JSON and tests.
 """
 
 from __future__ import annotations
@@ -180,6 +185,29 @@ def dyadic(value):
     return value
 
 
+def _split(value) -> tuple:
+    """dyadic(value) as (n, k) with value = n / 2^k, n odd when k > 0."""
+    value = dyadic(value)
+    if isinstance(value, int):
+        return value, 0
+    return value.numerator, value.denominator.bit_length() - 1
+
+
+def _normal(packed: dict, e: int) -> tuple:
+    """(packed, e) normalized: the power of 2 common to every coefficient,
+    up to 2^e, moved out of e.  One early exit at the first odd one."""
+    if e:
+        acc = 0
+        for c in packed.values():
+            if c & 1:
+                return packed, e
+            acc |= c
+        k = min(e, (acc & -acc).bit_length() - 1) if acc else e
+        packed = {m: c >> k for m, c in packed.items()}
+        e -= k
+    return packed, e
+
+
 def _mono_key(mono):
     """Graded-lex sort key of decoded pairs (higher = bigger).
 
@@ -196,8 +224,10 @@ def _mono_key(mono):
 def graded_terms(p: "Polynomial") -> list:
     """The decoded terms (pairs, coefficient) of p, largest monomial first
     in graded-lex order on the variables x < y < t < z < h < u: the one
-    term order of everything printed or serialized."""
-    terms = [(_decode(m), c) for m, c in p.packed.items()]
+    term order of everything printed or serialized.  Each coefficient is
+    a Fraction."""
+    den = 1 << p.e
+    terms = [(_decode(m), Fraction(c, den)) for m, c in p.packed.items()]
     terms.sort(key=lambda t: _mono_key(t[0]), reverse=True)
     return terms
 
@@ -231,11 +261,12 @@ def render_terms(p: "Polynomial", latex: bool = False) -> str:
     return " + ".join(bits).replace("+ -", "- ")
 
 
-def _add_into(acc: dict, terms: dict):
-    """Add the map {monomial: coefficient} terms into acc in place."""
+def _add_into(acc: dict, terms: dict, sign: int = 1):
+    """Add sign times the map {monomial: coefficient} terms into acc in
+    place."""
     for m, c in terms.items():
         old = acc.get(m)
-        c = c if old is None else old + c
+        c = sign * c if old is None else old + sign * c
         if c:
             acc[m] = c
         else:
@@ -274,7 +305,7 @@ def _moves(images: dict):
     moves = []
     sums = {}  # target unit -> exponents that add up in its field
     for v, image in images.items():
-        if len(image.packed) != 1:
+        if len(image.packed) != 1 or image.e:
             return None
         [(w, c)] = image.packed.items()
         if (c != 1 and c != -1) or w not in _TARGETS:
@@ -287,44 +318,61 @@ def _moves(images: dict):
     return moves
 
 
+def _wrap(packed: dict, e: int = 0) -> "Polynomial":
+    """The Polynomial packed / 2^e, taken as normalized."""
+    p = Polynomial.__new__(Polynomial)
+    p.packed = packed
+    p.e = e
+    return p
+
+
 class Polynomial:
-    """Sparse polynomial: a map from packed monomials to nonzero dyadic
-    coefficients."""
+    """Sparse polynomial packed / 2^e: a map from packed monomials to
+    nonzero int coefficients and one shared exponent e >= 0, normalized
+    (e == 0 or some coefficient odd)."""
 
-    __slots__ = ("packed",)
+    __slots__ = ("packed", "e")
 
-    def __init__(self, terms=None):
+    def __init__(self, terms=None, e: int = 0):
         """terms: a map (or pairs) {monomial: coefficient}, each monomial a
-        tuple of ((family, index), exponent) pairs in any order."""
-        packed = self.packed = {}
+        tuple of ((family, index), exponent) pairs in any order; the value
+        is their sum over 2^e, e >= 0."""
+        rows = []
+        top = 0
         if terms:
             for mono, coeff in terms.items() if isinstance(terms, dict) else terms:
-                coeff = dyadic(coeff)
-                if coeff:
-                    m = _encode(mono)
-                    acc = packed.get(m)
-                    coeff = coeff if acc is None else acc + coeff
-                    if coeff:
-                        packed[m] = coeff
-                    else:
-                        del packed[m]
+                n, k = _split(coeff)
+                if n:
+                    rows.append((_encode(mono), n, k))
+                    top = max(top, k)
+        packed = {}
+        for m, n, k in rows:
+            n <<= top - k
+            acc = packed.get(m)
+            n = n if acc is None else acc + n
+            if n:
+                packed[m] = n
+            else:
+                del packed[m]
+        self.packed, self.e = _normal(packed, top + e)
 
     @staticmethod
-    def from_packed(packed: dict) -> "Polynomial":
-        """Wrap a map {packed monomial: nonzero coefficient} whose monomials
-        are in range; the map is taken, not copied."""
-        p = Polynomial.__new__(Polynomial)
-        p.packed = packed
-        return p
+    def from_packed(packed: dict, e: int = 0) -> "Polynomial":
+        """The Polynomial packed / 2^e, packed a map {packed monomial:
+        nonzero int} whose monomials are in range; the map is taken, not
+        copied, and normalized."""
+        if e:
+            packed, e = _normal(packed, e)
+        return _wrap(packed, e)
 
     @staticmethod
     def const(c) -> "Polynomial":
-        c = dyadic(c)
-        return Polynomial.from_packed({0: c} if c else {})
+        n, k = (c, 0) if type(c) is int else _split(c)
+        return _wrap({0: n}, k) if n else _wrap({})
 
     @staticmethod
     def variable(family: str, index: int) -> "Polynomial":
-        return Polynomial.from_packed({_unit(var(family, index)): 1})
+        return _wrap({_unit(var(family, index)): 1})
 
     @staticmethod
     def of(value) -> "Polynomial":
@@ -334,35 +382,63 @@ class Polynomial:
 
     @property
     def terms(self) -> dict:
-        """The decoded view {((family, index), exponent) pairs: coefficient}."""
-        return {_decode(m): c for m, c in self.packed.items()}
+        """The decoded view {((family, index), exponent) pairs: Fraction}."""
+        den = 1 << self.e
+        return {_decode(m): Fraction(c, den) for m, c in self.packed.items()}
 
     def __bool__(self):
         return bool(self.packed)
 
     def __eq__(self, other):
-        return self.packed == Polynomial.of(other).packed
+        if not isinstance(other, Polynomial):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Polynomial.const(other)
+        return self.e == other.e and self.packed == other.packed
 
     def __neg__(self):
-        return Polynomial.from_packed({m: -c for m, c in self.packed.items()})
+        return _wrap({m: -c for m, c in self.packed.items()}, self.e)
 
-    def __add__(self, other):
-        other = Polynomial.of(other)
+    def __add__(self, other, sign: int = 1):
+        """self + sign * other, over the larger of the two exponents.  Only
+        equal exponents renormalize: else the operand with the larger one
+        has an odd coefficient, and the other one, scaled up to it, only
+        even ones."""
+        if not isinstance(other, Polynomial):
+            other = Polynomial.const(other)
+        shift = self.e - other.e
+        if shift < 0:
+            acc = {m: c << -shift for m, c in self.packed.items()}
+            _add_into(acc, other.packed, sign)
+            return _wrap(acc, other.e)
         acc = dict(self.packed)
-        _add_into(acc, other.packed)
-        return Polynomial.from_packed(acc)
+        if shift:
+            _add_into(acc, {m: c << shift for m, c in other.packed.items()}, sign)
+            return _wrap(acc, self.e)
+        _add_into(acc, other.packed, sign)
+        return Polynomial.from_packed(acc, self.e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-Polynomial.of(other))
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
-        return Polynomial.of(other) + (-self)
+        return Polynomial.of(other).__add__(self, -1)
 
     def __mul__(self, other):
-        other = other.packed if isinstance(other, Polynomial) else Polynomial.const(other).packed
-        return Polynomial.from_packed(_mul(self.packed, other))
+        if not isinstance(other, Polynomial):
+            other = Polynomial.const(other)
+        a, b, e = self.packed, other.packed, self.e + other.e
+        if e:
+            # Gauss's lemma over F_2: a factor with e > 0 has an odd
+            # coefficient, so only a factor with e == 0 can leave the
+            # product without one; move its power of 2 out first
+            if not other.e:
+                b, e = _normal(b, e)
+            elif not self.e:
+                a, e = _normal(a, e)
+        return _wrap(_mul(a, b), e)
 
     __rmul__ = __mul__
 
@@ -370,10 +446,11 @@ class Polynomial:
         """self^n; n < 0 only for a unit monomial +-w, as (+-w^-1)^-n."""
         base = self
         if n < 0:
-            if len(self.packed) != 1 or next(iter(self.packed.values())) not in (1, -1):
+            if (self.e or len(self.packed) != 1
+                    or next(iter(self.packed.values())) not in (1, -1)):
                 raise ValueError("negative power of a polynomial other than +-monomial")
             [(m, c)] = self.packed.items()
-            base = Polynomial.from_packed({-m: c})
+            base = _wrap({-m: c})
             _check(base.packed)
             n = -n
         result = Polynomial.const(1)
@@ -395,20 +472,20 @@ class Polynomial:
         """The homogeneous component of total degree d."""
         field = d + _DHALF
         return Polynomial.from_packed(
-            {m: c for m, c in self.packed.items() if (m + _DHALF) & _DMASK == field}
+            {m: c for m, c in self.packed.items() if (m + _DHALF) & _DMASK == field}, self.e
         )
 
     def truncate(self, d: int) -> "Polynomial":
         """Drop all terms of total degree > d."""
         field = d + _DHALF
         return Polynomial.from_packed(
-            {m: c for m, c in self.packed.items() if (m + _DHALF) & _DMASK <= field}
+            {m: c for m, c in self.packed.items() if (m + _DHALF) & _DMASK <= field}, self.e
         )
 
     def star(self) -> "Polynomial":
         """Multiply the degree-d component by (-1)^d: the low bit of a
         monomial is the parity of its degree."""
-        return Polynomial.from_packed({m: -c if m & 1 else c for m, c in self.packed.items()})
+        return _wrap({m: -c if m & 1 else c for m, c in self.packed.items()}, self.e)
 
     def split(self, v) -> dict:
         """Decompose by the exponent of the variable v: {e: the coefficient
@@ -421,7 +498,7 @@ class Polynomial:
         for m, c in self.packed.items():
             e = (((m + low) >> shift) & _FMASK) - _HALF
             out.setdefault(e, {})[m - e * u] = c
-        return {e: Polynomial.from_packed(d) for e, d in out.items()}
+        return {e: Polynomial.from_packed(d, self.e) for e, d in out.items()}
 
     def substitute(self, mapping) -> "Polynomial":
         """Simultaneously substitute polynomials for variables.
@@ -432,7 +509,9 @@ class Polynomial:
         as x_1 -> -x_1), each term moves by one int addition per mapped
         variable, negative exponents included.  Otherwise the images
         multiply in, each power mapping[v]**e computed once per call (for
-        e < 0 the image must be a variable or its negative).
+        e < 0 the image must be a variable or its negative); the terms
+        whose powers carry a 2^-t collect apart, per t, and join the
+        others at the largest t.
         The images of the terms are added into one dict, so the cost is
         linear in the terms produced.
         """
@@ -442,6 +521,7 @@ class Polynomial:
         low = _LOW
         out = {}
         get = out.get
+        top = 0
         if moves is not None:
             for m, c in self.packed.items():
                 x = m + low
@@ -455,25 +535,35 @@ class Polynomial:
             _check(out)
         else:
             powers = {}
+            scaled = {}  # t > 0 -> the sum of the terms whose powers carry 2^-t
             for m, c in self.packed.items():
                 x = m + low
                 term = None
+                t = 0
                 for v, image in images.items():
                     e = ((x >> _SHIFT[v]) & _FMASK) - _HALF
                     if e:
                         m -= e * _UNIT[v]
                         power = powers.get((v, e))
                         if power is None:
-                            power = powers[v, e] = (image**e).packed
-                        term = power if term is None else _mul(term, power)
+                            power = powers[v, e] = image**e
+                        t += power.e
+                        term = power.packed if term is None else _mul(term, power.packed)
                 if term is None:
                     out[m] = get(m, 0) + c
                     continue
+                acc = scaled.setdefault(t, {}) if t else out
                 for m2, c2 in _mul({m: c}, term).items():
-                    out[m2] = get(m2, 0) + c2
+                    acc[m2] = acc.get(m2, 0) + c2
+            if scaled:
+                top = max(scaled)
+                out = {m: c << top for m, c in out.items()}
+                for t, acc in scaled.items():
+                    for m, c in acc.items():
+                        out[m] = out.get(m, 0) + (c << (top - t))
         if not all(out.values()):
             out = {m: c for m, c in out.items() if c}
-        return Polynomial.from_packed(out)
+        return Polynomial.from_packed(out, self.e + top)
 
     def variables(self):
         low = _LOW
@@ -491,7 +581,9 @@ class Polynomial:
         return seen
 
     def constant_term(self):
-        return self.packed.get(0, 0)
+        """The constant coefficient: an int, or a Fraction when e > 0."""
+        c = self.packed.get(0, 0)
+        return Fraction(c, 1 << self.e) if self.e else c
 
     def __str__(self):
         return render_terms(self)
@@ -511,12 +603,20 @@ def exact_divide(p: Polynomial, d: Polynomial) -> Polynomial:
     no negative exponent where l has a nonzero one: a mask test on the
     biased fields.  The cost is linear, up to the heap's log factor, in
     the terms the division touches.
+
+    Coefficients stay ints.  With d's leading coefficient 2^s times an odd
+    number, the quotient is integral over 2^(p.e - d.e + s) (Gauss's
+    lemma), so its coefficients come out of one exact int division each:
+    by the odd part alone when d is one term, else by the whole leading
+    coefficient with the remainder held at 2^(p.e + s).  A division that
+    leaves a rest raises NotDivisible.
     """
     if not d:
         raise ZeroDivisionError("division by the zero polynomial")
     low, guard = _LOW, _GUARD
     lead = max(d.packed)
     d_coeff = d.packed[lead]
+    s = (d_coeff & -d_coeff).bit_length() - 1
     # bit _HALF of each field where lead has an exponent: set in r - lead
     # + low exactly where that exponent of r - lead is >= 0
     support = 0
@@ -529,7 +629,11 @@ def exact_divide(p: Polynomial, d: Polynomial) -> Polynomial:
         shift += FIELD_BITS
     test = support | guard
     d_tail = [(m, c) for m, c in d.packed.items() if m != lead]
-    rem = dict(p.packed)
+    if s and d_tail:
+        rem = {m: c << s for m, c in p.packed.items()}
+    else:
+        rem = dict(p.packed)
+        d_coeff >>= s
     heap = [-m for m in rem]
     heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
@@ -546,11 +650,13 @@ def exact_divide(p: Polynomial, d: Polynomial) -> Polynomial:
                 raise _overflow()
             raise NotDivisible(f"({p}) is not divisible by ({d})")
         if d_coeff == 1:
-            qc = dyadic(r_coeff)
+            qc = r_coeff
         elif d_coeff == -1:
-            qc = dyadic(-r_coeff)
+            qc = -r_coeff
         else:
-            qc = dyadic(Fraction(r_coeff, d_coeff))
+            qc, rest = divmod(r_coeff, d_coeff)
+            if rest:
+                raise NotDivisible(f"({p}) is not divisible by ({d})")
         q[qm] = qc
         for m, c in d_tail:
             m += qm
@@ -564,7 +670,11 @@ def exact_divide(p: Polynomial, d: Polynomial) -> Polynomial:
                     rem[m] = c
                 else:
                     del rem[m]
-    return Polynomial.from_packed(q)
+    e = p.e - d.e + s
+    if e < 0:
+        q = {m: c << -e for m, c in q.items()}
+        e = 0
+    return Polynomial.from_packed(q, e)
 
 
 def series_inverse(p: Polynomial, bound: int) -> Polynomial:

@@ -27,6 +27,16 @@ class TestSerialization:
             {"q": [], "coeff": {"num": "1", "log2den": 1}, "mono": {}},
         ]
 
+    def test_per_term_log2den(self):
+        # one coefficient 3 + 1/2*x1 + 1/4*y1 keeps each term's own
+        # denominator, not the coefficient's shared one
+        x1, y1 = Polynomial.variable("x", 1), Polynomial.variable("y", 1)
+        p = 3 + x1 * Fraction(1, 2) + y1 * Fraction(1, 4)
+        rows = serialize_element(GammaElement({(1,): p}))
+        assert [(row["coeff"]["num"], row["coeff"]["log2den"]) for row in rows] == [
+            ("1", 1), ("1", 2), ("3", 0)]
+        assert parse_element(rows) == GammaElement({(1,): p})
+
     def test_round_trip(self):
         e = GammaElement(
             {

@@ -80,6 +80,13 @@ class TestStraighten:
         e = ge({(3, 2): 1, (4, 1): 2})
         assert GammaElement.from_raw(to_raw(e)) == e
 
+    def test_equality_with_other_types(self):
+        # a value that is no element and no coefficient compares unequal
+        q1 = GammaElement.basis((1,))
+        assert (q1 == None) is False  # noqa: E711
+        assert q1 != "Q(1)" and q1 in [None, q1]
+        assert GammaElement.one() == 1 == GammaElement.of(Polynomial.const(1))
+
     @pytest.mark.parametrize(
         "lam", [(2, 1), (3, 1), (3, 2, 1), (4, 2), (4, 3, 2, 1), (5, 3, 1)]
     )

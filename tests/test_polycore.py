@@ -58,6 +58,13 @@ class TestCoefficients:
         with pytest.raises(TypeError):
             Polynomial.const(0.5)
 
+    def test_equality_with_other_types(self):
+        # a value that is no Polynomial and no exact number compares unequal
+        x = Polynomial.variable("x", 1)
+        assert (x == None) is False  # noqa: E711
+        assert x != "x1" and x in [None, x]
+        assert Polynomial.const(Fraction(1, 2)) == Fraction(2, 4) != x
+
 
 class TestPolynomial:
     def test_difference_of_squares(self):
@@ -254,6 +261,25 @@ def ref_star(a: dict) -> dict:
     return {m: -c if _ref_degree(m) % 2 else c for m, c in a.items()}
 
 
+def ref_truncate(a: dict, d: int) -> dict:
+    return {m: c for m, c in a.items() if _ref_degree(m) <= d}
+
+
+def ref_split(a: dict, v) -> dict:
+    out = {}
+    for m, c in a.items():
+        e = dict(m).get(v, 0)
+        out.setdefault(e, {})[tuple(p for p in m if p[0] != v)] = c
+    return out
+
+
+def ref_add(a: dict, b: dict, sign: int = 1) -> dict:
+    out = dict(a)
+    for m, c in b.items():
+        _ref_add(out, m, sign * c)
+    return out
+
+
 def ref_substitute(a: dict, mapping: dict) -> dict:
     """Term by term, each power as repeated products of the image."""
     out = {}
@@ -278,10 +304,14 @@ def ref_substitute(a: dict, mapping: dict) -> dict:
 
 _PLAIN = [("x", 1), ("x", 2), ("x", 3), ("y", 1), ("y", 2), ("t", 1), ("z", 2), ("u", 1)]
 _LAURENT = [("h", 1), ("h", 2)]
+_REF_COEFFS = st.sampled_from([1, -1, 2, -3, Fraction(1, 2)])
+# n/2^k, 0 <= k <= 6
+_DYADIC_COEFFS = st.builds(lambda n, k: Fraction(n, 1 << k),
+                           st.integers(-40, 40), st.integers(0, 6))
 
 
 @st.composite
-def ref_polynomials(draw, max_terms=5, laurent=True):
+def ref_polynomials(draw, max_terms=5, laurent=True, coeffs=_REF_COEFFS):
     """A reference polynomial with up to max_terms terms; h exponents may
     be negative."""
     out = {}
@@ -290,8 +320,12 @@ def ref_polynomials(draw, max_terms=5, laurent=True):
         if laurent:
             exps.update(draw(st.dictionaries(st.sampled_from(_LAURENT), st.integers(-3, 3),
                                              max_size=2)))
-        _ref_add(out, _ref_sorted(exps), draw(st.sampled_from([1, -1, 2, -3, Fraction(1, 2)])))
+        _ref_add(out, _ref_sorted(exps), draw(coeffs))
     return out
+
+
+def dyadic_refs(max_terms=5, laurent=True):
+    return ref_polynomials(max_terms, laurent, _DYADIC_COEFFS)
 
 
 _VARIABLES = [("x", 1), ("x", 2), ("x", 3), ("y", 1), ("t", 1)]
@@ -330,6 +364,12 @@ images = st.one_of(
 @example(3 * X(1) ** 2 * X(2) - X(2) + Y(1), {("x", 1): X(2), ("x", 2): X(2)})
 def test_substitute_matches_naive(p, mapping):
     assert p.substitute(mapping).terms == ref_substitute(p.terms, mapping)
+
+
+def assert_normalized(p):
+    """int coefficients over 2^e, e >= 0, and e == 0 or some coefficient odd."""
+    assert p.e >= 0 and all(type(c) is int and c for c in p.packed.values())
+    assert p.e == 0 or any(c & 1 for c in p.packed.values())
 
 
 class TestOracle:
@@ -387,6 +427,79 @@ class TestOracle:
             (1 + Polynomial.variable("x", 1)) ** -1
         with pytest.raises(ValueError):
             (2 * Polynomial.variable("x", 1)) ** -1
+
+    # -- coefficients n/2^k against a dict of Fractions ---------------------
+
+    @given(dyadic_refs(), dyadic_refs())
+    @example({(): Fraction(1, 2)}, {(): Fraction(1, 2)})
+    @example({((("x", 1), 1),): Fraction(3, 4)}, {((("x", 1), 1),): Fraction(1, 4), (): 2})
+    def test_dyadic_sum_difference_product(self, a, b):
+        pa, pb = Polynomial(a), Polynomial(b)
+        for out, ref in [(pa + pb, ref_add(a, b)), (pa - pb, ref_add(a, b, -1)),
+                         (pa * pb, ref_mul(a, b)), (-pa, ref_add({}, a, -1))]:
+            assert_normalized(out)
+            assert out.terms == ref
+        assert_normalized(pa)
+
+    @given(dyadic_refs(max_terms=3), st.integers(0, 4))
+    def test_dyadic_pow(self, a, n):
+        out = Polynomial(a) ** n
+        assert_normalized(out)
+        assert out.terms == ref_pow(a, n)
+
+    @given(dyadic_refs(), renamings)
+    @example({((("x", 1), 1),): Fraction(1, 2), ((("x", 2), 1),): Fraction(1, 2)},
+             {("x", 1): Polynomial.variable("x", 2)})
+    def test_dyadic_substitute_renaming(self, a, mapping):
+        # x1/2 + x2/2 with x1 -> x2 merges into x2 and leaves e = 0
+        out = Polynomial(a).substitute(mapping)
+        assert_normalized(out)
+        assert out.terms == ref_substitute(a, mapping)
+
+    @given(dyadic_refs(), st.dictionaries(
+        st.sampled_from(_VARIABLES),
+        st.one_of(_DYADIC_COEFFS, dyadic_refs(max_terms=3, laurent=False).map(Polynomial)),
+        max_size=3,
+    ))
+    @example({((("x", 1), 1),): Fraction(1, 2), (): Fraction(1, 4)},
+             {("x", 1): Polynomial.const(Fraction(1, 2))})
+    def test_dyadic_substitute_general(self, a, mapping):
+        out = Polynomial(a).substitute(mapping)
+        assert_normalized(out)
+        assert out.terms == ref_substitute(a, mapping)
+
+    @given(dyadic_refs(), st.integers(-4, 6), st.sampled_from(_VARIABLES + _LAURENT))
+    @example({((("x", 1), 1),): Fraction(1, 2), ((("x", 1), 2),): 3}, 2, ("x", 1))
+    def test_dyadic_filters(self, a, d, v):
+        # keeping only 3*x1^2 of x1/2 + 3*x1^2 leaves e = 0
+        p = Polynomial(a)
+        pieces = p.split(v)
+        assert set(pieces) == set(ref_split(a, v))
+        checks = [(p.part(d), ref_part(a, d)), (p.truncate(d), ref_truncate(a, d)),
+                  (p.star(), ref_star(a))]
+        checks += [(pieces[k], ref) for k, ref in ref_split(a, v).items()]
+        for out, ref in checks:
+            assert_normalized(out)
+            assert out.terms == ref
+
+    @given(dyadic_refs(laurent=False), ref_polynomials(max_terms=3, laurent=False),
+           st.sampled_from([1, -1, 2, -2, 4, -4, 3]))
+    def test_dyadic_exact_divide(self, q, d, lead):
+        assume(d)
+        d = dict(d)
+        # the kernel's leading monomial of d gets the coefficient lead
+        [key] = Polynomial.from_packed({max(Polynomial(d).packed): 1}).terms
+        d[key] = lead
+        out = exact_divide(Polynomial(ref_mul(q, d)), Polynomial(d))
+        assert_normalized(out)
+        assert out.terms == q
+
+    @given(dyadic_refs(laurent=False), ref_polynomials(max_terms=3, laurent=False))
+    def test_dyadic_exact_divide_by_three(self, q, d):
+        # q d / (3 d) = q / 3 has a coefficient that is not dyadic
+        assume(d and any(Fraction(c).numerator % 3 for c in q.values()))
+        with pytest.raises(NotDivisible):
+            exact_divide(Polynomial(ref_mul(q, d)), Polynomial({m: 3 * c for m, c in d.items()}))
 
     def test_renaming_of_a_laurent_power(self):
         # a renaming is a ring automorphism of the Laurent polynomials

@@ -220,6 +220,16 @@ class TestSchubert:
             for lam, c in expand_coeffs(schubert(w, "D"), basis="P").items():
                 assert all(v.denominator == 1 for v in c.terms.values()), (repr(w), lam)
 
+    def test_d_descent_keeps_int_coefficients(self):
+        # the 2^-r of a type-D class lives in each coefficient's shared
+        # exponent, so its divided differences run on plain ints
+        scaled = 0
+        for w in sorted(all_elements(3, "D"), key=lambda v: v.values)[:12]:
+            for c in schubert(w, "D").combo.values():
+                assert all(type(v) is int for v in c.packed.values()), repr(w)
+                scaled += c.e > 0
+        assert scaled
+
 
 def _plus_partition(mu, r):
     if len(mu) == r:
