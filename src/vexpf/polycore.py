@@ -225,9 +225,12 @@ def graded_terms(p: "Polynomial") -> list:
     """The decoded terms (pairs, coefficient) of p, largest monomial first
     in graded-lex order on the variables x < y < t < z < h < u: the one
     term order of everything printed or serialized.  Each coefficient is
-    a Fraction."""
-    den = 1 << p.e
-    terms = [(_decode(m), Fraction(c, den)) for m, c in p.packed.items()]
+    an int when p.e == 0, else a Fraction."""
+    if p.e:
+        den = 1 << p.e
+        terms = [(_decode(m), Fraction(c, den)) for m, c in p.packed.items()]
+    else:
+        terms = [(_decode(m), c) for m, c in p.packed.items()]
     terms.sort(key=lambda t: _mono_key(t[0]), reverse=True)
     return terms
 
