@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .polycore import Polynomial, rational_series, render_terms
+from .polycore import NotDivisible, Polynomial, rational_series, render_terms
 
 
 class TruncationTooSmall(ValueError):
@@ -188,7 +188,11 @@ class GammaElement:
     def __eq__(self, other):
         if not isinstance(other, (GammaElement, Polynomial, int, Fraction)):
             return NotImplemented
-        return self.combo == GammaElement.of(other).combo
+        try:
+            other = GammaElement.of(other)
+        except NotDivisible:
+            return False  # no element has a value that is not dyadic
+        return self.combo == other.combo
 
     def __neg__(self):
         return GammaElement({lam: -c for lam, c in self.combo.items()})

@@ -396,7 +396,10 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
-            other = Polynomial.const(other)
+            try:
+                other = Polynomial.const(other)
+            except NotDivisible:
+                return False  # no Polynomial has a value that is not dyadic
         return self.e == other.e and self.packed == other.packed
 
     def __neg__(self):
@@ -567,6 +570,36 @@ class Polynomial:
         if not all(out.values()):
             out = {m: c for m, c in out.items() if c}
         return Polynomial.from_packed(out, self.e + top)
+
+    def swap_difference(self, v, w) -> "Polynomial":
+        """self - self|v<->w, the numerator of a divided difference, in one
+        pass over the terms.
+
+        A term whose exponents of v and w are equal is fixed by the swap
+        and cancels.  Any other term m moves to m + (e_v - e_w)(w - v):
+        its difference is p[m] - p[swap m] at m, and -p[m] at swap m when
+        that is not a term.  A swap only permutes two fields and keeps
+        the degree, so every result is in range and needs no `_check`.
+        """
+        delta = _unit(w) - _unit(v)
+        sv, sw = _SHIFT[v], _SHIFT[w]
+        low = _LOW
+        packed = self.packed
+        get = packed.get
+        out = {}
+        for m, c in packed.items():
+            x = m + low
+            d = ((x >> sv) & _FMASK) - ((x >> sw) & _FMASK)
+            if d:
+                m2 = m + d * delta
+                c2 = get(m2)
+                if c2 is None:
+                    out[m] = c
+                    out[m2] = -c
+                elif c != c2:
+                    out[m] = c - c2
+        # a cancellation can leave every coefficient even
+        return Polynomial.from_packed(out, self.e)
 
     def variables(self):
         low = _LOW

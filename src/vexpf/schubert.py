@@ -71,8 +71,11 @@ def divided_difference(i: int, f, wtype: str):
     """The operator for generator i: (f - s_i(f)) / (linear form).
 
     For i >= 1, s_i swaps x_i and x_{i+1} and fixes every Q_lambda, so
-    the operator acts on each basis coefficient as in type A.  i = 0
-    selects the type-dependent extra generator (undefined in type A).
+    the operator acts on each basis coefficient as in type A: the
+    numerator c - s_i(c) comes in one pass from
+    `Polynomial.swap_difference`, and a nonzero one is divided exactly
+    by x_i - x_{i+1}.  i = 0 selects the type-dependent extra generator
+    (undefined in type A), applied by `apply_symmetry`.
     """
     if i == 0:
         if wtype not in GENERATOR_ZERO:
@@ -80,11 +83,11 @@ def divided_difference(i: int, f, wtype: str):
         sub, added, denom = GENERATOR_ZERO[wtype]
         f = GammaElement.of(f)
         return (f - apply_symmetry(f, sub, added)).map_coeffs(lambda c: exact_divide(c, denom))
-    sub = {("x", i): _xvar(i + 1), ("x", i + 1): _xvar(i)}
+    v, w = ("x", i), ("x", i + 1)
     denom = _xvar(i) - _xvar(i + 1)
 
     def step(c):
-        diff = c - c.substitute(sub)
+        diff = c.swap_difference(v, w)
         return exact_divide(diff, denom) if diff else diff
 
     return f.map_coeffs(step) if isinstance(f, GammaElement) else step(Polynomial.of(f))

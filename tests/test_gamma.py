@@ -87,6 +87,11 @@ class TestStraighten:
         assert q1 != "Q(1)" and q1 in [None, q1]
         assert GammaElement.one() == 1 == GammaElement.of(Polynomial.const(1))
 
+    def test_equality_with_a_non_dyadic_number(self):
+        # no element has the value 1/3: unequal, where it used to raise
+        assert (GammaElement.one() == Fraction(1, 3)) is False
+        assert GammaElement.basis((1,)) != Fraction(1, 3)
+
     @pytest.mark.parametrize(
         "lam", [(2, 1), (3, 1), (3, 2, 1), (4, 2), (4, 3, 2, 1), (5, 3, 1)]
     )

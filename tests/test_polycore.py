@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
+from vexpf import polycore
 from vexpf.polycore import (
     FAMILIES,
     ExponentOverflow,
@@ -64,6 +65,12 @@ class TestCoefficients:
         assert (x == None) is False  # noqa: E711
         assert x != "x1" and x in [None, x]
         assert Polynomial.const(Fraction(1, 2)) == Fraction(2, 4) != x
+
+    def test_equality_with_a_non_dyadic_number(self):
+        # no Polynomial has the value 1/3: unequal, where it used to raise
+        assert (Polynomial.const(2) == Fraction(1, 3)) is False
+        assert Polynomial.const(2) != Fraction(2, 3)
+        assert (Polynomial() == Fraction(1, 3)) is False
 
 
 class TestPolynomial:
@@ -370,6 +377,60 @@ def assert_normalized(p):
     """int coefficients over 2^e, e >= 0, and e == 0 or some coefficient odd."""
     assert p.e >= 0 and all(type(c) is int and c for c in p.packed.values())
     assert p.e == 0 or any(c & 1 for c in p.packed.values())
+
+
+# -- swap_difference: p - p|v<->w in one pass ---------------------------------
+
+_SWAP_VARS = _VARIABLES + _LAURENT + [("z", 2), ("u", 1)]
+
+
+@st.composite
+def edge_polynomials(draw):
+    """q + r * q|v<->w for random q, r and a pair v, w, so that swapped
+    partners meet; coefficients n/2^k, 0 <= k <= 6, and exponents that
+    reach the field edges -256 and 255."""
+    v, w = draw(st.sampled_from(_SWAP_VARS)), draw(st.sampled_from(_SWAP_VARS))
+    out = {}
+    for _ in range(draw(st.integers(0, 6))):
+        exps = draw(st.dictionaries(st.sampled_from(_SWAP_VARS),
+                                    st.sampled_from([-256, -2, -1, 1, 2, 3, 255]), max_size=3))
+        _ref_add(out, _ref_sorted(exps), draw(_DYADIC_COEFFS))
+    q = Polynomial(out)
+    swapped = q.substitute({v: Polynomial.variable(*w), w: Polynomial.variable(*v)})
+    return q + draw(_DYADIC_COEFFS) * swapped, v, w
+
+
+@given(edge_polynomials())
+@example(((3 * X(1) + X(2)) * Polynomial.const(Fraction(1, 2)), ("x", 1), ("x", 2)))
+@example((power("h", 1, -256) * power("h", 2, 255) - X(1), ("h", 1), ("h", 2)))
+def test_swap_difference_matches_substitute(case):
+    p, v, w = case
+    got = p.swap_difference(v, w)
+    assert got == p - p.substitute({v: Polynomial.variable(*w), w: Polynomial.variable(*v)})
+    assert_normalized(got)
+
+
+def test_swap_difference_edges():
+    p = power("h", 1, -256) * power("h", 2, 255) * Polynomial.const(Fraction(3, 64))
+    got = p.swap_difference(("h", 1), ("h", 2))
+    assert got.terms == {((("h", 1), -256), (("h", 2), 255)): Fraction(3, 64),
+                         ((("h", 1), 255), (("h", 2), -256)): Fraction(-3, 64)}
+    # a cancellation that leaves every coefficient even renormalizes
+    p = (3 * X(1) + X(2)) * Polynomial.const(Fraction(1, 2))
+    assert p.swap_difference(("x", 1), ("x", 2)) == X(1) - X(2)
+    assert p.swap_difference(("x", 1), ("x", 2)).e == 0
+
+
+def test_swap_difference_with_a_variable_never_interned():
+    # ("z", 97) and ("z", 98) appear in no other test
+    fresh, other = ("z", 97), ("z", 98)
+    assert fresh not in polycore._UNIT and other not in polycore._UNIT
+    p = X(1) ** 2 * Y(1) - 3 * X(2) + Polynomial.const(Fraction(5, 8))
+    got = p.swap_difference(("x", 1), fresh)
+    z = Polynomial.variable(*fresh)
+    assert got == p - p.substitute({("x", 1): z, fresh: X(1)})
+    assert got == X(1) ** 2 * Y(1) - z ** 2 * Y(1)
+    assert not p.swap_difference(other, ("z", 99))
 
 
 class TestOracle:

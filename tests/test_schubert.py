@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vexpf.polycore import Polynomial
 from vexpf.gamma import GammaElement, specialize_oracle, symfun_series
@@ -85,6 +86,89 @@ class TestOperators:
         e = GammaElement({(2,): x(1) + 2 * y(2), (): x(3) * y(1)})
         assert swap_xy(swap_xy(e)) == e
         assert swap_xy(x(1) - y(1)) == y(1) - x(1)
+
+
+# -- operator identities on random inputs --------------------------------------
+# Each side is built from products, sums and `substitute` alone, so the
+# checks are independent of how `divided_difference` forms f - s_i f.
+
+_A_VARS = [("x", 1), ("x", 2), ("x", 3), ("x", 4), ("y", 1), ("y", 2)]
+_COEFFS = st.builds(lambda n, k: Fraction(n, 1 << k), st.integers(-5, 5), st.integers(0, 3))
+
+
+@st.composite
+def type_a_polynomials(draw, max_terms=4):
+    """Up to max_terms terms in x_1..x_4, y_1, y_2, coefficients n/2^k."""
+    terms = []
+    for _ in range(draw(st.integers(0, max_terms))):
+        exps = draw(st.dictionaries(st.sampled_from(_A_VARS), st.integers(1, 3), max_size=3))
+        terms.append((tuple(exps.items()), draw(_COEFFS)))
+    return Polynomial(terms)
+
+
+gamma_elements = st.dictionaries(
+    st.sampled_from([(), (1,), (2,), (2, 1), (3, 1)]), type_a_polynomials(3), max_size=3
+).map(GammaElement)
+operands = st.one_of(type_a_polynomials(), gamma_elements)
+
+
+def dd(i, f):
+    return divided_difference(i, f, "C" if isinstance(f, GammaElement) else "A")
+
+
+def s_i(i, f):
+    """s_i by `substitute`: swap x_i and x_{i+1} in f or in each coefficient."""
+    sub = {("x", i): x(i + 1), ("x", i + 1): x(i)}
+    if isinstance(f, GammaElement):
+        return f.map_coeffs(lambda c: c.substitute(sub))
+    return f.substitute(sub)
+
+
+def times(f, g):
+    """f * g for a Polynomial f and a Polynomial or GammaElement g."""
+    return g * f if isinstance(g, GammaElement) else f * g
+
+
+class TestOperatorIdentities:
+    @settings(deadline=None)
+    @given(st.integers(1, 3), operands)
+    def test_square_is_zero(self, i, f):
+        assert not dd(i, dd(i, f))
+
+    @settings(deadline=None)
+    @given(st.integers(1, 3), operands)
+    def test_definition(self, i, f):
+        # (x_i - x_{i+1}) partial_i f = f - s_i f
+        assert times(x(i) - x(i + 1), dd(i, f)) == f - s_i(i, f)
+
+    @settings(deadline=None)
+    @given(st.integers(1, 3), type_a_polynomials(), operands)
+    def test_leibniz(self, i, f, g):
+        lhs = dd(i, times(f, g))
+        assert lhs == times(dd(i, f), g) + times(s_i(i, f), dd(i, g))
+
+    @settings(deadline=None, max_examples=50)
+    @given(st.integers(1, 2), operands)
+    def test_braid(self, i, f):
+        j = i + 1
+        assert dd(i, dd(j, dd(i, f))) == dd(j, dd(i, dd(j, f)))
+
+    @settings(deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 6), st.integers(0, 6),
+           st.sampled_from([(), (2, 1)]), _COEFFS)
+    def test_closed_sum(self, i, a, b, lam, c):
+        # partial_i x_i^a x_{i+1}^b = sum_{k < a-b} x_i^(a-1-k) x_{i+1}^(b+k)
+        # for a >= b, and minus its mirror image for a < b
+        hi, lo = max(a, b), min(a, b)
+        expect = Polynomial()
+        for k in range(hi - lo):
+            expect = expect + x(i) ** (hi - 1 - k) * x(i + 1) ** (lo + k)
+        if a < b:
+            expect = -expect
+        rest = y(1) * x(i + 2) * Polynomial.const(c)
+        f = GammaElement({lam: x(i) ** a * x(i + 1) ** b * rest})
+        assert dd(i, f) == GammaElement({lam: expect * rest})
+        assert dd(i, f.coefficient(lam)) == expect * rest
 
 
 def newton(i, f):
