@@ -6,13 +6,15 @@ holds plain int coefficients and one shared exponent e >= 0, and its
 value is packed / 2^e.  It is normalized when built: e == 0, or some
 coefficient is odd, so equal polynomials have equal (e, packed).  A
 product needs no normalizing pass: by Gauss's lemma over F_2, if each
-factor has an odd coefficient so does the product.  Sums, the term
-filters, renamings that merge terms and `exact_divide` renormalize.
+factor has an odd coefficient so does the product.  Sums, swap
+differences, the term filters, renamings that merge terms and
+`exact_divide` renormalize.
 `dyadic` is the one gate where a value enters (the constructors), and
 `exact_divide` and `series_inverse` raise NotDivisible for a quotient
 with another denominator, so an illegal division fails early instead of
-silently producing a rational.  Fraction appears only at the edges:
-`terms`, `graded_terms` and `constant_term`.
+silently producing a rational; comparing with a number that is not
+dyadic gives False.  Fraction appears only at the edges: `terms`,
+`graded_terms` and `constant_term`.
 
 Variables come in six families, printed in the fixed order
 x < y < t < z < h < u (then by index).  A variable is a plain tuple
@@ -44,6 +46,11 @@ Comparing the ints is lex order on the slots, the last interned slot
 most significant; it is a monomial order (m < m' gives m + n < m' + n),
 which is all `exact_divide` needs.  Nothing printed depends on it:
 `graded_terms` orders decoded terms by the variables themselves.
+
+The numerator f - s_i f of a divided difference is one pass,
+`Polynomial.swap_difference`: a swap of two variables permutes two
+fields, so each term's image is read off its biased fields, a term the
+swap fixes cancels, and no renamed copy is built or subtracted.
 
 `Polynomial.packed` is the map {packed monomial: int coefficient} every
 computation reads, over 2^`Polynomial.e`.  `Polynomial.terms` decodes it

@@ -16,6 +16,7 @@ triple, reducible without changing the associated permutation.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 from .weyl import SignedPermutation
 
@@ -36,34 +37,18 @@ def _norm_type(wtype: str) -> str:
     raise ValueError(f"unknown triple type {wtype}")
 
 
+@dataclass(frozen=True)
 class Triple:
-    """An immutable triple (k, p, q) of one type: "A", "C" (covers B) or
-    "D"; equal and hashed by its four fields."""
-
-    __slots__ = ("k", "p", "q", "wtype")
+    k: tuple
+    p: tuple
+    q: tuple
+    wtype: str  # "A", "C" (covers B), or "D"
 
     def __init__(self, k, p, q, wtype):
         object.__setattr__(self, "k", tuple(k))
         object.__setattr__(self, "p", tuple(p))
         object.__setattr__(self, "q", tuple(q))
         object.__setattr__(self, "wtype", _norm_type(wtype))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of a Triple")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of a Triple")
-
-    def _fields(self):
-        return (self.k, self.p, self.q, self.wtype)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
 
     @property
     def s(self) -> int:

@@ -1,7 +1,5 @@
 import hashlib
 import json
-import subprocess
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -330,19 +328,3 @@ def test_reference_stdout(capsys, key):
     code, out = run(capsys, *_argv_of_key(key))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == REFERENCE_CLI[key]
-
-
-_IMPORT_SCRIPT = """
-import sys
-import vexpf.cli
-print(sorted({"dataclasses", "inspect"} & set(sys.modules)), "vexpf.gysin" in sys.modules)
-"""
-
-
-def test_cold_import_stays_small():
-    # without site, `import vexpf.cli` loads neither dataclasses nor
-    # inspect, and still loads vexpf.gysin
-    src = Path(__file__).resolve().parent.parent / "src"
-    run = subprocess.run([sys.executable, "-S", "-c", _IMPORT_SCRIPT], capture_output=True,
-                         text=True, env={"PYTHONPATH": str(src)}, check=True)
-    assert run.stdout.split() == ["[]", "True"]
