@@ -26,27 +26,6 @@ WORKED_A = Triple((2, 6, 8), (7, 4, 2), (5, 7, 9), "A")
 WORKED_A_W = "1 10 8 9 2 3 6 4 5 7"
 
 
-class TestTripleValue:
-    def test_immutable(self):
-        t = Triple((1, 2), (3, 1), (2, 1), "B")
-        with pytest.raises(AttributeError):
-            t.k = (1,)
-        with pytest.raises(AttributeError):
-            t.extra = 1
-        with pytest.raises(AttributeError):
-            del t.p
-        assert t.k == (1, 2) and t.wtype == "C"
-
-    def test_equality_and_hash(self):
-        t = Triple([1, 2], [3, 1], [2, 1], "B")
-        u = Triple((1, 2), (3, 1), (2, 1), "C")
-        assert t == u and hash(t) == hash(u) and len({t, u}) == 1
-        assert t != Triple((1, 2), (3, 1), (2, 1), "D")
-        assert t != ((1, 2), (3, 1), (2, 1), "C") and t != None  # noqa: E711
-        assert repr(t) == str(t) == "k=1,2;p=3,1;q=2,1;type=C"
-        assert Triple.parse(repr(WORKED_C)) == WORKED_C
-
-
 class TestValidate:
     def test_worked_examples_strict(self):
         assert validate(WORKED_C) == "strict"
