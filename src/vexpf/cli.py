@@ -67,14 +67,11 @@ def serialize_element(e) -> list:
     rows = []
     for lam in sorted(combo, reverse=True):
         poly = combo[lam]
-        for mono, coeff in graded_terms(poly):
+        for mono, num, k in graded_terms(poly):
             rows.append(
                 {
                     "q": list(lam),
-                    "coeff": {
-                        "num": str(coeff.numerator),
-                        "log2den": coeff.denominator.bit_length() - 1,
-                    },
+                    "coeff": {"num": str(num), "log2den": k},
                     "mono": {f"{v[0]}{v[1]}": exp for v, exp in mono},
                 }
             )
@@ -151,8 +148,24 @@ def _parse_w(text: str, wtype: str) -> SignedPermutation:
     return w
 
 
+# The largest word `schubert` and `vexillary --expand` take, per type.
+# On a 2-vCPU, 8 GB machine the type-C and type-D classes of size 6 take
+# 5-7 s and 180-250 MB, and top_class(7, "C") ran out of 3 GB after 260 s;
+# in type A, the longest word of S_7 takes 17 s and 1.2 GB, and the
+# top class of S_8 ran out of 2.4 GB after 66 s.
+MAX_CLASS_SIZE = {"A": 7, "B": 6, "C": 6, "D": 6}
+
+
+def _check_class_size(size: int, wtype: str):
+    if size > MAX_CLASS_SIZE[wtype]:
+        raise BoundExceeded(
+            f"classes are desk-scale: type {wtype} words of size <= {MAX_CLASS_SIZE[wtype]}, got {size}"
+        )
+
+
 def cmd_schubert(args) -> int:
     w = _parse_w(args.w, args.type)
+    _check_class_size(max(w.n, args.n or 0), args.type)
     e = schubert(w, args.type, n=args.n)
     print(render(e, args.format, _display_basis(args.type)))
     return 0
@@ -175,6 +188,8 @@ def _formula_rows(t: Triple):
 
 def cmd_vexillary(args) -> int:
     w = _parse_w(args.w, args.type)
+    if args.expand:
+        _check_class_size(w.n, args.type)
     t = triple_of_w(w, args.type)
     if t is None:
         if args.format == "json":

@@ -10,8 +10,13 @@ still do: sort a generator monomial weakly decreasing, eliminate equal
 adjacent pairs with the defining relation, and peel a strictly
 decreasing one off its Pfaffian expansion, whose other terms are higher
 in dominance order.  The symmetries s0 and s1hat add variables to the
-alphabet of Q; the branching rule maps each basis symbol straight to
-basis symbols.
+alphabet of Q; the branching rule `_branch` maps each basis symbol
+straight to basis symbols.
+
+Both Q-basis folds, `pf_rows` and `_branch`, keep each coefficient they
+build as one {packed monomial: int} map over a shared 2^-e and add into
+it with `polycore._fma`, a multiply-accumulate in place; a coefficient
+becomes a Polynomial once, when the fold is done.
 """
 
 from __future__ import annotations
@@ -21,7 +26,15 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .polycore import NotDivisible, Polynomial, rational_series, render_terms
+from .polycore import (
+    NotDivisible,
+    Polynomial,
+    _add_into,
+    _check,
+    _fma,
+    rational_series,
+    render_terms,
+)
 
 
 class TruncationTooSmall(ValueError):
@@ -234,6 +247,12 @@ class GammaElement:
     def scale(self, d) -> "GammaElement":
         return self * Polynomial.const(d)
 
+    def halve(self, r: int) -> "GammaElement":
+        """self / 2^r: r added to each coefficient's shared exponent."""
+        out = GammaElement()
+        out.combo = {lam: Polynomial.from_packed(c.packed, c.e + r) for lam, c in self.combo.items()}
+        return out
+
     def map_coeffs(self, fn) -> "GammaElement":
         return GammaElement({lam: fn(c) for lam, c in self.combo.items()})
 
@@ -294,8 +313,8 @@ class GeneratorSeries:
 
     def row(self, k: int) -> dict:
         """The degree-k coefficient sum_a g_a Q_{k-a} as a row {k - a: g_a}."""
-        parts = ((a, self.multiplier.part(a)) for a in range(self.multiplier.degree() + 1))
-        return {k - a: g for a, g in parts if g}
+        parts = self.multiplier.parts()
+        return {k - a: parts[a] for a in sorted(parts)}
 
     def __repr__(self):
         return f"Q*({self.multiplier})"
@@ -332,9 +351,15 @@ def pf_rows(rows) -> GammaElement:
         Q_(.., a, b, ..) = -Q_(.., b, a, ..) + [a + b = 0] 2 (-1)^a Q_(.., ..),
     and, once all rows are in, at the ends: a negative last entry gives 0
     and a trailing 0 (the odd border) drops.  f passes any e_m with a sign,
-    two adjacent f give -1 and a trailing f is a trailing 0.  The rows fold
-    over a state {(strictly decreasing prefix, pending f): coefficient},
-    so equal prefixes merge before the next row multiplies in.
+    two adjacent f give -1 and a trailing f is a trailing 0.
+
+    The rows fold over a state {(strictly decreasing prefix, pending f):
+    packed map} over one shared 2^-e, so equal prefixes merge before the
+    next row multiplies in.  Each row is lifted to the largest exponent
+    among its polynomials, and each product of a state term and a row
+    term goes once into every target of its alternation (`polycore._fma`):
+    no Polynomial is built per term.  Each row ends in one `_check` per
+    map, and each basis coefficient is wrapped once at the end.
     """
     memo = {}
 
@@ -356,25 +381,49 @@ def pf_rows(rows) -> GammaElement:
             memo[prefix, m] = out
         return memo[prefix, m]
 
-    state = {((), False): Polynomial.const(1)}
+    e = 0
+    state = {((), False): {0: 1}}
     for row in rows:
+        top = max((g.e for g in row.values()), default=0)
+        e += top
+        lifted = [
+            (m, g.packed if g.e == top else {mono: c << (top - g.e) for mono, c in g.packed.items()})
+            for m, g in row.items()
+            if g
+        ]
         acc = {}
-        for (prefix, f), coeff in state.items():
-            for m, g in row.items():
-                term = coeff * g
+        for (prefix, f), packed in state.items():
+            for m, g in lifted:
                 if m is None:
-                    _iadd(acc, (prefix, not f), -term if f else term)
-                    continue
-                for v, c in insert(prefix, m).items():
-                    _iadd(acc, (v, f), term * (-c if f else c))
-        state = acc
+                    targets = [(acc.setdefault((prefix, not f), {}), -1 if f else 1)]
+                else:
+                    targets = [
+                        (acc.setdefault((v, f), {}), -c if f else c)
+                        for v, c in insert(prefix, m).items()
+                    ]
+                    if not targets:
+                        continue
+                _fma(targets, packed, g)
+        state = {}
+        for key, packed in acc.items():
+            if not all(packed.values()):
+                packed = {mono: c for mono, c in packed.items() if c}
+            if packed:
+                _check(packed)
+                state[key] = packed
     combo = {}
-    for (v, _), coeff in state.items():
+    for (v, _), packed in state.items():
         if v and v[-1] == 0:
             v = v[:-1]
-        if not (v and v[-1] < 0):
-            _iadd(combo, v, coeff)
-    return GammaElement(combo)
+        if v and v[-1] < 0:
+            continue
+        if v in combo:
+            _add_into(combo[v], packed)
+        else:
+            combo[v] = packed
+    out = GammaElement()
+    out.combo = {lam: Polynomial.from_packed(p, e) for lam, p in combo.items() if p}
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -383,19 +432,41 @@ def pf_rows(rows) -> GammaElement:
 
 
 def _branch(e: GammaElement, v: Polynomial) -> GammaElement:
-    """Add the variable v to the alphabet of Q (Macdonald III §5 and §8):
+    """Add v, a variable, to the alphabet of Q (Macdonald III §5 and §8):
     Q_lambda(X, v) = sum_mu 2^a v^|lambda/mu| Q_mu(X) over strict mu with
     lambda_1 >= mu_1 >= lambda_2 >= mu_2 >= ..., a counting the columns i
     of the horizontal strip lambda/mu whose column i+1 is empty (column
-    lambda_j + 1 holds a box exactly when mu_{j-1} = lambda_j)."""
-    combo = {}
+    lambda_j + 1 holds a box exactly when mu_{j-1} = lambda_j).
+
+    Each target mu accumulates into one packed map over 2^-top, top the
+    largest exponent among the coefficients: a term of c_lambda moves by
+    v^|lambda/mu| and scales by 2^(a + top - c_lambda.e), in one `_fma`
+    pass.  Each mu ends in one `_check` and one wrap."""
+    if v.e:
+        raise ValueError(f"{v} is not a variable")
+    top = max((c.e for c in e.combo.values()), default=0)
+    powers = {}
+    acc = {}
     for lam, coeff in e.combo.items():
+        lift = top - coeff.e
+        weight = sum(lam)
         for mu in itertools.product(*(range(l, b - 1, -1) for l, b in zip(lam, lam[1:] + (0,)))):
             a = sum(m < l and not (j and mu[j - 1] == l) for j, (m, l) in enumerate(zip(mu, lam)))
             mu = mu[:-1] if mu and not mu[-1] else mu
             if is_strict(mu):
-                _iadd(combo, mu, coeff * (v ** (sum(lam) - sum(mu)) * (1 << a)))
-    return GammaElement(combo)
+                k = weight - sum(mu)
+                power = powers.get(k)
+                if power is None:
+                    power = powers[k] = (v**k).packed
+                _fma([(acc.setdefault(mu, {}), 1 << (a + lift))], power, coeff.packed)
+    out = GammaElement()
+    for mu, packed in acc.items():
+        if not all(packed.values()):
+            packed = {m: c for m, c in packed.items() if c}
+        if packed:
+            _check(packed)
+            out.combo[mu] = Polynomial.from_packed(packed, top)
+    return out
 
 
 def apply_symmetry(e: GammaElement, sub: dict, added) -> GammaElement:

@@ -426,7 +426,7 @@ def prop_A2_check(lam, pairs=None) -> bool:
     if failure:
         raise RelationViolated(failure)
     lhs = pushforward_compose(lam, pairs)
-    rhs = multischur_pf_d(lam, pairs, check=False).scale(Fraction(1, 1 << r))
+    rhs = multischur_pf_d(lam, pairs, check=False).halve(r)
     return lhs == rhs
 
 

@@ -20,8 +20,6 @@ integer index sequence).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .polycore import Polynomial, exact_divide, NotDivisible, ones_product
 from .gamma import GammaElement, GeneratorSeries, pf_rows, series_rows
 
@@ -214,7 +212,7 @@ def q_family(lam) -> GammaElement:
 def p_family(lam) -> GammaElement:
     """Half-generator version of q_family: q_family / 2^len(lam)."""
     lam = tuple(lam)
-    return q_family(lam) * Polynomial.const(Fraction(1, 1 << len(lam)))
+    return q_family(lam).halve(len(lam))
 
 
 def r_pairs(lam):
@@ -227,4 +225,4 @@ def r_family(lam) -> GammaElement:
     scaled by 2^-len(lam)."""
     lam = tuple(lam)
     pf = multischur_pf_d(lam, r_pairs(lam))
-    return pf * Polynomial.const(Fraction(1, 1 << len(lam)))
+    return pf.halve(len(lam))

@@ -13,8 +13,9 @@ differences, the term filters, renamings that merge terms and
 `exact_divide` and `series_inverse` raise NotDivisible for a quotient
 with another denominator, so an illegal division fails early instead of
 silently producing a rational; comparing with a number that is not
-dyadic gives False.  Fraction appears only at the edges: `terms`,
-`graded_terms` and `constant_term`.
+dyadic gives False.  Fraction appears only at the edges, in `terms` and
+`constant_term`; `graded_terms` gives each printed coefficient as an int
+numerator and a power of 2.
 
 Variables come in six families, printed in the fixed order
 x < y < t < z < h < u (then by index).  A variable is a plain tuple
@@ -229,15 +230,18 @@ def _mono_key(mono):
 
 
 def graded_terms(p: "Polynomial") -> list:
-    """The decoded terms (pairs, coefficient) of p, largest monomial first
-    in graded-lex order on the variables x < y < t < z < h < u: the one
-    term order of everything printed or serialized.  Each coefficient is
-    an int when p.e == 0, else a Fraction."""
-    if p.e:
-        den = 1 << p.e
-        terms = [(_decode(m), Fraction(c, den)) for m, c in p.packed.items()]
+    """The decoded terms (pairs, num, k) of p, each coefficient num / 2^k in
+    lowest terms (num odd when k > 0), largest monomial first in graded-lex
+    order on the variables x < y < t < z < h < u: the one term order of
+    everything printed or serialized."""
+    e = p.e
+    if e:
+        terms = []
+        for m, c in p.packed.items():
+            k = e - min(e, (c & -c).bit_length() - 1)
+            terms.append((_decode(m), c >> (e - k), k))
     else:
-        terms = [(_decode(m), c) for m, c in p.packed.items()]
+        terms = [(_decode(m), c, 0) for m, c in p.packed.items()]
     terms.sort(key=lambda t: _mono_key(t[0]), reverse=True)
     return terms
 
@@ -248,17 +252,19 @@ def render_terms(p: "Polynomial", latex: bool = False) -> str:
     negative (Laurent) powers render too."""
     sep = " " if latex else "*"
     bits = []
-    for mono, coeff in graded_terms(p):
+    for mono, num, k in graded_terms(p):
         factors = []
         for v, e in mono:
             name = f"{v[0]}_{{{v[1]}}}" if latex else f"{v[0]}{v[1]}"
             if e != 1:
                 name += f"^{{{e}}}" if latex else f"^{e}"
             factors.append(name)
-        if latex and coeff.denominator != 1:
-            c = f"\\frac{{{coeff.numerator}}}{{{coeff.denominator}}}"
+        if not k:
+            c = str(num)
+        elif latex:
+            c = f"\\frac{{{num}}}{{{1 << k}}}"
         else:
-            c = str(coeff)
+            c = f"{num}/{1 << k}"
         if factors and c == "1":
             body = ("" if latex else "*").join(factors)
         elif factors and c == "-1":
@@ -304,6 +310,32 @@ def _mul(a: dict, b: dict) -> dict:
             out = {m: c for m, c in out.items() if c}
     _check(out)
     return out
+
+
+def _fma(targets, a: dict, b: dict) -> None:
+    """Add k * a * b, a and b packed maps, into acc in place for each
+    (acc, k) of targets; each product of two terms is formed once, however
+    many targets take it.  A monomial shift times an int is a of one term.
+    Coefficients that cancel stay in acc as zeros: the caller drops them
+    and runs `_check` once over everything it accumulated."""
+    if len(a) > len(b):
+        a, b = b, a
+    items = b.items()
+    if len(targets) == 1:
+        [(acc, k)] = targets
+        get = acc.get
+        for m1, c1 in a.items():
+            c1 *= k
+            for m2, c2 in items:
+                m = m1 + m2
+                acc[m] = get(m, 0) + c1 * c2
+        return
+    for m1, c1 in a.items():
+        for m2, c2 in items:
+            m = m1 + m2
+            c = c1 * c2
+            for acc, k in targets:
+                acc[m] = acc.get(m, 0) + k * c
 
 
 def _moves(images: dict):
@@ -487,6 +519,14 @@ class Polynomial:
         return Polynomial.from_packed(
             {m: c for m, c in self.packed.items() if (m + _DHALF) & _DMASK == field}, self.e
         )
+
+    def parts(self) -> dict:
+        """Decompose by total degree in one pass: {d: the homogeneous
+        component of degree d}."""
+        out = {}
+        for m, c in self.packed.items():
+            out.setdefault(((m + _DHALF) & _DMASK) - _DHALF, {})[m] = c
+        return {d: Polynomial.from_packed(t, self.e) for d, t in out.items()}
 
     def truncate(self, d: int) -> "Polynomial":
         """Drop all terms of total degree > d."""
@@ -762,8 +802,11 @@ def rational_series(num_factors, den_factors, bound: int) -> Polynomial:
 
 
 def ones_product(family: str, count: int) -> Polynomial:
-    """prod_{j=1}^{count} (1 + v_j) over the variables v_j of one family."""
-    out = Polynomial.const(1)
+    """prod_{j=1}^{count} (1 + v_j) over the variables v_j of one family:
+    its 2^count squarefree monomials, each with coefficient 1."""
+    monos = [0]
     for j in range(1, count + 1):
-        out = out * (1 + Polynomial.variable(family, j))
-    return out
+        u = _unit(var(family, j))
+        monos += [m + u for m in monos]
+    _check(monos)
+    return _wrap(dict.fromkeys(monos, 1))

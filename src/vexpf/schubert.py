@@ -17,7 +17,6 @@ determinant (type A) or Pfaffian (signed types) built from the triple.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .polycore import Polynomial, exact_divide, ones_product, rational_series
 from .gamma import (
@@ -140,7 +139,7 @@ def _signed_pfaffian(lam, rows, wtype: str, check: bool) -> GammaElement:
     2^-r times it in type B (the half-generator rows P*g), and 2^-r times
     the paired Pfaffian Pf_lam(g | Q*g) in type D."""
     pf = (multischur_pf_d if wtype == "D" else multischur_pf)(lam, rows, check=check)
-    return pf if wtype == "C" else pf * Polynomial.const(Fraction(1, 1 << len(lam)))
+    return pf if wtype == "C" else pf.halve(len(lam))
 
 
 def vexillary_polynomial(t: Triple, wtype: str = None):
@@ -265,13 +264,6 @@ def expand_coeffs(e: GammaElement, basis: str = "Q") -> dict:
             for lam, c in e.combo.items()
         }
     raise ValueError(f"unknown basis {basis}")
-
-
-def top_term(e: GammaElement, degree: int) -> GammaElement:
-    """The sum of basis terms of full weight (constant coefficients)."""
-    return GammaElement(
-        {lam: c.part(0) for lam, c in e.combo.items() if sum(lam) == degree}
-    )
 
 
 def degeneracy_formula(t: Triple, q_series: Polynomial = None, multipliers=None):

@@ -18,12 +18,14 @@ import time
 from vexpf.polycore import Polynomial
 from vexpf.gamma import GammaElement, GeneratorSeries, q_pair
 from vexpf.weyl import SignedPermutation, all_elements, length
-from vexpf.schubert import (
-    schubert,
-    swap_xy,
-    top_term,
-)
+from vexpf.schubert import schubert, swap_xy
 from vexpf.cli import SUITES, build_parser, format_report
+
+
+def top_term(e, degree):
+    """The sum of the basis terms of e of full weight, with their constant
+    coefficients."""
+    return GammaElement({lam: c.part(0) for lam, c in e.combo.items() if sum(lam) == degree})
 
 
 def report(n, ok, detail=""):

@@ -229,6 +229,47 @@ class TestCommands:
             out = capsys.readouterr()
             assert out.out == "" and out.err == "error: enumeration is desk-scale: n <= 5\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("schubert", "--type", "C", "--w", "1 2 3 4 5 6 7"), "type C words of size <= 6, got 7"),
+            (("schubert", "--type", "B", "--w", "2 1", "--n", "7"), "type B words of size <= 6, got 7"),
+            (("schubert", "--type", "D", "--w", "-2 -1 3 4 5 6 7 8"), "type D words of size <= 6, got 8"),
+            (("schubert", "--type", "A", "--w", "1 2 3 4 5 6 7 8"), "type A words of size <= 7, got 8"),
+            (("vexillary", "--type", "C", "--w", "2 1 3 4 5 6 7", "--expand"),
+             "type C words of size <= 6, got 7"),
+            (("vexillary", "--type", "D", "--w", "-2 -1 3 4 5 6 7", "--expand", "--format", "json"),
+             "type D words of size <= 6, got 7"),
+            (("vexillary", "--type", "A", "--w", "2 1 3 4 5 6 7 8", "--expand"),
+             "type A words of size <= 7, got 8"),
+        ],
+    )
+    def test_class_size_bound(self, capsys, monkeypatch, argv, message):
+        # refused up front: no class is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("a class past the bound was computed")
+
+        monkeypatch.setattr(cli, "schubert", refuse)
+        monkeypatch.setattr(cli, "vexillary_polynomial", refuse)
+        assert main(list(argv)) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"error: classes are desk-scale: {message}\n"
+
+    def test_class_size_bound_admits_its_sizes(self, capsys, monkeypatch):
+        calls = []
+
+        def schubert(w, wtype, n=None):
+            calls.append((str(w), wtype, n))
+            return GammaElement.one()
+
+        monkeypatch.setattr(cli, "schubert", schubert)
+        assert run(capsys, "schubert", "--type", "C", "--w", "2 1", "--n", "6") == (0, "1\n")
+        assert run(capsys, "schubert", "--type", "A", "--w", "1 2 3 4 5 6 7") == (0, "1\n")
+        assert calls == [("2 1", "C", 6), ("1 2 3 4 5 6 7", "A", None)]
+        # detection alone takes a word of any size
+        code, out = run(capsys, "vexillary", "--type", "C", "--w", "-1 2 3 4 5 6 7")
+        assert code == 0 and out.startswith("triple: k=1;p=1;q=1")
+
     @pytest.mark.parametrize("wtype,vex", [("C", 1118), ("D", 575), ("A", 103)])
     def test_enumerate_n5_vexillary_only(self, capsys, wtype, vex):
         code, out = run(

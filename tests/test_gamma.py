@@ -2,16 +2,19 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from vexpf.polycore import Polynomial
+from vexpf.polycore import ExponentOverflow, Polynomial
 from vexpf.gamma import (
     GammaElement,
     GeneratorSeries,
     Q_SERIES,
     TruncationTooSmall,
+    _branch,
+    _iadd,
     _raw_mul,
     apply_symmetry,
+    is_strict,
     negt_series,
     pf_expansion,
     q_pair,
@@ -202,6 +205,85 @@ class TestSymmetries:
         lhs = apply_symmetry(a * b, *S0)
         rhs = apply_symmetry(a, *S0) * apply_symmetry(b, *S0)
         assert lhs == rhs
+
+
+def branch_term_by_term(e, v):
+    """The branching rule of `_branch` written term by term: one Polynomial
+    product coeff * v^|lambda/mu| * 2^a per (lambda, mu), summed per mu."""
+    combo = {}
+    for lam, coeff in e.combo.items():
+        for mu in itertools.product(*(range(l, b - 1, -1) for l, b in zip(lam, lam[1:] + (0,)))):
+            a = sum(m < l and not (j and mu[j - 1] == l) for j, (m, l) in enumerate(zip(mu, lam)))
+            mu = mu[:-1] if mu and not mu[-1] else mu
+            if is_strict(mu):
+                _iadd(combo, mu, coeff * (v ** (sum(lam) - sum(mu)) * (1 << a)))
+    return GammaElement(combo)
+
+
+_DYADIC = st.builds(lambda n, k: Fraction(n, 1 << k), st.integers(-6, 6), st.integers(0, 4))
+_BRANCH_VARS = [("x", 1), ("x", 2), ("y", 1), ("t", 1)]
+
+
+@st.composite
+def dyadic_polynomials(draw, max_terms=4):
+    """Up to max_terms terms in x_1, x_2, y_1, t_1 with coefficients n/2^k,
+    k <= 4, so the coefficients of one element mostly differ in e."""
+    terms = []
+    for _ in range(draw(st.integers(1, max_terms))):
+        exps = draw(st.dictionaries(st.sampled_from(_BRANCH_VARS), st.integers(1, 3), max_size=3))
+        terms.append((tuple(exps.items()), draw(_DYADIC)))
+    return Polynomial(terms)
+
+
+mixed_elements = st.dictionaries(
+    st.sampled_from([lam for r in range(4) for lam in itertools.combinations(range(5, 0, -1), r)]),
+    dyadic_polynomials(),
+    max_size=4,
+).map(GammaElement)
+X1, X2 = Polynomial.variable("x", 1), Polynomial.variable("x", 2)
+MIXED = GammaElement({
+    (4, 2, 1): Fraction(3, 2) * Polynomial.variable("y", 1),
+    (3, 1): Fraction(1, 8) * X1 + Fraction(5, 4),
+    (2,): X2 + 1,
+})
+
+
+class TestPackedBranch:
+    @settings(deadline=None, max_examples=60)
+    @given(mixed_elements, st.sampled_from([X1, X2]))
+    @example(MIXED, X1)
+    @example(MIXED, X2)
+    def test_matches_term_by_term(self, e, v):
+        got = _branch(e, v)
+        assert got == branch_term_by_term(e, v)
+        for c in got.combo.values():
+            assert c and (c.e == 0 or any(n & 1 for n in c.packed.values()))
+
+    @settings(deadline=None, max_examples=30)
+    @given(mixed_elements)
+    @example(MIXED)
+    def test_generator_zero_matches_term_by_term(self, e):
+        for sub, added in (S0, S1HAT):
+            expect = e.map_coeffs(lambda c: c.substitute(sub))
+            for v in added:
+                expect = branch_term_by_term(expect, v)
+            assert apply_symmetry(e, sub, added) == expect
+
+    def test_exponent_overflow(self):
+        # s0 on x1^250 Q_8 reaches x1^258 at mu = (): beyond the x1 field
+        e = GammaElement({(8,): X1**250})
+        with pytest.raises(ExponentOverflow):
+            apply_symmetry(e, *S0)
+        with pytest.raises(ExponentOverflow):
+            branch_term_by_term(e, X1)
+        with pytest.raises(ExponentOverflow):
+            _branch(GammaElement.basis((300,)), X1)
+        # the top of the field still fits: 2 x1^8 x1^247 at mu = ()
+        assert _branch(GammaElement({(8,): X1**247}), X1).coefficient(()) == 2 * X1**255
+
+    def test_wants_a_variable(self):
+        with pytest.raises(ValueError):
+            _branch(GammaElement.basis((1,)), X1 * Fraction(1, 2))
 
 
 class TestOracle:

@@ -1,10 +1,19 @@
 import itertools
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from vexpf.polycore import Polynomial, rational_series
-from vexpf.gamma import GammaElement, GeneratorSeries, Q_SERIES, q_pair, series_coeff
+from vexpf.polycore import ExponentOverflow, Polynomial, rational_series
+from vexpf.gamma import (
+    GammaElement,
+    GeneratorSeries,
+    Q_SERIES,
+    _iadd,
+    pf_rows,
+    q_pair,
+    series_coeff,
+)
 from vexpf.gysin import default_a2_data
 from vexpf.multischur import (
     DivisibilityFailed,
@@ -338,3 +347,123 @@ class TestFold:
         # the Appendix A.2 data: c(i) = prod_{j<=lam_i}(1+t_j), d(i) = Q*c(i)
         pairs = default_a2_data(lam)
         assert multischur_pf_d(lam, pairs, check=False) == written_pf_d(lam, pairs)
+
+
+# ---------------------------------------------------------------------------
+# the packed fold against the same fold over Polynomial coefficients
+# ---------------------------------------------------------------------------
+
+
+def pf_rows_term_by_term(rows):
+    """`pf_rows` with a Polynomial for every state coefficient: one product
+    coeff * g and one Polynomial sum per (state, m, target)."""
+    memo = {}
+
+    def insert(prefix, m):
+        if (prefix, m) not in memo:
+            a = prefix[-1] if prefix else m + 1
+            if a > m:
+                out = {prefix + (m,): 1}
+            elif a == m:
+                out = {prefix[:-1]: 1} if m == 0 else {}
+            else:
+                out = {}
+                for v, c in insert(prefix[:-1], m).items():
+                    for w, c2 in insert(v, a).items():
+                        _iadd(out, w, -c * c2)
+                if a + m == 0:
+                    _iadd(out, prefix[:-1], -2 if a % 2 else 2)
+            memo[prefix, m] = out
+        return memo[prefix, m]
+
+    state = {((), False): Polynomial.const(1)}
+    for row in rows:
+        acc = {}
+        for (prefix, f), coeff in state.items():
+            for m, g in row.items():
+                term = coeff * g
+                if m is None:
+                    _iadd(acc, (prefix, not f), -term if f else term)
+                    continue
+                for v, c in insert(prefix, m).items():
+                    _iadd(acc, (v, f), term * (-c if f else c))
+        state = acc
+    combo = {}
+    for (v, _), coeff in state.items():
+        if v and v[-1] == 0:
+            v = v[:-1]
+        if not (v and v[-1] < 0):
+            _iadd(combo, v, coeff)
+    return GammaElement(combo)
+
+
+_DYADIC = st.builds(lambda n, k: Fraction(n, 1 << k), st.integers(-6, 6), st.integers(0, 4))
+_ROW_VARS = [("x", 1), ("x", 2), ("y", 1), ("t", 1)]
+
+
+@st.composite
+def dyadic_polynomials(draw, max_terms=3):
+    """Up to max_terms terms in x_1, x_2, y_1, t_1 with coefficients n/2^k,
+    k <= 4, so the polynomials of one row mostly differ in e."""
+    terms = []
+    for _ in range(draw(st.integers(0, max_terms))):
+        exps = draw(st.dictionaries(st.sampled_from(_ROW_VARS), st.integers(1, 2), max_size=2))
+        terms.append((tuple(exps.items()), draw(_DYADIC)))
+    return Polynomial(terms)
+
+
+@st.composite
+def row_lists(draw):
+    """1-4 rows, each a few symbols e_m (m in -2..5) and maybe f (None)."""
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        keys = draw(st.lists(st.one_of(st.integers(-2, 5), st.none()), min_size=1, max_size=4, unique=True))
+        rows.append({m: draw(dyadic_polynomials()) for m in keys})
+    return rows
+
+
+X1, X2 = Polynomial.variable("x", 1), Polynomial.variable("x", 2)
+MIXED_ROWS = [
+    {3: Fraction(1, 2) * X1, 2: Polynomial.const(1), None: Fraction(3, 8) * X2},
+    {2: Fraction(3, 4) + X2, 0: X1 * X2},
+    {1: Fraction(1, 16) * X1, -1: Polynomial.const(5), None: Polynomial()},
+]
+
+
+class TestPackedFold:
+    @settings(deadline=None, max_examples=80)
+    @given(row_lists())
+    @example(MIXED_ROWS)
+    def test_matches_term_by_term(self, rows):
+        got = pf_rows(rows)
+        assert got == pf_rows_term_by_term(rows)
+        for c in got.combo.values():
+            assert c and (c.e == 0 or any(n & 1 for n in c.packed.values()))
+
+    def test_exponent_overflow(self):
+        # the entry Q_1 Q_0 = Q_1 of the two rows carries x1^200 x1^200
+        rows = [{1: X1**200}, {0: X1**200}]
+        for fold in (pf_rows, pf_rows_term_by_term):
+            with pytest.raises(ExponentOverflow):
+                fold(rows)
+        assert pf_rows([{1: X1**200}, {0: X1**55}]) == GammaElement({(1,): X1**255})
+
+    @pytest.mark.parametrize("wtype", ["C", "D"])
+    def test_formula_rows(self, wtype):
+        for t in enumerate_triples(wtype, 3):
+            lam, rows = formula_rows(t, wtype)
+            if wtype == "D":
+                rows = series_rows_d(lam, rows)
+            else:
+                rows = [c.row(k) for k, c in zip(lam, rows)]
+            assert pf_rows(rows) == pf_rows_term_by_term(rows), t
+
+
+def series_rows_d(lam, pairs):
+    """The rows d(i)_k + c(i)_k f of `multischur_pf_d`."""
+    rows = []
+    for k, (c, d) in zip(lam, pairs):
+        row = d.row(k)
+        row[None] = c.part(k)
+        rows.append(row)
+    return rows

@@ -335,6 +335,23 @@ def dyadic_refs(max_terms=5, laurent=True):
     return ref_polynomials(max_terms, laurent, _DYADIC_COEFFS)
 
 
+@given(dyadic_refs())
+def test_graded_terms_in_lowest_terms(a):
+    # each term's num / 2^k is its coefficient, reduced, read off the int
+    # and the shared exponent
+    terms = polycore.graded_terms(Polynomial(a))
+    assert {mono: Fraction(n, 1 << k) for mono, n, k in terms} == a
+    assert all(k == 0 or n & 1 for _, n, k in terms)
+
+
+def test_render_dyadic_coefficients():
+    p = Fraction(-3, 4) * X(1) + Fraction(6, 4) * Y(1) ** 2 + Fraction(1, 8)
+    assert polycore.render_terms(p) == "3/2*y1^2 - 3/4*x1 + 1/8"
+    assert polycore.render_terms(p, latex=True) == (
+        "\\frac{3}{2} y_{1}^{2} + \\frac{-3}{4} x_{1} + \\frac{1}{8}"
+    )
+
+
 _VARIABLES = [("x", 1), ("x", 2), ("x", 3), ("y", 1), ("t", 1)]
 renamings = st.dictionaries(
     st.sampled_from(_VARIABLES + _LAURENT),

@@ -17,9 +17,14 @@ from vexpf.schubert import (
     schubert,
     swap_xy,
     top_class,
-    top_term,
     vexillary_polynomial,
 )
+
+
+def top_term(e, degree):
+    """The sum of the basis terms of e of full weight, with their constant
+    coefficients."""
+    return GammaElement({lam: c.part(0) for lam, c in e.combo.items() if sum(lam) == degree})
 
 
 def x(i):
@@ -169,6 +174,40 @@ class TestOperatorIdentities:
         f = GammaElement({lam: x(i) ** a * x(i + 1) ** b * rest})
         assert dd(i, f) == GammaElement({lam: expect * rest})
         assert dd(i, f.coefficient(lam)) == expect * rest
+
+
+class TestGeneratorZeroIdentities:
+    """The relations of generator 0 with d_1 and d_2 on random elements whose
+    coefficients are n/2^k of mixed k; in type D, generator 0 is s1hat."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.sampled_from("BCD"), gamma_elements)
+    def test_square_is_zero(self, wtype, f):
+        assert not divided_difference(0, divided_difference(0, f, wtype), wtype)
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.sampled_from("BC"), gamma_elements)
+    def test_braid_with_d1(self, wtype, f):
+        def d(i, g):
+            return divided_difference(i, g, wtype)
+
+        assert d(0, d(1, d(0, d(1, f)))) == d(1, d(0, d(1, d(0, f))))
+
+    @settings(deadline=None, max_examples=30)
+    @given(gamma_elements)
+    def test_type_d_braid_with_d2(self, f):
+        def d(i, g):
+            return divided_difference(i, g, "D")
+
+        assert d(0, d(2, d(0, f))) == d(2, d(0, d(2, f)))
+
+    @settings(deadline=None, max_examples=30)
+    @given(gamma_elements)
+    def test_type_d_commutes_with_d1(self, f):
+        def d(i, g):
+            return divided_difference(i, g, "D")
+
+        assert d(0, d(1, f)) == d(1, d(0, f))
 
 
 def newton(i, f):
