@@ -30,8 +30,8 @@ from .polycore import (
     NotDivisible,
     Polynomial,
     _add_into,
-    _check,
     _fma,
+    _settle,
     rational_series,
     render_terms,
 )
@@ -358,7 +358,7 @@ def pf_rows(rows) -> GammaElement:
     next row multiplies in.  Each row is lifted to the largest exponent
     among its polynomials, and each product of a state term and a row
     term goes once into every target of its alternation (`polycore._fma`):
-    no Polynomial is built per term.  Each row ends in one `_check` per
+    no Polynomial is built per term.  Each row ends in one `_settle` per
     map, and each basis coefficient is wrapped once at the end.
     """
     memo = {}
@@ -406,10 +406,8 @@ def pf_rows(rows) -> GammaElement:
                 _fma(targets, packed, g)
         state = {}
         for key, packed in acc.items():
-            if not all(packed.values()):
-                packed = {mono: c for mono, c in packed.items() if c}
+            packed = _settle(packed)
             if packed:
-                _check(packed)
                 state[key] = packed
     combo = {}
     for (v, _), packed in state.items():
@@ -432,7 +430,7 @@ def pf_rows(rows) -> GammaElement:
 
 
 def _branch(e: GammaElement, v: Polynomial) -> GammaElement:
-    """Add v, a variable, to the alphabet of Q (Macdonald III §5 and §8):
+    """Add the variable v to the alphabet of Q (Macdonald III §5 and §8):
     Q_lambda(X, v) = sum_mu 2^a v^|lambda/mu| Q_mu(X) over strict mu with
     lambda_1 >= mu_1 >= lambda_2 >= mu_2 >= ..., a counting the columns i
     of the horizontal strip lambda/mu whose column i+1 is empty (column
@@ -441,9 +439,10 @@ def _branch(e: GammaElement, v: Polynomial) -> GammaElement:
     Each target mu accumulates into one packed map over 2^-top, top the
     largest exponent among the coefficients: a term of c_lambda moves by
     v^|lambda/mu| and scales by 2^(a + top - c_lambda.e), in one `_fma`
-    pass.  Each mu ends in one `_check` and one wrap."""
+    pass.  Each mu ends in one `_settle` and one wrap.  v may be any
+    polynomial with int coefficients: v^k multiplies in as it is."""
     if v.e:
-        raise ValueError(f"{v} is not a variable")
+        raise ValueError(f"{v} has a coefficient that is not an int")
     top = max((c.e for c in e.combo.values()), default=0)
     powers = {}
     acc = {}
@@ -461,10 +460,8 @@ def _branch(e: GammaElement, v: Polynomial) -> GammaElement:
                 _fma([(acc.setdefault(mu, {}), 1 << (a + lift))], power, coeff.packed)
     out = GammaElement()
     for mu, packed in acc.items():
-        if not all(packed.values()):
-            packed = {m: c for m, c in packed.items() if c}
+        packed = _settle(packed)
         if packed:
-            _check(packed)
             out.combo[mu] = Polynomial.from_packed(packed, top)
     return out
 

@@ -293,31 +293,24 @@ def _mul(a: dict, b: dict) -> dict:
     """The product of two packed maps, checked by `_check`."""
     if len(a) > len(b):
         a, b = b, a
-    if len(a) == 1:
-        [(m1, c1)] = a.items()
-        if not m1:
-            return dict(b) if c1 == 1 else {m: c1 * c for m, c in b.items()}
-        out = {m1 + m: c1 * c for m, c in b.items()}
-    else:
+    if len(a) != 1:
         out = {}
-        get = out.get
-        items = b.items()
-        for m1, c1 in a.items():
-            for m2, c2 in items:
-                m = m1 + m2
-                out[m] = get(m, 0) + c1 * c2
-        if not all(out.values()):
-            out = {m: c for m, c in out.items() if c}
+        _fma([(out, 1)], a, b)
+        return _settle(out)
+    [(m1, c1)] = a.items()
+    if not m1:
+        return dict(b) if c1 == 1 else {m: c1 * c for m, c in b.items()}
+    out = {m1 + m: c1 * c for m, c in b.items()}
     _check(out)
     return out
 
 
 def _fma(targets, a: dict, b: dict) -> None:
-    """Add k * a * b, a and b packed maps, into acc in place for each
-    (acc, k) of targets; each product of two terms is formed once, however
-    many targets take it.  A monomial shift times an int is a of one term.
-    Coefficients that cancel stay in acc as zeros: the caller drops them
-    and runs `_check` once over everything it accumulated."""
+    """The multiply-accumulate of the kernel: add k * a * b, a and b packed
+    maps, into acc in place for each (acc, k) of targets, forming each
+    product of two terms once however many targets take it.  A monomial
+    shift times an int is the case of an a with one term.  Coefficients
+    that cancel stay in acc as zeros: the caller ends with `_settle`."""
     if len(a) > len(b):
         a, b = b, a
     items = b.items()
@@ -336,6 +329,15 @@ def _fma(targets, a: dict, b: dict) -> None:
             c = c1 * c2
             for acc, k in targets:
                 acc[m] = acc.get(m, 0) + k * c
+
+
+def _settle(acc: dict) -> dict:
+    """acc, filled by `_fma`, with its zero coefficients dropped and its
+    monomials checked by `_check`."""
+    if not all(acc.values()):
+        acc = {m: c for m, c in acc.items() if c}
+    _check(acc)
+    return acc
 
 
 def _moves(images: dict):
