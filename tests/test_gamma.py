@@ -281,7 +281,7 @@ class TestPackedBranch:
         # the top of the field still fits: 2 x1^8 x1^247 at mu = ()
         assert _branch(GammaElement({(8,): X1**247}), X1).coefficient(()) == 2 * X1**255
 
-    def test_wants_a_variable(self):
+    def test_wants_int_coefficients(self):
         with pytest.raises(ValueError):
             _branch(GammaElement.basis((1,)), X1 * Fraction(1, 2))
 

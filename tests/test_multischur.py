@@ -13,6 +13,7 @@ from vexpf.gamma import (
     pf_rows,
     q_pair,
     series_coeff,
+    series_rows,
 )
 from vexpf.gysin import default_a2_data
 from vexpf.multischur import (
@@ -450,20 +451,13 @@ class TestPackedFold:
 
     @pytest.mark.parametrize("wtype", ["C", "D"])
     def test_formula_rows(self, wtype):
+        # the rows multischur_pf and multischur_pf_d fold, d_k + c_k f in type D
         for t in enumerate_triples(wtype, 3):
-            lam, rows = formula_rows(t, wtype)
+            lam, series = formula_rows(t, wtype)
             if wtype == "D":
-                rows = series_rows_d(lam, rows)
-            else:
-                rows = [c.row(k) for k, c in zip(lam, rows)]
+                cs, series = zip(*series)
+            rows = series_rows(lam, series)
+            if wtype == "D":
+                for row, k, c in zip(rows, lam, cs):
+                    row[None] = c.part(k)
             assert pf_rows(rows) == pf_rows_term_by_term(rows), t
-
-
-def series_rows_d(lam, pairs):
-    """The rows d(i)_k + c(i)_k f of `multischur_pf_d`."""
-    rows = []
-    for k, (c, d) in zip(lam, pairs):
-        row = d.row(k)
-        row[None] = c.part(k)
-        rows.append(row)
-    return rows
