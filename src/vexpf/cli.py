@@ -15,8 +15,8 @@ import random
 import sys
 from fractions import Fraction
 
-from .polycore import ExponentOverflow, Polynomial, graded_terms, ones_product, render_terms, var
-from .gamma import GammaElement, GeneratorSeries, is_strict, q_pair, render_combo, specialize_oracle
+from .polycore import ExponentOverflow, Polynomial, graded_terms, ones_product, render_terms
+from .gamma import GammaElement, GeneratorSeries, q_pair, render_combo, specialize_oracle
 from .weyl import SignedPermutation, SizeMismatch, all_elements, length
 from .triples import (
     Triple,
@@ -78,48 +78,6 @@ def serialize_element(e) -> list:
     return rows
 
 
-def parse_element(rows) -> GammaElement:
-    """Inverse of serialize_element.  A malformed row, a q that is not a
-    strict partition, an unknown variable and an exponent beyond its
-    field (`polycore.ExponentOverflow`) are ParseErrors.  Each basis
-    symbol's Polynomial is built once from all its rows, over the largest
-    2^log2den among them; each q and each variable name is checked once."""
-    rows_of = {}  # q -> its rows (monomial, num, log2den)
-    variables = {}  # name -> variable
-    for row in rows:
-        try:
-            lam, num, log2den = tuple(row["q"]), row["coeff"]["num"], row["coeff"]["log2den"]
-            terms = rows_of.get(lam)
-            if terms is None:
-                if not is_strict(lam):
-                    raise ValueError(f"q = {list(lam)} is not a strict partition")
-                terms = rows_of[lam] = []
-            if not isinstance(num, str) or type(log2den) is not int or log2den < 0:
-                raise ValueError("coeff wants a string num and a log2den >= 0")
-            mono = []
-            for name, e in row["mono"].items():
-                if type(e) is not int:
-                    raise ValueError(f"exponent {e!r} of {name} is not an integer")
-                v = variables.get(name)
-                if v is None:
-                    family = name.rstrip("0123456789")
-                    v = variables[name] = var(family, int(name[len(family) :]))
-                if e < 0 and v[0] != "h":
-                    raise ValueError(f"negative exponent {e} of {name}: only h is Laurent")
-                mono.append((v, e))
-            terms.append((tuple(mono), int(num), log2den))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad row {row}: {exc}") from exc
-    combo = {}
-    for lam, terms in rows_of.items():
-        top = max(k for _, _, k in terms)
-        try:
-            combo[lam] = Polynomial([(mono, n << (top - k)) for mono, n, k in terms], top)
-        except ExponentOverflow as exc:
-            raise ParseError(f"bad row for q = {list(lam)}: {exc}") from exc
-    return GammaElement(combo)
-
-
 def render(e, fmt: str, basis: str = "Q") -> str:
     """Text form of a class; basis P rescales signed-type coefficients."""
     if fmt == "json":
@@ -154,6 +112,14 @@ def _parse_w(text: str, wtype: str) -> SignedPermutation:
 # in type A, the longest word of S_7 takes 17 s and 1.2 GB, and the
 # top class of S_8 ran out of 2.4 GB after 66 s.
 MAX_CLASS_SIZE = {"A": 7, "B": 6, "C": 6, "D": 6}
+
+# The largest --n each `verify` suite takes; the other suites read no --n.
+# On the same machine each suite at its bound took at most 90 s and
+# 1.2 GB (census 49 s, b-scaling 71 s and 1.2 GB, inverse-swap 85 s,
+# identity-2-3 48 s), while stability --n 5 passed 2.8 GB in 150 s and
+# type-a --n 7 and identity-2-3 --n 9 ran past 90 s.
+MAX_VERIFY_N = {"census": 7, "theorem-equivalence": 5, "stability": 4, "b-scaling": 5,
+                "inverse-swap": 5, "positivity": 5, "type-a": 6, "identity-2-3": 8}
 
 
 def _check_class_size(size: int, wtype: str):
@@ -553,6 +519,9 @@ def cmd_verify(args) -> int:
     suite = args.suite
     if suite not in SUITES:
         raise UnknownSuite(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
+    bound = MAX_VERIFY_N.get(suite)
+    if bound is not None and args.n is not None and args.n > bound:
+        raise BoundExceeded(f"verify {suite} is desk-scale: n <= {bound}, got {args.n}")
     report = []
     ok = SUITES[suite](args, report)
     print(format_report(suite, ok, report, args.format), end="")
@@ -595,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", nargs="?", default=None)
     p.add_argument("--suite", dest="suite_flag", default=None)
     p.add_argument("--type", choices=["A", "B", "C", "D"], default=None)
-    p.add_argument("--format", choices=["json", "latex", "plain"], default="plain")
+    p.add_argument("--format", choices=["json", "plain"], default="plain")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)

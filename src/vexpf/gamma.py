@@ -467,9 +467,10 @@ def _branch(e: GammaElement, v: Polynomial) -> GammaElement:
 
 
 def apply_symmetry(e: GammaElement, sub: dict, added) -> GammaElement:
-    """A ring symmetry: substitute sub in every coefficient, then add each
-    variable of `added` to the alphabet of Q by the branching rule.  The
-    generator-0 symmetries s0 and s1hat are `schubert.GENERATOR_ZERO`."""
+    """A ring symmetry: rename the variables of every coefficient by sub, a
+    signed renaming for `Polynomial.substitute`, then add each variable of
+    `added` to the alphabet of Q by the branching rule.  The generator-0
+    symmetries s0 and s1hat are `schubert.GENERATOR_ZERO`."""
     out = e.map_coeffs(lambda c: c.substitute(sub))
     for v in added:
         out = _branch(out, v)

@@ -51,7 +51,10 @@ which is all `exact_divide` needs.  Nothing printed depends on it:
 The numerator f - s_i f of a divided difference is one pass,
 `Polynomial.swap_difference`: a swap of two variables permutes two
 fields, so each term's image is read off its biased fields, a term the
-swap fixes cancels, and no renamed copy is built or subtracted.
+swap fixes cancels, and no renamed copy is built or subtracted.  The
+one other ring map, `Polynomial.substitute`, is a signed renaming of
+variables (x_1 -> -x_1, x_1 -> -x_2 and x_2 -> -x_1, x <-> y): each term
+moves by int additions on its fields, and no image is multiplied in.
 
 `Polynomial.packed` is the map {packed monomial: int coefficient} every
 computation reads, over 2^`Polynomial.e`.  `Polynomial.terms` decodes it
@@ -289,22 +292,6 @@ def _add_into(acc: dict, terms: dict, sign: int = 1):
             del acc[m]
 
 
-def _mul(a: dict, b: dict) -> dict:
-    """The product of two packed maps, checked by `_check`."""
-    if len(a) > len(b):
-        a, b = b, a
-    if len(a) != 1:
-        out = {}
-        _fma([(out, 1)], a, b)
-        return _settle(out)
-    [(m1, c1)] = a.items()
-    if not m1:
-        return dict(b) if c1 == 1 else {m: c1 * c for m, c in b.items()}
-    out = {m1 + m: c1 * c for m, c in b.items()}
-    _check(out)
-    return out
-
-
 def _fma(targets, a: dict, b: dict) -> None:
     """The multiply-accumulate of the kernel: add k * a * b, a and b packed
     maps, into acc in place for each (acc, k) of targets, forming each
@@ -332,33 +319,33 @@ def _fma(targets, a: dict, b: dict) -> None:
 
 
 def _settle(acc: dict) -> dict:
-    """acc, filled by `_fma`, with its zero coefficients dropped and its
-    monomials checked by `_check`."""
+    """acc, filled by `_fma` or a renaming, with its zero coefficients
+    dropped and its monomials checked by `_check`."""
     if not all(acc.values()):
         acc = {m: c for m, c in acc.items() if c}
     _check(acc)
     return acc
 
 
-def _moves(images: dict):
-    """The renaming of `Polynomial.substitute` when every image is +-w for
-    a variable w: one (field shift, w - v, negate) per mapped v.  None
-    when some image is anything else, or when some field of a result
-    would add up more than two exponents, so that `_check` could not
-    vouch for it."""
+def _moves(mapping: dict) -> list:
+    """The renaming of `Polynomial.substitute`: one (field shift, w - v,
+    negate) per mapped variable v that is interned.  ValueError
+    when an image is not +-w for a variable w, or when some field of a
+    result would add up more than two exponents, so that `_check` could
+    not vouch for it."""
     moves = []
     sums = {}  # target unit -> exponents that add up in its field
-    for v, image in images.items():
-        if len(image.packed) != 1 or image.e:
-            return None
-        [(w, c)] = image.packed.items()
-        if (c != 1 and c != -1) or w not in _TARGETS:
-            return None
-        moves.append((_SHIFT[v], w - _UNIT[v], c == -1))
+    for v, image in mapping.items():
+        image = Polynomial.of(image)
+        w, c = next(iter(image.packed.items()), (None, 0))
+        if len(image.packed) != 1 or image.e or (c != 1 and c != -1) or w not in _TARGETS:
+            raise ValueError(f"substitute renames variables: {v} -> {image} is not +-w")
         sums[w] = sums.get(w, 0) + 1
+        if v in _UNIT:  # a variable never interned is in no monomial
+            moves.append((_SHIFT[v], w - _UNIT[v], c == -1))
     for w, count in sums.items():
-        if count + (_TARGETS[w] not in images) > 2:
-            return None
+        if count + (_TARGETS[w] not in mapping) > 2:
+            raise ValueError(f"substitute adds more than two exponents into {_TARGETS[w]}")
     return moves
 
 
@@ -485,21 +472,26 @@ class Polynomial:
                 b, e = _normal(b, e)
             elif not self.e:
                 a, e = _normal(a, e)
-        return _wrap(_mul(a, b), e)
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) != 1:
+            out = {}
+            _fma([(out, 1)], a, b)
+            return _wrap(_settle(out), e)
+        [(m1, c1)] = a.items()
+        if not m1:
+            return _wrap(dict(b) if c1 == 1 else {m: c1 * c for m, c in b.items()}, e)
+        out = {m1 + m: c1 * c for m, c in b.items()}
+        _check(out)
+        return _wrap(out, e)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        """self^n; n < 0 only for a unit monomial +-w, as (+-w^-1)^-n."""
-        base = self
+        """self^n for n >= 0, by repeated squaring."""
         if n < 0:
-            if (self.e or len(self.packed) != 1
-                    or next(iter(self.packed.values())) not in (1, -1)):
-                raise ValueError("negative power of a polynomial other than +-monomial")
-            [(m, c)] = self.packed.items()
-            base = _wrap({-m: c})
-            _check(base.packed)
-            n = -n
+            raise ValueError("negative power of a polynomial")
+        base = self
         result = Polynomial.const(1)
         while n:
             if n & 1:
@@ -556,69 +548,30 @@ class Polynomial:
         return {e: Polynomial.from_packed(d, self.e) for e, d in out.items()}
 
     def substitute(self, mapping) -> "Polynomial":
-        """Simultaneously substitute polynomials for variables.
+        """Rename variables: mapping sends variables (family, index) to
+        images +-w, w a variable, all at once, such as x_i <-> x_{i+1} or
+        x_1 -> -x_1; unmapped variables pass through.
 
-        mapping: dict from (family, index) to Polynomial (or int).
-        Unmapped variables pass through.  When every image is a variable
-        or its negative (a renaming such as x_i <-> x_{i+1}, a sign such
-        as x_1 -> -x_1), each term moves by one int addition per mapped
-        variable, negative exponents included.  Otherwise the images
-        multiply in, each power mapping[v]**e computed once per call (for
-        e < 0 the image must be a variable or its negative); the terms
-        whose powers carry a 2^-t collect apart, per t, and join the
-        others at the largest t.
-        The images of the terms are added into one dict, so the cost is
-        linear in the terms produced.
+        Each term moves by one int addition per mapped variable, negative
+        exponents included, into one dict, so the cost is linear in the
+        terms.  Any other image raises ValueError, and so does a renaming
+        that would add three or more exponents into one field, for which
+        `_check` cannot vouch.
         """
-        # a variable never interned is in no monomial
-        images = {v: Polynomial.of(image) for v, image in mapping.items() if v in _UNIT}
-        moves = _moves(images)
+        moves = _moves(mapping)
         low = _LOW
         out = {}
         get = out.get
-        top = 0
-        if moves is not None:
-            for m, c in self.packed.items():
-                x = m + low
-                for shift, delta, negate in moves:
-                    e = ((x >> shift) & _FMASK) - _HALF
-                    if e:
-                        m += e * delta
-                        if negate and e & 1:
-                            c = -c
-                out[m] = get(m, 0) + c
-            _check(out)
-        else:
-            powers = {}
-            scaled = {}  # t > 0 -> the sum of the terms whose powers carry 2^-t
-            for m, c in self.packed.items():
-                x = m + low
-                term = None
-                t = 0
-                for v, image in images.items():
-                    e = ((x >> _SHIFT[v]) & _FMASK) - _HALF
-                    if e:
-                        m -= e * _UNIT[v]
-                        power = powers.get((v, e))
-                        if power is None:
-                            power = powers[v, e] = image**e
-                        t += power.e
-                        term = power.packed if term is None else _mul(term, power.packed)
-                if term is None:
-                    out[m] = get(m, 0) + c
-                    continue
-                acc = scaled.setdefault(t, {}) if t else out
-                for m2, c2 in _mul({m: c}, term).items():
-                    acc[m2] = acc.get(m2, 0) + c2
-            if scaled:
-                top = max(scaled)
-                out = {m: c << top for m, c in out.items()}
-                for t, acc in scaled.items():
-                    for m, c in acc.items():
-                        out[m] = out.get(m, 0) + (c << (top - t))
-        if not all(out.values()):
-            out = {m: c for m, c in out.items() if c}
-        return Polynomial.from_packed(out, self.e + top)
+        for m, c in self.packed.items():
+            x = m + low
+            for shift, delta, negate in moves:
+                e = ((x >> shift) & _FMASK) - _HALF
+                if e:
+                    m += e * delta
+                    if negate and e & 1:
+                        c = -c
+            out[m] = get(m, 0) + c
+        return Polynomial.from_packed(_settle(out), self.e)
 
     def swap_difference(self, v, w) -> "Polynomial":
         """self - self|v<->w, the numerator of a divided difference, in one

@@ -44,7 +44,8 @@ def _yvar(i):
 
 
 def swap_xy(f):
-    """Exchange x_i and y_i throughout."""
+    """Exchange x_i and y_i throughout: one renaming of the coefficients by
+    `Polynomial.substitute`."""
     if isinstance(f, GammaElement):
         return f.map_coeffs(swap_xy)
     f = Polynomial.of(f)
