@@ -399,22 +399,24 @@ def is_signed_variable(p) -> bool:
                                    for m, c in terms.items())
 
 
-general_images = st.one_of(
-    st.integers(-3, 3),
-    st.sampled_from([2 * X(1), X(2) - Y(1), 1 + X(1), X(1) ** 2, Polynomial.const(Fraction(1, 2))]),
-    ref_polynomials(max_terms=3, laurent=False).map(Polynomial),
-).filter(lambda p: not is_signed_variable(p))
+def general_images(coeffs, refs):
+    """Maps v -> image, at least one image not +-w, that `substitute` refuses."""
+    image = st.one_of(
+        coeffs,
+        st.sampled_from([2 * X(1), X(2) - Y(1), 1 + X(1), X(1) ** 2,
+                         Polynomial.const(Fraction(1, 2))]),
+        refs(max_terms=3, laurent=False).map(Polynomial),
+    )
+    return st.dictionaries(st.sampled_from(_VARIABLES), image, min_size=1).filter(
+        lambda mapping: not all(map(is_signed_variable, mapping.values())))
 
 
-@given(laurent_polynomials(), st.dictionaries(st.sampled_from(_VARIABLES), general_images,
-                                              min_size=1))
-@example(X(2), {("x", 2): 2 * X(1)})
-@example(X(2), {("x", 2): Fraction(1, 2) * X(1)})
-@example(X(2), {("x", 2): X(1) ** 2})
-@example(X(2), {("x", 2): 0})
-def test_substitute_rejects_general_images(p, mapping):
+def assert_refused(a: dict, mapping: dict):
+    """`substitute` refuses a non-renaming image and leaves its polynomial as it was."""
+    p = Polynomial(a)
     with pytest.raises(ValueError, match="renames variables"):
         p.substitute(mapping)
+    assert p.terms == Polynomial(a).terms
 
 
 @pytest.mark.parametrize("mapping", [
@@ -520,6 +522,15 @@ class TestOracle:
         # a mapped h^-k moves to the inverse of its image
         assert Polynomial(a).substitute(mapping).terms == ref_substitute(a, mapping)
 
+    @given(ref_polynomials(), general_images(st.integers(-3, 3), ref_polynomials))
+    @example({((("x", 2), 1),): 1}, {("x", 2): 2 * X(1)})
+    @example({((("x", 2), 1),): 1}, {("x", 2): X(1) ** 2})
+    @example({((("x", 2), 1),): 1}, {("x", 2): 0})
+    @example({((("x", 1), 1),): 1}, {("x", 1): X(2), ("x", 2): 1 + X(1)})
+    def test_substitute_general(self, a, mapping):
+        # only renamings are taken: any other image is refused
+        assert_refused(a, mapping)
+
     def test_laurent_exponent_cancels_to_zero(self):
         a = {((("x", 1), 1), (("h", 1), 2)): 1}
         b = {((("h", 1), -2), (("y", 1), 1)): 3}
@@ -532,13 +543,18 @@ class TestOracle:
         assert (Polynomial(a) ** n).terms == ref_pow(a, n)
 
     @given(dyadic_refs(max_terms=3), st.integers(-4, -1))
-    @example({((("h", 1), -256),): 1}, -1)
     @example({((("x", 1), 1),): 1}, -1)
     @example({(): 1}, -1)
     def test_negative_power(self, a, n):
         # no power is an inverse, not even of a unit monomial or of 1
         with pytest.raises(ValueError, match="negative power"):
             Polynomial(a) ** n
+
+    def test_negative_power_of_a_sum(self):
+        with pytest.raises(ValueError, match="negative power"):
+            (1 + Polynomial.variable("x", 1)) ** -1
+        with pytest.raises(ValueError, match="negative power"):
+            (2 * Polynomial.variable("x", 1)) ** -1
 
     # -- coefficients n/2^k against a dict of Fractions ---------------------
 
@@ -567,6 +583,13 @@ class TestOracle:
         out = Polynomial(a).substitute(mapping)
         assert_normalized(out)
         assert out.terms == ref_substitute(a, mapping)
+
+    @given(dyadic_refs(), general_images(_DYADIC_COEFFS, dyadic_refs))
+    @example({((("x", 1), 1),): Fraction(1, 2), (): Fraction(1, 4)},
+             {("x", 1): Polynomial.const(Fraction(1, 2))})
+    @example({((("x", 2), 1),): 1}, {("x", 2): Fraction(1, 2) * X(1)})
+    def test_dyadic_substitute_general(self, a, mapping):
+        assert_refused(a, mapping)
 
     @given(dyadic_refs(), st.integers(-4, 6), st.sampled_from(_VARIABLES + _LAURENT))
     @example({((("x", 1), 1),): Fraction(1, 2), ((("x", 1), 2),): 3}, 2, ("x", 1))
@@ -656,6 +679,12 @@ class TestOverflow:
     def test_power(self, fam, e, n):
         with pytest.raises(ExponentOverflow):
             power(fam, 1, e) ** n
+
+    def test_inverse(self):
+        # h^-256 is in range and its inverse h^256 is not, but no exponent
+        # is formed: a negative power is refused first
+        with pytest.raises(ValueError, match="negative power"):
+            power("h", 1, -256) ** -1
 
     def test_in_range_edges(self):
         # the extreme exponents themselves are in range, and decode as given
