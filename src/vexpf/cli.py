@@ -113,7 +113,7 @@ def _parse_w(text: str, wtype: str) -> SignedPermutation:
 # top class of S_8 ran out of 2.4 GB after 66 s.
 MAX_CLASS_SIZE = {"A": 7, "B": 6, "C": 6, "D": 6}
 
-# The largest --n each `verify` suite takes; the other suites read no --n.
+# The largest --n each `verify` suite takes; the other suites refuse --n.
 # On the same machine each suite at its bound took at most 90 s and
 # 1.2 GB (census 49 s, b-scaling 71 s and 1.2 GB, inverse-swap 85 s,
 # identity-2-3 48 s), while stability --n 5 passed 2.8 GB in 150 s and
@@ -520,8 +520,11 @@ def cmd_verify(args) -> int:
     if suite not in SUITES:
         raise UnknownSuite(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     bound = MAX_VERIFY_N.get(suite)
-    if bound is not None and args.n is not None and args.n > bound:
-        raise BoundExceeded(f"verify {suite} is desk-scale: n <= {bound}, got {args.n}")
+    if args.n is not None:
+        if bound is None:
+            raise ParseError(f"verify {suite} reads no --n")
+        if args.n > bound:
+            raise BoundExceeded(f"verify {suite} is desk-scale: n <= {bound}, got {args.n}")
     report = []
     ok = SUITES[suite](args, report)
     print(format_report(suite, ok, report, args.format), end="")

@@ -21,7 +21,7 @@ integer index sequence).
 from __future__ import annotations
 
 from .polycore import Polynomial, exact_divide, NotDivisible, ones_product
-from .gamma import GammaElement, GeneratorSeries, pf_rows, series_rows
+from .gamma import Q_SERIES, GammaElement, GeneratorSeries, pf_rows, series_rows
 
 
 class SkewCheckFailed(ValueError):
@@ -162,13 +162,18 @@ def multischur_pf_d(lam, pairs, check: bool = True) -> GammaElement:
 def _check_paired(lam, cs, ds):
     """The invariants of multischur_pf_d, on the quotients e(i) = d(i)/c(i):
     c(i) c(j)* has constant term 1, so d(i) d(j)* = c(i) c(j)* exactly when
-    e(i) e(j)* = 1.  c(i) | c(i-1) for each i gives c(i) | c(j), j < i."""
+    e(i) e(j)* = 1.  c(i) | c(i-1) for each i gives c(i) | c(j), j < i.
+    Every program caller passes d(i) = Q * c(i), so e(i) = 1 needs no
+    division, and when every e(i) is 1 every star relation holds."""
     quotients = []
     for k, c, d in zip(lam, cs, ds):
         if c.constant_term() != 1:
             raise ValueError("c series must have constant term 1")
         if c.degree() > k:
             raise SkewCheckFailed(f"deg c = {c.degree()} exceeds index {k}")
+        if d.multiplier == c:
+            quotients.append(None)
+            continue
         try:
             quotients.append(GeneratorSeries(exact_divide(d.multiplier, c)))
         except NotDivisible:
@@ -178,9 +183,10 @@ def _check_paired(lam, cs, ds):
             exact_divide(cs[i - 1], cs[i])
         except NotDivisible:
             raise DivisibilityFailed(f"c({i+1}) does not divide c({i})")
-    failure = star_relation_failure([(1, e) for e in quotients])
-    if failure:
-        raise StarRelationFailed(failure)
+    if any(quotients):
+        failure = star_relation_failure([(1, e or Q_SERIES) for e in quotients])
+        if failure:
+            raise StarRelationFailed(failure)
 
 
 def star_relation_failure(pairs):

@@ -51,7 +51,11 @@ which is all `exact_divide` needs.  Nothing printed depends on it:
 The numerator f - s_i f of a divided difference is one pass,
 `Polynomial.swap_difference`: a swap of two variables permutes two
 fields, so each term's image is read off its biased fields, a term the
-swap fixes cancels, and no renamed copy is built or subtracted.  The
+swap fixes cancels, and no renamed copy is built or subtracted.  Such a
+numerator is alternating in the two variables, and `exact_divide`
+writes its quotient by x_i - x_{i+1} as geometric sums in one more
+linear pass, with no heap: (v^a w^b - v^b w^a) / (v - w) is
+v^b w^b (v^(a-b-1) + v^(a-b-2) w + ... + w^(a-b-1)).  The
 one other ring map, `Polynomial.substitute`, is a signed renaming of
 variables (x_1 -> -x_1, x_1 -> -x_2 and x_2 -> -x_1, x <-> y): each term
 moves by int additions on its fields, and no image is multiplied in.
@@ -629,10 +633,70 @@ class Polynomial:
     __repr__ = __str__
 
 
+def _alternating_quotient(p: Polynomial, v: int, w: int):
+    """p / (v - w), v and w the packed monomials of two variables, as a
+    packed map over 2^p.e, when p is alternating in v and w with no
+    negative exponent in either; else None.
+
+    Alternating: no term is fixed by the swap v <-> w, and the image of
+    each term c*m is a term with coefficient -c.  Then p is the sum, over
+    its terms c v^a w^b R with a > b, of c (v^a w^b - v^b w^a) R, and each
+    of those divided by v - w is c R v^b w^b h_(a-b-1)(v, w), where
+    h_k(v, w) = v^k + v^(k-1) w + ... + w^k: a run of a - b monomials,
+    each one swap step from the last.  Every exponent lies between b and
+    a - 1, so every quotient monomial is in range.
+    """
+    sv, sw = _SHIFT[_TARGETS[v]], _SHIFT[_TARGETS[w]]
+    delta = w - v
+    low = _LOW
+    packed = p.packed
+    get = packed.get
+    q = {}
+    qget = q.get
+    runs = 0
+    for m, c in packed.items():
+        x = m + low
+        bw = (x >> sw) & _FMASK
+        k = ((x >> sv) & _FMASK) - bw  # a - b
+        if k > 0:
+            # b < 0 (a Laurent dividend takes the heap), or no partner -c
+            if bw < _HALF or get(m + k * delta) != -c:
+                return None
+            runs += 1
+            m -= v  # the first monomial of the run, v^(a-1) w^b R
+            if k == 1:
+                q[m] = qget(m, 0) + c
+                continue
+            for _ in range(k):
+                q[m] = qget(m, 0) + c
+                m += delta
+        elif not k:
+            return None
+    # the swap is one to one, so when the terms with a < b are as many as
+    # the runs, they are exactly the partners already checked
+    if 2 * runs != len(packed):
+        return None
+    if not all(q.values()):
+        q = {m: c for m, c in q.items() if c}
+    return q
+
+
 def exact_divide(p: Polynomial, d: Polynomial) -> Polynomial:
     """Return q with q*d == p, or raise NotDivisible.
 
-    Leading-term cancellation in the int order of packed monomials; when
+    Two paths, chosen from the input alone; since an exact quotient is
+    unique, both give the same q.
+
+    A divisor +-(v - w), v and w single variables with unit coefficients,
+    and a dividend alternating in v and w with no negative exponent in
+    either (such as every divided-difference numerator f - s_i f) take
+    `_alternating_quotient`: one linear pass that writes the quotient as
+    geometric sums, with one dict update per quotient term it adds.  Such
+    a dividend is always divisible.
+
+    Every other division (by -x_1, -2 x_1 or -x_1 - x_2, the c(i) | c(i-1)
+    checks, a dividend that is divisible but not alternating) is
+    leading-term cancellation in the int order of packed monomials; when
     an exact quotient exists this always finds it, and since it is unique
     the order does not change the result.  The remainder is one dict,
     updated in place, and its monomials wait in a heap, largest first; an
@@ -651,6 +715,13 @@ def exact_divide(p: Polynomial, d: Polynomial) -> Polynomial:
     """
     if not d:
         raise ZeroDivisionError("division by the zero polynomial")
+    if len(d.packed) == 2 and not d.e:
+        (m1, c1), (m2, c2) = d.packed.items()
+        if c1 + c2 == 0 and c1 * c1 == 1 and m1 in _TARGETS and m2 in _TARGETS:
+            v, w = (m1, m2) if c1 == 1 else (m2, m1)
+            q = _alternating_quotient(p, v, w)
+            if q is not None:
+                return Polynomial.from_packed(q, p.e)
     low, guard = _LOW, _GUARD
     lead = max(d.packed)
     d_coeff = d.packed[lead]

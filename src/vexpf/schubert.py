@@ -25,7 +25,7 @@ from .gamma import (
     apply_symmetry,
     substitute_q,
 )
-from .weyl import SignedPermutation, SizeMismatch, generators, length, longest_element
+from .weyl import SignedPermutation, SizeMismatch, descents, generators, longest_element
 from .triples import InvalidTriple, Triple, column_steps, lambda_of, reduce_redundant, validate
 from .multischur import multischur_det, multischur_pf, multischur_pf_d
 
@@ -73,9 +73,11 @@ def divided_difference(i: int, f, wtype: str):
     For i >= 1, s_i swaps x_i and x_{i+1} and fixes every Q_lambda, so
     the operator acts on each basis coefficient as in type A: the
     numerator c - s_i(c) comes in one pass from
-    `Polynomial.swap_difference`, and a nonzero one is divided exactly
-    by x_i - x_{i+1}.  i = 0 selects the type-dependent extra generator
-    (undefined in type A), applied by `apply_symmetry`.
+    `Polynomial.swap_difference`, and a nonzero one, alternating in x_i
+    and x_{i+1}, is divided by x_i - x_{i+1} in one more pass, as
+    geometric sums with no heap (`exact_divide`).  i = 0 selects the
+    type-dependent extra generator (undefined in type A), applied by
+    `apply_symmetry` and divided by `exact_divide`'s heap loop.
     """
     if i == 0:
         if wtype not in GENERATOR_ZERO:
@@ -235,12 +237,8 @@ def _descend(w, wtype, n, rng):
         else:
             out = top_class(n, wtype)
     else:
-        lw = length(w, wtype)
-        ascents = [
-            i
-            for i in generators(n, wtype)
-            if length(w.right_gen(i, wtype), wtype) == lw + 1
-        ]
+        down = descents(w, wtype)
+        ascents = [i for i in generators(n, wtype) if i not in down]
         i = rng.choice(ascents) if rng else ascents[0]
         higher = _descend(w.right_gen(i, wtype), wtype, n, rng)
         out = divided_difference(i, higher, wtype)

@@ -146,12 +146,22 @@ def generators(n: int, wtype: str):
 
 
 def descents(w: SignedPermutation, wtype: str):
-    """Right descent set: generators g with length(w * s_g) < length(w)."""
-    lw = length(w, wtype)
-    out = []
-    for g in generators(w.n, wtype):
-        if length(w.right_gen(g, wtype), wtype) < lw:
-            out.append(g)
+    """Right descent set: generators g with length(w * s_g) < length(w),
+    read off the one-line notation in O(1) per generator (Bjorner-Brenti,
+    *Combinatorics of Coxeter Groups*, 8.1-8.2): i >= 1 is a descent when
+    w(i) > w(i+1); generator 0 when w(1) < 0 in types B and C, and when
+    w(1) + w(2) < 0 in type D.  The rule holds on both type-D cosets."""
+    if wtype == "A":
+        if not w.is_unsigned():
+            raise ValueError("type A wants an unsigned permutation")
+    elif wtype not in ("B", "C", "D"):
+        raise ValueError(f"unknown type {wtype}")
+    if wtype == "D" and w.n == 1:
+        raise SizeMismatch("s_1hat needs n >= 2")
+    vals = w.values
+    out = [i for i in range(1, len(vals)) if vals[i - 1] > vals[i]]
+    if wtype != "A" and (w(1) + w(2) if wtype == "D" else w(1)) < 0:
+        out.insert(0, 0)
     return out
 
 

@@ -264,6 +264,17 @@ class TestCommands:
         assert out.err == f"error: verify {suite} is desk-scale: n <= {bound}, got {bound + 1}\n"
         assert main(["verify", suite, "--n", str(bound)]) == 0 and calls == [bound]
 
+    @pytest.mark.parametrize("suite", ["redundancy", "lemma25", "appendix-a1", "appendix-a2"])
+    def test_verify_refuses_an_n_it_does_not_read(self, capsys, monkeypatch, suite):
+        calls = []
+        monkeypatch.setitem(cli.SUITES, suite, lambda args, report: calls.append(args.n) or True)
+        assert main(["verify", suite, "--n", "3"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"error: verify {suite} reads no --n\n"
+        assert main(["verify", suite]) == 0 and calls == [None]
+        assert set(cli.SUITES) - set(cli.MAX_VERIFY_N) == {
+            "redundancy", "lemma25", "appendix-a1", "appendix-a2"}
+
     @pytest.mark.parametrize("wtype,vex", [("C", 1118), ("D", 575), ("A", 103)])
     def test_enumerate_n5_vexillary_only(self, capsys, wtype, vex):
         code, out = run(

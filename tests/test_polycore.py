@@ -489,6 +489,48 @@ def test_swap_difference_with_a_variable_never_interned():
     assert not p.swap_difference(other, ("z", 99))
 
 
+# -- exact_divide by +-(v - w): quotients as geometric sums --------------------
+
+_DIVISOR_PAIRS = [(("x", 1), ("x", 2)), (("x", 3), ("x", 2)), (("y", 1), ("t", 1)),
+                  (("z", 2), ("x", 1)), (("u", 1), ("y", 2))]
+
+
+@given(ref_polynomials(coeffs=st.one_of(_REF_COEFFS, _DYADIC_COEFFS)),
+       st.sampled_from(_DIVISOR_PAIRS), st.sampled_from([1, -1]))
+@example({((("x", 1), 3), (("y", 1), 1)): Fraction(3, 8), ((("x", 2), 2),): 5},
+         (("x", 1), ("x", 2)), 1)
+def test_exact_divide_of_a_swap_difference(f, pair, sign):
+    v, w = pair
+    p = Polynomial(f).swap_difference(v, w)
+    d = sign * (Polynomial.variable(*v) - Polynomial.variable(*w))
+    q = exact_divide(p, d)
+    assert q * d == p
+    assert_normalized(q)
+    # the numerator is alternating, so the geometric sums give q
+    assert polycore._alternating_quotient(p, polycore._unit(v), polycore._unit(w)) is not None
+
+
+def test_exact_divide_by_a_difference_of_variables_otherwise():
+    v, w = X(1), X(2)
+    # divisible but not alternating: the heap loop
+    units = polycore._unit(("x", 1)), polycore._unit(("x", 2))
+    assert polycore._alternating_quotient((v - w) * v, *units) is None
+    assert exact_divide((v - w) * v, v - w) == v
+    assert exact_divide((v - w) * (v + 3 * Y(1)), w - v) == -v - 3 * Y(1)
+    # not divisible, and not alternating: a term fixed by the swap, a term
+    # with no partner, or a partner with the wrong coefficient
+    for p in (v ** 2 - w, v - w + v * w, v - w - w ** 2, v - 2 * w, v + w):
+        with pytest.raises(NotDivisible):
+            exact_divide(p, v - w)
+    assert exact_divide(Polynomial(), v - w) == Polynomial()
+    # a negative exponent in v or w keeps the heap loop's answer
+    with pytest.raises(NotDivisible):
+        exact_divide(power("h", 1, -1) - power("h", 2, -1), power("h", 1, 1) - power("h", 2, 1))
+    # unit coefficients only: 2(v - w) and (v - w)/2 take the heap loop
+    assert exact_divide(v ** 2 - w ** 2, 2 * v - 2 * w) == Fraction(1, 2) * (v + w)
+    assert exact_divide(v ** 2 - w ** 2, Fraction(1, 2) * (v - w)) == 2 * (v + w)
+
+
 class TestOracle:
     """The packed kernel against the tuple-monomial reference."""
 

@@ -115,6 +115,20 @@ class TestCensusAndLongest:
     def test_longest_d3(self):
         assert longest_element(3, "D") == SignedPermutation.parse("1 -2 -3")
 
+    @pytest.mark.parametrize("n, group, wtype", [
+        (5, "A", "A"), (4, "B", "B"), (4, "C", "C"),
+        # all of W_4 in type C: both cosets of type D
+        (4, "C", "D"),
+    ])
+    def test_descents_match_length(self, n, group, wtype):
+        count = 0
+        for w in all_elements(n, group):
+            lw = length(w, wtype)
+            want = [g for g in generators(n, wtype) if length(w.right_gen(g, wtype), wtype) < lw]
+            assert descents(w, wtype) == want, w
+            count += 1
+        assert count == {"A": 120, "B": 384, "C": 384}[group]
+
     def test_no_descents_only_identity(self):
         for wtype in ("A", "C", "D"):
             for w in all_elements(3, wtype):
