@@ -121,6 +121,9 @@ MAX_CLASS_SIZE = {"A": 7, "B": 6, "C": 6, "D": 6}
 MAX_VERIFY_N = {"census": 7, "theorem-equivalence": 5, "stability": 4, "b-scaling": 5,
                 "inverse-swap": 5, "positivity": 5, "type-a": 6, "identity-2-3": 8}
 
+# The suites that read --type, --r and --seed; the others refuse each.
+VERIFY_READERS = {"type": ("theorem-equivalence",), "r": ("appendix-a2",), "seed": ("redundancy",)}
+
 
 def _check_class_size(size: int, wtype: str):
     if size > MAX_CLASS_SIZE[wtype]:
@@ -519,12 +522,13 @@ def cmd_verify(args) -> int:
     suite = args.suite
     if suite not in SUITES:
         raise UnknownSuite(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
-    bound = MAX_VERIFY_N.get(suite)
-    if args.n is not None:
-        if bound is None:
-            raise ParseError(f"verify {suite} reads no --n")
-        if args.n > bound:
-            raise BoundExceeded(f"verify {suite} is desk-scale: n <= {bound}, got {args.n}")
+    for flag, readers in dict(VERIFY_READERS, n=MAX_VERIFY_N).items():
+        if getattr(args, flag) is not None and suite not in readers:
+            raise ParseError(f"verify {suite} reads no --{flag}")
+    if args.n is not None and args.n > MAX_VERIFY_N[suite]:
+        raise BoundExceeded(f"verify {suite} is desk-scale: n <= {MAX_VERIFY_N[suite]}, got {args.n}")
+    if args.r is not None and args.r > 3:  # appendix-a2's shapes have at most 3 parts
+        raise BoundExceeded(f"verify {suite} is desk-scale: r <= 3, got {args.r}")
     report = []
     ok = SUITES[suite](args, report)
     print(format_report(suite, ok, report, args.format), end="")
@@ -540,9 +544,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="vexpf")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, formats=("json", "latex", "plain")):
         p.add_argument("--type", choices=["A", "B", "C", "D"], default="C")
-        p.add_argument("--format", choices=["json", "latex", "plain"], default="plain")
+        p.add_argument("--format", choices=formats, default="plain")
 
     p = sub.add_parser("schubert", help="double Schubert polynomial of a word")
     common(p)
@@ -558,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_vexillary)
 
     p = sub.add_parser("enumerate", help="list group elements with vexillarity data")
-    common(p)
+    common(p, ("json", "plain"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--vexillary-only", action="store_true")
     p.set_defaults(fn=cmd_enumerate)

@@ -9,9 +9,9 @@ The Pfaffians of the closed formulas build no generator monomials:
 still do: sort a generator monomial weakly decreasing, eliminate equal
 adjacent pairs with the defining relation, and peel a strictly
 decreasing one off its Pfaffian expansion, whose other terms are higher
-in dominance order.  The symmetries s0 and s1hat add variables to the
-alphabet of Q; the branching rule `_branch` maps each basis symbol
-straight to basis symbols.
+in dominance order.  The symmetry s0 of generator 0 adds x_1 to the
+alphabet of Q (type D's s1hat is s0 s1 s0); the branching rule
+`_branch` maps each basis symbol straight to basis symbols.
 
 Both Q-basis folds, `pf_rows` and `_branch`, keep each coefficient they
 build as one {packed monomial: int} map over a shared 2^-e and add into
@@ -27,10 +27,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .polycore import (
+    _HALF,
     NotDivisible,
     Polynomial,
     _add_into,
     _fma,
+    _overflow,
     _settle,
     rational_series,
     render_terms,
@@ -429,22 +431,26 @@ def pf_rows(rows) -> GammaElement:
 # ---------------------------------------------------------------------------
 
 
-def _branch(e: GammaElement, v: Polynomial) -> GammaElement:
-    """Add the variable v to the alphabet of Q (Macdonald III §5 and §8):
-    Q_lambda(X, v) = sum_mu 2^a v^|lambda/mu| Q_mu(X) over strict mu with
-    lambda_1 >= mu_1 >= lambda_2 >= mu_2 >= ..., a counting the columns i
-    of the horizontal strip lambda/mu whose column i+1 is empty (column
-    lambda_j + 1 holds a box exactly when mu_{j-1} = lambda_j).
+_X1 = Polynomial.variable("x", 1)
+_S0 = {("x", 1): -_X1}
+
+
+def _branch(e: GammaElement) -> GammaElement:
+    """Add x_1 to the alphabet of Q (Macdonald III §5 and §8):
+    Q_lambda(X, x_1) = sum_mu 2^a x_1^|lambda/mu| Q_mu(X) over strict mu
+    with lambda_1 >= mu_1 >= lambda_2 >= mu_2 >= ..., a counting the
+    columns i of the horizontal strip lambda/mu whose column i+1 is empty
+    (column lambda_j + 1 holds a box exactly when mu_{j-1} = lambda_j).
 
     Each target mu accumulates into one packed map over 2^-top, top the
     largest exponent among the coefficients: a term of c_lambda moves by
-    v^|lambda/mu| and scales by 2^(a + top - c_lambda.e), in one `_fma`
-    pass.  Each mu ends in one `_settle` and one wrap.  v may be any
-    polynomial with int coefficients: v^k multiplies in as it is."""
-    if v.e:
-        raise ValueError(f"{v} has a coefficient that is not an int")
+    the one-term shift x_1^|lambda/mu| (at most x_1^lambda_1) and scales by
+    2^(a + top - c_lambda.e), in one `_fma` pass.  Each mu ends in one
+    `_settle` and one wrap."""
+    [x1] = _X1.packed
+    if any(lam and lam[0] >= _HALF for lam in e.combo):  # a shift out of range
+        raise _overflow()
     top = max((c.e for c in e.combo.values()), default=0)
-    powers = {}
     acc = {}
     for lam, coeff in e.combo.items():
         lift = top - coeff.e
@@ -453,11 +459,8 @@ def _branch(e: GammaElement, v: Polynomial) -> GammaElement:
             a = sum(m < l and not (j and mu[j - 1] == l) for j, (m, l) in enumerate(zip(mu, lam)))
             mu = mu[:-1] if mu and not mu[-1] else mu
             if is_strict(mu):
-                k = weight - sum(mu)
-                power = powers.get(k)
-                if power is None:
-                    power = powers[k] = (v**k).packed
-                _fma([(acc.setdefault(mu, {}), 1 << (a + lift))], power, coeff.packed)
+                shift = {(weight - sum(mu)) * x1: 1}
+                _fma([(acc.setdefault(mu, {}), 1 << (a + lift))], shift, coeff.packed)
     out = GammaElement()
     for mu, packed in acc.items():
         packed = _settle(packed)
@@ -466,15 +469,11 @@ def _branch(e: GammaElement, v: Polynomial) -> GammaElement:
     return out
 
 
-def apply_symmetry(e: GammaElement, sub: dict, added) -> GammaElement:
-    """A ring symmetry: rename the variables of every coefficient by sub, a
-    signed renaming for `Polynomial.substitute`, then add each variable of
-    `added` to the alphabet of Q by the branching rule.  The generator-0
-    symmetries s0 and s1hat are `schubert.GENERATOR_ZERO`."""
-    out = e.map_coeffs(lambda c: c.substitute(sub))
-    for v in added:
-        out = _branch(out, v)
-    return out
+def apply_symmetry(e: GammaElement) -> GammaElement:
+    """s0, the ring symmetry of generator 0 in every signed type (type D's
+    s1hat is s0 s1 s0): negate x_1 in every coefficient by
+    `Polynomial.substitute`, then add x_1 to the alphabet of Q."""
+    return _branch(e.map_coeffs(lambda c: c.substitute(_S0)))
 
 
 # ---------------------------------------------------------------------------

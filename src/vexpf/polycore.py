@@ -57,8 +57,8 @@ writes its quotient by x_i - x_{i+1} as geometric sums in one more
 linear pass, with no heap: (v^a w^b - v^b w^a) / (v - w) is
 v^b w^b (v^(a-b-1) + v^(a-b-2) w + ... + w^(a-b-1)).  The
 one other ring map, `Polynomial.substitute`, is a signed renaming of
-variables (x_1 -> -x_1, x_1 -> -x_2 and x_2 -> -x_1, x <-> y): each term
-moves by int additions on its fields, and no image is multiplied in.
+variables (generator 0's x_1 -> -x_1, and x <-> y): each term moves by
+int additions on its fields, and no image is multiplied in.
 
 `Polynomial.packed` is the map {packed monomial: int coefficient} every
 computation reads, over 2^`Polynomial.e`.  `Polynomial.terms` decodes it
@@ -553,7 +553,7 @@ class Polynomial:
 
     def substitute(self, mapping) -> "Polynomial":
         """Rename variables: mapping sends variables (family, index) to
-        images +-w, w a variable, all at once, such as x_i <-> x_{i+1} or
+        images +-w, w a variable, all at once, such as x_i <-> y_i or
         x_1 -> -x_1; unmapped variables pass through.
 
         Each term moves by one int addition per mapped variable, negative
@@ -694,7 +694,7 @@ def exact_divide(p: Polynomial, d: Polynomial) -> Polynomial:
     geometric sums, with one dict update per quotient term it adds.  Such
     a dividend is always divisible.
 
-    Every other division (by -x_1, -2 x_1 or -x_1 - x_2, the c(i) | c(i-1)
+    Every other division (generator 0's -x_1 and -2 x_1, the c(i) | c(i-1)
     checks, a dividend that is divisible but not alternating) is
     leading-term cancellation in the int order of packed monomials; when
     an exact quotient exists this always finds it, and since it is unique

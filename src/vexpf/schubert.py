@@ -8,7 +8,7 @@ top class by divided differences:
   * type C: partial_0 = (f - s_0 f)/(-2 x_1), s_0 negating x_1;
   * type B: partial_0 = (f - s_0 f)/(-x_1);
   * type D: partial_0 stands for the operator attached to the swap-negate
-    generator, (f - s f)/(-x_1 - x_2).
+    generator s1hat = s0 s1 s0, (f - s1hat f)/(-x_1 - x_2) = s0 partial_1 s0.
 
 Vexillary elements admit closed formulas instead: a multi-Schur
 determinant (type A) or Pfaffian (signed types) built from the triple.
@@ -55,16 +55,8 @@ def swap_xy(f):
     )
 
 
-_X1, _X2 = _xvar(1), _xvar(2)
-
-# generator 0 per type: (substitution, variables it adds to the alphabet
-# of Q, denominator).  s0 negates x_1; type D's s1hat sends x_1 -> -x_2,
-# x_2 -> -x_1.
-GENERATOR_ZERO = {
-    "B": ({("x", 1): -_X1}, (_X1,), -_X1),
-    "C": ({("x", 1): -_X1}, (_X1,), -2 * _X1),
-    "D": ({("x", 1): -_X2, ("x", 2): -_X1}, (_X1, _X2), -_X1 - _X2),
-}
+# the denominator of generator 0 in types B and C, whose s0 negates x_1
+GENERATOR_ZERO = {"B": -_xvar(1), "C": -2 * _xvar(1)}
 
 
 def divided_difference(i: int, f, wtype: str):
@@ -76,15 +68,17 @@ def divided_difference(i: int, f, wtype: str):
     `Polynomial.swap_difference`, and a nonzero one, alternating in x_i
     and x_{i+1}, is divided by x_i - x_{i+1} in one more pass, as
     geometric sums with no heap (`exact_divide`).  i = 0 selects the
-    type-dependent extra generator (undefined in type A), applied by
-    `apply_symmetry` and divided by `exact_divide`'s heap loop.
+    type-dependent extra generator (undefined in type A): s0
+    (`apply_symmetry`) over `exact_divide`'s heap loop in types B and C,
+    and s0 partial_1 s0 in type D, since s1hat = s0 s1 s0.
     """
     if i == 0:
+        f = GammaElement.of(f)
+        if wtype == "D":
+            return apply_symmetry(divided_difference(1, apply_symmetry(f), "D"))
         if wtype not in GENERATOR_ZERO:
             raise ValueError("generator 0 undefined in type A")
-        sub, added, denom = GENERATOR_ZERO[wtype]
-        f = GammaElement.of(f)
-        return (f - apply_symmetry(f, sub, added)).map_coeffs(lambda c: exact_divide(c, denom))
+        return (f - apply_symmetry(f)).map_coeffs(lambda c: exact_divide(c, GENERATOR_ZERO[wtype]))
     v, w = ("x", i), ("x", i + 1)
     denom = _xvar(i) - _xvar(i + 1)
 

@@ -275,6 +275,48 @@ class TestCommands:
         assert set(cli.SUITES) - set(cli.MAX_VERIFY_N) == {
             "redundancy", "lemma25", "appendix-a1", "appendix-a2"}
 
+    @pytest.mark.parametrize(
+        "suite, option",
+        [
+            ("census", ("--type", "A")),
+            ("positivity", ("--type", "D")),
+            ("redundancy", ("--type", "C")),
+            ("census", ("--r", "2")),
+            ("theorem-equivalence", ("--r", "2")),
+            ("appendix-a1", ("--seed", "1")),
+            ("appendix-a2", ("--seed", "1")),
+        ],
+    )
+    def test_verify_refuses_an_option_it_does_not_read(self, capsys, monkeypatch, suite, option):
+        calls = []
+        monkeypatch.setitem(cli.SUITES, suite, lambda args, report: calls.append(suite) or True)
+        assert main(["verify", suite, *option]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"error: verify {suite} reads no {option[0]}\n"
+        assert main(["verify", suite]) == 0 and calls == [suite]
+
+    @pytest.mark.parametrize(
+        "suite, flag, value",
+        [("theorem-equivalence", "type", "D"), ("appendix-a2", "r", 3), ("redundancy", "seed", 5)],
+    )
+    def test_verify_reads_its_own_options(self, capsys, monkeypatch, suite, flag, value):
+        calls = []
+        monkeypatch.setitem(cli.SUITES, suite, lambda args, report: calls.append(args) or True)
+        assert main(["verify", suite, f"--{flag}", str(value)]) == 0
+        assert getattr(calls[0], flag) == value
+
+    def test_verify_refuses_an_r_past_the_shapes(self, capsys):
+        assert main(["verify", "appendix-a2", "--r", "4"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "error: verify appendix-a2 is desk-scale: r <= 3, got 4\n"
+
+    def test_enumerate_takes_no_latex(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--type", "C", "--n", "2", "--format", "latex"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "invalid choice: 'latex'" in out.err
+
     @pytest.mark.parametrize("wtype,vex", [("C", 1118), ("D", 575), ("A", 103)])
     def test_enumerate_n5_vexillary_only(self, capsys, wtype, vex):
         code, out = run(

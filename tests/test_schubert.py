@@ -1,11 +1,12 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vexpf.polycore import Polynomial
-from vexpf.gamma import GammaElement, specialize_oracle, symfun_series
+from vexpf.polycore import Polynomial, exact_divide
+from vexpf.gamma import GammaElement, apply_symmetry, is_strict, specialize_oracle, symfun_series
 from vexpf.weyl import SignedPermutation, all_elements, length
 from vexpf.triples import Triple, plus_map, triple_of_w, enumerate_triples, validate
 from vexpf.multischur import p_family, q_family, r_family
@@ -208,6 +209,62 @@ class TestGeneratorZeroIdentities:
             return divided_difference(i, g, "D")
 
         assert d(0, d(1, f)) == d(1, d(0, f))
+
+
+def branch_term_by_term(e, v):
+    """Add the variable v to the alphabet of Q by the branching rule
+    Q_lambda(X, v) = sum_mu 2^a v^|lambda/mu| Q_mu(X), one Polynomial
+    product per (lambda, mu)."""
+    combo = {}
+    for lam, coeff in e.combo.items():
+        for mu in itertools.product(*(range(l, b - 1, -1) for l, b in zip(lam, lam[1:] + (0,)))):
+            a = sum(m < l and not (j and mu[j - 1] == l) for j, (m, l) in enumerate(zip(mu, lam)))
+            mu = mu[:-1] if mu and not mu[-1] else mu
+            if is_strict(mu):
+                term = coeff * v ** (sum(lam) - sum(mu)) * (1 << a)
+                combo[mu] = combo.get(mu, Polynomial()) + term
+    return GammaElement(combo)
+
+
+def d0_type_d_by_division(f):
+    """Type D's generator-0 step with s1hat applied directly: rename
+    x1 -> -x2 and x2 -> -x1, add x1 and then x2 to the alphabet of Q term
+    by term, subtract, and divide each coefficient by -x1 - x2, a divisor
+    that takes `exact_divide`'s heap loop."""
+    f = GammaElement.of(f)
+    image = f.map_coeffs(lambda c: c.substitute({("x", 1): -x(2), ("x", 2): -x(1)}))
+    image = branch_term_by_term(branch_term_by_term(image, x(1)), x(2))
+    return (f - image).map_coeffs(lambda c: exact_divide(c, -x(1) - x(2)))
+
+
+def signed_permutations(n):
+    """Every signed permutation of size n: both cosets of W_n type D."""
+    return all_elements(n, "C")
+
+
+class TestTypeDGeneratorZero:
+    """s0 partial_1 s0 against the division by -x1 - x2 it replaces, and
+    the d_zero top classes against the s0 images of the other ones."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_matches_division_on_both_cosets(self, n):
+        for w in signed_permutations(n):
+            f = schubert(w, "D")
+            assert divided_difference(0, f, "D") == d0_type_d_by_division(f), repr(w)
+
+    @settings(deadline=None, max_examples=40)
+    @given(gamma_elements)
+    def test_matches_division(self, f):
+        assert divided_difference(0, f, "D") == d0_type_d_by_division(f)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_odd_coset_is_s0_image(self, n):
+        for w in all_elements(n, "D"):
+            assert schubert(w.right_gen(0, "C"), "D") == apply_symmetry(schubert(w, "D")), repr(w)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_d_zero_top_is_s0_image(self, n):
+        assert top_class(n, "D", d_zero=True) == apply_symmetry(top_class(n, "D"))
 
 
 def newton(i, f):
