@@ -107,8 +107,10 @@ def _parse_w(text: str, wtype: str) -> SignedPermutation:
 
 
 # The largest word `schubert` and `vexillary --expand` take, per type.
-# On a 2-vCPU, 8 GB machine the type-C and type-D classes of size 6 take
-# 5-7 s and 180-250 MB, and top_class(7, "C") ran out of 3 GB after 260 s;
+# On a 2-vCPU, 8 GB machine, end to end, `vexpf schubert --type D --w
+# "2 1 -3 -4 -5 -6"` (1.5 M terms, 21 s and 490 MB to compute) took 52 s
+# and 530 MB in plain text and 92 s and 2.3 GB with --format json, and
+# top_class(7, "C") ran out of 3 GB after 260 s;
 # in type A, the longest word of S_7 takes 17 s and 1.2 GB, and the
 # top class of S_8 ran out of 2.4 GB after 66 s.
 MAX_CLASS_SIZE = {"A": 7, "B": 6, "C": 6, "D": 6}
