@@ -68,7 +68,7 @@ def raw_symmetry(op, e):
     generator through its image and straighten back.
       s0:    Q_a -> Q_a + 2 sum_{j=1}^{a} x1^j Q_{a-j}
       s1hat: Q_a -> Q_a + 2 (x1+x2) sum_{j=1}^{a} h_{j-1}(x1, x2) Q_{a-j}"""
-    x1, x2 = X1, X2
+    x1, x2 = Polynomial.variable("x", 1), Polynomial.variable("x", 2)
     sub = op[0]
     if op is S0:
         step = lambda j: 2 * x1**j
