@@ -179,12 +179,17 @@ def w_of_triple(t: Triple) -> SignedPermutation:
         t = reduce_redundant(t)
     if t.s == 0:
         return SignedPermutation.identity(1)
-    w = _insert_type_a(t) if t.wtype == "A" else _insert_signed(t)
-    _check_ranks(w, t)
-    return w
+    values = _insert(t)
+    _check_ranks(values, t)
+    return SignedPermutation(values)
 
 
-def _insert_signed(t: Triple) -> SignedPermutation:
+def _insert(t: Triple) -> tuple:
+    """The one-line tuple of a strict type-A or type-C triple."""
+    return _insert_type_a(t) if t.wtype == "A" else _insert_signed(t)
+
+
+def _insert_signed(t: Triple) -> tuple:
     """Type C.  At step i, bar the smallest unused values that are >= q_i
     and drop them, largest first, into the free positions >= p_i, left to
     right."""
@@ -211,11 +216,10 @@ def _insert_signed(t: Triple) -> SignedPermutation:
             used.add(val)
     n = max(max(placed), max(used))
     remaining = iter(v for v in range(1, n + 1) if v not in used)
-    vals = [placed.get(a) or next(remaining) for a in range(1, n + 1)]
-    return SignedPermutation(vals)
+    return tuple(placed.get(a) or next(remaining) for a in range(1, n + 1))
 
 
-def _insert_type_a(t: Triple) -> SignedPermutation:
+def _insert_type_a(t: Triple) -> tuple:
     """Type A.  At step i, take the largest unused values <= q_i and place
     them in increasing order in the free positions > p_i."""
     placed = {}
@@ -243,23 +247,21 @@ def _insert_type_a(t: Triple) -> SignedPermutation:
             used.add(val)
     n = max(max(placed), max(used))
     remaining = iter(v for v in range(1, n + 1) if v not in used)
-    vals = [placed.get(a) or next(remaining) for a in range(1, n + 1)]
-    return SignedPermutation(vals)
+    return tuple(placed.get(a) or next(remaining) for a in range(1, n + 1))
 
 
-def rank_of_triple_term(w: SignedPermutation, pi: int, qi: int, wtype: str) -> int:
-    """The rank a triple's step (k_i; p_i; q_i) pins to k_i: type D's is
-    type C's at (p_i + 1, q_i + 1)."""
-    wtype = _norm_type(wtype)
+def _rank(values: tuple, p: int, q: int, wtype: str) -> int:
+    """The rank a step (k; p; q) pins to k, counted on a one-line tuple:
+    #{a > p : w(a) <= q} in type A, #{a >= p : w(a) <= -q} in type C.
+    Positions past the tuple are fixed points and never count."""
     if wtype == "A":
-        return sum(1 for a in range(pi + 1, w.n + 1) if 0 < w(a) <= qi)
-    shift = 1 if wtype == "D" else 0
-    return w.rank(pi + shift, qi + shift)
+        return sum(1 for v in values[p:] if v <= q)
+    return sum(1 for v in values[p - 1:] if v <= -q)
 
 
-def _check_ranks(w: SignedPermutation, t: Triple):
+def _check_ranks(values: tuple, t: Triple):
     for ki, pi, qi in zip(t.k, t.p, t.q):
-        got = rank_of_triple_term(w, pi, qi, t.wtype)
+        got = _rank(values, pi, qi, t.wtype)
         if got != ki:
             raise AssertionError(
                 f"insertion broke the rank condition for {t}: "
@@ -284,49 +286,63 @@ def triple_of_w(w: SignedPermutation, wtype: str):
     if wtype == "D":
         tc = triple_of_w(w, "C")
         return None if tc is None else minus_map(tc)
-    corners = sorted(_corners_a(w) if wtype == "A" else _corners_c(w))
+    values = w.values
+    corners = sorted(_corners_a(values) if wtype == "A" else _corners_c(values))
     t = Triple(*zip(*corners), wtype) if corners else Triple((), (), (), wtype)
     if validate(t) != "strict":
         return None
-    back = w_of_triple(t)
-    n = max(back.n, w.n)
-    return t if back.embed(n) == w.embed(n) else None
+    back = _insert(t) if t.s else ()
+    return t if _same_element(back, values) else None
 
 
-def _corners_c(w: SignedPermutation):
+def _same_element(u: tuple, v: tuple) -> bool:
+    """Whether two one-line tuples are the same element once the shorter
+    is padded with fixed points."""
+    if len(u) < len(v):
+        u, v = v, u
+    m = len(v)
+    return u[:m] == v and all(x == a for a, x in enumerate(u[m:], start=m + 1))
+
+
+def _corners_c(values: tuple):
     """(k, p, q) at the corners of r(p, q) = #{a >= p : w(a) <= -q}: r
     drops from (p, q) to (p + 1, q) (w(p) <= -q) and to (p, q + 1) (-q sits
-    at or after p), and is the same at (p - 1, q) and at (p, q - 1)."""
-    at = {-v: a for a, v in enumerate(w.values, start=1) if v < 0}
-    return [
-        (w.rank(p, q), p, q)
-        for p in range(1, w.n + 1)
-        for q in range(1, w.n + 1)
-        if w(p) <= -q
-        and at.get(q, 0) >= p
-        and (p == 1 or w(p - 1) > -q)
-        and (q == 1 or at.get(q - 1, 0) < p)
-    ]
+    at or after p), and is the same at (p - 1, q) (w(p - 1) > -q) and at
+    (p, q - 1) (q = 1, or -(q - 1) sits before p)."""
+    at = [0] * (len(values) + 1)  # at[b]: the position of -b, 0 if b is unbarred
+    for a, v in enumerate(values, start=1):
+        if v < 0:
+            at[-v] = a
+    corners = []
+    before = len(values) + 1  # w(p - 1); at p = 1 no q is refused
+    for p, v in enumerate(values, start=1):
+        for q in range(max(1, 1 - before), 1 - v):
+            if at[q] >= p and at[q - 1] < p:
+                corners.append((_rank(values, p, q, "C"), p, q))
+        before = v
+    return corners
 
 
-def _corners_a(w: SignedPermutation):
+def _corners_a(values: tuple):
     """(k, p, q) at the corners of r(p, q) = #{a > p : w(a) <= q}: r
     drops from (p, q) to (p + 1, q) (w(p + 1) <= q) and to (p, q - 1) (q
-    sits after p), and is the same at (p - 1, q) and at (p, q + 1).  The
-    conditions k = max(0, q - p), which every permutation meets, are left
-    out."""
-    at = {v: a for a, v in enumerate(w.values, start=1)}
-    n = w.n
-    corners = [
-        (rank_of_triple_term(w, p, q, "A"), p, q)
-        for p in range(n)
-        for q in range(1, n + 1)
-        if w(p + 1) <= q
-        and at[q] > p
-        and (p == 0 or w(p) > q)
-        and (q == n or at[q + 1] <= p)
-    ]
-    return [(k, p, q) for k, p, q in corners if k > max(0, q - p)]
+    sits after p), and is the same at (p - 1, q) (w(p) > q) and at
+    (p, q + 1) (q = n, or q + 1 sits at or before p).  The corners with
+    k = max(0, q - p), which every permutation has, are left out."""
+    n = len(values)
+    at = [0] * (n + 2)  # at[v]: the position of v; at[n + 1] = 0
+    for a, v in enumerate(values, start=1):
+        at[v] = a
+    corners = []
+    before = n + 1  # w(p); at p = 0 no q is refused
+    for p, v in enumerate(values):
+        for q in range(v, before):
+            if at[q] > p and at[q + 1] <= p:
+                k = _rank(values, p, q, "A")
+                if k > max(0, q - p):
+                    corners.append((k, p, q))
+        before = v
+    return corners
 
 
 def enumerate_triples(wtype: str, n: int, allow_redundant: bool = False):

@@ -110,14 +110,6 @@ class SignedPermutation:
             vals[i - 1], vals[i] = vals[i], vals[i - 1]
         return SignedPermutation(vals)
 
-    def rank(self, p: int, q: int) -> int:
-        """Count positions a >= p whose value is a barred b with b >= q."""
-        count = 0
-        for a, v in enumerate(self.values, start=1):
-            if v < 0 and a >= p and -v >= q:
-                count += 1
-        return count
-
 
 def length(w: SignedPermutation, wtype: str) -> int:
     """Coxeter length, by the closed inversion-count formulas."""

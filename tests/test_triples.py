@@ -125,6 +125,25 @@ class TestInsertion:
         with pytest.raises(InvalidTriple):
             w_of_triple(Triple((2, 1), (1, 1), (1, 1), "C"))
 
+    @pytest.mark.parametrize(
+        "insertion,t,a",
+        [("_insert_signed", WORKED_C, 0), ("_insert_type_a", WORKED_A, 1)],
+    )
+    def test_rank_check_refuses_a_wrong_insertion(self, monkeypatch, insertion, t, a):
+        # an insertion that returns a signed permutation, but the wrong one:
+        # the values at positions a + 1 and a + 2 swapped, across the last
+        # step's p, so its rank drops by one
+        right = getattr(triples, insertion)
+
+        def swapped(t):
+            values = right(t)
+            return values[:a] + (values[a + 1], values[a]) + values[a + 2:]
+
+        assert SignedPermutation(swapped(t)) != w_of_triple(t)
+        monkeypatch.setattr(triples, insertion, swapped)
+        with pytest.raises(AssertionError, match="broke the rank condition"):
+            w_of_triple(t)
+
     def test_type_d_rank_conditions(self):
         # type D's conditions written out, not through plus_map:
         # #{a > p_i : w(a) < -q_i} = k_i at every step, redundant triples included
@@ -208,16 +227,71 @@ def _avoids_2143(values):
     )
 
 
+def _rank_oracle(w, p, q):
+    """r(p, q) = #{a >= p : w(a) <= -q}, counted through w(a)."""
+    return sum(1 for a in range(p, w.n + 1) if w(a) <= -q)
+
+
+def _corners_c_oracle(w):
+    """The corners of the type-C rank function, cell by cell through
+    w(a) and the rank, as detection first read them."""
+    at = {-v: a for a, v in enumerate(w.values, start=1) if v < 0}
+    return [
+        (_rank_oracle(w, p, q), p, q)
+        for p in range(1, w.n + 1)
+        for q in range(1, w.n + 1)
+        if w(p) <= -q
+        and at.get(q, 0) >= p
+        and (p == 1 or w(p - 1) > -q)
+        and (q == 1 or at.get(q - 1, 0) < p)
+    ]
+
+
+def _corners_a_oracle(w):
+    """The corners of r(p, q) = #{a > p : w(a) <= q}, cell by cell, with
+    the corners k = max(0, q - p) left out."""
+    at = {v: a for a, v in enumerate(w.values, start=1)}
+    n = w.n
+    corners = [
+        (sum(1 for a in range(p + 1, n + 1) if w(a) <= q), p, q)
+        for p in range(n)
+        for q in range(1, n + 1)
+        if w(p + 1) <= q
+        and at[q] > p
+        and (p == 0 or w(p) > q)
+        and (q == n or at[q + 1] <= p)
+    ]
+    return [(k, p, q) for k, p, q in corners if k > max(0, q - p)]
+
+
 class TestDirectDetection:
     @pytest.mark.parametrize(
         "wtype,n", [("C", n) for n in range(1, 6)]
-        + [("D", n) for n in range(2, 5)]
+        + [("D", n) for n in range(2, 6)]
         + [("A", n) for n in range(1, 6)],
     )
     def test_matches_exhaustive_search(self, wtype, n):
         index = _exhaustive_index(wtype, n)
         for w in all_elements(n, wtype):
             assert triple_of_w(w, wtype) == index.get(w), str(w)
+
+    @pytest.mark.parametrize(
+        "wtype,n", [("C", n) for n in range(1, 6)] + [("A", n) for n in range(1, 7)]
+    )
+    def test_corners_match_cell_by_cell(self, wtype, n):
+        new, oracle = {
+            "C": (triples._corners_c, _corners_c_oracle),
+            "A": (triples._corners_a, _corners_a_oracle),
+        }[wtype]
+        for w in all_elements(n, wtype):
+            assert new(w.values) == oracle(w), str(w)
+
+    @pytest.mark.parametrize("wtype", ["A", "C", "D"])
+    def test_fixed_points_past_the_window(self, wtype):
+        # detection compares the insertion with w.values padded by fixed
+        # points, so embedding w changes nothing
+        for w in all_elements(4, wtype):
+            assert triple_of_w(w.embed(6), wtype) == triple_of_w(w, wtype), str(w)
 
     def test_type_a_is_2143_avoidance(self):
         counts = []
