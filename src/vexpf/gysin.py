@@ -36,14 +36,10 @@ from fractions import Fraction
 
 from .polycore import Polynomial, exponent, rational_series
 from .gamma import GammaElement, GeneratorSeries, _iadd, series_coeff
-from .multischur import multischur_pf, multischur_pf_d, pfaffian, r_pairs, star_relation_failure
+from .multischur import multischur_pf, multischur_pf_d, pfaffian, r_rows
 
 
 class WindowTooSmall(ValueError):
-    pass
-
-
-class RelationViolated(ValueError):
     pass
 
 
@@ -356,9 +352,9 @@ def pushforward_plain(state: GammaElement, k: int, lam_k: int, c: GeneratorSerie
     return _push_element(GammaElement.of(state), k, _h_convolution(k, lam_k, c, bound))
 
 
-def pushforward_paired(state: GammaElement, k: int, lam_k: int, g: Polynomial,
-                       d: GeneratorSeries, r: int, bound: int) -> GammaElement:
-    """The paired elimination of h_k:
+def pushforward_paired(state: GammaElement, k: int, lam_k: int, d: GeneratorSeries,
+                       r: int, bound: int) -> GammaElement:
+    """The paired elimination of h_k, g the multiplier of d = Q * g:
     h_k^m -> 1/2 sum_j H^(k)_j d_{lam_k+m-j}  +  1/2 (-1)^{r-k} delta_{m,0} g_{lam_k}."""
     convolution = _h_convolution(k, lam_k, d, bound)
     half = Fraction(1, 2)
@@ -366,25 +362,24 @@ def pushforward_paired(state: GammaElement, k: int, lam_k: int, g: Polynomial,
     def image(m):
         acc = convolution(m).scale(half)
         if m == 0:
-            extra = g.part(lam_k) * (half if (r - k) % 2 == 0 else -half)
+            extra = d.multiplier.part(lam_k) * (half if (r - k) % 2 == 0 else -half)
             acc = acc + GammaElement.of(extra)
         return acc
 
     return _push_element(GammaElement.of(state), k, image)
 
 
-def pushforward_compose(lam, pairs) -> GammaElement:
-    """(phi_1)_* ... (phi_r)_* applied to 1, for paired data like
-    multischur_pf_d's: one (g, d) per index."""
+def pushforward_compose(lam, series) -> GammaElement:
+    """(phi_1)_* ... (phi_r)_* applied to 1, for the rows of
+    multischur_pf_d: one series d = Q * g per index."""
     lam = tuple(lam)
     r = len(lam)
-    if len(pairs) != r:
-        raise ValueError("need one g|d pair per index")
+    if len(series) != r:
+        raise ValueError("need one series per index")
     bound = sum(lam) + 1
     state = GammaElement.one()
     for k in range(r, 0, -1):
-        g, d = pairs[k - 1]
-        state = pushforward_paired(state, k, lam[k - 1], Polynomial.of(g), d, r, bound)
+        state = pushforward_paired(state, k, lam[k - 1], series[k - 1], r, bound)
     return state
 
 
@@ -406,27 +401,16 @@ def pushforward_compose_plain(lam, series, exponents=None) -> GammaElement:
     return state
 
 
-def default_a2_data(lam):
-    """The pairs of `multischur.r_family`: g(k) = prod_{j<=lam_k}(1+t_j)
-    and d(k) = Q*g(k).  The check runs in the basis ring itself, where
-    Q Q* = 1 holds exactly, so it covers every concrete series F with
-    F F* = 1 standing for Q."""
-    return r_pairs(lam)
-
-
-def prop_A2_check(lam, pairs=None) -> bool:
+def prop_A2_check(lam) -> bool:
     """Composite pushforward of 1 against the paired Pfaffian, scaled by
-    2^-r.  The star relations are verified exactly first
-    (RelationViolated on failure)."""
+    2^-r, on the rows of `multischur.r_family`: d(k) = Q*g(k) with
+    g(k) = prod_{j<=lam_k}(1+t_j).  The check runs in the basis ring
+    itself, where Q Q* = 1 holds exactly, so it covers every concrete
+    series F with F F* = 1 standing for Q."""
     lam = tuple(lam)
-    r = len(lam)
-    if pairs is None:
-        pairs = default_a2_data(lam)
-    failure = star_relation_failure(pairs)
-    if failure:
-        raise RelationViolated(failure)
-    lhs = pushforward_compose(lam, pairs)
-    rhs = multischur_pf_d(lam, pairs, check=False).halve(r)
+    series = r_rows(lam)
+    lhs = pushforward_compose(lam, series)
+    rhs = multischur_pf_d(lam, series, check=False).halve(len(lam))
     return lhs == rhs
 
 

@@ -7,12 +7,13 @@
       c(i)_{k_i} c(j)_{k_j} + 2 sum_{m>=1} (-1)^m c(i)_{k_i+m} c(j)_{k_j-m}
     and, at odd sizes, border entries c(i)_{k_i}.  Type B (rows P*g) is
     2^-r times this Pfaffian for Q*g;
-  * multischur_pf_d -- type D, the paired Pfaffian of a finite polynomial
-    c(i) alongside each series d(i): the rows d(i)_{k_i} + c(i)_{k_i} f.
+  * multischur_pf_d -- type D, the paired Pfaffian of the same rows: each
+    series d(i) = Q * c(i) goes with its multiplier c(i), as the rows
+    d(i)_{k_i} + c(i)_{k_i} f.
 
 Both Pfaffians are one fold, `gamma.pf_rows`, straight in the Q basis.
-Every series c(i), d(i) there is a `gamma.GeneratorSeries` Q * g, so the
-type-D star relation d(i) d(j)* = c(i) c(j)* is exact: Q Q* = 1.
+Every series there is a `gamma.GeneratorSeries` Q * g, so the type-D
+star relation d(i) d(j)* = c(i) c(j)* holds exactly: Q Q* = 1.
 Their matrices are skew exactly when each series multiplier has degree
 below its index, which is verified up front (check=False evaluates any
 integer index sequence).
@@ -21,14 +22,10 @@ integer index sequence).
 from __future__ import annotations
 
 from .polycore import Polynomial, exact_divide, NotDivisible, ones_product
-from .gamma import Q_SERIES, GammaElement, GeneratorSeries, pf_rows, series_rows
+from .gamma import GammaElement, GeneratorSeries, pf_rows, series_rows
 
 
 class SkewCheckFailed(ValueError):
-    pass
-
-
-class StarRelationFailed(ValueError):
     pass
 
 
@@ -133,74 +130,35 @@ def multischur_pf(lam, series, check: bool = True) -> GammaElement:
 # ---------------------------------------------------------------------------
 
 
-def multischur_pf_d(lam, pairs, check: bool = True) -> GammaElement:
+def multischur_pf_d(lam, series, check: bool = True) -> GammaElement:
     """The paired Pfaffian Pf_lam(c(1)|d(1), ..., c(r)|d(r)), no power of 1/2 applied.
 
-    lam: strictly decreasing nonnegative integers; pairs: one (c, d) per
-    index, c a Polynomial with unit constant term, d a GeneratorSeries.
-    With d_i = d(i)_{k_i} and c_i = c(i)_{k_i}, its (i,j) entry is the B/C
+    lam: strictly decreasing nonnegative integers; series: one
+    GeneratorSeries d(i) = Q * c(i) per index, c(i) its multiplier.  With
+    d_i = d(i)_{k_i} and c_i = c(i)_{k_i}, its (i,j) entry is the B/C
     entry of the d plus d_i c_j - d_j c_i - c_i c_j and its border entries
     are d_i + c_i: the Pfaffian of the rows d_i + c_i f of `pf_rows`.
 
     With check=True the defining invariants are verified: deg c(i) <=
-    lam_i, c(i) divides d(i) and every earlier c(j) (j < i), and
-    d(i) d(j)* = c(i) c(j)*.
+    lam_i, and c(i) divides c(i-1), hence every earlier c(j).
     """
     lam = tuple(lam)
-    if len(pairs) != len(lam):
-        raise ValueError("need one c|d pair per index")
-    cs = [Polynomial.of(c) for c, _ in pairs]
-    ds = [d for _, d in pairs]
+    if len(series) != len(lam):
+        raise ValueError("need one series per index")
+    cs = [d.multiplier for d in series]
     if check:
-        _check_paired(lam, cs, ds)
-    rows = series_rows(lam, ds)
+        for k, c in zip(lam, cs):
+            if c.degree() > k:
+                raise SkewCheckFailed(f"deg c = {c.degree()} exceeds index {k}")
+        for i in range(1, len(cs)):
+            try:
+                exact_divide(cs[i - 1], cs[i])
+            except NotDivisible:
+                raise DivisibilityFailed(f"c({i+1}) does not divide c({i})")
+    rows = series_rows(lam, series)
     for row, k, c in zip(rows, lam, cs):
         row[None] = c.part(k)
     return pf_rows(rows)
-
-
-def _check_paired(lam, cs, ds):
-    """The invariants of multischur_pf_d, on the quotients e(i) = d(i)/c(i):
-    c(i) c(j)* has constant term 1, so d(i) d(j)* = c(i) c(j)* exactly when
-    e(i) e(j)* = 1.  c(i) | c(i-1) for each i gives c(i) | c(j), j < i.
-    Every program caller passes d(i) = Q * c(i), so e(i) = 1 needs no
-    division, and when every e(i) is 1 every star relation holds."""
-    quotients = []
-    for k, c, d in zip(lam, cs, ds):
-        if c.constant_term() != 1:
-            raise ValueError("c series must have constant term 1")
-        if c.degree() > k:
-            raise SkewCheckFailed(f"deg c = {c.degree()} exceeds index {k}")
-        if d.multiplier == c:
-            quotients.append(None)
-            continue
-        try:
-            quotients.append(GeneratorSeries(exact_divide(d.multiplier, c)))
-        except NotDivisible:
-            raise DivisibilityFailed(f"{c} does not divide {d!r}")
-    for i in range(1, len(cs)):
-        try:
-            exact_divide(cs[i - 1], cs[i])
-        except NotDivisible:
-            raise DivisibilityFailed(f"c({i+1}) does not divide c({i})")
-    if any(quotients):
-        failure = star_relation_failure([(1, e or Q_SERIES) for e in quotients])
-        if failure:
-            raise StarRelationFailed(failure)
-
-
-def star_relation_failure(pairs):
-    """The first relation d(i) d(j)* = c(i) c(j)* (i < j) the (c, d) pairs
-    break, as a message; else None.  With d = Q * g it reads
-    g(i) g(j)* = c(i) c(j)*, exactly, since Q Q* = 1 in the basis ring."""
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            (ci, di), (cj, dj) = pairs[i], pairs[j]
-            lhs = di.multiplier * dj.multiplier.star()
-            rhs = Polynomial.of(ci) * Polynomial.of(cj).star()
-            if lhs != rhs:
-                return f"d({i+1}) d({j+1})* != c({i+1}) c({j+1})*"
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +179,14 @@ def p_family(lam) -> GammaElement:
     return q_family(lam).halve(len(lam))
 
 
-def r_pairs(lam):
-    """The (c, d) pairs of r_family: c(i) = prod_{j<=lam_i}(1+t_j), d(i) = Q*c(i)."""
-    return [(c, GeneratorSeries(c)) for c in (ones_product("t", k) for k in lam)]
+def r_rows(lam):
+    """The rows of r_family: Q * prod_{j<=lam_i}(1+t_j)."""
+    return [GeneratorSeries(ones_product("t", k)) for k in lam]
 
 
 def r_family(lam) -> GammaElement:
-    """The even-orthogonal family: the paired Pfaffian of `r_pairs`,
+    """The even-orthogonal family: the paired Pfaffian of `r_rows`,
     scaled by 2^-len(lam)."""
     lam = tuple(lam)
-    pf = multischur_pf_d(lam, r_pairs(lam))
+    pf = multischur_pf_d(lam, r_rows(lam))
     return pf.halve(len(lam))

@@ -16,8 +16,6 @@ determinant (type A) or Pfaffian (signed types) built from the triple.
 
 from __future__ import annotations
 
-import random
-
 from .polycore import Polynomial, exact_divide, ones_product, rational_series
 from .gamma import (
     GammaElement,
@@ -105,8 +103,8 @@ def formula_rows(t: Triple, wtype: str, multipliers=None):
     """The indices lam and one row per column of the closed formula.
 
     Type A rows are the power series prod_{j<=p}(1+x_j) / prod_{j<=q}(1+y_j);
-    B/C rows are Q*g with g = prod_{j<p}(1+x_j) prod_{j<q}(1+y_j); D rows
-    are pairs (g, Q*g) with g = prod_{j<=p}(1+x_j) prod_{j<=q}(1+y_j).
+    signed rows are Q*g, with g = prod_{j<p}(1+x_j) prod_{j<q}(1+y_j) in
+    types B/C and g = prod_{j<=p}(1+x_j) prod_{j<=q}(1+y_j) in type D.
     multipliers (signed types), one per triple step, replace the default g.
     """
     if t.s == 0:
@@ -126,8 +124,6 @@ def formula_rows(t: Triple, wtype: str, multipliers=None):
         gs = [ones_product("x", p) * ones_product("y", q) for p, q in column_factors(t, wtype)]
     else:
         gs = [Polynomial.of(multipliers[i]) for i in column_steps(t)]
-    if wtype == "D":
-        return lam, [(g, GeneratorSeries(g)) for g in gs]
     return lam, [GeneratorSeries(g) for g in gs]
 
 
@@ -203,12 +199,11 @@ def _top_element(n: int, wtype: str, barred_parity: int) -> SignedPermutation:
 _CACHE = {}
 
 
-def schubert(w: SignedPermutation, wtype: str, n: int = None, rng: random.Random = None):
+def schubert(w: SignedPermutation, wtype: str, n: int = None):
     """The double Schubert polynomial of w, computed by descending from
-    the top class along ascents of w.  A seeded rng picks random ascent
-    routes (bypassing the cache) for well-definedness checks.  n defaults
-    to the size of w (at least 2 in type D); a smaller n raises
-    SizeMismatch."""
+    the top class along the first ascent of each element on the way.
+    n defaults to the size of w (at least 2 in type D); a smaller n
+    raises SizeMismatch."""
     if wtype == "A" and not w.is_unsigned():
         raise ValueError("type A wants an unsigned permutation")
     least = max(w.n, 2) if wtype == "D" else w.n
@@ -217,12 +212,12 @@ def schubert(w: SignedPermutation, wtype: str, n: int = None, rng: random.Random
     elif n < least:
         raise SizeMismatch(f"n = {n} is too small for the type {wtype} word '{w}': need n >= {least}")
     w = w.embed(n)
-    return _descend(w, wtype, n, rng)
+    return _descend(w, wtype, n)
 
 
-def _descend(w, wtype, n, rng):
+def _descend(w, wtype, n):
     key = (wtype, n, w.values)
-    if rng is None and key in _CACHE:
+    if key in _CACHE:
         return _CACHE[key]
     top = _top_element(n, wtype, w.num_barred() % 2)
     if w == top:
@@ -232,12 +227,9 @@ def _descend(w, wtype, n, rng):
             out = top_class(n, wtype)
     else:
         down = descents(w, wtype)
-        ascents = [i for i in generators(n, wtype) if i not in down]
-        i = rng.choice(ascents) if rng else ascents[0]
-        higher = _descend(w.right_gen(i, wtype), wtype, n, rng)
-        out = divided_difference(i, higher, wtype)
-    if rng is None:
-        _CACHE[key] = out
+        i = next(i for i in generators(n, wtype) if i not in down)
+        out = divided_difference(i, _descend(w.right_gen(i, wtype), wtype, n), wtype)
+    _CACHE[key] = out
     return out
 
 

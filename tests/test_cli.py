@@ -416,3 +416,19 @@ def test_reference_stdout(capsys, key):
     code, out = run(capsys, *_argv_of_key(key))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == REFERENCE_CLI[key]
+
+
+# Two W_4 type-D words whose formulas have rows with different
+# multipliers c(i), at lambda (6, 4, 2, 0) and (2, 0); perfbench pins only
+# W_3 type-D words.
+TYPE_D_W4_EXPAND = {
+    "-1 -2 -3 -4": "e35ce504a3d5040a3ed808cb8ae6754c8f27426e52b9106d84aa482bb20e341c",
+    "-1 -2 3 4": "58dad3365318f02613937ba6fe1096983a9ad9176029ac96f4a86f9ba068f522",
+}
+
+
+@pytest.mark.parametrize("word", sorted(TYPE_D_W4_EXPAND))
+def test_type_d_w4_expand_stdout(capsys, word):
+    code, out = run(capsys, "vexillary", "--expand", "--format", "json", "--type", "D", "--w", word)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TYPE_D_W4_EXPAND[word]

@@ -5,12 +5,10 @@ import pytest
 
 from vexpf.polycore import Polynomial
 from vexpf.gamma import GammaElement, GeneratorSeries
-from vexpf.multischur import multischur_pf_d, star_relation_failure
+from vexpf.multischur import r_rows
 from vexpf.gysin import (
     IndexedOperator,
-    RelationViolated,
     WindowTooSmall,
-    default_a2_data,
     epsilon,
     f_index,
     f_index_identity,
@@ -166,12 +164,12 @@ class TestPropA2:
     def test_r1_direct(self):
         # one step: half the border entry d_l + g_l
         lam = (2,)
-        pairs = default_a2_data(lam)
-        lhs = pushforward_compose(lam, pairs)
-        g, d = pairs[0]
+        rows = r_rows(lam)
+        lhs = pushforward_compose(lam, rows)
+        d = rows[0]
         from vexpf.gamma import series_coeff
 
-        expect = (series_coeff(d, 2) + GammaElement.of(g.part(2))).scale(Fraction(1, 2))
+        expect = (series_coeff(d, 2) + GammaElement.of(d.multiplier.part(2))).scale(Fraction(1, 2))
         assert lhs == expect
 
     @pytest.mark.parametrize(
@@ -179,18 +177,6 @@ class TestPropA2:
     )
     def test_pfaffian_equality(self, lam):
         assert prop_A2_check(lam)
-
-    def test_relation_guard(self):
-        lam = (2, 1)
-        pairs = default_a2_data(lam)
-        g, d = pairs[0]
-        bad = (g * (1 + Polynomial.variable("t", 3)), d)
-        with pytest.raises(RelationViolated):
-            prop_A2_check(lam, [bad, pairs[1]])
-
-    def test_star_relation_passes_on_default_data(self):
-        pairs = default_a2_data((3, 1))
-        assert star_relation_failure(pairs) is None
 
 
 class TestPlainPushforward:
