@@ -33,7 +33,6 @@ from .schubert import (
     column_factors,
     expand_coeffs,
     formula_rows,
-    lambda_of_extended,
     schubert,
     swap_xy,
     vexillary_polynomial,
@@ -315,7 +314,7 @@ FAT_A = Triple(tuple(range(1, 9)), (7, 7, 6, 6, 5, 4, 3, 2), (4, 5, 6, 7, 7, 7, 
 def _worked_a_det_y0(t: Triple) -> Polynomial:
     # the x-only specialization keeps the series finite, so the big worked
     # example stays desk-scale; the double version is checked on small triples
-    lam = lambda_of_extended(t)
+    lam = lambda_of(t)
     bound = lam[0] + len(lam)
     series = [ones_product("x", p).truncate(bound) for p, _ in column_factors(t, "A")]
     return multischur_det(lam, series)
@@ -346,7 +345,7 @@ def suite_redundancy(args, report):
             t
             for t in enumerate_triples(wtype, 3, allow_redundant=True)
             if validate(t) == "redundant"
-            and sum(lambda_of_extended(t)) <= 10  # keep the Pfaffians desk-scale
+            and sum(lambda_of(t)) <= 10  # keep the Pfaffians desk-scale
         ]
         sample = rng.sample(reds, min(25, len(reds)))
         for t in sample:

@@ -24,7 +24,7 @@ from .gamma import (
     substitute_q,
 )
 from .weyl import SignedPermutation, SizeMismatch, descents, generators, longest_element
-from .triples import InvalidTriple, Triple, column_steps, lambda_of, reduce_redundant, validate
+from .triples import InvalidTriple, Triple, column_steps, lambda_of, validate
 from .multischur import multischur_det, multischur_pf, multischur_pf_d
 
 
@@ -109,7 +109,7 @@ def formula_rows(t: Triple, wtype: str, multipliers=None):
     """
     if t.s == 0:
         return (), []
-    lam = lambda_of_extended(t)
+    lam = lambda_of(t)
     if wtype == "A":
         bound = lam[0] + len(lam)
         return lam, [
@@ -149,12 +149,6 @@ def vexillary_polynomial(t: Triple, wtype: str = None):
     if wtype == "A":
         return multischur_det(lam, rows)
     return _signed_pfaffian(lam, rows, wtype, check=(status == "strict"))
-
-
-def lambda_of_extended(t: Triple):
-    """lambda_of, also defined for redundant triples: reduction drops only
-    steps whose columns carry the same pins, so the partition is kept."""
-    return lambda_of(reduce_redundant(t))
 
 
 # ---------------------------------------------------------------------------

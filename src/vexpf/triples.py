@@ -11,6 +11,14 @@ Three flavors share the shape "k strictly increasing, p/q monotone":
 
 Replacing the strict inequalities by weak ones gives a *redundant*
 triple, reducible without changing the associated permutation.
+
+Type C is type A on the signed line: a type-C step (k; p; q) pins the
+rank #{a >= p : w(a) <= -q}, which is type A's #{a > p' : w(a) <= q'} at
+(p', q') = (p - 1, -q), and its gap condition is type A's
+l_i > l_{i+1}.  Internally every step is read in these coordinates
+(`_steps`; a type-D triple as the type-C triple plus_map(t)), so one
+slack rule, one insertion, one rank and one corner reader serve every
+type, and `Triple` keeps the paper's coordinates.
 """
 
 from __future__ import annotations
@@ -79,21 +87,32 @@ def validate(t: Triple) -> str:
     k, p, q = t.k, t.p, t.q
     if not (len(k) == len(p) == len(q)):
         return "invalid"
-    if len(k) == 0:
-        return "strict"
-    if not all(a < b for a, b in zip(k, k[1:])) or k[0] < 1 or any(x < 1 for x in p + q):
+    if k and (k[0] < 1 or min(p + q) < 1):
         return "invalid"
-    if not all(a >= b for a, b in zip(p, p[1:])):
+    # type A's own bounds: k_i <= q_i (l_i <= p_i) and l_s >= 1
+    if t.wtype == "A" and k and (any(a > b for a, b in zip(k, q)) or type_a_l(t)[-1] < 1):
         return "invalid"
+    return _classify(_steps(t))
+
+
+def _steps(t: Triple) -> list:
+    """The steps of t on the signed line: (k, p, q) in type A and
+    (k, p - 1, -q) in type C; a type-D triple is read as plus_map(t)."""
     if t.wtype == "A":
-        if not all(a <= b for a, b in zip(q, q[1:])):
+        return list(zip(t.k, t.p, t.q))
+    if t.wtype == "D":
+        t = plus_map(t)
+    return [(k, p - 1, -q) for k, p, q in zip(t.k, t.p, t.q)]
+
+
+def _classify(steps: list) -> str:
+    """"strict", "redundant" or "invalid" from the shape of the steps: k
+    strictly increasing, p weakly decreasing, q weakly increasing, and
+    every slack positive (strict) or non-negative (redundant)."""
+    for (k1, p1, q1), (k2, p2, q2) in zip(steps, steps[1:]):
+        if k1 >= k2 or p1 < p2 or q1 > q2:
             return "invalid"
-        # k_i <= q_i is l_i <= p_i
-        if any(ki > qi for ki, qi in zip(k, q)) or type_a_l(t)[-1] < 1:
-            return "invalid"
-    elif not all(a >= b for a, b in zip(q, q[1:])):
-        return "invalid"
-    gaps = _gaps(t)
+    gaps = _gaps(steps)
     if all(g > 0 for g in gaps):
         return "strict"
     if all(g >= 0 for g in gaps):
@@ -101,16 +120,11 @@ def validate(t: Triple) -> str:
     return "invalid"
 
 
-def _gaps(t: Triple) -> list:
-    """The slack between consecutive steps, positive in a strict triple:
-    (p_i - p_{i+1}) + (q_i - q_{i+1}) - (k_{i+1} - k_i) in types C and D,
-    and l_i - l_{i+1}, the same with q's difference negated, in type A."""
-    sign = -1 if t.wtype == "A" else 1
-    k, p, q = t.k, t.p, t.q
-    return [
-        p[i] - p[i + 1] + sign * (q[i] - q[i + 1]) - (k[i + 1] - k[i])
-        for i in range(len(k) - 1)
-    ]
+def _gaps(steps: list) -> list:
+    """The slack l_i - l_{i+1} between consecutive steps, with
+    l_i = p_i - q_i + k_i; positive in a strict triple."""
+    ls = [p - q + k for k, p, q in steps]
+    return [a - b for a, b in zip(ls, ls[1:])]
 
 
 def type_a_l(t: Triple) -> tuple:
@@ -126,14 +140,8 @@ def reduce_redundant(t: Triple) -> Triple:
     if status == "invalid":
         raise InvalidTriple(str(t))
     while status == "redundant":
-        drop = _gaps(t).index(0)
-        keep = [i for i in range(t.s) if i != drop]
-        t = Triple(
-            [t.k[i] for i in keep],
-            [t.p[i] for i in keep],
-            [t.q[i] for i in keep],
-            t.wtype,
-        )
+        drop = _gaps(_steps(t)).index(0)
+        t = Triple(*([x for i, x in enumerate(xs) if i != drop] for xs in (t.k, t.p, t.q)), t.wtype)
         status = validate(t)
     return t
 
@@ -147,19 +155,18 @@ def column_steps(t: Triple) -> list:
 
 
 def lambda_of(t: Triple) -> tuple:
-    """The partition pinned by the triple: strict (types C/D, possibly
-    ending in 0 for D) or weakly decreasing (type A), of length k_s."""
-    if validate(t) != "strict":
-        raise InvalidTriple(f"need a strict triple, got {t}")
-    out = []
-    for k, i in enumerate(column_steps(t), start=1):
-        if t.wtype == "A":
-            out.append(type_a_l(t)[i])
-        elif t.wtype == "C":
-            out.append(t.p[i] + t.q[i] - 1 + t.k[i] - k)
-        else:
-            out.append(t.p[i] + t.q[i] + t.k[i] - k)
-    return tuple(out)
+    """The partition pinned by the triple, of length k_s: lambda_k = l_i in
+    type A (weakly decreasing), l_i - k in type C (strict) and one less
+    than type C's value at plus_map(t) in type D (strict, possibly ending
+    in 0), with i the step governing column k.  A redundant triple is
+    reduced first: reduction drops only steps whose columns carry the
+    same pins."""
+    t = reduce_redundant(t)
+    ls = [p - q + k for k, p, q in _steps(t)]
+    if t.wtype == "A":
+        return tuple(ls[i] for i in column_steps(t))
+    shift = 1 if t.wtype == "D" else 0
+    return tuple(ls[i] - k - shift for k, i in enumerate(column_steps(t), start=1))
 
 
 # ---------------------------------------------------------------------------
@@ -168,105 +175,60 @@ def lambda_of(t: Triple) -> tuple:
 
 
 def w_of_triple(t: Triple) -> SignedPermutation:
-    """The permutation of a triple.  A type-D triple is the type-C triple
-    `plus_map(t)`: its insertion and ranks are type C's at (p + 1, q + 1)."""
+    """The permutation of a triple, inserted step by step on the signed
+    line and checked against every step's rank."""
     status = validate(t)
     if status == "invalid":
         raise InvalidTriple(str(t))
-    if t.wtype == "D":
-        t = plus_map(t)
     if status == "redundant":
         t = reduce_redundant(t)
     if t.s == 0:
         return SignedPermutation.identity(1)
-    values = _insert(t)
-    _check_ranks(values, t)
+    steps = _steps(t)
+    values = _insert(steps)
+    for k, p, q in steps:
+        got = _rank(values, p, q)
+        if got != k:
+            raise AssertionError(
+                f"insertion broke the rank condition for {t}: "
+                f"expected {k} at the step (p={p}, q={q}), got {got}"
+            )
     return SignedPermutation(values)
 
 
-def _insert(t: Triple) -> tuple:
-    """The one-line tuple of a strict type-A or type-C triple."""
-    return _insert_type_a(t) if t.wtype == "A" else _insert_signed(t)
-
-
-def _insert_signed(t: Triple) -> tuple:
-    """Type C.  At step i, bar the smallest unused values that are >= q_i
-    and drop them, largest first, into the free positions >= p_i, left to
-    right."""
-    placed = {}  # position -> value (negative = barred)
-    used = set()
+def _insert(steps: list) -> tuple:
+    """The one-line tuple of a strict triple's steps.  At each step
+    (k, p, q), take the largest values <= q whose absolute values are
+    unused, and place them in increasing order in the free positions > p:
+    barred values in type C, where q < 0.  The values left over fill the
+    free positions unbarred, in increasing order."""
+    placed = {}  # position -> value
+    used = set()  # absolute values placed
     prev_k = 0
-    for ki, pi, qi in zip(t.k, t.p, t.q):
-        count = ki - prev_k
-        prev_k = ki
+    for k, p, q in steps:
         vals = []
-        v = qi
-        while len(vals) < count:
-            if v not in used:
-                vals.append(v)
-            v += 1
-        pos = pi
-        slots = []
-        while len(slots) < count:
-            if pos not in placed:
-                slots.append(pos)
-            pos += 1
-        for slot, val in zip(slots, sorted(vals, reverse=True)):
-            placed[slot] = -val
-            used.add(val)
-    n = max(max(placed), max(used))
-    remaining = iter(v for v in range(1, n + 1) if v not in used)
-    return tuple(placed.get(a) or next(remaining) for a in range(1, n + 1))
-
-
-def _insert_type_a(t: Triple) -> tuple:
-    """Type A.  At step i, take the largest unused values <= q_i and place
-    them in increasing order in the free positions > p_i."""
-    placed = {}
-    used = set()
-    prev_k = 0
-    for ki, pi, qi in zip(t.k, t.p, t.q):
-        count = ki - prev_k
-        prev_k = ki
-        vals = []
-        v = qi
-        while len(vals) < count:
-            if v < 1:
-                raise InvalidTriple(f"ran out of values at step k={ki} of {t}")
-            if v not in used:
+        v = q
+        while len(vals) < k - prev_k:
+            if abs(v) not in used:
                 vals.append(v)
             v -= 1
-        pos = pi + 1
-        slots = []
-        while len(slots) < count:
-            if pos not in placed:
-                slots.append(pos)
-            pos += 1
-        for slot, val in zip(slots, sorted(vals)):
-            placed[slot] = val
-            used.add(val)
+        prev_k = k
+        pos = p + 1
+        for val in reversed(vals):
+            while pos in placed:
+                pos += 1
+            placed[pos] = val
+            used.add(abs(val))
     n = max(max(placed), max(used))
     remaining = iter(v for v in range(1, n + 1) if v not in used)
     return tuple(placed.get(a) or next(remaining) for a in range(1, n + 1))
 
 
-def _rank(values: tuple, p: int, q: int, wtype: str) -> int:
-    """The rank a step (k; p; q) pins to k, counted on a one-line tuple:
-    #{a > p : w(a) <= q} in type A, #{a >= p : w(a) <= -q} in type C.
-    Positions past the tuple are fixed points and never count."""
-    if wtype == "A":
-        return sum(1 for v in values[p:] if v <= q)
-    return sum(1 for v in values[p - 1:] if v <= -q)
-
-
-def _check_ranks(values: tuple, t: Triple):
-    for ki, pi, qi in zip(t.k, t.p, t.q):
-        got = _rank(values, pi, qi, t.wtype)
-        if got != ki:
-            raise AssertionError(
-                f"insertion broke the rank condition for {t}: "
-                f"expected {ki} at (p={pi}, q={qi}), got {got}"
-            )
+def _rank(values: tuple, p: int, q: int) -> int:
+    """The rank #{a > p : w(a) <= q} a step (k, p, q) pins to k, counted
+    on a one-line tuple.  Positions past the tuple are fixed points and
+    never count."""
+    return sum(1 for v in values[p:] if v <= q)
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +238,12 @@ def _check_ranks(values: tuple, t: Triple):
 
 def triple_of_w(w: SignedPermutation, wtype: str):
     """The unique strict triple t with w_of_triple(t) = w, or None if w is
-    not vexillary.  The candidate is read off the corners (the essential
-    set) of w's rank function and round-trip checked, so a non-vexillary w
-    never passes.  A candidate that is not strict is refused: the corners
-    of a vexillary w give its strict triple, never a redundant one."""
+    not vexillary.  The candidate steps are read off the corners (the
+    essential set) of w's rank function and round-trip checked, so a
+    non-vexillary w never passes.  Candidate steps that are not strict
+    are refused: the corners of a vexillary w give its strict triple,
+    never a redundant one.  Every corner meets validate's bounds, so only
+    the shape of the steps is checked."""
     wtype = _norm_type(wtype)
     if wtype == "A" and not w.is_unsigned():
         raise WrongType("type A wants an unsigned permutation")
@@ -287,12 +251,13 @@ def triple_of_w(w: SignedPermutation, wtype: str):
         tc = triple_of_w(w, "C")
         return None if tc is None else minus_map(tc)
     values = w.values
-    corners = sorted(_corners_a(values) if wtype == "A" else _corners_c(values))
-    t = Triple(*zip(*corners), wtype) if corners else Triple((), (), (), wtype)
-    if validate(t) != "strict":
+    steps = sorted(_corners(values, wtype))
+    if _classify(steps) != "strict" or not _same_element(_insert(steps) if steps else (), values):
         return None
-    back = _insert(t) if t.s else ()
-    return t if _same_element(back, values) else None
+    k, p, q = zip(*steps) if steps else ((), (), ())
+    if wtype == "C":
+        p, q = [x + 1 for x in p], [-x for x in q]
+    return Triple(k, p, q, wtype)
 
 
 def _same_element(u: tuple, v: tuple) -> bool:
@@ -304,41 +269,24 @@ def _same_element(u: tuple, v: tuple) -> bool:
     return u[:m] == v and all(x == a for a, x in enumerate(u[m:], start=m + 1))
 
 
-def _corners_c(values: tuple):
-    """(k, p, q) at the corners of r(p, q) = #{a >= p : w(a) <= -q}: r
-    drops from (p, q) to (p + 1, q) (w(p) <= -q) and to (p, q + 1) (-q sits
-    at or after p), and is the same at (p - 1, q) (w(p - 1) > -q) and at
-    (p, q - 1) (q = 1, or -(q - 1) sits before p)."""
-    at = [0] * (len(values) + 1)  # at[b]: the position of -b, 0 if b is unbarred
-    for a, v in enumerate(values, start=1):
-        if v < 0:
-            at[-v] = a
-    corners = []
-    before = len(values) + 1  # w(p - 1); at p = 1 no q is refused
-    for p, v in enumerate(values, start=1):
-        for q in range(max(1, 1 - before), 1 - v):
-            if at[q] >= p and at[q - 1] < p:
-                corners.append((_rank(values, p, q, "C"), p, q))
-        before = v
-    return corners
-
-
-def _corners_a(values: tuple):
-    """(k, p, q) at the corners of r(p, q) = #{a > p : w(a) <= q}: r
-    drops from (p, q) to (p + 1, q) (w(p + 1) <= q) and to (p, q - 1) (q
-    sits after p), and is the same at (p - 1, q) (w(p) > q) and at
-    (p, q + 1) (q = n, or q + 1 sits at or before p).  The corners with
-    k = max(0, q - p), which every permutation has, are left out."""
+def _corners(values: tuple, wtype: str):
+    """The steps (k, p, q) at the corners of r(p, q) = #{a > p : w(a) <= q}:
+    r drops from (p, q) to (p + 1, q) (w(p + 1) <= q) and to (p, q - 1)
+    (q sits after p), and is the same at (p - 1, q) (w(p) > q) and at
+    (p, q + 1) (q + 1 sits at or before p, or is no value of w).  Type C
+    reads only q < 0.  The corners with k = max(0, q - p), which every
+    permutation has, are left out; a type-C corner is never one."""
     n = len(values)
-    at = [0] * (n + 2)  # at[v]: the position of v; at[n + 1] = 0
+    at = [0] * (2 * n + 2)  # at[v]: the position of v, 0 if v is no value; v < 0 counts from the end
     for a, v in enumerate(values, start=1):
         at[v] = a
+    cap = n + 1 if wtype == "A" else 0
     corners = []
     before = n + 1  # w(p); at p = 0 no q is refused
     for p, v in enumerate(values):
-        for q in range(v, before):
+        for q in range(v, min(before, cap)):
             if at[q] > p and at[q + 1] <= p:
-                k = _rank(values, p, q, "A")
+                k = _rank(values, p, q)
                 if k > max(0, q - p):
                     corners.append((k, p, q))
         before = v

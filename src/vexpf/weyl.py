@@ -173,13 +173,6 @@ def reduced_word(w: SignedPermutation, wtype: str):
     return word
 
 
-def from_word(word, n: int, wtype: str) -> SignedPermutation:
-    w = SignedPermutation.identity(n)
-    for g in word:
-        w = w.right_gen(g, wtype)
-    return w
-
-
 def longest_element(n: int, wtype: str) -> SignedPermutation:
     if wtype in ("B", "C"):
         return SignedPermutation(-i for i in range(1, n + 1))

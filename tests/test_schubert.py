@@ -8,13 +8,12 @@ from hypothesis import given, settings, strategies as st
 from vexpf.polycore import Polynomial, exact_divide
 from vexpf.gamma import GammaElement, apply_symmetry, is_strict, specialize_oracle, symfun_series
 from vexpf.weyl import SignedPermutation, all_elements, length
-from vexpf.triples import Triple, plus_map, triple_of_w, enumerate_triples, validate
+from vexpf.triples import Triple, lambda_of, plus_map, triple_of_w, enumerate_triples, validate
 from vexpf.multischur import p_family, q_family, r_family
 from vexpf.schubert import (
     degeneracy_formula,
     divided_difference,
     expand_coeffs,
-    lambda_of_extended,
     schubert,
     swap_xy,
     top_class,
@@ -471,7 +470,7 @@ def test_lambda_of_extended_reads_the_redundant_columns():
                     pins.append(t.p[i] - t.q[i] + t.k[i])
                 else:
                     pins.append(t.p[i] + t.q[i] - (wtype == "C") + t.k[i] - k)
-            assert lambda_of_extended(t) == tuple(pins), repr(t)
+            assert lambda_of(t) == tuple(pins), repr(t)
     assert count == 4971
 
 

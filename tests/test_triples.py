@@ -125,22 +125,19 @@ class TestInsertion:
         with pytest.raises(InvalidTriple):
             w_of_triple(Triple((2, 1), (1, 1), (1, 1), "C"))
 
-    @pytest.mark.parametrize(
-        "insertion,t,a",
-        [("_insert_signed", WORKED_C, 0), ("_insert_type_a", WORKED_A, 1)],
-    )
-    def test_rank_check_refuses_a_wrong_insertion(self, monkeypatch, insertion, t, a):
+    @pytest.mark.parametrize("t,a", [(WORKED_C, 0), (WORKED_A, 1)], ids=["C", "A"])
+    def test_rank_check_refuses_a_wrong_insertion(self, monkeypatch, t, a):
         # an insertion that returns a signed permutation, but the wrong one:
         # the values at positions a + 1 and a + 2 swapped, across the last
         # step's p, so its rank drops by one
-        right = getattr(triples, insertion)
+        right = triples._insert
 
-        def swapped(t):
-            values = right(t)
+        def swapped(steps):
+            values = right(steps)
             return values[:a] + (values[a + 1], values[a]) + values[a + 2:]
 
-        assert SignedPermutation(swapped(t)) != w_of_triple(t)
-        monkeypatch.setattr(triples, insertion, swapped)
+        assert SignedPermutation(swapped(triples._steps(t))) != w_of_triple(t)
+        monkeypatch.setattr(triples, "_insert", swapped)
         with pytest.raises(AssertionError, match="broke the rank condition"):
             w_of_triple(t)
 
@@ -279,12 +276,14 @@ class TestDirectDetection:
         "wtype,n", [("C", n) for n in range(1, 6)] + [("A", n) for n in range(1, 7)]
     )
     def test_corners_match_cell_by_cell(self, wtype, n):
-        new, oracle = {
-            "C": (triples._corners_c, _corners_c_oracle),
-            "A": (triples._corners_a, _corners_a_oracle),
-        }[wtype]
+        # the corner steps, mapped back to each type's own coordinates and
+        # sorted, as detection sorts them (type C's q loop runs from -q = w(p)
+        # up, so its corners come in the reverse order of q)
+        oracle = {"C": _corners_c_oracle, "A": _corners_a_oracle}[wtype]
+        back = (lambda k, p, q: (k, p, q)) if wtype == "A" else (lambda k, p, q: (k, p + 1, -q))
         for w in all_elements(n, wtype):
-            assert new(w.values) == oracle(w), str(w)
+            got = [back(*step) for step in triples._corners(w.values, wtype)]
+            assert sorted(got) == sorted(oracle(w)), str(w)
 
     @pytest.mark.parametrize("wtype", ["A", "C", "D"])
     def test_fixed_points_past_the_window(self, wtype):
@@ -372,3 +371,93 @@ def test_random_strict_triples_roundtrip(t):
         return
     w = w_of_triple(t)
     assert triple_of_w(w, t.wtype) == reduce_redundant(t)
+
+
+def _gaps_oracle(t):
+    """The slack between consecutive steps, type by type:
+    (p_i - p_{i+1}) + (q_i - q_{i+1}) - (k_{i+1} - k_i) in types C and D,
+    and l_i - l_{i+1}, the same with q's difference negated, in type A."""
+    sign = -1 if t.wtype == "A" else 1
+    k, p, q = t.k, t.p, t.q
+    return [
+        p[i] - p[i + 1] + sign * (q[i] - q[i + 1]) - (k[i + 1] - k[i])
+        for i in range(len(k) - 1)
+    ]
+
+
+def _validate_oracle(t):
+    """The classification written type by type, in each type's own
+    coordinates: p weakly decreasing, q weakly decreasing in C and D and
+    weakly increasing in A, and entries >= 0 in D (through plus_map)."""
+    if t.wtype == "D":
+        return _validate_oracle(plus_map(t))
+    k, p, q = t.k, t.p, t.q
+    if len(k) == 0:
+        return "strict"
+    if not all(a < b for a, b in zip(k, k[1:])) or k[0] < 1 or any(x < 1 for x in p + q):
+        return "invalid"
+    if not all(a >= b for a, b in zip(p, p[1:])):
+        return "invalid"
+    if t.wtype == "A":
+        if not all(a <= b for a, b in zip(q, q[1:])):
+            return "invalid"
+        if any(ki > qi for ki, qi in zip(k, q)) or p[-1] - q[-1] + k[-1] < 1:
+            return "invalid"
+    elif not all(a >= b for a, b in zip(q, q[1:])):
+        return "invalid"
+    gaps = _gaps_oracle(t)
+    if all(g > 0 for g in gaps):
+        return "strict"
+    return "redundant" if all(g >= 0 for g in gaps) else "invalid"
+
+
+def _reduce_oracle(t):
+    """Drop the first step with zero slack until none is left."""
+    while _validate_oracle(t) == "redundant":
+        drop = _gaps_oracle(t).index(0)
+        keep = [i for i in range(t.s) if i != drop]
+        t = Triple([t.k[i] for i in keep], [t.p[i] for i in keep], [t.q[i] for i in keep], t.wtype)
+    return t
+
+
+def _lambda_oracle(t):
+    """lambda of a strict triple, type by type."""
+    out = []
+    for k, i in enumerate(triples.column_steps(t), start=1):
+        if t.wtype == "A":
+            out.append(t.p[i] - t.q[i] + t.k[i])
+        elif t.wtype == "C":
+            out.append(t.p[i] + t.q[i] - 1 + t.k[i] - k)
+        else:
+            out.append(t.p[i] + t.q[i] + t.k[i] - k)
+    return tuple(out)
+
+
+class TestSignedLine:
+    """Type C read as type A at (p - 1, -q): the one slack rule and the
+    one rank against the rules written in each type's own coordinates."""
+
+    @pytest.mark.parametrize("wtype", ["A", "C", "D"])
+    def test_slack_rule_matches_the_typewise_rules(self, wtype):
+        # every (k, p, q) with s <= 3 and entries 0..3, invalid ones included
+        counts = {"strict": 0, "redundant": 0, "invalid": 0}
+        for s in range(4):
+            rows = list(itertools.product(range(4), repeat=s))
+            for k, p, q in itertools.product(rows, repeat=3):
+                t = Triple(k, p, q, wtype)
+                status = validate(t)
+                assert status == _validate_oracle(t), repr(t)
+                counts[status] += 1
+                if status == "strict":
+                    assert lambda_of(t) == _lambda_oracle(t), repr(t)
+                if status != "invalid":
+                    assert reduce_redundant(t) == _reduce_oracle(t), repr(t)
+        assert sum(counts.values()) == 1 + 4**3 + 4**6 + 4**9
+        assert all(counts.values())
+
+    def test_rank_is_type_a_on_the_signed_line(self):
+        for n in range(1, 6):
+            for w in all_elements(n, "C"):
+                for p in range(1, n + 1):
+                    for q in range(1, n + 1):
+                        assert triples._rank(w.values, p - 1, -q) == _rank_oracle(w, p, q), (str(w), p, q)

@@ -8,7 +8,6 @@ from vexpf.weyl import (
     SizeMismatch,
     all_elements,
     descents,
-    from_word,
     generators,
     length,
     longest_element,
@@ -18,8 +17,16 @@ from vexpf.weyl import (
 
 def rank(w, p, q):
     """The rank function r(p, q) = #{a >= p : w(a) <= -q}; detection
-    counts it on the one-line tuple (`triples._rank`)."""
+    counts it on the one-line tuple as `triples._rank(w.values, p - 1, -q)`."""
     return sum(1 for a, v in enumerate(w.values, start=1) if a >= p and v <= -q)
+
+
+def from_word(word, n: int, wtype: str) -> SignedPermutation:
+    """The product s_{i_1} ... s_{i_l} of a word, built from the identity."""
+    w = SignedPermutation.identity(n)
+    for g in word:
+        w = w.right_gen(g, wtype)
+    return w
 
 
 class TestBasics:
