@@ -4,14 +4,16 @@ group elements, and run the verification suites.
 Output is deterministic: terms are emitted in a fixed canonical order,
 so identical invocations are byte-identical.  JSON keeps big integers as
 strings so any parser survives them.
+
+Importing this module loads every vexpf module (perfbench's tracer finds
+its hooks in `sys.modules`), but a standard-library module that one
+command needs is imported in that command.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import json
-import random
 import sys
 from fractions import Fraction
 
@@ -57,6 +59,14 @@ class BoundExceeded(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _dumps(obj) -> str:
+    """Canonical JSON text; json is imported on first use, so a command that
+    prints no JSON never loads it."""
+    import json
+
+    return json.dumps(obj, sort_keys=True)
+
+
 def serialize_element(e) -> list:
     """Canonical term list: one entry per (basis symbol, monomial)."""
     if isinstance(e, Polynomial):
@@ -80,7 +90,7 @@ def serialize_element(e) -> list:
 def render(e, fmt: str, basis: str = "Q") -> str:
     """Text form of a class; basis P rescales signed-type coefficients."""
     if fmt == "json":
-        return json.dumps({"terms": serialize_element(e)}, sort_keys=True)
+        return _dumps({"terms": serialize_element(e)})
     if isinstance(e, Polynomial):
         return render_terms(e, fmt == "latex")
     return render_combo(expand_coeffs(GammaElement.of(e), basis=basis), fmt == "latex", basis)
@@ -163,7 +173,7 @@ def cmd_vexillary(args) -> int:
     t = triple_of_w(w, args.type)
     if t is None:
         if args.format == "json":
-            print(json.dumps({"vexillary": False, "w": str(w)}, sort_keys=True))
+            print(_dumps({"vexillary": False, "w": str(w)}))
         else:
             print("not vexillary")
         return 0
@@ -180,7 +190,7 @@ def cmd_vexillary(args) -> int:
     if args.format == "json":
         if args.expand:
             payload["polynomial"] = serialize_element(e)
-        print(json.dumps(payload, sort_keys=True))
+        print(_dumps(payload))
     else:
         print(f"triple: {t if t.s else '(empty)'}")
         print(f"lambda: {list(lam)}")
@@ -209,7 +219,7 @@ def cmd_enumerate(args) -> int:
             }
         )
     if args.format == "json":
-        print(json.dumps(rows, sort_keys=True))
+        print(_dumps(rows))
     else:
         for row in rows:
             vex = "vex" if row["vexillary"] else "  -"
@@ -339,6 +349,8 @@ def suite_redundancy(args, report):
             ok = False
     report.append(f"{len(small_a)} small type-A reductions checked in full")
     # randomized C/D redundant triples
+    import random
+
     rng = random.Random(args.seed or 0)
     for wtype in ("C", "D"):
         reds = [
@@ -517,7 +529,7 @@ def format_report(suite: str, ok: bool, report: list, fmt: str = "plain") -> str
     """The stdout of `vexpf verify suite`: the report lines and the verdict,
     or one JSON object."""
     if fmt == "json":
-        return json.dumps({"suite": suite, "pass": ok, "report": report}, sort_keys=True) + "\n"
+        return _dumps({"suite": suite, "pass": ok, "report": report}) + "\n"
     return "".join(f"{line}\n" for line in report) + f"{suite}: {'PASS' if ok else 'FAIL'}\n"
 
 

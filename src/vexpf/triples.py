@@ -24,7 +24,6 @@ type, and `Triple` keeps the paper's coordinates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .weyl import SignedPermutation
 
@@ -45,18 +44,34 @@ def _norm_type(wtype: str) -> str:
     raise ValueError(f"unknown triple type {wtype}")
 
 
-@dataclass(frozen=True)
 class Triple:
-    k: tuple
-    p: tuple
-    q: tuple
-    wtype: str  # "A", "C" (covers B), or "D"
+    """An immutable triple (k, p, q) of type "A", "C" (covers B) or "D",
+    equal and hashed as the tuple (k, p, q, wtype)."""
+
+    __slots__ = ("k", "p", "q", "wtype")
 
     def __init__(self, k, p, q, wtype):
         object.__setattr__(self, "k", tuple(k))
         object.__setattr__(self, "p", tuple(p))
         object.__setattr__(self, "q", tuple(q))
         object.__setattr__(self, "wtype", _norm_type(wtype))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Triple is immutable: cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Triple is immutable: cannot delete {name}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.k, self.p, self.q, self.wtype) == (other.k, other.p, other.q, other.wtype)
+
+    def __hash__(self):
+        return hash((self.k, self.p, self.q, self.wtype))
+
+    def __reduce__(self):
+        return (Triple, (self.k, self.p, self.q, self.wtype))
 
     @property
     def s(self) -> int:
@@ -65,19 +80,6 @@ class Triple:
     def __repr__(self):
         fmt = lambda xs: ",".join(map(str, xs))
         return f"k={fmt(self.k)};p={fmt(self.p)};q={fmt(self.q)};type={self.wtype}"
-
-    @staticmethod
-    def parse(text: str) -> "Triple":
-        """Parse "k=2,3,5,8;p=8,6,6,2;q=6,5,2,2;type=C"."""
-        fields = {}
-        for chunk in text.split(";"):
-            key, _, val = chunk.partition("=")
-            fields[key.strip()] = val.strip()
-        ints = lambda s: tuple(int(x) for x in s.split(",")) if s else ()
-        return Triple(
-            ints(fields["k"]), ints(fields["p"]), ints(fields["q"]),
-            fields.get("type", "C"),
-        )
 
 
 def validate(t: Triple) -> str:

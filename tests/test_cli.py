@@ -1,5 +1,7 @@
 import hashlib
 import json
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from vexpf.polycore import Polynomial
 from vexpf.gamma import GammaElement
+import vexpf
 from vexpf import cli
 from vexpf.cli import main, render, serialize_element
 
@@ -432,3 +435,23 @@ def test_type_d_w4_expand_stdout(capsys, word):
     code, out = run(capsys, "vexillary", "--expand", "--format", "json", "--type", "D", "--w", word)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == TYPE_D_W4_EXPAND[word]
+
+
+VEXPF_MODULES = {
+    f"vexpf.{name}"
+    for name in ("cli", "gamma", "gysin", "multischur", "polycore", "schubert", "triples", "weyl")
+}
+
+
+def test_import_loads_every_vexpf_module_and_no_lazy_stdlib():
+    # a fresh interpreter without site, whose .pth files may import anything
+    src = str(Path(vexpf.__file__).resolve().parent.parent)
+    code = f"import sys; sys.path.insert(0, {src!r}); import vexpf.cli; print(*sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    loaded = set(out.split())
+    # perfbench's tracer imports vexpf.cli, then finds its hooks in sys.modules
+    assert VEXPF_MODULES <= loaded
+    # no call needs these at start-up: json and random load in the commands that use them
+    assert not loaded & {"dataclasses", "inspect", "ast", "json", "random"}

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,18 +28,63 @@ WORKED_A = Triple((2, 6, 8), (7, 4, 2), (5, 7, 9), "A")
 WORKED_A_W = "1 10 8 9 2 3 6 4 5 7"
 
 
+class TestValueSemantics:
+    """Triple is a value: equal, hashed and copied as (k, p, q, wtype)."""
+
+    TRIPLES = [
+        WORKED_A,
+        WORKED_C,
+        Triple((1, 2, 3), (2, 1, 0), (2, 1, 0), "D"),
+        Triple((), (), (), "C"),
+    ]
+
+    def test_hash_is_the_tuple_hash(self):
+        for t in self.TRIPLES + list(enumerate_triples("D", 3, allow_redundant=True)):
+            assert hash(t) == hash((t.k, t.p, t.q, t.wtype))
+
+    def test_equal_triples_dedupe(self):
+        same = {Triple([2, 3], [4, 1], [3, 1], "C"), Triple((2, 3), (4, 1), (3, 1), "C")}
+        assert len(same) == 1
+        assert Triple((1,), (1,), (1,), "C") != Triple((1,), (1,), (1,), "D")
+
+    def test_never_equal_to_a_tuple(self):
+        for t in self.TRIPLES:
+            key = (t.k, t.p, t.q, t.wtype)
+            assert t != key and key != t
+            assert len({t, key}) == 2
+
+    def test_immutable(self):
+        t = Triple((1,), (2,), (2,), "C")
+        for name in ("k", "p", "q", "wtype", "s", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(t, name, (3,))
+            with pytest.raises(AttributeError):
+                delattr(t, name)
+        assert t == Triple((1,), (2,), (2,), "C")
+        assert not hasattr(t, "__dict__")
+
+    def test_copies_are_equal(self):
+        for t in self.TRIPLES:
+            assert copy.copy(t) == t and copy.deepcopy(t) == t
+            assert pickle.loads(pickle.dumps(t)) == t
+
+    def test_repr(self):
+        assert repr(WORKED_A) == "k=2,6,8;p=7,4,2;q=5,7,9;type=A"
+        assert repr(WORKED_C) == "k=2,3,5,8;p=8,6,6,2;q=6,5,2,2;type=C"
+        assert repr(self.TRIPLES[2]) == "k=1,2,3;p=2,1,0;q=2,1,0;type=D"
+        assert str(WORKED_C) == repr(WORKED_C)
+
+
 class TestValidate:
     def test_worked_examples_strict(self):
         assert validate(WORKED_C) == "strict"
         assert validate(WORKED_A) == "strict"
 
-    def test_parse_repr(self):
-        t = Triple.parse("k=2,3,5,8;p=8,6,6,2;q=6,5,2,2;type=C")
-        assert t == WORKED_C
-        assert Triple.parse(repr(t)) == t
-
     def test_b_is_c(self):
-        assert Triple((1,), (2,), (2,), "B").wtype == "C"
+        b = Triple((1, 3), (4, 2), (3, 1), "B")
+        assert b.wtype == "C"
+        assert b == Triple((1, 3), (4, 2), (3, 1), "C")
+        assert hash(b) == hash(Triple((1, 3), (4, 2), (3, 1), "C"))
 
     def test_invalid(self):
         assert validate(Triple((2, 1), (2, 1), (2, 1), "C")) == "invalid"
