@@ -17,6 +17,13 @@ Both Q-basis folds, `pf_rows` and `_branch`, keep each coefficient they
 build as one {packed monomial: int} map over a shared 2^-e and add into
 it with `polycore._fma`, a multiply-accumulate in place; a coefficient
 becomes a Polynomial once, when the fold is done.
+
+Many Pfaffians begin with the same rows (Kazarian's families over nested
+index sets, triples with common leading steps), so `pf_rows` keeps the
+fold states it has built in a prefix memo: a trie keyed by each row's
+exact content, whose stored states are read-only.  Only states of at
+most PF_STATE_CAP terms are stored, and past PF_MEMO_TERMS stored terms
+the trie is dropped whole; the generator-monomial caches are bounded too.
 """
 
 from __future__ import annotations
@@ -52,6 +59,8 @@ def is_strict(parts) -> bool:
 # ---------------------------------------------------------------------------
 # A "raw" element is a dict mapping generator monomials -- tuples of
 # positive ints, sorted weakly decreasing -- to coefficients.  () is 1.
+# The three caches below are bounded: the whole test suite, run in one
+# process, fills 948, 129 and 485 entries of them.
 
 
 def _gens(indices):
@@ -75,7 +84,7 @@ def _raw_mul(r1: dict, r2: dict) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def pair_expansion(a: int, b: int) -> dict:
     """Q_{a b} (a > b >= 0) as a sum of generator monomials.
 
@@ -90,7 +99,7 @@ def pair_expansion(a: int, b: int) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def pf_expansion(lam: tuple) -> dict:
     """The defining Pfaffian of the basis symbol Q_lambda, expanded into
     generator monomials.  Odd lengths are handled by appending a 0 part."""
@@ -115,7 +124,7 @@ def _pf_of_pairs(idx: tuple) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def straighten_monomial(mono: tuple) -> dict:
     """Expand a generator monomial Q_{a_1} ... Q_{a_m} in the Q_lambda basis.
 
@@ -339,6 +348,37 @@ def q_pair(k: int, l: int, c_k: GeneratorSeries, c_l: GeneratorSeries) -> GammaE
     return pf_rows(series_rows((k, l), (c_k, c_l)))
 
 
+# The prefix memo of `pf_rows`: the stored terms past which it is dropped
+# whole, and the largest state it stores.  A top class's fold states run
+# to hundreds of terms and are used once; the states the formulas share
+# are mostly small.
+PF_MEMO_TERMS = 1024
+PF_STATE_CAP = 64
+
+
+class _PrefixMemo:
+    """A trie of fold states: a node is (e, state, {row key: child})."""
+
+    __slots__ = ("root", "terms")
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self):
+        self.root = (0, {((), False): {0: 1}}, {})
+        self.terms = 0
+
+
+_PF_MEMO = _PrefixMemo()
+
+
+def _row_key(row) -> tuple:
+    """The exact content of a row, per entry m, e and the packed map's
+    monomials and coefficients in order: equal keys fold identically.
+    Two flat tuples per entry keep fewer objects alive than a pair per term."""
+    return tuple((m, g.e, tuple(g.packed), tuple(g.packed.values())) for m, g in row.items())
+
+
 def pf_rows(rows) -> GammaElement:
     """The Pfaffian of `rows`, straight in the Q basis.
 
@@ -362,6 +402,12 @@ def pf_rows(rows) -> GammaElement:
     term goes once into every target of its alternation (`polycore._fma`):
     no Polynomial is built per term.  Each row ends in one `_settle` per
     map, and each basis coefficient is wrapped once at the end.
+
+    The fold starts from the state of the longest prefix of `rows` that
+    the prefix memo holds, keyed by each row's entries (m, e, packed
+    terms), and stores each new state of at most PF_STATE_CAP terms.
+    Stored states are never written: the end copies a map before merging
+    into it, and the result's coefficients may share maps with the memo.
     """
     memo = {}
 
@@ -383,9 +429,18 @@ def pf_rows(rows) -> GammaElement:
             memo[prefix, m] = out
         return memo[prefix, m]
 
-    e = 0
-    state = {((), False): {0: 1}}
+    rows = list(rows)
+    node = _PF_MEMO.root
+    depth = 0
     for row in rows:
+        key = _row_key(row)
+        child = node[2].get(key)
+        if child is None:
+            break
+        node = child
+        depth += 1
+    e, state, children = node
+    for i, row in enumerate(rows[depth:]):
         top = max((g.e for g in row.values()), default=0)
         e += top
         lifted = [
@@ -407,10 +462,12 @@ def pf_rows(rows) -> GammaElement:
                         continue
                 _fma(targets, packed, g)
         state = {}
-        for key, packed in acc.items():
+        for pair, packed in acc.items():
             packed = _settle(packed)
             if packed:
-                state[key] = packed
+                state[pair] = packed
+        if children is not None:
+            children = _store(children, key if i == 0 else _row_key(row), e, state)
     combo = {}
     for (v, _), packed in state.items():
         if v and v[-1] == 0:
@@ -418,12 +475,27 @@ def pf_rows(rows) -> GammaElement:
         if v and v[-1] < 0:
             continue
         if v in combo:
-            _add_into(combo[v], packed)
-        else:
-            combo[v] = packed
+            packed, other = dict(combo[v]), packed  # stored maps stay unwritten
+            _add_into(packed, other)
+        combo[v] = packed
     out = GammaElement()
     out.combo = {lam: Polynomial.from_packed(p, e) for lam, p in combo.items() if p}
     return out
+
+
+def _store(children: dict, key, e: int, state: dict):
+    """Store the state after the row `key` under `children`; the child's own
+    children, or None when nothing deeper is stored: the state is over
+    the size cap, or the memo was just dropped."""
+    terms = sum(map(len, state.values()))
+    if terms > PF_STATE_CAP:
+        return None
+    if _PF_MEMO.terms + terms > PF_MEMO_TERMS:
+        _PF_MEMO.clear()
+        return None
+    _PF_MEMO.terms += terms
+    node = children[key] = (e, state, {})
+    return node[2]
 
 
 # ---------------------------------------------------------------------------

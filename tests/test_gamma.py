@@ -16,6 +16,7 @@ from vexpf.gamma import (
     apply_symmetry,
     is_strict,
     negt_series,
+    pair_expansion,
     pf_expansion,
     q_pair,
     series_coeff,
@@ -102,6 +103,13 @@ class TestStraighten:
     def test_raw_roundtrip(self):
         e = ge({(3, 2): 1, (4, 1): 2})
         assert GammaElement.from_raw(to_raw(e)) == e
+
+    @pytest.mark.parametrize(
+        "cached", [straighten_monomial, pair_expansion, pf_expansion], ids=lambda f: f.__name__
+    )
+    def test_cache_is_bounded(self, cached):
+        maxsize = cached.cache_info().maxsize
+        assert isinstance(maxsize, int) and 0 < maxsize == cached.cache_parameters()["maxsize"]
 
     def test_equality_with_other_types(self):
         # a value that is no element and no coefficient compares unequal

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from vexpf.polycore import ExponentOverflow, Polynomial, rational_series
+from vexpf import gamma
 from vexpf.gamma import (
     GammaElement,
     GeneratorSeries,
@@ -21,11 +22,14 @@ from vexpf.multischur import (
     multischur_det,
     multischur_pf,
     multischur_pf_d,
+    p_family,
     pfaffian,
+    r_family,
     r_rows,
 )
 from vexpf.schubert import formula_rows
-from vexpf.triples import enumerate_triples
+from vexpf.triples import enumerate_triples, triple_of_w
+from vexpf.weyl import longest_element
 
 
 def tvar(i):
@@ -443,10 +447,14 @@ class TestPackedFold:
 
     def test_exponent_overflow(self):
         # the entry Q_1 Q_0 = Q_1 of the two rows carries x1^200 x1^200
+        gamma._PF_MEMO.clear()
         rows = [{1: X1**200}, {0: X1**200}]
         for fold in (pf_rows, pf_rows_term_by_term):
             with pytest.raises(ExponentOverflow):
                 fold(rows)
+        # the first row's state was stored before the second row raised,
+        # and the next fold starts from it
+        assert list(gamma._PF_MEMO.root[2]) == [gamma._row_key(rows[0])]
         assert pf_rows([{1: X1**200}, {0: X1**55}]) == GammaElement({(1,): X1**255})
 
     @pytest.mark.parametrize("wtype", ["C", "D"])
@@ -459,3 +467,91 @@ class TestPackedFold:
                 for row, k, d in zip(rows, lam, series):
                     row[None] = d.multiplier.part(k)
             assert pf_rows(rows) == pf_rows_term_by_term(rows), t
+
+
+# ---------------------------------------------------------------------------
+# the prefix memo of pf_rows
+# ---------------------------------------------------------------------------
+
+
+def memo_nodes(node=None):
+    """Every stored node (e, state, children) of the prefix memo."""
+    node = node or gamma._PF_MEMO.root
+    for child in node[2].values():
+        yield child
+        yield from memo_nodes(child)
+
+
+def memo_depth(rows) -> int:
+    """How many leading rows of `rows` the prefix memo holds."""
+    node, depth = gamma._PF_MEMO.root, 0
+    for row in rows:
+        node = node[2].get(gamma._row_key(row))
+        if node is None:
+            break
+        depth += 1
+    return depth
+
+
+class TestPrefixMemo:
+    @settings(deadline=None, max_examples=60)
+    @given(row_lists(), st.lists(row_lists(), min_size=1, max_size=3), st.randoms(use_true_random=False))
+    def test_shared_prefixes(self, base, tails, rnd):
+        # a base list and its extensions in drawn order, then the base again
+        gamma._PF_MEMO.clear()
+        lists = [base] + [base + tail for tail in tails]
+        rnd.shuffle(lists)
+        for rows in lists + [base]:
+            assert pf_rows(rows) == pf_rows_term_by_term(rows)
+
+    def test_full_hit_copies_before_merging(self):
+        # r_family's last state holds (v, f) pairs that merge into one Q_v
+        gamma._PF_MEMO.clear()
+        lam = (4, 3)
+        rows = series_rows(lam, r_rows(lam))
+        for row, k, d in zip(rows, lam, r_rows(lam)):
+            row[None] = d.multiplier.part(k)
+        first = r_family(lam)
+        assert memo_depth(rows) == 2
+        before = [{pair: dict(p) for pair, p in node[1].items()} for node in memo_nodes()]
+        second = r_family(lam)
+        after = [{pair: dict(p) for pair, p in node[1].items()} for node in memo_nodes()]
+        assert before == after
+        assert first == second == pf_rows_term_by_term(rows).halve(2)
+
+    @pytest.mark.parametrize("bound", [100, None], ids=["small", "default"])
+    def test_stored_terms_stay_bounded(self, bound, monkeypatch):
+        # the families over every shape with parts <= 4, as perfbench folds them
+        bound = bound or gamma.PF_MEMO_TERMS
+        monkeypatch.setattr(gamma, "PF_MEMO_TERMS", bound)
+        gamma._PF_MEMO.clear()
+        drops, last = 0, 0
+        for size in range(1, 6):
+            for lam in itertools.combinations(range(4, -1, -1), size):
+                r_family(lam)
+                p_family(tuple(m + 1 for m in lam))
+                sizes = [sum(map(len, node[1].values())) for node in memo_nodes()]
+                assert gamma._PF_MEMO.terms == sum(sizes) <= bound
+                assert max(sizes, default=0) <= gamma.PF_STATE_CAP
+                drops += gamma._PF_MEMO.terms < last
+                last = gamma._PF_MEMO.terms
+        assert drops if bound == 100 else last
+
+    @pytest.mark.parametrize("wtype", ["C", "D"])
+    def test_top_class_keeps_only_small_states(self, wtype, monkeypatch):
+        # W_4's top-class fold ends in hundreds of terms: with room for all
+        # of them, a state over the cap is still not stored, nor any after it
+        monkeypatch.setattr(gamma, "PF_MEMO_TERMS", 10**6)
+        gamma._PF_MEMO.clear()
+        t = triple_of_w(longest_element(4, wtype), wtype)
+        lam, series = formula_rows(t, wtype)
+        rows = series_rows(lam, series)
+        if wtype == "D":
+            for row, k, d in zip(rows, lam, series):
+                row[None] = d.multiplier.part(k)
+        first = pf_rows(rows)
+        sizes = [sum(map(len, node[1].values())) for node in memo_nodes()]
+        assert gamma._PF_MEMO.terms == sum(sizes)
+        assert max(sizes, default=0) <= gamma.PF_STATE_CAP
+        assert memo_depth(rows) == len(sizes) < len(rows)
+        assert pf_rows(rows) == first == pf_rows_term_by_term(rows)
