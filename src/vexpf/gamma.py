@@ -484,9 +484,10 @@ def pf_rows(rows) -> GammaElement:
 
 
 def _store(children: dict, key, e: int, state: dict):
-    """Store the state after the row `key` under `children`; the child's own
-    children, or None when nothing deeper is stored: the state is over
-    the size cap, or the memo was just dropped."""
+    """Store `state`, the fold after the row `key`, under `children` and
+    return the new node's children.  None when it is not stored (it is
+    over the cap, or the memo was full and has just been dropped), so that
+    nothing deeper is stored either."""
     terms = sum(map(len, state.values()))
     if terms > PF_STATE_CAP:
         return None

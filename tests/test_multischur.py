@@ -435,6 +435,15 @@ MIXED_ROWS = [
 ]
 
 
+def fold_rows(lam, series, wtype):
+    """The rows multischur_pf and multischur_pf_d fold, d_k + c_k f in type D."""
+    rows = series_rows(lam, series)
+    if wtype == "D":
+        for row, k, d in zip(rows, lam, series):
+            row[None] = d.multiplier.part(k)
+    return rows
+
+
 class TestPackedFold:
     @settings(deadline=None, max_examples=80)
     @given(row_lists())
@@ -459,13 +468,8 @@ class TestPackedFold:
 
     @pytest.mark.parametrize("wtype", ["C", "D"])
     def test_formula_rows(self, wtype):
-        # the rows multischur_pf and multischur_pf_d fold, d_k + c_k f in type D
         for t in enumerate_triples(wtype, 3):
-            lam, series = formula_rows(t, wtype)
-            rows = series_rows(lam, series)
-            if wtype == "D":
-                for row, k, d in zip(rows, lam, series):
-                    row[None] = d.multiplier.part(k)
+            rows = fold_rows(*formula_rows(t, wtype), wtype)
             assert pf_rows(rows) == pf_rows_term_by_term(rows), t
 
 
@@ -508,9 +512,7 @@ class TestPrefixMemo:
         # r_family's last state holds (v, f) pairs that merge into one Q_v
         gamma._PF_MEMO.clear()
         lam = (4, 3)
-        rows = series_rows(lam, r_rows(lam))
-        for row, k, d in zip(rows, lam, r_rows(lam)):
-            row[None] = d.multiplier.part(k)
+        rows = fold_rows(lam, r_rows(lam), "D")
         first = r_family(lam)
         assert memo_depth(rows) == 2
         before = [{pair: dict(p) for pair, p in node[1].items()} for node in memo_nodes()]
@@ -544,11 +546,7 @@ class TestPrefixMemo:
         monkeypatch.setattr(gamma, "PF_MEMO_TERMS", 10**6)
         gamma._PF_MEMO.clear()
         t = triple_of_w(longest_element(4, wtype), wtype)
-        lam, series = formula_rows(t, wtype)
-        rows = series_rows(lam, series)
-        if wtype == "D":
-            for row, k, d in zip(rows, lam, series):
-                row[None] = d.multiplier.part(k)
+        rows = fold_rows(*formula_rows(t, wtype), wtype)
         first = pf_rows(rows)
         sizes = [sum(map(len, node[1].values())) for node in memo_nodes()]
         assert gamma._PF_MEMO.terms == sum(sizes)
