@@ -406,8 +406,9 @@ def pf_rows(rows) -> GammaElement:
     The fold starts from the state of the longest prefix of `rows` that
     the prefix memo holds, keyed by each row's entries (m, e, packed
     terms), and stores each new state of at most PF_STATE_CAP terms.
-    Stored states are never written: the end copies a map before merging
-    into it, and the result's coefficients may share maps with the memo.
+    Stored states are never written: the end copies a stored map before
+    merging into it, and the result's coefficients may share maps with
+    the memo.
     """
     memo = {}
 
@@ -475,9 +476,11 @@ def pf_rows(rows) -> GammaElement:
         if v and v[-1] < 0:
             continue
         if v in combo:
-            packed, other = dict(combo[v]), packed  # stored maps stay unwritten
-            _add_into(packed, other)
-        combo[v] = packed
+            if children is not None:  # state is in the memo: merge into a copy
+                combo[v] = dict(combo[v])
+            _add_into(combo[v], packed)
+        else:
+            combo[v] = packed
     out = GammaElement()
     out.combo = {lam: Polynomial.from_packed(p, e) for lam, p in combo.items() if p}
     return out
