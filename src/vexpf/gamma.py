@@ -349,11 +349,11 @@ def q_pair(k: int, l: int, c_k: GeneratorSeries, c_l: GeneratorSeries) -> GammaE
 
 
 # The prefix memo of `pf_rows`: the stored terms past which it is dropped
-# whole, and the largest state it stores.  A top class's fold states run
-# to hundreds of terms and are used once; the states the formulas share
-# are mostly small.
+# whole, and the largest state it stores.  The states that formulas share
+# are mostly small; the fold of a W_4 top class is used once, and its
+# states hold 64 terms (C) and 65 (D) after the first row, hundreds later.
 PF_MEMO_TERMS = 1024
-PF_STATE_CAP = 64
+PF_STATE_CAP = 48
 
 
 class _PrefixMemo:
