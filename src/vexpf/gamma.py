@@ -255,9 +255,6 @@ class GammaElement:
 
     __rmul__ = __mul__
 
-    def scale(self, d) -> "GammaElement":
-        return self * Polynomial.const(d)
-
     def halve(self, r: int) -> "GammaElement":
         """self / 2^r: r added to each coefficient's shared exponent."""
         out = GammaElement()
@@ -411,25 +408,6 @@ def pf_rows(rows) -> GammaElement:
     the memo.
     """
     memo = {}
-
-    def insert(prefix, m):
-        # Q_(prefix, m) for strictly decreasing prefix, as {strictly decreasing: int}
-        if (prefix, m) not in memo:
-            a = prefix[-1] if prefix else m + 1
-            if a > m:
-                out = {prefix + (m,): 1}
-            elif a == m:
-                out = {prefix[:-1]: 1} if m == 0 else {}
-            else:
-                out = {}
-                for v, c in insert(prefix[:-1], m).items():
-                    for w, c2 in insert(v, a).items():
-                        _iadd(out, w, -c * c2)
-                if a + m == 0:
-                    _iadd(out, prefix[:-1], -2 if a % 2 else 2)
-            memo[prefix, m] = out
-        return memo[prefix, m]
-
     rows = list(rows)
     node = _PF_MEMO.root
     depth = 0
@@ -457,7 +435,7 @@ def pf_rows(rows) -> GammaElement:
                 else:
                     targets = [
                         (acc.setdefault((v, f), {}), -c if f else c)
-                        for v, c in insert(prefix, m).items()
+                        for v, c in _insert(memo, prefix, m).items()
                     ]
                     if not targets:
                         continue
@@ -484,6 +462,26 @@ def pf_rows(rows) -> GammaElement:
     out = GammaElement()
     out.combo = {lam: Polynomial.from_packed(p, e) for lam, p in combo.items() if p}
     return out
+
+
+def _insert(memo: dict, prefix: tuple, m: int) -> dict:
+    """Q_(prefix, m) for a strictly decreasing prefix, as {strictly
+    decreasing: int}; memo is the calling fold's, so nothing outlives it."""
+    if (prefix, m) not in memo:
+        a = prefix[-1] if prefix else m + 1
+        if a > m:
+            out = {prefix + (m,): 1}
+        elif a == m:
+            out = {prefix[:-1]: 1} if m == 0 else {}
+        else:
+            out = {}
+            for v, c in _insert(memo, prefix[:-1], m).items():
+                for w, c2 in _insert(memo, v, a).items():
+                    _iadd(out, w, -c * c2)
+            if a + m == 0:
+                _iadd(out, prefix[:-1], -2 if a % 2 else 2)
+        memo[prefix, m] = out
+    return memo[prefix, m]
 
 
 def _store(children: dict, key, e: int, state: dict):

@@ -6,13 +6,15 @@ Two layers:
     Polynomials whose h exponents may be negative -- together with
     formal operators built from the substitutions zeta_J : h_i -> 0 for
     i in J.  The identities relating the rational functions
-    f[i,j] = (1 - h_i/h_j)/(1 + h_i/h_j), their deformations, and the
-    sign bookkeeping are verified extensionally on test monomials;
+    f[i,j] = (1 - h_i/h_j)/(1 + h_i/h_j) and their deformations are
+    checked on canonical forms: an operator sum_J a_J zeta_J is fixed by
+    how it acts, so the two sides of the operator identity are compared
+    coefficient by coefficient.  The sign lemma is checked exhaustively;
 
   * the algebraic pushforward maps phi_k eliminating h_k one at a time,
-    whose composite is a paired multi-Schur Pfaffian
+    whose composite (`pushforward`) is a paired multi-Schur Pfaffian
     (prop_A2_check), with a plain single-series degeneration
-    (pushforward_plain) matching the even simpler Pfaffian shift rule.
+    (paired=False) matching the even simpler Pfaffian shift rule.
     Every series is a row Q * g, so Appendix A.2 is checked in the basis
     ring itself: Q Q* = 1 there, and a concrete series F with F F* = 1
     is an image of Q.
@@ -32,7 +34,7 @@ a smaller window.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+import math
 
 from .polycore import Polynomial, exponent, rational_series
 from .gamma import GammaElement, GeneratorSeries, _iadd, series_coeff
@@ -86,6 +88,15 @@ def zeta(f: Polynomial, J) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
+def _pair_series(i: int, j: int, a: int, b: int, window: int) -> Polynomial:
+    """2 sum_{k>=1} (-1)^k h_i^{a+k} h_j^{b-k}, cut where an h exponent
+    would leave [-window, window]."""
+    return Polynomial(
+        {((("h", i), a + k), (("h", j), b - k)): 2 * (-1) ** k
+         for k in range(1, min(window - a, window + b) + 1)}
+    )
+
+
 def f_pair(i: int, j: int, window: int = 8) -> Polynomial:
     """(1 - h_i/h_j)/(1 + h_i/h_j), expanded in powers of h_i/h_j when
     i < j up to h_i^window; f[j,i] = -f[i,j] by expanding in the same region."""
@@ -93,8 +104,7 @@ def f_pair(i: int, j: int, window: int = 8) -> Polynomial:
         raise ValueError("f[i,i] is undefined")
     if i > j:
         return -f_pair(j, i, window)
-    terms = {((("h", i), k), (("h", j), -k)): 2 * (-1) ** k for k in range(1, window + 1)}
-    return Polynomial(terms) + 1
+    return _pair_series(i, j, 0, 0, window) + 1
 
 
 def f_index(I, window: int = 8) -> Polynomial:
@@ -211,12 +221,6 @@ class IndexedOperator:
                 _iadd(out.terms, J1 | J2, c1 * zeta(c2, J1))
         return out
 
-    def apply(self, f: Polynomial) -> Polynomial:
-        out = Polynomial()
-        for J, coeff in self.terms.items():
-            out = out + coeff * zeta(f, J)
-        return out
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -245,47 +249,28 @@ def f_tilde_pair(i: int, j: int, lam, window: int = 8) -> IndexedOperator:
         return -f_tilde_pair(j, i, lam, window)
     li, lj = lam[i - 1], lam[j - 1]
     left = IndexedOperator({frozenset(): h_power(i, li), frozenset({i}): -u_power(i, li)})
-    tail = Polynomial(
-        {((("h", i), li + k), (("h", j), lj - k)): 2 * (-1) ** k
-         for k in range(1, min(window - li, window + lj) + 1)}
-    )
+    tail = _pair_series(i, j, li, lj, window)
     return left * f_tilde_border(j, lam) + IndexedOperator.scalar(tail)
 
 
-def _default_monomials(K):
-    K = tuple(sorted(K))
-    monos = [Polynomial.const(1)]
-    for k in K:
-        monos.append(h_power(k, 1))
-        monos.append(u_power(k, 1))
-    if K:
-        monos.append(h_power(K[0], 2))
-    if len(K) >= 2:
-        monos.append(h_power(K[0], 1) * h_power(K[1], 1))
-        monos.append(h_power(K[0], 1) * u_power(K[-1], 1))
-    if len(K) >= 3:
-        monos.append(h_power(K[0], 1) * h_power(K[1], 1) * u_power(K[2], 1))
-    return monos
+def prop_A1_check(lam, K, window: int = None) -> bool:
+    """Does the Pfaffian of the deformed entries equal the operator
 
+        sum_{I u J = K}  sgn(K, J) h^I u^J f[I] zeta_J ?
 
-def prop_A1_check(lam, K, monomials=None, window: int = None) -> bool:
-    """Extensional check that the Pfaffian of the deformed entries equals
-
-        sum_{I u J = K}  sgn(K, J) h^I u^J f[I] zeta_J
-
-    on each test monomial.  lam must supply an exponent for every index
-    in K (lam[k-1] for index k).  Both sides are compared on the h
-    exponents of absolute value at most window - sum(lam over K) - 1,
-    away from the boundary where the truncated series are inexact."""
+    An operator sum_J a_J zeta_J is fixed by how it acts (apply it to each
+    prod_{j in S} h_j and invert over S), so the two sides are compared
+    coefficient by coefficient.  lam must supply an exponent for every
+    index in K (lam[k-1] for index k).  The coefficients are compared on
+    the h exponents of absolute value at most window - sum(lam over K) - 1,
+    away from the boundary where the truncated series are inexact; the
+    default window leaves exponents up to 4."""
     K = tuple(sorted(K))
     needed = sum(lam[k - 1] for k in K)
-    if monomials is None:
-        monomials = _default_monomials(K)
-    required = needed + max((f.degree() if f else 0 for f in monomials), default=0) + 2
     if window is None:
-        window = required
-    elif window < required:
-        raise WindowTooSmall(f"window {window} < required {required}")
+        window = needed + 5
+    elif window < needed + 2:
+        raise WindowTooSmall(f"window {window} < required {needed + 2}")
 
     lhs = pfaffian(
         len(K),
@@ -294,20 +279,17 @@ def prop_A1_check(lam, K, monomials=None, window: int = None) -> bool:
         border=lambda a: f_tilde_border(K[a], lam),
     )
 
-    rhs = IndexedOperator()
+    rhs = {}
     for t in range(len(K) + 1):
         for J in itertools.combinations(K, t):
             I = tuple(k for k in K if k not in J)
-            coeff = f_index(I, window) * sgn(K, J)
-            for i in I:
-                coeff = coeff * h_power(i, lam[i - 1])
-            for j in J:
-                coeff = coeff * u_power(j, lam[j - 1])
-            rhs = rhs + IndexedOperator({frozenset(J): coeff})
+            powers = [h_power(i, lam[i - 1]) for i in I] + [u_power(j, lam[j - 1]) for j in J]
+            rhs[frozenset(J)] = math.prod(powers, start=f_index(I, window) * sgn(K, J))
 
     bound = window - needed - 1
     return all(
-        restrict(lhs.apply(f), bound) == restrict(rhs.apply(f), bound) for f in monomials
+        restrict(lhs.terms.get(J, Polynomial()), bound) == restrict(rhs.get(J, Polynomial()), bound)
+        for J in lhs.terms.keys() | rhs.keys()
     )
 
 
@@ -328,76 +310,36 @@ def _push_element(state: GammaElement, k: int, image) -> GammaElement:
     return out
 
 
-def _h_convolution(k: int, lam_k: int, c: GeneratorSeries, bound: int):
-    """m -> sum_j H^(k)_j c_{lam_k + m - j}, with H^(k) the series
-    prod_{i<k} (1 - h_i)/(1 + h_i) truncated at degree bound."""
-    h = [Polynomial.variable("h", i) for i in range(1, k)]
-    H = rational_series([1 - hi for hi in h], [1 + hi for hi in h], bound)
+def pushforward(lam, series, exponents=None, paired=False) -> GammaElement:
+    """(phi_1)_* ... (phi_r)_* applied to h_1^{m_1} ... h_r^{m_r} (to 1
+    without exponents), one series c(k) = Q * g per index.  Step k is
 
-    def image(m):
-        acc = GammaElement.zero()
-        for j in range(0, lam_k + m + 1):
-            hj = H.part(j)
-            if hj:
-                acc = acc + series_coeff(c, lam_k + m - j) * hj
-        return acc
+        h_k^m -> (Q * g H)_{lam_k + m},   H = prod_{i<k} (1 - h_i)/(1 + h_i),
 
-    return image
-
-
-def pushforward_plain(state: GammaElement, k: int, lam_k: int, c: GeneratorSeries,
-                      bound: int) -> GammaElement:
-    """The single-series elimination of h_k:
-    h_k^m -> sum_j H^(k)_j c_{lam_k + m - j}."""
-    return _push_element(GammaElement.of(state), k, _h_convolution(k, lam_k, c, bound))
-
-
-def pushforward_paired(state: GammaElement, k: int, lam_k: int, d: GeneratorSeries,
-                       r: int, bound: int) -> GammaElement:
-    """The paired elimination of h_k, g the multiplier of d = Q * g:
-    h_k^m -> 1/2 sum_j H^(k)_j d_{lam_k+m-j}  +  1/2 (-1)^{r-k} delta_{m,0} g_{lam_k}."""
-    convolution = _h_convolution(k, lam_k, d, bound)
-    half = Fraction(1, 2)
-
-    def image(m):
-        acc = convolution(m).scale(half)
-        if m == 0:
-            extra = d.multiplier.part(lam_k) * (half if (r - k) % 2 == 0 else -half)
-            acc = acc + GammaElement.of(extra)
-        return acc
-
-    return _push_element(GammaElement.of(state), k, image)
-
-
-def pushforward_compose(lam, series) -> GammaElement:
-    """(phi_1)_* ... (phi_r)_* applied to 1, for the rows of
-    multischur_pf_d: one series d = Q * g per index."""
+    H truncated at degree sum(lam) + sum(exponents) + 1; the convolution
+    sum_j H_j c(k)_{n-j} is one coefficient since (Q * g) H = Q * (g H).
+    The paired map, for the rows of multischur_pf_d, halves it and at
+    m = 0 adds (-1)^{r-k} g_{lam_k} / 2."""
     lam = tuple(lam)
     r = len(lam)
     if len(series) != r:
         raise ValueError("need one series per index")
-    bound = sum(lam) + 1
-    state = GammaElement.one()
-    for k in range(r, 0, -1):
-        state = pushforward_paired(state, k, lam[k - 1], series[k - 1], r, bound)
-    return state
-
-
-def pushforward_compose_plain(lam, series, exponents=None) -> GammaElement:
-    """The single-series composite: h^m |-> the value of
-    (phi_1)_* ... (phi_s)_* on h_1^{m_1} ... h_s^{m_s}."""
-    lam = tuple(lam)
-    s = len(lam)
-    if len(series) != s:
-        raise ValueError("need one series per index")
-    exponents = tuple(exponents) if exponents else (0,) * s
+    exponents = tuple(exponents or (0,) * r)
     bound = sum(lam) + sum(exponents) + 1
-    start = Polynomial.const(1)
-    for k in range(1, s + 1):
-        start = start * Polynomial.variable("h", k) ** exponents[k - 1]
-    state = GammaElement.of(start)
-    for k in range(s, 0, -1):
-        state = pushforward_plain(state, k, lam[k - 1], series[k - 1], bound)
+    state = GammaElement.of(Polynomial({tuple((("h", k), m) for k, m in enumerate(exponents, 1)): 1}))
+    for k in range(r, 0, -1):
+        lk, g = lam[k - 1], series[k - 1].multiplier
+        h = [Polynomial.variable("h", i) for i in range(1, k)]
+        gH = GeneratorSeries(g * rational_series([1 - hi for hi in h], [1 + hi for hi in h], bound))
+        extra = GammaElement.of(g.part(lk) * (-1) ** (r - k))
+
+        def image(m):
+            img = series_coeff(gH, lk + m)
+            if paired:
+                img = (img + extra if m == 0 else img).halve(1)
+            return img
+
+        state = _push_element(state, k, image)
     return state
 
 
@@ -409,7 +351,7 @@ def prop_A2_check(lam) -> bool:
     series F with F F* = 1 standing for Q."""
     lam = tuple(lam)
     series = r_rows(lam)
-    lhs = pushforward_compose(lam, series)
+    lhs = pushforward(lam, series, paired=True)
     rhs = multischur_pf_d(lam, series, check=False).halve(len(lam))
     return lhs == rhs
 
@@ -417,9 +359,7 @@ def prop_A2_check(lam) -> bool:
 def plain_pushforward_check(lam, series, exponents) -> bool:
     """The degenerate (u = 0, g = 1, no halves) composite reproduces the
     index-shifted plain Pfaffian Pf_{lam + m}(c(1), ..., c(s))."""
-    lam = tuple(lam)
-    exponents = tuple(exponents)
-    lhs = pushforward_compose_plain(lam, series, exponents)
+    lhs = pushforward(lam, series, exponents)
     shifted = tuple(l + m for l, m in zip(lam, exponents))
     rhs = multischur_pf(shifted, series, check=False)
     return lhs == rhs

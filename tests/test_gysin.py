@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from vexpf import gysin
 from vexpf.polycore import Polynomial
-from vexpf.gamma import GammaElement, GeneratorSeries
+from vexpf.gamma import GammaElement, GeneratorSeries, Q_SERIES, series_coeff
 from vexpf.multischur import r_rows
 from vexpf.gysin import (
     IndexedOperator,
@@ -19,8 +20,8 @@ from vexpf.gysin import (
     lemma_A1_check,
     prop_A1_check,
     prop_A2_check,
-    pushforward_compose,
     plain_pushforward_check,
+    pushforward,
     restrict,
     sgn,
     u_power,
@@ -112,9 +113,9 @@ class TestOperators:
         a = IndexedOperator({frozenset({1}): ONE})
         b = IndexedOperator({frozenset({2}): ONE})
         ab = a * b
-        assert set(ab.terms) == {frozenset({1, 2})}
+        assert ab.terms == {frozenset({1, 2}): ONE}
         e = h(1) + h(2) + h(3)
-        assert ab.apply(e) == h(3)
+        assert zeta(e, frozenset({1, 2})) == h(3)
 
     def test_composition_moves_coefficients_through_zeta(self):
         # (zeta_1) . (h_1 + h_2) = h_2 zeta_1, not (h_1 + h_2) zeta_1
@@ -127,9 +128,7 @@ class TestOperators:
         assert f_tilde_pair(2, 1, lam) == -f_tilde_pair(1, 2, lam)
 
     def test_border_on_one(self):
-        lam = (3,)
-        got = f_tilde_border(1, lam).apply(ONE)
-        assert got == h(1, 3) + u(1, 3)
+        assert f_tilde_border(1, (3,)).terms == {frozenset(): h(1, 3), frozenset({1}): u(1, 3)}
 
 
 class TestPropA1:
@@ -140,16 +139,17 @@ class TestPropA1:
         assert prop_A1_check((2, 1), (1, 2))
 
     def test_triple(self):
-        monos = [ONE, h(1), h(1) * h(2) * u(3)]
-        assert prop_A1_check((3, 2, 1), (1, 2, 3), monomials=monos, window=11)
+        assert prop_A1_check((3, 2, 1), (1, 2, 3), window=11)
 
     def test_sub_index_set(self):
         assert prop_A1_check((4, 2, 1), (1, 3))
 
-    def test_default_monomials_cover_ten(self):
-        from vexpf.gysin import _default_monomials
-
-        assert len(_default_monomials((1, 2, 3))) >= 10
+    def test_flipped_sign_fails(self, monkeypatch):
+        # sgn negated for |J| = 1 flips the coefficient of every zeta_j, j in K
+        sgn0 = gysin.sgn
+        monkeypatch.setattr(gysin, "sgn", lambda K, J: -sgn0(K, J) if len(J) == 1 else sgn0(K, J))
+        for lam, K in [((3,), (1,)), ((2, 1), (1, 2)), ((4, 2, 1), (1, 3)), ((3, 2, 1), (1, 2, 3))]:
+            assert not prop_A1_check(lam, K), (lam, K)
 
     def test_empty_index_set(self):
         # both sides are 1
@@ -165,12 +165,22 @@ class TestPropA2:
         # one step: half the border entry d_l + g_l
         lam = (2,)
         rows = r_rows(lam)
-        lhs = pushforward_compose(lam, rows)
+        lhs = pushforward(lam, rows, paired=True)
         d = rows[0]
-        from vexpf.gamma import series_coeff
-
-        expect = (series_coeff(d, 2) + GammaElement.of(d.multiplier.part(2))).scale(Fraction(1, 2))
+        expect = (series_coeff(d, 2) + GammaElement.of(d.multiplier.part(2))).halve(1)
         assert lhs == expect
+
+    def test_paired_differs_from_plain(self):
+        lam = (2, 1)
+        rows = r_rows(lam)
+        assert pushforward(lam, rows, paired=True) != pushforward(lam, rows)
+
+    def test_one_series_per_index(self):
+        for series in ([Q_SERIES], [Q_SERIES] * 3):
+            with pytest.raises(ValueError):
+                pushforward((2, 1), series)
+            with pytest.raises(ValueError):
+                pushforward((2, 1), series, paired=True)
 
     @pytest.mark.parametrize(
         "lam", [(1,), (2, 0), (2, 1), (3, 1), (3, 2, 0), (3, 2, 1), (4, 3, 2, 1), (4, 2, 1, 0)]
@@ -181,8 +191,6 @@ class TestPropA2:
 
 class TestPlainPushforward:
     def test_simple_shift(self):
-        from vexpf.gamma import Q_SERIES
-
         assert plain_pushforward_check((2,), [Q_SERIES], (1,))
         assert plain_pushforward_check((3, 1), [Q_SERIES, Q_SERIES], (0, 1))
 

@@ -1,3 +1,4 @@
+import gc
 import itertools
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ from vexpf.multischur import (
     r_family,
     r_rows,
 )
-from vexpf.schubert import formula_rows
+from vexpf.schubert import formula_rows, top_class
 from vexpf.triples import enumerate_triples, triple_of_w
 from vexpf.weyl import longest_element
 
@@ -538,6 +539,21 @@ class TestPrefixMemo:
                 drops += gamma._PF_MEMO.terms < last
                 last = gamma._PF_MEMO.terms
         assert drops if bound == 100 else last
+
+    def test_folds_leave_no_reference_cycles(self):
+        # each fold's insert memo is freed at return, not by the collector
+        gamma._PF_MEMO.clear()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            r_family((2, 1))
+            assert gc.collect() == 0
+            top_class(4, "D")
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     @pytest.mark.parametrize("wtype", ["C", "D"])
     def test_top_class_keeps_only_small_states(self, wtype, monkeypatch):
