@@ -5,18 +5,23 @@ combinations of the basis symbols Q_lambda, lambda a strict partition;
 P_lambda = 2^{-r} Q_lambda is Q_lambda with a dyadic coefficient.
 
 The Pfaffians of the closed formulas build no generator monomials:
-`pf_rows` folds their rows straight into the Q basis.  General products
-still do: sort a generator monomial weakly decreasing, eliminate equal
-adjacent pairs with the defining relation, and peel a strictly
-decreasing one off its Pfaffian expansion, whose other terms are higher
-in dominance order.  The symmetry s0 of generator 0 adds x_1 to the
-alphabet of Q (type D's s1hat is s0 s1 s0); the branching rule
-`_branch` maps each basis symbol straight to basis symbols.
+`pf_rows` folds their rows straight into the Q basis.  The other maps
+of the Q basis run on one rule, the horizontal strips lambda/mu of
+`_strips`, weighted 2^a(lambda/mu) (Macdonald III §5 and (8.15)):
+  * the symmetry s0 of generator 0 adds x_1 to the alphabet of Q (type
+    D's s1hat is s0 s1 s0): the branching rule `_branch`;
+  * generator 0 of types B and C, (f - s0 f)/(-2 x_1) and (f - s0 f)/(-x_1),
+    comes from the same strips with no subtraction and no division
+    (`s0_quotient`);
+  * the Pieri product Q_mu Q_r (`_pieri`) reads the strips from above.
+    `straighten_monomial` chains it over a generator monomial, and a
+    product of two elements expands only its right factor into
+    generator monomials, by their defining Pfaffians.
 
-Both Q-basis folds, `pf_rows` and `_branch`, keep each coefficient they
-build as one {packed monomial: int} map over a shared 2^-e and add into
-it with `polycore._fma`, a multiply-accumulate in place; a coefficient
-becomes a Polynomial once, when the fold is done.
+Both Q-basis folds, `pf_rows` and `_strip_fold`, keep each coefficient
+they build as one {packed monomial: int} map over a shared 2^-e and add
+into it with `polycore._fma`, a multiply-accumulate in place; a
+coefficient becomes a Polynomial once, when the fold is done.
 
 Many Pfaffians begin with the same rows (Kazarian's families over nested
 index sets, triples with common leading steps), so `pf_rows` keeps the
@@ -41,6 +46,7 @@ from .polycore import (
     _fma,
     _overflow,
     _settle,
+    exponent,
     rational_series,
     render_terms,
 )
@@ -59,8 +65,9 @@ def is_strict(parts) -> bool:
 # ---------------------------------------------------------------------------
 # A "raw" element is a dict mapping generator monomials -- tuples of
 # positive ints, sorted weakly decreasing -- to coefficients.  () is 1.
-# The three caches below are bounded: the whole test suite, run in one
-# process, fills 948, 129 and 485 entries of them.
+# The four caches below are bounded: all of tests/, run in one process,
+# fills 97 of pair_expansion's 1 024 entries, 300 of pf_expansion's
+# 1 024, 1 350 of _pieri's 4 096 and 2 086 of straighten_monomial's 4 096.
 
 
 def _gens(indices):
@@ -124,34 +131,57 @@ def _pf_of_pairs(idx: tuple) -> dict:
     return out
 
 
+# ---------------------------------------------------------------------------
+# horizontal strips: the one rule of the Q basis
+# ---------------------------------------------------------------------------
+
+
+def _strips(lam: tuple):
+    """The horizontal strips lam/mu below a strict partition lam, as
+    (mu, k, a): each strict mu with lam_1 >= mu_1 >= lam_2 >= mu_2 >= ...,
+    k = |lam/mu| and a = a(lam/mu) of `_strip_a`.  The one rule of the Q
+    basis (Macdonald III §5 and (8.15)): it adds a variable to the
+    alphabet of Q (`_strip_fold`) and multiplies by a generator (`_pieri`)."""
+    for mu in itertools.product(*(range(l, b - 1, -1) for l, b in zip(lam, lam[1:] + (0,)))):
+        mu = mu[:-1] if mu and not mu[-1] else mu
+        if is_strict(mu):
+            yield mu, sum(lam) - sum(mu), _strip_a(lam, mu)
+
+
+def _strip_a(lam: tuple, mu: tuple) -> int:
+    """a(lam/mu) of a horizontal strip, len(mu) <= len(lam) <= len(mu) + 1:
+    the columns i of lam/mu whose column i+1 is empty, one per row j with
+    a box and no box in column lam_j + 1, which holds one exactly when
+    mu_{j-1} = lam_j."""
+    return sum(m < l and not (j and mu[j - 1] == l) for j, (m, l) in enumerate(zip(mu + (0,), lam)))
+
+
 @lru_cache(maxsize=4096)
-def straighten_monomial(mono: tuple) -> dict:
-    """Expand a generator monomial Q_{a_1} ... Q_{a_m} in the Q_lambda basis.
+def _pieri(mu: tuple, r: int) -> dict:
+    """Q_mu Q_r (r >= 1) as {strict partition: int}: by Macdonald III
+    (8.15), P_mu q_r = sum 2^a P_lam, so Q_mu Q_r = sum 2^(l(mu) + a - l(lam))
+    Q_lam over the lam with (mu, r, a) in `_strips(lam)`.  lam/mu is a
+    horizontal strip exactly when nu = (lam_2, lam_3, ...) has mu/nu one,
+    so those lam are the strict (k + r, nu) over the (nu, k, _) of
+    `_strips(mu)` with k + r >= mu_1."""
+    lams = ((k + r,) + nu for nu, k, _ in _strips(mu) if k + r >= (mu[0] if mu else 0))
+    return {lam: 1 << (len(mu) + _strip_a(lam, mu) - len(lam)) for lam in lams if is_strict(lam)}
+
+
+@lru_cache(maxsize=4096)
+def straighten_monomial(mono: tuple, lam: tuple = ()) -> dict:
+    """Q_lam Q_{a_1} ... Q_{a_m} in the Q_lambda basis, for a strict
+    partition lam and a generator monomial (a_1, ..., a_m): a chain of
+    `_pieri` products, which shares its prefixes through the cache.
 
     Returns a dict {strict partition: integer coefficient}.
     """
-    mono = _gens(mono)
-    if len(mono) <= 1:
-        return {mono: 1}
-    # equal adjacent pair: apply the defining relation
-    for i in range(len(mono) - 1):
-        if mono[i] == mono[i + 1]:
-            a = mono[i]
-            rest = mono[:i] + mono[i + 2 :]
-            out = {}
-            for j in range(1, a + 1):
-                # Q_a^2 = -2 sum_{j=1}^{a} (-1)^j Q_{a+j} Q_{a-j}
-                repl = _gens(rest + (a + j, a - j))
-                for lam, c in straighten_monomial(repl).items():
-                    _iadd(out, lam, -2 * (-1) ** j * c)
-            return out
-    # strictly decreasing: peel off the Pfaffian expansion of Q_mono
-    out = {mono: 1}
-    for m, c in pf_expansion(mono).items():
-        if m == mono:
-            continue
-        for lam, c2 in straighten_monomial(m).items():
-            _iadd(out, lam, -c * c2)
+    if not mono:
+        return {lam: 1}
+    out = {}
+    for nu, c in straighten_monomial(mono[:-1], lam).items():
+        for kappa, c2 in _pieri(nu, mono[-1]).items():
+            _iadd(out, kappa, c * c2)
     return out
 
 
@@ -199,9 +229,6 @@ class GammaElement:
         """Straighten a dict {generator monomial: Polynomial coefficient}."""
         combo = {}
         for mono, coeff in raw.items():
-            coeff = Polynomial.of(coeff)
-            if not coeff:
-                continue
             for lam, c in straighten_monomial(_gens(mono)).items():
                 _iadd(combo, lam, coeff * c)
         return GammaElement(combo)
@@ -244,14 +271,15 @@ class GammaElement:
         if isinstance(other, (int, Fraction, Polynomial)):
             other = Polynomial.of(other)
             return GammaElement({lam: c * other for lam, c in self.combo.items()})
-        raws = []
-        for factor in (self, GammaElement.of(other)):
-            raw = {}
-            for lam, coeff in factor.combo.items():
-                for mono, c in pf_expansion(lam).items():
-                    _iadd(raw, mono, coeff * c)
-            raws.append(raw)
-        return GammaElement.from_raw(_raw_mul(*raws))
+        # other by its defining Pfaffians, each monomial a Pieri chain on self
+        combo = {}
+        for lam, coeff in self.combo.items():
+            for mu, d in GammaElement.of(other).combo.items():
+                cd = coeff * d
+                for mono, c in pf_expansion(mu).items():
+                    for nu, n in straighten_monomial(mono, lam).items():
+                        _iadd(combo, nu, cd * (c * n))
+        return GammaElement(combo)
 
     __rmul__ = __mul__
 
@@ -509,16 +537,15 @@ _X1 = Polynomial.variable("x", 1)
 _S0 = {("x", 1): -_X1}
 
 
-def _branch(e: GammaElement) -> GammaElement:
-    """Add x_1 to the alphabet of Q (Macdonald III §5 and §8):
-    Q_lambda(X, x_1) = sum_mu 2^a x_1^|lambda/mu| Q_mu(X) over strict mu
-    with lambda_1 >= mu_1 >= lambda_2 >= mu_2 >= ..., a counting the
-    columns i of the horizontal strip lambda/mu whose column i+1 is empty
-    (column lambda_j + 1 holds a box exactly when mu_{j-1} = lambda_j).
+def _strip_fold(e: GammaElement, drop: int, shift_e: int) -> GammaElement:
+    """sum 2^a x_1^(k - drop) c_lambda Q_mu / 2^shift_e over each
+    c_lambda Q_lambda of e and each (mu, k, a) of `_strips(lambda)` with
+    k >= drop; with drop = 1, plus 2 (odd part of c_mu in x_1) / x_1 Q_mu
+    / 2^shift_e for each mu.
 
-    Each target mu accumulates into one packed map over 2^-top, top the
+    Each target mu accumulates into one packed map over 2^top, top the
     largest exponent among the coefficients: a term of c_lambda moves by
-    the one-term shift x_1^|lambda/mu| (at most x_1^lambda_1) and scales by
+    the one-term shift x_1^(k - drop) (at most x_1^lambda_1) and scales by
     2^(a + top - c_lambda.e), in one `_fma` pass.  Each mu ends in one
     `_settle` and one wrap."""
     [x1] = _X1.packed
@@ -528,19 +555,46 @@ def _branch(e: GammaElement) -> GammaElement:
     acc = {}
     for lam, coeff in e.combo.items():
         lift = top - coeff.e
-        weight = sum(lam)
-        for mu in itertools.product(*(range(l, b - 1, -1) for l, b in zip(lam, lam[1:] + (0,)))):
-            a = sum(m < l and not (j and mu[j - 1] == l) for j, (m, l) in enumerate(zip(mu, lam)))
-            mu = mu[:-1] if mu and not mu[-1] else mu
-            if is_strict(mu):
-                shift = {(weight - sum(mu)) * x1: 1}
-                _fma([(acc.setdefault(mu, {}), 1 << (a + lift))], shift, coeff.packed)
+        for mu, k, a in _strips(lam):
+            if k >= drop:
+                _fma([(acc.setdefault(mu, {}), 1 << (a + lift))], {(k - drop) * x1: 1}, coeff.packed)
+        if drop:
+            odd = {m: c for m, c in coeff.packed.items() if exponent(m, ("x", 1)) & 1}
+            _fma([(acc.setdefault(lam, {}), 2 << lift)], {-x1: 1}, odd)
+    return _settled(acc, top + shift_e)
+
+
+def _settled(acc: dict, e: int) -> GammaElement:
+    """The element of a fold's {mu: packed map over 2^e}: one `_settle`
+    and one wrap per mu."""
     out = GammaElement()
     for mu, packed in acc.items():
         packed = _settle(packed)
         if packed:
-            out.combo[mu] = Polynomial.from_packed(packed, top)
+            out.combo[mu] = Polynomial.from_packed(packed, e)
     return out
+
+
+def _branch(e: GammaElement) -> GammaElement:
+    """Add x_1 to the alphabet of Q (Macdonald III §5 and §8):
+    Q_lambda(X, x_1) = sum 2^a x_1^k Q_mu(X) over the (mu, k, a) of
+    `_strips(lambda)`."""
+    return _strip_fold(e, 0, 0)
+
+
+def s0_quotient(e: GammaElement, wtype: str) -> GammaElement:
+    """Generator 0 of types B and C with no division: (e - s0 e)/(-2 x_1)
+    in type C, and twice that, (e - s0 e)/(-x_1), in type B.
+
+    With g_lambda = c_lambda at x_1 -> -x_1, s0 e = sum g_lambda
+    Q_lambda(X, x_1).  Its strips of no box give back g_mu Q_mu, and
+    c_mu - g_mu = -2 (odd part of g_mu in x_1); a strip with a box has
+    a >= 1.  So the type-C coefficient of Q_mu is
+        (odd part of g_mu in x_1) / x_1 + sum 2^(a-1) x_1^(k-1) g_lambda
+    over the (mu, k, a) of `_strips(lambda)` with k >= 1: one
+    `_strip_fold` of g, with no class subtracted and no `exact_divide`.
+    """
+    return _strip_fold(e.map_coeffs(lambda c: c.substitute(_S0)), 1, wtype == "C")
 
 
 def apply_symmetry(e: GammaElement) -> GammaElement:

@@ -78,25 +78,28 @@ def pfaffian(size: int, entry, one, border=None):
     if odd and border is None:
         raise ValueError("an odd-size Pfaffian needs a border")
     entries = {}
-    memo = {(): one}
 
-    def pf(positions):
-        if positions in memo:
-            return memo[positions]
+    def cached(i, j):
+        if (i, j) not in entries:
+            entries[i, j] = border(i) if j == size else entry(i, j)
+        return entries[i, j]
+
+    return _pf(tuple(range(size + odd)), cached, {(): one})
+
+
+def _pf(positions: tuple, entry, memo: dict):
+    """The sub-Pfaffian of `pfaffian` on `positions`, by its first row; memo
+    is the calling Pfaffian's, so nothing outlives it."""
+    if positions not in memo:
         first, rest = positions[0], positions[1:]
-        acc = one - one
+        acc = memo[()] - memo[()]
         for pos, j in enumerate(rest):
-            if (first, j) not in entries:
-                entries[first, j] = border(first) if j == size else entry(first, j)
-            e = entries[first, j]
-            if not e:
-                continue
-            term = e * pf(rest[:pos] + rest[pos + 1 :])
-            acc = acc + (term if pos % 2 == 0 else -term)
+            e = entry(first, j)
+            if e:
+                term = e * _pf(rest[:pos] + rest[pos + 1 :], entry, memo)
+                acc = acc + (term if pos % 2 == 0 else -term)
         memo[positions] = acc
-        return acc
-
-    return pf(tuple(range(size + odd)))
+    return memo[positions]
 
 
 # ---------------------------------------------------------------------------

@@ -694,9 +694,10 @@ def exact_divide(p: Polynomial, d: Polynomial) -> Polynomial:
     geometric sums, with one dict update per quotient term it adds.  Such
     a dividend is always divisible.
 
-    Every other division (generator 0's -x_1 and -2 x_1, the c(i) | c(i-1)
-    checks, a dividend that is divisible but not alternating) is
-    leading-term cancellation in the int order of packed monomials; when
+    Every other division is leading-term cancellation in the int order
+    of packed monomials.  In the program it serves only the type-D
+    formula's c(i) | c(i-1) check (generator 0 divides in no type); a
+    dividend that is divisible but not alternating takes it too.  When
     an exact quotient exists this always finds it, and since it is unique
     the order does not change the result.  The remainder is one dict,
     updated in place, and its monomials wait in a heap, largest first; an

@@ -21,6 +21,7 @@ from .gamma import (
     GammaElement,
     GeneratorSeries,
     apply_symmetry,
+    s0_quotient,
     substitute_q,
 )
 from .weyl import SignedPermutation, SizeMismatch, descents, generators, longest_element
@@ -53,10 +54,6 @@ def swap_xy(f):
     )
 
 
-# the denominator of generator 0 in types B and C, whose s0 negates x_1
-GENERATOR_ZERO = {"B": -_xvar(1), "C": -2 * _xvar(1)}
-
-
 def divided_difference(i: int, f, wtype: str):
     """The operator for generator i: (f - s_i(f)) / (linear form).
 
@@ -66,17 +63,18 @@ def divided_difference(i: int, f, wtype: str):
     `Polynomial.swap_difference`, and a nonzero one, alternating in x_i
     and x_{i+1}, is divided by x_i - x_{i+1} in one more pass, as
     geometric sums with no heap (`exact_divide`).  i = 0 selects the
-    type-dependent extra generator (undefined in type A): s0
-    (`apply_symmetry`) over `exact_divide`'s heap loop in types B and C,
-    and s0 partial_1 s0 in type D, since s1hat = s0 s1 s0.
+    type-dependent extra generator (undefined in type A): in types B and
+    C, `s0_quotient` writes the quotient straight from the strips of the
+    branching rule, with no division; in type D it is s0 partial_1 s0,
+    since s1hat = s0 s1 s0.
     """
     if i == 0:
         f = GammaElement.of(f)
         if wtype == "D":
             return apply_symmetry(divided_difference(1, apply_symmetry(f), "D"))
-        if wtype not in GENERATOR_ZERO:
+        if wtype not in ("B", "C"):
             raise ValueError("generator 0 undefined in type A")
-        return (f - apply_symmetry(f)).map_coeffs(lambda c: exact_divide(c, GENERATOR_ZERO[wtype]))
+        return s0_quotient(f, wtype)
     v, w = ("x", i), ("x", i + 1)
     denom = _xvar(i) - _xvar(i + 1)
 

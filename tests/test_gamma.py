@@ -1,9 +1,12 @@
+import importlib
 import itertools
+import pkgutil
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import vexpf
 from vexpf.polycore import ExponentOverflow, Polynomial
 from vexpf.gamma import (
     GammaElement,
@@ -11,6 +14,7 @@ from vexpf.gamma import (
     Q_SERIES,
     TruncationTooSmall,
     _branch,
+    _gens,
     _iadd,
     _raw_mul,
     apply_symmetry,
@@ -23,7 +27,7 @@ from vexpf.gamma import (
     specialize_oracle,
     straighten_monomial,
 )
-from vexpf.schubert import top_class
+from vexpf.schubert import divided_difference, top_class
 
 X1, X2 = Polynomial.variable("x", 1), Polynomial.variable("x", 2)
 
@@ -87,6 +91,48 @@ def raw_symmetry(op, e):
     return GammaElement.from_raw(out)
 
 
+_RELATION_MEMO = {}
+
+
+def straighten_by_relations(mono):
+    """Reference straightening of a generator monomial, {strict partition:
+    int}, written with the ring's defining relations and no Pieri rule:
+    sort it weakly decreasing, rewrite an equal adjacent pair by
+    Q_a^2 = -2 sum_{j=1}^{a} (-1)^j Q_{a+j} Q_{a-j}, and peel a strictly
+    decreasing one off its defining Pfaffian, whose other terms are higher
+    in dominance order."""
+    mono = _gens(mono)
+    if mono not in _RELATION_MEMO:
+        pair = next((i for i in range(len(mono) - 1) if mono[i] == mono[i + 1]), None)
+        out = {mono: 1} if pair is None else {}
+        if pair is not None:
+            a, rest = mono[pair], mono[:pair] + mono[pair + 2 :]
+            for j in range(1, a + 1):
+                for lam, c in straighten_by_relations(rest + (a + j, a - j)).items():
+                    _iadd(out, lam, -2 * (-1) ** j * c)
+        elif len(mono) > 1:
+            for m, c in pf_expansion(mono).items():
+                if m != mono:
+                    for lam, c2 in straighten_by_relations(m).items():
+                        _iadd(out, lam, -c * c2)
+        _RELATION_MEMO[mono] = out
+    return _RELATION_MEMO[mono]
+
+
+def _vexpf_caches():
+    """Every functools.lru_cache wrapper in a vexpf module, at module level
+    or in a class, found by scanning rather than listed."""
+    found = {}
+    for info in pkgutil.iter_modules(vexpf.__path__):
+        module = importlib.import_module(f"vexpf.{info.name}")
+        for obj in vars(module).values():
+            for item in [obj, *vars(obj).values()] if isinstance(obj, type) else [obj]:
+                item = getattr(item, "__func__", item)  # staticmethod, classmethod
+                if hasattr(item, "cache_parameters") and item.__module__.startswith("vexpf"):
+                    found[id(item)] = item
+    return list(found.values())
+
+
 class TestStraighten:
     def test_square_relation(self):
         # Q_1 * Q_1 = 2 Q_(2)
@@ -104,12 +150,32 @@ class TestStraighten:
         e = ge({(3, 2): 1, (4, 1): 2})
         assert GammaElement.from_raw(to_raw(e)) == e
 
-    @pytest.mark.parametrize(
-        "cached", [straighten_monomial, pair_expansion, pf_expansion], ids=lambda f: f.__name__
-    )
+    def test_matches_the_defining_relations(self):
+        # every generator monomial of weight <= 10: 139 of them
+        monos = [mono for w in range(11) for mono in _partitions(w)]
+        assert len(monos) == 139
+        for mono in monos:
+            assert straighten_monomial(mono) == straighten_by_relations(mono), mono
+
+    def test_product_matches_both_factor_expansion(self):
+        # Q_lam * Q_mu, lam with parts <= 5 and mu with parts <= 4 (at most
+        # 3 and 2 parts), against both factors expanded into generator monomials
+        pairs = itertools.product(_strict_partitions_bounded(5, 3), _strict_partitions_bounded(4, 2))
+        for lam, mu in pairs:
+            expect = {}
+            for mono, c in _raw_mul(pf_expansion(lam), pf_expansion(mu)).items():
+                for nu, c2 in straighten_by_relations(mono).items():
+                    _iadd(expect, nu, c * c2)
+            assert GammaElement.basis(lam) * GammaElement.basis(mu) == GammaElement(expect), (lam, mu)
+
+    @pytest.mark.parametrize("cached", _vexpf_caches(), ids=lambda f: f.__name__)
     def test_cache_is_bounded(self, cached):
         maxsize = cached.cache_info().maxsize
         assert isinstance(maxsize, int) and 0 < maxsize == cached.cache_parameters()["maxsize"]
+
+    def test_cache_scan_finds_the_gamma_caches(self):
+        names = {f.__name__ for f in _vexpf_caches()}
+        assert {"straighten_monomial", "_pieri", "pair_expansion", "pf_expansion"} <= names
 
     def test_equality_with_other_types(self):
         # a value that is no element and no coefficient compares unequal
@@ -311,6 +377,11 @@ class TestPackedBranch:
             _branch(GammaElement.basis((800,)))
         # the top of the field still fits: 2 x1^8 x1^247 at mu = ()
         assert _branch(GammaElement({(8,): X1**247})).coefficient(()) == 2 * X1**255
+        # generator 0 shifts by up to x1^7 here: x1^257 raises, x1^255 fits
+        with pytest.raises(ExponentOverflow):
+            divided_difference(0, e, "C")
+        got = divided_difference(0, GammaElement({(8,): X1**248}), "C")
+        assert got.coefficient(()) == X1**255
 
 
 class TestOracle:
@@ -370,6 +441,18 @@ def _strict_partitions(weight, maxpart=None):
         return
     for first in range(min(weight, maxpart), 0, -1):
         for rest in _strict_partitions(weight - first, first - 1):
+            yield (first,) + rest
+
+
+def _partitions(weight, maxpart=None):
+    """Every partition of weight, weakly decreasing: the generator monomials."""
+    if maxpart is None:
+        maxpart = weight
+    if weight == 0:
+        yield ()
+        return
+    for first in range(min(weight, maxpart), 0, -1):
+        for rest in _partitions(weight - first, first):
             yield (first,) + rest
 
 

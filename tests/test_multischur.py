@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from vexpf.polycore import ExponentOverflow, Polynomial, rational_series
-from vexpf import gamma
+from vexpf import gamma, gysin
 from vexpf.gamma import (
     GammaElement,
     GeneratorSeries,
@@ -550,6 +550,23 @@ class TestPrefixMemo:
             r_family((2, 1))
             assert gc.collect() == 0
             top_class(4, "D")
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_pfaffian_leaves_no_reference_cycles(self):
+        # `pfaffian`'s sub-Pfaffian memo is freed at return, as the fold's is
+        x1 = Polynomial.variable("x", 1)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            gysin.prop_A1_check((3, 2, 1), (1, 2, 3))
+            assert gc.collect() == 0
+            gysin.f_index((1, 2, 3, 4))
+            assert gc.collect() == 0
+            multischur_det((2, 1), [1 + x1, 1 + x1 + x1**2])
             assert gc.collect() == 0
         finally:
             if enabled:

@@ -10,6 +10,7 @@ from vexpf.gamma import GammaElement, apply_symmetry, is_strict, specialize_orac
 from vexpf.weyl import SignedPermutation, all_elements, length
 from vexpf.triples import Triple, lambda_of, plus_map, triple_of_w, enumerate_triples, validate
 from vexpf.multischur import p_family, q_family, r_family
+from vexpf import schubert as schubert_module
 from vexpf.schubert import (
     degeneracy_formula,
     divided_difference,
@@ -210,6 +211,44 @@ class TestGeneratorZeroIdentities:
             return divided_difference(i, g, "D")
 
         assert d(0, d(1, f)) == d(1, d(0, f))
+
+
+def d0_by_division(f, wtype):
+    """Generator 0 of types B and C written from its definition: subtract
+    s0 f and divide each coefficient by -x1 (B) or -2 x1 (C), divisors that
+    take `exact_divide`'s heap loop."""
+    denom = -x(1) if wtype == "B" else -2 * x(1)
+    return (f - apply_symmetry(f)).map_coeffs(lambda c: exact_divide(c, denom))
+
+
+class TestBCGeneratorZero:
+    """`divided_difference(0, f, "B"|"C")`, written from the strips of the
+    branching rule, against the subtraction and division it replaces."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("wtype", ["B", "C"])
+    def test_matches_division_on_every_class(self, wtype, n):
+        for w in all_elements(n, wtype):
+            f = schubert(w, wtype)
+            assert divided_difference(0, f, wtype) == d0_by_division(f, wtype), repr(w)
+
+    @pytest.mark.parametrize("wtype", ["B", "C"])
+    def test_matches_division_on_the_w5_top_class(self, wtype):
+        f = top_class(5, "C")
+        assert divided_difference(0, f, wtype) == d0_by_division(f, wtype)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.sampled_from("BC"), gamma_elements)
+    def test_matches_division(self, wtype, f):
+        assert divided_difference(0, f, wtype) == d0_by_division(f, wtype)
+
+    @pytest.mark.parametrize("wtype", ["B", "C"])
+    def test_makes_no_division(self, wtype, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("generator 0 divided")
+
+        monkeypatch.setattr(schubert_module, "exact_divide", refuse)
+        assert divided_difference(0, top_class(3, "C"), wtype)
 
 
 def branch_term_by_term(e, v):
