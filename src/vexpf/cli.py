@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from .polycore import ExponentOverflow, Polynomial, graded_terms, ones_product, render_terms
-from .gamma import GammaElement, GeneratorSeries, q_pair, render_combo, specialize_oracle
+from .gamma import GammaElement, ones_series, q_pair, render_combo, specialize_oracle
 from .weyl import SignedPermutation, SizeMismatch, all_elements, length
 from .triples import (
     Triple,
@@ -373,8 +373,7 @@ def suite_lemma25(args, report):
     ok = True
     for k in range(2, 5):
         for l in range(1, k):
-            pair = q_pair(k, l, GeneratorSeries(ones_product("t", k - 1)),
-                          GeneratorSeries(ones_product("t", l - 1)))
+            pair = q_pair(k, l, ones_series(("t", k - 1)), ones_series(("t", l - 1)))
             for r in range(1, 4):
                 for nu in itertools.combinations(range(4, 0, -1), r):
                     nu2 = nu[1] if len(nu) > 1 else 0

@@ -23,12 +23,19 @@ they build as one {packed monomial: int} map over a shared 2^-e and add
 into it with `polycore._fma`, a multiply-accumulate in place; a
 coefficient becomes a Polynomial once, when the fold is done.
 
-Many Pfaffians begin with the same rows (Kazarian's families over nested
-index sets, triples with common leading steps), so `pf_rows` keeps the
-fold states it has built in a prefix memo: a trie keyed by each row's
-exact content, whose stored states are read-only.  Only states of at
-most PF_STATE_CAP terms are stored, and past PF_MEMO_TERMS stored terms
-the trie is dropped whole; the generator-monomial caches are bounded too.
+What depends only on integers is built once per process and shared by
+every fold: the straightening table `_insert` of Q_(prefix, m), and the
+row series Q prod (1+x_j) prod (1+y_j) of the closed formulas and
+Q prod (1+t_j) of Kazarian's families (`ones_series`), each split by
+degree once.  A fold from the empty prefix takes its first row as its
+state, since Q_(m) = e_m.  Many Pfaffians begin with the same rows
+(Kazarian's families over nested index sets, triples with common
+leading steps), so `pf_rows` keeps the fold states it has built in a
+prefix memo: a trie keyed by each row's exact content.  A fold writes
+into no map it did not build, neither a stored state nor a row's own.
+Only states of at most PF_STATE_CAP terms are stored, and past
+PF_MEMO_TERMS stored terms the trie is dropped whole; every cache of
+the module is a bounded `lru_cache`.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ from .polycore import (
     _overflow,
     _settle,
     exponent,
+    ones_product,
     rational_series,
     render_terms,
 )
@@ -65,9 +73,13 @@ def is_strict(parts) -> bool:
 # ---------------------------------------------------------------------------
 # A "raw" element is a dict mapping generator monomials -- tuples of
 # positive ints, sorted weakly decreasing -- to coefficients.  () is 1.
-# The four caches below are bounded: all of tests/, run in one process,
-# fills 97 of pair_expansion's 1 024 entries, 300 of pf_expansion's
-# 1 024, 1 350 of _pieri's 4 096 and 2 086 of straighten_monomial's 4 096.
+# The caches of this module are bounded.  At their fullest, all of tests/
+# run in one process fills 97 of pair_expansion's 1 024 entries, 299 of
+# pf_expansion's 1 024, 1 362 of _pieri's 4 096, 2 086 of
+# straighten_monomial's 4 096, 29 of ones_series's 1 024 and, leaving out
+# the oracle test that walks 54 638 of its entries, 1 769 of _insert's
+# 4 096.  All 1 118 W_5 type-C formulas use 559 _insert entries and
+# top_class(6, "C") 2 377.
 
 
 def _gens(indices):
@@ -136,16 +148,37 @@ def _pf_of_pairs(idx: tuple) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _strips(lam: tuple):
+def _strips(lam: tuple, budget: int = 0):
     """The horizontal strips lam/mu below a strict partition lam, as
     (mu, k, a): each strict mu with lam_1 >= mu_1 >= lam_2 >= mu_2 >= ...,
-    k = |lam/mu| and a = a(lam/mu) of `_strip_a`.  The one rule of the Q
-    basis (Macdonald III §5 and (8.15)): it adds a variable to the
-    alphabet of Q (`_strip_fold`) and multiplies by a generator (`_pieri`)."""
-    for mu in itertools.product(*(range(l, b - 1, -1) for l, b in zip(lam, lam[1:] + (0,)))):
+    k = |lam/mu| and a = a(lam/mu) of `_strip_a`, the strips of fewer than
+    `budget` boxes left out.  The one rule of the Q basis (Macdonald III
+    §5 and (8.15)): it adds a variable to the alphabet of Q (`_strip_fold`)
+    and multiplies by a generator (`_pieri`)."""
+    total = sum(lam)
+    if budget > 0:
+        mus = _parts_below(lam, 0, budget)
+    else:
+        mus = itertools.product(*(range(l, b - 1, -1) for l, b in zip(lam, lam[1:] + (0,))))
+    for mu in mus:
         mu = mu[:-1] if mu and not mu[-1] else mu
         if is_strict(mu):
-            yield mu, sum(lam) - sum(mu), _strip_a(lam, mu)
+            yield mu, total - sum(mu), _strip_a(lam, mu)
+
+
+def _parts_below(lam: tuple, i: int, need: int):
+    """The parts (mu_i, mu_(i+1), ...) with lam_j >= mu_j >= lam_(j+1) that
+    take at least `need` boxes from rows i, i+1, ... of lam, largest mu_i
+    first.  The rows below row i hold at most lam_(i+1) boxes, so row i
+    takes at least need - lam_(i+1)."""
+    if i == len(lam):
+        if need <= 0:
+            yield ()
+        return
+    low = lam[i + 1] if i + 1 < len(lam) else 0
+    for m in range(min(lam[i], lam[i] + low - need), low - 1, -1):
+        for rest in _parts_below(lam, i + 1, need - lam[i] + m):
+            yield (m,) + rest
 
 
 def _strip_a(lam: tuple, mu: tuple) -> int:
@@ -163,8 +196,8 @@ def _pieri(mu: tuple, r: int) -> dict:
     Q_lam over the lam with (mu, r, a) in `_strips(lam)`.  lam/mu is a
     horizontal strip exactly when nu = (lam_2, lam_3, ...) has mu/nu one,
     so those lam are the strict (k + r, nu) over the (nu, k, _) of
-    `_strips(mu)` with k + r >= mu_1."""
-    lams = ((k + r,) + nu for nu, k, _ in _strips(mu) if k + r >= (mu[0] if mu else 0))
+    `_strips(mu)` with k + r >= mu_1, a budget of mu_1 - r boxes."""
+    lams = ((k + r,) + nu for nu, k, _ in _strips(mu, (mu[0] if mu else 0) - r))
     return {lam: 1 << (len(mu) + _strip_a(lam, mu) - len(lam)) for lam in lams if is_strict(lam)}
 
 
@@ -339,24 +372,36 @@ class GeneratorSeries:
     kind: a Pfaffian term uses each row once, so its Pfaffian is 2^-r
     times the one of Q * g."""
 
-    __slots__ = ("multiplier",)
+    __slots__ = ("multiplier", "by_degree")
 
     def __init__(self, multiplier=1):
         multiplier = Polynomial.of(multiplier)
         if multiplier.constant_term() != 1:
             raise ValueError("series multiplier must have constant term 1")
         self.multiplier = multiplier
+        self.by_degree = tuple(sorted(multiplier.parts().items()))  # (a, g_a), split once
 
     def row(self, k: int) -> dict:
         """The degree-k coefficient sum_a g_a Q_{k-a} as a row {k - a: g_a}."""
-        parts = self.multiplier.parts()
-        return {k - a: parts[a] for a in sorted(parts)}
+        return {k - a: g for a, g in self.by_degree}
 
     def __repr__(self):
         return f"Q*({self.multiplier})"
 
 
 Q_SERIES = GeneratorSeries(1)
+
+
+@lru_cache(maxsize=1024)
+def ones_series(*factors) -> GeneratorSeries:
+    """Q * prod ones_product(family, count) over the (family, count)
+    factors: the rows of the closed formulas, Q prod (1+x_j) prod (1+y_j),
+    and of Kazarian's families, Q prod (1+t_j), each built once per
+    process.  The series is shared, so nothing may write into it."""
+    g = ones_product(*factors[0])
+    for family, count in factors[1:]:
+        g = g * ones_product(family, count)
+    return GeneratorSeries(g)
 
 
 def series_rows(lam, series):
@@ -424,18 +469,20 @@ def pf_rows(rows) -> GammaElement:
     packed map} over one shared 2^-e, so equal prefixes merge before the
     next row multiplies in.  Each row is lifted to the largest exponent
     among its polynomials, and each product of a state term and a row
-    term goes once into every target of its alternation (`polycore._fma`):
-    no Polynomial is built per term.  Each row ends in one `_settle` per
-    map, and each basis coefficient is wrapped once at the end.
+    term goes once into every target of its alternation (`_insert`, a
+    table shared by every fold, through `polycore._fma`): no Polynomial
+    is built per term.  Each row ends in one `_settle` per map, and each
+    basis coefficient is wrapped once at the end.  The first row from the
+    empty prefix is the state itself, Q_(m) = e_m, with no product.
 
     The fold starts from the state of the longest prefix of `rows` that
     the prefix memo holds, keyed by each row's entries (m, e, packed
     terms), and stores each new state of at most PF_STATE_CAP terms.
-    Stored states are never written: the end copies a stored map before
-    merging into it, and the result's coefficients may share maps with
-    the memo.
+    A map the fold did not build, a stored state's or a row's own (the
+    row series are shared, see `ones_series`), is never written: the end
+    copies such a map before merging into it, and the result's
+    coefficients may share maps with the memo and the rows.
     """
-    memo = {}
     rows = list(rows)
     node = _PF_MEMO.root
     depth = 0
@@ -447,6 +494,7 @@ def pf_rows(rows) -> GammaElement:
         node = child
         depth += 1
     e, state, children = node
+    built = False  # whether this fold built the maps of `state`
     for i, row in enumerate(rows[depth:]):
         top = max((g.e for g in row.values()), default=0)
         e += top
@@ -455,24 +503,27 @@ def pf_rows(rows) -> GammaElement:
             for m, g in row.items()
             if g
         ]
-        acc = {}
-        for (prefix, f), packed in state.items():
-            for m, g in lifted:
-                if m is None:
-                    targets = [(acc.setdefault((prefix, not f), {}), -1 if f else 1)]
-                else:
-                    targets = [
-                        (acc.setdefault((v, f), {}), -c if f else c)
-                        for v, c in _insert(memo, prefix, m).items()
-                    ]
-                    if not targets:
-                        continue
-                _fma(targets, packed, g)
-        state = {}
-        for pair, packed in acc.items():
-            packed = _settle(packed)
-            if packed:
-                state[pair] = packed
+        if not depth and not i:  # from the empty prefix, Q_(m) = e_m and f is f
+            state = {((m,), False) if m is not None else ((), True): g for m, g in lifted}
+        else:
+            acc = {}
+            for (prefix, f), packed in state.items():
+                for m, g in lifted:
+                    if m is None:
+                        targets = [(acc.setdefault((prefix, not f), {}), -1 if f else 1)]
+                    else:
+                        targets = [
+                            (acc.setdefault((v, f), {}), -c if f else c) for v, c in _insert(prefix, m)
+                        ]
+                        if not targets:
+                            continue
+                    _fma(targets, packed, g)
+            state = {}
+            for pair, packed in acc.items():
+                packed = _settle(packed)
+                if packed:
+                    state[pair] = packed
+            built = True
         if children is not None:
             children = _store(children, key if i == 0 else _row_key(row), e, state)
     combo = {}
@@ -482,7 +533,7 @@ def pf_rows(rows) -> GammaElement:
         if v and v[-1] < 0:
             continue
         if v in combo:
-            if children is not None:  # state is in the memo: merge into a copy
+            if children is not None or not built:  # not this fold's map: merge into a copy
                 combo[v] = dict(combo[v])
             _add_into(combo[v], packed)
         else:
@@ -492,24 +543,23 @@ def pf_rows(rows) -> GammaElement:
     return out
 
 
-def _insert(memo: dict, prefix: tuple, m: int) -> dict:
-    """Q_(prefix, m) for a strictly decreasing prefix, as {strictly
-    decreasing: int}; memo is the calling fold's, so nothing outlives it."""
-    if (prefix, m) not in memo:
-        a = prefix[-1] if prefix else m + 1
-        if a > m:
-            out = {prefix + (m,): 1}
-        elif a == m:
-            out = {prefix[:-1]: 1} if m == 0 else {}
-        else:
-            out = {}
-            for v, c in _insert(memo, prefix[:-1], m).items():
-                for w, c2 in _insert(memo, v, a).items():
-                    _iadd(out, w, -c * c2)
-            if a + m == 0:
-                _iadd(out, prefix[:-1], -2 if a % 2 else 2)
-        memo[prefix, m] = out
-    return memo[prefix, m]
+@lru_cache(maxsize=4096)
+def _insert(prefix: tuple, m: int) -> tuple:
+    """Q_(prefix, m) for a strictly decreasing prefix, as pairs (strictly
+    decreasing, int): Schur's alternation of `pf_rows` at the prefix's last
+    entry.  A table of integers shared by every fold of the process."""
+    a = prefix[-1] if prefix else m + 1
+    if a > m:
+        return ((prefix + (m,), 1),)
+    if a == m:
+        return ((prefix[:-1], 1),) if m == 0 else ()
+    out = {}
+    for v, c in _insert(prefix[:-1], m):
+        for w, c2 in _insert(v, a):
+            _iadd(out, w, -c * c2)
+    if a + m == 0:
+        _iadd(out, prefix[:-1], -2 if a % 2 else 2)
+    return tuple(out.items())
 
 
 def _store(children: dict, key, e: int, state: dict):

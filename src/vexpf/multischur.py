@@ -21,8 +21,8 @@ integer index sequence).
 
 from __future__ import annotations
 
-from .polycore import Polynomial, exact_divide, NotDivisible, ones_product
-from .gamma import GammaElement, GeneratorSeries, pf_rows, series_rows
+from .polycore import Polynomial, exact_divide, NotDivisible
+from .gamma import GammaElement, ones_series, pf_rows, series_rows
 
 
 class SkewCheckFailed(ValueError):
@@ -172,7 +172,7 @@ def multischur_pf_d(lam, series, check: bool = True) -> GammaElement:
 def q_family(lam) -> GammaElement:
     """The deformed basis element with rows Q * prod_{j<lam_i}(1+t_j)."""
     lam = tuple(lam)
-    series = [GeneratorSeries(ones_product("t", k - 1)) for k in lam]
+    series = [ones_series(("t", k - 1)) for k in lam]
     return multischur_pf(lam, series)
 
 
@@ -184,7 +184,7 @@ def p_family(lam) -> GammaElement:
 
 def r_rows(lam):
     """The rows of r_family: Q * prod_{j<=lam_i}(1+t_j)."""
-    return [GeneratorSeries(ones_product("t", k)) for k in lam]
+    return [ones_series(("t", k)) for k in lam]
 
 
 def r_family(lam) -> GammaElement:

@@ -16,11 +16,12 @@ determinant (type A) or Pfaffian (signed types) built from the triple.
 
 from __future__ import annotations
 
-from .polycore import Polynomial, exact_divide, ones_product, rational_series
+from .polycore import Polynomial, exact_divide, rational_series
 from .gamma import (
     GammaElement,
     GeneratorSeries,
     apply_symmetry,
+    ones_series,
     s0_quotient,
     substitute_q,
 )
@@ -119,10 +120,8 @@ def formula_rows(t: Triple, wtype: str, multipliers=None):
             for p, q in column_factors(t, wtype)
         ]
     if multipliers is None:
-        gs = [ones_product("x", p) * ones_product("y", q) for p, q in column_factors(t, wtype)]
-    else:
-        gs = [Polynomial.of(multipliers[i]) for i in column_steps(t)]
-    return lam, [GeneratorSeries(g) for g in gs]
+        return lam, [ones_series(("x", p), ("y", q)) for p, q in column_factors(t, wtype)]
+    return lam, [GeneratorSeries(multipliers[i]) for i in column_steps(t)]
 
 
 def _signed_pfaffian(lam, rows, wtype: str, check: bool) -> GammaElement:

@@ -16,7 +16,10 @@ from vexpf.gamma import (
     _branch,
     _gens,
     _iadd,
+    _pieri,
     _raw_mul,
+    _strip_a,
+    _strips,
     apply_symmetry,
     is_strict,
     negt_series,
@@ -175,7 +178,8 @@ class TestStraighten:
 
     def test_cache_scan_finds_the_gamma_caches(self):
         names = {f.__name__ for f in _vexpf_caches()}
-        assert {"straighten_monomial", "_pieri", "pair_expansion", "pf_expansion"} <= names
+        gamma_caches = {"straighten_monomial", "_pieri", "pair_expansion", "pf_expansion", "_insert", "ones_series"}
+        assert gamma_caches <= names
 
     def test_equality_with_other_types(self):
         # a value that is no element and no coefficient compares unequal
@@ -460,6 +464,36 @@ def _strict_partitions_bounded(maxpart, maxlen):
     """Every strict partition with parts <= maxpart and at most maxlen parts."""
     for r in range(maxlen + 1):
         yield from itertools.combinations(range(maxpart, 0, -1), r)
+
+
+def strips_in_full(lam):
+    """Every horizontal strip below lam, enumerated as `_strips` did before
+    it took a box budget."""
+    for mu in itertools.product(*(range(l, b - 1, -1) for l, b in zip(lam, lam[1:] + (0,)))):
+        mu = mu[:-1] if mu and not mu[-1] else mu
+        if is_strict(mu):
+            yield mu, sum(lam) - sum(mu), _strip_a(lam, mu)
+
+
+def pieri_over_every_strip(mu, r):
+    """`_pieri` as it was: every strip below mu, keeping k + r >= mu_1."""
+    lams = ((k + r,) + nu for nu, k, _ in strips_in_full(mu) if k + r >= (mu[0] if mu else 0))
+    return {lam: 1 << (len(mu) + _strip_a(lam, mu) - len(lam)) for lam in lams if is_strict(lam)}
+
+
+class TestStrips:
+    def test_budget_leaves_out_the_smaller_strips(self):
+        # every strict lam with parts <= 7 and every budget, in order
+        for lam in _strict_partitions_bounded(7, 7):
+            full = list(strips_in_full(lam))
+            for budget in range(-1, sum(lam) + 2):
+                assert list(_strips(lam, budget)) == [s for s in full if s[1] >= budget], (lam, budget)
+
+    def test_pieri_matches_every_strip(self):
+        # every (mu, r) with |mu| <= 10 and 1 <= r <= 6
+        for mu in (mu for w in range(11) for mu in _strict_partitions(w)):
+            for r in range(1, 7):
+                assert _pieri(mu, r) == pieri_over_every_strip(mu, r), (mu, r)
 
 
 strict_parts = st.sampled_from([(1,), (2,), (3,), (2, 1), (3, 1), (4,)])

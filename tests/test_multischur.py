@@ -28,7 +28,7 @@ from vexpf.multischur import (
     r_family,
     r_rows,
 )
-from vexpf.schubert import formula_rows, top_class
+from vexpf.schubert import formula_rows, top_class, vexillary_polynomial
 from vexpf.triples import enumerate_triples, triple_of_w
 from vexpf.weyl import longest_element
 
@@ -360,28 +360,31 @@ class TestFold:
 # ---------------------------------------------------------------------------
 
 
+def insert_by_recursion(memo: dict, prefix: tuple, m: int) -> dict:
+    """The reference straightening of Q_(prefix, m), {strictly decreasing:
+    int}, by Schur's alternation at the prefix's last entry a, recursing
+    on Q_(.., m, a), with memo the caller's."""
+    if (prefix, m) not in memo:
+        a = prefix[-1] if prefix else m + 1
+        if a > m:
+            out = {prefix + (m,): 1}
+        elif a == m:
+            out = {prefix[:-1]: 1} if m == 0 else {}
+        else:
+            out = {}
+            for v, c in insert_by_recursion(memo, prefix[:-1], m).items():
+                for w, c2 in insert_by_recursion(memo, v, a).items():
+                    _iadd(out, w, -c * c2)
+            if a + m == 0:
+                _iadd(out, prefix[:-1], -2 if a % 2 else 2)
+        memo[prefix, m] = out
+    return memo[prefix, m]
+
+
 def pf_rows_term_by_term(rows):
     """`pf_rows` with a Polynomial for every state coefficient: one product
     coeff * g and one Polynomial sum per (state, m, target)."""
     memo = {}
-
-    def insert(prefix, m):
-        if (prefix, m) not in memo:
-            a = prefix[-1] if prefix else m + 1
-            if a > m:
-                out = {prefix + (m,): 1}
-            elif a == m:
-                out = {prefix[:-1]: 1} if m == 0 else {}
-            else:
-                out = {}
-                for v, c in insert(prefix[:-1], m).items():
-                    for w, c2 in insert(v, a).items():
-                        _iadd(out, w, -c * c2)
-                if a + m == 0:
-                    _iadd(out, prefix[:-1], -2 if a % 2 else 2)
-            memo[prefix, m] = out
-        return memo[prefix, m]
-
     state = {((), False): Polynomial.const(1)}
     for row in rows:
         acc = {}
@@ -391,7 +394,7 @@ def pf_rows_term_by_term(rows):
                 if m is None:
                     _iadd(acc, (prefix, not f), -term if f else term)
                     continue
-                for v, c in insert(prefix, m).items():
+                for v, c in insert_by_recursion(memo, prefix, m).items():
                     _iadd(acc, (v, f), term * (-c if f else c))
         state = acc
     combo = {}
@@ -541,7 +544,7 @@ class TestPrefixMemo:
         assert drops if bound == 100 else last
 
     def test_folds_leave_no_reference_cycles(self):
-        # each fold's insert memo is freed at return, not by the collector
+        # a fold's states are freed at return, not by the collector
         gamma._PF_MEMO.clear()
         enabled = gc.isenabled()
         gc.disable()
@@ -586,3 +589,47 @@ class TestPrefixMemo:
         assert max(sizes, default=0) <= gamma.PF_STATE_CAP
         assert memo_depth(rows) == len(sizes) < len(rows)
         assert pf_rows(rows) == first == pf_rows_term_by_term(rows)
+
+
+# ---------------------------------------------------------------------------
+# the tables that every fold of a process shares
+# ---------------------------------------------------------------------------
+
+
+def series_maps(series) -> list:
+    """Copies of the packed maps of each series' multiplier and its parts by degree."""
+    return [(dict(c.multiplier.packed), [dict(g.packed) for _, g in c.by_degree]) for c in series]
+
+
+class TestSharedTables:
+    def test_straightening_table_matches_the_recursion(self):
+        # every strictly decreasing prefix of entries in -8..8, of length
+        # <= 4, and every -8 <= m <= 8: a + m = 0, m = 0 and a negative
+        # last entry all occur
+        memo = {}
+        for size in range(5):
+            for prefix in itertools.combinations(range(8, -9, -1), size):
+                for m in range(-8, 9):
+                    got = gamma._insert(prefix, m)
+                    assert dict(got) == insert_by_recursion(memo, prefix, m), (prefix, m)
+                    assert len(dict(got)) == len(got)
+
+    def test_shared_row_maps_stay_read_only(self, monkeypatch):
+        # with no state stored, a one-row fold's state is the cached series'
+        # own maps; in type D its f entry and trailing 0 merge into Q_()
+        monkeypatch.setattr(gamma, "PF_STATE_CAP", 0)
+        gamma._PF_MEMO.clear()
+        triples = [(t, wtype) for wtype in ("C", "D") for t in enumerate_triples(wtype, 3)]
+        folds = [lambda: r_family((1,))] + [lambda t=t: vexillary_polynomial(t) for t, _ in triples]
+        expect = []
+        for fold in folds:
+            gamma.ones_series.cache_clear()
+            expect.append(fold())
+        gamma.ones_series.cache_clear()
+        series = r_rows((1,)) + [c for t, wtype in triples for c in formula_rows(t, wtype)[1]]
+        before = series_maps(series)
+        for _ in range(2):
+            assert [fold() for fold in folds] == expect
+        assert series_maps(series) == before
+        assert r_rows((1,))[0] is series[0]
+        assert r_family((1,)) == GammaElement({(1,): Fraction(1, 2), (): tvar(1)})
