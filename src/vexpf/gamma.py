@@ -27,15 +27,13 @@ What depends only on integers is built once per process and shared by
 every fold: the straightening table `_insert` of Q_(prefix, m), and the
 row series Q prod (1+x_j) prod (1+y_j) of the closed formulas and
 Q prod (1+t_j) of Kazarian's families (`ones_series`), each split by
-degree once.  A fold from the empty prefix takes its first row as its
-state, since Q_(m) = e_m.  Many Pfaffians begin with the same rows
-(Kazarian's families over nested index sets, triples with common
-leading steps), so `pf_rows` keeps the fold states it has built in a
-prefix memo: a trie keyed by each row's exact content.  A fold writes
-into no map it did not build, neither a stored state nor a row's own.
-Only states of at most PF_STATE_CAP terms are stored, and past
-PF_MEMO_TERMS stored terms the trie is dropped whole; every cache of
-the module is a bounded `lru_cache`.
+degree once; a fold only reads them.  Many Pfaffians begin with the
+same rows (Kazarian's families over nested index sets, triples with
+common leading steps), so `pf_rows` keeps the fold states it has built
+in a prefix memo: a trie keyed by each row's exact content, whose
+stored states are read-only.  Only states of at most PF_STATE_CAP
+terms are stored, and past PF_MEMO_TERMS stored terms the trie is
+dropped whole; every cache of the module is a bounded `lru_cache`.
 """
 
 from __future__ import annotations
@@ -148,29 +146,24 @@ def _pf_of_pairs(idx: tuple) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _strips(lam: tuple, budget: int = 0):
+def _strips(lam: tuple):
     """The horizontal strips lam/mu below a strict partition lam, as
     (mu, k, a): each strict mu with lam_1 >= mu_1 >= lam_2 >= mu_2 >= ...,
-    k = |lam/mu| and a = a(lam/mu) of `_strip_a`, the strips of fewer than
-    `budget` boxes left out.  The one rule of the Q basis (Macdonald III
-    §5 and (8.15)): it adds a variable to the alphabet of Q (`_strip_fold`)
-    and multiplies by a generator (`_pieri`)."""
-    total = sum(lam)
-    if budget > 0:
-        mus = _parts_below(lam, 0, budget)
-    else:
-        mus = itertools.product(*(range(l, b - 1, -1) for l, b in zip(lam, lam[1:] + (0,))))
-    for mu in mus:
+    k = |lam/mu| and a = a(lam/mu) of `_strip_a`.  The one rule of the Q
+    basis (Macdonald III §5 and (8.15)): it adds a variable to the
+    alphabet of Q (`_strip_fold`) and multiplies by a generator (`_pieri`)."""
+    for mu in itertools.product(*(range(l, b - 1, -1) for l, b in zip(lam, lam[1:] + (0,)))):
         mu = mu[:-1] if mu and not mu[-1] else mu
         if is_strict(mu):
-            yield mu, total - sum(mu), _strip_a(lam, mu)
+            yield mu, sum(lam) - sum(mu), _strip_a(lam, mu)
 
 
 def _parts_below(lam: tuple, i: int, need: int):
     """The parts (mu_i, mu_(i+1), ...) with lam_j >= mu_j >= lam_(j+1) that
     take at least `need` boxes from rows i, i+1, ... of lam, largest mu_i
-    first.  The rows below row i hold at most lam_(i+1) boxes, so row i
-    takes at least need - lam_(i+1)."""
+    first, as `_strips` orders them, trailing 0 and repeated parts kept.
+    The rows below row i hold at most lam_(i+1) boxes, so row i takes at
+    least need - lam_(i+1)."""
     if i == len(lam):
         if need <= 0:
             yield ()
@@ -195,10 +188,15 @@ def _pieri(mu: tuple, r: int) -> dict:
     (8.15), P_mu q_r = sum 2^a P_lam, so Q_mu Q_r = sum 2^(l(mu) + a - l(lam))
     Q_lam over the lam with (mu, r, a) in `_strips(lam)`.  lam/mu is a
     horizontal strip exactly when nu = (lam_2, lam_3, ...) has mu/nu one,
-    so those lam are the strict (k + r, nu) over the (nu, k, _) of
-    `_strips(mu)` with k + r >= mu_1, a budget of mu_1 - r boxes."""
-    lams = ((k + r,) + nu for nu, k, _ in _strips(mu, (mu[0] if mu else 0) - r))
-    return {lam: 1 << (len(mu) + _strip_a(lam, mu) - len(lam)) for lam in lams if is_strict(lam)}
+    so those lam are the strict (k + r, nu) over the strips mu/nu of
+    k >= mu_1 - r boxes, the only ones `_parts_below` enumerates."""
+    out = {}
+    for nu in _parts_below(mu, 0, (mu[0] if mu else 0) - r):
+        nu = nu[:-1] if nu and not nu[-1] else nu
+        lam = (sum(mu) - sum(nu) + r,) + nu
+        if is_strict(lam):
+            out[lam] = 1 << (len(mu) + _strip_a(lam, mu) - len(lam))
+    return out
 
 
 @lru_cache(maxsize=4096)
@@ -472,16 +470,15 @@ def pf_rows(rows) -> GammaElement:
     term goes once into every target of its alternation (`_insert`, a
     table shared by every fold, through `polycore._fma`): no Polynomial
     is built per term.  Each row ends in one `_settle` per map, and each
-    basis coefficient is wrapped once at the end.  The first row from the
-    empty prefix is the state itself, Q_(m) = e_m, with no product.
+    basis coefficient is wrapped once at the end.
 
     The fold starts from the state of the longest prefix of `rows` that
     the prefix memo holds, keyed by each row's entries (m, e, packed
     terms), and stores each new state of at most PF_STATE_CAP terms.
-    A map the fold did not build, a stored state's or a row's own (the
-    row series are shared, see `ones_series`), is never written: the end
-    copies such a map before merging into it, and the result's
-    coefficients may share maps with the memo and the rows.
+    Stored states are never written: the end copies a stored map before
+    merging into it, and the result's coefficients may share maps with
+    the memo.  Nor are the rows, whose series may be shared
+    (`ones_series`): `_fma` only reads them.
     """
     rows = list(rows)
     node = _PF_MEMO.root
@@ -494,7 +491,6 @@ def pf_rows(rows) -> GammaElement:
         node = child
         depth += 1
     e, state, children = node
-    built = False  # whether this fold built the maps of `state`
     for i, row in enumerate(rows[depth:]):
         top = max((g.e for g in row.values()), default=0)
         e += top
@@ -503,27 +499,24 @@ def pf_rows(rows) -> GammaElement:
             for m, g in row.items()
             if g
         ]
-        if not depth and not i:  # from the empty prefix, Q_(m) = e_m and f is f
-            state = {((m,), False) if m is not None else ((), True): g for m, g in lifted}
-        else:
-            acc = {}
-            for (prefix, f), packed in state.items():
-                for m, g in lifted:
-                    if m is None:
-                        targets = [(acc.setdefault((prefix, not f), {}), -1 if f else 1)]
-                    else:
-                        targets = [
-                            (acc.setdefault((v, f), {}), -c if f else c) for v, c in _insert(prefix, m)
-                        ]
-                        if not targets:
-                            continue
-                    _fma(targets, packed, g)
-            state = {}
-            for pair, packed in acc.items():
-                packed = _settle(packed)
-                if packed:
-                    state[pair] = packed
-            built = True
+        acc = {}
+        for (prefix, f), packed in state.items():
+            for m, g in lifted:
+                if m is None:
+                    targets = [(acc.setdefault((prefix, not f), {}), -1 if f else 1)]
+                else:
+                    targets = [
+                        (acc.setdefault((v, f), {}), -c if f else c)
+                        for v, c in _insert(prefix, m)
+                    ]
+                    if not targets:
+                        continue
+                _fma(targets, packed, g)
+        state = {}
+        for pair, packed in acc.items():
+            packed = _settle(packed)
+            if packed:
+                state[pair] = packed
         if children is not None:
             children = _store(children, key if i == 0 else _row_key(row), e, state)
     combo = {}
@@ -533,7 +526,7 @@ def pf_rows(rows) -> GammaElement:
         if v and v[-1] < 0:
             continue
         if v in combo:
-            if children is not None or not built:  # not this fold's map: merge into a copy
+            if children is not None:  # state is in the memo: merge into a copy
                 combo[v] = dict(combo[v])
             _add_into(combo[v], packed)
         else:

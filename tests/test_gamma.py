@@ -16,6 +16,7 @@ from vexpf.gamma import (
     _branch,
     _gens,
     _iadd,
+    _parts_below,
     _pieri,
     _raw_mul,
     _strip_a,
@@ -466,28 +467,21 @@ def _strict_partitions_bounded(maxpart, maxlen):
         yield from itertools.combinations(range(maxpart, 0, -1), r)
 
 
-def strips_in_full(lam):
-    """Every horizontal strip below lam, enumerated as `_strips` did before
-    it took a box budget."""
-    for mu in itertools.product(*(range(l, b - 1, -1) for l, b in zip(lam, lam[1:] + (0,)))):
-        mu = mu[:-1] if mu and not mu[-1] else mu
-        if is_strict(mu):
-            yield mu, sum(lam) - sum(mu), _strip_a(lam, mu)
-
-
 def pieri_over_every_strip(mu, r):
-    """`_pieri` as it was: every strip below mu, keeping k + r >= mu_1."""
-    lams = ((k + r,) + nu for nu, k, _ in strips_in_full(mu) if k + r >= (mu[0] if mu else 0))
+    """`_pieri` over every strip below mu, keeping k + r >= mu_1."""
+    lams = ((k + r,) + nu for nu, k, _ in _strips(mu) if k + r >= (mu[0] if mu else 0))
     return {lam: 1 << (len(mu) + _strip_a(lam, mu) - len(lam)) for lam in lams if is_strict(lam)}
 
 
 class TestStrips:
-    def test_budget_leaves_out_the_smaller_strips(self):
-        # every strict lam with parts <= 7 and every budget, in order
+    def test_parts_below_leave_out_the_smaller_strips(self):
+        # every strict lam with parts <= 7 and every box budget, in order
         for lam in _strict_partitions_bounded(7, 7):
-            full = list(strips_in_full(lam))
-            for budget in range(-1, sum(lam) + 2):
-                assert list(_strips(lam, budget)) == [s for s in full if s[1] >= budget], (lam, budget)
+            full = list(_strips(lam))
+            for need in range(-1, sum(lam) + 2):
+                trimmed = (mu[:-1] if mu and not mu[-1] else mu for mu in _parts_below(lam, 0, need))
+                kept = [mu for mu, k, _ in full if k >= need]
+                assert [mu for mu in trimmed if is_strict(mu)] == kept, (lam, need)
 
     def test_pieri_matches_every_strip(self):
         # every (mu, r) with |mu| <= 10 and 1 <= r <= 6

@@ -615,8 +615,8 @@ class TestSharedTables:
                     assert len(dict(got)) == len(got)
 
     def test_shared_row_maps_stay_read_only(self, monkeypatch):
-        # with no state stored, a one-row fold's state is the cached series'
-        # own maps; in type D its f entry and trailing 0 merge into Q_()
+        # the cached series are shared by every fold: with no state stored,
+        # each fold multiplies in every row, and none may write into them
         monkeypatch.setattr(gamma, "PF_STATE_CAP", 0)
         gamma._PF_MEMO.clear()
         triples = [(t, wtype) for wtype in ("C", "D") for t in enumerate_triples(wtype, 3)]
