@@ -75,9 +75,11 @@ def is_strict(parts) -> bool:
 # run in one process fills 97 of pair_expansion's 1 024 entries, 299 of
 # pf_expansion's 1 024, 1 362 of _pieri's 4 096, 2 086 of
 # straighten_monomial's 4 096, 29 of ones_series's 1 024 and, leaving out
-# the oracle test that walks 54 638 of its entries, 1 769 of _insert's
-# 4 096.  All 1 118 W_5 type-C formulas use 559 _insert entries and
-# top_class(6, "C") 2 377.
+# the oracle test that walks 54 638 of its entries, 1 804 of _insert's
+# 4 096.  All 1 118 W_5 type-C formulas use 562 _insert entries, and
+# top_class(6, T) from a cold table 2 380 in B and C and 2 083 in D: one
+# fold's entries stay below the bound, so the recursion never evicts an
+# entry that the same fold still needs.
 
 
 def _gens(indices):
