@@ -23,17 +23,22 @@ they build as one {packed monomial: int} map over a shared 2^-e and add
 into it with `polycore._fma`, a multiply-accumulate in place; a
 coefficient becomes a Polynomial once, when the fold is done.
 
+`pf_rows` folds a Pfaffian's rows from the last one up, prepending each
+row's symbol.  A formula's row indices decrease, so the prepended entry
+mostly lands in front with no alternation, and the fold states stay as
+small as the last rows until the largest row, the first, comes in.
+
 What depends only on integers is built once per process and shared by
-every fold: the straightening table `_insert` of Q_(prefix, m), and the
-row series Q prod (1+x_j) prod (1+y_j) of the closed formulas and
+every fold: the straightening table `_prepend` of Q_(m, suffix), and
+the row series Q prod (1+x_j) prod (1+y_j) of the closed formulas and
 Q prod (1+t_j) of Kazarian's families (`ones_series`), each split by
-degree once; a fold only reads them.  Many Pfaffians begin with the
-same rows (Kazarian's families over nested index sets, triples with
-common leading steps), so `pf_rows` keeps the fold states it has built
-in a prefix memo: a trie keyed by each row's exact content, whose
-stored states are read-only.  Only states of at most PF_STATE_CAP
-terms are stored, and past PF_MEMO_TERMS stored terms the trie is
-dropped whole; every cache of the module is a bounded `lru_cache`.
+degree once; a fold only reads them.  Many Pfaffians end in the same
+rows (Kazarian's families over shapes with common last parts), so
+`pf_rows` keeps the fold states it has built in a fold memo: a trie
+keyed by each row's exact content from the last row up, whose stored
+states are read-only.  Only states of at most PF_STATE_CAP terms are
+stored, and past PF_MEMO_TERMS stored terms the trie is dropped whole;
+every cache of the module is a bounded `lru_cache`.
 """
 
 from __future__ import annotations
@@ -72,14 +77,14 @@ def is_strict(parts) -> bool:
 # A "raw" element is a dict mapping generator monomials -- tuples of
 # positive ints, sorted weakly decreasing -- to coefficients.  () is 1.
 # The caches of this module are bounded.  At their fullest, all of tests/
-# run in one process fills 97 of pair_expansion's 1 024 entries, 299 of
+# run in one process fills 97 of pair_expansion's 1 024 entries, 300 of
 # pf_expansion's 1 024, 1 362 of _pieri's 4 096, 2 086 of
-# straighten_monomial's 4 096, 29 of ones_series's 1 024 and, leaving out
-# the oracle test that walks 54 638 of its entries, 1 804 of _insert's
-# 4 096.  All 1 118 W_5 type-C formulas use 562 _insert entries, and
-# top_class(6, T) from a cold table 2 380 in B and C and 2 083 in D: one
-# fold's entries stay below the bound, so the recursion never evicts an
-# entry that the same fold still needs.
+# straighten_monomial's 4 096, 21 of ones_series's 1 024 and, leaving out
+# the oracle tests that walk tens of thousands of its entries, 1 774 of
+# _prepend's 4 096.  All 1 118 W_5 type-C formulas use 630 _prepend
+# entries, and top_class(6, T) from a cold table 637 in B and C and 1 836
+# in D (1 272 with d_zero): one fold's entries stay below the bound, so
+# the recursion never evicts an entry that the same fold still needs.
 
 
 def _gens(indices):
@@ -418,16 +423,18 @@ def q_pair(k: int, l: int, c_k: GeneratorSeries, c_l: GeneratorSeries) -> GammaE
     return pf_rows(series_rows((k, l), (c_k, c_l)))
 
 
-# The prefix memo of `pf_rows`: the stored terms past which it is dropped
+# The fold memo of `pf_rows`: the stored terms past which it is dropped
 # whole, and the largest state it stores.  The states that formulas share
-# are mostly small; the fold of a W_4 top class is used once, and its
-# states hold 64 terms (C) and 65 (D) after the first row, hundreds later.
+# are mostly small; the fold of a W_4 top class is used once, and from
+# the last row up its states hold 1, 3, 22 and 342 terms (C) and 5, 46
+# and 842 (D).
 PF_MEMO_TERMS = 1024
 PF_STATE_CAP = 48
 
 
-class _PrefixMemo:
-    """A trie of fold states: a node is (e, state, {row key: child})."""
+class _FoldMemo:
+    """A trie of fold states, from the last row up: a node is
+    (e, state, {row key: child})."""
 
     __slots__ = ("root", "terms")
 
@@ -439,7 +446,7 @@ class _PrefixMemo:
         self.terms = 0
 
 
-_PF_MEMO = _PrefixMemo()
+_PF_MEMO = _FoldMemo()
 
 
 def _row_key(row) -> tuple:
@@ -465,27 +472,34 @@ def pf_rows(rows) -> GammaElement:
     and a trailing 0 (the odd border) drops.  f passes any e_m with a sign,
     two adjacent f give -1 and a trailing f is a trailing 0.
 
-    The rows fold over a state {(strictly decreasing prefix, pending f):
-    packed map} over one shared 2^-e, so equal prefixes merge before the
-    next row multiplies in.  Each row is lifted to the largest exponent
-    among its polynomials, and each product of a state term and a row
-    term goes once into every target of its alternation (`_insert`, a
-    table shared by every fold, through `polycore._fma`): no Polynomial
-    is built per term.  Each row ends in one `_settle` per map, and each
-    basis coefficient is wrapped once at the end.
+    The rows fold from the last one to the first, over a state
+    {(strictly decreasing suffix, pending f): packed map} over one shared
+    2^-e, so equal suffixes merge before the next row multiplies in.  A
+    pending f stays at the end of the symbol: prepending e_m straightens
+    Q_(m, suffix) at the suffix's first entry (`_prepend`, a table shared
+    by every fold), and prepending f moves it past the suffix, a sign
+    (-1)^len(suffix), and by -1 more onto a pending f (f f = -1).  The
+    indices of a formula's rows decrease, so a prepended entry mostly
+    lands in front with no alternation, and the states stay as small as
+    the last rows until the largest row comes in.  Each row is lifted to
+    the largest exponent among its polynomials, and each product of a
+    state term and a row term goes once into every target, through
+    `polycore._fma`: no Polynomial is built per term.  Each row ends in
+    one `_settle` per map, and each basis coefficient is wrapped once at
+    the end.
 
-    The fold starts from the state of the longest prefix of `rows` that
-    the prefix memo holds, keyed by each row's entries (m, e, packed
-    terms), and stores each new state of at most PF_STATE_CAP terms.
-    Stored states are never written: the end copies a stored map before
-    merging into it, and the result's coefficients may share maps with
-    the memo.  Nor are the rows, whose series may be shared
-    (`ones_series`): `_fma` only reads them.
+    The fold starts from the state of the longest run of last rows of
+    `rows` that the memo holds, keyed by each row's entries (m, e, packed
+    terms) from the last row up, and stores each new state of at most
+    PF_STATE_CAP terms.  Stored states are never written: the end copies a
+    stored map before merging into it, and the result's coefficients may
+    share maps with the memo.  Nor are the rows, whose series may be
+    shared (`ones_series`): `_fma` only reads them.
     """
     rows = list(rows)
     node = _PF_MEMO.root
     depth = 0
-    for row in rows:
+    for row in reversed(rows):
         key = _row_key(row)
         child = node[2].get(key)
         if child is None:
@@ -493,7 +507,7 @@ def pf_rows(rows) -> GammaElement:
         node = child
         depth += 1
     e, state, children = node
-    for i, row in enumerate(rows[depth:]):
+    for i, row in enumerate(reversed(rows[: len(rows) - depth])):
         top = max((g.e for g in row.values()), default=0)
         e += top
         lifted = [
@@ -502,15 +516,13 @@ def pf_rows(rows) -> GammaElement:
             if g
         ]
         acc = {}
-        for (prefix, f), packed in state.items():
+        for (suffix, f), packed in state.items():
             for m, g in lifted:
                 if m is None:
-                    targets = [(acc.setdefault((prefix, not f), {}), -1 if f else 1)]
+                    sign = -1 if (len(suffix) & 1) ^ f else 1
+                    targets = [(acc.setdefault((suffix, not f), {}), sign)]
                 else:
-                    targets = [
-                        (acc.setdefault((v, f), {}), -c if f else c)
-                        for v, c in _insert(prefix, m)
-                    ]
+                    targets = [(acc.setdefault((v, f), {}), c) for v, c in _prepend(m, suffix)]
                     if not targets:
                         continue
                 _fma(targets, packed, g)
@@ -539,21 +551,24 @@ def pf_rows(rows) -> GammaElement:
 
 
 @lru_cache(maxsize=4096)
-def _insert(prefix: tuple, m: int) -> tuple:
-    """Q_(prefix, m) for a strictly decreasing prefix, as pairs (strictly
-    decreasing, int): Schur's alternation of `pf_rows` at the prefix's last
-    entry.  A table of integers shared by every fold of the process."""
-    a = prefix[-1] if prefix else m + 1
-    if a > m:
-        return ((prefix + (m,), 1),)
-    if a == m:
-        return ((prefix[:-1], 1),) if m == 0 else ()
+def _prepend(m: int, suffix: tuple) -> tuple:
+    """Q_(m, suffix) for a strictly decreasing suffix, as pairs (strictly
+    decreasing, int): Schur's alternation of `pf_rows` at the suffix's
+    first entry b.  With m < b, Q_(m, b, ..) = -Q_(b, m, ..) + [m + b = 0]
+    2 (-1)^m Q_(..), and b then lands in front, since every entry of
+    Q_(m, ..) is below it.  A table of integers shared by every fold of
+    the process."""
+    b = suffix[0] if suffix else m - 1
+    if m > b:
+        return (((m,) + suffix, 1),)
+    if m == b:
+        return ((suffix[1:], 1),) if m == 0 else ()
     out = {}
-    for v, c in _insert(prefix[:-1], m):
-        for w, c2 in _insert(v, a):
+    for v, c in _prepend(m, suffix[1:]):
+        for w, c2 in _prepend(b, v):
             _iadd(out, w, -c * c2)
-    if a + m == 0:
-        _iadd(out, prefix[:-1], -2 if a % 2 else 2)
+    if m + b == 0:
+        _iadd(out, suffix[1:], -2 if m % 2 else 2)
     return tuple(out.items())
 
 

@@ -21,8 +21,10 @@ integer index sequence).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .polycore import Polynomial, exact_divide, NotDivisible
-from .gamma import GammaElement, ones_series, pf_rows, series_rows
+from .gamma import GammaElement, GeneratorSeries, ones_series, pf_rows, series_rows
 
 
 class SkewCheckFailed(ValueError):
@@ -153,15 +155,25 @@ def multischur_pf_d(lam, series, check: bool = True) -> GammaElement:
         for k, c in zip(lam, cs):
             if c.degree() > k:
                 raise SkewCheckFailed(f"deg c = {c.degree()} exceeds index {k}")
-        for i in range(1, len(cs)):
-            try:
-                exact_divide(cs[i - 1], cs[i])
-            except NotDivisible:
+        for i in range(1, len(series)):
+            if not _divides(series[i - 1], series[i]):
                 raise DivisibilityFailed(f"c({i+1}) does not divide c({i})")
     rows = series_rows(lam, series)
     for row, k, c in zip(rows, lam, cs):
         row[None] = c.part(k)
     return pf_rows(rows)
+
+
+@lru_cache(maxsize=1024)
+def _divides(d: GeneratorSeries, d2: GeneratorSeries) -> bool:
+    """Whether the multiplier of d2 divides that of d, by `exact_divide`,
+    once per pair of series: the rows of `ones_series` are shared, so the
+    formulas ask again and again about the same few pairs."""
+    try:
+        exact_divide(d.multiplier, d2.multiplier)
+    except NotDivisible:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from vexpf.polycore import ExponentOverflow, Polynomial, rational_series
+from vexpf.polycore import ExponentOverflow, Polynomial, exact_divide, rational_series
 from vexpf import gamma, gysin
 from vexpf.gamma import (
     GammaElement,
@@ -17,6 +17,7 @@ from vexpf.gamma import (
     series_coeff,
     series_rows,
 )
+from vexpf import multischur
 from vexpf.multischur import (
     DivisibilityFailed,
     SkewCheckFailed,
@@ -231,6 +232,29 @@ class TestPfD:
         with pytest.raises(DivisibilityFailed):
             multischur_pf_d((3, 1), [q_times(1 + tvar(1)), q_times(1 + tvar(2))])
 
+    def test_divisibility_is_checked_once_per_pair(self, monkeypatch):
+        # the shared rows of r_family ask about each pair once per process,
+        # and a failing pair keeps failing
+        calls = []
+
+        def counting(p, d):
+            calls.append((p, d))
+            return exact_divide(p, d)
+
+        monkeypatch.setattr(multischur, "exact_divide", counting)
+        multischur._divides.cache_clear()
+        pairs = {(4, 2), (2, 1)}
+        first = r_family((4, 2, 1))
+        assert len(calls) == len(pairs)
+        assert r_family((4, 2, 1)) == first and len(calls) == len(pairs)
+        r_family((2, 1))
+        assert len(calls) == len(pairs)
+        bad = [q_times(1 + tvar(1)), q_times(1 + tvar(2))]
+        for _ in range(2):
+            with pytest.raises(DivisibilityFailed):
+                multischur_pf_d((3, 1), bad)
+        assert len(calls) == len(pairs) + 1
+
     def test_degree_guard(self):
         with pytest.raises(SkewCheckFailed):
             multischur_pf_d((1,), [q_times(E2)])
@@ -381,9 +405,33 @@ def insert_by_recursion(memo: dict, prefix: tuple, m: int) -> dict:
     return memo[prefix, m]
 
 
+def prepend_by_recursion(memo: dict, m: int, suffix: tuple) -> dict:
+    """The reference straightening of Q_(m, suffix), {strictly decreasing:
+    int}, by Schur's alternation at the suffix's first entry b, recursing
+    on Q_(b, m, ..), with memo the caller's: the mirror of
+    `insert_by_recursion`."""
+    if (m, suffix) not in memo:
+        b = suffix[0] if suffix else m - 1
+        if m > b:
+            out = {(m,) + suffix: 1}
+        elif m == b:
+            out = {suffix[1:]: 1} if m == 0 else {}
+        else:
+            out = {}
+            for v, c in prepend_by_recursion(memo, m, suffix[1:]).items():
+                for w, c2 in prepend_by_recursion(memo, b, v).items():
+                    _iadd(out, w, -c * c2)
+            if m + b == 0:
+                _iadd(out, suffix[1:], -2 if m % 2 else 2)
+        memo[m, suffix] = out
+    return memo[m, suffix]
+
+
 def pf_rows_term_by_term(rows):
     """`pf_rows` with a Polynomial for every state coefficient: one product
-    coeff * g and one Polynomial sum per (state, m, target)."""
+    coeff * g and one Polynomial sum per (state, m, target).  It folds from
+    the first row down, appending each row's symbol to a prefix, so it
+    does not share `pf_rows`'s direction or straightening table."""
     memo = {}
     state = {((), False): Polynomial.const(1)}
     for row in rows:
@@ -465,9 +513,9 @@ class TestPackedFold:
         for fold in (pf_rows, pf_rows_term_by_term):
             with pytest.raises(ExponentOverflow):
                 fold(rows)
-        # the first row's state was stored before the second row raised,
+        # the last row's state was stored before the first row raised,
         # and the next fold starts from it
-        assert list(gamma._PF_MEMO.root[2]) == [gamma._row_key(rows[0])]
+        assert list(gamma._PF_MEMO.root[2]) == [gamma._row_key(rows[-1])]
         assert pf_rows([{1: X1**200}, {0: X1**55}]) == GammaElement({(1,): X1**255})
 
     @pytest.mark.parametrize("wtype", ["C", "D"])
@@ -475,6 +523,54 @@ class TestPackedFold:
         for t in enumerate_triples(wtype, 3):
             rows = fold_rows(*formula_rows(t, wtype), wtype)
             assert pf_rows(rows) == pf_rows_term_by_term(rows), t
+
+    @pytest.mark.parametrize(
+        "wtype, d_zero", [("B", False), ("C", False), ("D", False), ("D", True)]
+    )
+    def test_top_class_rows(self, wtype, d_zero, monkeypatch):
+        # the rows that top_class(4, T) folds, against the fold from the
+        # first row down; type D's 3 rows (d_zero False) are an odd size
+        folded = []
+
+        def recording(rows):
+            folded.append(list(rows))
+            return pf_rows(folded[-1])
+
+        monkeypatch.setattr(multischur, "pf_rows", recording)
+        gamma._PF_MEMO.clear()
+        top_class(4, wtype, d_zero)
+        [rows] = folded
+        assert len(rows) == (3 if wtype == "D" and not d_zero else 4)
+        assert pf_rows(rows) == pf_rows_term_by_term(rows)
+
+    def test_odd_size_paired_rows(self):
+        # every W_3 type-D formula of an odd size, and odd r_family shapes
+        # with and without a trailing 0: f passes an odd suffix
+        cases = [fold_rows(*formula_rows(t, "D"), "D") for t in enumerate_triples("D", 3)]
+        cases += [fold_rows(lam, r_rows(lam), "D") for lam in [(1,), (3, 2, 1), (4, 2, 0), (5, 4, 2, 1, 0)]]
+        cases = [rows for rows in cases if len(rows) % 2]
+        assert len(cases) > 4
+        for rows in cases:
+            gamma._PF_MEMO.clear()
+            assert pf_rows(rows) == pf_rows_term_by_term(rows)
+
+    def test_fold_cost(self, monkeypatch):
+        # the products of state terms and row terms of two top classes,
+        # folded from the last row up: 859 and 48 641 (2 270 and 108 567
+        # from the first row down)
+        products = [0]
+
+        def counting(targets, a, b):
+            products[0] += len(a) * len(b)
+            return fma(targets, a, b)
+
+        fma = gamma._fma
+        monkeypatch.setattr(gamma, "_fma", counting)
+        for n, bound in [(4, 1000), (5, 50000)]:
+            gamma._PF_MEMO.clear()
+            products[0] = 0
+            top_class(n, "C")
+            assert 0 < products[0] <= bound, n
 
 
 # ---------------------------------------------------------------------------
@@ -491,9 +587,9 @@ def memo_nodes(node=None):
 
 
 def memo_depth(rows) -> int:
-    """How many leading rows of `rows` the prefix memo holds."""
+    """How many last rows of `rows` the prefix memo holds, from the last up."""
     node, depth = gamma._PF_MEMO.root, 0
-    for row in rows:
+    for row in reversed(rows):
         node = node[2].get(gamma._row_key(row))
         if node is None:
             break
@@ -603,16 +699,32 @@ def series_maps(series) -> list:
 
 class TestSharedTables:
     def test_straightening_table_matches_the_recursion(self):
-        # every strictly decreasing prefix of entries in -8..8, of length
-        # <= 4, and every -8 <= m <= 8: a + m = 0, m = 0 and a negative
+        # every strictly decreasing suffix of entries in -8..8, of length
+        # <= 4, and every -8 <= m <= 8: m + b = 0, m = 0 and a negative
         # last entry all occur
         memo = {}
         for size in range(5):
-            for prefix in itertools.combinations(range(8, -9, -1), size):
+            for suffix in itertools.combinations(range(8, -9, -1), size):
                 for m in range(-8, 9):
-                    got = gamma._insert(prefix, m)
-                    assert dict(got) == insert_by_recursion(memo, prefix, m), (prefix, m)
+                    got = gamma._prepend(m, suffix)
+                    assert dict(got) == prepend_by_recursion(memo, m, suffix), (m, suffix)
                     assert len(dict(got)) == len(got)
+
+    def test_prepending_matches_inserting(self):
+        # both tables straighten the same symbols: Q_(m, suffix) appended
+        # entry by entry from the empty prefix
+        memo = {}
+        for size in range(4):
+            for suffix in itertools.combinations(range(4, -5, -1), size):
+                for m in range(-4, 5):
+                    expect = {(m,): 1}
+                    for a in suffix:
+                        step = {}
+                        for v, c in expect.items():
+                            for w, c2 in insert_by_recursion(memo, v, a).items():
+                                _iadd(step, w, c * c2)
+                        expect = step
+                    assert dict(gamma._prepend(m, suffix)) == expect, (m, suffix)
 
     def test_shared_row_maps_stay_read_only(self, monkeypatch):
         # the cached series are shared by every fold: with no state stored,
