@@ -555,21 +555,18 @@ def _prepend(m: int, suffix: tuple) -> tuple:
     """Q_(m, suffix) for a strictly decreasing suffix, as pairs (strictly
     decreasing, int): Schur's alternation of `pf_rows` at the suffix's
     first entry b.  With m < b, Q_(m, b, ..) = -Q_(b, m, ..) + [m + b = 0]
-    2 (-1)^m Q_(..), and b then lands in front, since every entry of
-    Q_(m, ..) is below it.  A table of integers shared by every fold of
-    the process."""
-    b = suffix[0] if suffix else m - 1
-    if m > b:
+    2 (-1)^m Q_(..), and b lands in front of each symbol of Q_(m, ..),
+    whose entries are all below it, so no two targets meet.  A table of
+    integers shared by every fold of the process."""
+    if not suffix or m > suffix[0]:
         return (((m,) + suffix, 1),)
+    b, rest = suffix[0], suffix[1:]
     if m == b:
-        return ((suffix[1:], 1),) if m == 0 else ()
-    out = {}
-    for v, c in _prepend(m, suffix[1:]):
-        for w, c2 in _prepend(b, v):
-            _iadd(out, w, -c * c2)
+        return ((rest, 1),) if m == 0 else ()
+    out = tuple(((b,) + v, -c) for v, c in _prepend(m, rest))
     if m + b == 0:
-        _iadd(out, suffix[1:], -2 if m % 2 else 2)
-    return tuple(out.items())
+        out += ((rest, -2 if m % 2 else 2),)
+    return out
 
 
 def _store(children: dict, key, e: int, state: dict):

@@ -574,12 +574,12 @@ class TestPackedFold:
 
 
 # ---------------------------------------------------------------------------
-# the prefix memo of pf_rows
+# the fold memo of pf_rows
 # ---------------------------------------------------------------------------
 
 
 def memo_nodes(node=None):
-    """Every stored node (e, state, children) of the prefix memo."""
+    """Every stored node (e, state, children) of the fold memo."""
     node = node or gamma._PF_MEMO.root
     for child in node[2].values():
         yield child
@@ -587,7 +587,7 @@ def memo_nodes(node=None):
 
 
 def memo_depth(rows) -> int:
-    """How many last rows of `rows` the prefix memo holds, from the last up."""
+    """How many last rows of `rows` the fold memo holds, from the last up."""
     node, depth = gamma._PF_MEMO.root, 0
     for row in reversed(rows):
         node = node[2].get(gamma._row_key(row))
@@ -709,22 +709,6 @@ class TestSharedTables:
                     got = gamma._prepend(m, suffix)
                     assert dict(got) == prepend_by_recursion(memo, m, suffix), (m, suffix)
                     assert len(dict(got)) == len(got)
-
-    def test_prepending_matches_inserting(self):
-        # both tables straighten the same symbols: Q_(m, suffix) appended
-        # entry by entry from the empty prefix
-        memo = {}
-        for size in range(4):
-            for suffix in itertools.combinations(range(4, -5, -1), size):
-                for m in range(-4, 5):
-                    expect = {(m,): 1}
-                    for a in suffix:
-                        step = {}
-                        for v, c in expect.items():
-                            for w, c2 in insert_by_recursion(memo, v, a).items():
-                                _iadd(step, w, c * c2)
-                        expect = step
-                    assert dict(gamma._prepend(m, suffix)) == expect, (m, suffix)
 
     def test_shared_row_maps_stay_read_only(self, monkeypatch):
         # the cached series are shared by every fold: with no state stored,
