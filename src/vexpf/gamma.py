@@ -478,7 +478,11 @@ def pf_rows(rows) -> GammaElement:
     pending f stays at the end of the symbol: prepending e_m straightens
     Q_(m, suffix) at the suffix's first entry (`_prepend`, a table shared
     by every fold), and prepending f moves it past the suffix, a sign
-    (-1)^len(suffix), and by -1 more onto a pending f (f f = -1).  The
+    (-1)^len(suffix), and by -1 more onto a pending f (f f = -1).  A last
+    e_0 pairs with every symbol in front of it as a last f does
+    (B(e_m, e_0) = Q_m = B(e_m, f), B(f, e_0) = -1 = B(f, f)), and
+    B(e_0, f) = 1, so a suffix never ends in 0: (.., 0) is (.., f) and
+    (.., 0, f) is (..), which merges type D's states.  The
     indices of a formula's rows decrease, so a prepended entry mostly
     lands in front with no alternation, and the states stay as small as
     the last rows until the largest row comes in.  Each row is lifted to
@@ -522,7 +526,10 @@ def pf_rows(rows) -> GammaElement:
                     sign = -1 if (len(suffix) & 1) ^ f else 1
                     targets = [(acc.setdefault((suffix, not f), {}), sign)]
                 else:
-                    targets = [(acc.setdefault((v, f), {}), c) for v, c in _prepend(m, suffix)]
+                    targets = [
+                        (acc.setdefault((v[:-1], not f) if v and not v[-1] else (v, f), {}), c)
+                        for v, c in _prepend(m, suffix)
+                    ]
                     if not targets:
                         continue
                 _fma(targets, packed, g)
@@ -535,8 +542,6 @@ def pf_rows(rows) -> GammaElement:
             children = _store(children, key if i == 0 else _row_key(row), e, state)
     combo = {}
     for (v, _), packed in state.items():
-        if v and v[-1] == 0:
-            v = v[:-1]
         if v and v[-1] < 0:
             continue
         if v in combo:

@@ -552,9 +552,10 @@ class TestPackedFold:
         assert pf_rows(rows) == pf_rows_term_by_term(rows)
 
     def test_fold_cost(self, monkeypatch):
-        # the products of state terms and row terms of two top classes,
-        # folded from the last row up: 859 and 48 641 (2 270 and 108 567
-        # from the first row down)
+        # the products of state terms and row terms of three top classes,
+        # folded from the last row up: 859, 48 641 and 91 759 (2 270,
+        # 108 567 and 136 835 from the first row down; 134 142 in type D
+        # when a trailing 0 is kept apart from a pending f)
         products = [0]
 
         def counting(targets, a, b):
@@ -563,11 +564,11 @@ class TestPackedFold:
 
         fma = gamma._fma
         monkeypatch.setattr(gamma, "_fma", counting)
-        for n, bound in [(4, 1000), (5, 50000)]:
+        for n, wtype, bound in [(4, "C", 1000), (5, "C", 50000), (5, "D", 100000)]:
             gamma._PF_MEMO.clear()
             products[0] = 0
-            top_class(n, "C")
-            assert 0 < products[0] <= bound, n
+            top_class(n, wtype)
+            assert 0 < products[0] <= bound, (n, wtype)
 
 
 # ---------------------------------------------------------------------------
