@@ -80,10 +80,10 @@ def is_strict(parts) -> bool:
 # run in one process fills 97 of pair_expansion's 1 024 entries, 300 of
 # pf_expansion's 1 024, 1 362 of _pieri's 4 096, 2 086 of
 # straighten_monomial's 4 096, 21 of ones_series's 1 024 and, leaving out
-# the oracle tests that walk tens of thousands of its entries, 1 774 of
+# the oracle test that walks tens of thousands of its entries, 1 300 of
 # _prepend's 4 096.  All 1 118 W_5 type-C formulas use 630 _prepend
-# entries, and top_class(6, T) from a cold table 637 in B and C and 1 836
-# in D (1 272 with d_zero): one fold's entries stay below the bound, so
+# entries, and top_class(6, T) from a cold table 637 in B and C and 1 149
+# in D (636 with d_zero): one fold's entries stay below the bound, so
 # the recursion never evicts an entry that the same fold still needs.
 
 
@@ -426,8 +426,8 @@ def q_pair(k: int, l: int, c_k: GeneratorSeries, c_l: GeneratorSeries) -> GammaE
 # The fold memo of `pf_rows`: the stored terms past which it is dropped
 # whole, and the largest state it stores.  The states that formulas share
 # are mostly small; the fold of a W_4 top class is used once, and from
-# the last row up its states hold 1, 3, 22 and 342 terms (C) and 5, 46
-# and 842 (D).
+# the last row up its states hold 1, 3, 22 and 342 terms (C) and 4, 34
+# and 592 (D).
 PF_MEMO_TERMS = 1024
 PF_STATE_CAP = 48
 
