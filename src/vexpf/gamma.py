@@ -32,13 +32,10 @@ What depends only on integers is built once per process and shared by
 every fold: the straightening table `_prepend` of Q_(m, suffix), and
 the row series Q prod (1+x_j) prod (1+y_j) of the closed formulas and
 Q prod (1+t_j) of Kazarian's families (`ones_series`), each split by
-degree once; a fold only reads them.  Many Pfaffians end in the same
-rows (Kazarian's families over shapes with common last parts), so
-`pf_rows` keeps the fold states it has built in a fold memo: a trie
-keyed by each row's exact content from the last row up, whose stored
-states are read-only.  Only states of at most PF_STATE_CAP terms are
-stored, and past PF_MEMO_TERMS stored terms the trie is dropped whole;
-every cache of the module is a bounded `lru_cache`.
+degree once; a fold only reads them.  `pf_rows` keeps nothing between
+calls: from the last row up nearly all of a formula's term products
+fall in its first row, which only a repeat of the whole Pfaffian could
+skip.  Every cache of the module is a bounded `lru_cache`.
 """
 
 from __future__ import annotations
@@ -77,11 +74,12 @@ def is_strict(parts) -> bool:
 # A "raw" element is a dict mapping generator monomials -- tuples of
 # positive ints, sorted weakly decreasing -- to coefficients.  () is 1.
 # The caches of this module are bounded.  At their fullest, all of tests/
-# run in one process fills 97 of pair_expansion's 1 024 entries, 300 of
-# pf_expansion's 1 024, 1 362 of _pieri's 4 096, 2 086 of
+# run in one process fills 97 of pair_expansion's 1 024 entries, about
+# 300 of pf_expansion's 1 024, 1 362 of _pieri's 4 096, 2 086 of
 # straighten_monomial's 4 096, 21 of ones_series's 1 024 and, leaving out
-# the oracle test that walks tens of thousands of its entries, 1 300 of
-# _prepend's 4 096.  All 1 118 W_5 type-C formulas use 630 _prepend
+# the oracle test that walks tens of thousands of its entries, about
+# 1 200 of _prepend's 4 096 (the drawn test rows move these two a little
+# from run to run).  All 1 118 W_5 type-C formulas use 630 _prepend
 # entries, and top_class(6, T) from a cold table 637 in B and C and 1 149
 # in D (636 with d_zero): one fold's entries stay below the bound, so
 # the recursion never evicts an entry that the same fold still needs.
@@ -423,39 +421,6 @@ def q_pair(k: int, l: int, c_k: GeneratorSeries, c_l: GeneratorSeries) -> GammaE
     return pf_rows(series_rows((k, l), (c_k, c_l)))
 
 
-# The fold memo of `pf_rows`: the stored terms past which it is dropped
-# whole, and the largest state it stores.  The states that formulas share
-# are mostly small; the fold of a W_4 top class is used once, and from
-# the last row up its states hold 1, 3, 22 and 342 terms (C) and 4, 34
-# and 592 (D).
-PF_MEMO_TERMS = 1024
-PF_STATE_CAP = 48
-
-
-class _FoldMemo:
-    """A trie of fold states, from the last row up: a node is
-    (e, state, {row key: child})."""
-
-    __slots__ = ("root", "terms")
-
-    def __init__(self):
-        self.clear()
-
-    def clear(self):
-        self.root = (0, {((), False): {0: 1}}, {})
-        self.terms = 0
-
-
-_PF_MEMO = _FoldMemo()
-
-
-def _row_key(row) -> tuple:
-    """The exact content of a row, per entry m, e and the packed map's
-    monomials and coefficients in order: equal keys fold identically.
-    Two flat tuples per entry keep fewer objects alive than a pair per term."""
-    return tuple((m, g.e, tuple(g.packed), tuple(g.packed.values())) for m, g in row.items())
-
-
 def pf_rows(rows) -> GammaElement:
     """The Pfaffian of `rows`, straight in the Q basis.
 
@@ -492,26 +457,13 @@ def pf_rows(rows) -> GammaElement:
     one `_settle` per map, and each basis coefficient is wrapped once at
     the end.
 
-    The fold starts from the state of the longest run of last rows of
-    `rows` that the memo holds, keyed by each row's entries (m, e, packed
-    terms) from the last row up, and stores each new state of at most
-    PF_STATE_CAP terms.  Stored states are never written: the end copies a
-    stored map before merging into it, and the result's coefficients may
-    share maps with the memo.  Nor are the rows, whose series may be
-    shared (`ones_series`): `_fma` only reads them.
+    Every call folds every row from {((), False): {0: 1}} and keeps
+    nothing, so each map it returns is its own.  The rows, whose series
+    may be shared (`ones_series`), are never written: `_fma` only reads
+    them.
     """
-    rows = list(rows)
-    node = _PF_MEMO.root
-    depth = 0
-    for row in reversed(rows):
-        key = _row_key(row)
-        child = node[2].get(key)
-        if child is None:
-            break
-        node = child
-        depth += 1
-    e, state, children = node
-    for i, row in enumerate(reversed(rows[: len(rows) - depth])):
+    e, state = 0, {((), False): {0: 1}}
+    for row in reversed(list(rows)):
         top = max((g.e for g in row.values()), default=0)
         e += top
         lifted = [
@@ -538,15 +490,11 @@ def pf_rows(rows) -> GammaElement:
             packed = _settle(packed)
             if packed:
                 state[pair] = packed
-        if children is not None:
-            children = _store(children, key if i == 0 else _row_key(row), e, state)
     combo = {}
     for (v, _), packed in state.items():
         if v and v[-1] < 0:
             continue
         if v in combo:
-            if children is not None:  # state is in the memo: merge into a copy
-                combo[v] = dict(combo[v])
             _add_into(combo[v], packed)
         else:
             combo[v] = packed
@@ -572,22 +520,6 @@ def _prepend(m: int, suffix: tuple) -> tuple:
     if m + b == 0:
         out += ((rest, -2 if m % 2 else 2),)
     return out
-
-
-def _store(children: dict, key, e: int, state: dict):
-    """Store `state`, the fold after the row `key`, under `children` and
-    return the new node's children.  None when it is not stored (it is
-    over the cap, or the memo was full and has just been dropped), so that
-    nothing deeper is stored either."""
-    terms = sum(map(len, state.values()))
-    if terms > PF_STATE_CAP:
-        return None
-    if _PF_MEMO.terms + terms > PF_MEMO_TERMS:
-        _PF_MEMO.clear()
-        return None
-    _PF_MEMO.terms += terms
-    node = children[key] = (e, state, {})
-    return node[2]
 
 
 # ---------------------------------------------------------------------------

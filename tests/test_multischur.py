@@ -23,14 +23,12 @@ from vexpf.multischur import (
     multischur_det,
     multischur_pf,
     multischur_pf_d,
-    p_family,
     pfaffian,
     r_family,
     r_rows,
 )
 from vexpf.schubert import formula_rows, top_class, vexillary_polynomial
-from vexpf.triples import enumerate_triples, triple_of_w
-from vexpf.weyl import longest_element
+from vexpf.triples import enumerate_triples
 
 
 def tvar(i):
@@ -507,14 +505,11 @@ class TestPackedFold:
 
     def test_exponent_overflow(self):
         # the entry Q_1 Q_0 = Q_1 of the two rows carries x1^200 x1^200
-        gamma._PF_MEMO.clear()
         rows = [{1: X1**200}, {0: X1**200}]
         for fold in (pf_rows, pf_rows_term_by_term):
             with pytest.raises(ExponentOverflow):
                 fold(rows)
-        # the last row's state was stored before the first row raised,
-        # and the next fold starts from it
-        assert list(gamma._PF_MEMO.root[2]) == [gamma._row_key(rows[-1])]
+        # a fold after one that raised is right
         assert pf_rows([{1: X1**200}, {0: X1**55}]) == GammaElement({(1,): X1**255})
 
     @pytest.mark.parametrize("wtype", ["C", "D"])
@@ -536,7 +531,6 @@ class TestPackedFold:
             return pf_rows(folded[-1])
 
         monkeypatch.setattr(multischur, "pf_rows", recording)
-        gamma._PF_MEMO.clear()
         top_class(4, wtype, d_zero)
         [rows] = folded
         assert len(rows) == (3 if wtype == "D" and not d_zero else 4)
@@ -547,7 +541,6 @@ class TestPackedFold:
         # odd r_family shapes, with and without a trailing 0: f passes a
         # suffix of either parity (the odd W_3 formulas are in
         # test_formula_rows[D])
-        gamma._PF_MEMO.clear()
         rows = fold_rows(lam, r_rows(lam), "D")
         assert pf_rows(rows) == pf_rows_term_by_term(rows)
 
@@ -565,81 +558,27 @@ class TestPackedFold:
         fma = gamma._fma
         monkeypatch.setattr(gamma, "_fma", counting)
         for n, wtype, bound in [(4, "C", 1000), (5, "C", 50000), (5, "D", 100000)]:
-            gamma._PF_MEMO.clear()
             products[0] = 0
             top_class(n, wtype)
             assert 0 < products[0] <= bound, (n, wtype)
 
-
-# ---------------------------------------------------------------------------
-# the fold memo of pf_rows
-# ---------------------------------------------------------------------------
-
-
-def memo_nodes(node=None):
-    """Every stored node (e, state, children) of the fold memo."""
-    node = node or gamma._PF_MEMO.root
-    for child in node[2].values():
-        yield child
-        yield from memo_nodes(child)
-
-
-def memo_depth(rows) -> int:
-    """How many last rows of `rows` the fold memo holds, from the last up."""
-    node, depth = gamma._PF_MEMO.root, 0
-    for row in reversed(rows):
-        node = node[2].get(gamma._row_key(row))
-        if node is None:
-            break
-        depth += 1
-    return depth
-
-
-class TestPrefixMemo:
-    @settings(deadline=None, max_examples=60)
-    @given(row_lists(), st.lists(row_lists(), min_size=1, max_size=3), st.randoms(use_true_random=False))
-    def test_shared_prefixes(self, base, tails, rnd):
-        # a base list and its extensions in drawn order, then the base again
-        gamma._PF_MEMO.clear()
-        lists = [base] + [base + tail for tail in tails]
-        rnd.shuffle(lists)
-        for rows in lists + [base]:
-            assert pf_rows(rows) == pf_rows_term_by_term(rows)
-
-    def test_full_hit_copies_before_merging(self):
+    def test_folds_share_no_maps(self):
+        # two folds of the same rows are right and own their packed maps;
         # r_family's last state holds (v, f) pairs that merge into one Q_v
-        gamma._PF_MEMO.clear()
-        lam = (4, 3)
-        rows = fold_rows(lam, r_rows(lam), "D")
-        first = r_family(lam)
-        assert memo_depth(rows) == 2
-        before = [{pair: dict(p) for pair, p in node[1].items()} for node in memo_nodes()]
-        second = r_family(lam)
-        after = [{pair: dict(p) for pair, p in node[1].items()} for node in memo_nodes()]
-        assert before == after
-        assert first == second == pf_rows_term_by_term(rows).halve(2)
-
-    @pytest.mark.parametrize("bound", [100, None], ids=["small", "default"])
-    def test_stored_terms_stay_bounded(self, bound, monkeypatch):
-        # the families over every shape with parts <= 4, as perfbench folds them
-        bound = bound or gamma.PF_MEMO_TERMS
-        monkeypatch.setattr(gamma, "PF_MEMO_TERMS", bound)
-        gamma._PF_MEMO.clear()
-        drops, last = 0, 0
-        for size in range(1, 6):
-            for lam in itertools.combinations(range(4, -1, -1), size):
-                r_family(lam)
-                p_family(tuple(m + 1 for m in lam))
-                sizes = [sum(map(len, node[1].values())) for node in memo_nodes()]
-                assert gamma._PF_MEMO.terms == sum(sizes) <= bound
-                assert max(sizes, default=0) <= gamma.PF_STATE_CAP
-                drops += gamma._PF_MEMO.terms < last
-                last = gamma._PF_MEMO.terms
-        assert drops if bound == 100 else last
+        rows = [{3: X1, 1: Polynomial.const(1)}, {2: Polynomial.const(1)}]
+        paired = fold_rows((2, 1), r_rows((2, 1)), "D")
+        for fold, expect in [
+            (lambda: pf_rows(rows), pf_rows_term_by_term(rows)),
+            (lambda: r_family((2, 1)), pf_rows_term_by_term(paired).halve(2)),
+        ]:
+            first, second = fold(), fold()
+            assert first == second == expect
+            assert not {id(c.packed) for c in first.combo.values()} & {
+                id(c.packed) for c in second.combo.values()
+            }
 
     def test_folds_leave_no_reference_cycles(self):
         # a fold's states are freed at return, not by the collector
-        gamma._PF_MEMO.clear()
         enabled = gc.isenabled()
         gc.disable()
         try:
@@ -669,21 +608,6 @@ class TestPrefixMemo:
             if enabled:
                 gc.enable()
 
-    @pytest.mark.parametrize("wtype", ["C", "D"])
-    def test_top_class_keeps_only_small_states(self, wtype, monkeypatch):
-        # W_4's top-class fold ends in hundreds of terms: with room for all
-        # of them, a state over the cap is still not stored, nor any after it
-        monkeypatch.setattr(gamma, "PF_MEMO_TERMS", 10**6)
-        gamma._PF_MEMO.clear()
-        t = triple_of_w(longest_element(4, wtype), wtype)
-        rows = fold_rows(*formula_rows(t, wtype), wtype)
-        first = pf_rows(rows)
-        sizes = [sum(map(len, node[1].values())) for node in memo_nodes()]
-        assert gamma._PF_MEMO.terms == sum(sizes)
-        assert max(sizes, default=0) <= gamma.PF_STATE_CAP
-        assert memo_depth(rows) == len(sizes) < len(rows)
-        assert pf_rows(rows) == first == pf_rows_term_by_term(rows)
-
 
 # ---------------------------------------------------------------------------
 # the tables that every fold of a process shares
@@ -708,11 +632,9 @@ class TestSharedTables:
                     assert dict(got) == prepend_by_recursion(memo, m, suffix), (m, suffix)
                     assert len(dict(got)) == len(got)
 
-    def test_shared_row_maps_stay_read_only(self, monkeypatch):
-        # the cached series are shared by every fold: with no state stored,
-        # each fold multiplies in every row, and none may write into them
-        monkeypatch.setattr(gamma, "PF_STATE_CAP", 0)
-        gamma._PF_MEMO.clear()
+    def test_shared_row_maps_stay_read_only(self):
+        # the cached series are shared by every fold: each fold multiplies
+        # in every row, and none may write into them
         triples = [(t, wtype) for wtype in ("C", "D") for t in enumerate_triples(wtype, 3)]
         folds = [lambda: r_family((1,))] + [lambda t=t: vexillary_polynomial(t) for t, _ in triples]
         expect = []
