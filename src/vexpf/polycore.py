@@ -6,8 +6,8 @@ holds plain int coefficients and one shared exponent e >= 0, and its
 value is packed / 2^e.  It is normalized when built: e == 0, or some
 coefficient is odd, so equal polynomials have equal (e, packed).  A
 product needs no normalizing pass: by Gauss's lemma over F_2, if each
-factor has an odd coefficient so does the product.  Sums, swap
-differences, the term filters, renamings that merge terms and
+factor has an odd coefficient so does the product.  Sums, swap and
+divided differences, the term filters, renamings that merge terms and
 `exact_divide` renormalize.
 `dyadic` is the one gate where a value enters (the constructors), and
 `exact_divide` and `series_inverse` raise NotDivisible for a quotient
@@ -48,17 +48,20 @@ most significant; it is a monomial order (m < m' gives m + n < m' + n),
 which is all `exact_divide` needs.  Nothing printed depends on it:
 `graded_terms` orders decoded terms by the variables themselves.
 
-The numerator f - s_i f of a divided difference is one pass,
-`Polynomial.swap_difference`: a swap of two variables permutes two
-fields, so each term's image is read off its biased fields, a term the
-swap fixes cancels, and no renamed copy is built or subtracted.  Such a
-numerator is alternating in the two variables, and `exact_divide`
-writes its quotient by x_i - x_{i+1} as geometric sums in one more
-linear pass, with no heap: (v^a w^b - v^b w^a) / (v - w) is
-v^b w^b (v^(a-b-1) + v^(a-b-2) w + ... + w^(a-b-1)).  The
-one other ring map, `Polynomial.substitute`, is a signed renaming of
-variables (generator 0's x_1 -> -x_1, and x <-> y): each term moves by
-int additions on its fields, and no image is multiplied in.
+A swap of two variables permutes two fields, so each term's image is
+read off its biased fields, and no renamed copy is built or subtracted.
+The divided difference (f - s_i f)/(x_i - x_{i+1}) of the signed types
+is one pass, `Polynomial.divided_difference`: each pair of terms
+swapped into each other is read once, and their difference goes
+straight to its quotient as a geometric sum,
+(v^a w^b - v^b w^a) / (v - w) = v^b w^b (v^(a-b-1) + v^(a-b-2) w + ...
++ w^(a-b-1)).  Type A still takes two passes, only because perfbench's
+type-A descent test counts its divisions: `Polynomial.swap_difference`
+builds the numerator f - s_i f, and `exact_divide` writes the same
+geometric sums from it, with no heap.  The one other ring map,
+`Polynomial.substitute`, is a signed renaming of variables (generator
+0's x_1 -> -x_1, and x <-> y): each term moves by int additions on its
+fields, and no image is multiplied in.
 
 `Polynomial.packed` is the map {packed monomial: int coefficient} every
 computation reads, over 2^`Polynomial.e`.  `Polynomial.terms` decodes it
@@ -607,6 +610,62 @@ class Polynomial:
         # a cancellation can leave every coefficient even
         return Polynomial.from_packed(out, self.e)
 
+    def divided_difference(self, v, w) -> "Polynomial":
+        """(self - self|v<->w) / (v - w) in one pass over the terms, the
+        numerator never built.
+
+        The numerator is alternating: a term v^a w^b R (a > b) with
+        coefficient c and its partner v^b w^a R with c' give
+        (c - c')(v^a w^b - v^b w^a) R, whose quotient is the run
+        (c - c') R v^b w^b h_(a-b-1)(v, w), where
+        h_k(v, w) = v^k + v^(k-1) w + ... + w^k: a - b monomials, each one
+        swap step from the last.  So a term with a > b reads its partner
+        once and writes that run unless c == c'; a term with a < b writes
+        only when it has no partner, the run of its swapped monomial with
+        coefficient -c; a term with a == b is fixed by the swap and
+        cancels.  The rule holds for negative exponents too (a Laurent
+        dividend).  Every exponent of v and w in a run lies between b and
+        a - 1, and the other fields are the term's own, so every exponent
+        is in range and needs no `_check`; the degree falls by one, which
+        leaves its range only from the bottom edge, tested per run.
+        """
+        u = _unit(v)
+        delta = _unit(w) - u
+        sv, sw = _SHIFT[v], _SHIFT[w]
+        low, fmask = _LOW, _FMASK
+        packed = self.packed
+        get = packed.get
+        q = {}
+        qget = q.get
+        for m, c in packed.items():
+            x = m + low
+            k = ((x >> sv) & fmask) - ((x >> sw) & fmask)  # a - b
+            if k > 0:
+                c -= get(m + k * delta, 0)
+                if not c:
+                    continue
+            elif k < 0:
+                m += k * delta  # the swapped monomial, of the same degree
+                if m in packed:
+                    continue
+                k = -k
+                c = -c
+            else:
+                continue
+            if not x & _DMASK:  # degree -_DHALF: the run would leave the range
+                raise _overflow()
+            m -= u  # the first monomial of the run, v^(a-1) w^b R
+            if k == 1:
+                q[m] = qget(m, 0) + c
+                continue
+            for _ in range(k):
+                q[m] = qget(m, 0) + c
+                m += delta
+        if not all(q.values()):
+            q = {m: c for m, c in q.items() if c}
+        # a cancellation can leave every coefficient even
+        return Polynomial.from_packed(q, self.e)
+
     def variables(self):
         low = _LOW
         acc = 0
@@ -689,10 +748,11 @@ def exact_divide(p: Polynomial, d: Polynomial) -> Polynomial:
 
     A divisor +-(v - w), v and w single variables with unit coefficients,
     and a dividend alternating in v and w with no negative exponent in
-    either (such as every divided-difference numerator f - s_i f) take
-    `_alternating_quotient`: one linear pass that writes the quotient as
-    geometric sums, with one dict update per quotient term it adds.  Such
-    a dividend is always divisible.
+    either (such as the type-A divided-difference numerators f - s_i f;
+    the signed types build no numerator, `Polynomial.divided_difference`)
+    take `_alternating_quotient`: one linear pass that writes the quotient
+    as geometric sums, with one dict update per quotient term it adds.
+    Such a dividend is always divisible.
 
     Every other division is leading-term cancellation in the int order
     of packed monomials.  In the program it serves only the type-D

@@ -531,6 +531,64 @@ def test_exact_divide_by_a_difference_of_variables_otherwise():
     assert exact_divide(v ** 2 - w ** 2, Fraction(1, 2) * (v - w)) == 2 * (v + w)
 
 
+# -- divided_difference: (p - p|v<->w)/(v - w) in one pass --------------------
+
+
+@given(ref_polynomials(coeffs=st.one_of(_REF_COEFFS, _DYADIC_COEFFS)),
+       st.sampled_from(_DIVISOR_PAIRS))
+@example({((("x", 1), 3), (("y", 1), 1)): Fraction(3, 8), ((("x", 2), 2),): 5},
+         (("x", 1), ("x", 2)))
+def test_divided_difference_matches_the_division(f, pair):
+    v, w = pair
+    p = Polynomial(f)
+    got = p.divided_difference(v, w)
+    assert got == exact_divide(p.swap_difference(v, w),
+                               Polynomial.variable(*v) - Polynomial.variable(*w))
+    assert_normalized(got)
+
+
+@given(edge_polynomials())
+@example((power("h", 1, -256) * power("h", 2, 255) - X(1), ("h", 1), ("h", 2)))
+@example((power("h", 1, -1) - power("h", 2, -1), ("h", 1), ("h", 2)))
+def test_divided_difference_of_laurent_polynomials(case):
+    # a negative exponent of v or w sends `exact_divide` to its heap loop,
+    # which may give up; the geometric sums still hold
+    p, v, w = case
+    got = p.divided_difference(v, w)
+    assert got * (Polynomial.variable(*v) - Polynomial.variable(*w)) == p.swap_difference(v, w)
+    assert_normalized(got)
+
+
+def test_divided_difference_with_a_variable_never_interned():
+    # ("z", 95) and ("z", 96) appear in no other test
+    fresh, other = ("z", 95), ("z", 96)
+    assert fresh not in polycore._UNIT and other not in polycore._UNIT
+    p = X(1) ** 2 * Y(1) - 3 * X(2) + Polynomial.const(Fraction(5, 8))
+    assert p.divided_difference(fresh, other) == Polynomial()
+    # one of the two never seen: x1^2 y1 - z^2 y1 over x1 - z
+    got = p.divided_difference(("x", 1), fresh)
+    assert got == (X(1) + Polynomial.variable(*fresh)) * Y(1)
+
+
+@given(edge_polynomials())
+def test_divided_difference_of_a_symmetric_polynomial(case):
+    q, v, w = case
+    p = q + q.substitute({v: Polynomial.variable(*w), w: Polynomial.variable(*v)})
+    assert p.divided_difference(v, w) == Polynomial()
+
+
+def test_divided_difference_at_the_field_edges():
+    h1, h2 = power("h", 1, 1), power("h", 2, 1)
+    p = power("h", 1, 255) * power("h", 2, -256) * Polynomial.const(Fraction(3, 64))
+    for v, w, sign in ((("h", 1), ("h", 2), 1), (("h", 2), ("h", 1), -1)):
+        got = p.divided_difference(v, w)
+        # the run h1^j h2^(254 - j) / (h1 h2)^256, j = 0 .. 510
+        assert got == Polynomial({((("h", 1), j - 256), (("h", 2), 254 - j)): sign * Fraction(3, 64)
+                                  for j in range(511)})
+        assert len(got.packed) == 511
+        assert got * (h1 - h2) == sign * p.swap_difference(("h", 1), ("h", 2))
+
+
 class TestOracle:
     """The packed kernel against the tuple-monomial reference."""
 
@@ -784,3 +842,21 @@ class TestOverflow:
         run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                              env={"PYTHONPATH": str(SRC)}, check=True)
         assert run.stdout.split() == ["product", "constructor"]
+
+    def test_divided_difference_degree_field(self):
+        # degree -16384, the bottom of its range, with every exponent in
+        # range: each quotient monomial would have degree -16385, whether
+        # the term has a > b or a < b
+        script = (
+            "from vexpf.polycore import Polynomial, ExponentOverflow\n"
+            "rest = tuple((('h', i), -256) for i in range(3, 65)) + ((('h', 65), -1),)\n"
+            "for a, b in ((-255, -256), (-256, -255)):\n"
+            "    p = Polynomial({((('h', 1), a), (('h', 2), b)) + rest: 1})\n"
+            "    try:\n"
+            "        p.divided_difference(('h', 1), ('h', 2))\n"
+            "    except ExponentOverflow:\n"
+            "        print('overflow')\n"
+        )
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env={"PYTHONPATH": str(SRC)}, check=True)
+        assert run.stdout.split() == ["overflow", "overflow"]

@@ -348,6 +348,29 @@ class TestNewtonOracle:
         assert got.combo == {lam: c for lam, c in expect.items() if c}
 
 
+class TestSignedOnePass:
+    """Signed steps i >= 1, and the partial_1 inside type D's generator 0,
+    write each quotient in one pass: no numerator, no division."""
+
+    @pytest.mark.parametrize("wtype", ["B", "C", "D"])
+    def test_makes_no_numerator_or_division(self, wtype, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a signed step built a numerator or divided")
+
+        top = top_class(4, wtype)
+
+        def by_newton(i, f):
+            return GammaElement({lam: newton(i, c) for lam, c in f.combo.items()})
+
+        expect = {i: by_newton(i, top) for i in (1, 2, 3)}
+        if wtype == "D":
+            expect[0] = apply_symmetry(by_newton(1, apply_symmetry(top)))
+        monkeypatch.setattr(schubert_module, "exact_divide", refuse)
+        monkeypatch.setattr(Polynomial, "swap_difference", refuse)
+        for i, want in expect.items():
+            assert divided_difference(i, top, wtype) == want, i
+
+
 class TestTopClasses:
     def test_type_a(self):
         assert top_class(2, "A") == x(1) - y(1)
