@@ -585,7 +585,6 @@ def test_divided_difference_at_the_field_edges():
         # the run h1^j h2^(254 - j) / (h1 h2)^256, j = 0 .. 510
         assert got == Polynomial({((("h", 1), j - 256), (("h", 2), 254 - j)): sign * Fraction(3, 64)
                                   for j in range(511)})
-        assert len(got.packed) == 511
         assert got * (h1 - h2) == sign * p.swap_difference(("h", 1), ("h", 2))
 
 
