@@ -126,7 +126,7 @@ MAX_CLASS_SIZE = {"A": 7, "B": 6, "C": 6, "D": 6}
 
 # The largest --n each `verify` suite takes; the other suites refuse --n.
 # On the same machine each suite at its bound took at most 90 s and
-# 1.2 GB (census 27 s and 18 MB, b-scaling 71 s and 1.2 GB, inverse-swap 85 s,
+# 1.2 GB (census 14 s and 20 MB, b-scaling 71 s and 1.2 GB, inverse-swap 85 s,
 # identity-2-3 48 s), while stability --n 5 passed 2.8 GB in 150 s and
 # type-a --n 7 and identity-2-3 --n 9 ran past 90 s.
 MAX_VERIFY_N = {"census": 7, "theorem-equivalence": 5, "stability": 4, "b-scaling": 5,
@@ -243,14 +243,18 @@ def _vexillary_count(wtype, n):
     return vex, total
 
 
+# The census's counts at every n it takes: (vexillary, all) in type C, then in type D
+CENSUS_COUNTS = {1: (2, 2, 1, 1), 2: (7, 8, 3, 4), 3: (33, 48, 18, 24), 4: (183, 384, 87, 192),
+                 5: (1118, 3840, 575, 1920), 6: (7281, 46080, 3573, 23040),
+                 7: (49626, 645120, 25137, 322560)}
+
+
 def suite_census(args, report):
     n = 3 if args.n is None else args.n
     c_vex, c_all = _vexillary_count("C", n)
     d_vex, d_all = _vexillary_count("D", n)
     report.append(f"C: {c_vex}/{c_all} vexillary, D: {d_vex}/{d_all}")
-    if n == 3:
-        return (c_vex, c_all, d_vex, d_all) == (33, 48, 18, 24)
-    return True
+    return (c_vex, c_all, d_vex, d_all) == CENSUS_COUNTS[n]
 
 
 def _formula_mismatches(wtype, n):

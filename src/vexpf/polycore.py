@@ -703,7 +703,8 @@ def _alternating_quotient(p: Polynomial, v: int, w: int):
     of those divided by v - w is c R v^b w^b h_(a-b-1)(v, w), where
     h_k(v, w) = v^k + v^(k-1) w + ... + w^k: a run of a - b monomials,
     each one swap step from the last.  Every exponent lies between b and
-    a - 1, so every quotient monomial is in range.
+    a - 1, so every quotient monomial is in range; the degree falls by
+    one, which leaves its range only from the bottom edge, tested per run.
     """
     sv, sw = _SHIFT[_TARGETS[v]], _SHIFT[_TARGETS[w]]
     delta = w - v
@@ -721,6 +722,8 @@ def _alternating_quotient(p: Polynomial, v: int, w: int):
             # b < 0 (a Laurent dividend takes the heap), or no partner -c
             if bw < _HALF or get(m + k * delta) != -c:
                 return None
+            if not x & _DMASK:  # degree -_DHALF: the run would leave the range
+                raise _overflow()
             runs += 1
             m -= v  # the first monomial of the run, v^(a-1) w^b R
             if k == 1:

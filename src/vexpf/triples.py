@@ -17,8 +17,10 @@ rank #{a >= p : w(a) <= -q}, which is type A's #{a > p' : w(a) <= q'} at
 (p', q') = (p - 1, -q), and its gap condition is type A's
 l_i > l_{i+1}.  Internally every step is read in these coordinates
 (`_steps`; a type-D triple as the type-C triple plus_map(t)), so one
-slack rule, one insertion, one rank and one corner reader serve every
-type, and `Triple` keeps the paper's coordinates.
+slack rule (`_classify`), one insertion (`_insert`), one rank and one
+corner reader (`_corners`) serve every type, in detection and insertion
+alike, and `Triple` keeps the paper's coordinates.  Detection reads a
+type-D element's corners as type C's, and moves the triple by minus_map.
 """
 
 from __future__ import annotations
@@ -51,10 +53,7 @@ class Triple:
     __slots__ = ("k", "p", "q", "wtype")
 
     def __init__(self, k, p, q, wtype):
-        object.__setattr__(self, "k", tuple(k))
-        object.__setattr__(self, "p", tuple(p))
-        object.__setattr__(self, "q", tuple(q))
-        object.__setattr__(self, "wtype", _norm_type(wtype))
+        _fill(self, tuple(k), tuple(p), tuple(q), _norm_type(wtype))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Triple is immutable: cannot set {name}")
@@ -80,6 +79,14 @@ class Triple:
     def __repr__(self):
         fmt = lambda xs: ",".join(map(str, xs))
         return f"k={fmt(self.k)};p={fmt(self.p)};q={fmt(self.q)};type={self.wtype}"
+
+
+def _fill(t: Triple, k: tuple, p: tuple, q: tuple, wtype: str) -> Triple:
+    """Set t's fields to tuples and a normalized type, with no copy and no
+    check; detection builds its triples as _fill(object.__new__(Triple), ...)."""
+    for name, value in zip(Triple.__slots__, (k, p, q, wtype)):
+        object.__setattr__(t, name, value)
+    return t
 
 
 def validate(t: Triple) -> str:
@@ -110,23 +117,18 @@ def _steps(t: Triple) -> list:
 def _classify(steps: list) -> str:
     """"strict", "redundant" or "invalid" from the shape of the steps: k
     strictly increasing, p weakly decreasing, q weakly increasing, and
-    every slack positive (strict) or non-negative (redundant)."""
+    every slack l_i - l_{i+1}, with l_i = p_i - q_i + k_i, positive
+    (strict) or non-negative (redundant)."""
+    status = "strict"
     for (k1, p1, q1), (k2, p2, q2) in zip(steps, steps[1:]):
         if k1 >= k2 or p1 < p2 or q1 > q2:
             return "invalid"
-    gaps = _gaps(steps)
-    if all(g > 0 for g in gaps):
-        return "strict"
-    if all(g >= 0 for g in gaps):
-        return "redundant"
-    return "invalid"
-
-
-def _gaps(steps: list) -> list:
-    """The slack l_i - l_{i+1} between consecutive steps, with
-    l_i = p_i - q_i + k_i; positive in a strict triple."""
-    ls = [p - q + k for k, p, q in steps]
-    return [a - b for a, b in zip(ls, ls[1:])]
+        gap = p1 - q1 + k1 - (p2 - q2 + k2)
+        if gap < 0:
+            return "invalid"
+        if not gap:
+            status = "redundant"
+    return status
 
 
 def type_a_l(t: Triple) -> tuple:
@@ -142,7 +144,8 @@ def reduce_redundant(t: Triple) -> Triple:
     if status == "invalid":
         raise InvalidTriple(str(t))
     while status == "redundant":
-        drop = _gaps(_steps(t)).index(0)
+        ls = [p - q + k for k, p, q in _steps(t)]
+        drop = next(i for i in range(t.s - 1) if ls[i] == ls[i + 1])  # the first zero slack
         t = Triple(*([x for i, x in enumerate(xs) if i != drop] for xs in (t.k, t.p, t.q)), t.wtype)
         status = validate(t)
     return t
@@ -204,26 +207,37 @@ def _insert(steps: list) -> tuple:
     unused, and place them in increasing order in the free positions > p:
     barred values in type C, where q < 0.  The values left over fill the
     free positions unbarred, in increasing order."""
-    placed = {}  # position -> value
-    used = set()  # absolute values placed
-    prev_k = 0
+    # positions stay below p + k_s + 1 and absolute values below |q| + k_s + 1:
+    # in strict steps p falls and q rises, so the ends hold the largest
+    size = steps[-1][0] + max(steps[0][1], -steps[0][2], steps[-1][2]) + 1
+    line = [0] * size  # line[a]: the value at position a, 0 while free
+    used = [False] * size  # used[|v|]
+    prev = 0
     for k, p, q in steps:
         vals = []
-        v = q
-        while len(vals) < k - prev_k:
-            if abs(v) not in used:
-                vals.append(v)
-            v -= 1
-        prev_k = k
-        pos = p + 1
-        for val in reversed(vals):
-            while pos in placed:
-                pos += 1
-            placed[pos] = val
-            used.add(abs(val))
-    n = max(max(placed), max(used))
-    remaining = iter(v for v in range(1, n + 1) if v not in used)
-    return tuple(placed.get(a) or next(remaining) for a in range(1, n + 1))
+        for _ in range(k - prev):
+            while used[abs(q)]:
+                q -= 1
+            used[abs(q)] = True
+            vals.append(q)
+            q -= 1
+        prev = k
+        for v in reversed(vals):
+            p += 1
+            while line[p]:
+                p += 1
+            line[p] = v
+    n = size - 1
+    while not (line[n] or used[n]):
+        n -= 1
+    v = 1
+    for a in range(1, n + 1):
+        if not line[a]:
+            while used[v]:
+                v += 1
+            line[a] = v
+            v += 1
+    return tuple(line[1:n + 1])
 
 
 def _rank(values: tuple, p: int, q: int) -> int:
@@ -241,25 +255,25 @@ def _rank(values: tuple, p: int, q: int) -> int:
 def triple_of_w(w: SignedPermutation, wtype: str):
     """The unique strict triple t with w_of_triple(t) = w, or None if w is
     not vexillary.  The candidate steps are read off the corners (the
-    essential set) of w's rank function and round-trip checked, so a
-    non-vexillary w never passes.  Candidate steps that are not strict
-    are refused: the corners of a vexillary w give its strict triple,
-    never a redundant one.  Every corner meets validate's bounds, so only
-    the shape of the steps is checked."""
+    essential set) of w's rank function and round-trip checked: they must
+    be strict (a vexillary w's corners are never redundant), and their
+    insertion must be w.values padded by fixed points, so a non-vexillary
+    w never passes.  Every corner meets validate's bounds, so only the
+    shape of the steps is checked.  Type D reads type C's steps and
+    returns minus_map of type C's triple."""
     wtype = _norm_type(wtype)
     if wtype == "A" and not w.is_unsigned():
         raise WrongType("type A wants an unsigned permutation")
-    if wtype == "D":
-        tc = triple_of_w(w, "C")
-        return None if tc is None else minus_map(tc)
     values = w.values
     steps = sorted(_corners(values, wtype))
     if _classify(steps) != "strict" or not _same_element(_insert(steps) if steps else (), values):
         return None
     k, p, q = zip(*steps) if steps else ((), (), ())
     if wtype == "C":
-        p, q = [x + 1 for x in p], [-x for x in q]
-    return Triple(k, p, q, wtype)
+        p, q = tuple([x + 1 for x in p]), tuple([-x for x in q])
+    elif wtype == "D":  # minus_map of the type-C triple (k, p + 1, -q)
+        q = tuple([-x - 1 for x in q])
+    return _fill(object.__new__(Triple), k, p, q, wtype)
 
 
 def _same_element(u: tuple, v: tuple) -> bool:
@@ -268,16 +282,17 @@ def _same_element(u: tuple, v: tuple) -> bool:
     if len(u) < len(v):
         u, v = v, u
     m = len(v)
-    return u[:m] == v and all(x == a for a, x in enumerate(u[m:], start=m + 1))
+    return u[:m] == v and u[m:] == tuple(range(m + 1, len(u) + 1))
 
 
 def _corners(values: tuple, wtype: str):
     """The steps (k, p, q) at the corners of r(p, q) = #{a > p : w(a) <= q}:
     r drops from (p, q) to (p + 1, q) (w(p + 1) <= q) and to (p, q - 1)
     (q sits after p), and is the same at (p - 1, q) (w(p) > q) and at
-    (p, q + 1) (q + 1 sits at or before p, or is no value of w).  Type C
-    reads only q < 0.  The corners with k = max(0, q - p), which every
-    permutation has, are left out; a type-C corner is never one."""
+    (p, q + 1) (q + 1 sits at or before p, or is no value of w).  Types C
+    and D read only q < 0.  The corners with k = max(0, q - p), which
+    every permutation has, are left out: k counts q itself, so k >= 1, and
+    a type-C corner is never one."""
     n = len(values)
     at = [0] * (2 * n + 2)  # at[v]: the position of v, 0 if v is no value; v < 0 counts from the end
     for a, v in enumerate(values, start=1):
@@ -286,10 +301,13 @@ def _corners(values: tuple, wtype: str):
     corners = []
     before = n + 1  # w(p); at p = 0 no q is refused
     for p, v in enumerate(values):
-        for q in range(v, min(before, cap)):
-            if at[q] > p and at[q + 1] <= p:
-                k = _rank(values, p, q)
-                if k > max(0, q - p):
+        for q in range(v, before if before < cap else cap):
+            if at[q] > p >= at[q + 1]:
+                k = 0
+                for x in values[p:]:
+                    if x <= q:
+                        k += 1
+                if k > q - p:
                     corners.append((k, p, q))
         before = v
     return corners

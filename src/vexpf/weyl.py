@@ -23,6 +23,11 @@ class SizeMismatch(ValueError):
 
 
 class SignedPermutation:
+    """A signed permutation.  The constructor and `parse` check that the
+    values are one, and `all_elements` builds through the constructor.
+    The other operations map signed permutations to signed permutations,
+    so they build through `_of`, which checks nothing."""
+
     __slots__ = ("values",)
 
     def __init__(self, values):
@@ -32,8 +37,14 @@ class SignedPermutation:
         self.values = values
 
     @staticmethod
+    def _of(values: tuple) -> "SignedPermutation":
+        w = object.__new__(SignedPermutation)
+        w.values = values
+        return w
+
+    @staticmethod
     def identity(n: int) -> "SignedPermutation":
-        return SignedPermutation(range(1, n + 1))
+        return SignedPermutation._of(tuple(range(1, n + 1)))
 
     @staticmethod
     def parse(text: str) -> "SignedPermutation":
@@ -70,7 +81,7 @@ class SignedPermutation:
         """(w * v)(i) = w(v(i))."""
         if self.n != other.n:
             raise SizeMismatch(f"{self.n} vs {other.n}")
-        return SignedPermutation(self(v) for v in other.values)
+        return SignedPermutation._of(tuple([self(v) for v in other.values]))
 
     def inverse(self) -> "SignedPermutation":
         out = [0] * self.n
@@ -79,12 +90,12 @@ class SignedPermutation:
                 out[v - 1] = a
             else:
                 out[-v - 1] = -a
-        return SignedPermutation(out)
+        return SignedPermutation._of(tuple(out))
 
     def embed(self, m: int) -> "SignedPermutation":
         if m < self.n:
             raise SizeMismatch(f"cannot shrink W_{self.n} element to W_{m}")
-        return SignedPermutation(self.values + tuple(range(self.n + 1, m + 1)))
+        return SignedPermutation._of(self.values + tuple(range(self.n + 1, m + 1)))
 
     def num_barred(self) -> int:
         return sum(1 for v in self.values if v < 0)
@@ -108,7 +119,7 @@ class SignedPermutation:
             if i >= self.n:
                 raise SizeMismatch(f"s_{i} needs n > {i}")
             vals[i - 1], vals[i] = vals[i], vals[i - 1]
-        return SignedPermutation(vals)
+        return SignedPermutation._of(tuple(vals))
 
 
 def length(w: SignedPermutation, wtype: str) -> int:
@@ -175,17 +186,17 @@ def reduced_word(w: SignedPermutation, wtype: str):
 
 def longest_element(n: int, wtype: str) -> SignedPermutation:
     if wtype in ("B", "C"):
-        return SignedPermutation(-i for i in range(1, n + 1))
+        return SignedPermutation._of(tuple(range(-1, -n - 1, -1)))
     if wtype == "A":
-        return SignedPermutation(range(n, 0, -1))
+        return SignedPermutation._of(tuple(range(n, 0, -1)))
     if wtype == "D":
         if n < 2:
             raise ValueError("type D wants n >= 2")
         if n % 2 == 0:
-            return SignedPermutation(-i for i in range(1, n + 1))
+            return SignedPermutation._of(tuple(range(-1, -n - 1, -1)))
         # -identity has an odd number of bars when n is odd; keep the
         # first value positive instead
-        return SignedPermutation([1] + [-i for i in range(2, n + 1)])
+        return SignedPermutation._of((1,) + tuple(range(-2, -n - 1, -1)))
     raise ValueError(f"unknown type {wtype}")
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vexpf.polycore import Polynomial
+from vexpf.weyl import SignedPermutation
 from vexpf.gamma import GammaElement
 import vexpf
 from vexpf import cli
@@ -366,6 +367,15 @@ class TestVerify:
         code, out = run(capsys, "verify", "census", "--n", "3")
         assert code == 0
         assert "C: 33/48 vexillary, D: 18/24" in out
+
+    def test_census_checks_its_counts_past_n_3(self, capsys, monkeypatch):
+        # a detector that misses the longest element of W_4 (types C and D
+        # alike, n even) must fail the census at n = 4
+        real = cli.triple_of_w
+        longest = SignedPermutation([-1, -2, -3, -4])
+        monkeypatch.setattr(cli, "triple_of_w", lambda w, wtype: None if w == longest else real(w, wtype))
+        code, out = run(capsys, "verify", "census", "--n", "4")
+        assert (code, out) == (1, "C: 182/384 vexillary, D: 86/192\ncensus: FAIL\n")
 
     def test_theorem_equivalence_small(self, capsys):
         code, out = run(capsys, "verify", "theorem-equivalence", "--type", "C", "--n", "2")

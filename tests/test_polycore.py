@@ -859,3 +859,22 @@ class TestOverflow:
         run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                              env={"PYTHONPATH": str(SRC)}, check=True)
         assert run.stdout.split() == ["overflow", "overflow"]
+
+    def test_exact_divide_degree_field(self):
+        # p = (x1 - x2) R has degree -16384 and every exponent in range, but
+        # R, of degree -16385, does not fit: the alternating path must
+        # raise as the kernel does, not wrap to degree 49151
+        script = (
+            "from vexpf.polycore import Polynomial, ExponentOverflow, exact_divide\n"
+            "rest = tuple((('h', i), -256) for i in range(3, 67)) + ((('h', 67), -1),)\n"
+            "p = Polynomial({((('x', 1), 1),) + rest: 1, ((('x', 2), 1),) + rest: -1})\n"
+            "d = Polynomial({((('x', 1), 1),): 1, ((('x', 2), 1),): -1})\n"
+            "for divide in (lambda: exact_divide(p, d), lambda: p.divided_difference(('x', 1), ('x', 2))):\n"
+            "    try:\n"
+            "        print(divide().degree())\n"
+            "    except ExponentOverflow:\n"
+            "        print('overflow')\n"
+        )
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env={"PYTHONPATH": str(SRC)}, check=True)
+        assert run.stdout.split() == ["overflow", "overflow"]

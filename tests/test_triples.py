@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vexpf import triples
-from vexpf.weyl import SignedPermutation, all_elements, length
+from vexpf.weyl import SignedPermutation, all_elements, generators, length
 from vexpf.triples import (
     InvalidTriple,
     Triple,
@@ -358,6 +358,111 @@ class TestDirectDetection:
         for wtype, n in (("C", 4), ("D", 4), ("A", 5)):
             for w in all_elements(n, wtype):
                 triple_of_w(w, wtype)
+
+
+def _oracle_triple_of_w(w, wtype):
+    """The reference detector: the same corners, slack rule, insertion and
+    comparison as triple_of_w, written plainly (a rank generator per
+    corner, a dict and a set for the insertion), and type D through type
+    C's triple and minus_map."""
+    wtype = {"B": "C"}.get(wtype, wtype)
+    if wtype == "D":
+        tc = _oracle_triple_of_w(w, "C")
+        return None if tc is None else minus_map(tc)
+    values = w.values
+    steps = sorted(_oracle_corners(values, wtype))
+    if _oracle_classify(steps) != "strict" or not _oracle_same_element(
+        _oracle_insert(steps) if steps else (), values
+    ):
+        return None
+    k, p, q = zip(*steps) if steps else ((), (), ())
+    if wtype == "C":
+        p, q = [x + 1 for x in p], [-x for x in q]
+    return Triple(k, p, q, wtype)
+
+
+def _oracle_classify(steps):
+    for (k1, p1, q1), (k2, p2, q2) in zip(steps, steps[1:]):
+        if k1 >= k2 or p1 < p2 or q1 > q2:
+            return "invalid"
+    gaps = _oracle_gaps(steps)
+    if all(g > 0 for g in gaps):
+        return "strict"
+    if all(g >= 0 for g in gaps):
+        return "redundant"
+    return "invalid"
+
+
+def _oracle_gaps(steps):
+    ls = [p - q + k for k, p, q in steps]
+    return [a - b for a, b in zip(ls, ls[1:])]
+
+
+def _oracle_insert(steps):
+    placed = {}  # position -> value
+    used = set()  # absolute values placed
+    prev_k = 0
+    for k, p, q in steps:
+        vals = []
+        v = q
+        while len(vals) < k - prev_k:
+            if abs(v) not in used:
+                vals.append(v)
+            v -= 1
+        prev_k = k
+        pos = p + 1
+        for val in reversed(vals):
+            while pos in placed:
+                pos += 1
+            placed[pos] = val
+            used.add(abs(val))
+    n = max(max(placed), max(used))
+    remaining = iter(v for v in range(1, n + 1) if v not in used)
+    return tuple(placed.get(a) or next(remaining) for a in range(1, n + 1))
+
+
+def _oracle_same_element(u, v):
+    if len(u) < len(v):
+        u, v = v, u
+    m = len(v)
+    return u[:m] == v and all(x == a for a, x in enumerate(u[m:], start=m + 1))
+
+
+def _oracle_corners(values, wtype):
+    n = len(values)
+    at = [0] * (2 * n + 2)
+    for a, v in enumerate(values, start=1):
+        at[v] = a
+    cap = n + 1 if wtype == "A" else 0
+    corners = []
+    before = n + 1
+    for p, v in enumerate(values):
+        for q in range(v, min(before, cap)):
+            if at[q] > p and at[q + 1] <= p:
+                k = sum(1 for x in values[p:] if x <= q)
+                if k > max(0, q - p):
+                    corners.append((k, p, q))
+        before = v
+    return corners
+
+
+@st.composite
+def random_words(draw):
+    """An element of W_6 - W_8 (types B, C, D) or S_8, the product of a
+    random word in its generators."""
+    wtype, n = draw(st.sampled_from([(t, n) for t in "BCD" for n in (6, 7, 8)] + [("A", 8)]))
+    word = draw(st.lists(st.sampled_from(generators(n, wtype)), max_size=3 * n))
+    w = SignedPermutation.identity(n)
+    for g in word:
+        w = w.right_gen(g, wtype)
+    return w, wtype
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_words())
+def test_detection_matches_the_oracle_past_the_exhaustive_sizes(case):
+    w, wtype = case
+    assert triple_of_w(w, wtype) == _oracle_triple_of_w(w, wtype), (str(w), wtype)
 
 
 def dual(t: Triple) -> Triple:

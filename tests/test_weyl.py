@@ -47,6 +47,18 @@ class TestBasics:
         assert w * w.inverse() == SignedPermutation.identity(3)
         assert w.inverse() * w == SignedPermutation.identity(3)
 
+    @pytest.mark.parametrize("values", [(1, 1), (0,), (2,), (1, 3), (1, -1), (2, -2, 3)])
+    def test_invalid_tuples_raise(self, values):
+        with pytest.raises(ValueError, match="not a signed permutation"):
+            SignedPermutation(values)
+        with pytest.raises(ValueError, match="not a signed permutation"):
+            SignedPermutation.parse(" ".join(map(str, values)))
+
+    def test_all_elements_are_valid(self):
+        for wtype in ("A", "B", "C", "D"):
+            for n in range(5):
+                assert all(_passes_the_public_check(w) for w in all_elements(n, wtype))
+
     def test_mul_size_mismatch(self):
         with pytest.raises(SizeMismatch):
             SignedPermutation.identity(2) * SignedPermutation.identity(3)
@@ -156,3 +168,32 @@ def test_length_additivity_with_inverse(perm, bars):
     w = SignedPermutation(vals)
     for wtype in ("B", "C"):
         assert length(w, wtype) == length(w.inverse(), wtype)
+
+
+def _passes_the_public_check(w) -> bool:
+    return type(w.values) is tuple and SignedPermutation(w.values) == w
+
+
+@st.composite
+def signed_permutations(draw, max_n=7):
+    n = draw(st.integers(0, max_n))
+    perm = draw(st.permutations(range(1, n + 1)))
+    bars = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return SignedPermutation([-v if b else v for v, b in zip(perm, bars)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(signed_permutations(), signed_permutations(), st.integers(0, 3))
+def test_operations_build_valid_permutations(w, v, extra):
+    # the operations skip the public check; every result must pass it
+    n = w.n
+    results = [w.inverse(), w.embed(n + extra), w * w.inverse(), SignedPermutation.identity(n)]
+    if v.n == n:
+        results.append(w * v)
+    for wtype in ("A", "B", "C", "D"):
+        if wtype == "A" and not w.is_unsigned():
+            continue
+        if wtype != "D" or n >= 2:
+            results.append(longest_element(n, wtype))
+            results.extend(w.right_gen(g, wtype) for g in generators(n, wtype))
+    assert all(_passes_the_public_check(r) for r in results)
