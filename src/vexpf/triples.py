@@ -26,6 +26,7 @@ type-D element's corners as type C's, and moves the triple by minus_map.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 
 from .weyl import SignedPermutation
 
@@ -255,17 +256,17 @@ def _rank(values: tuple, p: int, q: int) -> int:
 def triple_of_w(w: SignedPermutation, wtype: str):
     """The unique strict triple t with w_of_triple(t) = w, or None if w is
     not vexillary.  The candidate steps are read off the corners (the
-    essential set) of w's rank function and round-trip checked: they must
-    be strict (a vexillary w's corners are never redundant), and their
-    insertion must be w.values padded by fixed points, so a non-vexillary
-    w never passes.  Every corner meets validate's bounds, so only the
+    essential set) of w's rank function and round-trip checked: in the
+    order `_corners` reads them they must be strict (a vexillary w's are),
+    and their insertion must be w.values padded by fixed points, so a
+    non-vexillary w never passes.  Every corner meets validate's bounds, so only the
     shape of the steps is checked.  Type D reads type C's steps and
     returns minus_map of type C's triple."""
     wtype = _norm_type(wtype)
     if wtype == "A" and not w.is_unsigned():
         raise WrongType("type A wants an unsigned permutation")
     values = w.values
-    steps = sorted(_corners(values, wtype))
+    steps = _corners(values, wtype)
     if _classify(steps) != "strict" or not _same_element(_insert(steps) if steps else (), values):
         return None
     k, p, q = zip(*steps) if steps else ((), (), ())
@@ -291,25 +292,26 @@ def _corners(values: tuple, wtype: str):
     (q sits after p), and is the same at (p - 1, q) (w(p) > q) and at
     (p, q + 1) (q + 1 sits at or before p, or is no value of w).  Types C
     and D read only q < 0.  The corners with k = max(0, q - p), which
-    every permutation has, are left out: k counts q itself, so k >= 1, and
-    a type-C corner is never one."""
+    every permutation has, are left out (k >= 1 at every corner); a
+    type-C corner is never one.  Row p keeps the values after p sorted,
+    and k is q's place among them.  Rows run from the last, and q up, the
+    order of a strict triple's steps: a vexillary w's come sorted by k."""
     n = len(values)
-    at = [0] * (2 * n + 2)  # at[v]: the position of v, 0 if v is no value; v < 0 counts from the end
-    for a, v in enumerate(values, start=1):
-        at[v] = a
     cap = n + 1 if wtype == "A" else 0
     corners = []
-    before = n + 1  # w(p); at p = 0 no q is refused
-    for p, v in enumerate(values):
-        for q in range(v, before if before < cap else cap):
-            if at[q] > p >= at[q + 1]:
-                k = 0
-                for x in values[p:]:
-                    if x <= q:
-                        k += 1
-                if k > q - p:
-                    corners.append((k, p, q))
-        before = v
+    after = [n + 2]  # values[p:], sorted, and a bound above every q
+    for p in range(n - 1, -1, -1):
+        q = values[p]
+        j = bisect_left(after, q)
+        after.insert(j, q)
+        top = values[p - 1] if p else n + 1  # w(p); at p = 0 no q is refused
+        if top > cap:
+            top = cap
+        while q < top:
+            j += 1  # r(p, q)
+            if after[j] != q + 1 and j > q - p:
+                corners.append((j, p, q))
+            q = after[j]
     return corners
 
 

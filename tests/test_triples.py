@@ -324,8 +324,7 @@ class TestDirectDetection:
     )
     def test_corners_match_cell_by_cell(self, wtype, n):
         # the corner steps, mapped back to each type's own coordinates and
-        # sorted, as detection sorts them (type C's q loop runs from -q = w(p)
-        # up, so its corners come in the reverse order of q)
+        # sorted: the oracles read the cells in another order
         oracle = {"C": _corners_c_oracle, "A": _corners_a_oracle}[wtype]
         back = (lambda k, p, q: (k, p, q)) if wtype == "A" else (lambda k, p, q: (k, p + 1, -q))
         for w in all_elements(n, wtype):
