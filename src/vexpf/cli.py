@@ -126,7 +126,7 @@ MAX_CLASS_SIZE = {"A": 7, "B": 6, "C": 6, "D": 6}
 
 # The largest --n each `verify` suite takes; the other suites refuse --n.
 # On the same machine each suite at its bound took at most 90 s and
-# 1.2 GB (census 14 s and 20 MB, b-scaling 71 s and 1.2 GB, inverse-swap 85 s,
+# 1.2 GB (census 12 s and 20 MB, b-scaling 71 s and 1.2 GB, inverse-swap 85 s,
 # identity-2-3 48 s), while stability --n 5 passed 2.8 GB in 150 s and
 # type-a --n 7 and identity-2-3 --n 9 ran past 90 s.
 MAX_VERIFY_N = {"census": 7, "theorem-equivalence": 5, "stability": 4, "b-scaling": 5,

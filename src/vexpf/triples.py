@@ -17,10 +17,10 @@ rank #{a >= p : w(a) <= -q}, which is type A's #{a > p' : w(a) <= q'} at
 (p', q') = (p - 1, -q), and its gap condition is type A's
 l_i > l_{i+1}.  Internally every step is read in these coordinates
 (`_steps`; a type-D triple as the type-C triple plus_map(t)), so one
-slack rule (`_classify`), one insertion (`_insert`), one rank and one
-corner reader (`_corners`) serve every type, in detection and insertion
-alike, and `Triple` keeps the paper's coordinates.  Detection reads a
-type-D element's corners as type C's, and moves the triple by minus_map.
+shape and slack rule (`_classify`), one insertion (`_insert`), one rank
+and one corner reader (`_corners`) serve every type, and `Triple` keeps
+the paper's coordinates.  Detection reads a type-D element's corners as
+type C's and moves the triple by minus_map.
 """
 
 from __future__ import annotations
@@ -259,9 +259,9 @@ def triple_of_w(w: SignedPermutation, wtype: str):
     essential set) of w's rank function and round-trip checked: in the
     order `_corners` reads them they must be strict (a vexillary w's are),
     and their insertion must be w.values padded by fixed points, so a
-    non-vexillary w never passes.  Every corner meets validate's bounds, so only the
-    shape of the steps is checked.  Type D reads type C's steps and
-    returns minus_map of type C's triple."""
+    non-vexillary w never passes.  Every corner meets validate's bounds,
+    so only the shape of the steps is checked.  Type D reads type C's
+    steps and returns minus_map of type C's triple."""
     wtype = _norm_type(wtype)
     if wtype == "A" and not w.is_unsigned():
         raise WrongType("type A wants an unsigned permutation")
