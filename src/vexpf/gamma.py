@@ -13,10 +13,15 @@ of the Q basis run on one rule, the horizontal strips lambda/mu of
   * generator 0 of types B and C, (f - s0 f)/(-2 x_1) and (f - s0 f)/(-x_1),
     comes from the same strips with no subtraction and no division
     (`s0_quotient`);
-  * the Pieri product Q_mu Q_r (`_pieri`) reads the strips from above.
+  * the Pieri product Q_mu Q_r (`_pieri`) reads the strips mu/nu below
+    mu: its terms are the strict Q_(k + r, nu), k = |mu/nu|.
     `straighten_monomial` chains it over a generator monomial, and a
     product of two elements expands only its right factor into
     generator monomials, by their defining Pfaffians.
+
+Gamma's one specialization, Q -> prod (1-t_i)/(1+t_i)
+(`specialize_oracle`), is the map under which `verify lemma25` checks
+that Kazarian's pairs vanish.
 
 Both Q-basis folds, `pf_rows` and `_strip_fold`, keep each coefficient
 they build as one {packed monomial: int} map over a shared 2^-e and add
@@ -60,10 +65,6 @@ from .polycore import (
 )
 
 
-class TruncationTooSmall(ValueError):
-    pass
-
-
 def is_strict(parts) -> bool:
     return all(a > b for a, b in zip(parts, parts[1:])) and all(a > 0 for a in parts)
 
@@ -75,8 +76,8 @@ def is_strict(parts) -> bool:
 # positive ints, sorted weakly decreasing -- to coefficients.  () is 1.
 # The caches of this module are bounded.  At their fullest, all of tests/
 # run in one process fills 97 of pair_expansion's 1 024 entries, about
-# 300 of pf_expansion's 1 024, 1 362 of _pieri's 4 096, 2 086 of
-# straighten_monomial's 4 096, 21 of ones_series's 1 024 and, leaving out
+# 300 of pf_expansion's 1 024, 1 350 of _pieri's 4 096, 2 086 of
+# straighten_monomial's 4 096, 30 of ones_series's 1 024 and, leaving out
 # the oracle test that walks tens of thousands of its entries, about
 # 1 200 of _prepend's 4 096 (the drawn test rows move these two a little
 # from run to run).  All 1 118 W_5 type-C formulas use 630 _prepend
@@ -163,22 +164,6 @@ def _strips(lam: tuple):
             yield mu, sum(lam) - sum(mu), _strip_a(lam, mu)
 
 
-def _parts_below(lam: tuple, i: int, need: int):
-    """The parts (mu_i, mu_(i+1), ...) with lam_j >= mu_j >= lam_(j+1) that
-    take at least `need` boxes from rows i, i+1, ... of lam, largest mu_i
-    first, as `_strips` orders them, trailing 0 and repeated parts kept.
-    The rows below row i hold at most lam_(i+1) boxes, so row i takes at
-    least need - lam_(i+1)."""
-    if i == len(lam):
-        if need <= 0:
-            yield ()
-        return
-    low = lam[i + 1] if i + 1 < len(lam) else 0
-    for m in range(min(lam[i], lam[i] + low - need), low - 1, -1):
-        for rest in _parts_below(lam, i + 1, need - lam[i] + m):
-            yield (m,) + rest
-
-
 def _strip_a(lam: tuple, mu: tuple) -> int:
     """a(lam/mu) of a horizontal strip, len(mu) <= len(lam) <= len(mu) + 1:
     the columns i of lam/mu whose column i+1 is empty, one per row j with
@@ -192,14 +177,13 @@ def _pieri(mu: tuple, r: int) -> dict:
     """Q_mu Q_r (r >= 1) as {strict partition: int}: by Macdonald III
     (8.15), P_mu q_r = sum 2^a P_lam, so Q_mu Q_r = sum 2^(l(mu) + a - l(lam))
     Q_lam over the lam with (mu, r, a) in `_strips(lam)`.  lam/mu is a
-    horizontal strip exactly when nu = (lam_2, lam_3, ...) has mu/nu one,
-    so those lam are the strict (k + r, nu) over the strips mu/nu of
-    k >= mu_1 - r boxes, the only ones `_parts_below` enumerates."""
+    horizontal strip exactly when nu = (lam_2, lam_3, ...) has mu/nu one
+    and lam_1 >= mu_1, so those lam are the strict (k + r, nu) over the
+    strips (nu, k, _) of `_strips(mu)` with k + r >= mu_1."""
     out = {}
-    for nu in _parts_below(mu, 0, (mu[0] if mu else 0) - r):
-        nu = nu[:-1] if nu and not nu[-1] else nu
-        lam = (sum(mu) - sum(nu) + r,) + nu
-        if is_strict(lam):
+    for nu, k, _ in _strips(mu):
+        lam = (k + r,) + nu
+        if k + r >= (mu[0] if mu else 0) and is_strict(lam):
             out[lam] = 1 << (len(mu) + _strip_a(lam, mu) - len(lam))
     return out
 
@@ -599,7 +583,7 @@ def apply_symmetry(e: GammaElement) -> GammaElement:
 
 
 # ---------------------------------------------------------------------------
-# specialization oracles
+# the specialization of lemma25
 # ---------------------------------------------------------------------------
 
 
@@ -616,34 +600,15 @@ def substitute_q(e: GammaElement, series: Polynomial) -> Polynomial:
     return out
 
 
-def symfun_series(n_vars: int, bound: int) -> Polynomial:
-    """prod_{i=1}^{N} (1+z_i)/(1-z_i), truncated at total degree `bound`."""
-    z = [Polynomial.variable("z", i) for i in range(1, n_vars + 1)]
-    return rational_series([1 + zi for zi in z], [1 - zi for zi in z], bound)
-
-
 def negt_series(nu, bound: int) -> Polynomial:
     """prod_i (1 - t_{nu_i})/(1 + t_{nu_i}), truncated at total degree `bound`."""
     t = [Polynomial.variable("t", i) for i in nu]
     return rational_series([1 - ti for ti in t], [1 + ti for ti in t], bound)
 
 
-def specialize_oracle(e: GammaElement, mode) -> Polynomial:
-    """Faithful specializations of Gamma.
-
-    mode = ("symfun", N, D): Q -> prod_{i<=N} (1+z_i)/(1-z_i) up to degree D;
-    mode = ("negt", nu):     Q -> prod_i (1-t_{nu_i})/(1+t_{nu_i}).
-    """
-    if mode[0] == "symfun":
-        _, n_vars, bound = mode
-        if bound < e.degree():
-            raise TruncationTooSmall(
-                f"degree {e.degree()} element needs truncation >= that, got {bound}"
-            )
-        return substitute_q(e, symfun_series(n_vars, bound))
-    if mode[0] == "negt":
-        nu = mode[1]
-        # the defining Pfaffian of Q_lambda uses generators up to lambda_1 + lambda_2
-        bound = max((sum(lam[:2]) for lam in e.combo), default=0)
-        return substitute_q(e, negt_series(nu, bound))
-    raise ValueError(f"unknown specialization mode {mode!r}")
+def specialize_oracle(e: GammaElement, nu) -> Polynomial:
+    """e under the ring map Q -> prod_i (1-t_{nu_i})/(1+t_{nu_i}) of
+    Gamma, which `verify lemma25` applies to Kazarian's pairs."""
+    # the defining Pfaffian of Q_lambda uses generators up to lambda_1 + lambda_2
+    bound = max((sum(lam[:2]) for lam in e.combo), default=0)
+    return substitute_q(e, negt_series(nu, bound))

@@ -23,14 +23,7 @@ determinant (type A) or Pfaffian (signed types) built from the triple.
 from __future__ import annotations
 
 from .polycore import Polynomial, exact_divide, rational_series
-from .gamma import (
-    GammaElement,
-    GeneratorSeries,
-    apply_symmetry,
-    ones_series,
-    s0_quotient,
-    substitute_q,
-)
+from .gamma import GammaElement, apply_symmetry, ones_series, s0_quotient
 from .weyl import SignedPermutation, SizeMismatch, descents, generators, longest_element
 from .triples import InvalidTriple, Triple, column_steps, lambda_of, validate
 from .multischur import multischur_det, multischur_pf, multischur_pf_d
@@ -114,13 +107,12 @@ def column_factors(t: Triple, wtype: str):
     return [(t.p[i] - low, t.q[i] - low) for i in column_steps(t)]
 
 
-def formula_rows(t: Triple, wtype: str, multipliers=None):
+def formula_rows(t: Triple, wtype: str):
     """The indices lam and one row per column of the closed formula.
 
     Type A rows are the power series prod_{j<=p}(1+x_j) / prod_{j<=q}(1+y_j);
     signed rows are Q*g, with g = prod_{j<p}(1+x_j) prod_{j<q}(1+y_j) in
     types B/C and g = prod_{j<=p}(1+x_j) prod_{j<=q}(1+y_j) in type D.
-    multipliers (signed types), one per triple step, replace the default g.
     """
     if t.s == 0:
         return (), []
@@ -135,24 +127,17 @@ def formula_rows(t: Triple, wtype: str, multipliers=None):
             )
             for p, q in column_factors(t, wtype)
         ]
-    if multipliers is None:
-        return lam, [ones_series(("x", p), ("y", q)) for p, q in column_factors(t, wtype)]
-    return lam, [GeneratorSeries(multipliers[i]) for i in column_steps(t)]
-
-
-def _signed_pfaffian(lam, rows, wtype: str, check: bool) -> GammaElement:
-    """The signed-type Pfaffian of formula_rows: Pf_lam(Q*g) in type C,
-    2^-r times it in type B (the half-generator rows P*g), and 2^-r times
-    the paired Pfaffian Pf_lam(g | Q*g) in type D."""
-    pf = (multischur_pf_d if wtype == "D" else multischur_pf)(lam, rows, check=check)
-    return pf if wtype == "C" else pf.halve(len(lam))
+    return lam, [ones_series(("x", p), ("y", q)) for p, q in column_factors(t, wtype)]
 
 
 def vexillary_polynomial(t: Triple, wtype: str = None):
     """The closed multi-Schur formula for the triple's Schubert polynomial.
 
     wtype defaults to the triple's own type; pass "B" to evaluate a
-    B/C triple with half-generators.
+    B/C triple with half-generators.  The signed types take the Pfaffian
+    of formula_rows: Pf_lam(Q*g) in type C, 2^-r times it in type B (the
+    half-generator rows P*g), and 2^-r times the paired Pfaffian
+    Pf_lam(g | Q*g) in type D.
     """
     wtype = wtype or t.wtype
     status = validate(t)
@@ -161,7 +146,8 @@ def vexillary_polynomial(t: Triple, wtype: str = None):
     lam, rows = formula_rows(t, wtype)
     if wtype == "A":
         return multischur_det(lam, rows)
-    return _signed_pfaffian(lam, rows, wtype, check=(status == "strict"))
+    pf = (multischur_pf_d if wtype == "D" else multischur_pf)(lam, rows, check=(status == "strict"))
+    return pf if wtype == "C" else pf.halve(len(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +227,7 @@ def _descend(w, wtype, n):
 
 
 # ---------------------------------------------------------------------------
-# coefficient extraction and substitution recipes
+# coefficient extraction
 # ---------------------------------------------------------------------------
 
 
@@ -256,25 +242,3 @@ def expand_coeffs(e: GammaElement, basis: str = "Q") -> dict:
             for lam, c in e.combo.items()
         }
     raise ValueError(f"unknown basis {basis}")
-
-
-def degeneracy_formula(t: Triple, q_series: Polynomial = None, multipliers=None):
-    """The degeneracy-locus class of a triple with caller-supplied Chern data.
-
-    multipliers: one finite series (constant term 1) per triple step,
-    standing for the product of correction factors c(V/E_{p_i}) c(V/F_{q_i})
-    (types C/B) or c(E/E_{p_i}) c(E/F_{q_i}...) (type D); defaults to the
-    universal (1+x_j), (1+y_j) products.  q_series, if given, is a
-    concrete truncated series substituted for the formal generator
-    (e.g. the total Chern class c(V-E-F)); the result is then a plain
-    Polynomial.
-    """
-    if t.wtype == "A":
-        raise InvalidTriple("degeneracy data here is for the signed types")
-    if multipliers is not None and len(multipliers) != t.s:
-        raise ValueError("need one multiplier per triple step")
-    lam, rows = formula_rows(t, t.wtype, multipliers)
-    e = _signed_pfaffian(lam, rows, t.wtype, check=False)
-    if q_series is None:
-        return e
-    return substitute_q(e, Polynomial.of(q_series))

@@ -2,6 +2,7 @@ import importlib
 import itertools
 import pkgutil
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,15 +13,11 @@ from vexpf.gamma import (
     GammaElement,
     GeneratorSeries,
     Q_SERIES,
-    TruncationTooSmall,
     _branch,
     _gens,
     _iadd,
-    _parts_below,
     _pieri,
     _raw_mul,
-    _strip_a,
-    _strips,
     apply_symmetry,
     is_strict,
     negt_series,
@@ -32,6 +29,8 @@ from vexpf.gamma import (
     straighten_monomial,
 )
 from vexpf.schubert import divided_difference, top_class
+
+from oracles import TruncationTooSmall, specialize_symfun
 
 X1, X2 = Polynomial.variable("x", 1), Polynomial.variable("x", 2)
 
@@ -391,25 +390,24 @@ class TestPackedBranch:
 
 class TestOracle:
     def test_constant(self):
-        assert specialize_oracle(GammaElement.one(), ("symfun", 2, 3)) == 1
+        assert specialize_symfun(GammaElement.one(), 2, 3) == 1
 
     def test_q1_image(self):
         z1 = Polynomial.variable("z", 1)
         z2 = Polynomial.variable("z", 2)
-        got = specialize_oracle(GammaElement.basis((1,)), ("symfun", 2, 1))
+        got = specialize_symfun(GammaElement.basis((1,)), 2, 1)
         assert got == 2 * z1 + 2 * z2
 
     def test_truncation_guard(self):
         with pytest.raises(TruncationTooSmall):
-            specialize_oracle(GammaElement.basis((3,)), ("symfun", 3, 2))
+            specialize_symfun(GammaElement.basis((3,)), 3, 2)
 
     def test_oracle_is_ring_hom(self):
         # compare product in Gamma against product of oracle images
         a = GammaElement.basis((2,))
         b = GammaElement.basis((2, 1))
-        mode = ("symfun", 5, 5)
-        lhs = specialize_oracle(a * b, mode)
-        rhs = specialize_oracle(a, mode) * specialize_oracle(b, mode)
+        lhs = specialize_symfun(a * b, 5, 5)
+        rhs = specialize_symfun(a, 5, 5) * specialize_symfun(b, 5, 5)
         assert lhs == rhs.truncate(5)
 
     def test_negt_bound_covers_pair_generators(self):
@@ -421,7 +419,7 @@ class TestOracle:
             (a.part(5 + j) * a.part(4 - j) * (2 * (-1) ** j) for j in range(1, 5)), Polynomial()
         )
         expect = Polynomial.variable("x", 1) * q54 + a.part(2)
-        assert specialize_oracle(e, ("negt", nu)) == expect
+        assert specialize_oracle(e, nu) == expect
 
     def test_basis_independence_low_degree(self):
         # distinct strict partitions of weight <= 6 get distinct images
@@ -432,7 +430,7 @@ class TestOracle:
         ]
         images = {}
         for lam in lams:
-            img = specialize_oracle(GammaElement.basis(lam), ("symfun", 6, 6))
+            img = specialize_symfun(GammaElement.basis(lam), 6, 6)
             key = str(img)
             assert key not in images, f"{lam} collides with {images.get(key)}"
             images[key] = lam
@@ -467,27 +465,17 @@ def _strict_partitions_bounded(maxpart, maxlen):
         yield from itertools.combinations(range(maxpart, 0, -1), r)
 
 
-def pieri_over_every_strip(mu, r):
-    """`_pieri` over every strip below mu, keeping k + r >= mu_1."""
-    lams = ((k + r,) + nu for nu, k, _ in _strips(mu) if k + r >= (mu[0] if mu else 0))
-    return {lam: 1 << (len(mu) + _strip_a(lam, mu) - len(lam)) for lam in lams if is_strict(lam)}
-
-
 class TestStrips:
-    def test_parts_below_leave_out_the_smaller_strips(self):
-        # every strict lam with parts <= 7 and every box budget, in order
-        for lam in _strict_partitions_bounded(7, 7):
-            full = list(_strips(lam))
-            for need in range(-1, sum(lam) + 2):
-                trimmed = (mu[:-1] if mu and not mu[-1] else mu for mu in _parts_below(lam, 0, need))
-                kept = [mu for mu, k, _ in full if k >= need]
-                assert [mu for mu in trimmed if is_strict(mu)] == kept, (lam, need)
-
-    def test_pieri_matches_every_strip(self):
-        # every (mu, r) with |mu| <= 10 and 1 <= r <= 6
-        for mu in (mu for w in range(11) for mu in _strict_partitions(w)):
-            for r in range(1, 7):
-                assert _pieri(mu, r) == pieri_over_every_strip(mu, r), (mu, r)
+    def test_pieri_matches_the_symfun_specialization(self):
+        # every (mu, r) with |mu| <= 8 and 1 <= r <= 5, in N = len(mu) + 1
+        # variables: every lam of Q_mu Q_r has at most N parts, and the
+        # Q_lam(z_1, ..., z_N) of those lam are linearly independent
+        image = lru_cache(maxsize=None)(lambda lam, n: specialize_symfun(GammaElement.basis(lam), n, sum(lam)))
+        for mu in (mu for w in range(9) for mu in _strict_partitions(w)):
+            n = len(mu) + 1
+            for r in range(1, 6):
+                got = sum((image(lam, n) * c for lam, c in _pieri(mu, r).items()), Polynomial())
+                assert got == image(mu, n) * image((r,), n), (mu, r)
 
 
 strict_parts = st.sampled_from([(1,), (2,), (3,), (2, 1), (3, 1), (4,)])
@@ -500,10 +488,8 @@ def test_product_matches_oracle(lam, mu):
     d = sum(lam) + sum(mu)
     # N = 4 is not enough variables for a complete check at these degrees,
     # but any true identity must still specialize to an equality
-    mode = ("symfun", 4, d)
-    lhs = specialize_oracle(prod, mode)
+    lhs = specialize_symfun(prod, 4, d)
     rhs = (
-        specialize_oracle(GammaElement.basis(lam), mode)
-        * specialize_oracle(GammaElement.basis(mu), mode)
+        specialize_symfun(GammaElement.basis(lam), 4, d) * specialize_symfun(GammaElement.basis(mu), 4, d)
     ).truncate(d)
     assert lhs == rhs
