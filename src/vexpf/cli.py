@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
-from fractions import Fraction
 
 from .polycore import ExponentOverflow, Polynomial, graded_terms, ones_product, render_terms
 from .gamma import GammaElement, ones_series, q_pair, render_combo, specialize_oracle
@@ -187,7 +186,7 @@ def cmd_vexillary(args) -> int:
         "formula": _formula_rows(t) if t.s else [],
     }
     if args.expand:
-        e = vexillary_polynomial(t, "B" if args.type == "B" else None)
+        e = vexillary_polynomial(t, args.type)
     if args.format == "json":
         if args.expand:
             payload["polynomial"] = serialize_element(e)
@@ -268,7 +267,7 @@ def _formula_mismatches(wtype, n):
         if t is None:
             continue
         vexillary += 1
-        if vexillary_polynomial(t, "B" if wtype == "B" else None) != schubert(w, wtype):
+        if vexillary_polynomial(t, wtype) != schubert(w, wtype):
             bad.append(w)
     return size, vexillary, bad
 
@@ -301,8 +300,7 @@ def suite_b_scaling(args, report):
     n = 3 if args.n is None else args.n
     ok = True
     for w in all_elements(n, "B"):
-        scale = Polynomial.const(Fraction(1, 1 << w.num_barred()))
-        if schubert(w, "B") != schubert(w, "C") * scale:
+        if schubert(w, "B") != schubert(w, "C").halve(w.num_barred()):
             report.append(f"scaling fails at w = {w}")
             ok = False
     report.append(f"2^-r scaling verified on {2 ** n * 6} elements" if n == 3 else "done")
@@ -449,7 +447,7 @@ def suite_appendix_a1(args, report):
     report.append("sign lemma exhausted over K within [6]")
     for size in range(1, 5):
         I = tuple(range(1, size + 1))
-        if not gysin.f_index_identity(I, 8):
+        if not gysin.f_index_identity(I):
             report.append(f"product identity fails for I = {I}")
             ok = False
     report.append("Pfaffian/product identity checked for |I| <= 4")
@@ -539,6 +537,8 @@ def format_report(suite: str, ok: bool, report: list, fmt: str = "plain") -> str
 
 def cmd_verify(args) -> int:
     suite = args.suite
+    if args.suite_flag not in (None, suite):
+        raise ParseError(f"verify names two suites: {suite!r} and --suite {args.suite_flag!r}")
     if suite not in SUITES:
         raise UnknownSuite(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     for flag, readers in dict(VERIFY_READERS, n=MAX_VERIFY_N).items():

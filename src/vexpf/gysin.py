@@ -12,9 +12,10 @@ Two layers:
     coefficient by coefficient.  The sign lemma is checked exhaustively;
 
   * the algebraic pushforward maps phi_k eliminating h_k one at a time,
-    whose composite (`pushforward`) is a paired multi-Schur Pfaffian
-    (prop_A2_check), with a plain single-series degeneration
-    (paired=False) matching the even simpler Pfaffian shift rule.
+    whose composite (`pushforward`) is the paired multi-Schur Pfaffian
+    of `multischur.r_family` (prop_A2_check), with a plain single-series
+    degeneration (paired=False) matching the even simpler Pfaffian
+    shift rule.
     Every series is a row Q * g, so Appendix A.2 is checked in the basis
     ring itself: Q Q* = 1 there, and a concrete series F with F F* = 1
     is an image of Q.
@@ -38,7 +39,7 @@ import math
 
 from .polycore import Polynomial, exponent, rational_series
 from .gamma import GammaElement, GeneratorSeries, _iadd, series_coeff
-from .multischur import multischur_pf, multischur_pf_d, pfaffian, r_rows
+from .multischur import multischur_pf, pfaffian, r_family, r_rows
 
 
 class WindowTooSmall(ValueError):
@@ -114,19 +115,20 @@ def f_index(I, window: int = 8) -> Polynomial:
     return pfaffian(len(I), lambda a, b: f_pair(I[a], I[b], window), one, border=lambda a: one)
 
 
-def f_index_identity(I, window: int = 8) -> bool:
+def f_index_identity(I) -> bool:
     """Does f[I] (the Pfaffian) equal the product of f[i,j] over pairs?
 
+    Both sides are cut at the window 8, which serves |I| <= 4.
     Exponents grow monotonically along the index chain, so restricting
     the product to the window after every factor reproduces the
     truncation of the Pfaffian side on the nose."""
     I = tuple(sorted(I))
-    if window < 2 * max(len(I), 1):
-        raise WindowTooSmall(f"window {window} too small for |I| = {len(I)}")
+    if len(I) > 4:
+        raise WindowTooSmall(f"window 8 too small for |I| = {len(I)}")
     rhs = Polynomial.const(1)
     for i, j in itertools.combinations(I, 2):
-        rhs = restrict(rhs * f_pair(i, j, window), window)
-    return f_index(I, window) == rhs
+        rhs = restrict(rhs * f_pair(i, j), 8)
+    return f_index(I) == rhs
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +255,7 @@ def f_tilde_pair(i: int, j: int, lam, window: int = 8) -> IndexedOperator:
     return left * f_tilde_border(j, lam) + IndexedOperator.scalar(tail)
 
 
-def prop_A1_check(lam, K, window: int = None) -> bool:
+def prop_A1_check(lam, K) -> bool:
     """Does the Pfaffian of the deformed entries equal the operator
 
         sum_{I u J = K}  sgn(K, J) h^I u^J f[I] zeta_J ?
@@ -261,16 +263,12 @@ def prop_A1_check(lam, K, window: int = None) -> bool:
     An operator sum_J a_J zeta_J is fixed by how it acts (apply it to each
     prod_{j in S} h_j and invert over S), so the two sides are compared
     coefficient by coefficient.  lam must supply an exponent for every
-    index in K (lam[k-1] for index k).  The coefficients are compared on
-    the h exponents of absolute value at most window - sum(lam over K) - 1,
-    away from the boundary where the truncated series are inexact; the
-    default window leaves exponents up to 4."""
+    index in K (lam[k-1] for index k).  The series are cut at the window
+    sum(lam over K) + 5, and the coefficients are compared on the h
+    exponents of absolute value at most 4, away from the boundary where
+    the truncated series are inexact."""
     K = tuple(sorted(K))
-    needed = sum(lam[k - 1] for k in K)
-    if window is None:
-        window = needed + 5
-    elif window < needed + 2:
-        raise WindowTooSmall(f"window {window} < required {needed + 2}")
+    window = sum(lam[k - 1] for k in K) + 5
 
     lhs = pfaffian(
         len(K),
@@ -286,9 +284,8 @@ def prop_A1_check(lam, K, window: int = None) -> bool:
             powers = [h_power(i, lam[i - 1]) for i in I] + [u_power(j, lam[j - 1]) for j in J]
             rhs[frozenset(J)] = math.prod(powers, start=f_index(I, window) * sgn(K, J))
 
-    bound = window - needed - 1
     return all(
-        restrict(lhs.terms.get(J, Polynomial()), bound) == restrict(rhs.get(J, Polynomial()), bound)
+        restrict(lhs.terms.get(J, Polynomial()), 4) == restrict(rhs.get(J, Polynomial()), 4)
         for J in lhs.terms.keys() | rhs.keys()
     )
 
@@ -301,12 +298,13 @@ def prop_A1_check(lam, K, window: int = None) -> bool:
 def _push_element(state: GammaElement, k: int, image) -> GammaElement:
     """Apply the linear map h_k^m -> image(m) coefficient-wise, leaving
     the other variables (and basis symbols) alone."""
-    out = GammaElement.zero()
+    combo = {}
     for lam, coeff in state.combo.items():
         for m, sub in coeff.split(("h", k)).items():
-            img = image(m)
-            if img:
-                out = out + GammaElement({lam: sub}) * img
+            for nu, c in (GammaElement({lam: sub}) * image(m)).combo.items():
+                _iadd(combo, nu, c)
+    out = GammaElement()
+    out.combo = combo
     return out
 
 
@@ -350,10 +348,7 @@ def prop_A2_check(lam) -> bool:
     itself, where Q Q* = 1 holds exactly, so it covers every concrete
     series F with F F* = 1 standing for Q."""
     lam = tuple(lam)
-    series = r_rows(lam)
-    lhs = pushforward(lam, series, paired=True)
-    rhs = multischur_pf_d(lam, series, check=False).halve(len(lam))
-    return lhs == rhs
+    return pushforward(lam, r_rows(lam), paired=True) == r_family(lam)
 
 
 def plain_pushforward_check(lam, series, exponents) -> bool:
@@ -361,5 +356,4 @@ def plain_pushforward_check(lam, series, exponents) -> bool:
     index-shifted plain Pfaffian Pf_{lam + m}(c(1), ..., c(s))."""
     lhs = pushforward(lam, series, exponents)
     shifted = tuple(l + m for l, m in zip(lam, exponents))
-    rhs = multischur_pf(shifted, series, check=False)
-    return lhs == rhs
+    return lhs == multischur_pf(shifted, series)

@@ -15,8 +15,10 @@ Both Pfaffians are one fold, `gamma.pf_rows`, straight in the Q basis.
 Every series there is a `gamma.GeneratorSeries` Q * g, so the type-D
 star relation d(i) d(j)* = c(i) c(j)* holds exactly: Q Q* = 1.
 Their matrices are skew exactly when each series multiplier has degree
-below its index, which is verified up front (check=False evaluates any
-integer index sequence).
+below its index, and both Pfaffians check that (type D also checks
+c(i) | c(i-1)) before they fold.  Every triple, strict or redundant,
+passes: p and q weakly decrease along its steps.  A Pfaffian of other
+rows is `pf_rows` of `series_rows` or `paired_rows`.
 """
 
 from __future__ import annotations
@@ -109,24 +111,20 @@ def _pf(positions: tuple, entry, memo: dict):
 # ---------------------------------------------------------------------------
 
 
-def multischur_pf(lam, series, check: bool = True) -> GammaElement:
+def multischur_pf(lam, series) -> GammaElement:
     """The Pfaffian Pf_lam(c(1), ..., c(r)) as an element of the basis ring.
 
-    lam: integers (a strict partition in the checked case); series: one
-    GeneratorSeries per index.  With check=True, each multiplier must
-    have degree < its index, which guarantees the matrix is genuinely
-    skew; check=False evaluates the same Pfaffian for arbitrary integer
-    sequences.
+    lam: a strict partition; series: one GeneratorSeries per index, each
+    multiplier of degree < its index, which makes the matrix skew.
     """
     lam = tuple(lam)
     if len(series) != len(lam):
         raise ValueError("need one series per index")
-    if check:
-        for k, c in zip(lam, series):
-            if c.multiplier.degree() >= max(k, 1):
-                raise SkewCheckFailed(
-                    f"multiplier degree {c.multiplier.degree()} too big for index {k}"
-                )
+    for k, c in zip(lam, series):
+        if c.multiplier.degree() >= max(k, 1):
+            raise SkewCheckFailed(
+                f"multiplier degree {c.multiplier.degree()} too big for index {k}"
+            )
     return pf_rows(series_rows(lam, series))
 
 
@@ -135,33 +133,35 @@ def multischur_pf(lam, series, check: bool = True) -> GammaElement:
 # ---------------------------------------------------------------------------
 
 
-def multischur_pf_d(lam, series, check: bool = True) -> GammaElement:
+def multischur_pf_d(lam, series) -> GammaElement:
     """The paired Pfaffian Pf_lam(c(1)|d(1), ..., c(r)|d(r)), no power of 1/2 applied.
 
     lam: strictly decreasing nonnegative integers; series: one
-    GeneratorSeries d(i) = Q * c(i) per index, c(i) its multiplier.  With
-    d_i = d(i)_{k_i} and c_i = c(i)_{k_i}, its (i,j) entry is the B/C
-    entry of the d plus d_i c_j - d_j c_i - c_i c_j and its border entries
-    are d_i + c_i: the Pfaffian of the rows d_i + c_i f of `pf_rows`.
-
-    With check=True the defining invariants are verified: deg c(i) <=
-    lam_i, and c(i) divides c(i-1), hence every earlier c(j).
+    GeneratorSeries d(i) = Q * c(i) per index, c(i) its multiplier, with
+    deg c(i) <= lam_i and c(i) dividing c(i-1), hence every earlier c(j).
+    Its (i,j) entry is the B/C entry of the d plus d_i c_j - d_j c_i -
+    c_i c_j and its border entries are d_i + c_i: the Pfaffian of
+    `paired_rows`.
     """
     lam = tuple(lam)
     if len(series) != len(lam):
         raise ValueError("need one series per index")
-    cs = [d.multiplier for d in series]
-    if check:
-        for k, c in zip(lam, cs):
-            if c.degree() > k:
-                raise SkewCheckFailed(f"deg c = {c.degree()} exceeds index {k}")
-        for i in range(1, len(series)):
-            if not _divides(series[i - 1], series[i]):
-                raise DivisibilityFailed(f"c({i+1}) does not divide c({i})")
+    for k, d in zip(lam, series):
+        if d.multiplier.degree() > k:
+            raise SkewCheckFailed(f"deg c = {d.multiplier.degree()} exceeds index {k}")
+    for i in range(1, len(series)):
+        if not _divides(series[i - 1], series[i]):
+            raise DivisibilityFailed(f"c({i+1}) does not divide c({i})")
+    return pf_rows(paired_rows(lam, series))
+
+
+def paired_rows(lam, series):
+    """The rows d_i + c_i f of the paired Pfaffian, with d_i = d(i)_{k_i}
+    and c_i = c(i)_{k_i} the scalar on type D's extra symbol f."""
     rows = series_rows(lam, series)
-    for row, k, c in zip(rows, lam, cs):
-        row[None] = c.part(k)
-    return pf_rows(rows)
+    for row, k, d in zip(rows, lam, series):
+        row[None] = d.multiplier.part(k)
+    return rows
 
 
 @lru_cache(maxsize=1024)

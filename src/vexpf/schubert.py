@@ -137,16 +137,16 @@ def vexillary_polynomial(t: Triple, wtype: str = None):
     B/C triple with half-generators.  The signed types take the Pfaffian
     of formula_rows: Pf_lam(Q*g) in type C, 2^-r times it in type B (the
     half-generator rows P*g), and 2^-r times the paired Pfaffian
-    Pf_lam(g | Q*g) in type D.
+    Pf_lam(g | Q*g) in type D.  Every valid triple, strict or redundant,
+    passes the Pfaffians' guards.
     """
     wtype = wtype or t.wtype
-    status = validate(t)
-    if status == "invalid":
+    if validate(t) == "invalid":
         raise InvalidTriple(str(t))
     lam, rows = formula_rows(t, wtype)
     if wtype == "A":
         return multischur_det(lam, rows)
-    pf = (multischur_pf_d if wtype == "D" else multischur_pf)(lam, rows, check=(status == "strict"))
+    pf = (multischur_pf_d if wtype == "D" else multischur_pf)(lam, rows)
     return pf if wtype == "C" else pf.halve(len(lam))
 
 

@@ -5,8 +5,8 @@ degeneracy-locus class of a triple with caller-supplied Chern data.
     from oracles import degeneracy_formula, specialize_symfun
 """
 
-from vexpf.gamma import GeneratorSeries, substitute_q
-from vexpf.multischur import multischur_pf, multischur_pf_d
+from vexpf.gamma import GeneratorSeries, pf_rows, series_rows, substitute_q
+from vexpf.multischur import paired_rows
 from vexpf.polycore import Polynomial, rational_series
 from vexpf.schubert import formula_rows
 from vexpf.triples import InvalidTriple, column_steps
@@ -34,8 +34,9 @@ def specialize_symfun(e, n_vars: int, bound: int) -> Polynomial:
 
 def degeneracy_formula(t, q_series=None, multipliers=None):
     """The degeneracy-locus class of a signed-type triple with
-    caller-supplied Chern data: the Pfaffian of `vexillary_polynomial`,
-    unchecked, over other rows.
+    caller-supplied Chern data: the Pfaffian of `vexillary_polynomial`
+    over other rows, folded by `pf_rows` with no guard, since the rows
+    need not meet the Pfaffians' degree and divisibility conditions.
 
     multipliers: one finite series (constant term 1) per triple step,
     standing for the product of correction factors c(V/E_{p_i}) c(V/F_{q_i})
@@ -52,7 +53,7 @@ def degeneracy_formula(t, q_series=None, multipliers=None):
     lam, rows = formula_rows(t, t.wtype)
     if multipliers is not None:
         rows = [GeneratorSeries(multipliers[i]) for i in column_steps(t)]
-    e = (multischur_pf_d if t.wtype == "D" else multischur_pf)(lam, rows, check=False)
+    e = pf_rows((paired_rows if t.wtype == "D" else series_rows)(lam, rows))
     if t.wtype != "C":
         e = e.halve(len(lam))
     if q_series is None:

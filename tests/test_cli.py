@@ -407,6 +407,14 @@ class TestVerify:
         code, out = run(capsys, "verify", "--suite", "stability")
         assert code == 0 and "PASS" in out
 
+    def test_two_suite_names_must_agree(self, capsys):
+        code = main(["verify", "census", "--suite", "stability"])
+        out = capsys.readouterr()
+        assert code == 2 and out.out == ""
+        assert out.err == "error: verify names two suites: 'census' and --suite 'stability'\n"
+        code, out = run(capsys, "verify", "census", "--suite", "census", "--n", "2")
+        assert code == 0 and out.endswith("census: PASS\n")
+
     def test_json_report(self, capsys):
         code, out = run(capsys, "verify", "census", "--n", "2", "--format", "json")
         payload = json.loads(out)

@@ -84,11 +84,12 @@ class TestFPair:
 
     @pytest.mark.parametrize("I", [(1, 2), (1, 2, 3), (1, 2, 3, 4), (2, 3, 5, 6)])
     def test_product_identity(self, I):
-        assert f_index_identity(I, 8)
+        assert f_index_identity(I)
 
     def test_window_guard(self):
+        # the window 8 serves |I| <= 4
         with pytest.raises(WindowTooSmall):
-            f_index_identity((1, 2, 3, 4), 5)
+            f_index_identity((1, 2, 3, 4, 5))
 
 
 class TestSigns:
@@ -139,7 +140,7 @@ class TestPropA1:
         assert prop_A1_check((2, 1), (1, 2))
 
     def test_triple(self):
-        assert prop_A1_check((3, 2, 1), (1, 2, 3), window=11)
+        assert prop_A1_check((3, 2, 1), (1, 2, 3))
 
     def test_sub_index_set(self):
         assert prop_A1_check((4, 2, 1), (1, 3))
@@ -154,10 +155,6 @@ class TestPropA1:
     def test_empty_index_set(self):
         # both sides are 1
         assert prop_A1_check((3, 2), ())
-
-    def test_window_guard(self):
-        with pytest.raises(WindowTooSmall):
-            prop_A1_check((3, 2, 1), (1, 2, 3), window=4)
 
 
 class TestPropA2:

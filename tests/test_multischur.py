@@ -23,6 +23,7 @@ from vexpf.multischur import (
     multischur_det,
     multischur_pf,
     multischur_pf_d,
+    paired_rows,
     pfaffian,
     r_family,
     r_rows,
@@ -140,21 +141,21 @@ class TestPfBC:
     def test_alternating_indices(self):
         c1 = q_times(1 + tvar(1))
         c2 = Q_SERIES
-        a = multischur_pf((3, 1), [c1, c2], check=False)
-        b = multischur_pf((1, 3), [c2, c1], check=False)
+        a = pf_rows(series_rows((3, 1), [c1, c2]))
+        b = pf_rows(series_rows((1, 3), [c2, c1]))
         assert a == -b
 
     def test_equal_indices_vanish(self):
         c = q_times(1 + tvar(1))
-        assert not multischur_pf((2, 2), [c, c], check=False)
-        assert not multischur_pf((3, 3, 2, 1), [c, c, c, Q_SERIES], check=False)
+        assert not pf_rows(series_rows((2, 2), [c, c]))
+        assert not pf_rows(series_rows((3, 3, 2, 1), [c, c, c, Q_SERIES]))
 
     def test_redundancy_invariance(self):
         # consecutive indices sharing a series absorb a (1+z) factor
         c = q_times(1 + tvar(1))
         base = multischur_pf((3, 2), [c, c])
-        fat = multischur_pf(
-            (3, 2), [q_times((1 + tvar(1)) * (1 + Polynomial.variable("z", 1))), c], check=False
+        fat = pf_rows(
+            series_rows((3, 2), [q_times((1 + tvar(1)) * (1 + Polynomial.variable("z", 1))), c])
         )
         assert base == fat
 
@@ -162,8 +163,8 @@ class TestPfBC:
         # with a gap between the indices the extra factor does change it
         c = q_times(1 + tvar(1))
         base = multischur_pf((4, 2), [c, c])
-        fat = multischur_pf(
-            (4, 2), [q_times((1 + tvar(1)) * (1 + Polynomial.variable("z", 1))), c], check=False
+        fat = pf_rows(
+            series_rows((4, 2), [q_times((1 + tvar(1)) * (1 + Polynomial.variable("z", 1))), c])
         )
         assert base != fat
 
@@ -338,7 +339,7 @@ class TestFold:
         for size in range(1, 5):
             for alpha in itertools.product(range(-3, 5), repeat=size):
                 rows = [Q_SERIES] * size
-                assert multischur_pf(alpha, rows, check=False) == written_pf(alpha, rows), alpha
+                assert pf_rows(series_rows(alpha, rows)) == written_pf(alpha, rows), alpha
 
     @pytest.fixture(scope="class")
     def triples(self):
@@ -352,7 +353,7 @@ class TestFold:
     def test_formula_rows(self, triples):
         for t in triples:
             lam, rows = formula_rows(t, "C")
-            assert multischur_pf(lam, rows, check=False) == written_pf(lam, rows), t
+            assert pf_rows(series_rows(lam, rows)) == written_pf(lam, rows), t
 
     def test_paired_formula_rows(self, triples):
         # Written out, the paired Pfaffians of the larger triples take about a
@@ -365,7 +366,7 @@ class TestFold:
         for t in triples:
             lam, rows = formula_rows(t, "D")
             rows = [q_times(graded_map(d.multiplier, point)) for d in rows]
-            assert multischur_pf_d(lam, rows, check=False) == written_pf_d(lam, paired(rows)), t
+            assert pf_rows(paired_rows(lam, rows)) == written_pf_d(lam, paired(rows)), t
 
     @pytest.mark.parametrize(
         "lam", [(1,), (2,), (2, 0), (2, 1), (3, 1), (3, 2, 0), (3, 2, 1)]
@@ -373,7 +374,7 @@ class TestFold:
     def test_plain_paired_rows(self, lam):
         # the Appendix A.2 data: c(i) = prod_{j<=lam_i}(1+t_j), d(i) = Q*c(i)
         rows = r_rows(lam)
-        assert multischur_pf_d(lam, rows, check=False) == written_pf_d(lam, paired(rows))
+        assert multischur_pf_d(lam, rows) == written_pf_d(lam, paired(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -486,11 +487,7 @@ MIXED_ROWS = [
 
 def fold_rows(lam, series, wtype):
     """The rows multischur_pf and multischur_pf_d fold, d_k + c_k f in type D."""
-    rows = series_rows(lam, series)
-    if wtype == "D":
-        for row, k, d in zip(rows, lam, series):
-            row[None] = d.multiplier.part(k)
-    return rows
+    return (paired_rows if wtype == "D" else series_rows)(lam, series)
 
 
 class TestPackedFold:

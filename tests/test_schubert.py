@@ -14,6 +14,7 @@ from vexpf import schubert as schubert_module
 from vexpf.schubert import (
     divided_difference,
     expand_coeffs,
+    formula_rows,
     schubert,
     swap_xy,
     top_class,
@@ -534,6 +535,33 @@ def test_lambda_of_extended_reads_the_redundant_columns():
                     pins.append(t.p[i] + t.q[i] - (wtype == "C") + t.k[i] - k)
             assert lambda_of(t) == tuple(pins), repr(t)
     assert count == 4971
+
+
+class TestFormulaGuards:
+    """The Pfaffians check that each row multiplier has degree below its
+    index (at most its index in type D) and, in type D, that c(i) divides
+    c(i-1).  Every triple meets both, strict or redundant: p and q weakly
+    decrease along its steps, and reduction drops only steps of zero
+    slack."""
+
+    @pytest.mark.parametrize("wtype", ["B", "C", "D"])
+    def test_every_triple_to_n3_passes(self, wtype):
+        for t in enumerate_triples("D" if wtype == "D" else "C", 3, allow_redundant=True):
+            assert vexillary_polynomial(t, wtype), t
+
+    @pytest.mark.parametrize("wtype, redundant", [("C", 962), ("D", 3558)])
+    def test_every_triple_to_n4_meets_the_guards(self, wtype, redundant):
+        count = 0
+        for t in enumerate_triples(wtype, 4, allow_redundant=True):
+            count += validate(t) == "redundant"
+            lam, rows = formula_rows(t, wtype)
+            cs = [d.multiplier for d in rows]
+            slack = 0 if wtype == "D" else 1
+            assert all(c.degree() + slack <= k for k, c in zip(lam, cs)), t
+            if wtype == "D":
+                for c, c2 in zip(cs, cs[1:]):
+                    exact_divide(c, c2)
+        assert count == redundant
 
 
 class TestVanishingSpecialization:
