@@ -615,10 +615,19 @@ def main(argv=None) -> int:
             parser.error("verify needs a suite name")
     try:
         _check_sizes(args)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except (ParseError, UnknownSuite, BoundExceeded, SizeMismatch, ExponentOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout (`vexpf ... | head`); point the descriptor
+        # at devnull so the flush at exit cannot raise again
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -473,3 +473,23 @@ def test_import_loads_every_vexpf_module_and_no_lazy_stdlib():
     assert VEXPF_MODULES <= loaded
     # no call needs these at start-up: json and random load in the commands that use them
     assert not loaded & {"dataclasses", "inspect", "ast", "json", "random"}
+
+
+@pytest.mark.parametrize("n, lines", [("5", 1), ("2", 0)])
+def test_closed_stdout_exits_1_without_a_traceback(n, lines):
+    # `vexpf enumerate --n 5 | head -1`: about 160 KB, more than a pipe buffer
+    # holds, so a write inside the command meets the closed pipe.  At n = 2
+    # the reader is gone before the command starts, and the output waits in
+    # stdout's buffer until `main` flushes it.
+    src = str(Path(vexpf.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "vexpf.cli", "enumerate", "--n", n],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={"PYTHONPATH": src},
+    )
+    for _ in range(lines):
+        assert proc.stdout.readline().startswith(b"1 2 3 4 5 ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert not err
