@@ -41,16 +41,9 @@ from .schubert import (
 from . import gysin
 
 
-class ParseError(ValueError):
-    pass
-
-
-class UnknownSuite(ValueError):
-    pass
-
-
-class BoundExceeded(ValueError):
-    pass
+class UsageError(ValueError):
+    """Bad input: a word that does not parse, an unknown suite or option,
+    or a size past its bound.  `main` prints it and exits 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +101,9 @@ def _parse_w(text: str, wtype: str) -> SignedPermutation:
     try:
         w = SignedPermutation.parse(text)
     except Exception as exc:
-        raise ParseError(f"bad one-line word {text!r}: {exc}") from exc
+        raise UsageError(f"bad one-line word {text!r}: {exc}") from exc
     if wtype == "A" and not w.is_unsigned():
-        raise ParseError(f"bad one-line word {text!r}: type A wants no barred values")
+        raise UsageError(f"bad one-line word {text!r}: type A wants no barred values")
     return w
 
 
@@ -138,7 +131,7 @@ VERIFY_READERS = {"type": ("theorem-equivalence",), "r": ("appendix-a2",), "seed
 
 def _check_class_size(size: int, wtype: str):
     if size > MAX_CLASS_SIZE[wtype]:
-        raise BoundExceeded(
+        raise UsageError(
             f"classes are desk-scale: type {wtype} words of size <= {MAX_CLASS_SIZE[wtype]}, got {size}"
         )
 
@@ -203,7 +196,7 @@ def cmd_vexillary(args) -> int:
 
 def cmd_enumerate(args) -> int:
     if args.n > 5:
-        raise BoundExceeded("enumeration is desk-scale: n <= 5")
+        raise UsageError("enumeration is desk-scale: n <= 5")
     rows = []
     for w in all_elements(args.n, args.type):
         t = triple_of_w(w, args.type)
@@ -538,16 +531,16 @@ def format_report(suite: str, ok: bool, report: list, fmt: str = "plain") -> str
 def cmd_verify(args) -> int:
     suite = args.suite
     if args.suite_flag not in (None, suite):
-        raise ParseError(f"verify names two suites: {suite!r} and --suite {args.suite_flag!r}")
+        raise UsageError(f"verify names two suites: {suite!r} and --suite {args.suite_flag!r}")
     if suite not in SUITES:
-        raise UnknownSuite(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
+        raise UsageError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     for flag, readers in dict(VERIFY_READERS, n=MAX_VERIFY_N).items():
         if getattr(args, flag) is not None and suite not in readers:
-            raise ParseError(f"verify {suite} reads no --{flag}")
+            raise UsageError(f"verify {suite} reads no --{flag}")
     if args.n is not None and args.n > MAX_VERIFY_N[suite]:
-        raise BoundExceeded(f"verify {suite} is desk-scale: n <= {MAX_VERIFY_N[suite]}, got {args.n}")
+        raise UsageError(f"verify {suite} is desk-scale: n <= {MAX_VERIFY_N[suite]}, got {args.n}")
     if args.r is not None and args.r > 3:  # appendix-a2's shapes have at most 3 parts
-        raise BoundExceeded(f"verify {suite} is desk-scale: r <= 3, got {args.r}")
+        raise UsageError(f"verify {suite} is desk-scale: r <= 3, got {args.r}")
     report = []
     ok = SUITES[suite](args, report)
     print(format_report(suite, ok, report, args.format), end="")
@@ -603,7 +596,7 @@ def _check_sizes(args):
     for flag in ("n", "r"):
         value = getattr(args, flag, None)
         if value is not None and value < 1:
-            raise ParseError(f"--{flag} must be at least 1, got {value}")
+            raise UsageError(f"--{flag} must be at least 1, got {value}")
 
 
 def main(argv=None) -> int:
@@ -618,7 +611,7 @@ def main(argv=None) -> int:
         code = args.fn(args)
         sys.stdout.flush()
         return code
-    except (ParseError, UnknownSuite, BoundExceeded, SizeMismatch, ExponentOverflow) as exc:
+    except (UsageError, SizeMismatch, ExponentOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

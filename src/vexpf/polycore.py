@@ -32,8 +32,8 @@ a DEG_BITS-bit total-degree field at the bottom and one FIELD_BITS-bit
 exponent field per slot above it.  The fields are balanced: a negative
 exponent borrows from the field above, so the map from exponent vectors
 to ints is linear.  The monomial 1 is 0, a product of monomials is one
-int addition, a quotient one subtraction, and `degree`, `part`,
-`truncate` and `star` read the degree field alone.  An exponent must lie
+int addition, a quotient one subtraction, and `degree`, `part` and
+`truncate` read the degree field alone.  An exponent must lie
 in [-2^(FIELD_BITS-2), 2^(FIELD_BITS-2)), a degree in
 [-2^(DEG_BITS-2), 2^(DEG_BITS-2)).  The bias _LOW adds a quarter of its
 range to every field; a monomial in range then has every field
@@ -326,8 +326,8 @@ def _fma(targets, a: dict, b: dict) -> None:
 
 
 def _settle(acc: dict) -> dict:
-    """acc, filled by `_fma` or a renaming, with its zero coefficients
-    dropped and its monomials checked by `_check`."""
+    """acc, filled by `_fma`, a renaming or the constructor, with its zero
+    coefficients dropped and its monomials checked by `_check`."""
     if not all(acc.values()):
         acc = {m: c for m, c in acc.items() if c}
     _check(acc)
@@ -385,14 +385,8 @@ class Polynomial:
                     top = max(top, k)
         packed = {}
         for m, n, k in rows:
-            n <<= top - k
-            acc = packed.get(m)
-            n = n if acc is None else acc + n
-            if n:
-                packed[m] = n
-            else:
-                del packed[m]
-        self.packed, self.e = _normal(packed, top + e)
+            packed[m] = packed.get(m, 0) + (n << top - k)
+        self.packed, self.e = _normal(_settle(packed), top + e)
 
     @staticmethod
     def from_packed(packed: dict, e: int = 0) -> "Polynomial":
@@ -535,11 +529,6 @@ class Polynomial:
         return Polynomial.from_packed(
             {m: c for m, c in self.packed.items() if (m + _DHALF) & _DMASK <= field}, self.e
         )
-
-    def star(self) -> "Polynomial":
-        """Multiply the degree-d component by (-1)^d: the low bit of a
-        monomial is the parity of its degree."""
-        return _wrap({m: -c if m & 1 else c for m, c in self.packed.items()}, self.e)
 
     def split(self, v) -> dict:
         """Decompose by the exponent of the variable v: {e: the coefficient

@@ -1,11 +1,16 @@
 """Oracles for the tests, kept out of the program since no command runs
-them: the symmetric-function specialization of Gamma, and the
-degeneracy-locus class of a triple with caller-supplied Chern data.
+them: the symmetric-function specialization of Gamma, the
+degeneracy-locus class of a triple with caller-supplied Chern data, the
+branching rule and the top-degree part of a class written term by term,
+and the restriction of a class to a torus-fixed point with Billey's
+product of roots at the top.
 
     from oracles import degeneracy_formula, specialize_symfun
 """
 
-from vexpf.gamma import GeneratorSeries, pf_rows, series_rows, substitute_q
+import itertools
+
+from vexpf.gamma import GammaElement, GeneratorSeries, is_strict, pf_rows, series_rows, substitute_q
 from vexpf.multischur import paired_rows
 from vexpf.polycore import Polynomial, rational_series
 from vexpf.schubert import formula_rows
@@ -59,3 +64,87 @@ def degeneracy_formula(t, q_series=None, multipliers=None):
     if q_series is None:
         return e
     return substitute_q(e, Polynomial.of(q_series))
+
+
+def top_term(e, degree):
+    """The sum of the basis terms of e of full weight, with their constant
+    coefficients."""
+    return GammaElement({lam: c.part(0) for lam, c in e.combo.items() if sum(lam) == degree})
+
+
+def branch_term_by_term(e, v):
+    """Add the variable v to the alphabet of Q by the branching rule
+    Q_lambda(X, v) = sum_mu 2^a v^|lambda/mu| Q_mu(X), one Polynomial
+    product per (lambda, mu), summed per mu."""
+    combo = {}
+    for lam, coeff in e.combo.items():
+        for mu in itertools.product(*(range(l, b - 1, -1) for l, b in zip(lam, lam[1:] + (0,)))):
+            a = sum(m < l and not (j and mu[j - 1] == l) for j, (m, l) in enumerate(zip(mu, lam)))
+            mu = mu[:-1] if mu and not mu[-1] else mu
+            if is_strict(mu):
+                term = coeff * v ** (sum(lam) - sum(mu)) * (1 << a)
+                combo[mu] = combo.get(mu, Polynomial()) + term
+    return GammaElement(combo)
+
+
+# Localization (Billey, Duke 1999; the signed types after
+# Ikeda-Mihalcea-Naruse, Adv. Math. 2011).  A class restricts to the
+# fixed point v by a signed renaming of x and the negt form of Q on y,
+# through `Polynomial.substitute` and `substitute_q`, never through
+# `pf_rows` or the strip fold that build the classes.
+
+
+def _y(j):
+    return Polynomial.variable("y", j)
+
+
+def restrict(e, v) -> Polynomial:
+    """The class e restricted to the fixed point v: x_i -> -y_{v(i)},
+    with y_{-j} = -y_j, and Q -> prod (1 - y_j)/(1 + y_j) over
+    j = |v(i)| for the barred values v(i) < 0."""
+    xs = {("x", i): _y(-a) if a < 0 else -_y(a) for i, a in enumerate(v.values, start=1)}
+    e = e.map_coeffs(lambda c: c.substitute(xs))
+    barred = [-a for a in v.values if a < 0]
+    # the defining Pfaffian of Q_lambda uses generators up to lambda_1 + lambda_2
+    bound = max((sum(lam[:2]) for lam in e.combo), default=0)
+    q = rational_series([1 - _y(j) for j in barred], [1 + _y(j) for j in barred], bound)
+    return substitute_q(e, q)
+
+
+def _simple_root(i: int, wtype: str) -> Polynomial:
+    """alpha_i = y_i - y_{i+1}; alpha_0 = -y_1 (B), -2 y_1 (C) or
+    -(y_1 + y_2) (D)."""
+    if i:
+        return _y(i) - _y(i + 1)
+    return {"B": -_y(1), "C": -2 * _y(1), "D": -_y(1) - _y(2)}[wtype]
+
+
+def _reflect(i: int, wtype: str) -> dict:
+    """s_i acting on y, as a renaming: y_i <-> y_{i+1}; s_0 sends
+    y_1 -> -y_1 in B and C, and y_1 <-> -y_2 in D."""
+    if i:
+        return {("y", i): _y(i + 1), ("y", i + 1): _y(i)}
+    if wtype == "D":
+        return {("y", 1): -_y(2), ("y", 2): -_y(1)}
+    return {("y", 1): -_y(1)}
+
+
+def billey_top(word, wtype: str) -> Polynomial:
+    """A class restricted at its own element, from a reduced word
+    a_1 ... a_l of it: the product of the roots
+    beta_j = s_{a_1} ... s_{a_{j-1}}(alpha_{a_j})."""
+    out = Polynomial.const(1)
+    for j, a in enumerate(word):
+        root = _simple_root(a, wtype)
+        for b in reversed(word[:j]):
+            root = root.substitute(_reflect(b, wtype))
+        out = out * root
+    return out
+
+
+def localization_failures(e, top, word, points, wtype: str) -> list:
+    """The fixed points among `points` where e, a candidate class of the
+    element `top` with reduced word `word`, does not restrict as a top
+    class does: to Billey's product at `top` and to 0 everywhere else."""
+    want = billey_top(word, wtype)
+    return [v for v in points if restrict(e, v) != (want if v == top else 0)]

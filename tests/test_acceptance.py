@@ -21,13 +21,8 @@ from vexpf.weyl import SignedPermutation, all_elements, length
 from vexpf.schubert import schubert, swap_xy
 from vexpf.cli import SUITES, build_parser, format_report
 
+from oracles import top_term
 from random_routes import schubert_by_random_route
-
-
-def top_term(e, degree):
-    """The sum of the basis terms of e of full weight, with their constant
-    coefficients."""
-    return GammaElement({lam: c.part(0) for lam, c in e.combo.items() if sum(lam) == degree})
 
 
 def report(n, ok, detail=""):

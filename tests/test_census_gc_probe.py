@@ -1,0 +1,31 @@
+"""The census GC probe's output format.  Where the collector lands depends
+on the size of the whole tree, so these tests read only the shape of
+the report, not its verdict."""
+
+import importlib.util
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "census_gc_probe.py"
+LINE = re.compile(r"census --seed (\d+): count \((\d+), (\d+), (\d+)\), op 0 collections \[[\d, ]*\]")
+
+
+def test_one_line_per_seed():
+    run = subprocess.run([sys.executable, str(TOOL)], capture_output=True, text=True, timeout=120)
+    assert run.returncode in (0, 1), run.stderr
+    lines = run.stdout.splitlines()
+    assert [LINE.fullmatch(line).group(1) for line in lines] == ["1", "17"]
+
+
+def test_a_missing_anchor_fails_loudly(tmp_path):
+    spec = importlib.util.spec_from_file_location("census_gc_probe", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    worker = tmp_path / "worker.py"
+    worker.write_text("print('no anchor here')\n")
+    with pytest.raises(SystemExit, match="anchor"):
+        tool.patch_worker(worker)

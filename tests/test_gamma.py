@@ -19,7 +19,6 @@ from vexpf.gamma import (
     _pieri,
     _raw_mul,
     apply_symmetry,
-    is_strict,
     negt_series,
     pair_expansion,
     pf_expansion,
@@ -30,7 +29,7 @@ from vexpf.gamma import (
 )
 from vexpf.schubert import divided_difference, top_class
 
-from oracles import TruncationTooSmall, specialize_symfun
+from oracles import TruncationTooSmall, branch_term_by_term, specialize_symfun
 
 X1, X2 = Polynomial.variable("x", 1), Polynomial.variable("x", 2)
 
@@ -303,20 +302,6 @@ class TestSymmetries:
         lhs = apply_symmetry(a * b)
         rhs = apply_symmetry(a) * apply_symmetry(b)
         assert lhs == rhs
-
-
-def branch_term_by_term(e, v):
-    """The branching rule of `_branch`, adding any variable v, written term
-    by term: one Polynomial product coeff * v^|lambda/mu| * 2^a per
-    (lambda, mu), summed per mu."""
-    combo = {}
-    for lam, coeff in e.combo.items():
-        for mu in itertools.product(*(range(l, b - 1, -1) for l, b in zip(lam, lam[1:] + (0,)))):
-            a = sum(m < l and not (j and mu[j - 1] == l) for j, (m, l) in enumerate(zip(mu, lam)))
-            mu = mu[:-1] if mu and not mu[-1] else mu
-            if is_strict(mu):
-                _iadd(combo, mu, coeff * (v ** (sum(lam) - sum(mu)) * (1 << a)))
-    return GammaElement(combo)
 
 
 _DYADIC = st.builds(lambda n, k: Fraction(n, 1 << k), st.integers(-6, 6), st.integers(0, 4))

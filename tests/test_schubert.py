@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vexpf.polycore import Polynomial, exact_divide
-from vexpf.gamma import GammaElement, apply_symmetry, is_strict, specialize_oracle
-from vexpf.weyl import SignedPermutation, all_elements, length
+from vexpf.gamma import GammaElement, apply_symmetry, specialize_oracle
+from vexpf.weyl import SignedPermutation, all_elements, length, reduced_word
 from vexpf.triples import Triple, lambda_of, plus_map, triple_of_w, enumerate_triples, validate
 from vexpf.multischur import p_family, q_family, r_family
 from vexpf import schubert as schubert_module
@@ -21,14 +21,14 @@ from vexpf.schubert import (
     vexillary_polynomial,
 )
 
-from oracles import degeneracy_formula, symfun_series
+from oracles import (
+    branch_term_by_term,
+    degeneracy_formula,
+    localization_failures,
+    symfun_series,
+    top_term,
+)
 from random_routes import schubert_by_random_route
-
-
-def top_term(e, degree):
-    """The sum of the basis terms of e of full weight, with their constant
-    coefficients."""
-    return GammaElement({lam: c.part(0) for lam, c in e.combo.items() if sum(lam) == degree})
 
 
 def x(i):
@@ -252,21 +252,6 @@ class TestBCGeneratorZero:
         assert divided_difference(0, top_class(3, "C"), wtype)
 
 
-def branch_term_by_term(e, v):
-    """Add the variable v to the alphabet of Q by the branching rule
-    Q_lambda(X, v) = sum_mu 2^a v^|lambda/mu| Q_mu(X), one Polynomial
-    product per (lambda, mu)."""
-    combo = {}
-    for lam, coeff in e.combo.items():
-        for mu in itertools.product(*(range(l, b - 1, -1) for l, b in zip(lam, lam[1:] + (0,)))):
-            a = sum(m < l and not (j and mu[j - 1] == l) for j, (m, l) in enumerate(zip(mu, lam)))
-            mu = mu[:-1] if mu and not mu[-1] else mu
-            if is_strict(mu):
-                term = coeff * v ** (sum(lam) - sum(mu)) * (1 << a)
-                combo[mu] = combo.get(mu, Polynomial()) + term
-    return GammaElement(combo)
-
-
 def d0_type_d_by_division(f):
     """Type D's generator-0 step with s1hat applied directly: rename
     x1 -> -x2 and x2 -> -x1, add x1 and then x2 to the alphabet of Q term
@@ -396,6 +381,46 @@ class TestTopClasses:
         assert top_class(3, "D").degree() == 6
         assert top_class(3, "D", d_zero=True).degree() == 6
         assert top_class(2, "D").degree() == 2
+
+
+def _coset(n, wtype, parity):
+    """The fixed points of a coset: all of W_n in B and C; in D, the
+    signed permutations whose number of bars has the given parity."""
+    return [v for v in all_elements(n, "C") if wtype != "D" or v.num_barred() % 2 == parity]
+
+
+def _localization_failures(e, n, wtype, parity=0):
+    points = _coset(n, wtype, parity)
+    top = max(points, key=lambda v: length(v, wtype))
+    return localization_failures(e, top, reduced_word(top, wtype), points, wtype)
+
+
+class TestLocalization:
+    """Each top class restricts to Billey's product of roots at the top of
+    its coset and to 0 at every other fixed point: a check of the closed
+    formula that builds it, by a route that shares none of its code."""
+
+    @pytest.mark.parametrize("wtype", ["B", "C"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_signed_top_class(self, wtype, n):
+        assert _localization_failures(top_class(n, wtype), n, wtype) == []
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_type_d_top_class(self, n, parity):
+        # the class at the top of the coset with this parity of bars, as
+        # `schubert` starts its descent there
+        e = top_class(n, "D", d_zero=(n % 2 == parity))
+        assert _localization_failures(e, n, "D", parity) == []
+
+    def test_a_sign_flip_fails(self):
+        e = top_class(2, "C")
+        lam = min(e.combo)
+        coeff = e.combo[lam]
+        mono, c = next(iter(coeff.terms.items()))
+        combo = dict(e.combo)
+        combo[lam] = coeff - 2 * Polynomial({mono: c})
+        assert _localization_failures(GammaElement(combo), 2, "C")
 
 
 class TestSchubert:
@@ -573,8 +598,6 @@ class TestVanishingSpecialization:
             for j in range(1, k):
                 mult = mult * (1 + Polynomial.variable("t", j))
             return GeneratorSeries(mult)
-
-        import itertools
 
         for k in range(2, 5):
             for l in range(1, k):

@@ -1,0 +1,100 @@
+"""Where census's first timed op meets the garbage collector.
+
+    python3 tools/census_gc_probe.py
+
+perfbench runs each pass in a fresh interpreter with no bytecode cache
+and collects no garbage before the first op, so how many objects the
+set-up leaves alive decides whether census op 0 takes a generation-0
+collection (about 0.01 ms) or a generation-1 one (0.7-1.3 ms, which
+triples census `wall_s`).  This probe copies the tree's `src/` and
+`perfbench/` (no `__pycache__`) into a temporary directory, patches the
+copy's `worker.py` to read `gc.get_count()` just before `probe = Probe()`
+and to record the generation of each collection that starts during op 0,
+and runs census there at each seed in a fresh interpreter with
+PYTHONDONTWRITEBYTECODE=1.  The checkout is only read.
+
+It prints one line per seed,
+
+    census --seed 1: count (49, 0, 3), op 0 collections [0]
+
+and exits 1 if op 0 takes a collection of generation 1 or more.  The
+hook allocates too, so compare trees only through this same probe.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 17)
+
+# Each anchor of worker.py and the lines that go in front of it.
+PATCHES = (
+    (
+        "    probe = Probe()\n",
+        "    import gc\n"
+        "    gc_count = gc.get_count()\n"
+        "    gc_starts = []\n"
+        "    gc.callbacks.append(\n"
+        "        lambda phase, info: phase == 'start'\n"
+        "        and gc_starts.append((time.perf_counter(), info['generation'])))\n",
+    ),
+    (
+        "    print(json.dumps(result))\n",
+        "    result['gc_probe'] = {'count': gc_count, 'op0': [\n"
+        "        gen for t, gen in gc_starts if starts[0] <= t <= starts[0] + latencies[0]]}\n",
+    ),
+)
+
+
+def patch_worker(path: Path) -> None:
+    """Insert the probe before each anchor of worker.py; SystemExit if an
+    anchor is missing or not unique, since the reading would then mean
+    nothing."""
+    text = path.read_text()
+    for anchor, lines in PATCHES:
+        if text.count(anchor) != 1:
+            raise SystemExit(f"census_gc_probe: anchor {anchor.strip()!r} not found once in {path}")
+        text = text.replace(anchor, lines + anchor)
+    path.write_text(text)
+
+
+def probe(tree: Path, seed: int) -> dict:
+    """The gc_probe reading of one census pass at seed, from tree."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    cmd = [
+        sys.executable, str(tree / "perfbench" / "worker.py"), "--workload", "census",
+        "--seed", str(seed), "--spawned", repr(time.perf_counter()),
+    ]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=150, check=False)
+    if proc.returncode:
+        raise SystemExit(f"census_gc_probe: census --seed {seed} exited {proc.returncode}:\n"
+                         + proc.stderr)
+    return json.loads(proc.stdout.strip().splitlines()[-1])["gc_probe"]
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp)
+        for part in ("src", "perfbench"):
+            shutil.copytree(ROOT / part, tree / part, ignore=shutil.ignore_patterns("__pycache__"))
+        patch_worker(tree / "perfbench" / "worker.py")
+        code = 0
+        for seed in SEEDS:
+            reading = probe(tree, seed)
+            count, gens = tuple(reading["count"]), reading["op0"]
+            print(f"census --seed {seed}: count {count}, op 0 collections {gens}")
+            if any(gen >= 1 for gen in gens):
+                code = 1
+    return code
+
+
+if __name__ == "__main__":
+    sys.exit(main())
