@@ -58,6 +58,7 @@ from .polycore import (
     _fma,
     _overflow,
     _settle,
+    _wrap,
     exponent,
     ones_product,
     rational_series,
@@ -304,9 +305,15 @@ class GammaElement:
     __rmul__ = __mul__
 
     def halve(self, r: int) -> "GammaElement":
-        """self / 2^r: r added to each coefficient's shared exponent."""
+        """self / 2^r: r added to each coefficient's shared exponent.  A
+        coefficient with e > 0 already has an odd integer in its map, so it
+        stays normalized as it is; only one with e == 0 goes through
+        `from_packed`."""
         out = GammaElement()
-        out.combo = {lam: Polynomial.from_packed(c.packed, c.e + r) for lam, c in self.combo.items()}
+        out.combo = {
+            lam: _wrap(c.packed, c.e + r) if c.e else Polynomial.from_packed(c.packed, r)
+            for lam, c in self.combo.items()
+        }
         return out
 
     def map_coeffs(self, fn) -> "GammaElement":
@@ -357,20 +364,28 @@ class GeneratorSeries:
     term 1.  Every Pfaffian row is one: a concrete series F with F F* = 1
     stands for Q, since Q Q* = 1 in Gamma.  Type B's P * g is no separate
     kind: a Pfaffian term uses each row once, so its Pfaffian is 2^-r
-    times the one of Q * g."""
+    times the one of Q * g.
 
-    __slots__ = ("multiplier", "by_degree")
+    The series records what its readers ask of g once, when it is built:
+    `parts`, g split by degree {a: g_a} (absent a: g_a = 0) in increasing
+    a, which `row` re-keys and `multischur.paired_rows` reads for type D's
+    scalar, and `degree`, the degree of g, which the skew guards of
+    `multischur_pf` and `multischur_pf_d` read.  The rows of `ones_series`
+    are shared, so each call reads these instead of scanning g."""
+
+    __slots__ = ("multiplier", "parts", "degree")
 
     def __init__(self, multiplier=1):
         multiplier = Polynomial.of(multiplier)
         if multiplier.constant_term() != 1:
             raise ValueError("series multiplier must have constant term 1")
         self.multiplier = multiplier
-        self.by_degree = tuple(sorted(multiplier.parts().items()))  # (a, g_a), split once
+        self.parts = dict(sorted(multiplier.parts().items()))
+        self.degree = max(self.parts)
 
     def row(self, k: int) -> dict:
         """The degree-k coefficient sum_a g_a Q_{k-a} as a row {k - a: g_a}."""
-        return {k - a: g for a, g in self.by_degree}
+        return {k - a: g for a, g in self.parts.items()}
 
     def __repr__(self):
         return f"Q*({self.multiplier})"

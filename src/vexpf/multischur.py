@@ -121,10 +121,8 @@ def multischur_pf(lam, series) -> GammaElement:
     if len(series) != len(lam):
         raise ValueError("need one series per index")
     for k, c in zip(lam, series):
-        if c.multiplier.degree() >= max(k, 1):
-            raise SkewCheckFailed(
-                f"multiplier degree {c.multiplier.degree()} too big for index {k}"
-            )
+        if c.degree >= max(k, 1):
+            raise SkewCheckFailed(f"multiplier degree {c.degree} too big for index {k}")
     return pf_rows(series_rows(lam, series))
 
 
@@ -147,8 +145,8 @@ def multischur_pf_d(lam, series) -> GammaElement:
     if len(series) != len(lam):
         raise ValueError("need one series per index")
     for k, d in zip(lam, series):
-        if d.multiplier.degree() > k:
-            raise SkewCheckFailed(f"deg c = {d.multiplier.degree()} exceeds index {k}")
+        if d.degree > k:
+            raise SkewCheckFailed(f"deg c = {d.degree} exceeds index {k}")
     for i in range(1, len(series)):
         if not _divides(series[i - 1], series[i]):
             raise DivisibilityFailed(f"c({i+1}) does not divide c({i})")
@@ -157,10 +155,12 @@ def multischur_pf_d(lam, series) -> GammaElement:
 
 def paired_rows(lam, series):
     """The rows d_i + c_i f of the paired Pfaffian, with d_i = d(i)_{k_i}
-    and c_i = c(i)_{k_i} the scalar on type D's extra symbol f."""
+    and c_i = c(i)_{k_i} the scalar on type D's extra symbol f, read from
+    the series' split by degree (a zero c_i adds no entry)."""
     rows = series_rows(lam, series)
     for row, k, d in zip(rows, lam, series):
-        row[None] = d.multiplier.part(k)
+        if k in d.parts:
+            row[None] = d.parts[k]
     return rows
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from .polycore import Polynomial, exact_divide, rational_series
 from .gamma import GammaElement, apply_symmetry, ones_series, s0_quotient
 from .weyl import SignedPermutation, SizeMismatch, descents, generators, longest_element
-from .triples import InvalidTriple, Triple, column_steps, lambda_of, validate
+from .triples import Triple, column_steps, lambda_of
 from .multischur import multischur_det, multischur_pf, multischur_pf_d
 
 
@@ -114,9 +114,9 @@ def formula_rows(t: Triple, wtype: str):
     signed rows are Q*g, with g = prod_{j<p}(1+x_j) prod_{j<q}(1+y_j) in
     types B/C and g = prod_{j<=p}(1+x_j) prod_{j<=q}(1+y_j) in type D.
     """
-    if t.s == 0:
-        return (), []
     lam = lambda_of(t)
+    if not lam:
+        return (), []
     if wtype == "A":
         bound = lam[0] + len(lam)
         return lam, [
@@ -138,11 +138,10 @@ def vexillary_polynomial(t: Triple, wtype: str = None):
     of formula_rows: Pf_lam(Q*g) in type C, 2^-r times it in type B (the
     half-generator rows P*g), and 2^-r times the paired Pfaffian
     Pf_lam(g | Q*g) in type D.  Every valid triple, strict or redundant,
-    passes the Pfaffians' guards.
+    passes the Pfaffians' guards; an invalid one raises InvalidTriple
+    from `lambda_of`, which validates it once.
     """
     wtype = wtype or t.wtype
-    if validate(t) == "invalid":
-        raise InvalidTriple(str(t))
     lam, rows = formula_rows(t, wtype)
     if wtype == "A":
         return multischur_det(lam, rows)

@@ -1,4 +1,4 @@
-"""The census GC probe's output format.  Where the collector lands depends
+"""The GC probe's output format.  Where the collector lands depends
 on the size of the whole tree, so these tests read only the shape of
 the report, not its verdict."""
 
@@ -11,14 +11,18 @@ from pathlib import Path
 import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "census_gc_probe.py"
-LINE = re.compile(r"census --seed (\d+): count \((\d+), (\d+), (\d+)\), op 0 collections \[[\d, ]*\]")
+LINE = re.compile(
+    r"(census|pfaffian|descent) --seed (\d+): count \((\d+), (\d+), (\d+)\), op 0 collections \[[\d, ]*\]"
+)
 
 
-def test_one_line_per_seed():
+def test_one_line_per_workload_and_seed():
     run = subprocess.run([sys.executable, str(TOOL)], capture_output=True, text=True, timeout=120)
     assert run.returncode in (0, 1), run.stderr
     lines = run.stdout.splitlines()
-    assert [LINE.fullmatch(line).group(1) for line in lines] == ["1", "17"]
+    assert [LINE.fullmatch(line).group(1, 2) for line in lines] == [
+        (workload, seed) for workload in ("census", "pfaffian", "descent") for seed in ("1", "17")
+    ]
 
 
 def test_a_missing_anchor_fails_loudly(tmp_path):

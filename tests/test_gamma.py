@@ -20,6 +20,7 @@ from vexpf.gamma import (
     _raw_mul,
     apply_symmetry,
     negt_series,
+    ones_series,
     pair_expansion,
     pf_expansion,
     q_pair,
@@ -27,7 +28,8 @@ from vexpf.gamma import (
     specialize_oracle,
     straighten_monomial,
 )
-from vexpf.schubert import divided_difference, top_class
+from vexpf.schubert import divided_difference, formula_rows, top_class
+from vexpf.triples import enumerate_triples
 
 from oracles import TruncationTooSmall, branch_term_by_term, specialize_symfun
 
@@ -234,6 +236,52 @@ class TestSeries:
     def test_multiplier_needs_unit_constant_term(self, mult):
         with pytest.raises(ValueError, match="constant term 1"):
             GeneratorSeries(mult)
+
+    def test_series_record_their_multiplier(self):
+        # every shared row of a W_4 formula (B, C, D) and of the families
+        # with parts <= 5: the degree the skew guards read and the split
+        # that rows and type D's paired scalar read
+        series = {ones_series(("t", k)) for k in range(6)}
+        for t in enumerate_triples("C", 4):
+            series.update(formula_rows(t, "B")[1] + formula_rows(t, "C")[1])
+        for t in enumerate_triples("D", 4):
+            series.update(formula_rows(t, "D")[1])
+        assert len(series) > 6
+        for c in series:
+            g = c.multiplier
+            assert c.degree == g.degree(), c
+            assert list(c.parts) == sorted(c.parts)
+            for k in range(-1, g.degree() + 2):
+                assert c.parts.get(k, Polynomial()) == g.part(k), (c, k)
+
+
+_MONOS = [next(iter(m.packed)) for m in (Polynomial.const(1), X1, X2, X1 * X2, X1**3)]
+
+
+@st.composite
+def halvable_elements(draw):
+    """Elements whose coefficients are n 2^shift / 2^e over a few
+    monomials, normalized by `from_packed`: shift >= 1 at e == 0 keeps an
+    all-even coefficient, and shift >= 1 at e > 0 normalizes down."""
+    combo = {}
+    for lam in draw(st.lists(st.sampled_from([(), (1,), (2, 1), (3, 1)]), unique=True, max_size=4)):
+        shift = draw(st.integers(0, 3))
+        terms = draw(st.dictionaries(st.sampled_from(_MONOS), st.integers(-5, 5).filter(bool), min_size=1, max_size=4))
+        combo[lam] = Polynomial.from_packed({m: n << shift for m, n in terms.items()}, draw(st.integers(0, 3)))
+    return GammaElement(combo)
+
+
+class TestHalve:
+    @settings(deadline=None, max_examples=150)
+    @given(halvable_elements(), st.integers(0, 4))
+    @example(GammaElement({(1,): Polynomial.from_packed({_MONOS[1]: 2, _MONOS[0]: 4})}), 1)
+    @example(GammaElement({(2, 1): Polynomial.from_packed({_MONOS[1]: 4, _MONOS[0]: 8}, 2)}), 3)
+    @example(GammaElement({(): Polynomial.from_packed({_MONOS[2]: 3}, 2)}), 0)
+    def test_matches_the_normalizing_path(self, e, r):
+        got = e.halve(r)
+        assert got.combo == {lam: Polynomial.from_packed(c.packed, c.e + r) for lam, c in e.combo.items()}
+        for c in got.combo.values():
+            assert c.e == 0 or any(n & 1 for n in c.packed.values())
 
 
 class TestQPair:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from vexpf.polycore import ExponentOverflow, Polynomial, exact_divide, rational_series
-from vexpf import gamma, gysin, multischur
+from vexpf import gamma, gysin, multischur, schubert, triples
 from vexpf.gamma import (
     GammaElement,
     GeneratorSeries,
@@ -23,13 +23,14 @@ from vexpf.multischur import (
     multischur_det,
     multischur_pf,
     multischur_pf_d,
+    p_family,
     paired_rows,
     pfaffian,
     r_family,
     r_rows,
 )
 from vexpf.schubert import formula_rows, top_class, vexillary_polynomial
-from vexpf.triples import enumerate_triples
+from vexpf.triples import InvalidTriple, Triple, enumerate_triples
 
 
 def tvar(i):
@@ -613,7 +614,7 @@ class TestPackedFold:
 
 def series_maps(series) -> list:
     """Copies of the packed maps of each series' multiplier and its parts by degree."""
-    return [(dict(c.multiplier.packed), [dict(g.packed) for _, g in c.by_degree]) for c in series]
+    return [(dict(c.multiplier.packed), [dict(g.packed) for g in c.parts.values()]) for c in series]
 
 
 class TestSharedTables:
@@ -646,3 +647,72 @@ class TestSharedTables:
         assert series_maps(series) == before
         assert r_rows((1,))[0] is series[0]
         assert r_family((1,)) == GammaElement({(1,): Fraction(1, 2), (): tvar(1)})
+
+
+# ---------------------------------------------------------------------------
+# work bounds: what a formula on warm series still computes
+# ---------------------------------------------------------------------------
+
+W4_TOPS = [("B", False), ("C", False), ("D", False), ("D", True)]
+
+
+class TestWorkBounds:
+    def test_warm_formulas_scan_no_multiplier(self, monkeypatch):
+        # each series recorded its multiplier's degree and split when it was
+        # built, so no skew guard and no paired row calls Polynomial.degree
+        # (a scan of every term) or Polynomial.part (a scan and a new
+        # Polynomial) once the series are warm
+        formulas = [lambda: r_family((3, 2, 1)), lambda: p_family((4, 3, 2))] + [
+            lambda wtype=wtype, d_zero=d_zero: top_class(4, wtype, d_zero)
+            for wtype, d_zero in W4_TOPS
+        ]
+        expect = [fold() for fold in formulas]
+        calls = dict.fromkeys(("degree", "part"), 0)
+        for name in calls:
+
+            def counting(self, *args, name=name, method=getattr(Polynomial, name)):
+                calls[name] += 1
+                return method(self, *args)
+
+            monkeypatch.setattr(Polynomial, name, counting)
+        assert [fold() for fold in formulas] == expect
+        assert calls == {"degree": 0, "part": 0}
+
+    @pytest.mark.parametrize("wtype, d_zero", W4_TOPS)
+    def test_one_validate_per_formula(self, monkeypatch, wtype, d_zero):
+        # the W_4 top-class formula validates its triple once, in
+        # lambda_of; a type-D validate reads plus_map(t) through an inner
+        # call, which is not counted
+        validate = triples.validate
+        depth, outermost = [0], [0]
+
+        def counting(t):
+            outermost[0] += not depth[0]
+            depth[0] += 1
+            try:
+                return validate(t)
+            finally:
+                depth[0] -= 1
+
+        for module in (triples, schubert, multischur):  # wherever a module binds it
+            if getattr(module, "validate", None) is validate:
+                monkeypatch.setattr(module, "validate", counting)
+        top_class(4, wtype, d_zero)
+        outermost[0] = 0
+        top_class(4, wtype, d_zero)
+        assert outermost[0] == 1
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            Triple((2,), (3,), (1,), "A"),
+            Triple((2, 1), (1, 1), (1, 1), "C"),
+            Triple((2, 1), (1, 1), (1, 1), "D"),
+            Triple((), (1,), (), "C"),
+        ],
+        ids=["A", "C", "D", "C-empty-k"],
+    )
+    def test_invalid_triples_raise(self, t):
+        assert triples.validate(t) == "invalid"
+        with pytest.raises(InvalidTriple):
+            vexillary_polynomial(t)

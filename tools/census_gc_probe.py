@@ -1,23 +1,25 @@
-"""Where census's first timed op meets the garbage collector.
+"""Where the first timed op of census, pfaffian and descent meets the
+garbage collector.
 
     python3 tools/census_gc_probe.py
 
 perfbench runs each pass in a fresh interpreter with no bytecode cache
 and collects no garbage before the first op, so how many objects the
-set-up leaves alive decides whether census op 0 takes a generation-0
+set-up leaves alive decides whether op 0 takes a generation-0
 collection (about 0.01 ms) or a generation-1 one (0.7-1.3 ms, which
-triples census `wall_s`).  This probe copies the tree's `src/` and
-`perfbench/` (no `__pycache__`) into a temporary directory, patches the
-copy's `worker.py` to read `gc.get_count()` just before `probe = Probe()`
-and to record the generation of each collection that starts during op 0,
-and runs census there at each seed in a fresh interpreter with
-PYTHONDONTWRITEBYTECODE=1.  The checkout is only read.
+triples census `wall_s`, and would make pfaffian's op 0, `r_family((4,))`
+at about 0.18 ms, its slowest op).  This probe copies the tree's `src/`
+and `perfbench/` (no `__pycache__`) into a temporary directory, patches
+the copy's `worker.py` to read `gc.get_count()` just before
+`probe = Probe()` and to record the generation of each collection that
+starts during op 0, and runs each workload there at each seed in a fresh
+interpreter with PYTHONDONTWRITEBYTECODE=1.  The checkout is only read.
 
-It prints one line per seed,
+It prints one line per workload and seed,
 
     census --seed 1: count (49, 0, 3), op 0 collections [0]
 
-and exits 1 if op 0 takes a collection of generation 1 or more.  The
+and exits 1 if any op 0 takes a collection of generation 1 or more.  The
 hook allocates too, so compare trees only through this same probe.
 """
 
@@ -33,6 +35,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("census", "pfaffian", "descent")
 SEEDS = (1, 17)
 
 # Each anchor of worker.py and the lines that go in front of it.
@@ -66,16 +69,16 @@ def patch_worker(path: Path) -> None:
     path.write_text(text)
 
 
-def probe(tree: Path, seed: int) -> dict:
-    """The gc_probe reading of one census pass at seed, from tree."""
+def probe(tree: Path, workload: str, seed: int) -> dict:
+    """The gc_probe reading of one pass of workload at seed, from tree."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     cmd = [
-        sys.executable, str(tree / "perfbench" / "worker.py"), "--workload", "census",
+        sys.executable, str(tree / "perfbench" / "worker.py"), "--workload", workload,
         "--seed", str(seed), "--spawned", repr(time.perf_counter()),
     ]
     proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=150, check=False)
     if proc.returncode:
-        raise SystemExit(f"census_gc_probe: census --seed {seed} exited {proc.returncode}:\n"
+        raise SystemExit(f"census_gc_probe: {workload} --seed {seed} exited {proc.returncode}:\n"
                          + proc.stderr)
     return json.loads(proc.stdout.strip().splitlines()[-1])["gc_probe"]
 
@@ -87,12 +90,13 @@ def main() -> int:
             shutil.copytree(ROOT / part, tree / part, ignore=shutil.ignore_patterns("__pycache__"))
         patch_worker(tree / "perfbench" / "worker.py")
         code = 0
-        for seed in SEEDS:
-            reading = probe(tree, seed)
-            count, gens = tuple(reading["count"]), reading["op0"]
-            print(f"census --seed {seed}: count {count}, op 0 collections {gens}")
-            if any(gen >= 1 for gen in gens):
-                code = 1
+        for workload in WORKLOADS:
+            for seed in SEEDS:
+                reading = probe(tree, workload, seed)
+                count, gens = tuple(reading["count"]), reading["op0"]
+                print(f"{workload} --seed {seed}: count {count}, op 0 collections {gens}")
+                if any(gen >= 1 for gen in gens):
+                    code = 1
     return code
 
 
