@@ -274,16 +274,23 @@ def suite_theorem_equivalence(args, report):
     return not bad
 
 
+def _compare_over(n, wtypes, differs, failure, report):
+    """Report failure.format(wtype=..., w=...) for each w in W_n of each
+    type where differs(w, wtype) holds; True when none does."""
+    bad = [failure.format(wtype=t, w=w) for t in wtypes for w in all_elements(n, t) if differs(w, t)]
+    report.extend(bad)
+    return not bad
+
+
 def suite_stability(args, report):
     n = 2 if args.n is None else args.n
-    ok = True
-    for wtype in ("A", "B", "C", "D"):
+
+    def unstable(w, wtype):
         # type D starts at size 2, so W_1 is compared at sizes 2 and 3
         size = max(n, 2) if wtype == "D" else n
-        for w in all_elements(n, wtype):
-            if schubert(w, wtype, n=size) != schubert(w.embed(size + 1), wtype, n=size + 1):
-                report.append(f"instability: type {wtype}, w = {w}")
-                ok = False
+        return schubert(w, wtype, n=size) != schubert(w.embed(size + 1), wtype, n=size + 1)
+
+    ok = _compare_over(n, "ABCD", unstable, "instability: type {wtype}, w = {w}", report)
     line = f"all four types checked at n = {n} vs {n + 1}"
     report.append(line if n >= 2 else f"{line}, type D at n = 2 vs 3")
     return ok
@@ -291,23 +298,16 @@ def suite_stability(args, report):
 
 def suite_b_scaling(args, report):
     n = 3 if args.n is None else args.n
-    ok = True
-    for w in all_elements(n, "B"):
-        if schubert(w, "B") != schubert(w, "C").halve(w.num_barred()):
-            report.append(f"scaling fails at w = {w}")
-            ok = False
+    ok = _compare_over(n, "B", lambda w, _: schubert(w, "B") != schubert(w, "C").halve(w.num_barred()),
+                       "scaling fails at w = {w}", report)
     report.append(f"2^-r scaling verified on {2 ** n * 6} elements" if n == 3 else "done")
     return ok
 
 
 def suite_inverse_swap(args, report):
     n = 3 if args.n is None else args.n
-    ok = True
-    for wtype in ("C", "D"):
-        for w in all_elements(n, wtype):
-            if swap_xy(schubert(w, wtype)) != schubert(w.inverse(), wtype):
-                report.append(f"inverse symmetry fails: type {wtype}, w = {w}")
-                ok = False
+    ok = _compare_over(n, "CD", lambda w, wtype: swap_xy(schubert(w, wtype)) != schubert(w.inverse(), wtype),
+                       "inverse symmetry fails: type {wtype}, w = {w}", report)
     report.append(f"x<->y inverse symmetry checked for C and D at n = {n}")
     return ok
 

@@ -184,7 +184,7 @@ def _top_element(n: int, wtype: str, barred_parity: int) -> SignedPermutation:
     w0 = longest_element(n, wtype)
     if wtype == "D" and w0.num_barred() % 2 != barred_parity:
         # the top of the odd type-D coset: flip the first entry's bar
-        return SignedPermutation((-w0.values[0],) + w0.values[1:])
+        return SignedPermutation._of((-w0.values[0],) + w0.values[1:])
     return w0
 
 

@@ -199,7 +199,7 @@ def w_of_triple(t: Triple) -> SignedPermutation:
                 f"insertion broke the rank condition for {t}: "
                 f"expected {k} at the step (p={p}, q={q}), got {got}"
             )
-    return SignedPermutation(values)
+    return SignedPermutation._of(values)
 
 
 def _insert(steps: list) -> tuple:

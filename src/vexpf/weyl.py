@@ -23,10 +23,9 @@ class SizeMismatch(ValueError):
 
 
 class SignedPermutation:
-    """A signed permutation.  The constructor and `parse` check that the
-    values are one, and `all_elements` builds through the constructor.
-    The other operations map signed permutations to signed permutations,
-    so they build through `_of`, which checks nothing."""
+    """A signed permutation.  The constructor and `parse` check values
+    from outside the program; everything the program builds is one by
+    construction, so it builds through `_of`, which checks nothing."""
 
     __slots__ = ("values",)
 
@@ -204,10 +203,10 @@ def all_elements(n: int, wtype: str):
     """All elements of W_n (for D: the even-coset group of order 2^{n-1} n!)."""
     if wtype == "A":
         for perm in itertools.permutations(range(1, n + 1)):
-            yield SignedPermutation(perm)
+            yield SignedPermutation._of(perm)
         return
     for perm in itertools.permutations(range(1, n + 1)):
         for signs in itertools.product((1, -1), repeat=n):
             if wtype == "D" and signs.count(-1) % 2 != 0:
                 continue
-            yield SignedPermutation(s * v for s, v in zip(signs, perm))
+            yield SignedPermutation._of(tuple(s * v for s, v in zip(signs, perm)))

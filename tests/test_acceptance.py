@@ -6,12 +6,14 @@ Criterion 12 is exploratory: findings are printed but never fail the gate
 Criteria that the `vexpf verify` suites cover run the suite itself, with
 the parameters a bare `vexpf verify <suite>` uses unless stated; the rest
 (random routes, the type-B inverse swap, skew pairs, the non-vexillary
-witness) keep their own code.  The stdout of the suite runs that
-perfbench/reference.json does not pin is pinned here, as the CLI's own
-`format_report` writes it.
+witness) keep their own code.  Each suite runs through `cli.main`, so
+it passes the CLI's own option checks, and the stdout of the suite runs
+that perfbench/reference.json does not pin is pinned here.
 """
 
+import contextlib
 import hashlib
+import io
 import random
 import time
 
@@ -19,7 +21,7 @@ from vexpf.polycore import Polynomial
 from vexpf.gamma import GammaElement, GeneratorSeries, q_pair
 from vexpf.weyl import SignedPermutation, all_elements, length
 from vexpf.schubert import schubert, swap_xy
-from vexpf.cli import SUITES, build_parser, format_report
+from vexpf import cli
 
 from oracles import top_term
 from random_routes import schubert_by_random_route
@@ -47,17 +49,18 @@ VERIFY_STDOUT = {
 
 
 def run_suite(name, *options):
-    """SUITES[name] on the arguments of `vexpf verify name *options`:
-    (pass, report lines).  A run keyed in VERIFY_STDOUT must print the
-    pinned stdout."""
-    args = build_parser().parse_args(["verify", name, *options])
-    lines = []
-    ok = SUITES[name](args, lines)
+    """`vexpf verify name *options`, run through `cli.main`: (pass, report
+    lines), read from its exit code and stdout.  A run keyed in
+    VERIFY_STDOUT must print the pinned stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", name, *options])
+    assert code in (0, 1), f"verify {name} exited {code}"
+    stdout = out.getvalue()
     key = " ".join((name, *options))
     if key in VERIFY_STDOUT:
-        stdout = format_report(name, ok, lines, args.format)
         assert hashlib.sha256(stdout.encode()).hexdigest() == VERIFY_STDOUT[key], f"verify {key}"
-    return ok, "; ".join(lines)
+    return code == 0, "; ".join(stdout.splitlines()[:-1])
 
 
 def test_criterion_1_census():

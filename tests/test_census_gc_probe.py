@@ -1,6 +1,9 @@
-"""The GC probe's output format.  Where the collector lands depends
-on the size of the whole tree, so these tests read only the shape of
-the report, not its verdict."""
+"""The GC probe on the tree under test: one report line per workload and
+seed, and its verdict.  No op 0 of census, pfaffian or descent may take a
+collection of generation 1 or more, since one such collection triples
+census `wall_s` in the benchmark.  Where the collector lands depends on
+the allocations of the whole import and set-up, so a change anywhere in
+`src/vexpf` can flip it; the probe's docstring gives the mechanism."""
 
 import importlib.util
 import re
@@ -18,11 +21,11 @@ LINE = re.compile(
 
 def test_one_line_per_workload_and_seed():
     run = subprocess.run([sys.executable, str(TOOL)], capture_output=True, text=True, timeout=120)
-    assert run.returncode in (0, 1), run.stderr
     lines = run.stdout.splitlines()
     assert [LINE.fullmatch(line).group(1, 2) for line in lines] == [
         (workload, seed) for workload in ("census", "pfaffian", "descent") for seed in ("1", "17")
-    ]
+    ], run.stderr
+    assert run.returncode == 0, run.stdout + run.stderr
 
 
 def test_a_missing_anchor_fails_loudly(tmp_path):

@@ -13,6 +13,8 @@ from vexpf.weyl import (
     longest_element,
     reduced_word,
 )
+from vexpf import schubert
+from vexpf.triples import enumerate_triples, w_of_triple
 
 
 def rank(w, p, q):
@@ -172,6 +174,22 @@ def test_length_additivity_with_inverse(perm, bars):
 
 def _passes_the_public_check(w) -> bool:
     return type(w.values) is tuple and SignedPermutation(w.values) == w
+
+
+def test_the_program_builds_without_the_check(monkeypatch):
+    # the constructor checks values from outside; what all_elements, the odd
+    # type-D top and the insertion build is a signed permutation by
+    # construction, so they skip the check and this test makes it instead
+    calls = []
+    check = SignedPermutation.__init__
+    monkeypatch.setattr(SignedPermutation, "__init__", lambda w, values: calls.append(values) or check(w, values))
+    built = [w for n in range(1, 5) for wtype in "BCD" for w in all_elements(n, wtype)]
+    built += [w for n in range(1, 6) for w in all_elements(n, "A")]
+    built += [schubert._top_element(n, "D", 1) for n in range(2, 6)]
+    built += [w_of_triple(t) for wtype in "ACD" for n in (1, 2, 3) for t in enumerate_triples(wtype, n)]
+    assert calls == []
+    monkeypatch.undo()
+    assert all(_passes_the_public_check(w) for w in built)
 
 
 @st.composite

@@ -19,8 +19,21 @@ It prints one line per workload and seed,
 
     census --seed 1: count (49, 0, 3), op 0 collections [0]
 
-and exits 1 if any op 0 takes a collection of generation 1 or more.  The
-hook allocates too, so compare trees only through this same probe.
+and exits 1 if any op 0 takes a collection of generation 1 or more;
+tests/test_census_gc_probe.py runs it and asserts exit 0.  The hook
+allocates too, so compare trees only through this same probe.
+
+Where the edge sits: importing vexpf takes generation-0 collections
+while `cli`, `gamma` and `gysin` compile, the last inside gysin's
+compile with under a hundred of the import's allocations after it, and
+census's set-up then ends a few dozen allocations after a generation-1
+collection: (44, 0, 3) before the program's builders skipped the
+constructor's check, (23, 0, 3) since.  A net cut of that size before
+the last import collection pushes it out of the import; the set-up
+then ends with the second count at 11, as in (650, 11, 2), and census
+op 0 takes the generation-1 collection.  An edit inside gamma's compile
+can flip it at almost no size, so the edge follows allocations, not
+lines or modules.
 """
 
 from __future__ import annotations
