@@ -51,14 +51,18 @@ which is all `exact_divide` needs.  Nothing printed depends on it:
 A swap of two variables permutes two fields, so each term's image is
 read off its biased fields, and no renamed copy is built or subtracted.
 The divided difference (f - s_i f)/(x_i - x_{i+1}) of the signed types
-is one pass, `Polynomial.divided_difference`: each pair of terms
-swapped into each other is read once, and their difference goes
-straight to its quotient as a geometric sum,
+is one pass over every coefficient of a map, `divided_differences`,
+such as a class's Q-basis combo: the fields of v and w are looked up
+once per call, each pair of terms swapped into each other is read once,
+and their difference goes straight to its quotient as a geometric sum,
 (v^a w^b - v^b w^a) / (v - w) = v^b w^b (v^(a-b-1) + v^(a-b-2) w + ...
-+ w^(a-b-1)).  Type A still takes two passes, only because perfbench's
-type-A descent test counts its divisions: `Polynomial.swap_difference`
-builds the numerator f - s_i f, and `exact_divide` writes the same
-geometric sums from it, with no heap.  The one other ring map,
++ w^(a-b-1)).  `Polynomial.divided_difference` is its one-coefficient
+case, and `dd_passes` and `dd_terms_read` count its calls and the terms
+they read, once per call.  Type A still takes two passes, only because
+perfbench's type-A descent test counts its divisions:
+`Polynomial.swap_difference` builds the numerator f - s_i f, and
+`exact_divide` writes the same geometric sums from it, with no heap.
+The one other ring map,
 `Polynomial.substitute`, is a signed renaming of variables (generator
 0's x_1 -> -x_1, and x <-> y): each term moves by int additions on its
 fields, and no image is multiplied in.
@@ -600,29 +604,76 @@ class Polynomial:
         return Polynomial.from_packed(out, self.e)
 
     def divided_difference(self, v, w) -> "Polynomial":
-        """(self - self|v<->w) / (v - w) in one pass over the terms, the
-        numerator never built.
+        """(self - self|v<->w) / (v - w): the one-coefficient case of
+        `divided_differences`."""
+        return divided_differences({0: self}, v, w).get(0) or _wrap({})
 
-        The numerator is alternating: a term v^a w^b R (a > b) with
-        coefficient c and its partner v^b w^a R with c' give
-        (c - c')(v^a w^b - v^b w^a) R, whose quotient is the run
-        (c - c') R v^b w^b h_(a-b-1)(v, w), where
-        h_k(v, w) = v^k + v^(k-1) w + ... + w^k: a - b monomials, each one
-        swap step from the last.  So a term with a > b reads its partner
-        once and writes that run unless c == c'; a term with a < b writes
-        only when it has no partner, the run of its swapped monomial with
-        coefficient -c; a term with a == b is fixed by the swap and
-        cancels.  The rule holds for negative exponents too (a Laurent
-        dividend).  Every exponent of v and w in a run lies between b and
-        a - 1, and the other fields are the term's own, so every exponent
-        is in range and needs no `_check`; the degree falls by one, which
-        leaves its range only from the bottom edge, tested per run.
-        """
-        u = _unit(v)
-        delta = _unit(w) - u
-        sv, sw = _SHIFT[v], _SHIFT[w]
-        low, fmask = _LOW, _FMASK
-        packed = self.packed
+    def variables(self):
+        low = _LOW
+        acc = 0
+        for m in self.packed:
+            acc |= (m + low) ^ low  # the fields of the nonzero exponents
+        acc >>= DEG_BITS
+        seen = set()
+        for v in _VARS:
+            if not acc:
+                break
+            if acc & _FMASK:
+                seen.add(v)
+            acc >>= FIELD_BITS
+        return seen
+
+    def constant_term(self):
+        """The constant coefficient: an int, or a Fraction when e > 0."""
+        c = self.packed.get(0, 0)
+        return Fraction(c, 1 << self.e) if self.e else c
+
+    def __str__(self):
+        return render_terms(self)
+
+    __repr__ = __str__
+
+
+# The work of `divided_differences`: one pass per call, and the terms of
+# every coefficient it reads, bumped once per call.
+dd_passes = 0
+dd_terms_read = 0
+
+
+def divided_differences(coeffs: dict, v, w) -> dict:
+    """{key: (c - c|v<->w) / (v - w)} for each Polynomial c of the map
+    coeffs, in one pass over their terms, the numerators never built; a
+    zero quotient is left out.  v == w raises ZeroDivisionError, as
+    `exact_divide` by v - v does.
+
+    The numerator is alternating: a term v^a w^b R (a > b) with
+    coefficient c and its partner v^b w^a R with c' give
+    (c - c')(v^a w^b - v^b w^a) R, whose quotient is the run
+    (c - c') R v^b w^b h_(a-b-1)(v, w), where
+    h_k(v, w) = v^k + v^(k-1) w + ... + w^k: a - b monomials, each one
+    swap step from the last.  So a term with a > b reads its partner
+    once and writes that run unless c == c'; a term with a < b writes
+    only when it has no partner, the run of its swapped monomial with
+    coefficient -c; a term with a == b is fixed by the swap and
+    cancels.  The rule holds for negative exponents too (a Laurent
+    dividend).  Every exponent of v and w in a run lies between b and
+    a - 1, and the other fields are the term's own, so every exponent
+    is in range and needs no `_check`; the degree falls by one, which
+    leaves its range only from the bottom edge, tested per run.  The
+    set-up (the two units and shifts) is done once for the whole map.
+    """
+    global dd_passes, dd_terms_read
+    if v == w:
+        raise ZeroDivisionError("division by the zero polynomial")
+    u = _unit(v)
+    delta = _unit(w) - u
+    sv, sw = _SHIFT[v], _SHIFT[w]
+    low, fmask = _LOW, _FMASK
+    out = {}
+    read = 0
+    for key, p in coeffs.items():
+        packed = p.packed
+        read += len(packed)
         get = packed.get
         q = {}
         qget = q.get
@@ -652,33 +703,12 @@ class Polynomial:
                 m += delta
         if not all(q.values()):
             q = {m: c for m, c in q.items() if c}
-        # a cancellation can leave every coefficient even
-        return Polynomial.from_packed(q, self.e)
-
-    def variables(self):
-        low = _LOW
-        acc = 0
-        for m in self.packed:
-            acc |= (m + low) ^ low  # the fields of the nonzero exponents
-        acc >>= DEG_BITS
-        seen = set()
-        for v in _VARS:
-            if not acc:
-                break
-            if acc & _FMASK:
-                seen.add(v)
-            acc >>= FIELD_BITS
-        return seen
-
-    def constant_term(self):
-        """The constant coefficient: an int, or a Fraction when e > 0."""
-        c = self.packed.get(0, 0)
-        return Fraction(c, 1 << self.e) if self.e else c
-
-    def __str__(self):
-        return render_terms(self)
-
-    __repr__ = __str__
+        if q:
+            # a cancellation can leave every coefficient even
+            out[key] = _wrap(*_normal(q, p.e))
+    dd_passes += 1
+    dd_terms_read += read
+    return out
 
 
 def _alternating_quotient(p: Polynomial, v: int, w: int):
@@ -741,7 +771,7 @@ def exact_divide(p: Polynomial, d: Polynomial) -> Polynomial:
     A divisor +-(v - w), v and w single variables with unit coefficients,
     and a dividend alternating in v and w with no negative exponent in
     either (such as the type-A divided-difference numerators f - s_i f;
-    the signed types build no numerator, `Polynomial.divided_difference`)
+    the signed types build no numerator, `divided_differences`)
     take `_alternating_quotient`: one linear pass that writes the quotient
     as geometric sums, with one dict update per quotient term it adds.
     Such a dividend is always divisible.

@@ -11,10 +11,11 @@ top class by divided differences:
     generator s1hat = s0 s1 s0, (f - s1hat f)/(-x_1 - x_2) = s0 partial_1 s0.
 
 In the signed types partial_i (i >= 1) acts on each basis coefficient as
-in type A, in one pass that writes the quotient as geometric sums
-(`Polynomial.divided_difference`).  Type A still builds the numerator
-and divides it by `exact_divide`, since perfbench's type-A descent test
-counts those divisions.
+in type A: one pass over the whole Q-basis combo,
+`polycore.divided_differences`, writes every quotient as geometric sums,
+and its map is the new element's combo as it stands.  Type A still
+builds the numerator and divides it by `exact_divide`, since
+perfbench's type-A descent test counts those divisions.
 
 Vexillary elements admit closed formulas instead: a multi-Schur
 determinant (type A) or Pfaffian (signed types) built from the triple.
@@ -22,7 +23,7 @@ determinant (type A) or Pfaffian (signed types) built from the triple.
 
 from __future__ import annotations
 
-from .polycore import Polynomial, exact_divide, rational_series
+from .polycore import Polynomial, divided_differences, exact_divide, rational_series
 from .gamma import GammaElement, apply_symmetry, ones_series, s0_quotient
 from .weyl import SignedPermutation, SizeMismatch, descents, generators, longest_element
 from .triples import Triple, column_steps, lambda_of
@@ -60,11 +61,14 @@ def divided_difference(i: int, f, wtype: str):
     For i >= 1, s_i swaps x_i and x_{i+1} and fixes every Q_lambda, so
     the operator acts on each basis coefficient as in type A.  In types
     B, C and D (the partial_1 of type D's s0 partial_1 s0 included) one
-    pass, `Polynomial.divided_difference`, writes each quotient
-    (c - s_i c)/(x_i - x_{i+1}) as geometric sums straight from c.  Type
-    A still takes two: the numerator from `Polynomial.swap_difference`,
-    then `exact_divide`, only because perfbench's type-A descent test
-    counts its divisions.  i = 0 selects the
+    pass over the element's whole combo, `polycore.divided_differences`,
+    writes each quotient (c - s_i c)/(x_i - x_{i+1}) as geometric sums
+    straight from c and leaves out the zero ones, so its map becomes
+    the result's combo with no coefficient checked again; a plain
+    Polynomial takes the kernel's one-coefficient case.  Type A still
+    takes two: the numerator from `Polynomial.swap_difference`, then
+    `exact_divide`, only because perfbench's type-A descent test counts
+    its divisions.  i = 0 selects the
     type-dependent extra generator (undefined in type A): in types B and
     C, `s0_quotient` writes the quotient straight from the strips of the
     branching rule, with no division; in type D it is s0 partial_1 s0,
@@ -87,6 +91,11 @@ def divided_difference(i: int, f, wtype: str):
             diff = c.swap_difference(v, w)
             return exact_divide(diff, denom) if diff else diff
 
+    elif isinstance(f, GammaElement):
+        # one pass over every coefficient, the combo taken as built
+        out = GammaElement()
+        out.combo = divided_differences(f.combo, v, w)
+        return out
     else:
 
         def step(c):

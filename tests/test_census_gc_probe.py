@@ -28,11 +28,29 @@ def test_one_line_per_workload_and_seed():
     assert run.returncode == 0, run.stdout + run.stderr
 
 
-def test_a_missing_anchor_fails_loudly(tmp_path):
+@pytest.fixture(scope="module")
+def tool():
     spec = importlib.util.spec_from_file_location("census_gc_probe", TOOL)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_missing_anchor_fails_loudly(tool, tmp_path):
     worker = tmp_path / "worker.py"
     worker.write_text("print('no anchor here')\n")
     with pytest.raises(SystemExit, match="anchor"):
         tool.patch_worker(worker)
+
+
+def test_an_unknown_revision_is_one_line_and_exit_2(tool, monkeypatch, capsys):
+    # git cannot read it, in a clone or in an unpacked tree alike
+    runs = []
+    monkeypatch.setattr(tool, "probe", lambda *args: runs.append(args))
+    with pytest.raises(SystemExit) as exit_:
+        tool.main(["no-such-revision-of-this-repository"])
+    out, err = capsys.readouterr()
+    assert exit_.value.code == 2
+    assert out == "" and len(err.splitlines()) == 1
+    assert "no-such-revision-of-this-repository" in err
+    assert runs == []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from vexpf.polycore import ExponentOverflow, Polynomial, exact_divide, rational_series
-from vexpf import gamma, gysin, multischur, schubert, triples
+from vexpf import gamma, gysin, multischur, polycore, schubert, triples
 from vexpf.gamma import (
     GammaElement,
     GeneratorSeries,
@@ -31,6 +31,7 @@ from vexpf.multischur import (
 )
 from vexpf.schubert import formula_rows, top_class, vexillary_polynomial
 from vexpf.triples import InvalidTriple, Triple, enumerate_triples
+from vexpf.weyl import all_elements
 
 
 def tvar(i):
@@ -650,7 +651,7 @@ class TestSharedTables:
 
 
 # ---------------------------------------------------------------------------
-# work bounds: what a formula on warm series still computes
+# work bounds: what a formula on warm series, or a descent step, still computes
 # ---------------------------------------------------------------------------
 
 W4_TOPS = [("B", False), ("C", False), ("D", False), ("D", True)]
@@ -701,6 +702,31 @@ class TestWorkBounds:
         outermost[0] = 0
         top_class(4, wtype, d_zero)
         assert outermost[0] == 1
+
+    # the terms of every basis coefficient the i >= 1 kernel reads while
+    # building all of W_4 from a cold memo, a bound declared with the
+    # kernel
+    KERNEL_TERMS_W4 = {"C": 19435, "D": 21893}
+
+    @pytest.mark.parametrize("wtype", ["C", "D"])
+    def test_one_kernel_pass_per_step(self, monkeypatch, wtype):
+        # every i >= 1 step, type D's partial_1 inside generator 0
+        # included, is one divided_differences pass over the whole combo
+        step = schubert.divided_difference
+        steps = [0]
+
+        def counting(i, f, t):
+            steps[0] += i >= 1
+            return step(i, f, t)
+
+        monkeypatch.setattr(schubert, "divided_difference", counting)
+        monkeypatch.setattr(schubert, "_CACHE", {})
+        passes, read = polycore.dd_passes, polycore.dd_terms_read
+        for w in all_elements(4, wtype):
+            schubert.schubert(w, wtype)
+        assert steps[0] == 191
+        assert polycore.dd_passes - passes == steps[0]
+        assert polycore.dd_terms_read - read <= self.KERNEL_TERMS_W4[wtype]
 
     @pytest.mark.parametrize(
         "t",

@@ -561,6 +561,10 @@ def test_divided_difference_of_laurent_polynomials(case):
     # a negative exponent of v or w sends `exact_divide` to its heap loop,
     # which may give up; the geometric sums still hold
     p, v, w = case
+    if v == w:  # edge_polynomials may draw one variable twice: v - v is zero
+        with pytest.raises(ZeroDivisionError):
+            p.divided_difference(v, w)
+        return
     got = p.divided_difference(v, w)
     assert got * (Polynomial.variable(*v) - Polynomial.variable(*w)) == p.swap_difference(v, w)
     assert_normalized(got)
@@ -581,6 +585,10 @@ def test_divided_difference_with_a_variable_never_interned():
 def test_divided_difference_of_a_symmetric_polynomial(case):
     q, v, w = case
     p = q + q.substitute({v: Polynomial.variable(*w), w: Polynomial.variable(*v)})
+    if v == w:  # edge_polynomials may draw one variable twice: v - v is zero
+        with pytest.raises(ZeroDivisionError):
+            p.divided_difference(v, w)
+        return
     assert p.divided_difference(v, w) == Polynomial()
 
 
@@ -593,6 +601,39 @@ def test_divided_difference_at_the_field_edges():
         assert got == Polynomial({((("h", 1), j - 256), (("h", 2), 254 - j)): sign * Fraction(3, 64)
                                   for j in range(511)})
         assert got * (h1 - h2) == sign * p.swap_difference(("h", 1), ("h", 2))
+
+
+def test_divided_difference_by_v_minus_v_raises():
+    # v - v is the zero polynomial, as in exact_divide, and nothing is
+    # read or counted before the refusal
+    p = X(1) ** 2 - Y(1)
+    with pytest.raises(ZeroDivisionError, match="division by the zero polynomial"):
+        exact_divide(p, X(1) - X(1))
+    passes, read = polycore.dd_passes, polycore.dd_terms_read
+    for v in (("x", 1), ("z", 94)):  # ("z", 94) appears in no other test
+        with pytest.raises(ZeroDivisionError, match="division by the zero polynomial"):
+            p.divided_difference(v, v)
+        with pytest.raises(ZeroDivisionError, match="division by the zero polynomial"):
+            polycore.divided_differences({(1,): p}, v, v)
+    assert ("z", 94) not in polycore._UNIT
+    assert (polycore.dd_passes, polycore.dd_terms_read) == (passes, read)
+
+
+def test_divided_differences_over_a_map():
+    # one pass over every coefficient: each quotient as the method gives
+    # it, zero quotients left out, and one count per call
+    p, sym = X(1) ** 3 * Y(1) + Fraction(3, 8) * X(2), X(1) * X(2) + 1
+    coeffs = {(2, 1): p, (1,): sym, (): Fraction(1, 2) * X(2) ** 2}
+    passes, read = polycore.dd_passes, polycore.dd_terms_read
+    got = polycore.divided_differences(coeffs, ("x", 1), ("x", 2))
+    assert (polycore.dd_passes - passes, polycore.dd_terms_read - read) == (1, 5)
+    assert got == {(2, 1): p.divided_difference(("x", 1), ("x", 2)),
+                   (): Fraction(-1, 2) * (X(1) + X(2))}
+    assert polycore.divided_differences({}, ("x", 1), ("x", 2)) == {}
+    # one variable never interned: x1^3 y1 - z^3 y1 over x1 - z
+    z = Polynomial.variable("z", 93)  # appears in no other test
+    got = polycore.divided_differences({(): p, (1,): sym}, ("x", 1), ("z", 93))
+    assert got == {(): (X(1) ** 2 + X(1) * z + z ** 2) * Y(1), (1,): X(2)}
 
 
 class TestOracle:
@@ -867,6 +908,23 @@ class TestOverflow:
         run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                              env={"PYTHONPATH": str(SRC)}, check=True)
         assert run.stdout.split() == ["overflow", "overflow"]
+
+    def test_divided_differences_degree_field(self):
+        # the map's second coefficient sits at the bottom of the degree
+        # range: the pass raises, whatever came before it
+        script = (
+            "from vexpf.polycore import Polynomial, ExponentOverflow, divided_differences\n"
+            "rest = tuple((('h', i), -256) for i in range(3, 65)) + ((('h', 65), -1),)\n"
+            "ok = Polynomial({((('h', 1), 2),): 1})\n"
+            "edge = Polynomial({((('h', 1), -256), (('h', 2), -255)) + rest: 1})\n"
+            "try:\n"
+            "    divided_differences({(2,): ok, (1,): edge}, ('h', 1), ('h', 2))\n"
+            "except ExponentOverflow:\n"
+            "    print('overflow')\n"
+        )
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env={"PYTHONPATH": str(SRC)}, check=True)
+        assert run.stdout.split() == ["overflow"]
 
     def test_exact_divide_degree_field(self):
         # p = (x1 - x2) R has degree -16384 and every exponent in range, but

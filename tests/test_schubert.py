@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vexpf.polycore import Polynomial, exact_divide
+from vexpf.polycore import Polynomial, divided_differences, exact_divide
 from vexpf.gamma import GammaElement, apply_symmetry, specialize_oracle
 from vexpf.weyl import SignedPermutation, all_elements, length, reduced_word
 from vexpf.triples import Triple, lambda_of, plus_map, triple_of_w, enumerate_triples, validate
@@ -355,6 +355,82 @@ class TestSignedOnePass:
         monkeypatch.setattr(Polynomial, "swap_difference", refuse)
         for i, want in expect.items():
             assert divided_difference(i, top, wtype) == want, i
+
+
+# -- one kernel pass over every Q-basis coefficient ---------------------------
+
+_KERNEL_PAIRS = [(("x", 1), ("x", 2)), (("x", 2), ("x", 3)), (("x", 3), ("x", 2)),
+                 (("h", 1), ("h", 2))]
+_KERNEL_VARS = [("x", 1), ("x", 2), ("x", 3), ("y", 1), ("h", 1), ("h", 2)]
+_KERNEL_COEFFS = st.builds(lambda n, k: Fraction(n, 1 << k), st.integers(-9, 9), st.integers(0, 5))
+
+
+@st.composite
+def kernel_cases(draw):
+    """A pair v, w and an element whose coefficients have coefficients
+    n/2^k (so e > 0), h exponents of either sign, and, at some
+    partitions, symmetry in v and w, whose quotient is zero."""
+    v, w = draw(st.sampled_from(_KERNEL_PAIRS))
+    swap = {v: Polynomial.variable(*w), w: Polynomial.variable(*v)}
+    combo = {}
+    lams = st.lists(st.sampled_from([(), (1,), (2,), (2, 1), (3, 1)]), unique=True, max_size=4)
+    for lam in draw(lams):
+        terms = []
+        for _ in range(draw(st.integers(1, 4))):
+            names = draw(st.lists(st.sampled_from(_KERNEL_VARS), unique=True, max_size=3))
+            exps = [(u, draw(st.integers(-3, 3) if u[0] == "h" else st.integers(1, 3)))
+                    for u in names]
+            terms.append((tuple(exps), draw(_KERNEL_COEFFS)))
+        c = Polynomial(terms)
+        combo[lam] = c + c.substitute(swap) if draw(st.booleans()) else c
+    return GammaElement(combo), v, w
+
+
+def by_map_coeffs(i, f):
+    """A signed step i >= 1 as it was before one pass took the whole
+    combo: the one-coefficient kernel mapped over the coefficients."""
+    return f.map_coeffs(lambda c: c.divided_difference(("x", i), ("x", i + 1)))
+
+
+class TestKernelOverTheCombo:
+    """`polycore.divided_differences` reads a whole Q-basis combo in one
+    pass; the signed steps of `divided_difference` hand it theirs."""
+
+    @given(kernel_cases())
+    def test_matches_the_division_per_coefficient(self, case):
+        e, v, w = case
+        got = divided_differences(e.combo, v, w)
+        d = Polynomial.variable(*v) - Polynomial.variable(*w)
+        for lam, c in e.combo.items():
+            diff = c.swap_difference(v, w)
+            if not diff:
+                assert lam not in got
+                continue
+            q = got[lam]
+            assert q.e == 0 or any(n & 1 for n in q.packed.values())
+            if v[0] == "h":  # a Laurent dividend, on which exact_divide may give up
+                assert q * d == diff
+            else:
+                assert q == exact_divide(diff, d)
+        assert set(got) <= set(e.combo) and all(got.values())
+
+    @given(kernel_cases(), st.sampled_from(["B", "C", "D"]))
+    def test_a_step_matches_the_map_coeffs_path(self, case, wtype):
+        e, v, _ = case
+        i = v[1] if v[0] == "x" else 1
+        got = divided_difference(i, e, wtype)
+        assert got == by_map_coeffs(i, e) and all(got.combo.values())
+
+    @pytest.mark.parametrize("wtype", ["B", "C", "D"])
+    def test_every_step_of_w3_matches_the_map_coeffs_path(self, wtype):
+        for w in all_elements(3, wtype):
+            e = schubert(w, wtype)
+            for i in (1, 2):
+                got = divided_difference(i, e, wtype)
+                assert got == by_map_coeffs(i, e) and all(got.combo.values()), (repr(w), i)
+            if wtype == "D":
+                want = apply_symmetry(by_map_coeffs(1, apply_symmetry(e)))
+                assert divided_difference(0, e, "D") == want, repr(w)
 
 
 class TestTopClasses:
