@@ -31,7 +31,9 @@ coefficient becomes a Polynomial once, when the fold is done.
 `pf_rows` folds a Pfaffian's rows from the last one up, prepending each
 row's symbol.  A formula's row indices decrease, so the prepended entry
 mostly lands in front with no alternation, and the fold states stay as
-small as the last rows until the largest row, the first, comes in.
+small as the last rows until the largest row, the first, comes in.  The
+last row forms no product: its entries seed the states with their maps
+as they stand, so a one-row Pfaffian does no arithmetic.
 
 What depends only on integers is built once per process and shared by
 every fold: the straightening table `_prepend` of Q_(m, suffix), and
@@ -40,7 +42,9 @@ Q prod (1+t_j) of Kazarian's families (`ones_series`), each split by
 degree once; a fold only reads them.  `pf_rows` keeps nothing between
 calls: from the last row up nearly all of a formula's term products
 fall in its first row, which only a repeat of the whole Pfaffian could
-skip.  Every cache of the module is a bounded `lru_cache`.
+skip.  A map it returns may still be a row's own, read from a shared
+series; that is safe because no Polynomial's map is written once it is
+wrapped.  Every cache of the module is a bounded `lru_cache`.
 """
 
 from __future__ import annotations
@@ -420,6 +424,11 @@ def q_pair(k: int, l: int, c_k: GeneratorSeries, c_l: GeneratorSeries) -> GammaE
     return pf_rows(series_rows((k, l), (c_k, c_l)))
 
 
+# The row e_0, whose Pfaffian (the border Q_0) is 1: `pf_rows` folds it
+# in place of no rows.
+_UNIT_ROW = {0: Polynomial.const(1)}
+
+
 def pf_rows(rows) -> GammaElement:
     """The Pfaffian of `rows`, straight in the Q basis.
 
@@ -450,19 +459,23 @@ def pf_rows(rows) -> GammaElement:
     indices of a formula's rows decrease, so a prepended entry mostly
     lands in front with no alternation, and the states stay as small as
     the last rows until the largest row comes in.  Each row is lifted to
-    the largest exponent among its polynomials, and each product of a
-    state term and a row term goes once into every target, through
-    `polycore._fma`: no Polynomial is built per term.  Each row ends in
-    one `_settle` per map, and each basis coefficient is wrapped once at
-    the end.
+    the largest exponent among its polynomials; a map already there is
+    used as it is.
 
-    Every call folds every row from {((), False): {0: 1}} and keeps
-    nothing, so each map it returns is its own.  The rows, whose series
-    may be shared (`ones_series`), are never written: `_fma` only reads
-    them.
+    The last row seeds the state with no product (`_seed`); no rows fold
+    as the one row e_0 (`_UNIT_ROW`).  In every later row each product
+    of a state term and a row term goes once into every target, through
+    `polycore._fma`, with no list built for the common single target;
+    the row ends in one `_settle` per map, and each basis coefficient is
+    wrapped once at the end.  Nothing is kept between calls, but a
+    returned map may be a row's own (a one-row Pfaffian such as
+    `series_coeff`), which is safe since no Polynomial's map is written
+    once wrapped.  The rows, whose series may be shared (`ones_series`),
+    are never written: `_fma` only reads them, and the final merge of
+    (v, f) with (v, no f) adds into a copy.
     """
-    e, state = 0, {((), False): {0: 1}}
-    for row in reversed(list(rows)):
+    e, state = 0, None
+    for row in reversed(list(rows) or [_UNIT_ROW]):
         top = max((g.e for g in row.values()), default=0)
         e += top
         lifted = [
@@ -470,20 +483,30 @@ def pf_rows(rows) -> GammaElement:
             for m, g in row.items()
             if g
         ]
+        if state is None:
+            state = _seed(lifted)
+            continue
         acc = {}
         for (suffix, f), packed in state.items():
             for m, g in lifted:
                 if m is None:
                     sign = -1 if (len(suffix) & 1) ^ f else 1
-                    targets = [(acc.setdefault((suffix, not f), {}), sign)]
-                else:
-                    targets = [
-                        (acc.setdefault((v[:-1], not f) if v and not v[-1] else (v, f), {}), c)
-                        for v, c in _prepend(m, suffix)
-                    ]
-                    if not targets:
-                        continue
-                _fma(targets, packed, g)
+                    _fma(((acc.setdefault((suffix, not f), {}), sign),), packed, g)
+                    continue
+                targets = _prepend(m, suffix)
+                if len(targets) == 1:
+                    ((v, c),) = targets
+                    key = (v[:-1], not f) if v and not v[-1] else (v, f)
+                    _fma(((acc.setdefault(key, {}), c),), packed, g)
+                elif targets:
+                    _fma(
+                        [
+                            (acc.setdefault((v[:-1], not f) if v and not v[-1] else (v, f), {}), c)
+                            for v, c in targets
+                        ],
+                        packed,
+                        g,
+                    )
         state = {}
         for pair, packed in acc.items():
             packed = _settle(packed)
@@ -494,12 +517,34 @@ def pf_rows(rows) -> GammaElement:
         if v and v[-1] < 0:
             continue
         if v in combo:
-            _add_into(combo[v], packed)
+            combo[v] = merged = dict(combo[v])
+            _add_into(merged, packed)
         else:
             combo[v] = packed
     out = GammaElement()
     out.combo = {lam: Polynomial.from_packed(p, e) for lam, p in combo.items() if p}
     return out
+
+
+def _seed(lifted) -> dict:
+    """The state of `pf_rows` after its last row, from the row's lifted
+    entries (m, map) with no product formed: e_m (m != 0) is ((m,), no f),
+    and e_0 and f are both ((), pending f).  Each map is taken as it
+    stands; e_0 and f together merge into a fresh map, dropped if it
+    cancels."""
+    state = {}
+    for m, g in lifted:
+        key = ((m,), False) if m else ((), True)
+        if key in state:
+            merged = dict(state[key])
+            _add_into(merged, g)
+            if merged:
+                state[key] = merged
+            else:
+                del state[key]
+        else:
+            state[key] = g
+    return state
 
 
 @lru_cache(maxsize=4096)

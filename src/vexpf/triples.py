@@ -154,10 +154,11 @@ def reduce_redundant(t: Triple) -> Triple:
 
 def column_steps(t: Triple) -> list:
     """For each column k = 1..k_s, the step governing it: the least i
-    with k_i >= k."""
-    if t.s == 0:
-        return []
-    return [next(i for i in range(t.s) if t.k[i] >= k) for k in range(1, t.k[-1] + 1)]
+    with k_i >= k, so step i governs the k_i - k_(i-1) columns after
+    k_(i-1) (k_0 = 0).  Read in one pass over (k_(i-1), k_i), which
+    assumes a valid triple, with k strictly increasing: `validate`
+    guarantees it, and every caller passes one."""
+    return [i for i, (a, b) in enumerate(zip((0,) + t.k, t.k)) for _ in range(b - a)]
 
 
 def lambda_of(t: Triple) -> tuple:

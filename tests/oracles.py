@@ -2,17 +2,18 @@
 them: the symmetric-function specialization of Gamma, the
 degeneracy-locus class of a triple with caller-supplied Chern data, the
 branching rule and the top-degree part of a class written term by term,
-and the restriction of a class to a torus-fixed point with Billey's
-product of roots at the top.
+the Pfaffian fold with every row folded from the unit state, and the
+restriction of a class to a torus-fixed point with Billey's product of
+roots at the top.
 
     from oracles import degeneracy_formula, specialize_symfun
 """
 
 import itertools
 
-from vexpf.gamma import GammaElement, GeneratorSeries, is_strict, pf_rows, series_rows, substitute_q
+from vexpf.gamma import GammaElement, GeneratorSeries, _prepend, is_strict, pf_rows, series_rows, substitute_q
 from vexpf.multischur import paired_rows
-from vexpf.polycore import Polynomial, rational_series
+from vexpf.polycore import Polynomial, _add_into, _fma, _settle, rational_series
 from vexpf.schubert import formula_rows
 from vexpf.triples import InvalidTriple, column_steps
 
@@ -85,6 +86,54 @@ def branch_term_by_term(e, v):
                 term = coeff * v ** (sum(lam) - sum(mu)) * (1 << a)
                 combo[mu] = combo.get(mu, Polynomial()) + term
     return GammaElement(combo)
+
+
+def pf_rows_from_unit_state(rows) -> GammaElement:
+    """`gamma.pf_rows` with no seeded last row: every row, the last one
+    included, folds by `_fma` from the unit state {((), False): {0: 1}}
+    into a fresh `acc` settled per row, so each map it returns is its
+    own.  It shares the program's straightening table and direction, and
+    so the order of its states and terms, which the seeded fold must
+    reproduce exactly."""
+    e, state = 0, {((), False): {0: 1}}
+    for row in reversed(list(rows)):
+        top = max((g.e for g in row.values()), default=0)
+        e += top
+        lifted = [
+            (m, g.packed if g.e == top else {mono: c << (top - g.e) for mono, c in g.packed.items()})
+            for m, g in row.items()
+            if g
+        ]
+        acc = {}
+        for (suffix, f), packed in state.items():
+            for m, g in lifted:
+                if m is None:
+                    sign = -1 if (len(suffix) & 1) ^ f else 1
+                    targets = [(acc.setdefault((suffix, not f), {}), sign)]
+                else:
+                    targets = [
+                        (acc.setdefault((v[:-1], not f) if v and not v[-1] else (v, f), {}), c)
+                        for v, c in _prepend(m, suffix)
+                    ]
+                    if not targets:
+                        continue
+                _fma(targets, packed, g)
+        state = {}
+        for pair, packed in acc.items():
+            packed = _settle(packed)
+            if packed:
+                state[pair] = packed
+    combo = {}
+    for (v, _), packed in state.items():
+        if v and v[-1] < 0:
+            continue
+        if v in combo:
+            _add_into(combo[v], packed)
+        else:
+            combo[v] = packed
+    out = GammaElement()
+    out.combo = {lam: Polynomial.from_packed(p, e) for lam, p in combo.items() if p}
+    return out
 
 
 # Localization (Billey, Duke 1999; the signed types after

@@ -2,7 +2,9 @@
 no benchmark runs here."""
 
 import importlib.util
+import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,3 +75,28 @@ def test_pairs_alternate_and_keep_their_runs(tool, monkeypatch, tmp_path, capsys
     assert any(line.startswith("op_ms_p50") and "better 4/4" in line for line in lines)
     saved = json.loads(out.read_text())
     assert [run["wall_s"] for run in saved["runs"]["b"]] == [4.0, 5.0, 6.0, 7.0]
+
+
+class BrokenStdout(io.TextIOBase):
+    """A stdout whose reader is gone: every write raises, as a closed pipe's
+    does, and it has no descriptor."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_closed_stdout_is_exit_1_without_a_traceback(tool, monkeypatch, tmp_path, capsys):
+    # `bench_pairs.py ... | head`, in process, with the runs patched out:
+    # the table meets the closed pipe, and --out already holds every run
+    def fake_run(tree, workload, seed):
+        return {"correct": True, "metrics": {name: {"value": 1.0} for name in tool.end_to_end_metrics()}}
+
+    monkeypatch.setattr(tool, "checkout", lambda rev, dest: None)
+    monkeypatch.setattr(tool, "run_once", fake_run)
+    monkeypatch.setattr(sys, "stdout", BrokenStdout())
+    out = tmp_path / "pairs.json"
+    assert tool.main(["REV1", "REV2", "--workload", "census", "--seed", "1", "--pairs", "2",
+                      "--out", str(out)]) == 1
+    assert len(json.loads(out.read_text())["runs"]["a"]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["pair 1/2 done", "pair 2/2 done"]

@@ -6,6 +6,7 @@ the allocations of the whole import and set-up, so a change anywhere in
 `src/vexpf` can flip it; the probe's docstring gives the mechanism."""
 
 import importlib.util
+import io
 import re
 import subprocess
 import sys
@@ -54,3 +55,23 @@ def test_an_unknown_revision_is_one_line_and_exit_2(tool, monkeypatch, capsys):
     assert out == "" and len(err.splitlines()) == 1
     assert "no-such-revision-of-this-repository" in err
     assert runs == []
+
+
+class BrokenStdout(io.TextIOBase):
+    """A stdout whose reader is gone: every write raises, as a closed pipe's
+    does, and it has no descriptor."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_closed_stdout_is_exit_1_without_a_traceback(tool, monkeypatch, capsys):
+    # `census_gc_probe.py | head -2`, in process, with the workloads patched out
+    runs = []
+    monkeypatch.setattr(tool, "unpack", lambda rev, tree: None)
+    monkeypatch.setattr(tool, "patch_worker", lambda path: None)
+    monkeypatch.setattr(tool, "probe", lambda *args: runs.append(args) or {"count": [28, 0, 3], "op0": [0]})
+    monkeypatch.setattr(sys, "stdout", BrokenStdout())
+    assert tool.main([]) == 1
+    assert len(runs) == 1  # the first line's write met the closed pipe
+    assert capsys.readouterr().err == ""

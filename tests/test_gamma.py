@@ -23,15 +23,23 @@ from vexpf.gamma import (
     ones_series,
     pair_expansion,
     pf_expansion,
+    pf_rows,
     q_pair,
     series_coeff,
+    series_rows,
     specialize_oracle,
     straighten_monomial,
 )
+from vexpf.multischur import paired_rows, q_family
 from vexpf.schubert import divided_difference, formula_rows, top_class
 from vexpf.triples import enumerate_triples
 
-from oracles import TruncationTooSmall, branch_term_by_term, specialize_symfun
+from oracles import (
+    TruncationTooSmall,
+    branch_term_by_term,
+    pf_rows_from_unit_state,
+    specialize_symfun,
+)
 
 X1, X2 = Polynomial.variable("x", 1), Polynomial.variable("x", 2)
 
@@ -304,6 +312,124 @@ class TestQPair:
 
     def test_plain_pair_is_basis(self):
         assert q_pair(2, 1, Q_SERIES, Q_SERIES) == GammaElement.basis((2, 1))
+
+
+# ---------------------------------------------------------------------------
+# the fold seeded by its last row, against the fold from the unit state
+# ---------------------------------------------------------------------------
+
+Y1 = Polynomial.variable("y", 1)
+HALF, QUARTER = Fraction(1, 2), Fraction(1, 4)
+
+
+@st.composite
+def dyadic_rows(draw):
+    """0-4 rows, each 0-4 symbols e_m (m in -3..5) and maybe f (None),
+    with polynomials in x_1, x_2, y_1 over 2^0..2^3, zero ones included,
+    so a row's entries mostly differ in exponent."""
+    monos = [Polynomial.const(1), X1, X2, Y1, X1 * X2, X1 * Y1]
+    entry = st.builds(
+        lambda terms, k: sum((Fraction(n, 1 << k) * m for m, n in terms), Polynomial()),
+        st.lists(st.tuples(st.sampled_from(monos), st.integers(-4, 4)), max_size=3),
+        st.integers(0, 3),
+    )
+    keys = st.lists(st.one_of(st.integers(-3, 5), st.none()), max_size=4, unique=True)
+    return [{m: draw(entry) for m in draw(keys)} for _ in range(draw(st.integers(0, 4)))]
+
+
+def fold_shape(e):
+    """Everything of a fold's result that any output can see: each basis
+    symbol in order, with its exponent and its terms in order."""
+    return [(lam, c.e, list(c.packed.items())) for lam, c in e.combo.items()]
+
+
+def row_maps(rows):
+    """Copies of each row's entries, exponent and packed map."""
+    return [{m: (g.e, dict(g.packed)) for m, g in row.items()} for row in rows]
+
+
+def series_maps(series):
+    """Copies of each series' multiplier and parts, exponent and packed map."""
+    return [
+        ((c.multiplier.e, dict(c.multiplier.packed)), {a: (g.e, dict(g.packed)) for a, g in c.parts.items()})
+        for c in series
+    ]
+
+
+class TestSeededFold:
+    @settings(deadline=None, max_examples=300)
+    @given(dyadic_rows())
+    @example([])  # no rows: 1
+    @example([{3: X1 * QUARTER + 1}])  # one row
+    @example([{}])  # one empty row: 0
+    @example([{2: X1}, {}])  # an empty last row
+    @example([{}, {1: X2}])  # an empty first row
+    @example([{2: Polynomial.const(1)}, {0: X1, None: -X1}])  # e_0 and f cancel in the last row
+    @example([{0: X1, None: -X1}])
+    @example([{3: X2}, {0: X1 * HALF, None: X2 + QUARTER}])  # e_0 and f merge, lifted
+    @example([{2: X1 * HALF, 1: Polynomial.const(1), None: X2 * QUARTER}])  # lifted last row
+    @example([{1: X1, -1: X2}, {-2: Y1, 3: Polynomial(), 0: X1 * QUARTER}])  # negative m, a zero entry
+    @example([{3: Polynomial.const(1), None: X1}, {2: X2, None: Polynomial.const(HALF)}, {1: Y1}])  # f in inner rows
+    @example([{1: X1}, {1: X1}])  # Q_(1,1) = 0: the state empties after a later row
+    def test_matches_the_unit_state_fold(self, rows):
+        got = pf_rows(rows)
+        assert fold_shape(got) == fold_shape(pf_rows_from_unit_state(rows))
+        for c in got.combo.values():
+            assert c and (c.e == 0 or any(n & 1 for n in c.packed.values()))
+
+    @pytest.mark.parametrize("wtype", ["C", "D"])
+    def test_formulas_match_the_unit_state_fold(self, wtype):
+        for t in enumerate_triples(wtype, 3):
+            lam, series = formula_rows(t, wtype)
+            rows = (paired_rows if wtype == "D" else series_rows)(lam, series)
+            assert fold_shape(pf_rows(rows)) == fold_shape(pf_rows_from_unit_state(rows)), t
+
+    def test_the_fold_writes_no_row_and_no_series(self):
+        # the rows of the W_3 formulas and of the t families, and the
+        # series they are read from, against copies taken before the fold
+        # and before the results are added, halved, mapped and divided
+        series, rows = [], []
+        for wtype in ("C", "D"):
+            for t in enumerate_triples(wtype, 3):
+                lam, cs = formula_rows(t, wtype)
+                series += cs
+                rows.append((paired_rows if wtype == "D" else series_rows)(lam, cs))
+        for lam in [(1,), (3,), (3, 1), (4, 2, 1)]:
+            cs = [ones_series(("t", k - 1)) for k in lam]
+            series += cs
+            rows.append(series_rows(lam, cs))
+        rows += [[c.row(m)] for c in series[:40] for m in range(4)]
+        before_rows, before_series = [row_maps(r) for r in rows], series_maps(series)
+        results = [pf_rows(r) for r in rows]
+        for e in results:
+            e + e
+            e.halve(2)
+            e.map_coeffs(lambda c: c * X1)
+            divided_difference(1, e, "C")
+            divided_difference(2, e, "D")
+        assert [row_maps(r) for r in rows] == before_rows
+        assert series_maps(series) == before_series
+
+    @pytest.mark.parametrize(
+        "fold, series",
+        [
+            (lambda: q_family((3,)), lambda: ones_series(("t", 2))),
+            (lambda: series_coeff(ones_series(("x", 2), ("y", 1)), 3), lambda: ones_series(("x", 2), ("y", 1))),
+        ],
+        ids=["q_family(3)", "x-series row 3"],
+    )
+    def test_one_row_results_share_the_series_and_leave_it(self, fold, series):
+        # a one-row Pfaffian returns the series' own maps; every operation
+        # on the result builds new maps
+        e, c = fold(), series()
+        shared = {id(g.packed) for g in c.parts.values()}
+        assert {id(p.packed) for p in e.combo.values()} & shared
+        snapshot, element = series_maps([c]), fold_shape(e)
+        results = [e + e, e + 1, e - e, -e, e.halve(1), e.map_coeffs(lambda p: p * X2)]
+        results += [divided_difference(i, e, "C") for i in (1, 2, 3)]
+        assert series_maps([c]) == snapshot
+        assert fold_shape(e) == element
+        assert fold_shape(results[2]) == []
 
 
 class TestSymmetries:

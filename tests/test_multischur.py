@@ -26,6 +26,7 @@ from vexpf.multischur import (
     p_family,
     paired_rows,
     pfaffian,
+    q_family,
     r_family,
     r_rows,
 )
@@ -562,8 +563,10 @@ class TestPackedFold:
             assert 0 < products[0] <= bound, (n, wtype)
 
     def test_folds_share_no_maps(self):
-        # two folds of the same rows are right and own their packed maps;
-        # r_family's last state holds (v, f) pairs that merge into one Q_v
+        # two folds of the same two rows are right and own their packed
+        # maps (only a state of the last row, which no later row replaces,
+        # keeps a row's map); r_family's last state holds (v, f) pairs that
+        # merge into one Q_v
         rows = [{3: X1, 1: Polynomial.const(1)}, {2: Polynomial.const(1)}]
         paired = fold_rows((2, 1), r_rows((2, 1)), "D")
         for fold, expect in [
@@ -678,6 +681,33 @@ class TestWorkBounds:
             monkeypatch.setattr(Polynomial, name, counting)
         assert [fold() for fold in formulas] == expect
         assert calls == {"degree": 0, "part": 0}
+
+    # the `_fma` calls of a formula on warm series, a bound declared with
+    # the fold: the last row seeds the state with none (3, 5, 29, 29, 78
+    # and 46 before, when it folded from the unit state)
+    FMA_CALLS = [
+        ("q_family(3)", lambda: q_family((3,)), 0),
+        ("p_family(5,4,3,2,1)", lambda: p_family((5, 4, 3, 2, 1)), 4),
+        ("top_class(4, B)", lambda: top_class(4, "B"), 28),
+        ("top_class(4, C)", lambda: top_class(4, "C"), 28),
+        ("top_class(4, D)", lambda: top_class(4, "D"), 74),
+        ("top_class(4, D, d_zero)", lambda: top_class(4, "D", True), 44),
+    ]
+
+    @pytest.mark.parametrize("name, fold, bound", FMA_CALLS, ids=[case[0] for case in FMA_CALLS])
+    def test_fma_calls(self, monkeypatch, name, fold, bound):
+        # counted by a wrapper here, so the program carries no counter
+        expect = fold()
+        calls = [0]
+        fma = gamma._fma
+
+        def counting(targets, a, b):
+            calls[0] += 1
+            return fma(targets, a, b)
+
+        monkeypatch.setattr(gamma, "_fma", counting)
+        assert fold() == expect
+        assert calls[0] <= bound, name
 
     @pytest.mark.parametrize("wtype, d_zero", W4_TOPS)
     def test_one_validate_per_formula(self, monkeypatch, wtype, d_zero):

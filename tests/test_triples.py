@@ -584,6 +584,24 @@ def _lambda_oracle(t):
     return tuple(out)
 
 
+def _column_steps_by_search(t):
+    """column_steps as a search per column: for each k = 1..k_s, the least
+    i with k_i >= k."""
+    if t.s == 0:
+        return []
+    return [next(i for i in range(t.s) if t.k[i] >= k) for k in range(1, t.k[-1] + 1)]
+
+
+@pytest.mark.parametrize("wtype", ["A", "C", "D"])
+def test_column_steps_match_the_search_per_column(wtype):
+    # every triple, strict or redundant, with k_s <= 5 and entries <= 5
+    count = 0
+    for t in enumerate_triples(wtype, 5, allow_redundant=True):
+        assert triples.column_steps(t) == _column_steps_by_search(t), repr(t)
+        count += 1
+    assert count > 1000
+
+
 class TestSignedLine:
     """Type C read as type A at (p - 1, -q): the one slack rule and the
     one rank against the rules written in each type's own coordinates."""

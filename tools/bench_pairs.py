@@ -14,11 +14,14 @@ won in the metric's better direction, and whether the gap between the
 medians exceeds A's quartile spread q3 - q1: a gain claimed for B needs
 both a win in nearly every pair and a gap wider than A's spread.
 `--out FILE` also writes every run's metrics and the summary as JSON.
+A reader that closes stdout early (`| head`) ends it with exit 1 and no
+traceback, as `vexpf` does.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -99,6 +102,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
+    try:
+        return run_pairs(args)
+    except BrokenPipeError:
+        return closed_stdout()
+
+
+def run_pairs(args) -> int:
+    """The alternating runs of main's arguments, their table on stdout and
+    their JSON in --out."""
     higher_better = end_to_end_metrics()
     runs = {"a": [], "b": []}
     correct = {"a": True, "b": True}
@@ -114,16 +126,26 @@ def main(argv=None) -> int:
                 runs[side].append({name: m["value"] for name, m in result["metrics"].items()})
             print(f"pair {pair}/{args.pairs} done", file=sys.stderr, flush=True)
     rows = summarize(runs["a"], runs["b"], higher_better)
-    print(f"{args.workload} --seed {args.seed}, {args.pairs} pairs, A = {args.rev_a}, "
-          f"B = {args.rev_b}, all correct: A {correct['a']}, B {correct['b']}")
-    for row in rows:
-        print(format_row(row))
-    if args.out:
+    if args.out:  # before the table, so a closed stdout loses no run
         args.out.write_text(json.dumps({
             "workload": args.workload, "seed": args.seed, "rev_a": args.rev_a,
             "rev_b": args.rev_b, "correct": correct, "runs": runs, "summary": rows,
         }, indent=1))
+    print(f"{args.workload} --seed {args.seed}, {args.pairs} pairs, A = {args.rev_a}, "
+          f"B = {args.rev_b}, all correct: A {correct['a']}, B {correct['b']}")
+    for row in rows:
+        print(format_row(row))
+    sys.stdout.flush()
     return 0
+
+
+def closed_stdout() -> int:
+    """Exit 1 quietly when the reader has closed stdout (`... | head`), as
+    `vexpf` does: stdout's descriptor goes to devnull, so the flush at exit
+    cannot raise again.  A stdout with no descriptor is left as it is."""
+    with contextlib.suppress(OSError, ValueError):
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 1
 
 
 if __name__ == "__main__":

@@ -25,7 +25,9 @@ It prints one line per workload and seed,
     census --seed 1: count (49, 0, 3), op 0 collections [0]
 
 and exits 1 if any op 0 takes a collection of generation 1 or more;
-tests/test_census_gc_probe.py runs it and asserts exit 0.  The hook
+tests/test_census_gc_probe.py runs it and asserts exit 0.  A reader
+that closes stdout early (`| head -2`) ends it with exit 1 and no
+traceback, as `vexpf` does.  The hook
 allocates too, so compare trees only through this same probe.
 
 Where the edge sits: importing vexpf takes generation-0 collections
@@ -39,13 +41,16 @@ the last import collection pushes it out of the import; the set-up
 then ends with the second count at 11, as in (650, 11, 2), and census
 op 0 takes the generation-1 collection.  An edit inside gamma's compile
 can flip it at almost no size, and so can dropping the signed step's
-one-line closure from `schubert.divided_difference` (636, 11, 2), so
-the edge follows allocations, not lines or modules.
+one-line closure from `schubert.divided_difference` (636, 11, 2), or a
+one-pass `triples.column_steps` beside the seeded `pf_rows` until that
+fold read no rows as the module-level row e_0, so the edge follows
+allocations, not lines or modules.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -129,19 +134,32 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", nargs="?", help="a git revision to read instead of the checkout")
     args = parser.parse_args(argv)
-    with tempfile.TemporaryDirectory() as tmp:
-        tree = Path(tmp)
-        unpack(args.rev, tree)
-        patch_worker(tree / "perfbench" / "worker.py")
-        code = 0
-        for workload in WORKLOADS:
-            for seed in SEEDS:
-                reading = probe(tree, workload, seed)
-                count, gens = tuple(reading["count"]), reading["op0"]
-                print(f"{workload} --seed {seed}: count {count}, op 0 collections {gens}")
-                if any(gen >= 1 for gen in gens):
-                    code = 1
-    return code
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            tree = Path(tmp)
+            unpack(args.rev, tree)
+            patch_worker(tree / "perfbench" / "worker.py")
+            code = 0
+            for workload in WORKLOADS:
+                for seed in SEEDS:
+                    reading = probe(tree, workload, seed)
+                    count, gens = tuple(reading["count"]), reading["op0"]
+                    print(f"{workload} --seed {seed}: count {count}, op 0 collections {gens}")
+                    if any(gen >= 1 for gen in gens):
+                        code = 1
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        return closed_stdout()
+
+
+def closed_stdout() -> int:
+    """Exit 1 quietly when the reader has closed stdout (`... | head -2`),
+    as `vexpf` does: stdout's descriptor goes to devnull, so the flush at
+    exit cannot raise again.  A stdout with no descriptor is left as it is."""
+    with contextlib.suppress(OSError, ValueError):
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 1
 
 
 if __name__ == "__main__":
