@@ -117,17 +117,6 @@ def _parse_w(text: str, wtype: str) -> SignedPermutation:
 # top class of S_8 ran out of 2.4 GB after 66 s.
 MAX_CLASS_SIZE = {"A": 7, "B": 6, "C": 6, "D": 6}
 
-# The largest --n each `verify` suite takes; the other suites refuse --n.
-# On the same machine each suite at its bound took at most 90 s and
-# 1.2 GB (census 12 s and 20 MB, b-scaling 71 s and 1.2 GB, inverse-swap 85 s,
-# identity-2-3 48 s), while stability --n 5 passed 2.8 GB in 150 s and
-# type-a --n 7 and identity-2-3 --n 9 ran past 90 s.
-MAX_VERIFY_N = {"census": 7, "theorem-equivalence": 5, "stability": 4, "b-scaling": 5,
-                "inverse-swap": 5, "positivity": 5, "type-a": 6, "identity-2-3": 8}
-
-# The suites that read --type, --r and --seed; the others refuse each.
-VERIFY_READERS = {"type": ("theorem-equivalence",), "r": ("appendix-a2",), "seed": ("redundancy",)}
-
 
 def _check_class_size(size: int, wtype: str):
     if size > MAX_CLASS_SIZE[wtype]:
@@ -227,6 +216,31 @@ def cmd_enumerate(args) -> int:
 # verification suites
 # ---------------------------------------------------------------------------
 
+SUITES = {}  # name -> suite function, each named suite_* (perfbench traces them)
+VERIFY_FLAGS = {}  # name -> {flag: (default, largest or None)}; other flags are refused
+
+
+def _suite(name, **flags):
+    """Register a `verify` suite with the flags it reads.  A largest --n
+    keeps it desk-scale: on a 2-vCPU, 8 GB machine each suite at its bound
+    took at most 90 s and 1.2 GB (census 12 s and 20 MB, b-scaling 71 s and
+    1.2 GB, inverse-swap 85 s, identity-2-3 48 s), while stability --n 5 passed
+    2.8 GB in 150 s and type-a --n 7 and identity-2-3 --n 9 ran past 90 s."""
+    def register(fn):
+        SUITES[name], VERIFY_FLAGS[name] = fn, flags
+        return fn
+    return register
+
+
+class Report(list):
+    """A suite's report lines and verdict; `fail(line)` adds a line and fails the run."""
+
+    ok = True
+
+    def fail(self, line):
+        self.append(line)
+        self.ok = False
+
 
 def _vexillary_count(wtype, n):
     vex = total = 0
@@ -242,12 +256,12 @@ CENSUS_COUNTS = {1: (2, 2, 1, 1), 2: (7, 8, 3, 4), 3: (33, 48, 18, 24), 4: (183,
                  7: (49626, 645120, 25137, 322560)}
 
 
+@_suite("census", n=(3, 7))
 def suite_census(args, report):
-    n = 3 if args.n is None else args.n
-    c_vex, c_all = _vexillary_count("C", n)
-    d_vex, d_all = _vexillary_count("D", n)
+    c_vex, c_all = _vexillary_count("C", args.n)
+    d_vex, d_all = _vexillary_count("D", args.n)
     report.append(f"C: {c_vex}/{c_all} vexillary, D: {d_vex}/{d_all}")
-    return (c_vex, c_all, d_vex, d_all) == CENSUS_COUNTS[n]
+    report.ok = (c_vex, c_all, d_vex, d_all) == CENSUS_COUNTS[args.n]
 
 
 def _formula_mismatches(wtype, n):
@@ -265,51 +279,49 @@ def _formula_mismatches(wtype, n):
     return size, vexillary, bad
 
 
+@_suite("theorem-equivalence", type=("C", None), n=(2, 5))
 def suite_theorem_equivalence(args, report):
-    wtype = args.type or "C"
-    n = 2 if args.n is None else args.n
-    size, _, bad = _formula_mismatches(wtype, n)
-    report.extend(f"mismatch at w = {w}" for w in bad)
-    report.append(f"type {wtype}, n = {n}: {size} elements compared")
-    return not bad
+    size, _, bad = _formula_mismatches(args.type, args.n)
+    for w in bad:
+        report.fail(f"mismatch at w = {w}")
+    report.append(f"type {args.type}, n = {args.n}: {size} elements compared")
 
 
 def _compare_over(n, wtypes, differs, failure, report):
-    """Report failure.format(wtype=..., w=...) for each w in W_n of each
-    type where differs(w, wtype) holds; True when none does."""
-    bad = [failure.format(wtype=t, w=w) for t in wtypes for w in all_elements(n, t) if differs(w, t)]
-    report.extend(bad)
-    return not bad
+    """Fail with failure.format(wtype=..., w=...) for each w in W_n of each
+    type where differs(w, wtype) holds."""
+    for wtype in wtypes:
+        for w in all_elements(n, wtype):
+            if differs(w, wtype):
+                report.fail(failure.format(wtype=wtype, w=w))
 
 
+@_suite("stability", n=(2, 4))
 def suite_stability(args, report):
-    n = 2 if args.n is None else args.n
+    n = args.n
 
     def unstable(w, wtype):
         # type D starts at size 2, so W_1 is compared at sizes 2 and 3
         size = max(n, 2) if wtype == "D" else n
         return schubert(w, wtype, n=size) != schubert(w.embed(size + 1), wtype, n=size + 1)
 
-    ok = _compare_over(n, "ABCD", unstable, "instability: type {wtype}, w = {w}", report)
+    _compare_over(n, "ABCD", unstable, "instability: type {wtype}, w = {w}", report)
     line = f"all four types checked at n = {n} vs {n + 1}"
     report.append(line if n >= 2 else f"{line}, type D at n = 2 vs 3")
-    return ok
 
 
+@_suite("b-scaling", n=(3, 5))
 def suite_b_scaling(args, report):
-    n = 3 if args.n is None else args.n
-    ok = _compare_over(n, "B", lambda w, _: schubert(w, "B") != schubert(w, "C").halve(w.num_barred()),
-                       "scaling fails at w = {w}", report)
-    report.append(f"2^-r scaling verified on {2 ** n * 6} elements" if n == 3 else "done")
-    return ok
+    _compare_over(args.n, "B", lambda w, _: schubert(w, "B") != schubert(w, "C").halve(w.num_barred()),
+                  "scaling fails at w = {w}", report)
+    report.append(f"2^-r scaling verified on {2 ** args.n * 6} elements" if args.n == 3 else "done")
 
 
+@_suite("inverse-swap", n=(3, 5))
 def suite_inverse_swap(args, report):
-    n = 3 if args.n is None else args.n
-    ok = _compare_over(n, "CD", lambda w, wtype: swap_xy(schubert(w, wtype)) != schubert(w.inverse(), wtype),
-                       "inverse symmetry fails: type {wtype}, w = {w}", report)
-    report.append(f"x<->y inverse symmetry checked for C and D at n = {n}")
-    return ok
+    _compare_over(args.n, "CD", lambda w, wtype: swap_xy(schubert(w, wtype)) != schubert(w.inverse(), wtype),
+                  "inverse symmetry fails: type {wtype}, w = {w}", report)
+    report.append(f"x<->y inverse symmetry checked for C and D at n = {args.n}")
 
 
 # the paper's worked type-A triple, and a redundant triple that reduces to it
@@ -326,13 +338,12 @@ def _worked_a_det_y0(t: Triple) -> Polynomial:
     return multischur_det(lam, series)
 
 
+@_suite("redundancy", seed=(0, None))
 def suite_redundancy(args, report):
-    ok = True
     # the worked type-A reduction
     slim = reduce_redundant(FAT_A)
     if _worked_a_det_y0(FAT_A) != _worked_a_det_y0(slim):
-        report.append("type-A worked example: determinants differ at y = 0")
-        ok = False
+        report.fail("type-A worked example: determinants differ at y = 0")
     report.append(f"type-A example reduces to {slim}")
     small_a = [
         t
@@ -341,13 +352,12 @@ def suite_redundancy(args, report):
     ]
     for t in small_a:
         if vexillary_polynomial(t) != vexillary_polynomial(reduce_redundant(t)):
-            report.append(f"type-A reduction changed the determinant: {t}")
-            ok = False
+            report.fail(f"type-A reduction changed the determinant: {t}")
     report.append(f"{len(small_a)} small type-A reductions checked in full")
     # randomized C/D redundant triples
     import random
 
-    rng = random.Random(args.seed or 0)
+    rng = random.Random(args.seed)
     for wtype in ("C", "D"):
         reds = [
             t
@@ -358,15 +368,13 @@ def suite_redundancy(args, report):
         sample = rng.sample(reds, min(25, len(reds)))
         for t in sample:
             if vexillary_polynomial(t) != vexillary_polynomial(reduce_redundant(t)):
-                report.append(f"redundancy not absorbed: {t}")
-                ok = False
+                report.fail(f"redundancy not absorbed: {t}")
         report.append(f"type {wtype}: {len(sample)} redundant triples absorbed")
-    return ok
 
 
+@_suite("lemma25")
 def suite_lemma25(args, report):
     checked = 0
-    ok = True
     for k in range(2, 5):
         for l in range(1, k):
             pair = q_pair(k, l, ones_series(("t", k - 1)), ones_series(("t", l - 1)))
@@ -377,10 +385,8 @@ def suite_lemma25(args, report):
                         continue
                     checked += 1
                     if specialize_oracle(pair, nu):
-                        report.append(f"nonvanishing at k={k}, l={l}, nu={nu}")
-                        ok = False
+                        report.fail(f"nonvanishing at k={k}, l={l}, nu={nu}")
     report.append(f"{checked} vanishing specializations checked")
-    return ok
 
 
 def _plus_support(coeffs, r):
@@ -398,153 +404,132 @@ def _plus_support(coeffs, r):
     return mapped
 
 
+@_suite("identity-2-3", n=(5, 8))
 def suite_identity_2_3(args, report):
-    ok = True
-    max_part = 5 if args.n is None else args.n
     count = 0
-    for size in range(1, max_part + 2):
-        for lam in itertools.combinations(range(max_part, -1, -1), size):
+    for size in range(1, args.n + 2):
+        for lam in itertools.combinations(range(args.n, -1, -1), size):
             count += 1
             mapped = _plus_support(expand_coeffs(r_family(lam), basis="P"), len(lam))
             if mapped is None:
-                report.append(f"unmappable support in lambda = {lam}")
-                return False
+                return report.fail(f"unmappable support in lambda = {lam}")
             pc = expand_coeffs(p_family(tuple(m + 1 for m in lam)), basis="P")
             if mapped != pc:
-                report.append(f"shift identity fails for lambda = {lam}")
-                ok = False
-    report.append(f"{count} deformed-family identities checked (max part {max_part})")
+                report.fail(f"shift identity fails for lambda = {lam}")
+    report.append(f"{count} deformed-family identities checked (max part {args.n})")
     # the same identity on actual type-D triples against the shifted B series
     tri_count = 0
     for t in enumerate_triples("D", 3):
         tri_count += 1
         mapped = _plus_support(expand_coeffs(vexillary_polynomial(t), basis="P"), t.k[-1])
         if mapped is None:
-            report.append(f"unmappable support for triple {t}")
-            return False
+            return report.fail(f"unmappable support for triple {t}")
         pc = expand_coeffs(vexillary_polynomial(plus_map(t), wtype="B"), basis="P")
         if mapped != pc:
-            report.append(f"triple shift identity fails for {t}")
-            ok = False
+            report.fail(f"triple shift identity fails for {t}")
     report.append(f"{tri_count} type-D triples compared against their shifts")
-    return ok
 
 
+@_suite("appendix-a1")
 def suite_appendix_a1(args, report):
-    ok = True
     for s in range(7):
         for K in itertools.combinations(range(1, 7), s):
             if not gysin.lemma_A1_check(K):
-                report.append(f"sign lemma fails for K = {K}")
-                ok = False
+                report.fail(f"sign lemma fails for K = {K}")
     report.append("sign lemma exhausted over K within [6]")
     for size in range(1, 5):
         I = tuple(range(1, size + 1))
         if not gysin.f_index_identity(I):
-            report.append(f"product identity fails for I = {I}")
-            ok = False
+            report.fail(f"product identity fails for I = {I}")
     report.append("Pfaffian/product identity checked for |I| <= 4")
     for lam, K in [((3,), (1,)), ((2, 1), (1, 2)), ((4, 2, 1), (1, 3)), ((3, 2, 1), (1, 2, 3))]:
         if not gysin.prop_A1_check(lam, K):
-            report.append(f"operator identity fails for lam = {lam}, K = {K}")
-            ok = False
+            report.fail(f"operator identity fails for lam = {lam}, K = {K}")
     report.append("deformed operator identity checked for |K| <= 3")
-    return ok
 
 
+@_suite("appendix-a2", r=(3, 3))  # its shapes have at most 3 parts
 def suite_appendix_a2(args, report):
-    ok = True
-    r_max = 3 if args.r is None else args.r
-    shapes = [s for s in [(1,), (2,), (2, 0), (2, 1), (3, 1), (3, 2, 0), (3, 2, 1)] if len(s) <= r_max]
+    shapes = [s for s in [(1,), (2,), (2, 0), (2, 1), (3, 1), (3, 2, 0), (3, 2, 1)] if len(s) <= args.r]
     for lam in shapes:
         if not gysin.prop_A2_check(lam):
-            report.append(f"pushforward Pfaffian fails for lam = {lam}")
-            ok = False
+            report.fail(f"pushforward Pfaffian fails for lam = {lam}")
     report.append(f"composite pushforward = 2^-r Pfaffian for {len(shapes)} shapes")
     # degenerate single-series case against the type-C pipeline
     lam, series = formula_rows(Triple((1, 2), (2, 1), (2, 1), "C"), "C")
     for m in [(0, 0), (1, 0), (0, 1), (2, 1)]:
         if not gysin.plain_pushforward_check(lam, series, m):
-            report.append(f"degenerate pushforward fails at exponents {m}")
-            ok = False
+            report.fail(f"degenerate pushforward fails at exponents {m}")
     report.append("degenerate case matches the Pfaffian index shift")
-    return ok
 
 
+@_suite("positivity", n=(3, 5))
 def suite_positivity(args, report):
-    n = 3 if args.n is None else args.n
     findings = []
-    for w in all_elements(n, "C"):
+    for w in all_elements(args.n, "C"):
         for lam, c in expand_coeffs(schubert(w, "C")).items():
             for coeff in c.packed.values():
                 if coeff < 0:
                     findings.append((str(w), lam))
-    if findings:
-        for w, lam in findings[:10]:
-            report.append(f"negative coefficient: w = {w}, symbol {lam}")
-        report.append(f"{len(findings)} negative terms (interpretation finding)")
-        return False
-    report.append(f"all basis coefficients nonnegative over W_{n} type C")
-    return True
+    for w, lam in findings[:10]:
+        report.fail(f"negative coefficient: w = {w}, symbol {lam}")
+    report.append(f"{len(findings)} negative terms (interpretation finding)" if findings
+                  else f"all basis coefficients nonnegative over W_{args.n} type C")
 
 
+@_suite("type-a", n=(4, 6))
 def suite_type_a(args, report):
-    n = 4 if args.n is None else args.n
-    _, count, bad = _formula_mismatches("A", n)
-    report.extend(f"determinant mismatch at w = {w}" for w in bad)
-    ok = not bad
-    report.append(f"{count} vexillary permutations matched in S_{n}")
+    _, count, bad = _formula_mismatches("A", args.n)
+    for w in bad:
+        report.fail(f"determinant mismatch at w = {w}")
+    report.append(f"{count} vexillary permutations matched in S_{args.n}")
     if str(w_of_triple(WORKED_A)) != "1 10 8 9 2 3 6 4 5 7":
-        report.append("worked triple produces the wrong permutation")
-        ok = False
+        report.fail("worked triple produces the wrong permutation")
     if reduce_redundant(FAT_A) != WORKED_A:
-        report.append("redundant example does not reduce to the worked triple")
-        ok = False
+        report.fail("redundant example does not reduce to the worked triple")
     report.append("worked examples verified")
-    return ok
 
 
-SUITES = {
-    "census": suite_census,
-    "theorem-equivalence": suite_theorem_equivalence,
-    "stability": suite_stability,
-    "b-scaling": suite_b_scaling,
-    "inverse-swap": suite_inverse_swap,
-    "redundancy": suite_redundancy,
-    "lemma25": suite_lemma25,
-    "identity-2-3": suite_identity_2_3,
-    "appendix-a1": suite_appendix_a1,
-    "appendix-a2": suite_appendix_a2,
-    "positivity": suite_positivity,
-    "type-a": suite_type_a,
-}
-
-
-def format_report(suite: str, ok: bool, report: list, fmt: str = "plain") -> str:
+def format_report(suite: str, report: Report, fmt: str = "plain") -> str:
     """The stdout of `vexpf verify suite`: the report lines and the verdict,
     or one JSON object."""
     if fmt == "json":
-        return _dumps({"suite": suite, "pass": ok, "report": report}) + "\n"
-    return "".join(f"{line}\n" for line in report) + f"{suite}: {'PASS' if ok else 'FAIL'}\n"
+        return _dumps({"suite": suite, "pass": report.ok, "report": report}) + "\n"
+    return "".join(f"{line}\n" for line in report) + f"{suite}: {'PASS' if report.ok else 'FAIL'}\n"
 
 
 def cmd_verify(args) -> int:
-    suite = args.suite
+    suite = args.suite or args.suite_flag
     if args.suite_flag not in (None, suite):
         raise UsageError(f"verify names two suites: {suite!r} and --suite {args.suite_flag!r}")
+    if not suite:
+        raise UsageError("verify needs a suite name")
     if suite not in SUITES:
         raise UsageError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
-    for flag, readers in dict(VERIFY_READERS, n=MAX_VERIFY_N).items():
-        if getattr(args, flag) is not None and suite not in readers:
+    flags = VERIFY_FLAGS[suite]
+    for flag in ("type", "r", "seed", "n"):
+        if getattr(args, flag) is not None and flag not in flags:
             raise UsageError(f"verify {suite} reads no --{flag}")
-    if args.n is not None and args.n > MAX_VERIFY_N[suite]:
-        raise UsageError(f"verify {suite} is desk-scale: n <= {MAX_VERIFY_N[suite]}, got {args.n}")
-    if args.r is not None and args.r > 3:  # appendix-a2's shapes have at most 3 parts
-        raise UsageError(f"verify {suite} is desk-scale: r <= 3, got {args.r}")
-    report = []
-    ok = SUITES[suite](args, report)
-    print(format_report(suite, ok, report, args.format), end="")
-    return 0 if ok else 1
+    for flag, (default, largest) in flags.items():
+        value = getattr(args, flag)
+        if value is None:
+            setattr(args, flag, default)
+        elif largest is not None and value > largest:
+            raise UsageError(f"verify {suite} is desk-scale: {flag} <= {largest}, got {value}")
+    report = Report()
+    SUITES[suite](args, report)
+    print(format_report(suite, report, args.format), end="")
+    return 0 if report.ok else 1
+
+
+def _verify_epilog() -> str:
+    """`verify --help`'s table: each suite with the flags it reads."""
+    lines = ["suites and the flags each reads, with defaults and largest values:"]
+    for name, flags in VERIFY_FLAGS.items():
+        reads = [f"--{flag} {default}" + (f" (<= {largest})" if largest else "")
+                 for flag, (default, largest) in flags.items()]
+        lines.append(f"  {name:<20} {', '.join(reads) or 'no flags'}")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +564,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vexillary-only", action="store_true")
     p.set_defaults(fn=cmd_enumerate)
 
-    p = sub.add_parser("verify", help="run a verification suite")
+    p = sub.add_parser("verify", help="run a verification suite", epilog=_verify_epilog(),
+                       formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("suite", nargs="?", default=None)
     p.add_argument("--suite", dest="suite_flag", default=None)
     p.add_argument("--type", choices=["A", "B", "C", "D"], default=None)
@@ -602,10 +588,6 @@ def _check_sizes(args):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify":
-        args.suite = args.suite or args.suite_flag
-        if not args.suite:
-            parser.error("verify needs a suite name")
     try:
         _check_sizes(args)
         code = args.fn(args)

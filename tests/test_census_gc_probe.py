@@ -1,9 +1,10 @@
 """The GC probe on the tree under test: one report line per workload and
-seed, and its verdict.  No op 0 of census, pfaffian or descent may take a
-collection of generation 1 or more, since one such collection triples
-census `wall_s` in the benchmark.  Where the collector lands depends on
-the allocations of the whole import and set-up, so a change anywhere in
-`src/vexpf` can flip it; the probe's docstring gives the mechanism."""
+seed, and its verdict.  No timed op of census, pfaffian or descent may
+take a collection of generation 1 or more, since one such collection
+triples census `wall_s` in the benchmark.  Where the collector lands
+depends on the allocations of the whole import and set-up, so a change
+anywhere in `src/vexpf` can flip it; the probe's docstring gives the
+mechanism."""
 
 import importlib.util
 import io
@@ -16,7 +17,7 @@ import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "census_gc_probe.py"
 LINE = re.compile(
-    r"(census|pfaffian|descent) --seed (\d+): count \((\d+), (\d+), (\d+)\), op 0 collections \[[\d, ]*\]"
+    r"(census|pfaffian|descent) --seed (\d+): count \((\d+), (\d+), (\d+)\), collections in ops \[[\d, ]*\]"
 )
 
 
@@ -70,7 +71,7 @@ def test_a_closed_stdout_is_exit_1_without_a_traceback(tool, monkeypatch, capsys
     runs = []
     monkeypatch.setattr(tool, "unpack", lambda rev, tree: None)
     monkeypatch.setattr(tool, "patch_worker", lambda path: None)
-    monkeypatch.setattr(tool, "probe", lambda *args: runs.append(args) or {"count": [28, 0, 3], "op0": [0]})
+    monkeypatch.setattr(tool, "probe", lambda *args: runs.append(args) or {"count": [44, 0, 3], "ops": [0]})
     monkeypatch.setattr(sys, "stdout", BrokenStdout())
     assert tool.main([]) == 1
     assert len(runs) == 1  # the first line's write met the closed pipe

@@ -12,7 +12,7 @@ from vexpf.polycore import Polynomial
 from vexpf.weyl import SignedPermutation
 from vexpf.gamma import GammaElement
 import vexpf
-from vexpf import cli
+from vexpf import cli, gysin
 from vexpf.cli import main, render, serialize_element
 
 
@@ -276,7 +276,7 @@ class TestCommands:
         out = capsys.readouterr()
         assert out.out == "" and out.err == f"error: verify {suite} reads no --n\n"
         assert main(["verify", suite]) == 0 and calls == [None]
-        assert set(cli.SUITES) - set(cli.MAX_VERIFY_N) == {
+        assert {name for name, flags in cli.VERIFY_FLAGS.items() if "n" not in flags} == {
             "redundancy", "lemma25", "appendix-a1", "appendix-a2"}
 
     @pytest.mark.parametrize(
@@ -419,6 +419,66 @@ class TestVerify:
         code, out = run(capsys, "verify", "census", "--n", "2", "--format", "json")
         payload = json.loads(out)
         assert code == 0 and payload["pass"] is True and payload["suite"] == "census"
+
+    def test_every_suite_is_traced_and_declares_its_flags(self):
+        # perfbench's tracer wraps the vexpf.cli attributes named suite_*, so a
+        # suite registered under another name would read 0 in cli.suite_s
+        for name, fn in cli.SUITES.items():
+            assert fn.__name__.startswith("suite_") and getattr(cli, fn.__name__) is fn, name
+        assert set(cli.VERIFY_FLAGS) == set(cli.SUITES)
+
+    def test_help_names_every_suite_and_bound(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        rows = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("  ") and line.split()[0] in cli.SUITES}
+        assert set(rows) == set(cli.SUITES)
+        for name, flags in cli.VERIFY_FLAGS.items():
+            for flag, (default, largest) in flags.items():
+                assert f"--{flag} {default}" in rows[name], name
+                assert (largest is None) != (f"--{flag} {default} (<= {largest})" in rows[name]), name
+            assert ("no flags" in rows[name]) == (not flags), name
+
+    def test_no_suite_is_one_line_and_exit_2(self, capsys):
+        assert main(["verify"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "error: verify needs a suite name\n"
+
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    @pytest.mark.parametrize("suite, options, owner, name, wrong, failure", [
+        ("theorem-equivalence", ("--n", "2"), cli, "schubert", 0, "mismatch at w = 1 2"),
+        ("b-scaling", ("--n", "2"), cli, "schubert", 0, "scaling fails at w = 1 2"),
+        ("inverse-swap", ("--n", "2"), cli, "swap_xy", 0, "inverse symmetry fails: type C, w = 1 2"),
+        ("redundancy", (), cli, "vexillary_polynomial", 0,
+         "type-A reduction changed the determinant: k=1,2;p=3,3;q=1,2;type=A"),
+        ("lemma25", (), cli, "specialize_oracle", 1, "nonvanishing at k=2, l=1, nu=(4,)"),
+        ("identity-2-3", ("--n", "1"), cli, "expand_coeffs", {}, "shift identity fails for lambda = (1,)"),
+        ("appendix-a1", (), gysin, "lemma_A1_check", False, "sign lemma fails for K = ()"),
+        ("appendix-a2", ("--r", "1"), gysin, "prop_A2_check", False,
+         "pushforward Pfaffian fails for lam = (1,)"),
+        ("positivity", ("--n", "1"), cli, "expand_coeffs", {(1,): Polynomial.const(-1)},
+         "negative coefficient: w = 1, symbol (1,)"),
+        ("type-a", ("--n", "3"), cli, "schubert", 0, "determinant mismatch at w = 1 2 3"),
+    ])
+    def test_one_wrong_answer_fails_the_suite(self, capsys, monkeypatch, fmt, suite, options, owner,
+                                              name, wrong, failure):
+        # the checked callable answers wrong on its first call only
+        real, calls = getattr(owner, name), []
+
+        def once_wrong(*args, **kwargs):
+            calls.append(args)
+            return wrong if len(calls) == 1 else real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, once_wrong)
+        code, out = run(capsys, "verify", suite, *options, "--format", fmt)
+        assert code == 1
+        if fmt == "json":
+            payload = json.loads(out)
+            assert payload["pass"] is False and failure in payload["report"]
+        else:
+            lines = out.splitlines()
+            assert failure in lines and lines[-1] == f"{suite}: FAIL"
 
 
 REFERENCE_CLI = json.loads(

@@ -1,5 +1,5 @@
-"""Where the first timed op of census, pfaffian and descent meets the
-garbage collector.
+"""Where the timed ops of census, pfaffian and descent meet the garbage
+collector.
 
     python3 tools/census_gc_probe.py [REV]
 
@@ -8,23 +8,25 @@ and collects no garbage before the first op, so how many objects the
 set-up leaves alive decides whether op 0 takes a generation-0
 collection (about 0.01 ms) or a generation-1 one (0.7-1.3 ms, which
 triples census `wall_s`, and would make pfaffian's op 0, `r_family((4,))`
-at about 0.18 ms, its slowest op).  This probe copies the checkout's
-`src/` and `perfbench/` (no `__pycache__`) into a temporary directory,
-or, given a git revision REV, unpacks those two directories of REV there
-with `git archive`, as tools/bench_pairs.py does, so a parent commit is
-read by the same probe as the change.  It then patches the copy's
-`worker.py` to read `gc.get_count()` just before `probe = Probe()` and
-to record the generation of each collection that starts during op 0,
-and runs each workload there at each seed in a fresh interpreter with
+at about 0.18 ms, its slowest op).  `wall_s` sums every op, so a set-up
+that ends at (x, 10, 2) costs as much: its generation-1 collection lands
+in a later op.  This probe copies the checkout's `src/` and `perfbench/`
+(no `__pycache__`) into a temporary directory, or, given a git revision
+REV, unpacks those two directories of REV there with `git archive`, as
+tools/bench_pairs.py does, so a parent commit is read by the same probe
+as the change.  It then patches the copy's `worker.py` to read
+`gc.get_count()` just before `probe = Probe()` and to record the
+generation of each collection that starts during any timed op, and runs
+each workload there at each seed in a fresh interpreter with
 PYTHONDONTWRITEBYTECODE=1.  The checkout is only read.  A revision git
 cannot read gets one line on stderr and exit 2, before any workload
 runs.
 
 It prints one line per workload and seed,
 
-    census --seed 1: count (49, 0, 3), op 0 collections [0]
+    census --seed 1: count (44, 0, 3), collections in ops [0]
 
-and exits 1 if any op 0 takes a collection of generation 1 or more;
+and exits 1 if any timed op takes a collection of generation 1 or more;
 tests/test_census_gc_probe.py runs it and asserts exit 0.  A reader
 that closes stdout early (`| head -2`) ends it with exit 1 and no
 traceback, as `vexpf` does.  The hook
@@ -35,11 +37,12 @@ while `cli`, `gamma` and `gysin` compile, the last inside gysin's
 compile with under a hundred of the import's allocations after it, and
 census's set-up then ends a few dozen allocations after a generation-1
 collection: (44, 0, 3) before the program's builders skipped the
-constructor's check, (23, 0, 3) after, and (28, 0, 3) since the signed
-i >= 1 steps take one kernel pass each.  A net cut of that size before
-the last import collection pushes it out of the import; the set-up
-then ends with the second count at 11, as in (650, 11, 2), and census
-op 0 takes the generation-1 collection.  An edit inside gamma's compile
+constructor's check, (23, 0, 3) after, (28, 0, 3) since the signed
+i >= 1 steps take one kernel pass each, and (44, 0, 3) since each verify
+suite declares its flags where it is defined.  A net cut of that size
+before the last import collection pushes it out of the import; the
+set-up then ends with the second count at 11, as in (650, 11, 2), and
+census op 0 takes the generation-1 collection.  An edit inside gamma's compile
 can flip it at almost no size, and so can dropping the signed step's
 one-line closure from `schubert.divided_difference` (636, 11, 2), or a
 one-pass `triples.column_steps` beside the seeded `pf_rows` until that
@@ -80,8 +83,9 @@ PATCHES = (
     ),
     (
         "    print(json.dumps(result))\n",
-        "    result['gc_probe'] = {'count': gc_count, 'op0': [\n"
-        "        gen for t, gen in gc_starts if starts[0] <= t <= starts[0] + latencies[0]]}\n",
+        "    result['gc_probe'] = {'count': gc_count, 'ops': [\n"
+        "        gen for t, gen in gc_starts\n"
+        "        if any(t0 <= t <= t0 + lat for t0, lat in zip(starts, latencies))]}\n",
     ),
 )
 
@@ -143,8 +147,8 @@ def main(argv=None) -> int:
             for workload in WORKLOADS:
                 for seed in SEEDS:
                     reading = probe(tree, workload, seed)
-                    count, gens = tuple(reading["count"]), reading["op0"]
-                    print(f"{workload} --seed {seed}: count {count}, op 0 collections {gens}")
+                    count, gens = tuple(reading["count"]), reading["ops"]
+                    print(f"{workload} --seed {seed}: count {count}, collections in ops {gens}")
                     if any(gen >= 1 for gen in gens):
                         code = 1
         sys.stdout.flush()
