@@ -36,6 +36,7 @@ from .schubert import (
     formula_rows,
     schubert,
     swap_xy,
+    sweep,
     vexillary_polynomial,
 )
 from . import gysin
@@ -287,40 +288,34 @@ def suite_theorem_equivalence(args, report):
     report.append(f"type {args.type}, n = {args.n}: {size} elements compared")
 
 
-def _compare_over(n, wtypes, differs, failure, report):
-    """Fail with failure.format(wtype=..., w=...) for each w in W_n of each
-    type where differs(w, wtype) holds."""
-    for wtype in wtypes:
-        for w in all_elements(n, wtype):
-            if differs(w, wtype):
-                report.fail(failure.format(wtype=wtype, w=w))
-
-
 @_suite("stability", n=(2, 4))
 def suite_stability(args, report):
     n = args.n
-
-    def unstable(w, wtype):
+    for wtype in "ABCD":
         # type D starts at size 2, so W_1 is compared at sizes 2 and 3
         size = max(n, 2) if wtype == "D" else n
-        return schubert(w, wtype, n=size) != schubert(w.embed(size + 1), wtype, n=size + 1)
-
-    _compare_over(n, "ABCD", unstable, "instability: type {wtype}, w = {w}", report)
+        for w, e in sweep(n, wtype):
+            if e != schubert(w.embed(size + 1), wtype, n=size + 1):
+                report.fail(f"instability: type {wtype}, w = {w}")
     line = f"all four types checked at n = {n} vs {n + 1}"
     report.append(line if n >= 2 else f"{line}, type D at n = 2 vs 3")
 
 
 @_suite("b-scaling", n=(3, 5))
 def suite_b_scaling(args, report):
-    _compare_over(args.n, "B", lambda w, _: schubert(w, "B") != schubert(w, "C").halve(w.num_barred()),
-                  "scaling fails at w = {w}", report)
+    for (w, b), (_, c) in zip(sweep(args.n, "B"), sweep(args.n, "C")):
+        if b != c.halve(w.num_barred()):
+            report.fail(f"scaling fails at w = {w}")
     report.append(f"2^-r scaling verified on {2 ** args.n * 6} elements" if args.n == 3 else "done")
 
 
 @_suite("inverse-swap", n=(3, 5))
 def suite_inverse_swap(args, report):
-    _compare_over(args.n, "CD", lambda w, wtype: swap_xy(schubert(w, wtype)) != schubert(w.inverse(), wtype),
-                  "inverse symmetry fails: type {wtype}, w = {w}", report)
+    for wtype in "CD":
+        classes = dict(sweep(args.n, wtype))
+        for w, e in classes.items():
+            if swap_xy(e) != classes[w.inverse()]:
+                report.fail(f"inverse symmetry fails: type {wtype}, w = {w}")
     report.append(f"x<->y inverse symmetry checked for C and D at n = {args.n}")
 
 
@@ -466,8 +461,8 @@ def suite_appendix_a2(args, report):
 @_suite("positivity", n=(3, 5))
 def suite_positivity(args, report):
     findings = []
-    for w in all_elements(args.n, "C"):
-        for lam, c in expand_coeffs(schubert(w, "C")).items():
+    for w, e in sweep(args.n, "C"):
+        for lam, c in expand_coeffs(e).items():
             for coeff in c.packed.values():
                 if coeff < 0:
                     findings.append((str(w), lam))

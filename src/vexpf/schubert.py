@@ -2,7 +2,8 @@
 
 Type A polynomials live in Z[x, y]; the signed types live in the basis
 ring with polynomial coefficients.  Everything descends from an explicit
-top class by divided differences:
+top class by divided differences (`divided_difference` says how each
+step is computed):
 
   * type A: top = prod_{i+j<=n} (x_i - y_j), partial_i = (f - s_i f)/(x_i - x_{i+1});
   * type C: partial_0 = (f - s_0 f)/(-2 x_1), s_0 negating x_1;
@@ -10,12 +11,14 @@ top class by divided differences:
   * type D: partial_0 stands for the operator attached to the swap-negate
     generator s1hat = s0 s1 s0, (f - s1hat f)/(-x_1 - x_2) = s0 partial_1 s0.
 
-In the signed types partial_i (i >= 1) acts on each basis coefficient as
-in type A: one pass over the whole Q-basis combo,
-`polycore.divided_differences`, writes every quotient as geometric sums,
-and its map is the new element's combo as it stands.  Type A still
-builds the numerator and divides it by `exact_divide`, since
-perfbench's type-A descent test counts those divisions.
+Each class is built once, from the class of w s_i for an ascent i of w
+(`weyl.first_ascent`); one with no ascent is the top of its coset.
+`schubert()` on a single word takes the smallest ascent, as do the
+theorem-equivalence and type-a gates and perfbench's `ascent_route`.
+`sweep` builds all of W_n for the positivity, stability, b-scaling and
+inverse-swap suites, generator 0 last: an i >= 1 step is one kernel
+pass, a generator-0 step several.  `classes_built` and `zero_steps`
+count the classes built, top classes included, and generator-0 steps.
 
 Vexillary elements admit closed formulas instead: a multi-Schur
 determinant (type A) or Pfaffian (signed types) built from the triple.
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from .polycore import Polynomial, divided_differences, exact_divide, rational_series
 from .gamma import GammaElement, apply_symmetry, ones_series, s0_quotient
-from .weyl import SignedPermutation, SizeMismatch, descents, generators, longest_element
+from .weyl import SignedPermutation, SizeMismatch, all_elements, first_ascent
 from .triples import Triple, column_steps, lambda_of
 from .multischur import multischur_det, multischur_pf, multischur_pf_d
 
@@ -189,20 +192,13 @@ def top_class(n: int, wtype: str, d_zero: bool = False):
     raise ValueError(f"unknown type {wtype}")
 
 
-def _top_element(n: int, wtype: str, barred_parity: int) -> SignedPermutation:
-    w0 = longest_element(n, wtype)
-    if wtype == "D" and w0.num_barred() % 2 != barred_parity:
-        # the top of the odd type-D coset: flip the first entry's bar
-        return SignedPermutation._of((-w0.values[0],) + w0.values[1:])
-    return w0
-
-
 _CACHE = {}
+classes_built = 0
+zero_steps = 0
 
 
 def schubert(w: SignedPermutation, wtype: str, n: int = None):
-    """The double Schubert polynomial of w, computed by descending from
-    the top class along the first ascent of each element on the way.
+    """The double Schubert polynomial of w, by the smallest-ascent route.
     n defaults to the size of w (at least 2 in type D); a smaller n
     raises SizeMismatch."""
     if wtype == "A" and not w.is_unsigned():
@@ -212,24 +208,29 @@ def schubert(w: SignedPermutation, wtype: str, n: int = None):
         n = least
     elif n < least:
         raise SizeMismatch(f"n = {n} is too small for the type {wtype} word '{w}': need n >= {least}")
-    w = w.embed(n)
-    return _descend(w, wtype, n)
+    return _descend(w if w.n == n else w.embed(n), wtype, n)
 
 
-def _descend(w, wtype, n):
+def sweep(n: int, wtype: str):
+    """(w, class) for each w of `all_elements(n, wtype)`, in its order, by
+    the generator-0-last route; type D sizes W_1 up to 2, as `schubert` does."""
+    size = max(n, 2) if wtype == "D" else n
+    for w in all_elements(n, wtype):
+        yield w, _descend(w.embed(size), wtype, size, True)
+
+
+def _descend(w, wtype, n, zero_last=False):
+    global classes_built, zero_steps
     key = (wtype, n, w.values)
     if key in _CACHE:
         return _CACHE[key]
-    top = _top_element(n, wtype, w.num_barred() % 2)
-    if w == top:
-        if wtype == "D":
-            out = top_class(n, "D", d_zero=(n % 2 == w.num_barred() % 2))
-        else:
-            out = top_class(n, wtype)
+    i = first_ascent(w, wtype, zero_last)
+    if i is None:
+        out = top_class(n, wtype, d_zero=wtype == "D" and n % 2 == w.num_barred() % 2)
     else:
-        down = descents(w, wtype)
-        i = next(i for i in generators(n, wtype) if i not in down)
-        out = divided_difference(i, _descend(w.right_gen(i, wtype), wtype, n), wtype)
+        out = divided_difference(i, _descend(w.right_gen(i, wtype), wtype, n, zero_last), wtype)
+        zero_steps += i == 0
+    classes_built += 1
     _CACHE[key] = out
     return out
 

@@ -167,6 +167,20 @@ def descents(w: SignedPermutation, wtype: str):
     return out
 
 
+def first_ascent(w: SignedPermutation, wtype: str, zero_last: bool = False):
+    """The first generator of `generators` (with zero_last, of 1..n-1
+    then 0) that is not in `descents(w)`, by the same rule in one scan;
+    None only at the top of w's coset, either type-D coset included."""
+    vals = w.values
+    zero = wtype != "A" and vals != () and (vals[0] + vals[1] if wtype == "D" else vals[0]) > 0
+    if zero and not zero_last:
+        return 0
+    for i in range(1, len(vals)):
+        if vals[i - 1] < vals[i]:
+            return i
+    return 0 if zero else None
+
+
 def reduced_word(w: SignedPermutation, wtype: str):
     """A reduced word [i_1, ..., i_l] with s_{i_1} ... s_{i_l} = w,
     chosen deterministically (smallest available descent, peeled from

@@ -448,7 +448,8 @@ class TestVerify:
     @pytest.mark.parametrize("fmt", ["plain", "json"])
     @pytest.mark.parametrize("suite, options, owner, name, wrong, failure", [
         ("theorem-equivalence", ("--n", "2"), cli, "schubert", 0, "mismatch at w = 1 2"),
-        ("b-scaling", ("--n", "2"), cli, "schubert", 0, "scaling fails at w = 1 2"),
+        ("b-scaling", ("--n", "2"), cli, "sweep", [(SignedPermutation.identity(2), 0)],
+         "scaling fails at w = 1 2"),
         ("inverse-swap", ("--n", "2"), cli, "swap_xy", 0, "inverse symmetry fails: type C, w = 1 2"),
         ("redundancy", (), cli, "vexillary_polynomial", 0,
          "type-A reduction changed the determinant: k=1,2;p=3,3;q=1,2;type=A"),

@@ -733,6 +733,25 @@ class TestWorkBounds:
         top_class(4, wtype, d_zero)
         assert outermost[0] == 1
 
+    # the classes `_descend` builds over all of W_4 from a cold memo, and
+    # the generator-0 steps among them: the sweep takes generator 0 only
+    # where no i >= 1 ascent exists, schubert() wherever it is an ascent
+    SWEEP_W4 = {"B": (384, 15), "C": (384, 15), "D": (192, 7)}
+    SMALLEST_ASCENT_W4 = {"B": (384, 192), "C": (384, 192), "D": (192, 96)}
+
+    @pytest.mark.parametrize("wtype", ["B", "C", "D"])
+    def test_classes_built_and_generator_zero_steps(self, monkeypatch, wtype):
+        routes = [
+            (lambda: list(schubert.sweep(4, wtype)), self.SWEEP_W4[wtype]),
+            (lambda: [schubert.schubert(w, wtype) for w in all_elements(4, wtype)],
+             self.SMALLEST_ASCENT_W4[wtype]),
+        ]
+        for build, bound in routes:
+            monkeypatch.setattr(schubert, "_CACHE", {})
+            built, zero = schubert.classes_built, schubert.zero_steps
+            build()
+            assert (schubert.classes_built - built, schubert.zero_steps - zero) == bound
+
     # the terms of every basis coefficient the i >= 1 kernel reads while
     # building all of W_4 from a cold memo, a bound declared with the
     # kernel

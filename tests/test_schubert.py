@@ -17,6 +17,7 @@ from vexpf.schubert import (
     formula_rows,
     schubert,
     swap_xy,
+    sweep,
     top_class,
     vexillary_polynomial,
 )
@@ -574,6 +575,23 @@ class TestSchubert:
                 assert all(type(v) is int for v in c.packed.values()), repr(w)
                 scaled += c.e > 0
         assert scaled
+
+
+class TestSweep:
+    @pytest.mark.parametrize("n, wtype", [(3, "B"), (3, "C"), (3, "D"), (4, "B"), (4, "C"), (4, "D"),
+                                          (5, "A")])
+    def test_matches_schubert_in_all_elements_order(self, monkeypatch, n, wtype):
+        # each side from a cold memo, so each takes its own route
+        monkeypatch.setattr(schubert_module, "_CACHE", {})
+        swept = list(sweep(n, wtype))
+        assert [w for w, _ in swept] == list(all_elements(n, wtype))
+        assert len(schubert_module._CACHE) == len(swept)
+        monkeypatch.setattr(schubert_module, "_CACHE", {})
+        for w, e in swept:
+            assert schubert(w, wtype) == e, repr(w)
+
+    def test_type_d_sizes_w1_up_to_2(self):
+        assert list(sweep(1, "D")) == [(SignedPermutation.identity(1), GammaElement.one())]
 
 
 def _plus_partition(mu, r):

@@ -8,12 +8,12 @@ from vexpf.weyl import (
     SizeMismatch,
     all_elements,
     descents,
+    first_ascent,
     generators,
     length,
     longest_element,
     reduced_word,
 )
-from vexpf import schubert
 from vexpf.triples import enumerate_triples, w_of_triple
 
 
@@ -163,6 +163,33 @@ class TestCensusAndLongest:
                     assert length(w, wtype) == 0
 
 
+class TestFirstAscent:
+    @pytest.mark.parametrize("zero_last", [False, True])
+    @pytest.mark.parametrize("group, wtype", [
+        ("A", "A"), ("B", "B"), ("C", "C"),
+        # all of W_n in type C: both cosets of type D
+        ("C", "D"),
+    ])
+    def test_first_generator_not_a_descent(self, group, wtype, zero_last):
+        for n in range(2 if wtype == "D" else 0, 6):
+            order = generators(n, wtype)
+            if zero_last and wtype != "A":
+                order = order[1:] + order[:1]
+            tops = []
+            for w in all_elements(n, group):
+                down = descents(w, wtype)
+                want = next((g for g in order if g not in down), None)
+                assert first_ascent(w, wtype, zero_last) == want, w
+                if want is None:
+                    tops.append(w)
+            w0 = longest_element(n, wtype)
+            want_tops = [w0]
+            if wtype == "D":
+                # the top of the odd coset: w0 with its first entry's bar flipped
+                want_tops.append(SignedPermutation((-w0.values[0],) + w0.values[1:]))
+            assert sorted(tops, key=lambda w: w.values) == sorted(want_tops, key=lambda w: w.values)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.permutations(list(range(1, 5))), st.lists(st.booleans(), min_size=4, max_size=4))
 def test_length_additivity_with_inverse(perm, bars):
@@ -177,15 +204,14 @@ def _passes_the_public_check(w) -> bool:
 
 
 def test_the_program_builds_without_the_check(monkeypatch):
-    # the constructor checks values from outside; what all_elements, the odd
-    # type-D top and the insertion build is a signed permutation by
-    # construction, so they skip the check and this test makes it instead
+    # the constructor checks values from outside; what all_elements and the
+    # insertion build is a signed permutation by construction, so they skip
+    # the check and this test makes it instead
     calls = []
     check = SignedPermutation.__init__
     monkeypatch.setattr(SignedPermutation, "__init__", lambda w, values: calls.append(values) or check(w, values))
     built = [w for n in range(1, 5) for wtype in "BCD" for w in all_elements(n, wtype)]
     built += [w for n in range(1, 6) for w in all_elements(n, "A")]
-    built += [schubert._top_element(n, "D", 1) for n in range(2, 6)]
     built += [w_of_triple(t) for wtype in "ACD" for n in (1, 2, 3) for t in enumerate_triples(wtype, n)]
     assert calls == []
     monkeypatch.undo()
