@@ -1,8 +1,6 @@
-"""Exact Schubert calculus for types A, B, C, D.
-
-Double Schubert polynomials via divided differences, multi-Schur
-Pfaffian/determinant formulas for vexillary (signed) permutations, and
-machine checks of the supporting operator identities.
-"""
+"""Exact Schubert calculus for types A, B, C, D: double Schubert
+polynomials by divided differences, multi-Schur Pfaffian and determinant
+formulas for vexillary (signed) permutations, and machine checks of the
+supporting operator identities."""
 
 __version__ = "0.1.0"

@@ -1,13 +1,9 @@
 """Command-line surface: compute classes, detect vexillarity, enumerate
-group elements, and run the verification suites.
-
-Output is deterministic: terms are emitted in a fixed canonical order,
-so identical invocations are byte-identical.  JSON keeps big integers as
-strings so any parser survives them.
-
-Importing this module loads every vexpf module (perfbench's tracer finds
-its hooks in `sys.modules`), but a standard-library module that one
-command needs is imported in that command.
+group elements, and run the verification suites.  Terms come in one
+canonical order, so identical invocations are byte-identical, and JSON
+keeps big integers as strings.  Importing this module loads every vexpf
+module (perfbench's tracer finds its hooks in `sys.modules`), but a
+standard-library module that one command needs is imported there.
 """
 
 from __future__ import annotations

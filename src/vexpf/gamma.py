@@ -1,50 +1,18 @@
 """The ring Gamma = Z[Q_1, Q_2, ...]/(Q_k^2 + 2 sum_j (-1)^j Q_{k+j} Q_{k-j}).
 
-Elements are kept in canonical form as integer (or polynomial) linear
-combinations of the basis symbols Q_lambda, lambda a strict partition;
-P_lambda = 2^{-r} Q_lambda is Q_lambda with a dyadic coefficient.
+Elements are kept in canonical form as combinations of the basis symbols
+Q_lambda, lambda a strict partition, with Polynomial coefficients;
+P_lambda = 2^-r Q_lambda is Q_lambda with a dyadic coefficient.
 
-The Pfaffians of the closed formulas build no generator monomials:
-`pf_rows` folds their rows straight into the Q basis.  The other maps
-of the Q basis run on one rule, the horizontal strips lambda/mu of
-`_strips`, weighted 2^a(lambda/mu) (Macdonald III §5 and (8.15)):
-  * the symmetry s0 of generator 0 adds x_1 to the alphabet of Q (type
-    D's s1hat is s0 s1 s0): the branching rule `_branch`;
-  * generator 0 of types B and C, (f - s0 f)/(-2 x_1) and (f - s0 f)/(-x_1),
-    comes from the same strips with no subtraction and no division
-    (`s0_quotient`);
-  * the Pieri product Q_mu Q_r (`_pieri`) reads the strips mu/nu below
-    mu: its terms are the strict Q_(k + r, nu), k = |mu/nu|.
-    `straighten_monomial` chains it over a generator monomial, and a
-    product of two elements expands only its right factor into
-    generator monomials, by their defining Pfaffians.
-
-Gamma's one specialization, Q -> prod (1-t_i)/(1+t_i)
-(`specialize_oracle`), is the map under which `verify lemma25` checks
-that Kazarian's pairs vanish.
-
-Both Q-basis folds, `pf_rows` and `_strip_fold`, keep each coefficient
-they build as one {packed monomial: int} map over a shared 2^-e and add
-into it with `polycore._fma`, a multiply-accumulate in place; a
-coefficient becomes a Polynomial once, when the fold is done.
-
-`pf_rows` folds a Pfaffian's rows from the last one up, prepending each
-row's symbol.  A formula's row indices decrease, so the prepended entry
-mostly lands in front with no alternation, and the fold states stay as
-small as the last rows until the largest row, the first, comes in.  The
-last row forms no product: its entries seed the states with their maps
-as they stand, so a one-row Pfaffian does no arithmetic.
-
-What depends only on integers is built once per process and shared by
-every fold: the straightening table `_prepend` of Q_(m, suffix), and
-the row series Q prod (1+x_j) prod (1+y_j) of the closed formulas and
-Q prod (1+t_j) of Kazarian's families (`ones_series`), each split by
-degree once; a fold only reads them.  `pf_rows` keeps nothing between
-calls: from the last row up nearly all of a formula's term products
-fall in its first row, which only a repeat of the whole Pfaffian could
-skip.  A map it returns may still be a row's own, read from a shared
-series; that is safe because no Polynomial's map is written once it is
-wrapped.  Every cache of the module is a bounded `lru_cache`.
+`pf_rows` folds the rows of the closed formulas' Pfaffians straight into
+the Q basis.  Every other map of the Q basis runs on one rule, the
+horizontal strips of `_strips`: s0 (`apply_symmetry`) and generator 0 of
+types B and C (`s0_quotient`) are one `_strip_fold` each, and the Pieri
+product `_pieri` serves the product of two elements.  Both folds keep
+each coefficient as one packed map, added into by `polycore._fma` and
+wrapped once at the end.  What depends only on integers (`_prepend`,
+`_pieri`, `straighten_monomial`, `ones_series`) is built once per
+process in a bounded `lru_cache` and only read by the folds.
 """
 
 from __future__ import annotations
@@ -79,16 +47,11 @@ def is_strict(parts) -> bool:
 # ---------------------------------------------------------------------------
 # A "raw" element is a dict mapping generator monomials -- tuples of
 # positive ints, sorted weakly decreasing -- to coefficients.  () is 1.
-# The caches of this module are bounded.  At their fullest, all of tests/
-# run in one process fills 97 of pair_expansion's 1 024 entries, about
-# 300 of pf_expansion's 1 024, 1 350 of _pieri's 4 096, 2 086 of
-# straighten_monomial's 4 096, 30 of ones_series's 1 024 and, leaving out
-# the oracle test that walks tens of thousands of its entries, about
-# 1 200 of _prepend's 4 096 (the drawn test rows move these two a little
-# from run to run).  All 1 118 W_5 type-C formulas use 630 _prepend
-# entries, and top_class(6, T) from a cold table 637 in B and C and 1 149
-# in D (636 with d_zero): one fold's entries stay below the bound, so
-# the recursion never evicts an entry that the same fold still needs.
+# The caches of this module are bounded.  The whole test suite in one
+# process fills at most about half of each (_prepend's leaving out one
+# oracle test that walks tens of thousands of entries), and one fold uses
+# at most 1 149 _prepend entries (top_class(6, "D") from a cold table),
+# so the recursion never evicts an entry the same fold still needs.
 
 
 def _gens(indices):
@@ -195,12 +158,9 @@ def _pieri(mu: tuple, r: int) -> dict:
 
 @lru_cache(maxsize=4096)
 def straighten_monomial(mono: tuple, lam: tuple = ()) -> dict:
-    """Q_lam Q_{a_1} ... Q_{a_m} in the Q_lambda basis, for a strict
+    """Q_lam Q_{a_1} ... Q_{a_m} as {strict partition: int}, for a strict
     partition lam and a generator monomial (a_1, ..., a_m): a chain of
-    `_pieri` products, which shares its prefixes through the cache.
-
-    Returns a dict {strict partition: integer coefficient}.
-    """
+    `_pieri` products, which shares its prefixes through the cache."""
     if not mono:
         return {lam: 1}
     out = {}
@@ -367,15 +327,12 @@ class GeneratorSeries:
     """A coefficient series c = Q * g, g a finite polynomial with constant
     term 1.  Every Pfaffian row is one: a concrete series F with F F* = 1
     stands for Q, since Q Q* = 1 in Gamma.  Type B's P * g is no separate
-    kind: a Pfaffian term uses each row once, so its Pfaffian is 2^-r
-    times the one of Q * g.
+    kind: its Pfaffian is 2^-r times the one of Q * g.
 
-    The series records what its readers ask of g once, when it is built:
-    `parts`, g split by degree {a: g_a} (absent a: g_a = 0) in increasing
-    a, which `row` re-keys and `multischur.paired_rows` reads for type D's
-    scalar, and `degree`, the degree of g, which the skew guards of
-    `multischur_pf` and `multischur_pf_d` read.  The rows of `ones_series`
-    are shared, so each call reads these instead of scanning g."""
+    g is read once, when the series is built: `parts`, g split by degree
+    {a: g_a} in increasing a, which `row` re-keys and
+    `multischur.paired_rows` reads, and `degree`, which the skew guards
+    of `multischur` read, so a shared series is never scanned again."""
 
     __slots__ = ("multiplier", "parts", "degree")
 
@@ -402,8 +359,8 @@ Q_SERIES = GeneratorSeries(1)
 def ones_series(*factors) -> GeneratorSeries:
     """Q * prod ones_product(family, count) over the (family, count)
     factors: the rows of the closed formulas, Q prod (1+x_j) prod (1+y_j),
-    and of Kazarian's families, Q prod (1+t_j), each built once per
-    process.  The series is shared, so nothing may write into it."""
+    and of Kazarian's families, Q prod (1+t_j).  The series is shared, so
+    nothing may write into it."""
     g = ones_product(*factors[0])
     for family, count in factors[1:]:
         g = g * ones_product(family, count)
@@ -442,37 +399,28 @@ def pf_rows(rows) -> GammaElement:
     at the first adjacent a <= b,
         Q_(.., a, b, ..) = -Q_(.., b, a, ..) + [a + b = 0] 2 (-1)^a Q_(.., ..),
     and, once all rows are in, at the ends: a negative last entry gives 0
-    and a trailing 0 (the odd border) drops.  f passes any e_m with a sign,
-    two adjacent f give -1 and a trailing f is a trailing 0.
+    and a trailing 0 (the odd border) drops.
 
-    The rows fold from the last one to the first, over a state
-    {(strictly decreasing suffix, pending f): packed map} over one shared
-    2^-e, so equal suffixes merge before the next row multiplies in.  A
-    pending f stays at the end of the symbol: prepending e_m straightens
-    Q_(m, suffix) at the suffix's first entry (`_prepend`, a table shared
-    by every fold), and prepending f moves it past the suffix, a sign
-    (-1)^len(suffix), and by -1 more onto a pending f (f f = -1).  A last
-    e_0 pairs with every symbol in front of it as a last f does
-    (B(e_m, e_0) = Q_m = B(e_m, f), B(f, e_0) = -1 = B(f, f)), and
+    The rows fold from the last one up, over a state {(strictly
+    decreasing suffix, pending f): packed map} over one shared 2^-e, so
+    equal suffixes merge before the next row multiplies in.  Prepending
+    e_m straightens Q_(m, suffix) at the suffix's first entry (`_prepend`);
+    prepending f moves it past the suffix to the end of the symbol, a
+    sign (-1)^len(suffix), and -1 more onto a pending f (f f = -1).  A
+    last e_0 pairs with every symbol in front of it as a last f does, and
     B(e_0, f) = 1, so a suffix never ends in 0: (.., 0) is (.., f) and
-    (.., 0, f) is (..), which merges type D's states.  The
-    indices of a formula's rows decrease, so a prepended entry mostly
-    lands in front with no alternation, and the states stay as small as
-    the last rows until the largest row comes in.  Each row is lifted to
-    the largest exponent among its polynomials; a map already there is
-    used as it is.
+    (.., 0, f) is (..), which merges type D's states.  A formula's row
+    indices decrease, so a prepended entry mostly lands in front with no
+    alternation, and the states stay as small as the last rows until the
+    largest row comes in.
 
-    The last row seeds the state with no product (`_seed`); no rows fold
-    as the one row e_0 (`_UNIT_ROW`).  In every later row each product
-    of a state term and a row term goes once into every target, through
-    `polycore._fma`, with no list built for the common single target;
-    the row ends in one `_settle` per map, and each basis coefficient is
-    wrapped once at the end.  Nothing is kept between calls, but a
-    returned map may be a row's own (a one-row Pfaffian such as
-    `series_coeff`), which is safe since no Polynomial's map is written
-    once wrapped.  The rows, whose series may be shared (`ones_series`),
-    are never written: `_fma` only reads them, and the final merge of
-    (v, f) with (v, no f) adds into a copy.
+    The last row seeds the state with no product (`_seed`), and no rows
+    fold as the one row e_0 (`_UNIT_ROW`); in every later row each product
+    of a state term and a row term goes once into every target through
+    `polycore._fma`.  Nothing is kept between calls: nearly all of a
+    formula's term products fall in its first row.  The rows, whose series
+    may be shared, are never written, and a returned map may be a row's
+    own, since no Polynomial's map is written once wrapped.
     """
     e, state = 0, None
     for row in reversed(list(rows) or [_UNIT_ROW]):
@@ -579,13 +527,9 @@ def _strip_fold(e: GammaElement, drop: int, shift_e: int) -> GammaElement:
     """sum 2^a x_1^(k - drop) c_lambda Q_mu / 2^shift_e over each
     c_lambda Q_lambda of e and each (mu, k, a) of `_strips(lambda)` with
     k >= drop; with drop = 1, plus 2 (odd part of c_mu in x_1) / x_1 Q_mu
-    / 2^shift_e for each mu.
-
-    Each target mu accumulates into one packed map over 2^top, top the
-    largest exponent among the coefficients: a term of c_lambda moves by
-    the one-term shift x_1^(k - drop) (at most x_1^lambda_1) and scales by
-    2^(a + top - c_lambda.e), in one `_fma` pass.  Each mu ends in one
-    `_settle` and one wrap."""
+    / 2^shift_e for each mu.  Each target mu accumulates into one packed
+    map over 2^top, top the largest exponent among the coefficients, by
+    one-term shifts through `_fma`."""
     [x1] = _X1.packed
     if any(lam and lam[0] >= _HALF for lam in e.combo):  # a shift out of range
         raise _overflow()
@@ -622,16 +566,12 @@ def _branch(e: GammaElement) -> GammaElement:
 
 def s0_quotient(e: GammaElement, wtype: str) -> GammaElement:
     """Generator 0 of types B and C with no division: (e - s0 e)/(-2 x_1)
-    in type C, and twice that, (e - s0 e)/(-x_1), in type B.
-
-    With g_lambda = c_lambda at x_1 -> -x_1, s0 e = sum g_lambda
-    Q_lambda(X, x_1).  Its strips of no box give back g_mu Q_mu, and
-    c_mu - g_mu = -2 (odd part of g_mu in x_1); a strip with a box has
-    a >= 1.  So the type-C coefficient of Q_mu is
-        (odd part of g_mu in x_1) / x_1 + sum 2^(a-1) x_1^(k-1) g_lambda
-    over the (mu, k, a) of `_strips(lambda)` with k >= 1: one
-    `_strip_fold` of g, with no class subtracted and no `exact_divide`.
-    """
+    in type C, and twice that in type B.  With g_lambda = c_lambda at
+    x_1 -> -x_1, s0 e = sum g_lambda Q_lambda(X, x_1), whose strips of no
+    box give back g_mu Q_mu; a strip with a box has a >= 1.  So the
+    type-C coefficient of Q_mu is (odd part of g_mu in x_1) / x_1 +
+    sum 2^(a-1) x_1^(k-1) g_lambda over the (mu, k, a) of
+    `_strips(lambda)` with k >= 1: one `_strip_fold` of g."""
     return _strip_fold(e.map_coeffs(lambda c: c.substitute(_S0)), 1, wtype == "C")
 
 

@@ -1,35 +1,18 @@
 """Operator calculus behind the pushforward Pfaffian formula.
 
-Two layers:
+Appendix A.1 lives on Laurent polynomials in the h variables (plain
+Polynomials whose h exponents may be negative) and on formal operators
+sum_J a_J zeta_J built from the substitutions zeta_J : h_i -> 0 for i
+in J: the sign lemma, the Pfaffian/product identity of the rational
+functions f[i,j] = (1 - h_i/h_j)/(1 + h_i/h_j), and the deformed
+operator identity.  Appendix A.2 is the composite of the pushforward
+maps phi_k, each eliminating one h_k (`pushforward`), against the
+paired Pfaffian of `multischur.r_family`, checked in the basis ring
+itself.
 
-  * Laurent polynomials in the h variables -- plain polycore
-    Polynomials whose h exponents may be negative -- together with
-    formal operators built from the substitutions zeta_J : h_i -> 0 for
-    i in J.  The identities relating the rational functions
-    f[i,j] = (1 - h_i/h_j)/(1 + h_i/h_j) and their deformations are
-    checked on canonical forms: an operator sum_J a_J zeta_J is fixed by
-    how it acts, so the two sides of the operator identity are compared
-    coefficient by coefficient.  The sign lemma is checked exhaustively;
-
-  * the algebraic pushforward maps phi_k eliminating h_k one at a time,
-    whose composite (`pushforward`) is the paired multi-Schur Pfaffian
-    of `multischur.r_family` (prop_A2_check), with a plain single-series
-    degeneration (paired=False) matching the even simpler Pfaffian
-    shift rule.
-    Every series is a row Q * g, so Appendix A.2 is checked in the basis
-    ring itself: Q Q* = 1 there, and a concrete series F with F F* = 1
-    is an image of Q.
-
-Series in f[i,j] are always expanded in powers of h_i/h_j for i < j,
-so skew-symmetry holds on the nose.  The series are cut at a window D:
-f[i,j] keeps the h exponents in [-D, D].  Arithmetic itself is exact
-and never drops a term, so a window is an explicit `restrict` wherever a
-comparison needs one.  A Pfaffian needs none: each h_i sits in exactly
-one entry of each of its terms, so no term leaves the window.  A product
-of f[i,j] sharing an index does leave it and is restricted after every
-factor, matching the truncation of the Pfaffian side; coefficients near
-the boundary are not trustworthy, so the operator identity compares on
-a smaller window.
+f[i,j] is expanded in powers of h_i/h_j for i < j, so skew-symmetry
+holds on the nose, and keeps the h exponents in a window [-D, D].
+Arithmetic is exact, so a comparison that needs a window `restrict`s.
 """
 
 from __future__ import annotations
@@ -109,7 +92,8 @@ def f_pair(i: int, j: int, window: int = 8) -> Polynomial:
 
 
 def f_index(I, window: int = 8) -> Polynomial:
-    """The Pfaffian f[I] of the matrix (f[i,j]) with border entries 1."""
+    """The Pfaffian f[I] of the matrix (f[i,j]) with border entries 1.  It
+    needs no `restrict`: each h_i sits in one entry of each of its terms."""
     I = tuple(sorted(I))
     one = Polynomial.const(1)
     return pfaffian(len(I), lambda a, b: f_pair(I[a], I[b], window), one, border=lambda a: one)
@@ -257,16 +241,12 @@ def f_tilde_pair(i: int, j: int, lam, window: int = 8) -> IndexedOperator:
 
 def prop_A1_check(lam, K) -> bool:
     """Does the Pfaffian of the deformed entries equal the operator
-
-        sum_{I u J = K}  sgn(K, J) h^I u^J f[I] zeta_J ?
-
-    An operator sum_J a_J zeta_J is fixed by how it acts (apply it to each
-    prod_{j in S} h_j and invert over S), so the two sides are compared
-    coefficient by coefficient.  lam must supply an exponent for every
-    index in K (lam[k-1] for index k).  The series are cut at the window
-    sum(lam over K) + 5, and the coefficients are compared on the h
-    exponents of absolute value at most 4, away from the boundary where
-    the truncated series are inexact."""
+    sum_{I u J = K} sgn(K, J) h^I u^J f[I] zeta_J?  An operator
+    sum_J a_J zeta_J is fixed by how it acts, so the two sides are
+    compared coefficient by coefficient.  lam supplies lam[k-1] for each
+    index k in K.  The series are cut at the window sum(lam over K) + 5
+    and compared on |h exponents| <= 4, away from the boundary where the
+    truncated series are inexact."""
     K = tuple(sorted(K))
     window = sum(lam[k - 1] for k in K) + 5
 

@@ -1,24 +1,13 @@
 """Multi-Schur determinants and Pfaffians.
 
-  * multischur_det -- type A, a Jacobi-Trudi style determinant in plain
-    power series: the Pfaffian of [[0, A], [-A^T, 0]] through `pfaffian`,
-    the memoized first-row expander that the gysin checks use as well;
-  * multischur_pf -- types B/C, the Pfaffian with (i,j) entry
-      c(i)_{k_i} c(j)_{k_j} + 2 sum_{m>=1} (-1)^m c(i)_{k_i+m} c(j)_{k_j-m}
-    and, at odd sizes, border entries c(i)_{k_i}.  Type B (rows P*g) is
-    2^-r times this Pfaffian for Q*g;
-  * multischur_pf_d -- type D, the paired Pfaffian of the same rows: each
-    series d(i) = Q * c(i) goes with its multiplier c(i), as the rows
-    d(i)_{k_i} + c(i)_{k_i} f.
-
-Both Pfaffians are one fold, `gamma.pf_rows`, straight in the Q basis.
-Every series there is a `gamma.GeneratorSeries` Q * g, so the type-D
-star relation d(i) d(j)* = c(i) c(j)* holds exactly: Q Q* = 1.
-Their matrices are skew exactly when each series multiplier has degree
-below its index, and both Pfaffians check that (type D also checks
-c(i) | c(i-1)) before they fold.  Every triple, strict or redundant,
-passes: p and q weakly decrease along its steps.  A Pfaffian of other
-rows is `pf_rows` of `series_rows` or `paired_rows`.
+The type-A determinant (`multischur_det`) is a Pfaffian of plain power
+series through `pfaffian`, the memoized expander that the gysin checks
+use as well.  The B/C Pfaffian (`multischur_pf`) and type D's paired one
+(`multischur_pf_d`) are one fold, `gamma.pf_rows`, over rows of
+`gamma.GeneratorSeries` Q * g, so type D's star relation
+d(i) d(j)* = c(i) c(j)* holds exactly (Q Q* = 1).  Both check their
+guards before they fold, and every triple, strict or redundant, passes
+them: p and q weakly decrease along its steps.
 """
 
 from __future__ import annotations
@@ -43,15 +32,10 @@ class DivisibilityFailed(ValueError):
 
 
 def multischur_det(lam, series) -> Polynomial:
-    """det( a(i)_{lam_i + j - i} ) for 1 <= i, j <= r.
-
-    lam: weakly decreasing nonnegative integers; series: one truncated
-    power series (Polynomial) per row, truncated at degree >= lam_1 + r.
-    The determinant is (-1)^{r(r-1)/2} Pf [[0, A], [-A^T, 0]]: each
-    sub-Pfaffian of the first-row expansion keeps the rows below the
-    current one and a subset of the columns, so it is the minor on those
-    columns, computed once.
-    """
+    """det( a(i)_{lam_i + j - i} ) for 1 <= i, j <= r, lam weakly
+    decreasing and one series (Polynomial) per row, truncated at degree
+    >= lam_1 + r: (-1)^{r(r-1)/2} Pf [[0, A], [-A^T, 0]], whose
+    sub-Pfaffians are the minors, each computed once."""
     lam = tuple(lam)
     r = len(lam)
     if len(series) != r:
@@ -69,15 +53,10 @@ def multischur_det(lam, series) -> Polynomial:
 
 
 def pfaffian(size: int, entry, one, border=None):
-    """The Pfaffian of the skew matrix with entries entry(i, j), 0 <= i < j < size.
-
-    Entries live in any ring with +, -, * and truthiness (polynomials,
-    gysin's indexed operators); `one` is its unit.  An odd size
-    needs border(i): it becomes an extra last column, so the result is the
-    border expansion sum_i (-1)^i border(i) Pf(minor without i).  Expansion
-    runs along the first row; each entry and each sub-Pfaffian is computed
-    once, and zero entries are skipped.
-    """
+    """The Pfaffian of the skew matrix with entries entry(i, j), 0 <= i < j
+    < size, in any ring with +, -, * and truthiness; `one` is its unit.
+    An odd size needs border(i), an extra last column.  Expansion runs
+    along the first row, each entry and sub-Pfaffian computed once."""
     odd = size % 2
     if odd and border is None:
         raise ValueError("an odd-size Pfaffian needs a border")
@@ -112,7 +91,9 @@ def _pf(positions: tuple, entry, memo: dict):
 
 
 def multischur_pf(lam, series) -> GammaElement:
-    """The Pfaffian Pf_lam(c(1), ..., c(r)) as an element of the basis ring.
+    """The Pfaffian Pf_lam(c(1), ..., c(r)) as an element of the basis ring:
+    (i,j) entry c(i)_{k_i} c(j)_{k_j} + 2 sum_{m>=1} (-1)^m c(i)_{k_i+m}
+    c(j)_{k_j-m}, and border entries c(i)_{k_i} at odd sizes.
 
     lam: a strict partition; series: one GeneratorSeries per index, each
     multiplier of degree < its index, which makes the matrix skew.
@@ -132,15 +113,10 @@ def multischur_pf(lam, series) -> GammaElement:
 
 
 def multischur_pf_d(lam, series) -> GammaElement:
-    """The paired Pfaffian Pf_lam(c(1)|d(1), ..., c(r)|d(r)), no power of 1/2 applied.
-
-    lam: strictly decreasing nonnegative integers; series: one
-    GeneratorSeries d(i) = Q * c(i) per index, c(i) its multiplier, with
-    deg c(i) <= lam_i and c(i) dividing c(i-1), hence every earlier c(j).
-    Its (i,j) entry is the B/C entry of the d plus d_i c_j - d_j c_i -
-    c_i c_j and its border entries are d_i + c_i: the Pfaffian of
-    `paired_rows`.
-    """
+    """The paired Pfaffian Pf_lam(c(1)|d(1), ..., c(r)|d(r)), no power of
+    1/2 applied: the Pfaffian of `paired_rows`.  lam strictly decreases
+    and is nonnegative; series holds one GeneratorSeries d(i) = Q * c(i)
+    per index, with deg c(i) <= lam_i and c(i) dividing c(i-1)."""
     lam = tuple(lam)
     if len(series) != len(lam):
         raise ValueError("need one series per index")

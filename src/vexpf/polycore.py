@@ -1,27 +1,17 @@
 """Exact sparse multivariate polynomials over dyadic rationals.
 
-Everything downstream (basis elements, Pfaffians, divided differences)
-stores its scalars here.  Coefficients are dyadic rationals: a Polynomial
-holds plain int coefficients and one shared exponent e >= 0, and its
-value is packed / 2^e.  It is normalized when built: e == 0, or some
-coefficient is odd, so equal polynomials have equal (e, packed).  A
-product needs no normalizing pass: by Gauss's lemma over F_2, if each
-factor has an odd coefficient so does the product.  Sums, swap and
-divided differences, the term filters, renamings that merge terms and
-`exact_divide` renormalize.
-`dyadic` is the one gate where a value enters (the constructors), and
-`exact_divide` and `series_inverse` raise NotDivisible for a quotient
-with another denominator, so an illegal division fails early instead of
-silently producing a rational; comparing with a number that is not
-dyadic gives False.  Fraction appears only at the edges, in `terms` and
-`constant_term`; `graded_terms` gives each printed coefficient as an int
-numerator and a power of 2.
+Every scalar of the package lives here.  A Polynomial holds int
+coefficients and one shared exponent e >= 0, and its value is
+packed / 2^e.  It is normalized when built (e == 0, or some coefficient
+is odd), so equal polynomials have equal (e, packed).  A product needs
+no normalizing pass: by Gauss's lemma over F_2, if each factor has an
+odd coefficient so does the product.  `dyadic` is the one gate where a
+value enters, and a quotient with another denominator raises
+NotDivisible.  Fraction appears only in `terms` and `constant_term`.
 
-Variables come in six families, printed in the fixed order
-x < y < t < z < h < u (then by index).  A variable is a plain tuple
-``(family, index)`` with index >= 1.  The h variables may also carry
-negative exponents: the Laurent polynomials of the gysin checks are
-ordinary Polynomials.
+A variable is a tuple (family, index), index >= 1, of six families
+printed in the order x < y < t < z < h < u.  The h variables may carry
+negative exponents: gysin's Laurent polynomials are Polynomials too.
 
 Packed monomials.  Each variable is interned once, on first use, to a
 slot k, and a monomial is one int
@@ -30,47 +20,17 @@ slot k, and a monomial is one int
 
 a DEG_BITS-bit total-degree field at the bottom and one FIELD_BITS-bit
 exponent field per slot above it.  The fields are balanced: a negative
-exponent borrows from the field above, so the map from exponent vectors
-to ints is linear.  The monomial 1 is 0, a product of monomials is one
-int addition, a quotient one subtraction, and `degree`, `part` and
-`truncate` read the degree field alone.  An exponent must lie
-in [-2^(FIELD_BITS-2), 2^(FIELD_BITS-2)), a degree in
-[-2^(DEG_BITS-2), 2^(DEG_BITS-2)).  The bias _LOW adds a quarter of its
-range to every field; a monomial in range then has every field
-nonnegative and its top bit, the guard bit, clear.  A sum of two
-monomials in range sets the guard bit of its lowest field that left the
-range, in either direction, and cannot be mistaken for another sum, so
-every product and power ends in one mask test over its result
-(`_check`), which raises ExponentOverflow instead of wrapping.
-
-Comparing the ints is lex order on the slots, the last interned slot
-most significant; it is a monomial order (m < m' gives m + n < m' + n),
-which is all `exact_divide` needs.  Nothing printed depends on it:
-`graded_terms` orders decoded terms by the variables themselves.
-
-A swap of two variables permutes two fields, so each term's image is
-read off its biased fields, and no renamed copy is built or subtracted.
-The divided difference (f - s_i f)/(x_i - x_{i+1}) of the signed types
-is one pass over every coefficient of a map, `divided_differences`,
-such as a class's Q-basis combo: the fields of v and w are looked up
-once per call, each pair of terms swapped into each other is read once,
-and their difference goes straight to its quotient as a geometric sum,
-(v^a w^b - v^b w^a) / (v - w) = v^b w^b (v^(a-b-1) + v^(a-b-2) w + ...
-+ w^(a-b-1)).  `Polynomial.divided_difference` is its one-coefficient
-case, and `dd_passes` and `dd_terms_read` count its calls and the terms
-they read, once per call.  Type A still takes two passes, only because
-perfbench's type-A descent test counts its divisions:
-`Polynomial.swap_difference` builds the numerator f - s_i f, and
-`exact_divide` writes the same geometric sums from it, with no heap.
-The one other ring map,
-`Polynomial.substitute`, is a signed renaming of variables (generator
-0's x_1 -> -x_1, and x <-> y): each term moves by int additions on its
-fields, and no image is multiplied in.
-
-`Polynomial.packed` is the map {packed monomial: int coefficient} every
-computation reads, over 2^`Polynomial.e`.  `Polynomial.terms` decodes it
-into the read-only view {((family, index), exponent) pairs: Fraction}
-for the edges: text, JSON and tests.
+exponent borrows from the field above, so packing is linear, the
+monomial 1 is 0, a product of monomials is one int addition, and
+`degree`, `part` and `truncate` read the degree field alone.  An exponent must lie in [-2^(FIELD_BITS-2), 2^(FIELD_BITS-2)),
+a degree in [-2^(DEG_BITS-2), 2^(DEG_BITS-2)).  The bias _LOW adds a
+quarter of its range to every field, so a monomial in range has every
+field nonnegative and its top bit, the guard bit, clear.  A sum of two
+monomials in range sets the guard bit of its lowest field that left
+the range, in either direction, so every product and power ends in one
+mask test (`_check`), which raises ExponentOverflow instead of
+wrapping.  Comparing the ints is lex order on the slots, a monomial
+order, which is all `exact_divide` needs.
 """
 
 from __future__ import annotations
@@ -231,12 +191,9 @@ def _normal(packed: dict, e: int) -> tuple:
 
 
 def _mono_key(mono):
-    """Graded-lex sort key of decoded pairs (higher = bigger).
-
-    Pairs are listed from the earliest variable outward with negated
-    variable keys, so plain tuple comparison reproduces lex order even
-    when the two monomials involve different variables.
-    """
+    """Graded-lex sort key of decoded pairs (higher = bigger): negated
+    variable keys make tuple comparison lex order even when two monomials
+    involve different variables."""
     return (
         sum(e for _, e in mono),
         tuple(((-_FAM_RANK[f], -i), e) for (f, i), e in mono),
@@ -548,16 +505,12 @@ class Polynomial:
         return {e: Polynomial.from_packed(d, self.e) for e, d in out.items()}
 
     def substitute(self, mapping) -> "Polynomial":
-        """Rename variables: mapping sends variables (family, index) to
-        images +-w, w a variable, all at once, such as x_i <-> y_i or
-        x_1 -> -x_1; unmapped variables pass through.
-
-        Each term moves by one int addition per mapped variable, negative
-        exponents included, into one dict, so the cost is linear in the
-        terms.  Any other image raises ValueError, and so does a renaming
-        that would add three or more exponents into one field, for which
-        `_check` cannot vouch.
-        """
+        """Rename variables all at once: mapping sends variables (family,
+        index) to images +-w, w a variable, such as x_i <-> y_i or x_1 ->
+        -x_1.  Each term moves by one int addition per mapped variable, so
+        the cost is linear in the terms.  Any other image raises
+        ValueError, and so does a renaming that would add three or more
+        exponents into one field, for which `_check` cannot vouch."""
         moves = _moves(mapping)
         low = _LOW
         out = {}
@@ -574,15 +527,10 @@ class Polynomial:
         return Polynomial.from_packed(_settle(out), self.e)
 
     def swap_difference(self, v, w) -> "Polynomial":
-        """self - self|v<->w, the numerator of a divided difference, in one
-        pass over the terms.
-
-        A term whose exponents of v and w are equal is fixed by the swap
-        and cancels.  Any other term m moves to m + (e_v - e_w)(w - v):
-        its difference is p[m] - p[swap m] at m, and -p[m] at swap m when
-        that is not a term.  A swap only permutes two fields and keeps
-        the degree, so every result is in range and needs no `_check`.
-        """
+        """self - self|v<->w in one pass: a term fixed by the swap cancels,
+        and any other term m gives p[m] - p[swap m] at m, and -p[m] at
+        swap m when that is no term.  A swap permutes two fields and keeps
+        the degree, so every result is in range and needs no `_check`."""
         delta = _unit(w) - _unit(v)
         sv, sw = _SHIFT[v], _SHIFT[w]
         low = _LOW
@@ -642,25 +590,22 @@ dd_terms_read = 0
 
 def divided_differences(coeffs: dict, v, w) -> dict:
     """{key: (c - c|v<->w) / (v - w)} for each Polynomial c of the map
-    coeffs, in one pass over their terms, the numerators never built; a
-    zero quotient is left out.  v == w raises ZeroDivisionError, as
-    `exact_divide` by v - v does.
+    coeffs, such as a class's Q-basis combo, in one pass over their terms
+    with no numerator built; a zero quotient is left out.  v == w raises
+    ZeroDivisionError, as `exact_divide` by v - v does.
 
-    The numerator is alternating: a term v^a w^b R (a > b) with
-    coefficient c and its partner v^b w^a R with c' give
-    (c - c')(v^a w^b - v^b w^a) R, whose quotient is the run
-    (c - c') R v^b w^b h_(a-b-1)(v, w), where
-    h_k(v, w) = v^k + v^(k-1) w + ... + w^k: a - b monomials, each one
-    swap step from the last.  So a term with a > b reads its partner
-    once and writes that run unless c == c'; a term with a < b writes
-    only when it has no partner, the run of its swapped monomial with
-    coefficient -c; a term with a == b is fixed by the swap and
-    cancels.  The rule holds for negative exponents too (a Laurent
-    dividend).  Every exponent of v and w in a run lies between b and
-    a - 1, and the other fields are the term's own, so every exponent
-    is in range and needs no `_check`; the degree falls by one, which
-    leaves its range only from the bottom edge, tested per run.  The
-    set-up (the two units and shifts) is done once for the whole map.
+    A term v^a w^b R (a > b) with coefficient c and its partner v^b w^a R
+    with c' give (c - c')(v^a w^b - v^b w^a) R, whose quotient is the run
+    (c - c') R v^b w^b h_(a-b-1)(v, w), h_k(v, w) = v^k + v^(k-1) w + ...
+    + w^k: a - b monomials, each one swap step from the last.  So a term
+    with a > b reads its partner once and writes that run unless c == c';
+    a term with a < b writes only when it has no partner, the run of its
+    swapped monomial with coefficient -c; a term with a == b cancels.
+    The rule holds for negative exponents too.  Every exponent of a run
+    lies between b and a - 1, so only the degree, which falls by one, can
+    leave its range, at the bottom edge, tested per run.  The units and
+    shifts of v and w are read once per call, and `dd_passes` and
+    `dd_terms_read` count the calls and the terms they read.
     """
     global dd_passes, dd_terms_read
     if v == w:
@@ -713,18 +658,11 @@ def divided_differences(coeffs: dict, v, w) -> dict:
 
 def _alternating_quotient(p: Polynomial, v: int, w: int):
     """p / (v - w), v and w the packed monomials of two variables, as a
-    packed map over 2^p.e, when p is alternating in v and w with no
-    negative exponent in either; else None.
-
-    Alternating: no term is fixed by the swap v <-> w, and the image of
-    each term c*m is a term with coefficient -c.  Then p is the sum, over
-    its terms c v^a w^b R with a > b, of c (v^a w^b - v^b w^a) R, and each
-    of those divided by v - w is c R v^b w^b h_(a-b-1)(v, w), where
-    h_k(v, w) = v^k + v^(k-1) w + ... + w^k: a run of a - b monomials,
-    each one swap step from the last.  Every exponent lies between b and
-    a - 1, so every quotient monomial is in range; the degree falls by
-    one, which leaves its range only from the bottom edge, tested per run.
-    """
+    packed map over 2^p.e, when p is alternating in v and w (no term is
+    fixed by the swap, and each term's image is a term of the opposite
+    coefficient) with no negative exponent in either; else None.  Each
+    pair of terms gives one run of geometric sums, as in
+    `divided_differences`."""
     sv, sw = _SHIFT[_TARGETS[v]], _SHIFT[_TARGETS[w]]
     delta = w - v
     low = _LOW
@@ -765,36 +703,21 @@ def _alternating_quotient(p: Polynomial, v: int, w: int):
 def exact_divide(p: Polynomial, d: Polynomial) -> Polynomial:
     """Return q with q*d == p, or raise NotDivisible.
 
-    Two paths, chosen from the input alone; since an exact quotient is
-    unique, both give the same q.
+    A divisor +-(v - w) of two variables and a dividend alternating in
+    them (type A's numerators f - s_i f) take `_alternating_quotient`, one
+    linear pass.  Every other division is leading-term cancellation in
+    the int order of packed monomials; in the program it serves only the
+    type-D guard c(i) | c(i-1), since generator 0 divides in no type.  The
+    remainder is one dict with its monomials in a heap, largest first,
+    and a remainder monomial r is divisible by d's leading monomial l
+    when r - l has no negative exponent where l has one: one mask test of
+    the biased fields.  The cost is linear in the terms the division
+    touches, up to the heap's log factor.  An exact quotient is unique,
+    so both paths give the same q.
 
-    A divisor +-(v - w), v and w single variables with unit coefficients,
-    and a dividend alternating in v and w with no negative exponent in
-    either (such as the type-A divided-difference numerators f - s_i f;
-    the signed types build no numerator, `divided_differences`)
-    take `_alternating_quotient`: one linear pass that writes the quotient
-    as geometric sums, with one dict update per quotient term it adds.
-    Such a dividend is always divisible.
-
-    Every other division is leading-term cancellation in the int order
-    of packed monomials.  In the program it serves only the type-D
-    formula's c(i) | c(i-1) check (generator 0 divides in no type); a
-    dividend that is divisible but not alternating takes it too.  When
-    an exact quotient exists this always finds it, and since it is unique
-    the order does not change the result.  The remainder is one dict,
-    updated in place, and its monomials wait in a heap, largest first; an
-    entry whose coefficient has cancelled is skipped.  A remainder
-    monomial r is divisible by the leading monomial l of d when r - l has
-    no negative exponent where l has a nonzero one: a mask test on the
-    biased fields.  The cost is linear, up to the heap's log factor, in
-    the terms the division touches.
-
-    Coefficients stay ints.  With d's leading coefficient 2^s times an odd
-    number, the quotient is integral over 2^(p.e - d.e + s) (Gauss's
-    lemma), so its coefficients come out of one exact int division each:
-    by the odd part alone when d is one term, else by the whole leading
-    coefficient with the remainder held at 2^(p.e + s).  A division that
-    leaves a rest raises NotDivisible.
+    Coefficients stay ints: with d's leading coefficient 2^s times an odd
+    number, q is integral over 2^(p.e - d.e + s) (Gauss's lemma), so each
+    of its coefficients is one exact int division.
     """
     if not d:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -870,11 +793,8 @@ def exact_divide(p: Polynomial, d: Polynomial) -> Polynomial:
 
 
 def series_inverse(p: Polynomial, bound: int) -> Polynomial:
-    """Invert a series with unit constant term, truncated at total degree `bound`.
-
-    Solves degree by degree: if p = c0 + p1 + p2 + ... then the degree-d
-    piece of the inverse is -(1/c0) * sum_{j=1..d} p_j * inv_{d-j}.
-    """
+    """Invert a series with unit constant term, truncated at total degree
+    `bound`, degree by degree: inv_d = -(1/c0) sum_{j=1..d} p_j inv_{d-j}."""
     c0 = p.constant_term()
     if not c0:
         raise NotDivisible("cannot invert a series with zero constant term")
@@ -895,10 +815,8 @@ def series_inverse(p: Polynomial, bound: int) -> Polynomial:
 
 
 def rational_series(num_factors, den_factors, bound: int) -> Polynomial:
-    """prod(num_factors) / prod(den_factors) truncated at total degree bound.
-
-    Each factor must have unit constant term.
-    """
+    """prod(num_factors) / prod(den_factors) truncated at total degree
+    bound; each factor must have unit constant term."""
     num = Polynomial.const(1)
     for f in num_factors:
         num = num * Polynomial.of(f)

@@ -1,17 +1,8 @@
 """Double Schubert polynomials for the classical types.
 
-Type A polynomials live in Z[x, y]; the signed types live in the basis
-ring with polynomial coefficients.  Everything descends from an explicit
-top class by divided differences (`divided_difference` says how each
-step is computed):
-
-  * type A: top = prod_{i+j<=n} (x_i - y_j), partial_i = (f - s_i f)/(x_i - x_{i+1});
-  * type C: partial_0 = (f - s_0 f)/(-2 x_1), s_0 negating x_1;
-  * type B: partial_0 = (f - s_0 f)/(-x_1);
-  * type D: partial_0 stands for the operator attached to the swap-negate
-    generator s1hat = s0 s1 s0, (f - s1hat f)/(-x_1 - x_2) = s0 partial_1 s0.
-
-Each class is built once, from the class of w s_i for an ascent i of w
+Type A polynomials live in Z[x, y], the signed types in the basis ring
+with polynomial coefficients.  Each class is built once, by a divided
+difference from the class of w s_i for an ascent i of w
 (`weyl.first_ascent`); one with no ascent is the top of its coset.
 `schubert()` on a single word takes the smallest ascent, as do the
 theorem-equivalence and type-a gates and perfbench's `ascent_route`.
@@ -19,9 +10,7 @@ theorem-equivalence and type-a gates and perfbench's `ascent_route`.
 inverse-swap suites, generator 0 last: an i >= 1 step is one kernel
 pass, a generator-0 step several.  `classes_built` and `zero_steps`
 count the classes built, top classes included, and generator-0 steps.
-
-Vexillary elements admit closed formulas instead: a multi-Schur
-determinant (type A) or Pfaffian (signed types) built from the triple.
+Vexillary elements also have closed formulas (`vexillary_polynomial`).
 """
 
 from __future__ import annotations
@@ -61,21 +50,12 @@ def swap_xy(f):
 def divided_difference(i: int, f, wtype: str):
     """The operator for generator i: (f - s_i(f)) / (linear form).
 
-    For i >= 1, s_i swaps x_i and x_{i+1} and fixes every Q_lambda, so
-    the operator acts on each basis coefficient as in type A.  In types
-    B, C and D (the partial_1 of type D's s0 partial_1 s0 included) one
-    pass over the element's whole combo, `polycore.divided_differences`,
-    writes each quotient (c - s_i c)/(x_i - x_{i+1}) as geometric sums
-    straight from c and leaves out the zero ones, so its map becomes
-    the result's combo with no coefficient checked again; a plain
-    Polynomial takes the kernel's one-coefficient case.  Type A still
-    takes two: the numerator from `Polynomial.swap_difference`, then
-    `exact_divide`, only because perfbench's type-A descent test counts
-    its divisions.  i = 0 selects the
-    type-dependent extra generator (undefined in type A): in types B and
-    C, `s0_quotient` writes the quotient straight from the strips of the
-    branching rule, with no division; in type D it is s0 partial_1 s0,
-    since s1hat = s0 s1 s0.
+    For i >= 1, s_i swaps x_i and x_{i+1} and fixes every Q_lambda: types
+    B, C and D take one pass over the whole combo,
+    `polycore.divided_differences`, and type A `Polynomial.swap_difference`
+    and `exact_divide`.  i = 0 is (f - s0 f)/(-2 x_1) in type C and
+    (f - s0 f)/(-x_1) in type B (`gamma.s0_quotient`), and in type D
+    (f - s1hat f)/(-x_1 - x_2) = s0 partial_1 s0, since s1hat = s0 s1 s0.
     """
     if i == 0:
         f = GammaElement.of(f)
@@ -86,8 +66,8 @@ def divided_difference(i: int, f, wtype: str):
         return s0_quotient(f, wtype)
     v, w = ("x", i), ("x", i + 1)
     if wtype == "A":
-        # two passes, kept only because perfbench's type-A descent test
-        # asserts that these steps call exact_divide
+        # two passes, because perfbench's type-A descent test asserts
+        # that these steps call exact_divide
         denom = _xvar(i) - _xvar(i + 1)
 
         def step(c):
@@ -145,13 +125,11 @@ def formula_rows(t: Triple, wtype: str):
 def vexillary_polynomial(t: Triple, wtype: str = None):
     """The closed multi-Schur formula for the triple's Schubert polynomial.
 
-    wtype defaults to the triple's own type; pass "B" to evaluate a
-    B/C triple with half-generators.  The signed types take the Pfaffian
-    of formula_rows: Pf_lam(Q*g) in type C, 2^-r times it in type B (the
-    half-generator rows P*g), and 2^-r times the paired Pfaffian
-    Pf_lam(g | Q*g) in type D.  Every valid triple, strict or redundant,
-    passes the Pfaffians' guards; an invalid one raises InvalidTriple
-    from `lambda_of`, which validates it once.
+    wtype defaults to the triple's own type; "B" evaluates a B/C triple
+    with half-generators.  The signed types take Pf_lam(Q*g) of
+    formula_rows in type C, 2^-r times it in type B, and 2^-r times the
+    paired Pfaffian Pf_lam(g | Q*g) in type D.  An invalid triple raises
+    InvalidTriple from `lambda_of`, which validates it once.
     """
     wtype = wtype or t.wtype
     lam, rows = formula_rows(t, wtype)
@@ -167,11 +145,10 @@ def vexillary_polynomial(t: Triple, wtype: str = None):
 
 
 def top_class(n: int, wtype: str, d_zero: bool = False):
-    """The Schubert polynomial of the longest relevant element.
-
-    For type D, d_zero selects the all-barred variant (partition ending
-    in 0); otherwise the first entry stays unbarred.
-    """
+    """The Schubert polynomial of the longest relevant element.  In type D
+    the default d_zero=False keeps the first entry unbarred; for even n the
+    longest element is the all-barred one, which d_zero=True selects
+    (partition ending in 0)."""
     if wtype == "A":
         out = Polynomial.const(1)
         for i in range(1, n + 1):

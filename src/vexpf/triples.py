@@ -1,26 +1,17 @@
 """Triples (k, p, q) encoding vexillary (signed) permutations.
 
-Three flavors share the shape "k strictly increasing, p/q monotone":
+k is strictly increasing in every type.  In type C (= B) p and q weakly
+decrease, with entries >= 1 and (p_i - p_{i+1}) + (q_i - q_{i+1}) >
+k_{i+1} - k_i; type D is the same with entries >= 0.  In type A q weakly
+increases with k_i <= q_i, and l_i = p_i - q_i + k_i satisfies
+l_1 > ... > l_s > 0 with l_i <= p_i.  Weak inequalities in place of the
+strict ones give a *redundant* triple, reducible without changing its
+permutation.
 
-  type C (= B): p, q weakly decreasing, entries >= 1, and
-      (p_i - p_{i+1}) + (q_i - q_{i+1}) > k_{i+1} - k_i;
-  type D: the same with entries >= 0;
-  type A: q weakly increasing with k_i <= q_i; internally we use
-      l_i = p_i - q_i + k_i, and validity means l_1 > ... > l_s > 0
-      with l_i <= p_i.
-
-Replacing the strict inequalities by weak ones gives a *redundant*
-triple, reducible without changing the associated permutation.
-
-Type C is type A on the signed line: a type-C step (k; p; q) pins the
-rank #{a >= p : w(a) <= -q}, which is type A's #{a > p' : w(a) <= q'} at
-(p', q') = (p - 1, -q), and its gap condition is type A's
-l_i > l_{i+1}.  Internally every step is read in these coordinates
-(`_steps`; a type-D triple as the type-C triple plus_map(t)), so one
-shape and slack rule (`_classify`), one insertion (`_insert`), one rank
-and one corner reader (`_corners`) serve every type, and `Triple` keeps
-the paper's coordinates.  Detection reads a type-D element's corners as
-type C's and moves the triple by minus_map.
+Type C is type A on the signed line: a type-C step (k; p; q) pins
+#{a >= p : w(a) <= -q}, type A's #{a > p' : w(a) <= q'} at (p', q') =
+(p - 1, -q).  Every step is read in these coordinates (`_steps`), so
+one slack rule, insertion, rank and corner reader serve every type.
 """
 
 from __future__ import annotations
@@ -154,10 +145,8 @@ def reduce_redundant(t: Triple) -> Triple:
 
 def column_steps(t: Triple) -> list:
     """For each column k = 1..k_s, the step governing it: the least i
-    with k_i >= k, so step i governs the k_i - k_(i-1) columns after
-    k_(i-1) (k_0 = 0).  Read in one pass over (k_(i-1), k_i), which
-    assumes a valid triple, with k strictly increasing: `validate`
-    guarantees it, and every caller passes one."""
+    with k_i >= k, read in one pass over (k_(i-1), k_i) of a valid
+    triple, whose k strictly increases."""
     return [i for i, (a, b) in enumerate(zip((0,) + t.k, t.k)) for _ in range(b - a)]
 
 
@@ -166,8 +155,8 @@ def lambda_of(t: Triple) -> tuple:
     type A (weakly decreasing), l_i - k in type C (strict) and one less
     than type C's value at plus_map(t) in type D (strict, possibly ending
     in 0), with i the step governing column k.  A redundant triple is
-    reduced first: reduction drops only steps whose columns carry the
-    same pins."""
+    reduced first, which leaves the partition unchanged: reduction drops
+    only steps whose columns carry the same pins."""
     t = reduce_redundant(t)
     ls = [p - q + k for k, p, q in _steps(t)]
     if t.wtype == "A":
@@ -257,12 +246,12 @@ def _rank(values: tuple, p: int, q: int) -> int:
 def triple_of_w(w: SignedPermutation, wtype: str):
     """The unique strict triple t with w_of_triple(t) = w, or None if w is
     not vexillary.  The candidate steps are read off the corners (the
-    essential set) of w's rank function and round-trip checked: in the
-    order `_corners` reads them they must be strict (a vexillary w's are),
-    and their insertion must be w.values padded by fixed points, so a
-    non-vexillary w never passes.  Every corner meets validate's bounds,
-    so only the shape of the steps is checked.  Type D reads type C's
-    steps and returns minus_map of type C's triple."""
+    essential set) of w's rank function and round-trip checked: they must
+    be strict in the order `_corners` reads them, and their insertion must
+    be w.values padded by fixed points, so a non-vexillary w never passes.
+    `validate` is skipped: every corner meets its bounds, so only the
+    shape of the steps needs the check.  Type D reads type C's steps and
+    returns minus_map of type C's triple."""
     wtype = _norm_type(wtype)
     if wtype == "A" and not w.is_unsigned():
         raise WrongType("type A wants an unsigned permutation")

@@ -1,16 +1,12 @@
 """Signed permutations and the Weyl groups of types B/C and D.
 
-A signed permutation is stored in one-line notation as a tuple of
-nonzero integers whose absolute values are a permutation of 1..n; a
-negative entry is a "barred" value.  Types B and C share the same group
-(they differ only in downstream scaling conventions); type D restricts
-generator words to {s_1hat, s_1, ..., s_{n-1}} but we keep full signed
-permutations and track the parity of barred entries, since the odd
-coset is needed too.
-
-Generator encoding: for types B/C the index 0 means s_0 (negate the
-first entry); for type D the index 0 means s_1hat (swap and negate the
-first two entries); positive i means the adjacent transposition s_i.
+A signed permutation is its one-line notation, a tuple of nonzero ints
+whose absolute values are a permutation of 1..n; a negative entry is
+"barred".  Types B and C share one group.  Type D's generators are
+s_1hat, s_1, ..., s_{n-1}, and its elements are kept as full signed
+permutations, since the odd coset is needed too.  Generator 0 is s_0
+(negate the first entry) in types B/C and s_1hat (swap and negate the
+first two) in type D; i >= 1 is the adjacent transposition s_i.
 """
 
 from __future__ import annotations
@@ -172,6 +168,8 @@ def first_ascent(w: SignedPermutation, wtype: str, zero_last: bool = False):
     then 0) that is not in `descents(w)`, by the same rule in one scan;
     None only at the top of w's coset, either type-D coset included."""
     vals = w.values
+    if wtype == "D" and len(vals) == 1:
+        raise SizeMismatch("s_1hat needs n >= 2")
     zero = wtype != "A" and vals != () and (vals[0] + vals[1] if wtype == "D" else vals[0]) > 0
     if zero and not zero_last:
         return 0

@@ -6,7 +6,6 @@ depends on the allocations of the whole import and set-up, so a change
 anywhere in `src/vexpf` can flip it; the probe's docstring gives the
 mechanism."""
 
-import importlib.util
 import io
 import re
 import subprocess
@@ -14,6 +13,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import census_gc_probe
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "census_gc_probe.py"
 LINE = re.compile(
@@ -30,27 +31,19 @@ def test_one_line_per_workload_and_seed():
     assert run.returncode == 0, run.stdout + run.stderr
 
 
-@pytest.fixture(scope="module")
-def tool():
-    spec = importlib.util.spec_from_file_location("census_gc_probe", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_a_missing_anchor_fails_loudly(tool, tmp_path):
+def test_a_missing_anchor_fails_loudly(tmp_path):
     worker = tmp_path / "worker.py"
     worker.write_text("print('no anchor here')\n")
     with pytest.raises(SystemExit, match="anchor"):
-        tool.patch_worker(worker)
+        census_gc_probe.patch_worker(worker)
 
 
-def test_an_unknown_revision_is_one_line_and_exit_2(tool, monkeypatch, capsys):
+def test_an_unknown_revision_is_one_line_and_exit_2(monkeypatch, capsys):
     # git cannot read it, in a clone or in an unpacked tree alike
     runs = []
-    monkeypatch.setattr(tool, "probe", lambda *args: runs.append(args))
+    monkeypatch.setattr(census_gc_probe, "probe", lambda *args: runs.append(args))
     with pytest.raises(SystemExit) as exit_:
-        tool.main(["no-such-revision-of-this-repository"])
+        census_gc_probe.main(["no-such-revision-of-this-repository"])
     out, err = capsys.readouterr()
     assert exit_.value.code == 2
     assert out == "" and len(err.splitlines()) == 1
@@ -66,13 +59,13 @@ class BrokenStdout(io.TextIOBase):
         raise BrokenPipeError(32, "Broken pipe")
 
 
-def test_a_closed_stdout_is_exit_1_without_a_traceback(tool, monkeypatch, capsys):
+def test_a_closed_stdout_is_exit_1_without_a_traceback(monkeypatch, capsys):
     # `census_gc_probe.py | head -2`, in process, with the workloads patched out
     runs = []
-    monkeypatch.setattr(tool, "unpack", lambda rev, tree: None)
-    monkeypatch.setattr(tool, "patch_worker", lambda path: None)
-    monkeypatch.setattr(tool, "probe", lambda *args: runs.append(args) or {"count": [44, 0, 3], "ops": [0]})
+    monkeypatch.setattr(census_gc_probe, "unpack", lambda *args: None)
+    monkeypatch.setattr(census_gc_probe, "patch_worker", lambda path: None)
+    monkeypatch.setattr(census_gc_probe, "probe", lambda *args: runs.append(args) or {"count": [44, 0, 3], "ops": [0]})
     monkeypatch.setattr(sys, "stdout", BrokenStdout())
-    assert tool.main([]) == 1
+    assert census_gc_probe.main([]) == 1
     assert len(runs) == 1  # the first line's write met the closed pipe
     assert capsys.readouterr().err == ""

@@ -189,6 +189,15 @@ class TestFirstAscent:
                 want_tops.append(SignedPermutation((-w0.values[0],) + w0.values[1:]))
             assert sorted(tops, key=lambda w: w.values) == sorted(want_tops, key=lambda w: w.values)
 
+    def test_a_one_entry_type_d_word_is_a_size_mismatch(self):
+        # s_1hat needs two entries, as in `descents`
+        w = SignedPermutation((-1,))
+        for zero_last in (False, True):
+            with pytest.raises(SizeMismatch, match="s_1hat needs n >= 2"):
+                first_ascent(w, "D", zero_last)
+        with pytest.raises(SizeMismatch, match="s_1hat needs n >= 2"):
+            descents(w, "D")
+
 
 @settings(max_examples=30, deadline=None)
 @given(st.permutations(list(range(1, 5))), st.lists(st.booleans(), min_size=4, max_size=4))

@@ -3,16 +3,19 @@
     python3 tools/bench_pairs.py REV_A REV_B --workload W --seed S --pairs N
 
 Each revision is unpacked with `git archive` into a temporary directory,
-so neither run sees the checkout's bytecode cache or `.bench_out`.  Pair
-i runs `perfbench/run.py --workload W --seed S --seconds 20 --trace 0`
-once in each tree, with PYTHONDONTWRITEBYTECODE=1: A first in odd pairs
-and B first in even ones, so a drift of the machine lands on both sides.
+so neither run sees the checkout's bytecode cache or `.bench_out`; a
+revision git cannot read gets one line on stderr and exit 2, before any
+run.  Pair i runs `perfbench/run.py --workload W --seed S --seconds 20
+--trace 0` once in each tree, with PYTHONDONTWRITEBYTECODE=1: A first in
+odd pairs and B first in even ones, so a drift of the machine lands on
+both sides.
 
 For each end-to-end metric of BENCHMARK.json it prints the medians and
 quartiles (`statistics.quantiles(n=4)`) of both sides, how many pairs B
 won in the metric's better direction, and whether the gap between the
-medians exceeds A's quartile spread q3 - q1: a gain claimed for B needs
-both a win in nearly every pair and a gap wider than A's spread.
+medians exceeds A's quartile spread q3 - q1.  This is the rule a claimed
+gain is judged by: B must be better in at least 9 of 10 pairs, and the
+gap between the medians wider than A's spread.
 `--out FILE` also writes every run's metrics and the summary as JSON.
 A reader that closes stdout early (`| head`) ends it with exit 1 and no
 traceback, as `vexpf` does.
@@ -21,16 +24,15 @@ traceback, as `vexpf` does.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import json
 import os
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
+
+from revtree import closed_stdout, unpack
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN = ["perfbench/run.py", "--seconds", "20", "--trace", "0"]
@@ -40,13 +42,6 @@ def end_to_end_metrics() -> dict:
     """{metric name: True when higher is better} from BENCHMARK.json."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     return {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
-
-
-def checkout(rev: str, dest: Path) -> None:
-    """Unpack the tree of rev into dest with `git archive`."""
-    tar = subprocess.run(["git", "-C", str(ROOT), "archive", rev], capture_output=True, check=True)
-    with tarfile.open(fileobj=io.BytesIO(tar.stdout)) as archive:
-        archive.extractall(dest, filter="data")
 
 
 def run_once(tree: Path, workload: str, seed: int) -> dict:
@@ -118,7 +113,7 @@ def run_pairs(args) -> int:
         trees = {"a": Path(tmp) / "a", "b": Path(tmp) / "b"}
         for side, rev in (("a", args.rev_a), ("b", args.rev_b)):
             trees[side].mkdir()
-            checkout(rev, trees[side])
+            unpack("bench_pairs", rev, trees[side])
         for pair in range(1, args.pairs + 1):
             for side in ("a", "b") if pair % 2 else ("b", "a"):
                 result = run_once(trees[side], args.workload, args.seed)
@@ -137,15 +132,6 @@ def run_pairs(args) -> int:
         print(format_row(row))
     sys.stdout.flush()
     return 0
-
-
-def closed_stdout() -> int:
-    """Exit 1 quietly when the reader has closed stdout (`... | head`), as
-    `vexpf` does: stdout's descriptor goes to devnull, so the flush at exit
-    cannot raise again.  A stdout with no descriptor is left as it is."""
-    with contextlib.suppress(OSError, ValueError):
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return 1
 
 
 if __name__ == "__main__":

@@ -1,71 +1,108 @@
 """Where the timed ops of census, pfaffian and descent meet the garbage
-collector.
+collector: the benchmark's GC edge, and how to read it.
 
-    python3 tools/census_gc_probe.py [REV]
+    python3 tools/census_gc_probe.py          # the checkout
+    python3 tools/census_gc_probe.py HEAD~1   # any git revision
 
-perfbench runs each pass in a fresh interpreter with no bytecode cache
-and collects no garbage before the first op, so how many objects the
-set-up leaves alive decides whether op 0 takes a generation-0
-collection (about 0.01 ms) or a generation-1 one (0.7-1.3 ms, which
-triples census `wall_s`, and would make pfaffian's op 0, `r_family((4,))`
-at about 0.18 ms, its slowest op).  `wall_s` sums every op, so a set-up
-that ends at (x, 10, 2) costs as much: its generation-1 collection lands
-in a later op.  This probe copies the checkout's `src/` and `perfbench/`
-(no `__pycache__`) into a temporary directory, or, given a git revision
-REV, unpacks those two directories of REV there with `git archive`, as
-tools/bench_pairs.py does, so a parent commit is read by the same probe
-as the change.  It then patches the copy's `worker.py` to read
-`gc.get_count()` just before `probe = Probe()` and to record the
-generation of each collection that starts during any timed op, and runs
-each workload there at each seed in a fresh interpreter with
-PYTHONDONTWRITEBYTECODE=1.  The checkout is only read.  A revision git
+The probe copies the checkout's `src/` and `perfbench/` (no
+`__pycache__`) into a temporary directory, or unpacks those of a given
+revision there with `git archive`, so a parent commit is read by the
+same probe as the change.  The checkout is only read, and a revision git
 cannot read gets one line on stderr and exit 2, before any workload
-runs.
-
+runs.  It patches the copy's `worker.py` to read `gc.get_count()` just
+before `probe = Probe()` and to record the generation of each
+collection that starts during any timed op, and runs each workload at
+seeds 1 and 17 in a fresh interpreter with PYTHONDONTWRITEBYTECODE=1.
 It prints one line per workload and seed,
 
     census --seed 1: count (44, 0, 3), collections in ops [0]
 
-and exits 1 if any timed op takes a collection of generation 1 or more;
-tests/test_census_gc_probe.py runs it and asserts exit 0.  A reader
+and exits 1 if any timed op takes a collection of generation 1 or more:
+`wall_s` sums every op, so one in a later op costs as much as one in op
+0.  tests/test_census_gc_probe.py runs it and asserts exit 0.  A reader
 that closes stdout early (`| head -2`) ends it with exit 1 and no
-traceback, as `vexpf` does.  The hook
-allocates too, so compare trees only through this same probe.
+traceback, as `vexpf` does.  The probe's hook allocates too, so compare
+trees only through this same probe.
 
-Where the edge sits: importing vexpf takes generation-0 collections
-while `cli`, `gamma` and `gysin` compile, the last inside gysin's
-compile with under a hundred of the import's allocations after it, and
-census's set-up then ends a few dozen allocations after a generation-1
-collection: (44, 0, 3) before the program's builders skipped the
-constructor's check, (23, 0, 3) after, (28, 0, 3) since the signed
-i >= 1 steps take one kernel pass each, and (44, 0, 3) since each verify
-suite declares its flags where it is defined.  A net cut of that size
-before the last import collection pushes it out of the import; the
-set-up then ends with the second count at 11, as in (650, 11, 2), and
-census op 0 takes the generation-1 collection.  An edit inside gamma's compile
-can flip it at almost no size, and so can dropping the signed step's
-one-line closure from `schubert.divided_difference` (636, 11, 2), or a
-one-pass `triples.column_steps` beside the seeded `pf_rows` until that
-fold read no rows as the module-level row e_0, so the edge follows
-allocations, not lines or modules.
+The edge.  perfbench runs each pass in a fresh interpreter with no
+bytecode cache and collects no garbage before the first op.  Its
+machine-speed probe (`perfbench/speed.py`) runs with the collector held
+off, and its first run, just before op 0, leaves about 3 800 net
+allocations: op 0 starts at about (3840, 0, 3), past the generation-0
+threshold of 700, so op 0 always takes exactly one collection.  With the default thresholds (700, 10, 10) it is a
+generation-1 collection exactly when the set-up ends with the second
+count at 11, eleven generation-0 collections after the last
+generation-1 one.  That collection takes 0.7-1.3 ms; census's op 0
+takes under 0.1 ms, so it moves census `wall_s` from about 0.45 to
+about 1.3 ms, past its bound.  Where the second count stands depends on
+how many objects the import and set-up leave alive, and so on modules
+census never runs:
+- importing vexpf takes generation-0 collections while `cli`, `gamma`
+  and `gysin` compile, the last inside gysin's compile with under a
+  hundred of the import's allocations after it;
+- census's set-up then ends a few dozen allocations after a
+  generation-1 collection, as in (44, 0, 3);
+- a net cut of that size before the last import collection pushes it
+  out of the import, the set-up ends at (x, 11, 2), and census op 0
+  takes the generation-1 collection.  An edit inside gamma's compile can
+  flip it at almost no size, so the edge follows allocations, not lines
+  or modules.  A count taken with the collector disabled does not
+  predict it: lists, tuples and dicts taken from the interpreter's free
+  lists do not move `gc.get_count()`.
+A checkout that holds a bytecode cache, as after any test run, read
+(175, 11, 2) on an earlier tree, or (482, 11, 2) with only `src`
+compiled, so a hand run of perfbench there charges census a
+generation-1 collection; the probe copies no cache.  Pfaffian's and
+descent's set-ups end at (0, 0, 3) and (0, 3, 3), far from the edge.  A
+generation-1 collection in pfaffian's op 0, `r_family((4,))` at about
+0.18 ms, would make it the slowest op and move `op_ms_tail`.
+
+Census readings, each from a scratch copy of the tree named:
+- The tree itself: (44, 0, 3) before `all_elements` and the insertion
+  built their elements unchecked, (23, 0, 3) after, (28, 0, 3) once the
+  signed i >= 1 steps took one kernel pass each, (44, 0, 3) once each
+  verify suite declared its flags where it is defined, and (44, 0, 3)
+  at 0971ccd and after its docstrings were cut.
+- Edits that stay at generation 0: 124 `cli` lines deleted (43, 0, 3);
+  20 or 50 objects added in `gamma` (44, 0, 3);
+  `polycore._alternating_quotient` deleted (44, 0, 3); two to seven live
+  lists added anywhere from `gamma` to `schubert` (28, 0, 3); at
+  0971ccd, 630 docstring lines replaced by one-liners (44, 0, 3), and
+  the guard of `weyl.first_ascent` on a one-entry type-D word
+  (44, 0, 3).
+- Edits that put a generation-1 collection into op 0: deleting
+  `GammaElement.zero` and `.one`, `combo.pop(lam, None)` -> `del
+  combo[lam]`, an annotation added to `gamma.is_strict`, or removing
+  `Q_SERIES = GeneratorSeries(1)`, each (650, 11, 2) before that
+  change, and deleting `.zero` and `.one` (634, 11, 2) later; deleting
+  the 14-line `weyl.reduced_word` (652, 11, 2); moving `verify`'s
+  no-suite check into `cmd_verify` before the suites declared their
+  flags (638, 11, 2); dropping the signed step's one-line closure
+  from `schubert.divided_difference` (636, 11, 2); a one-pass
+  `triples.column_steps` beside the seeded `pf_rows` (636, 11, 2) until
+  that fold read no rows as the module-level row e_0, and its loop form
+  (638, 11, 2).  The deletions held back for a worker that collects
+  before op 0 (ROADMAP item 14 Part B): Appendix A.1 in the polynomial
+  ring (596, 11, 2) before that change, (584, 11, 2) later and
+  (600, 11, 2) at 0971ccd; with the unchecked `all_elements` (580, 11,
+  2), one Pieri table (574, 11, 2) and `__add__` through `_iadd`
+  (570, 11, 2) stacked on it; one Pieri table alone at 0971ccd
+  (644, 11, 2).
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import json
 import os
-import shutil
 import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from revtree import closed_stdout, unpack
+
 WORKLOADS = ("census", "pfaffian", "descent")
 SEEDS = (1, 17)
 PARTS = ("src", "perfbench")
@@ -116,24 +153,6 @@ def probe(tree: Path, workload: str, seed: int) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])["gc_probe"]
 
 
-def unpack(rev, tree: Path) -> None:
-    """Put `src/` and `perfbench/` of rev (the checkout when rev is None)
-    into tree, with no bytecode cache; SystemExit(2) with one line when
-    git cannot read rev."""
-    if rev is None:
-        for part in PARTS:
-            shutil.copytree(ROOT / part, tree / part, ignore=shutil.ignore_patterns("__pycache__"))
-        return
-    tar = subprocess.run(["git", "-C", str(ROOT), "archive", rev, *PARTS],
-                         capture_output=True, check=False)
-    if tar.returncode:
-        reason = (tar.stderr.decode(errors="replace").strip().splitlines() or ["git archive failed"])[0]
-        print(f"census_gc_probe: cannot read revision {rev!r}: {reason}", file=sys.stderr)
-        raise SystemExit(2)
-    with tarfile.open(fileobj=io.BytesIO(tar.stdout)) as archive:
-        archive.extractall(tree, filter="data")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", nargs="?", help="a git revision to read instead of the checkout")
@@ -141,7 +160,7 @@ def main(argv=None) -> int:
     try:
         with tempfile.TemporaryDirectory() as tmp:
             tree = Path(tmp)
-            unpack(args.rev, tree)
+            unpack("census_gc_probe", args.rev, tree, PARTS)
             patch_worker(tree / "perfbench" / "worker.py")
             code = 0
             for workload in WORKLOADS:
@@ -155,15 +174,6 @@ def main(argv=None) -> int:
         return code
     except BrokenPipeError:
         return closed_stdout()
-
-
-def closed_stdout() -> int:
-    """Exit 1 quietly when the reader has closed stdout (`... | head -2`),
-    as `vexpf` does: stdout's descriptor goes to devnull, so the flush at
-    exit cannot raise again.  A stdout with no descriptor is left as it is."""
-    with contextlib.suppress(OSError, ValueError):
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return 1
 
 
 if __name__ == "__main__":
