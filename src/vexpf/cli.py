@@ -490,9 +490,7 @@ def format_report(suite: str, report: Report, fmt: str = "plain") -> str:
 
 
 def cmd_verify(args) -> int:
-    suite = args.suite or args.suite_flag
-    if args.suite_flag not in (None, suite):
-        raise UsageError(f"verify names two suites: {suite!r} and --suite {args.suite_flag!r}")
+    suite = args.suite
     if not suite:
         raise UsageError("verify needs a suite name")
     if suite not in SUITES:
@@ -558,7 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite", epilog=_verify_epilog(),
                        formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("suite", nargs="?", default=None)
-    p.add_argument("--suite", dest="suite_flag", default=None)
     p.add_argument("--type", choices=["A", "B", "C", "D"], default=None)
     p.add_argument("--format", choices=["json", "plain"], default="plain")
     p.add_argument("--n", type=int, default=None)

@@ -189,21 +189,6 @@ class GammaElement:
                     self.combo[tuple(lam)] = coeff
 
     @staticmethod
-    def zero():
-        return GammaElement()
-
-    @staticmethod
-    def one():
-        return GammaElement({(): 1})
-
-    @staticmethod
-    def basis(lam) -> "GammaElement":
-        lam = tuple(lam)
-        if not is_strict(lam):
-            raise ValueError(f"{lam} is not a strict partition")
-        return GammaElement({lam: 1})
-
-    @staticmethod
     def of(value) -> "GammaElement":
         if isinstance(value, GammaElement):
             return value
@@ -288,9 +273,6 @@ class GammaElement:
         if not self.combo:
             return -1
         return max(sum(lam) + max(c.degree(), 0) for lam, c in self.combo.items())
-
-    def coefficient(self, lam) -> Polynomial:
-        return self.combo.get(tuple(lam), Polynomial())
 
     def __str__(self):
         return render_combo(self.combo)

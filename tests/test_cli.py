@@ -100,7 +100,7 @@ class TestSerialization:
         # Fraction(1, 2) * 2 is the Fraction 1/1, which must read exactly like 1
         one = Polynomial.const(Fraction(1, 2)) * 2
         assert type(one.terms[()]) is Fraction
-        e, q1 = GammaElement({(1,): one}), GammaElement.basis((1,))
+        e, q1 = GammaElement({(1,): one}), GammaElement({(1,): 1})
         assert serialize_element(e) == serialize_element(q1)
         for fmt in ("plain", "latex", "json"):
             assert render(e, fmt) == render(q1, fmt)
@@ -244,7 +244,7 @@ class TestCommands:
 
         def schubert(w, wtype, n=None):
             calls.append((str(w), wtype, n))
-            return GammaElement.one()
+            return GammaElement.of(1)
 
         monkeypatch.setattr(cli, "schubert", schubert)
         assert run(capsys, "schubert", "--type", "C", "--w", "2 1", "--n", "6") == (0, "1\n")
@@ -404,16 +404,23 @@ class TestVerify:
         assert "all four types checked at n = 1 vs 2, type D at n = 2 vs 3" in out
 
     def test_suite_flag_spelling(self, capsys):
-        code, out = run(capsys, "verify", "--suite", "stability")
-        assert code == 0 and "PASS" in out
+        # a suite is named positionally only; `--suite` is not an option
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "census"])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert out.err.endswith("error: unrecognized arguments: --suite\n")
+        code, out = run(capsys, "verify", "census", "--n", "2")
+        assert code == 0 and out.endswith("census: PASS\n")
 
     def test_two_suite_names_must_agree(self, capsys):
-        code = main(["verify", "census", "--suite", "stability"])
-        out = capsys.readouterr()
-        assert code == 2 and out.out == ""
-        assert out.err == "error: verify names two suites: 'census' and --suite 'stability'\n"
-        code, out = run(capsys, "verify", "census", "--suite", "census", "--n", "2")
-        assert code == 0 and out.endswith("census: PASS\n")
+        # one positional name is all a run takes: a second, in either spelling, is refused
+        for extra, refused in ((["stability"], "stability"), (["--suite", "stability"], "--suite stability")):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "census", *extra])
+            out = capsys.readouterr()
+            assert exc.value.code == 2 and out.out == ""
+            assert out.err.endswith(f"error: unrecognized arguments: {refused}\n")
 
     def test_json_report(self, capsys):
         code, out = run(capsys, "verify", "census", "--n", "2", "--format", "json")
@@ -431,7 +438,9 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--help"])
         assert exc.value.code == 0
-        rows = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()
+        out = capsys.readouterr().out
+        assert out.startswith("usage: vexpf verify ") and "--suite" not in out
+        rows = {line.split()[0]: line for line in out.splitlines()
                 if line.startswith("  ") and line.split()[0] in cli.SUITES}
         assert set(rows) == set(cli.SUITES)
         for name, flags in cli.VERIFY_FLAGS.items():

@@ -46,19 +46,19 @@ class TestOperators:
         assert divided_difference(1, x(1) * x(2), "A") == Polynomial()
 
     def test_d0_type_c(self):
-        got = divided_difference(0, GammaElement.basis((2,)), "C")
+        got = divided_difference(0, GammaElement({(2,): 1}), "C")
         assert got == GammaElement({(1,): 1, (): x(1)})
         # sum_{j} x_1^{j-1} Q_{k-j} in general
         for k in range(1, 5):
-            got = divided_difference(0, GammaElement.basis((k,)), "C")
-            expect = GammaElement.zero()
+            got = divided_difference(0, GammaElement({(k,): 1}), "C")
+            expect = GammaElement()
             for j in range(1, k + 1):
                 lam = (k - j,) if k - j else ()
                 expect = expect + GammaElement({lam: x(1) ** (j - 1)})
             assert got == expect
 
     def test_d0_type_b_doubles_c(self):
-        e = GammaElement.basis((3, 1))
+        e = GammaElement({(3, 1): 1})
         assert divided_difference(0, e, "B") == divided_difference(0, e, "C") * 2
 
     def test_d0_type_d(self):
@@ -72,7 +72,7 @@ class TestOperators:
             return out
 
         for k in (2, 3):
-            got = divided_difference(0, GammaElement.basis((k,)) * half, "D")
+            got = divided_difference(0, GammaElement({(k,): 1}) * half, "D")
             # 2 sum_{j<k} v_{j-1} P_{k-j} + v_{k-1}, written over the Q basis
             expect = GammaElement({(): v(k - 1)})
             for j in range(1, k):
@@ -178,7 +178,7 @@ class TestOperatorIdentities:
         rest = y(1) * x(i + 2) * Polynomial.const(c)
         f = GammaElement({lam: x(i) ** a * x(i + 1) ** b * rest})
         assert dd(i, f) == GammaElement({lam: expect * rest})
-        assert dd(i, f.coefficient(lam)) == expect * rest
+        assert dd(i, f.combo.get(lam, Polynomial())) == expect * rest
 
 
 class TestGeneratorZeroIdentities:
@@ -440,10 +440,10 @@ class TestTopClasses:
         assert top_class(1, "A") == Polynomial.const(1)
 
     def test_type_c_n1(self):
-        assert top_class(1, "C") == GammaElement.basis((1,))
+        assert top_class(1, "C") == GammaElement({(1,): 1})
 
     def test_type_b_n1(self):
-        assert top_class(1, "B") == GammaElement.basis((1,)) * Polynomial.const(Fraction(1, 2))
+        assert top_class(1, "B") == GammaElement({(1,): 1}) * Polynomial.const(Fraction(1, 2))
 
     def test_type_d_variants(self):
         plain = top_class(2, "D")
@@ -505,7 +505,7 @@ class TestSchubert:
     def test_identity_is_one(self, wtype):
         w = SignedPermutation.identity(2)
         got = schubert(w, wtype)
-        one = Polynomial.const(1) if wtype == "A" else GammaElement.one()
+        one = Polynomial.const(1) if wtype == "A" else GammaElement.of(1)
         assert got == one
 
     @pytest.mark.parametrize("wtype", ["A", "C", "D"])
@@ -591,7 +591,7 @@ class TestSweep:
             assert schubert(w, wtype) == e, repr(w)
 
     def test_type_d_sizes_w1_up_to_2(self):
-        assert list(sweep(1, "D")) == [(SignedPermutation.identity(1), GammaElement.one())]
+        assert list(sweep(1, "D")) == [(SignedPermutation.identity(1), GammaElement.of(1))]
 
 
 def _plus_partition(mu, r):
@@ -721,7 +721,7 @@ class TestDegeneracy:
         )
         lam = tuple(p + m + k - i for i in range(1, k + 1))
         ones = [Polynomial.const(1)] * t.s
-        assert degeneracy_formula(t, multipliers=ones) == GammaElement.basis(lam)
+        assert degeneracy_formula(t, multipliers=ones) == GammaElement({lam: 1})
 
     def test_concrete_series_substitution(self):
         t = Triple((1,), (1,), (1,), "C")

@@ -61,8 +61,10 @@ Census readings, each from a scratch copy of the tree named:
 - The tree itself: (44, 0, 3) before `all_elements` and the insertion
   built their elements unchecked, (23, 0, 3) after, (28, 0, 3) once the
   signed i >= 1 steps took one kernel pass each, (44, 0, 3) once each
-  verify suite declared its flags where it is defined, and (44, 0, 3)
-  at 0971ccd and after its docstrings were cut.
+  verify suite declared its flags where it is defined, (44, 0, 3) at
+  0971ccd and after its docstrings were cut, and (44, 0, 3) at seeds 1
+  and 17 once `GammaElement.zero`, `.one`, `.basis` and `.coefficient`
+  and `verify --suite` were deleted.
 - Edits that stay at generation 0: 124 `cli` lines deleted (43, 0, 3);
   20 or 50 objects added in `gamma` (44, 0, 3);
   `polycore._alternating_quotient` deleted (44, 0, 3); two to seven live
@@ -87,6 +89,21 @@ Census readings, each from a scratch copy of the tree named:
   (600, 11, 2) at 0971ccd; with the unchecked `all_elements` (580, 11,
   2), one Pieri table (574, 11, 2) and `__add__` through `_iadd`
   (570, 11, 2) stacked on it; one Pieri table alone at 0971ccd
+  (644, 11, 2).
+- At e4b0c79, each step alone stays at generation 0, reading (44, 0, 3)
+  or (43, 0, 3): one Pieri table, `GammaElement.__add__` through
+  `_iadd`, `_UNIT_ROW` inlined into `pf_rows`, the deletion of the four
+  `GammaElement` methods above, and a `GammaElement._of` at the six
+  bare-construction sites.  So do `__add__`, the inline row and `_of`
+  together (43, 0, 3), 92 `cli` suite lines cut (33, 0, 3), and
+  `_alternating_quotient` deleted (44, 0, 3), though that one makes
+  type-A descent ops 30-60% slower.  Stacked steps flip: Pieri with
+  `__add__` (644, 11, 2), Pieri with the inline row (642, 11, 2), and
+  the four methods with any one of `__add__`, the inline row or Pieri
+  (642-644, 11, 2); so does dropping `cli`'s redundant `if t.s` guards
+  on top of the four methods (644, 11, 2).  The A.1 rewrite reads
+  (600, 11, 2), about 100 live allocations short, and deleting weyl's
+  test-only `descents`, `reduced_word` and `longest_element`
   (644, 11, 2).
 """
 

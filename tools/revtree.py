@@ -35,8 +35,12 @@ def unpack(tool: str, rev, dest: Path, parts=()) -> None:
         reason = (tar.stderr.decode(errors="replace").strip().splitlines() or ["git archive failed"])[0]
         print(f"{tool}: cannot read revision {rev!r}: {reason}", file=sys.stderr)
         raise SystemExit(2)
+    # extraction filters came in Python 3.10.12 and 3.11.4, and older
+    # releases take no filter keyword; a git tree holds no absolute or ..
+    # paths, so it unpacks safely without one
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
     with tarfile.open(fileobj=io.BytesIO(tar.stdout)) as archive:
-        archive.extractall(dest, filter="data")
+        archive.extractall(dest, **safe)
 
 
 def closed_stdout() -> int:
