@@ -27,8 +27,8 @@ from .triples import (
 )
 from .multischur import multischur_det, p_family, r_family
 from .schubert import (
-    column_factors,
     expand_coeffs,
+    formula_columns,
     formula_rows,
     schubert,
     swap_xy,
@@ -130,15 +130,16 @@ def cmd_schubert(args) -> int:
     return 0
 
 
-def _formula_rows(t: Triple):
-    """One line per Pfaffian/determinant row: the index and its series."""
+def _formula_rows(wtype: str, lam, factors):
+    """One line per Pfaffian/determinant row: the index and its series,
+    from the (lam, factors) of `formula_columns`."""
     rows = []
-    for k, (p, q) in zip(lambda_of(t), column_factors(t, t.wtype)):
+    for k, (p, q) in zip(lam, factors):
         xs = "".join(f"(1+x{j})" for j in range(1, p + 1))
         ys = "".join(f"(1+y{j})" for j in range(1, q + 1))
-        if t.wtype == "A":
+        if wtype == "A":
             rows.append(f"a_{k} from {xs or '1'}/{ys or '1'}")
-        elif t.wtype == "D":
+        elif wtype == "D":
             rows.append(f"index {k}: c = {xs + ys or '1'}, d = Q*c")
         else:
             rows.append(f"index {k}: Q*{xs + ys or '1'}")
@@ -156,13 +157,13 @@ def cmd_vexillary(args) -> int:
         else:
             print("not vexillary")
         return 0
-    lam = lambda_of(t) if t.s else ()
+    lam, factors = formula_columns(t, t.wtype)
     payload = {
         "vexillary": True,
         "w": str(w),
         "triple": str(t),
         "lambda": list(lam),
-        "formula": _formula_rows(t) if t.s else [],
+        "formula": _formula_rows(t.wtype, lam, factors),
     }
     if args.expand:
         e = vexillary_polynomial(t, args.type)
@@ -323,9 +324,9 @@ FAT_A = Triple(tuple(range(1, 9)), (7, 7, 6, 6, 5, 4, 3, 2), (4, 5, 6, 7, 7, 7, 
 def _worked_a_det_y0(t: Triple) -> Polynomial:
     # the x-only specialization keeps the series finite, so the big worked
     # example stays desk-scale; the double version is checked on small triples
-    lam = lambda_of(t)
+    lam, factors = formula_columns(t, "A")
     bound = lam[0] + len(lam)
-    series = [ones_product("x", p).truncate(bound) for p, _ in column_factors(t, "A")]
+    series = [ones_product("x", p).truncate(bound) for p, _ in factors]
     return multischur_det(lam, series)
 
 

@@ -312,11 +312,16 @@ class GeneratorSeries:
     kind: its Pfaffian is 2^-r times the one of Q * g.
 
     g is read once, when the series is built: `parts`, g split by degree
-    {a: g_a} in increasing a, which `row` re-keys and
-    `multischur.paired_rows` reads, and `degree`, which the skew guards
-    of `multischur` read, so a shared series is never scanned again."""
+    {a: g_a} in increasing a, which the rows read, and `degree`, which the
+    skew guards of `multischur` read, so a shared series is never scanned
+    again.  `rows` and `paired_rows` keep each row asked for by its index,
+    in the form `pf_rows` folds (`lift_row`), so a row is lifted once per
+    series.  A stored row lives exactly as long as its series, and the
+    shared series of `ones_series` as long as its `lru_cache` (1 024
+    entries) or `multischur._divides`' (1 024 pairs) keeps them.  Nothing
+    writes a stored row, nor the Polynomials and maps it holds."""
 
-    __slots__ = ("multiplier", "parts", "degree")
+    __slots__ = ("multiplier", "parts", "degree", "rows", "paired_rows")
 
     def __init__(self, multiplier=1):
         multiplier = Polynomial.of(multiplier)
@@ -325,10 +330,24 @@ class GeneratorSeries:
         self.multiplier = multiplier
         self.parts = dict(sorted(multiplier.parts().items()))
         self.degree = max(self.parts)
+        self.rows = {}
+        self.paired_rows = {}
 
-    def row(self, k: int) -> dict:
-        """The degree-k coefficient sum_a g_a Q_{k-a} as a row {k - a: g_a}."""
-        return {k - a: g for a, g in self.parts.items()}
+    def row(self, k: int) -> tuple:
+        """The degree-k coefficient sum_a g_a Q_{k-a} as the lifted row {k - a: g_a}."""
+        if k not in self.rows:
+            self.rows[k] = lift_row({k - a: g for a, g in self.parts.items()})
+        return self.rows[k]
+
+    def paired_row(self, k: int) -> tuple:
+        """Type D's row d_k + c_k f (`multischur.paired_rows`), lifted: `row(k)`
+        plus c_k = g_k on the extra symbol f (key None) where g_k is not 0."""
+        if k not in self.paired_rows:
+            row = {k - a: g for a, g in self.parts.items()}
+            if k in self.parts:
+                row[None] = self.parts[k]
+            self.paired_rows[k] = lift_row(row)
+        return self.paired_rows[k]
 
     def __repr__(self):
         return f"Q*({self.multiplier})"
@@ -342,7 +361,7 @@ def ones_series(*factors) -> GeneratorSeries:
     """Q * prod ones_product(family, count) over the (family, count)
     factors: the rows of the closed formulas, Q prod (1+x_j) prod (1+y_j),
     and of Kazarian's families, Q prod (1+t_j).  The series is shared, so
-    nothing may write into it."""
+    nothing writes into it but its own row readers (`GeneratorSeries`)."""
     g = ones_product(*factors[0])
     for family, count in factors[1:]:
         g = g * ones_product(family, count)
@@ -350,7 +369,7 @@ def ones_series(*factors) -> GeneratorSeries:
 
 
 def series_rows(lam, series):
-    """The rows c(i).row(lam_i) of `pf_rows`."""
+    """The rows c(i).row(lam_i) of `pf_rows`, as each series keeps them."""
     return [c.row(k) for k, c in zip(lam, series)]
 
 
@@ -363,22 +382,36 @@ def q_pair(k: int, l: int, c_k: GeneratorSeries, c_l: GeneratorSeries) -> GammaE
     return pf_rows(series_rows((k, l), (c_k, c_l)))
 
 
+def lift_row(row: dict) -> tuple:
+    """A row {m: Polynomial} of `pf_rows` (m an integer, or None for f) in
+    the form the fold reads, (e, ((m, packed map), ...)): each map over the
+    row's one 2^-e, e the largest exponent of its entries, in the row's
+    order, with the zero entries left out.  A map already over 2^-e is the
+    entry's own."""
+    top = max((g.e for g in row.values()), default=0)
+    return top, tuple(
+        (m, g.packed if g.e == top else {mono: c << (top - g.e) for mono, c in g.packed.items()})
+        for m, g in row.items()
+        if g
+    )
+
+
 # The row e_0, whose Pfaffian (the border Q_0) is 1: `pf_rows` folds it
 # in place of no rows.
-_UNIT_ROW = {0: Polynomial.const(1)}
+_UNIT_ROW = lift_row({0: Polynomial.const(1)})
 
 
 def pf_rows(rows) -> GammaElement:
     """The Pfaffian of `rows`, straight in the Q basis.
 
     Row i is a combination {m: Polynomial} of symbols e_m, m any integer,
-    plus in type D a scalar on one more symbol f (key None).  The entries
-    are B(e_a, e_b) = Q_a Q_b + 2 sum_{j>=1} (-1)^j Q_{a+j} Q_{b-j} (Q_0 = 1,
-    Q_m = 0 for m < 0), B(e_m, f) = Q_m = -B(f, e_m) and B(f, f) = -1; an
-    odd size takes the border e_m -> Q_m, f -> 1.  A Pfaffian term uses
-    each row once, so this is a sum of basis Pfaffians Q_alpha, alpha in
-    Z^r, straightened by Schur's alternation relation (Macdonald III §8)
-    at the first adjacent a <= b,
+    plus in type D a scalar on one more symbol f (key None), in the form
+    of `lift_row`.  The entries are B(e_a, e_b) = Q_a Q_b + 2 sum_{j>=1}
+    (-1)^j Q_{a+j} Q_{b-j} (Q_0 = 1, Q_m = 0 for m < 0), B(e_m, f) = Q_m
+    = -B(f, e_m) and B(f, f) = -1; an odd size takes the border e_m -> Q_m,
+    f -> 1.  A Pfaffian term uses each row once, so this is a sum of basis
+    Pfaffians Q_alpha, alpha in Z^r, straightened by Schur's alternation
+    relation (Macdonald III §8) at the first adjacent a <= b,
         Q_(.., a, b, ..) = -Q_(.., b, a, ..) + [a + b = 0] 2 (-1)^a Q_(.., ..),
     and, once all rows are in, at the ends: a negative last entry gives 0
     and a trailing 0 (the odd border) drops.
@@ -399,20 +432,15 @@ def pf_rows(rows) -> GammaElement:
     The last row seeds the state with no product (`_seed`), and no rows
     fold as the one row e_0 (`_UNIT_ROW`); in every later row each product
     of a state term and a row term goes once into every target through
-    `polycore._fma`.  Nothing is kept between calls: nearly all of a
-    formula's term products fall in its first row.  The rows, whose series
-    may be shared, are never written, and a returned map may be a row's
-    own, since no Polynomial's map is written once wrapped.
+    `polycore._fma`.  Each row comes lifted, so the fold takes no maximum,
+    test or shift per entry.  The fold keeps no state between calls, since
+    nearly all of a formula's term products fall in its first row, and
+    writes no row; a returned map may be a row's own, since no
+    Polynomial's map is written once wrapped.
     """
     e, state = 0, None
-    for row in reversed(list(rows) or [_UNIT_ROW]):
-        top = max((g.e for g in row.values()), default=0)
+    for top, lifted in reversed(list(rows) or [_UNIT_ROW]):
         e += top
-        lifted = [
-            (m, g.packed if g.e == top else {mono: c << (top - g.e) for mono, c in g.packed.items()})
-            for m, g in row.items()
-            if g
-        ]
         if state is None:
             state = _seed(lifted)
             continue

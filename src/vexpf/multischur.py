@@ -131,13 +131,9 @@ def multischur_pf_d(lam, series) -> GammaElement:
 
 def paired_rows(lam, series):
     """The rows d_i + c_i f of the paired Pfaffian, with d_i = d(i)_{k_i}
-    and c_i = c(i)_{k_i} the scalar on type D's extra symbol f, read from
-    the series' split by degree (a zero c_i adds no entry)."""
-    rows = series_rows(lam, series)
-    for row, k, d in zip(rows, lam, series):
-        if k in d.parts:
-            row[None] = d.parts[k]
-    return rows
+    and c_i = c(i)_{k_i} the scalar on type D's extra symbol f, as each
+    series keeps them (`GeneratorSeries.paired_row`)."""
+    return [d.paired_row(k) for k, d in zip(lam, series)]
 
 
 @lru_cache(maxsize=1024)

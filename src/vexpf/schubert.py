@@ -18,7 +18,7 @@ from __future__ import annotations
 from .polycore import Polynomial, divided_differences, exact_divide, rational_series
 from .gamma import GammaElement, apply_symmetry, ones_series, s0_quotient
 from .weyl import SignedPermutation, SizeMismatch, all_elements, first_ascent
-from .triples import Triple, column_steps, lambda_of
+from .triples import Triple, lambda_columns
 from .multischur import multischur_det, multischur_pf, multischur_pf_d
 
 
@@ -92,21 +92,25 @@ def divided_difference(i: int, f, wtype: str):
 # ---------------------------------------------------------------------------
 
 
-def column_factors(t: Triple, wtype: str):
-    """Per column k = 1..k_s, the counts of factors (1+x_j) and (1+y_j) in
-    its row: p_i and q_i of its step in types A and D, p_i-1 and q_i-1 in B/C."""
+def formula_columns(t: Triple, wtype: str):
+    """lam = `lambda_of(t)` and, per column k = 1..k_s, the counts of
+    factors (1+x_j) and (1+y_j) in its row: p_i and q_i of its step in
+    types A and D, p_i-1 and q_i-1 in B/C.  An invalid triple raises
+    InvalidTriple."""
+    lam, columns = lambda_columns(t)
     low = 1 if wtype in ("B", "C") else 0
-    return [(t.p[i] - low, t.q[i] - low) for i in column_steps(t)]
+    return lam, [(t.p[i] - low, t.q[i] - low) for i in columns]
 
 
 def formula_rows(t: Triple, wtype: str):
-    """The indices lam and one row per column of the closed formula.
+    """The indices lam and one row per column of the closed formula, from
+    `formula_columns`.
 
     Type A rows are the power series prod_{j<=p}(1+x_j) / prod_{j<=q}(1+y_j);
     signed rows are Q*g, with g = prod_{j<p}(1+x_j) prod_{j<q}(1+y_j) in
     types B/C and g = prod_{j<=p}(1+x_j) prod_{j<=q}(1+y_j) in type D.
     """
-    lam = lambda_of(t)
+    lam, factors = formula_columns(t, wtype)
     if not lam:
         return (), []
     if wtype == "A":
@@ -117,9 +121,9 @@ def formula_rows(t: Triple, wtype: str):
                 [1 + _yvar(j) for j in range(1, q + 1)],
                 bound,
             )
-            for p, q in column_factors(t, wtype)
+            for p, q in factors
         ]
-    return lam, [ones_series(("x", p), ("y", q)) for p, q in column_factors(t, wtype)]
+    return lam, [ones_series(("x", p), ("y", q)) for p, q in factors]
 
 
 def vexillary_polynomial(t: Triple, wtype: str = None):
@@ -128,8 +132,8 @@ def vexillary_polynomial(t: Triple, wtype: str = None):
     wtype defaults to the triple's own type; "B" evaluates a B/C triple
     with half-generators.  The signed types take Pf_lam(Q*g) of
     formula_rows in type C, 2^-r times it in type B, and 2^-r times the
-    paired Pfaffian Pf_lam(g | Q*g) in type D.  An invalid triple raises
-    InvalidTriple from `lambda_of`, which validates it once.
+    paired Pfaffian Pf_lam(g | Q*g) in type D.  It validates the triple
+    once, in `formula_columns`: an invalid one raises InvalidTriple.
     """
     wtype = wtype or t.wtype
     lam, rows = formula_rows(t, wtype)

@@ -83,12 +83,11 @@ def _fill(t: Triple, k: tuple, p: tuple, q: tuple, wtype: str) -> Triple:
 
 def validate(t: Triple) -> str:
     """Classify as "strict", "redundant", or "invalid"."""
-    if t.wtype == "D":
-        return validate(plus_map(t))
     k, p, q = t.k, t.p, t.q
     if not (len(k) == len(p) == len(q)):
         return "invalid"
-    if k and (k[0] < 1 or min(p + q) < 1):
+    # type D's entries are >= 0, plus_map(t)'s >= 1
+    if k and (k[0] < 1 or min(p + q) < (t.wtype != "D")):
         return "invalid"
     # type A's own bounds: k_i <= q_i (l_i <= p_i) and l_s >= 1
     if t.wtype == "A" and k and (any(a > b for a, b in zip(k, q)) or type_a_l(t)[-1] < 1):
@@ -97,13 +96,14 @@ def validate(t: Triple) -> str:
 
 
 def _steps(t: Triple) -> list:
-    """The steps of t on the signed line: (k, p, q) in type A and
-    (k, p - 1, -q) in type C; a type-D triple is read as plus_map(t)."""
+    """The steps of t on the signed line: (k, p, q) in type A, (k, p - 1,
+    -q) in type C, and type C's steps of plus_map(t), (k, p, -q - 1), in
+    type D."""
     if t.wtype == "A":
         return list(zip(t.k, t.p, t.q))
-    if t.wtype == "D":
-        t = plus_map(t)
-    return [(k, p - 1, -q) for k, p, q in zip(t.k, t.p, t.q)]
+    if t.wtype == "C":
+        return [(k, p - 1, -q) for k, p, q in zip(t.k, t.p, t.q)]
+    return [(k, p, -q - 1) for k, p, q in zip(t.k, t.p, t.q)]
 
 
 def _classify(steps: list) -> str:
@@ -154,15 +154,24 @@ def lambda_of(t: Triple) -> tuple:
     """The partition pinned by the triple, of length k_s: lambda_k = l_i in
     type A (weakly decreasing), l_i - k in type C (strict) and one less
     than type C's value at plus_map(t) in type D (strict, possibly ending
-    in 0), with i the step governing column k.  A redundant triple is
-    reduced first, which leaves the partition unchanged: reduction drops
-    only steps whose columns carry the same pins."""
-    t = reduce_redundant(t)
+    in 0), with i the step governing column k.  The triple is validated,
+    not reduced: a redundant step i has l_i = l_(i+1), and reduction hands
+    its columns to step i + 1, so every column reads the same l either way
+    (tests/test_triples.py::TestLambda::test_matches_the_reducing_oracle)."""
+    return lambda_columns(t)[0]
+
+
+def lambda_columns(t: Triple) -> tuple:
+    """(`lambda_of(t)`, `column_steps(t)`), from one `validate` and one
+    pass over the columns; an invalid triple raises InvalidTriple."""
+    if validate(t) == "invalid":
+        raise InvalidTriple(str(t))
     ls = [p - q + k for k, p, q in _steps(t)]
+    columns = column_steps(t)
     if t.wtype == "A":
-        return tuple(ls[i] for i in column_steps(t))
+        return tuple([ls[i] for i in columns]), columns
     shift = 1 if t.wtype == "D" else 0
-    return tuple(ls[i] - k - shift for k, i in enumerate(column_steps(t), start=1))
+    return tuple([ls[i] - k - shift for k, i in enumerate(columns, start=1)]), columns
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 them: the symmetric-function specialization of Gamma, the
 degeneracy-locus class of a triple with caller-supplied Chern data, the
 branching rule and the top-degree part of a class written term by term,
-the Pfaffian fold with every row folded from the unit state, and the
-restriction of a class to a torus-fixed point with Billey's product of
-roots at the top.
+the Pfaffian fold with every row folded from the unit state and the rows
+it reads as dicts, the partition of a triple read off its reduction, and
+the restriction of a class to a torus-fixed point with Billey's product
+of roots at the top.
 
     from oracles import degeneracy_formula, specialize_symfun
 """
@@ -15,7 +16,7 @@ from vexpf.gamma import GammaElement, GeneratorSeries, _prepend, is_strict, pf_r
 from vexpf.multischur import paired_rows
 from vexpf.polycore import Polynomial, _add_into, _fma, _settle, rational_series
 from vexpf.schubert import formula_rows
-from vexpf.triples import InvalidTriple, column_steps
+from vexpf.triples import InvalidTriple, _steps, column_steps, reduce_redundant
 
 
 class TruncationTooSmall(ValueError):
@@ -88,9 +89,24 @@ def branch_term_by_term(e, v):
     return GammaElement(combo)
 
 
+def dict_rows(lam, series, paired=False) -> list:
+    """The rows of series at the indices lam as dicts {m: Polynomial}:
+    c(i)_{lam_i} = {lam_i - a: g_a}, plus in type D (paired) the scalar
+    g_{lam_i} on f (key None) where it is not 0.  They hold the same
+    entries as `series_rows` and `paired_rows`, before `lift_row`."""
+    rows = []
+    for k, c in zip(lam, series):
+        row = {k - a: g for a, g in c.parts.items()}
+        if paired and k in c.parts:
+            row[None] = c.parts[k]
+        rows.append(row)
+    return rows
+
+
 def pf_rows_from_unit_state(rows) -> GammaElement:
-    """`gamma.pf_rows` with no seeded last row: every row, the last one
-    included, folds by `_fma` from the unit state {((), False): {0: 1}}
+    """`gamma.pf_rows` with no seeded last row, on rows {m: Polynomial}
+    (`dict_rows`) that it lifts itself on every call: every row, the last
+    one included, folds by `_fma` from the unit state {((), False): {0: 1}}
     into a fresh `acc` settled per row, so each map it returns is its
     own.  It shares the program's straightening table and direction, and
     so the order of its states and terms, which the seeded fold must
@@ -134,6 +150,18 @@ def pf_rows_from_unit_state(rows) -> GammaElement:
     out = GammaElement()
     out.combo = {lam: Polynomial.from_packed(p, e) for lam, p in combo.items() if p}
     return out
+
+
+def lambda_by_reduction(t) -> tuple:
+    """`triples.lambda_of` read off the reduced triple: a redundant triple
+    is reduced first, then each column reads l_i of the step governing
+    it."""
+    t = reduce_redundant(t)
+    ls = [p - q + k for k, p, q in _steps(t)]
+    if t.wtype == "A":
+        return tuple(ls[i] for i in column_steps(t))
+    shift = 1 if t.wtype == "D" else 0
+    return tuple(ls[i] - k - shift for k, i in enumerate(column_steps(t), start=1))
 
 
 # Localization (Billey, Duke 1999; the signed types after

@@ -19,6 +19,7 @@ from vexpf.gamma import (
     _pieri,
     _raw_mul,
     apply_symmetry,
+    lift_row,
     negt_series,
     ones_series,
     pair_expansion,
@@ -37,6 +38,7 @@ from vexpf.triples import enumerate_triples
 from oracles import (
     TruncationTooSmall,
     branch_term_by_term,
+    dict_rows,
     pf_rows_from_unit_state,
     specialize_symfun,
 )
@@ -350,8 +352,9 @@ def fold_shape(e):
 
 
 def row_maps(rows):
-    """Copies of each row's entries, exponent and packed map."""
-    return [{m: (g.e, dict(g.packed)) for m, g in row.items()} for row in rows]
+    """Copies of each lifted row's exponent and entries, each packed map
+    copied."""
+    return [(e, [(m, dict(g)) for m, g in entries]) for e, entries in rows]
 
 
 def series_maps(series):
@@ -378,7 +381,7 @@ class TestSeededFold:
     @example([{3: Polynomial.const(1), None: X1}, {2: X2, None: Polynomial.const(HALF)}, {1: Y1}])  # f in inner rows
     @example([{1: X1}, {1: X1}])  # Q_(1,1) = 0: the state empties after a later row
     def test_matches_the_unit_state_fold(self, rows):
-        got = pf_rows(rows)
+        got = pf_rows([lift_row(row) for row in rows])
         assert fold_shape(got) == fold_shape(pf_rows_from_unit_state(rows))
         for c in got.combo.values():
             assert c and (c.e == 0 or any(n & 1 for n in c.packed.values()))
@@ -387,8 +390,9 @@ class TestSeededFold:
     def test_formulas_match_the_unit_state_fold(self, wtype):
         for t in enumerate_triples(wtype, 3):
             lam, series = formula_rows(t, wtype)
-            rows = (paired_rows if wtype == "D" else series_rows)(lam, series)
-            assert fold_shape(pf_rows(rows)) == fold_shape(pf_rows_from_unit_state(rows)), t
+            got = pf_rows((paired_rows if wtype == "D" else series_rows)(lam, series))
+            expect = pf_rows_from_unit_state(dict_rows(lam, series, wtype == "D"))
+            assert fold_shape(got) == fold_shape(expect), t
 
     def test_the_fold_writes_no_row_and_no_series(self):
         # the rows of the W_3 formulas and of the t families, and the

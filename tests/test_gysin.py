@@ -192,15 +192,12 @@ class TestPlainPushforward:
         assert plain_pushforward_check((3, 1), [Q_SERIES, Q_SERIES], (0, 1))
 
     def test_matches_type_c_pipeline(self):
-        from vexpf.triples import Triple, lambda_of
+        from vexpf.triples import Triple
         from vexpf.polycore import ones_product
-        from vexpf.schubert import column_factors
+        from vexpf.schubert import formula_columns
 
         t = Triple((1, 2), (2, 1), (2, 1), "C")
-        lam = lambda_of(t)
-        series = [
-            GeneratorSeries(ones_product("x", p) * ones_product("y", q))
-            for p, q in column_factors(t, "C")
-        ]
+        lam, factors = formula_columns(t, "C")
+        series = [GeneratorSeries(ones_product("x", p) * ones_product("y", q)) for p, q in factors]
         for m in [(0, 0), (1, 0), (0, 1), (2, 1)]:
             assert plain_pushforward_check(lam, series, m), m

@@ -12,6 +12,7 @@ from vexpf.gamma import (
     GeneratorSeries,
     Q_SERIES,
     _iadd,
+    lift_row,
     pf_rows,
     q_pair,
     series_coeff,
@@ -31,8 +32,10 @@ from vexpf.multischur import (
     r_rows,
 )
 from vexpf.schubert import formula_rows, top_class, vexillary_polynomial
-from vexpf.triples import InvalidTriple, Triple, enumerate_triples
+from vexpf.triples import InvalidTriple, Triple, enumerate_triples, triple_of_w
 from vexpf.weyl import all_elements
+
+from oracles import dict_rows
 
 
 def tvar(i):
@@ -493,12 +496,18 @@ def fold_rows(lam, series, wtype):
     return (paired_rows if wtype == "D" else series_rows)(lam, series)
 
 
+def unlifted(rows):
+    """Lifted rows (e, ((m, packed), ...)) as rows {m: Polynomial} of the
+    same values, for the term-by-term fold."""
+    return [{m: Polynomial.from_packed(dict(g), e) for m, g in entries} for e, entries in rows]
+
+
 class TestPackedFold:
     @settings(deadline=None, max_examples=80)
     @given(row_lists())
     @example(MIXED_ROWS)
     def test_matches_term_by_term(self, rows):
-        got = pf_rows(rows)
+        got = pf_rows([lift_row(row) for row in rows])
         assert got == pf_rows_term_by_term(rows)
         for c in got.combo.values():
             assert c and (c.e == 0 or any(n & 1 for n in c.packed.values()))
@@ -506,17 +515,18 @@ class TestPackedFold:
     def test_exponent_overflow(self):
         # the entry Q_1 Q_0 = Q_1 of the two rows carries x1^200 x1^200
         rows = [{1: X1**200}, {0: X1**200}]
-        for fold in (pf_rows, pf_rows_term_by_term):
+        for fold in (lambda: pf_rows([lift_row(row) for row in rows]), lambda: pf_rows_term_by_term(rows)):
             with pytest.raises(ExponentOverflow):
-                fold(rows)
+                fold()
         # a fold after one that raised is right
-        assert pf_rows([{1: X1**200}, {0: X1**55}]) == GammaElement({(1,): X1**255})
+        assert pf_rows([lift_row({1: X1**200}), lift_row({0: X1**55})]) == GammaElement({(1,): X1**255})
 
     @pytest.mark.parametrize("wtype", ["C", "D"])
     def test_formula_rows(self, wtype):
         for t in enumerate_triples(wtype, 3):
-            rows = fold_rows(*formula_rows(t, wtype), wtype)
-            assert pf_rows(rows) == pf_rows_term_by_term(rows), t
+            lam, series = formula_rows(t, wtype)
+            rows = fold_rows(lam, series, wtype)
+            assert pf_rows(rows) == pf_rows_term_by_term(dict_rows(lam, series, wtype == "D")), t
 
     @pytest.mark.parametrize(
         "wtype, d_zero", [("B", False), ("C", False), ("D", False), ("D", True)]
@@ -534,7 +544,7 @@ class TestPackedFold:
         top_class(4, wtype, d_zero)
         [rows] = folded
         assert len(rows) == (3 if wtype == "D" and not d_zero else 4)
-        assert pf_rows(rows) == pf_rows_term_by_term(rows)
+        assert pf_rows(rows) == pf_rows_term_by_term(unlifted(rows))
 
     @pytest.mark.parametrize("lam", [(1,), (3, 2, 1), (4, 2, 0), (5, 4, 2, 1, 0)])
     def test_odd_size_paired_rows(self, lam):
@@ -542,7 +552,7 @@ class TestPackedFold:
         # suffix of either parity (the odd W_3 formulas are in
         # test_formula_rows[D])
         rows = fold_rows(lam, r_rows(lam), "D")
-        assert pf_rows(rows) == pf_rows_term_by_term(rows)
+        assert pf_rows(rows) == pf_rows_term_by_term(dict_rows(lam, r_rows(lam), True))
 
     def test_fold_cost(self, monkeypatch):
         # the products of state terms and row terms of three top classes,
@@ -568,9 +578,9 @@ class TestPackedFold:
         # keeps a row's map); r_family's last state holds (v, f) pairs that
         # merge into one Q_v
         rows = [{3: X1, 1: Polynomial.const(1)}, {2: Polynomial.const(1)}]
-        paired = fold_rows((2, 1), r_rows((2, 1)), "D")
+        paired = dict_rows((2, 1), r_rows((2, 1)), True)
         for fold, expect in [
-            (lambda: pf_rows(rows), pf_rows_term_by_term(rows)),
+            (lambda: pf_rows([lift_row(row) for row in rows]), pf_rows_term_by_term(rows)),
             (lambda: r_family((2, 1)), pf_rows_term_by_term(paired).halve(2)),
         ]:
             first, second = fold(), fold()
@@ -614,6 +624,12 @@ class TestPackedFold:
 # ---------------------------------------------------------------------------
 # the tables that every fold of a process shares
 # ---------------------------------------------------------------------------
+
+
+def lifted_maps(row) -> tuple:
+    """A copy of a lifted row (e, ((m, packed), ...)), each packed map copied."""
+    e, entries = row
+    return e, [(m, dict(g)) for m, g in entries]
 
 
 def series_maps(series) -> list:
@@ -709,29 +725,66 @@ class TestWorkBounds:
         assert fold() == expect
         assert calls[0] <= bound, name
 
+    # the family shapes of the pfaffian benchmark: r_family(lam) and
+    # p_family(lam + 1) for each strict lam with parts <= 4
+    FAMILY_SHAPES = [lam for size in range(1, 6) for lam in itertools.combinations(range(4, -1, -1), size)]
+
+    def test_rows_lifted_once_per_series(self, monkeypatch):
+        # every W_4 formula of types C and D and the families, from cold
+        # series: each of the 68 (series, index, paired) rows they ask for
+        # is lifted once, in the first pass, and none is written after it
+        # is lifted
+        formulas = [
+            lambda t=t: vexillary_polynomial(t)
+            for wtype in ("C", "D")
+            for t in filter(None, (triple_of_w(w, wtype) for w in all_elements(4, wtype)))
+        ]
+        for lam in self.FAMILY_SHAPES:
+            formulas += [lambda lam=lam: r_family(lam), lambda lam=lam: p_family(tuple(m + 1 for m in lam))]
+        assert len(formulas) == 183 + 87 + 62  # C, D, families
+        lift, lifted, asked = gamma.lift_row, [], set()
+
+        def lifting(row):
+            out = lift(row)
+            lifted.append((out, lifted_maps(out)))
+            return out
+
+        monkeypatch.setattr(gamma, "lift_row", lifting)
+        for name in ("row", "paired_row"):
+
+            def asking(self, k, name=name, method=getattr(GeneratorSeries, name)):
+                asked.add((self, k, name == "paired_row"))
+                return method(self, k)
+
+            monkeypatch.setattr(GeneratorSeries, name, asking)
+        gamma.ones_series.cache_clear()
+        expect = [fold() for fold in formulas]
+        stored = {(c, k, False) for c, _, _ in asked for k in c.rows}
+        stored |= {(c, k, True) for c, _, _ in asked for k in c.paired_rows}
+        assert len(lifted) == len(asked) == len(stored) == 68 and asked == stored
+        assert [fold() for fold in formulas] == expect
+        assert len(lifted) == 68
+        for row, maps in lifted:
+            assert lifted_maps(row) == maps
+
     @pytest.mark.parametrize("wtype, d_zero", W4_TOPS)
     def test_one_validate_per_formula(self, monkeypatch, wtype, d_zero):
         # the W_4 top-class formula validates its triple once, in
-        # lambda_of; a type-D validate reads plus_map(t) through an inner
-        # call, which is not counted
-        validate = triples.validate
-        depth, outermost = [0], [0]
+        # `triples.lambda_columns`; a type-D triple is validated as it
+        # stands, with no inner call on plus_map(t)
+        validate, calls = triples.validate, [0]
 
         def counting(t):
-            outermost[0] += not depth[0]
-            depth[0] += 1
-            try:
-                return validate(t)
-            finally:
-                depth[0] -= 1
+            calls[0] += 1
+            return validate(t)
 
         for module in (triples, schubert, multischur):  # wherever a module binds it
             if getattr(module, "validate", None) is validate:
                 monkeypatch.setattr(module, "validate", counting)
         top_class(4, wtype, d_zero)
-        outermost[0] = 0
+        calls[0] = 0
         top_class(4, wtype, d_zero)
-        assert outermost[0] == 1
+        assert calls[0] == 1
 
     # the classes `_descend` builds over all of W_4 from a cold memo, and
     # the generator-0 steps among them: the sweep takes generator 0 only

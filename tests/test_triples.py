@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from vexpf import triples
 from vexpf.weyl import SignedPermutation, all_elements, generators, length
+from oracles import lambda_by_reduction
 from vexpf.triples import (
     InvalidTriple,
     Triple,
@@ -128,6 +129,33 @@ class TestLambda:
         assert lambda_of(even) == (4, 2, 0)
         odd = Triple((1, 2), (2, 1), (2, 1), "D")
         assert lambda_of(odd) == (4, 2)
+
+    def test_matches_the_reducing_oracle(self):
+        # every triple of types A, C and D with n <= 4, redundant ones
+        # included: the partition read off the unreduced steps is the one
+        # read off the reduced triple
+        ts = {t for wtype in "ACD" for t in enumerate_triples(wtype, 4, allow_redundant=True)}
+        for t in ts:
+            assert lambda_of(t) == lambda_by_reduction(t), repr(t)
+        assert (len(ts), sum(validate(t) == "redundant" for t in ts)) == (7774, 4971)
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            Triple((2,), (3,), (1,), "A"),  # k_1 > q_1
+            Triple((1, 2), (1, 3), (1, 2), "A"),  # p rises
+            Triple((2, 1), (1, 1), (1, 1), "C"),  # k falls
+            Triple((1,), (0,), (1,), "C"),  # an entry below 1
+            Triple((2, 1), (1, 1), (1, 1), "D"),  # k falls
+            Triple((1,), (-1,), (0,), "D"),  # an entry below 0
+            Triple((1, 2), (1,), (1, 1), "D"),  # lengths differ
+        ],
+        ids=repr,
+    )
+    def test_invalid_triples_raise(self, t):
+        assert validate(t) == "invalid"
+        with pytest.raises(InvalidTriple):
+            lambda_of(t)
 
 
 class TestInsertion:

@@ -64,7 +64,8 @@ Census readings, each from a scratch copy of the tree named:
   verify suite declared its flags where it is defined, (44, 0, 3) at
   0971ccd and after its docstrings were cut, and (44, 0, 3) at seeds 1
   and 17 once `GammaElement.zero`, `.one`, `.basis` and `.coefficient`
-  and `verify --suite` were deleted.
+  and `verify --suite` were deleted, and (44, 0, 3) once each series
+  kept its lifted Pfaffian rows in two dicts, plain and paired.
 - Edits that stay at generation 0: 124 `cli` lines deleted (43, 0, 3);
   20 or 50 objects added in `gamma` (44, 0, 3);
   `polycore._alternating_quotient` deleted (44, 0, 3); two to seven live
@@ -105,6 +106,13 @@ Census readings, each from a scratch copy of the tree named:
   (600, 11, 2), about 100 live allocations short, and deleting weyl's
   test-only `descents`, `reduced_word` and `longest_element`
   (644, 11, 2).
+- At fc5381a, the stored rows: one dict per series keyed (k, paired),
+  with `lambda_of` unreduced and `cli`'s two `if t.s` guards in
+  `cmd_vexillary` gone, reads (646, 11, 2); its `gamma` edit alone
+  (644, 11, 2), and that edit with five module-level lists added
+  (644, 11, 2) or seven (44, 0, 3).  Plain and paired rows in two
+  dicts, the form that landed, read (44, 0, 3): about seven live
+  objects decide it.
 """
 
 from __future__ import annotations
