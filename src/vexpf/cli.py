@@ -194,7 +194,7 @@ def cmd_enumerate(args) -> int:
                 "w": str(w),
                 "length": length(w, args.type),
                 "vexillary": t is not None,
-                "triple": str(t) if t is not None and t.s else ("" if t is None else "(empty)"),
+                "triple": "" if t is None else str(t) if t.s else "(empty)",
                 "lambda": list(lambda_of(t)) if t is not None and t.s else [],
             }
         )

@@ -176,7 +176,10 @@ def straighten_monomial(mono: tuple, lam: tuple = ()) -> dict:
 
 
 class GammaElement:
-    """A finite combination sum_lambda f_lambda(x,y,t,...) Q_lambda."""
+    """A finite combination sum_lambda f_lambda(x,y,t,...) Q_lambda.  The
+    constructor checks and converts each coefficient; a combo already
+    normalized (tuple keys, nonzero Polynomial values) goes in unchecked
+    through `_of`."""
 
     __slots__ = ("combo",)
 
@@ -187,6 +190,12 @@ class GammaElement:
                 coeff = Polynomial.of(coeff)
                 if coeff:
                     self.combo[tuple(lam)] = coeff
+
+    @staticmethod
+    def _of(combo: dict) -> "GammaElement":
+        out = object.__new__(GammaElement)
+        out.combo = combo
+        return out
 
     @staticmethod
     def of(value) -> "GammaElement":
@@ -219,18 +228,10 @@ class GammaElement:
         return GammaElement({lam: -c for lam, c in self.combo.items()})
 
     def __add__(self, other):
-        other = GammaElement.of(other)
         combo = dict(self.combo)
-        for lam, c in other.combo.items():
-            cur = combo.get(lam)
-            c = c if cur is None else cur + c
-            if c:
-                combo[lam] = c
-            else:
-                combo.pop(lam, None)
-        out = GammaElement()
-        out.combo = combo
-        return out
+        for lam, c in GammaElement.of(other).combo.items():
+            _iadd(combo, lam, c)
+        return GammaElement._of(combo)
 
     __radd__ = __add__
 
@@ -258,12 +259,10 @@ class GammaElement:
         coefficient with e > 0 already has an odd integer in its map, so it
         stays normalized as it is; only one with e == 0 goes through
         `from_packed`."""
-        out = GammaElement()
-        out.combo = {
+        return GammaElement._of({
             lam: _wrap(c.packed, c.e + r) if c.e else Polynomial.from_packed(c.packed, r)
             for lam, c in self.combo.items()
-        }
-        return out
+        })
 
     def map_coeffs(self, fn) -> "GammaElement":
         return GammaElement({lam: fn(c) for lam, c in self.combo.items()})
@@ -479,9 +478,7 @@ def pf_rows(rows) -> GammaElement:
             _add_into(merged, packed)
         else:
             combo[v] = packed
-    out = GammaElement()
-    out.combo = {lam: Polynomial.from_packed(p, e) for lam, p in combo.items() if p}
-    return out
+    return GammaElement._of({lam: Polynomial.from_packed(p, e) for lam, p in combo.items() if p})
 
 
 def _seed(lifted) -> dict:
@@ -559,12 +556,12 @@ def _strip_fold(e: GammaElement, drop: int, shift_e: int) -> GammaElement:
 def _settled(acc: dict, e: int) -> GammaElement:
     """The element of a fold's {mu: packed map over 2^e}: one `_settle`
     and one wrap per mu."""
-    out = GammaElement()
+    combo = {}
     for mu, packed in acc.items():
         packed = _settle(packed)
         if packed:
-            out.combo[mu] = Polynomial.from_packed(packed, e)
-    return out
+            combo[mu] = Polynomial.from_packed(packed, e)
+    return GammaElement._of(combo)
 
 
 def _branch(e: GammaElement) -> GammaElement:

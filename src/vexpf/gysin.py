@@ -283,9 +283,7 @@ def _push_element(state: GammaElement, k: int, image) -> GammaElement:
         for m, sub in coeff.split(("h", k)).items():
             for nu, c in (GammaElement({lam: sub}) * image(m)).combo.items():
                 _iadd(combo, nu, c)
-    out = GammaElement()
-    out.combo = combo
-    return out
+    return GammaElement._of(combo)
 
 
 def pushforward(lam, series, exponents=None, paired=False) -> GammaElement:

@@ -764,14 +764,9 @@ def exact_divide(p: Polynomial, d: Polynomial) -> Polynomial:
             if biased & guard:
                 raise _overflow()
             raise NotDivisible(f"({p}) is not divisible by ({d})")
-        if d_coeff == 1:
-            qc = r_coeff
-        elif d_coeff == -1:
-            qc = -r_coeff
-        else:
-            qc, rest = divmod(r_coeff, d_coeff)
-            if rest:
-                raise NotDivisible(f"({p}) is not divisible by ({d})")
+        qc, rest = divmod(r_coeff, d_coeff)
+        if rest:
+            raise NotDivisible(f"({p}) is not divisible by ({d})")
         q[qm] = qc
         for m, c in d_tail:
             m += qm

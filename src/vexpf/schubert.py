@@ -76,9 +76,7 @@ def divided_difference(i: int, f, wtype: str):
 
     elif isinstance(f, GammaElement):
         # one pass over every coefficient, the combo taken as built
-        out = GammaElement()
-        out.combo = divided_differences(f.combo, v, w)
-        return out
+        return GammaElement._of(divided_differences(f.combo, v, w))
     else:
 
         def step(c):

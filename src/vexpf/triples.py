@@ -131,16 +131,21 @@ def type_a_l(t: Triple) -> tuple:
 
 def reduce_redundant(t: Triple) -> Triple:
     """Drop terms at which equality holds, leaving a strict triple with the
-    same permutation."""
+    same permutation; a strict triple comes back as it is, and an invalid
+    one raises InvalidTriple.  One pass drops every step i whose slack
+    l_i - l_(i+1) is zero.  That is the triple that dropping the first
+    zero slack and revalidating, step by step, reaches: dropping step i
+    joins steps i - 1 and i + 1 with slack l_(i-1) - l_(i+1) = l_(i-1) -
+    l_i, so no other slack changes, and every other condition of
+    `validate` holds on any subsequence that keeps the last step."""
     status = validate(t)
     if status == "invalid":
         raise InvalidTriple(str(t))
-    while status == "redundant":
-        ls = [p - q + k for k, p, q in _steps(t)]
-        drop = next(i for i in range(t.s - 1) if ls[i] == ls[i + 1])  # the first zero slack
-        t = Triple(*([x for i, x in enumerate(xs) if i != drop] for xs in (t.k, t.p, t.q)), t.wtype)
-        status = validate(t)
-    return t
+    if status == "strict":
+        return t
+    ls = [p - q + k for k, p, q in _steps(t)]
+    keep = [i for i in range(t.s) if i == t.s - 1 or ls[i] != ls[i + 1]]
+    return Triple(*([xs[i] for i in keep] for xs in (t.k, t.p, t.q)), t.wtype)
 
 
 def column_steps(t: Triple) -> list:
@@ -182,11 +187,7 @@ def lambda_columns(t: Triple) -> tuple:
 def w_of_triple(t: Triple) -> SignedPermutation:
     """The permutation of a triple, inserted step by step on the signed
     line and checked against every step's rank."""
-    status = validate(t)
-    if status == "invalid":
-        raise InvalidTriple(str(t))
-    if status == "redundant":
-        t = reduce_redundant(t)
+    t = reduce_redundant(t)
     if t.s == 0:
         return SignedPermutation.identity(1)
     steps = _steps(t)
@@ -319,13 +320,9 @@ def enumerate_triples(wtype: str, n: int, allow_redundant: bool = False):
     wtype = _norm_type(wtype)
     low = 0 if wtype == "D" else 1
     for s in range(1, n + 1):
+        p_seqs = _monotone(range(n, low - 1, -1), s)
+        q_seqs = _monotone(range(1, n + 1), s) if wtype == "A" else p_seqs
         for k in itertools.combinations(range(1, n + 1), s):
-            if wtype == "A":
-                p_seqs = _monotone(range(n, 0, -1), s)
-                q_seqs = _monotone(range(1, n + 1), s)
-            else:
-                p_seqs = _monotone(range(n, low - 1, -1), s)
-                q_seqs = _monotone(range(n, low - 1, -1), s)
             for p in p_seqs:
                 for q in q_seqs:
                     t = Triple(k, p, q, wtype)

@@ -3,8 +3,9 @@ them: the symmetric-function specialization of Gamma, the
 degeneracy-locus class of a triple with caller-supplied Chern data, the
 branching rule and the top-degree part of a class written term by term,
 the Pfaffian fold with every row folded from the unit state and the rows
-it reads as dicts, the partition of a triple read off its reduction, and
-the restriction of a class to a torus-fixed point with Billey's product
+it reads as dicts, the partition of a triple read off its reduction, the
+reduction of a redundant triple one dropped step at a time, and the
+restriction of a class to a torus-fixed point with Billey's product
 of roots at the top.
 
     from oracles import degeneracy_formula, specialize_symfun
@@ -16,7 +17,7 @@ from vexpf.gamma import GammaElement, GeneratorSeries, _prepend, is_strict, pf_r
 from vexpf.multischur import paired_rows
 from vexpf.polycore import Polynomial, _add_into, _fma, _settle, rational_series
 from vexpf.schubert import formula_rows
-from vexpf.triples import InvalidTriple, _steps, column_steps, reduce_redundant
+from vexpf.triples import InvalidTriple, Triple, _steps, column_steps, reduce_redundant, validate
 
 
 class TruncationTooSmall(ValueError):
@@ -162,6 +163,20 @@ def lambda_by_reduction(t) -> tuple:
         return tuple(ls[i] for i in column_steps(t))
     shift = 1 if t.wtype == "D" else 0
     return tuple(ls[i] - k - shift for k, i in enumerate(column_steps(t), start=1))
+
+
+def reduce_stepwise(t):
+    """`triples.reduce_redundant` one step at a time: drop the first zero
+    slack and revalidate, until the triple is strict."""
+    status = validate(t)
+    if status == "invalid":
+        raise InvalidTriple(str(t))
+    while status == "redundant":
+        ls = [p - q + k for k, p, q in _steps(t)]
+        drop = next(i for i in range(t.s - 1) if ls[i] == ls[i + 1])  # the first zero slack
+        t = Triple(*([x for i, x in enumerate(xs) if i != drop] for xs in (t.k, t.p, t.q)), t.wtype)
+        status = validate(t)
+    return t
 
 
 # Localization (Billey, Duke 1999; the signed types after

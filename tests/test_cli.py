@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -554,7 +555,7 @@ def test_closed_stdout_exits_1_without_a_traceback(n, lines):
     src = str(Path(vexpf.__file__).resolve().parent.parent)
     proc = subprocess.Popen(
         [sys.executable, "-m", "vexpf.cli", "enumerate", "--n", n],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={"PYTHONPATH": src},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
     )
     for _ in range(lines):
         assert proc.stdout.readline().startswith(b"1 2 3 4 5 ")

@@ -786,6 +786,29 @@ class TestWorkBounds:
         top_class(4, wtype, d_zero)
         assert calls[0] == 1
 
+    @pytest.mark.parametrize(
+        "t",
+        [
+            Triple(tuple(range(1, 9)), (7, 7, 6, 6, 5, 4, 3, 2), (4, 5, 6, 7, 7, 7, 9, 9), "A"),
+            Triple((1, 2, 3), (3, 3, 2), (3, 2, 2), "C"),
+            Triple((1, 2, 3), (2, 2, 1), (2, 1, 1), "D"),
+        ],
+        ids=repr,
+    )
+    def test_one_validate_per_insertion(self, monkeypatch, t):
+        # w_of_triple of a redundant triple validates it once, in
+        # `triples.reduce_redundant`, which drops every zero slack in one pass
+        validate, calls = triples.validate, [0]
+
+        def counting(t):
+            calls[0] += 1
+            return validate(t)
+
+        monkeypatch.setattr(triples, "validate", counting)
+        assert validate(t) == "redundant"
+        triples.w_of_triple(t)
+        assert calls[0] == 1
+
     # the classes `_descend` builds over all of W_4 from a cold memo, and
     # the generator-0 steps among them: the sweep takes generator 0 only
     # where no i >= 1 ascent exists, schubert() wherever it is an ascent

@@ -1,4 +1,5 @@
 import inspect
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -804,7 +805,7 @@ def test_interning_order_changes_no_result():
     for order in (["x1", "x2", "y1", "y2", "h1"], ["h1", "y2", "y1", "x2", "x1"],
                   ["y1", "h1", "x2", "y2", "x1"]):
         run = subprocess.run([sys.executable, "-c", _INTERNING_SCRIPT, *order],
-                             capture_output=True, text=True, env={"PYTHONPATH": str(SRC)},
+                             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
                              check=True)
         outputs.add(run.stdout)
     assert len(outputs) == 1
@@ -888,7 +889,7 @@ class TestOverflow:
             "    print('constructor')\n"
         )
         run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                             env={"PYTHONPATH": str(SRC)}, check=True)
+                             env=dict(os.environ, PYTHONPATH=str(SRC)), check=True)
         assert run.stdout.split() == ["product", "constructor"]
 
     def test_divided_difference_degree_field(self):
@@ -906,7 +907,7 @@ class TestOverflow:
             "        print('overflow')\n"
         )
         run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                             env={"PYTHONPATH": str(SRC)}, check=True)
+                             env=dict(os.environ, PYTHONPATH=str(SRC)), check=True)
         assert run.stdout.split() == ["overflow", "overflow"]
 
     def test_divided_differences_degree_field(self):
@@ -923,7 +924,7 @@ class TestOverflow:
             "    print('overflow')\n"
         )
         run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                             env={"PYTHONPATH": str(SRC)}, check=True)
+                             env=dict(os.environ, PYTHONPATH=str(SRC)), check=True)
         assert run.stdout.split() == ["overflow"]
 
     def test_exact_divide_degree_field(self):
@@ -942,5 +943,5 @@ class TestOverflow:
             "        print('overflow')\n"
         )
         run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                             env={"PYTHONPATH": str(SRC)}, check=True)
+                             env=dict(os.environ, PYTHONPATH=str(SRC)), check=True)
         assert run.stdout.split() == ["overflow", "overflow"]

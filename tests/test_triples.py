@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from vexpf import triples
 from vexpf.weyl import SignedPermutation, all_elements, generators, length
-from oracles import lambda_by_reduction
+from oracles import lambda_by_reduction, reduce_stepwise
 from vexpf.triples import (
     InvalidTriple,
     Triple,
@@ -154,8 +154,23 @@ class TestLambda:
     )
     def test_invalid_triples_raise(self, t):
         assert validate(t) == "invalid"
-        with pytest.raises(InvalidTriple):
-            lambda_of(t)
+        for fn in (lambda_of, reduce_redundant, w_of_triple):
+            with pytest.raises(InvalidTriple):
+                fn(t)
+
+
+class TestReduction:
+    @pytest.mark.parametrize("wtype, count", [("A", 451), ("C", 962), ("D", 3558)])
+    def test_one_pass_matches_the_stepwise_oracle(self, wtype, count):
+        # every redundant triple with n <= 4: the one-pass reduction is the
+        # stepwise one, and the permutation is the reduced triple's
+        redundant = [t for t in enumerate_triples(wtype, 4, allow_redundant=True)
+                     if validate(t) == "redundant"]
+        for t in redundant:
+            reduced = reduce_stepwise(t)
+            assert reduce_redundant(t) == reduced, repr(t)
+            assert w_of_triple(t) == w_of_triple(reduced), repr(t)
+        assert len(redundant) == count
 
 
 class TestInsertion:

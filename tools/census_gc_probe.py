@@ -113,6 +113,22 @@ Census readings, each from a scratch copy of the tree named:
   (644, 11, 2) or seven (44, 0, 3).  Plain and paired rows in two
   dicts, the form that landed, read (44, 0, 3): about seven live
   objects decide it.
+- At d19fc99, the edge moved.  `GammaElement._of` at the six
+  bare-construction sites reads (646, 11, 2) alone, and `__add__`
+  through `_iadd` (644, 11, 2) alone; the two read safe only together,
+  (44, 0, 3).  Each of the other five edits that landed with them
+  reads (44, 0, 3) alone: the one-pass `reduce_redundant`, `w_of_triple`
+  validating only through it, `enumerate_triples` building its
+  sequences once per length, `cmd_enumerate`'s one None test and
+  `exact_divide`'s one `divmod`.  The one-validate `w_of_triple` with
+  `_of` alone reads (646, 11, 2), with `__add__` alone (644, 11, 2), and
+  with both (44, 0, 3); all seven together read (44, 0, 3), with
+  pfaffian (0, 0, 3) and descent (0, 3, 3), at seeds 1 and 17.  The
+  Part B deletions still held back each flip alone there: the A.1
+  rewrite (596, 11, 2), and every combination that includes it
+  (560-596, 11, 2); weyl's three test-only functions moved out, or
+  `Q_SERIES` removed, or one Pieri table, (644, 11, 2) each; and
+  `divided_difference` with one path per ring (646, 11, 2).
 """
 
 from __future__ import annotations
