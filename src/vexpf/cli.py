@@ -13,7 +13,7 @@ import itertools
 import sys
 
 from .polycore import ExponentOverflow, Polynomial, graded_terms, ones_product, render_terms
-from .gamma import GammaElement, ones_series, q_pair, render_combo, specialize_oracle
+from .gamma import GammaElement, ones_series, q_pair, render_combo
 from .weyl import SignedPermutation, SizeMismatch, all_elements, length
 from .triples import (
     Triple,
@@ -30,6 +30,7 @@ from .schubert import (
     expand_coeffs,
     formula_columns,
     formula_rows,
+    least_size,
     schubert,
     swap_xy,
     sweep,
@@ -290,7 +291,7 @@ def suite_stability(args, report):
     n = args.n
     for wtype in "ABCD":
         # type D starts at size 2, so W_1 is compared at sizes 2 and 3
-        size = max(n, 2) if wtype == "D" else n
+        size = least_size(n, wtype)
         for w, e in sweep(n, wtype):
             if e != schubert(w.embed(size + 1), wtype, n=size + 1):
                 report.fail(f"instability: type {wtype}, w = {w}")
@@ -376,7 +377,7 @@ def suite_lemma25(args, report):
                     if not (nu[0] < k or nu2 < l):
                         continue
                     checked += 1
-                    if specialize_oracle(pair, nu):
+                    if gysin.specialize_oracle(pair, nu):
                         report.fail(f"nonvanishing at k={k}, l={l}, nu={nu}")
     report.append(f"{checked} vanishing specializations checked")
 

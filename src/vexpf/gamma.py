@@ -8,17 +8,17 @@ P_lambda = 2^-r Q_lambda is Q_lambda with a dyadic coefficient.
 the Q basis.  Every other map of the Q basis runs on one rule, the
 horizontal strips of `_strips`: s0 (`apply_symmetry`) and generator 0 of
 types B and C (`s0_quotient`) are one `_strip_fold` each, and the Pieri
-product `_pieri` serves the product of two elements.  Both folds keep
-each coefficient as one packed map, added into by `polycore._fma` and
-wrapped once at the end.  What depends only on integers (`_prepend`,
-`_pieri`, `straighten_monomial`, `ones_series`) is built once per
-process in a bounded `lru_cache` and only read by the folds.
+product, the one-generator case of `straighten_monomial`, serves the
+product of two elements.  Both folds keep each coefficient as one packed
+map, added into by `polycore._fma` and wrapped once at the end.  What
+depends only on integers (`_prepend`, `straighten_monomial`,
+`ones_series`) is built once per process in a bounded `lru_cache` and
+only read by the folds.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -33,7 +33,6 @@ from .polycore import (
     _wrap,
     exponent,
     ones_product,
-    rational_series,
     render_terms,
 )
 
@@ -125,7 +124,8 @@ def _strips(lam: tuple):
     (mu, k, a): each strict mu with lam_1 >= mu_1 >= lam_2 >= mu_2 >= ...,
     k = |lam/mu| and a = a(lam/mu) of `_strip_a`.  The one rule of the Q
     basis (Macdonald III §5 and (8.15)): it adds a variable to the
-    alphabet of Q (`_strip_fold`) and multiplies by a generator (`_pieri`)."""
+    alphabet of Q (`_strip_fold`) and multiplies by a generator
+    (`straighten_monomial`)."""
     for mu in itertools.product(*(range(l, b - 1, -1) for l, b in zip(lam, lam[1:] + (0,)))):
         mu = mu[:-1] if mu and not mu[-1] else mu
         if is_strict(mu):
@@ -141,31 +141,29 @@ def _strip_a(lam: tuple, mu: tuple) -> int:
 
 
 @lru_cache(maxsize=4096)
-def _pieri(mu: tuple, r: int) -> dict:
-    """Q_mu Q_r (r >= 1) as {strict partition: int}: by Macdonald III
-    (8.15), P_mu q_r = sum 2^a P_lam, so Q_mu Q_r = sum 2^(l(mu) + a - l(lam))
-    Q_lam over the lam with (mu, r, a) in `_strips(lam)`.  lam/mu is a
-    horizontal strip exactly when nu = (lam_2, lam_3, ...) has mu/nu one
-    and lam_1 >= mu_1, so those lam are the strict (k + r, nu) over the
-    strips (nu, k, _) of `_strips(mu)` with k + r >= mu_1."""
-    out = {}
-    for nu, k, _ in _strips(mu):
-        lam = (k + r,) + nu
-        if k + r >= (mu[0] if mu else 0) and is_strict(lam):
-            out[lam] = 1 << (len(mu) + _strip_a(lam, mu) - len(lam))
-    return out
-
-
-@lru_cache(maxsize=4096)
 def straighten_monomial(mono: tuple, lam: tuple = ()) -> dict:
     """Q_lam Q_{a_1} ... Q_{a_m} as {strict partition: int}, for a strict
     partition lam and a generator monomial (a_1, ..., a_m): a chain of
-    `_pieri` products, which shares its prefixes through the cache."""
+    Pieri products, which shares its prefixes through the cache.  One
+    generator r >= 1 is the Pieri product itself: by Macdonald III (8.15),
+    P_lam q_r = sum 2^a P_kappa, so Q_lam Q_r = sum 2^(l(lam) + a - l(kappa))
+    Q_kappa over the kappa with (lam, r, a) in `_strips(kappa)`.  kappa/lam
+    is a horizontal strip exactly when nu = (kappa_2, kappa_3, ...) has
+    lam/nu one and kappa_1 >= lam_1, so those kappa are the strict
+    (k + r, nu) over the strips (nu, k, _) of `_strips(lam)` with
+    k + r >= lam_1."""
     if not mono:
         return {lam: 1}
     out = {}
+    if len(mono) == 1:
+        r = mono[0]
+        for nu, k, _ in _strips(lam):
+            kappa = (k + r,) + nu
+            if k + r >= (lam[0] if lam else 0) and is_strict(kappa):
+                out[kappa] = 1 << (len(lam) + _strip_a(kappa, lam) - len(kappa))
+        return out
     for nu, c in straighten_monomial(mono[:-1], lam).items():
-        for kappa, c2 in _pieri(nu, mono[-1]).items():
+        for kappa, c2 in straighten_monomial(mono[-1:], nu).items():
             _iadd(out, kappa, c * c2)
     return out
 
@@ -350,9 +348,6 @@ class GeneratorSeries:
 
     def __repr__(self):
         return f"Q*({self.multiplier})"
-
-
-Q_SERIES = GeneratorSeries(1)
 
 
 @lru_cache(maxsize=1024)
@@ -587,35 +582,3 @@ def apply_symmetry(e: GammaElement) -> GammaElement:
     s1hat is s0 s1 s0): negate x_1 in every coefficient by
     `Polynomial.substitute`, then add x_1 to the alphabet of Q."""
     return _branch(e.map_coeffs(lambda c: c.substitute(_S0)))
-
-
-# ---------------------------------------------------------------------------
-# the specialization of lemma25
-# ---------------------------------------------------------------------------
-
-
-def substitute_q(e: GammaElement, series: Polynomial) -> Polynomial:
-    """Substitute a concrete power series A (with A A* = 1 where it matters)
-    for Q: each generator Q_m in the defining Pfaffian of a basis symbol
-    becomes the degree-m part of A."""
-    out = Polynomial()
-    for lam, coeff in e.combo.items():
-        image = Polynomial()
-        for mono, c in pf_expansion(lam).items():
-            image = image + math.prod(map(series.part, mono), start=Polynomial.const(c))
-        out = out + coeff * image
-    return out
-
-
-def negt_series(nu, bound: int) -> Polynomial:
-    """prod_i (1 - t_{nu_i})/(1 + t_{nu_i}), truncated at total degree `bound`."""
-    t = [Polynomial.variable("t", i) for i in nu]
-    return rational_series([1 - ti for ti in t], [1 + ti for ti in t], bound)
-
-
-def specialize_oracle(e: GammaElement, nu) -> Polynomial:
-    """e under the ring map Q -> prod_i (1-t_{nu_i})/(1+t_{nu_i}) of
-    Gamma, which `verify lemma25` applies to Kazarian's pairs."""
-    # the defining Pfaffian of Q_lambda uses generators up to lambda_1 + lambda_2
-    bound = max((sum(lam[:2]) for lam in e.combo), default=0)
-    return substitute_q(e, negt_series(nu, bound))

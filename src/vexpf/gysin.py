@@ -1,14 +1,16 @@
-"""Operator calculus behind the pushforward Pfaffian formula.
+"""The paper's checks in the plain polynomial ring.
 
 Appendix A.1 lives on Laurent polynomials in the h variables (plain
-Polynomials whose h exponents may be negative) and on formal operators
-sum_J a_J zeta_J built from the substitutions zeta_J : h_i -> 0 for i
-in J: the sign lemma, the Pfaffian/product identity of the rational
-functions f[i,j] = (1 - h_i/h_j)/(1 + h_i/h_j), and the deformed
-operator identity.  Appendix A.2 is the composite of the pushforward
-maps phi_k, each eliminating one h_k (`pushforward`), against the
-paired Pfaffian of `multischur.r_family`, checked in the basis ring
-itself.
+Polynomials whose h exponents may be negative): the sign lemma, the
+Pfaffian/product identity of the rational functions
+f[i,j] = (1 - h_i/h_j)/(1 + h_i/h_j), and the deformed operator
+identity, where an operator sum_J a_J zeta_J, zeta_J : h_i -> 0 for i
+in J, is the Polynomial sum_J a_J z^J.  Appendix A.2 is the composite of
+the pushforward maps phi_k, each eliminating one h_k (`pushforward`),
+against the paired Pfaffian of `multischur.r_family`, checked in the
+basis ring itself.  Lemma 2.5's specialization (`substitute_q`) sends
+each Q_lambda to its defining Pfaffian in a concrete series.  Every
+Pfaffian of polynomial entries here goes through `multischur.pfaffian`.
 
 f[i,j] is expanded in powers of h_i/h_j for i < j, so skew-symmetry
 holds on the nose, and keeps the h exponents in a window [-D, D].
@@ -51,20 +53,6 @@ def restrict(f: Polynomial, bound: int) -> Polynomial:
     return Polynomial.from_packed(
         {m: c for m, c in f.packed.items() if all(abs(exponent(m, v)) <= bound for v in hs)}, f.e
     )
-
-
-def zeta(f: Polynomial, J) -> Polynomial:
-    """The ring map h_i -> 0 for i in J (u and everything else fixed)."""
-    J = frozenset(J)
-    hs = [("h", j) for j in sorted(J)]
-    out = {}
-    for m, c in f.packed.items():
-        hit = next(((v, e) for v in hs if (e := exponent(m, v))), None)
-        if hit is None:
-            out[m] = c
-        elif hit[1] < 0:
-            raise ValueError(f"zeta_{set(J)} hits a negative power of h{hit[0][1]}")
-    return Polynomial.from_packed(out, f.e)
 
 
 # ---------------------------------------------------------------------------
@@ -158,115 +146,63 @@ def lemma_A1_check(K) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# indexed operators and the deformed entries
+# the deformed entries, zeta_j marked by z_j
 # ---------------------------------------------------------------------------
 
 
-class IndexedOperator:
-    """A formal sum  sum_J  a_J zeta_J  with Laurent coefficients a_J.
-
-    Composition uses  (a zeta_J)(b zeta_K) = a zeta_J(b) zeta_{J u K};
-    for the disjoint index sets arising here this is commutative."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        for J, coeff in (terms or {}).items():
-            _iadd(self.terms, frozenset(J), coeff)
-
-    @staticmethod
-    def scalar(f: Polynomial) -> "IndexedOperator":
-        return IndexedOperator({frozenset(): f})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, IndexedOperator) and self.terms == other.terms
-
-    def __neg__(self):
-        out = IndexedOperator()
-        out.terms = {J: -c for J, c in self.terms.items()}
-        return out
-
-    def __add__(self, other):
-        out = IndexedOperator()
-        out.terms = dict(self.terms)
-        for J, c in other.terms.items():
-            _iadd(out.terms, J, c)
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out = IndexedOperator()
-        for J1, c1 in self.terms.items():
-            for J2, c2 in other.terms.items():
-                _iadd(out.terms, J1 | J2, c1 * zeta(c2, J1))
-        return out
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for J in sorted(self.terms, key=sorted):
-            tag = "".join(f" z{j}" for j in sorted(J))
-            bits.append(f"({self.terms[J]}){tag}")
-        return " + ".join(bits)
-
-
-def f_tilde_border(k: int, lam) -> IndexedOperator:
-    """h_k^{lam_k} + u_k^{lam_k} zeta_k  (lam is indexed by position, so
+def f_tilde_border(k: int, lam) -> Polynomial:
+    """h_k^{lam_k} + u_k^{lam_k} z_k  (lam is indexed by position, so
     lam[k-1] is the exponent attached to index k)."""
     lk = lam[k - 1]
-    return IndexedOperator({frozenset(): h_power(k, lk), frozenset({k}): u_power(k, lk)})
+    return h_power(k, lk) + u_power(k, lk) * Polynomial.variable("z", k)
 
 
-def f_tilde_pair(i: int, j: int, lam, window: int = 8) -> IndexedOperator:
+def f_tilde_pair(i: int, j: int, lam, window: int = 8) -> Polynomial:
     """The deformed entry
-    (h_i^{lam_i} - u_i^{lam_i} zeta_i)(h_j^{lam_j} + u_j^{lam_j} zeta_j)
+    (h_i^{lam_i} - u_i^{lam_i} z_i)(h_j^{lam_j} + u_j^{lam_j} z_j)
       + 2 sum_{k>0} (-1)^k h_i^{lam_i+k} h_j^{lam_j-k},   for i < j,
     the sum cut where an h exponent would leave [-window, window]."""
     if i == j:
         raise ValueError("diagonal entry")
     if i > j:
         return -f_tilde_pair(j, i, lam, window)
-    li, lj = lam[i - 1], lam[j - 1]
-    left = IndexedOperator({frozenset(): h_power(i, li), frozenset({i}): -u_power(i, li)})
-    tail = _pair_series(i, j, li, lj, window)
-    return left * f_tilde_border(j, lam) + IndexedOperator.scalar(tail)
+    li = lam[i - 1]
+    left = h_power(i, li) - u_power(i, li) * Polynomial.variable("z", i)
+    return left * f_tilde_border(j, lam) + _pair_series(i, j, li, lam[j - 1], window)
 
 
 def prop_A1_check(lam, K) -> bool:
     """Does the Pfaffian of the deformed entries equal the operator
     sum_{I u J = K} sgn(K, J) h^I u^J f[I] zeta_J?  An operator
-    sum_J a_J zeta_J is fixed by how it acts, so the two sides are
-    compared coefficient by coefficient.  lam supplies lam[k-1] for each
-    index k in K.  The series are cut at the window sum(lam over K) + 5
-    and compared on |h exponents| <= 4, away from the boundary where the
+    sum_J a_J zeta_J is fixed by how it acts, and is written here as the
+    Polynomial sum_J a_J z^J.  The markers are exact: a Pfaffian term
+    uses each index once, so no zeta_j meets an h_j or a z_j of another
+    entry.  The Pfaffian is split by its z exponents and compared z^J
+    coefficient by coefficient.  lam supplies lam[k-1] for each index k
+    in K.  The series are cut at the window sum(lam over K) + 5 and
+    compared on |h exponents| <= 4, away from the boundary where the
     truncated series are inexact."""
     K = tuple(sorted(K))
     window = sum(lam[k - 1] for k in K) + 5
-
-    lhs = pfaffian(
+    lhs = {(): pfaffian(
         len(K),
         lambda a, b: f_tilde_pair(K[a], K[b], lam, window),
-        IndexedOperator.scalar(Polynomial.const(1)),
+        Polynomial.const(1),
         border=lambda a: f_tilde_border(K[a], lam),
-    )
+    )}
+    for k in K:
+        lhs = {J + (k,) * e: c for J, f in lhs.items() for e, c in f.split(("z", k)).items()}
 
     rhs = {}
     for t in range(len(K) + 1):
         for J in itertools.combinations(K, t):
             I = tuple(k for k in K if k not in J)
             powers = [h_power(i, lam[i - 1]) for i in I] + [u_power(j, lam[j - 1]) for j in J]
-            rhs[frozenset(J)] = math.prod(powers, start=f_index(I, window) * sgn(K, J))
+            rhs[J] = math.prod(powers, start=f_index(I, window) * sgn(K, J))
 
     return all(
-        restrict(lhs.terms.get(J, Polynomial()), 4) == restrict(rhs.get(J, Polynomial()), 4)
-        for J in lhs.terms.keys() | rhs.keys()
+        restrict(lhs.get(J, Polynomial()), 4) == restrict(rhs.get(J, Polynomial()), 4)
+        for J in lhs.keys() | rhs.keys()
     )
 
 
@@ -335,3 +271,43 @@ def plain_pushforward_check(lam, series, exponents) -> bool:
     lhs = pushforward(lam, series, exponents)
     shifted = tuple(l + m for l, m in zip(lam, exponents))
     return lhs == multischur_pf(shifted, series)
+
+
+# ---------------------------------------------------------------------------
+# the specialization of lemma25
+# ---------------------------------------------------------------------------
+
+
+def substitute_q(e: GammaElement, series: Polynomial) -> Polynomial:
+    """Substitute a concrete power series A (with A A* = 1 where it matters)
+    for Q: each basis symbol Q_lambda becomes its defining Pfaffian, with
+    entries A_a A_b + 2 sum_{j=1}^{b} (-1)^j A_{a+j} A_{b-j} and border
+    A_a, A_m the degree-m part of A and A_0 = 1, as Q_0 = 1."""
+    parts, one = series.parts(), Polynomial.const(1)
+
+    def part(m):
+        return parts.get(m, Polynomial()) if m else one
+
+    def entry(a, b):
+        tail = (part(a + j) * part(b - j) * (2 * (-1) ** j) for j in range(1, b + 1))
+        return sum(tail, part(a) * part(b))
+
+    out = Polynomial()
+    for lam, coeff in e.combo.items():
+        image = pfaffian(len(lam), lambda i, j: entry(lam[i], lam[j]), one, border=lambda i: part(lam[i]))
+        out = out + coeff * image
+    return out
+
+
+def negt_series(nu, bound: int) -> Polynomial:
+    """prod_i (1 - t_{nu_i})/(1 + t_{nu_i}), truncated at total degree `bound`."""
+    t = [Polynomial.variable("t", i) for i in nu]
+    return rational_series([1 - ti for ti in t], [1 + ti for ti in t], bound)
+
+
+def specialize_oracle(e: GammaElement, nu) -> Polynomial:
+    """e under the ring map Q -> prod_i (1-t_{nu_i})/(1+t_{nu_i}) of
+    Gamma, which `verify lemma25` applies to Kazarian's pairs."""
+    # the defining Pfaffian of Q_lambda uses generators up to lambda_1 + lambda_2
+    bound = max((sum(lam[:2]) for lam in e.combo), default=0)
+    return substitute_q(e, negt_series(nu, bound))

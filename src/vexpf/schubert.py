@@ -65,24 +65,13 @@ def divided_difference(i: int, f, wtype: str):
             raise ValueError("generator 0 undefined in type A")
         return s0_quotient(f, wtype)
     v, w = ("x", i), ("x", i + 1)
-    if wtype == "A":
-        # two passes, because perfbench's type-A descent test asserts
-        # that these steps call exact_divide
-        denom = _xvar(i) - _xvar(i + 1)
-
-        def step(c):
-            diff = c.swap_difference(v, w)
-            return exact_divide(diff, denom) if diff else diff
-
-    elif isinstance(f, GammaElement):
+    if wtype != "A":
         # one pass over every coefficient, the combo taken as built
-        return GammaElement._of(divided_differences(f.combo, v, w))
-    else:
-
-        def step(c):
-            return c.divided_difference(v, w)
-
-    return f.map_coeffs(step) if isinstance(f, GammaElement) else step(Polynomial.of(f))
+        return GammaElement._of(divided_differences(GammaElement.of(f).combo, v, w))
+    # two passes, because perfbench's type-A descent test asserts that
+    # these steps call exact_divide
+    diff = Polynomial.of(f).swap_difference(v, w)
+    return exact_divide(diff, _xvar(i) - _xvar(i + 1)) if diff else diff
 
 
 # ---------------------------------------------------------------------------
@@ -176,13 +165,19 @@ classes_built = 0
 zero_steps = 0
 
 
+def least_size(n: int, wtype: str) -> int:
+    """The size a class of W_n is built at: n, and at least 2 in type D,
+    whose generator 0 (s_1hat) moves two entries."""
+    return max(n, 2) if wtype == "D" else n
+
+
 def schubert(w: SignedPermutation, wtype: str, n: int = None):
     """The double Schubert polynomial of w, by the smallest-ascent route.
     n defaults to the size of w (at least 2 in type D); a smaller n
     raises SizeMismatch."""
     if wtype == "A" and not w.is_unsigned():
         raise ValueError("type A wants an unsigned permutation")
-    least = max(w.n, 2) if wtype == "D" else w.n
+    least = least_size(w.n, wtype)
     if n is None:
         n = least
     elif n < least:
@@ -192,8 +187,8 @@ def schubert(w: SignedPermutation, wtype: str, n: int = None):
 
 def sweep(n: int, wtype: str):
     """(w, class) for each w of `all_elements(n, wtype)`, in its order, by
-    the generator-0-last route; type D sizes W_1 up to 2, as `schubert` does."""
-    size = max(n, 2) if wtype == "D" else n
+    the generator-0-last route, at `least_size(n, wtype)`."""
+    size = least_size(n, wtype)
     for w in all_elements(n, wtype):
         yield w, _descend(w.embed(size), wtype, size, True)
 

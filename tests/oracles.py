@@ -1,23 +1,29 @@
 """Oracles for the tests, kept out of the program since no command runs
-them: the symmetric-function specialization of Gamma, the
-degeneracy-locus class of a triple with caller-supplied Chern data, the
-branching rule and the top-degree part of a class written term by term,
-the Pfaffian fold with every row folded from the unit state and the rows
-it reads as dicts, the partition of a triple read off its reduction, the
-reduction of a redundant triple one dropped step at a time, and the
-restriction of a class to a torus-fixed point with Billey's product
-of roots at the top.
+them: the plain series Q (`Q_SERIES`), the substitution of a series for
+Q through the generator-monomial expansion of each basis symbol, the
+symmetric-function specialization of Gamma, the degeneracy-locus class
+of a triple with caller-supplied Chern data, the branching rule and the
+top-degree part of a class written term by term, the Pfaffian fold with
+every row folded from the unit state and the rows it reads as dicts,
+the partition of a triple read off its reduction, the reduction of a
+redundant triple one dropped step at a time, and the restriction of a
+class to a torus-fixed point with Billey's product of roots at the top.
 
     from oracles import degeneracy_formula, specialize_symfun
 """
 
 import itertools
+import math
 
-from vexpf.gamma import GammaElement, GeneratorSeries, _prepend, is_strict, pf_rows, series_rows, substitute_q
+from vexpf.gamma import GammaElement, GeneratorSeries, _prepend, is_strict, pf_expansion, pf_rows, series_rows
+from vexpf.gysin import substitute_q
 from vexpf.multischur import paired_rows
 from vexpf.polycore import Polynomial, _add_into, _fma, _settle, rational_series
 from vexpf.schubert import formula_rows
 from vexpf.triples import InvalidTriple, Triple, _steps, column_steps, reduce_redundant, validate
+
+
+Q_SERIES = GeneratorSeries(1)
 
 
 class TruncationTooSmall(ValueError):
@@ -38,6 +44,19 @@ def specialize_symfun(e, n_vars: int, bound: int) -> Polynomial:
     if bound < e.degree():
         raise TruncationTooSmall(f"degree {e.degree()} element needs truncation >= that, got {bound}")
     return substitute_q(e, symfun_series(n_vars, bound))
+
+
+def substitute_q_by_monomials(e: GammaElement, series: Polynomial) -> Polynomial:
+    """Substitute a concrete power series A (with A A* = 1 where it matters)
+    for Q: each generator Q_m in the defining Pfaffian of a basis symbol
+    becomes the degree-m part of A."""
+    out = Polynomial()
+    for lam, coeff in e.combo.items():
+        image = Polynomial()
+        for mono, c in pf_expansion(lam).items():
+            image = image + math.prod(map(series.part, mono), start=Polynomial.const(c))
+        out = out + coeff * image
+    return out
 
 
 def degeneracy_formula(t, q_series=None, multipliers=None):

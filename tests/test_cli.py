@@ -463,7 +463,7 @@ class TestVerify:
         ("inverse-swap", ("--n", "2"), cli, "swap_xy", 0, "inverse symmetry fails: type C, w = 1 2"),
         ("redundancy", (), cli, "vexillary_polynomial", 0,
          "type-A reduction changed the determinant: k=1,2;p=3,3;q=1,2;type=A"),
-        ("lemma25", (), cli, "specialize_oracle", 1, "nonvanishing at k=2, l=1, nu=(4,)"),
+        ("lemma25", (), gysin, "specialize_oracle", 1, "nonvanishing at k=2, l=1, nu=(4,)"),
         ("identity-2-3", ("--n", "1"), cli, "expand_coeffs", {}, "shift identity fails for lambda = (1,)"),
         ("appendix-a1", (), gysin, "lemma_A1_check", False, "sign lemma fails for K = ()"),
         ("appendix-a2", ("--r", "1"), gysin, "prop_A2_check", False,

@@ -12,15 +12,12 @@ from vexpf.polycore import ExponentOverflow, Polynomial
 from vexpf.gamma import (
     GammaElement,
     GeneratorSeries,
-    Q_SERIES,
     _branch,
     _gens,
     _iadd,
-    _pieri,
     _raw_mul,
     apply_symmetry,
     lift_row,
-    negt_series,
     ones_series,
     pair_expansion,
     pf_expansion,
@@ -28,14 +25,15 @@ from vexpf.gamma import (
     q_pair,
     series_coeff,
     series_rows,
-    specialize_oracle,
     straighten_monomial,
 )
+from vexpf.gysin import negt_series, specialize_oracle
 from vexpf.multischur import paired_rows, q_family
 from vexpf.schubert import divided_difference, formula_rows, top_class
 from vexpf.triples import enumerate_triples
 
 from oracles import (
+    Q_SERIES,
     TruncationTooSmall,
     branch_term_by_term,
     dict_rows,
@@ -189,7 +187,7 @@ class TestStraighten:
 
     def test_cache_scan_finds_the_gamma_caches(self):
         names = {f.__name__ for f in _vexpf_caches()}
-        gamma_caches = {"straighten_monomial", "_pieri", "pair_expansion", "pf_expansion", "_prepend", "ones_series"}
+        gamma_caches = {"straighten_monomial", "pair_expansion", "pf_expansion", "_prepend", "ones_series"}
         assert gamma_caches | {"_divides"} <= names
 
     def test_constructor_normalizes_its_combo(self):
@@ -643,7 +641,7 @@ class TestStrips:
         for mu in (mu for w in range(9) for mu in _strict_partitions(w)):
             n = len(mu) + 1
             for r in range(1, 6):
-                got = sum((image(lam, n) * c for lam, c in _pieri(mu, r).items()), Polynomial())
+                got = sum((image(lam, n) * c for lam, c in straighten_monomial((r,), mu).items()), Polynomial())
                 assert got == image(mu, n) * image((r,), n), (mu, r)
 
 

@@ -1,14 +1,14 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from vexpf import gysin
 from vexpf.polycore import Polynomial
-from vexpf.gamma import GammaElement, GeneratorSeries, Q_SERIES, series_coeff
+from vexpf.gamma import GammaElement, GeneratorSeries, series_coeff
 from vexpf.multischur import r_rows
 from vexpf.gysin import (
-    IndexedOperator,
     WindowTooSmall,
     epsilon,
     f_index,
@@ -24,9 +24,11 @@ from vexpf.gysin import (
     pushforward,
     restrict,
     sgn,
+    substitute_q,
     u_power,
-    zeta,
 )
+
+from oracles import Q_SERIES, substitute_q_by_monomials
 
 ONE = Polynomial.const(1)
 
@@ -37,6 +39,10 @@ def h(i, e=1):
 
 def u(i, e=1):
     return u_power(i, e)
+
+
+def z(j):
+    return Polynomial.variable("z", j)
 
 
 class TestLaurent:
@@ -51,13 +57,7 @@ class TestLaurent:
         assert prod == ONE
         assert (prod - ONE).terms == {}
 
-    def test_zeta_kills_positive_powers(self):
-        e = h(1) * h(2, -1) + u(1) * 3
-        assert zeta(e, {1}) == u(1) * 3
-
-    def test_zeta_rejects_negative_powers(self):
-        with pytest.raises(ValueError):
-            zeta(h(1, -1), {1})
+    def test_u_rejects_negative_powers(self):
         with pytest.raises(ValueError):
             u(1, -1)
 
@@ -110,26 +110,13 @@ class TestSigns:
 
 
 class TestOperators:
-    def test_zeta_composition(self):
-        a = IndexedOperator({frozenset({1}): ONE})
-        b = IndexedOperator({frozenset({2}): ONE})
-        ab = a * b
-        assert ab.terms == {frozenset({1, 2}): ONE}
-        e = h(1) + h(2) + h(3)
-        assert zeta(e, frozenset({1, 2})) == h(3)
-
-    def test_composition_moves_coefficients_through_zeta(self):
-        # (zeta_1) . (h_1 + h_2) = h_2 zeta_1, not (h_1 + h_2) zeta_1
-        a = IndexedOperator({frozenset({1}): ONE})
-        b = IndexedOperator.scalar(h(1) + h(2))
-        assert (a * b).terms == {frozenset({1}): h(2)}
-
     def test_deformed_entry_skew(self):
         lam = (2, 1)
         assert f_tilde_pair(2, 1, lam) == -f_tilde_pair(1, 2, lam)
 
     def test_border_on_one(self):
-        assert f_tilde_border(1, (3,)).terms == {frozenset(): h(1, 3), frozenset({1}): u(1, 3)}
+        # zeta_1 is marked by z_1
+        assert f_tilde_border(1, (3,)) == h(1, 3) + u(1, 3) * z(1)
 
 
 class TestPropA1:
@@ -149,6 +136,12 @@ class TestPropA1:
         # sgn negated for |J| = 1 flips the coefficient of every zeta_j, j in K
         sgn0 = gysin.sgn
         monkeypatch.setattr(gysin, "sgn", lambda K, J: -sgn0(K, J) if len(J) == 1 else sgn0(K, J))
+        for lam, K in [((3,), (1,)), ((2, 1), (1, 2)), ((4, 2, 1), (1, 3)), ((3, 2, 1), (1, 2, 3))]:
+            assert not prop_A1_check(lam, K), (lam, K)
+
+    def test_dropped_marker_fails(self, monkeypatch):
+        # without its z_k, a border's u_k^{lam_k} zeta_k lands on zeta_{}
+        monkeypatch.setattr(gysin, "f_tilde_border", lambda k, lam: h(k, lam[k - 1]) + u(k, lam[k - 1]))
         for lam, K in [((3,), (1,)), ((2, 1), (1, 2)), ((4, 2, 1), (1, 3)), ((3, 2, 1), (1, 2, 3))]:
             assert not prop_A1_check(lam, K), (lam, K)
 
@@ -201,3 +194,20 @@ class TestPlainPushforward:
         series = [GeneratorSeries(ones_product("x", p) * ones_product("y", q)) for p, q in factors]
         for m in [(0, 0), (1, 0), (0, 1), (2, 1)]:
             assert plain_pushforward_check(lam, series, m), m
+
+
+class TestSubstituteQ:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_the_generator_monomials(self, seed):
+        # every strict lambda with parts <= 7 and at most 4 of them, under a
+        # random series whose constant term need not be 1
+        rng = random.Random(seed)
+        t1, t2 = Polynomial.variable("t", 1), Polynomial.variable("t", 2)
+        series = sum(
+            (t1 ** a * t2 ** b * rng.randint(-3, 3) for a in range(14) for b in range(14 - a)),
+            Polynomial(),
+        )
+        for r in range(5):
+            for lam in itertools.combinations(range(7, 0, -1), r):
+                e = GammaElement({lam: 1})
+                assert substitute_q(e, series) == substitute_q_by_monomials(e, series), lam

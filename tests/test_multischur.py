@@ -10,7 +10,6 @@ from vexpf import gamma, gysin, multischur, polycore, schubert, triples
 from vexpf.gamma import (
     GammaElement,
     GeneratorSeries,
-    Q_SERIES,
     _iadd,
     lift_row,
     pf_rows,
@@ -35,7 +34,7 @@ from vexpf.schubert import formula_rows, top_class, vexillary_polynomial
 from vexpf.triples import InvalidTriple, Triple, enumerate_triples, triple_of_w
 from vexpf.weyl import all_elements
 
-from oracles import dict_rows
+from oracles import Q_SERIES, dict_rows
 
 
 def tvar(i):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vexpf.polycore import Polynomial, divided_differences, exact_divide
-from vexpf.gamma import GammaElement, apply_symmetry, specialize_oracle
+from vexpf.gamma import GammaElement, apply_symmetry
+from vexpf.gysin import specialize_oracle
 from vexpf.weyl import SignedPermutation, all_elements, length, reduced_word
 from vexpf.triples import Triple, lambda_of, plus_map, triple_of_w, enumerate_triples, validate
 from vexpf.multischur import p_family, q_family, r_family

@@ -129,6 +129,20 @@ Census readings, each from a scratch copy of the tree named:
   (560-596, 11, 2); weyl's three test-only functions moved out, or
   `Q_SERIES` removed, or one Pieri table, (644, 11, 2) each; and
   `divided_difference` with one path per ring (646, 11, 2).
+- At 1849ef6 the tree reads (44, 0, 3).  Appendix A.1 in the polynomial
+  ring with Lemma 2.5's specialization moved from `gamma` into `gysin`
+  reads (33, 0, 3), pfaffian (0, 0, 3) and descent (0, 3, 3), at seeds
+  1 and 17; the A.1 rewrite alone reads (604, 11, 2) there, and
+  pfaffian (193, 11, 2).  Stacked
+  on it, in this order, `divided_difference` with one path per ring,
+  one Pieri table, `schubert.least_size` and the removal of `Q_SERIES`
+  each read (33, 0, 3), and that tree landed.  Moving weyl's test-only
+  `descents`, `reduced_word` and `longest_element` out flips it: alone
+  on the A.1 rewrite and the move (648, 11, 2), after the Pieri table
+  (624, 11, 2), with `least_size` too (648, 11, 2), and with all four
+  others (624, 11, 2), with pfaffian's op 0 taking a generation-1
+  collection as well, (213-239, 11, 2).  Its first-ascent docstring
+  changes no reading.  So those three stay in `weyl`.
 """
 
 from __future__ import annotations
